@@ -1,0 +1,7 @@
+//go:build !linux
+
+package main
+
+import "errors"
+
+func pinToOneCPU() (int, error) { return 0, errors.New("processor affinity is set on Linux only") }
