@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test verify vet race bench bench-fusion bench-batch serve-smoke obs-smoke chaos durability cluster-chaos cluster-membership-chaos autotune
+.PHONY: build test verify vet race bench bench-parallel bench-fusion bench-batch serve-smoke obs-smoke chaos durability cluster-chaos cluster-membership-chaos autotune
 
 build:
 	$(GO) build ./...
@@ -20,9 +20,12 @@ vet:
 # evaluator and the bootstrapper fan limb work out across the internal/par
 # worker pool, and the serving layer runs a worker pool of evaluators over
 # a shared session cache. ACE_WORKERS=8 forces parallel scheduling even on
-# single-core CI machines.
+# single-core CI machines. The packages that nest par.For run again at
+# ACE_WORKERS=2: the worker count at which a nested loop's helper used
+# to queue behind the only pool worker and deadlock.
 race:
 	ACE_WORKERS=8 $(GO) test -race ./internal/ring/... ./internal/ckks/... ./internal/bootstrap/... ./internal/par/... ./internal/nt/... ./internal/polyir/... ./internal/serve/... ./internal/fheclient/... ./internal/vm/... ./internal/obs/... ./internal/batch/... ./internal/cluster/...
+	ACE_WORKERS=2 $(GO) test -race ./internal/ring/... ./internal/ckks/... ./internal/bootstrap/... ./internal/par/... ./internal/vm/...
 
 # Loopback smoke test of the serving layer: start an in-process daemon,
 # register a session through the real client, infer, decrypt, compare to
@@ -103,9 +106,15 @@ verify:
 	$(MAKE) autotune
 	$(GO) test ./...
 
+# The repository's benchmark (BENCHMARK.json, bench/README.md): four
+# workloads, end-to-end metrics untraced; BENCH_ARGS passes flags through,
+# e.g. BENCH_ARGS='--workload infer_gemv --trace 1'.
+bench:
+	bash bench/run.sh $(BENCH_ARGS)
+
 # Microbenchmarks for the limb-parallel engine and buffer pooling
 # (BENCH_parallel.json records reference numbers).
-bench:
+bench-parallel:
 	$(GO) test -run '^$$' -bench 'BenchmarkNTT$$|BenchmarkKeySwitch$$|BenchmarkHoistedRotations$$' -benchmem .
 
 # Fused-kernel benchmarks (BENCH_fusion.json records reference numbers):

@@ -78,7 +78,12 @@ func (p Parameters) withDefaults() Parameters {
 	return p
 }
 
-// Bootstrapper holds the precomputed matrices and polynomials.
+// Bootstrapper holds the precomputed matrices and polynomials. It is
+// safe for concurrent use by evaluators with distinct key sets: the
+// matrices are read-only, and the two transforms keep their encoded
+// diagonals in memos that fill on first use, so every machine sharing a
+// bootstrapper encodes each diagonal once per (level, scale) rather than
+// on every bootstrap.
 type Bootstrapper struct {
 	params  *ckks.Parameters
 	bp      Parameters
@@ -172,6 +177,26 @@ func (bt *Bootstrapper) buildMatrices() {
 	}
 	bt.c2s = ckks.NewLinearTransformFromMatrix(sfinv)
 	bt.s2c = ckks.NewLinearTransformFromMatrix(sf)
+	bt.c2s.Memo = ckks.NewPlaintextMemo(bt.params, ckks.PlaintextMemoCap)
+	bt.s2c.Memo = ckks.NewPlaintextMemo(bt.params, ckks.PlaintextMemoCap)
+}
+
+// WithTableCap returns a bootstrapper that shares bt's matrices and
+// polynomials but keeps its encoded diagonals in fresh, empty tables of
+// at most capBytes each. Tests use it to reach the over-budget path;
+// zero encodes every diagonal on every bootstrap.
+func (bt *Bootstrapper) WithTableCap(capBytes int64) *Bootstrapper {
+	out := *bt
+	c2s, s2c := *bt.c2s, *bt.s2c
+	c2s.Memo = ckks.NewPlaintextMemo(bt.params, capBytes)
+	s2c.Memo = ckks.NewPlaintextMemo(bt.params, capBytes)
+	out.c2s, out.s2c = &c2s, &s2c
+	return &out
+}
+
+// TableStats reads the counters of the two diagonal tables, summed.
+func (bt *Bootstrapper) TableStats() ckks.MemoStats {
+	return bt.c2s.Memo.Stats().Add(bt.s2c.Memo.Stats())
 }
 
 // buildEvalMod interpolates h(x) = cos(2*pi*freq*x/2^r - pi/2^(r+1)) on

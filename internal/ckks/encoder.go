@@ -137,18 +137,26 @@ func (e *Encoder) Encode(values []complex128, level int, scale float64) (*Plaint
 	e.specialFFTInv(vals)
 
 	gap := (n / 2) / slots
-	coeffs := make([]*big.Int, n)
-	for i := range coeffs {
-		coeffs[i] = big.NewInt(0)
-	}
+	scaled := make([]float64, n)
 	for i, idx := 0, 0; i < slots; i, idx = i+1, idx+gap {
-		scaleToBig(real(vals[i])*scale, coeffs[idx])
-		scaleToBig(imag(vals[i])*scale, coeffs[idx+n/2])
+		scaled[idx] = real(vals[i]) * scale
+		scaled[idx+n/2] = imag(vals[i]) * scale
 	}
-	pt := &Plaintext{Value: e.params.RingQ().NewPoly(level), Scale: scale}
-	setBigCoeffs(e.params.RingQ(), pt.Value, coeffs)
-	e.params.RingQ().NTT(pt.Value, pt.Value)
-	return pt, nil
+	return e.fromScaledCoeffs(scaled, level, scale), nil
+}
+
+// fromScaledCoeffs rounds the scaled coefficients to integers, reduces
+// them into RNS form and transforms the result to NTT domain.
+func (e *Encoder) fromScaledCoeffs(scaled []float64, level int, scale float64) *Plaintext {
+	r := e.params.RingQ()
+	pt := &Plaintext{Value: r.NewPoly(level), Scale: scale}
+	if ints, ok := roundToInt64(scaled); ok {
+		setInt64Coeffs(r, pt.Value, ints)
+	} else {
+		setBigCoeffs(r, pt.Value, roundToBig(scaled))
+	}
+	r.NTT(pt.Value, pt.Value)
+	return pt
 }
 
 // EncodeReal is Encode for real-valued vectors.
@@ -168,17 +176,11 @@ func (e *Encoder) EncodeCoeffs(values []float64, level int, scale float64) (*Pla
 	if len(values) > n {
 		return nil, fmt.Errorf("ckks: %d coefficients exceed degree %d", len(values), n)
 	}
-	coeffs := make([]*big.Int, n)
-	for i := range coeffs {
-		coeffs[i] = big.NewInt(0)
-	}
+	scaled := make([]float64, n)
 	for i, v := range values {
-		scaleToBig(v*scale, coeffs[i])
+		scaled[i] = v * scale
 	}
-	pt := &Plaintext{Value: e.params.RingQ().NewPoly(level), Scale: scale}
-	setBigCoeffs(e.params.RingQ(), pt.Value, coeffs)
-	e.params.RingQ().NTT(pt.Value, pt.Value)
-	return pt, nil
+	return e.fromScaledCoeffs(scaled, level, scale), nil
 }
 
 // Decode decodes a plaintext into the given number of slots.
@@ -224,15 +226,62 @@ func (e *Encoder) DecodeCoeffs(pt *Plaintext) []float64 {
 	return out
 }
 
+// exactInt64 bounds the magnitudes math.Round maps to an int64 exactly.
+const exactInt64 = 1 << 53
+
+// roundToInt64 rounds every value to the nearest integer, and reports
+// false when one of them is too large for that to be exact in an int64:
+// those vectors take the big-integer path.
+func roundToInt64(vals []float64) ([]int64, bool) {
+	out := make([]int64, len(vals))
+	for i, v := range vals {
+		if !(math.Abs(v) < exactInt64) {
+			return nil, false
+		}
+		out[i] = int64(math.Round(v))
+	}
+	return out, true
+}
+
+// roundToBig is roundToInt64 without the magnitude limit.
+func roundToBig(vals []float64) []*big.Int {
+	out := make([]*big.Int, len(vals))
+	for i, v := range vals {
+		out[i] = new(big.Int)
+		scaleToBig(v, out[i])
+	}
+	return out
+}
+
 // scaleToBig rounds v to the nearest integer as a big.Int.
 func scaleToBig(v float64, out *big.Int) {
-	if math.Abs(v) < 9.007199254740992e15 { // 2^53: exact int64 fast path
+	if math.Abs(v) < exactInt64 {
 		out.SetInt64(int64(math.Round(v)))
 		return
 	}
 	bf := new(big.Float).SetPrec(128).SetFloat64(v)
 	bf.Add(bf, big.NewFloat(math.Copysign(0.5, v)))
 	bf.Int(out)
+}
+
+// setInt64Coeffs writes signed integer coefficients into RNS form: the
+// residues big.Int.Mod would give, from one machine division each.
+func setInt64Coeffs(r *ring.Ring, p *ring.Poly, coeffs []int64) {
+	par.For(len(p.Coeffs), par.Grain(r.N), func(start, end int) {
+		for i := start; i < end; i++ {
+			q := r.Moduli[i]
+			row := p.Coeffs[i]
+			for j, c := range coeffs {
+				if c >= 0 {
+					row[j] = uint64(c) % q
+				} else if m := uint64(-c) % q; m != 0 {
+					row[j] = q - m
+				} else {
+					row[j] = 0
+				}
+			}
+		}
+	})
 }
 
 func bigToFloat(v *big.Int) float64 {

@@ -13,6 +13,11 @@ type LinearTransform struct {
 	Diags map[int][]complex128
 	// N1 is the baby-step count; 0 selects sqrt of the diagonal count.
 	N1 int
+	// Memo, when set, keeps each pre-rotated, encoded diagonal per (level,
+	// plaintext scale), so evaluators sharing the transform encode a
+	// diagonal once instead of on every evaluation. Diags and N1 must not
+	// change once it holds entries.
+	Memo *PlaintextMemo
 }
 
 // NewLinearTransformFromMatrix converts a dense row-major matrix into
@@ -139,14 +144,16 @@ func (ev *Evaluator) EvaluateLinearTransform(ct *Ciphertext, lt *LinearTransform
 	for _, g := range giants {
 		var inner *Ciphertext
 		for _, b := range index[g] {
-			diag := lt.Diags[g+b]
-			// Pre-rotate the diagonal by -g so the outer giant rotation
-			// aligns it: rot_g(rot_{-g}(diag) ⊙ rot_b(x)) = diag ⊙ rot_{g+b}(x).
-			rotated := make([]complex128, slots)
-			for i := 0; i < slots; i++ {
-				rotated[i] = diag[((i-g)%slots+slots)%slots]
-			}
-			pt, err := enc.Encode(rotated, level, ptScale)
+			pt, _, err := lt.Memo.Get(PlaintextKey{Const: g + b, Level: level, Scale: ptScale}, func() (*Plaintext, error) {
+				diag := lt.Diags[g+b]
+				// Pre-rotate the diagonal by -g so the outer giant rotation
+				// aligns it: rot_g(rot_{-g}(diag) ⊙ rot_b(x)) = diag ⊙ rot_{g+b}(x).
+				rotated := make([]complex128, slots)
+				for i := 0; i < slots; i++ {
+					rotated[i] = diag[((i-g)%slots+slots)%slots]
+				}
+				return enc.Encode(rotated, level, ptScale)
+			})
 			if err != nil {
 				return nil, err
 			}

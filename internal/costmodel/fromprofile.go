@@ -90,8 +90,6 @@ func primitiveMean(m *Model, op string, levels []int) (float64, bool) {
 			sum += m.KeySwitch(l) + 2*m.pw(l+1)
 		case ckksir.OpRescale:
 			sum += m.Rescale(l)
-		case ckksir.OpEncode:
-			sum += m.ntt(l + 1)
 		default:
 			return 0, false
 		}
@@ -130,8 +128,10 @@ func kernelWork(m *Model, kernel string, l int) float64 {
 // The fit is a ratio scaling, op family by op family:
 //   - PointwisePerCoeff from the purely pointwise ops (add, add_plain,
 //     mul_plain, mul_const, mul), count-weighted;
-//   - NTTPerButterfly from rescale + encode after subtracting their
-//     fitted pointwise share;
+//   - NTTPerButterfly from rescale after subtracting its fitted
+//     pointwise share (ckks.encode is no evidence: a steady-state profile
+//     has no encode samples, and the trajectory, which follows
+//     ciphertexts, never says at which level a cold one ran);
 //   - the three fused-kernel constants from the Kernels table, priced at
 //     the key-switch levels the trajectory observed;
 //   - BConvPerCoeff rides the pointwise ratio (it is only exercised when
@@ -177,30 +177,16 @@ func FromProfile(snap obs.ProfileSnapshot, geom Geometry, base Calibration) (Cal
 	c.PointwisePerCoeff = base.PointwisePerCoeff * xPw
 	c.BConvPerCoeff = base.BConvPerCoeff * xPw
 
-	// NTT family from rescale (+ encode): subtract the fitted pointwise
-	// share, attribute the rest to the butterflies.
-	var measT, predNtt, predPwShare float64
-	for _, op := range []string{ckksir.OpRescale, ckksir.OpEncode} {
-		st, ok := stats[op]
-		if !ok || len(levels[op]) == 0 {
-			continue
+	// NTT family from rescale: subtract the fitted pointwise share,
+	// attribute the rest to the butterflies.
+	if st, ok := stats[ckksir.OpRescale]; ok && len(levels[ckksir.OpRescale]) > 0 {
+		var predNtt, predPwShare float64
+		w := float64(st.Count) / float64(len(levels[ckksir.OpRescale]))
+		for _, l := range levels[ckksir.OpRescale] {
+			predNtt += 2 * (m.ntt(1) + m.ntt(l)) * w // r-1 = l residues after the drop
+			predPwShare += 4 * m.pw(l) * w * xPw     // 2 halves × 2 passes
 		}
-		for _, l := range levels[op] {
-			var nttPart, pwPart float64
-			if op == ckksir.OpRescale {
-				nttPart = 2 * (m.ntt(1) + m.ntt(l)) // r-1 = l residues after the drop
-				pwPart = 4 * m.pw(l)                // 2 halves × 2 passes
-			} else {
-				nttPart = m.ntt(l + 1)
-			}
-			w := float64(st.Count) / float64(len(levels[op]))
-			predNtt += nttPart * w
-			predPwShare += pwPart * w * xPw
-		}
-		measT += st.TotalMs / 1e3
-	}
-	if predNtt > 0 {
-		c.NTTPerButterfly = base.NTTPerButterfly * clampRatio((measT-predPwShare)/predNtt)
+		c.NTTPerButterfly = base.NTTPerButterfly * clampRatio((st.TotalMs/1e3-predPwShare)/predNtt)
 	}
 
 	// Fused kernels: the Kernels table times the three key-switch
@@ -328,6 +314,12 @@ func MeasuredBreakdown(snap obs.ProfileSnapshot) (Breakdown, error) {
 		return b, fmt.Errorf("costmodel: profile snapshot has no runs")
 	}
 	for _, st := range snap.Ops {
+		if st.Op == ckksir.OpEncode {
+			// Paid once, by whichever runs first touched each weight: a
+			// total, not a per-run mean.
+			b.Setup += st.TotalMs / 1e3
+			continue
+		}
 		b.Add(CategoryOfOp(st.Op), st.TotalMs/1e3/float64(snap.Runs))
 	}
 	return b, nil

@@ -31,7 +31,10 @@ func synthSnapshot(truth Calibration, geom Geometry) obs.ProfileSnapshot {
 	snap := obs.ProfileSnapshot{Runs: runs}
 	totals := map[string]*obs.OpStat{}
 	for pc, in := range instrs {
-		snap.LastTrajectory = append(snap.LastTrajectory, obs.TrajPoint{PC: pc, Op: in.op, Level: in.level, Scale: 1})
+		// The trajectory follows ciphertexts; an encode makes a plaintext.
+		if in.op != ckksir.OpEncode {
+			snap.LastTrajectory = append(snap.LastTrajectory, obs.TrajPoint{PC: pc, Op: in.op, Level: in.level, Scale: 1})
+		}
 		st := totals[in.op]
 		if st == nil {
 			st = &obs.OpStat{Op: in.op}
@@ -104,6 +107,37 @@ func TestFromProfileRecoversConstants(t *testing.T) {
 	}
 }
 
+// TestFromProfileWithoutEncode: a server whose weight table is warm
+// serves profiles with no ckks.encode row at all. The fit must not need
+// one, nor be moved by one a cold run left behind.
+func TestFromProfileWithoutEncode(t *testing.T) {
+	geom := Geometry{LogN: 12, Alpha: 2, K: 2}
+	truth := DefaultCalibration()
+	truth.NTTPerButterfly *= 0.6
+	cold := synthSnapshot(truth, geom)
+	warm := cold
+	warm.Ops = nil
+	for _, st := range cold.Ops {
+		if st.Op != ckksir.OpEncode {
+			warm.Ops = append(warm.Ops, st)
+		}
+	}
+	if len(warm.Ops) != len(cold.Ops)-1 {
+		t.Fatal("synthetic snapshot has no encode row to drop")
+	}
+	fromCold, _, err := FromProfile(cold, geom, DefaultCalibration())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromWarm, _, err := FromProfile(warm, geom, DefaultCalibration())
+	if err != nil {
+		t.Fatalf("profile without encode samples: %v", err)
+	}
+	if fromWarm != fromCold {
+		t.Fatalf("fit moved with the encode row:\n cold %+v\n warm %+v", fromCold, fromWarm)
+	}
+}
+
 // TestFromProfileClamps: a nonsense aggregate (one op a thousand times
 // slower than physics allows) must not drag a constant beyond the 10x
 // guard rail.
@@ -142,6 +176,7 @@ func TestMeasuredBreakdownBuckets(t *testing.T) {
 			{Op: ckksir.OpPoly, TotalMs: 4000},
 			{Op: ckksir.OpBootstrap, TotalMs: 6000},
 			{Op: ckksir.OpMul, TotalMs: 1000},
+			{Op: ckksir.OpEncode, TotalMs: 500},
 		},
 	}
 	b, err := MeasuredBreakdown(snap)
@@ -150,6 +185,10 @@ func TestMeasuredBreakdownBuckets(t *testing.T) {
 	}
 	if math.Abs(b.Conv-1) > 1e-9 || math.Abs(b.ReLU-2.5) > 1e-9 || math.Abs(b.Bootstrap-3) > 1e-9 {
 		t.Fatalf("breakdown %+v, want conv=1 relu=2.5 bootstrap=3 (s/run)", b)
+	}
+	// Encoding is paid once, not per run, and is no part of the total.
+	if math.Abs(b.Setup-0.5) > 1e-9 || math.Abs(b.Total()-6.5) > 1e-9 {
+		t.Fatalf("breakdown %+v: want setup=0.5 s outside a per-run total of 6.5 s", b)
 	}
 	if _, err := MeasuredBreakdown(obs.ProfileSnapshot{}); err == nil {
 		t.Fatal("zero-run snapshot did not error")

@@ -54,6 +54,24 @@ func TestInferenceCostShape(t *testing.T) {
 	}
 }
 
+// TestEncodeIsSetupNotInference: weights are encoded once per model, so
+// the model prices ckks.encode as a one-time line and keeps it out of
+// the per-inference total that CompileAuto ranks plans on.
+func TestEncodeIsSetupNotInference(t *testing.T) {
+	c := compileFor(t, false)
+	if c.CKKS.Module.Main().InstrCount(ckksir.OpEncode) == 0 {
+		t.Fatal("program has no encode instruction")
+	}
+	model := &costmodel.Model{Cal: costmodel.DefaultCalibration(), LogN: 16, Alpha: 2, K: 2}
+	b := model.InferenceCost(c.CKKS)
+	if b.Setup <= 0 {
+		t.Fatalf("breakdown %+v prices no one-time encoding", b)
+	}
+	if got, want := b.Total(), b.Conv+b.Bootstrap+b.ReLU+b.Other; got != want {
+		t.Fatalf("per-inference total %g includes more than the four categories (%g)", got, want)
+	}
+}
+
 func TestMemoryCostShape(t *testing.T) {
 	ace := compileFor(t, false)
 	expert := compileFor(t, true)

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // Kind classifies value types across all IR levels.
@@ -188,6 +189,19 @@ type Module struct {
 	Name  string
 	Funcs []*Func
 	Attrs map[string]any
+
+	prepOnce sync.Once
+	prep     any
+}
+
+// Prepared returns what build made of the module the first time Prepared
+// was called on it. An executor keeps the form it derives from a
+// finished module here, once, so the derived form is shared by everyone
+// who runs the module and is collected with it. The module must not be
+// modified afterwards.
+func (m *Module) Prepared(build func() any) any {
+	m.prepOnce.Do(func() { m.prep = build() })
+	return m.prep
 }
 
 // NewModule creates an empty module.

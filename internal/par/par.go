@@ -11,9 +11,13 @@
 //     are bit-identical to the serial loop (the modular arithmetic in
 //     internal/ring is exact).
 //  2. No deadlock under nesting. A For body may itself call For (the
-//     evaluator parallelises over limbs inside digits). The calling
-//     goroutine always participates in its own loop and helper dispatch
-//     is non-blocking, so progress never depends on a free worker.
+//     evaluator parallelises over limbs inside digits). Chunks are
+//     claimed, not assigned: the calling goroutine claims chunks of its
+//     own loop until none is left, and its barrier counts chunks
+//     completed, never helpers returned. A helper still sitting in the
+//     queue therefore holds no work — when it eventually runs it finds
+//     nothing to claim — so completion waits only on chunks some running
+//     goroutine has already started, never on a free worker.
 //  3. Cheap fallback. Loops whose total work is below a grain threshold
 //     run inline on the caller with zero scheduling overhead, keeping the
 //     tiny rings used by unit tests fast.
@@ -147,22 +151,30 @@ func For(n, grain int, fn func(start, end int)) {
 		chunks = w
 	}
 	size := (n + chunks - 1) / chunks
+	chunks = (n + size - 1) / size // rounding size up can leave fewer chunks
 
-	var next int64
-	body := func() {
-		for {
-			i := atomic.AddInt64(&next, 1) - 1
-			start := int(i) * size
-			if start >= n {
-				return
-			}
-			end := start + size
-			if end > n {
-				end = n
-			}
-			fn(start, end)
+	l := &loop{n: n, size: size, chunks: chunks, fn: fn, fin: make(chan struct{})}
+	for i := 1; i < chunks; i++ {
+		if !p.tryRun(l.run) {
+			break // saturated: caller and already-dispatched helpers finish the range
 		}
 	}
+	l.run()
+	<-l.fin
+	if l.panicVal != nil {
+		panic(l.panicVal)
+	}
+}
+
+// loop is one For call's shared state. Participants — the caller and any
+// helper a pool worker has picked up — claim chunk indices from next and
+// count each finished chunk in done; whoever completes the last chunk
+// closes fin, which is the caller's barrier.
+type loop struct {
+	n, size, chunks int
+	fn              func(start, end int)
+	next, done      atomic.Int64
+	fin             chan struct{}
 
 	// Panic containment: a panic in fn on a pool goroutine would kill the
 	// whole process (nothing above a bare worker can recover it), so every
@@ -170,35 +182,42 @@ func For(n, grain int, fn func(start, end int)) {
 	// re-raises it after the barrier. The barrier is what makes recovery
 	// at higher layers (vm, serve) sound: when For panics out, no helper
 	// is still writing to the caller's buffers.
-	var (
-		panicOnce sync.Once
-		panicVal  any
-	)
-	safeBody := func() {
-		defer func() {
-			if rec := recover(); rec != nil {
-				panicOnce.Do(func() { panicVal = rec })
-				// Drain the remaining chunks so sibling participants exit
-				// promptly instead of computing doomed work.
-				atomic.AddInt64(&next, int64(chunks))
-			}
-		}()
-		body()
-	}
+	panicOnce sync.Once
+	panicVal  any
+}
 
-	var wg sync.WaitGroup
-	for i := 1; i < chunks; i++ {
-		wg.Add(1)
-		if !p.tryRun(func() { defer wg.Done(); safeBody() }) {
-			wg.Done()
-			break // saturated: caller and already-dispatched helpers finish the range
+// run claims and executes chunks until none is left.
+func (l *loop) run() {
+	for {
+		i := int(l.next.Add(1)) - 1
+		if i >= l.chunks {
+			return
 		}
+		l.runChunk(i)
 	}
-	safeBody() // the caller always participates — nesting cannot deadlock
-	wg.Wait()
-	if panicVal != nil {
-		panic(panicVal)
+}
+
+func (l *loop) runChunk(i int) {
+	finished := 1
+	defer func() {
+		if rec := recover(); rec != nil {
+			l.panicOnce.Do(func() { l.panicVal = rec })
+			// Retire every chunk nobody has claimed yet, so siblings exit
+			// promptly instead of computing doomed work.
+			if claimed := int(l.next.Swap(int64(l.chunks))); claimed < l.chunks {
+				finished += l.chunks - claimed
+			}
+		}
+		if int(l.done.Add(int64(finished))) == l.chunks {
+			close(l.fin)
+		}
+	}()
+	start := i * l.size
+	end := start + l.size
+	if end > l.n {
+		end = l.n
 	}
+	l.fn(start, end)
 }
 
 // Inline reports whether For(n, grain, fn) would run fn inline on the

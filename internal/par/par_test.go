@@ -3,6 +3,7 @@ package par
 import (
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestForCoversRangeExactlyOnce checks every index is visited once, for a
@@ -147,5 +148,55 @@ func TestDoPanicPropagates(t *testing.T) {
 	}()
 	if rec == nil {
 		t.Fatal("Do did not propagate the panic")
+	}
+}
+
+// TestForNestedNeverDeadlocks sweeps worker counts and nesting depths
+// under a short timeout. With two workers the pre-claim For hung here:
+// the caller and the pool's only worker each queued a helper for their
+// inner loop behind the other and then waited for it to return.
+func TestForNestedNeverDeadlocks(t *testing.T) {
+	defer SetWorkers(workersFromEnv())
+	const reps = 50
+	var nest func(depth int, leaves *atomic.Int64)
+	nest = func(depth int, leaves *atomic.Int64) {
+		if depth == 0 {
+			leaves.Add(1)
+			return
+		}
+		// Do is the two-way fan-out the key switch uses above its limb loops.
+		limbs := func() {
+			For(4, 1, func(s, e int) {
+				for i := s; i < e; i++ {
+					nest(depth-1, leaves)
+				}
+			})
+		}
+		Do(limbs, limbs)
+	}
+	for w := 1; w <= 8; w++ {
+		SetWorkers(w)
+		for depth := 1; depth <= 3; depth++ {
+			var leaves atomic.Int64
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				for rep := 0; rep < reps; rep++ {
+					nest(depth, &leaves)
+				}
+			}()
+			select {
+			case <-done:
+			case <-time.After(20 * time.Second):
+				t.Fatalf("workers=%d depth=%d: nested For did not complete", w, depth)
+			}
+			want := int64(reps)
+			for d := 0; d < depth; d++ {
+				want *= 8
+			}
+			if leaves.Load() != want {
+				t.Fatalf("workers=%d depth=%d: %d leaves ran, want %d", w, depth, leaves.Load(), want)
+			}
+		}
 	}
 }

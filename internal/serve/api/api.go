@@ -274,4 +274,22 @@ type Statz struct {
 	ReplicaSessions uint64 `json:"replica_sessions"`
 	ReplicaResults  uint64 `json:"replica_results"`
 	ReplicaShipErrs uint64 `json:"replica_ship_errs"`
+
+	// Pre-encoded plaintext tables, shared by every session, worker and
+	// batch lane: ProgramTable holds the served program's weights,
+	// BootstrapTable the bootstrapper's DFT diagonals (all zero for a
+	// program that never bootstraps). In the steady state Misses stands
+	// still; Misses growing with Entries flat means the byte budget is
+	// spent and the overflow is encoded on every use.
+	ProgramTable   TableStatz `json:"program_table"`
+	BootstrapTable TableStatz `json:"bootstrap_table"`
+}
+
+// TableStatz is one plaintext table's counters (ckks.MemoStats on the
+// wire, field for field). A miss is a lookup that had to encode.
+type TableStatz struct {
+	Entries int    `json:"entries"`
+	Bytes   int64  `json:"bytes"`
+	Hits    uint64 `json:"hits"`
+	Misses  uint64 `json:"misses"`
 }

@@ -7,6 +7,7 @@ import (
 
 	"antace/internal/fault"
 	"antace/internal/obs"
+	"antace/internal/serve/api"
 )
 
 // contentTypeExposition is the media type of the Prometheus text format
@@ -100,6 +101,22 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	e.Family("ace_replica_sessions_total", "Replicated key bundles applied on this shard for a peer.", obs.Counter).Add(float64(st.ReplicaSessions))
 	e.Family("ace_replica_results_total", "Replicated journal completions applied on this shard.", obs.Counter).Add(float64(st.ReplicaResults))
 	e.Family("ace_replica_ship_errs_total", "Replication shipments this shard failed to send.", obs.Counter).Add(float64(st.ReplicaShipErrs))
+
+	tables := []struct {
+		name string
+		st   api.TableStatz
+	}{{"program", st.ProgramTable}, {"bootstrap", st.BootstrapTable}}
+	te := e.Family("ace_plaintext_table_entries", "Encoded plaintexts held by a shared table.", obs.Gauge)
+	tb := e.Family("ace_plaintext_table_bytes", "Bytes of encoded plaintexts held by a shared table.", obs.Gauge)
+	th := e.Family("ace_plaintext_table_hits_total", "Plaintext lookups answered from a shared table.", obs.Counter)
+	tm := e.Family("ace_plaintext_table_misses_total", "Plaintext lookups that had to encode.", obs.Counter)
+	for _, t := range tables {
+		l := obs.Label{Name: "table", Value: t.name}
+		te.Add(float64(t.st.Entries), l)
+		tb.Add(float64(t.st.Bytes), l)
+		th.Add(float64(t.st.Hits), l)
+		tm.Add(float64(t.st.Misses), l)
+	}
 
 	e.Family("ace_program_info", "Compiled program served by this daemon; value is always 1.", obs.Gauge).
 		Add(1, obs.Label{Name: "name", Value: s.name})

@@ -180,6 +180,10 @@ type Server struct {
 	cfg    Config
 	name   string
 	module *ir.Module
+	// prog is module prepared for execution: the one vm.Program every
+	// session, worker and batch lane runs, and with it the one table of
+	// encoded weights.
+	prog *vm.Program
 	// ckks is the cost-model view of the served program: the original
 	// compile result with Module swapped for the (possibly
 	// batch-transformed) module this server actually executes, so
@@ -311,12 +315,17 @@ func New(prog Program, cfg Config) (*Server, error) {
 	if stride > 1 {
 		specStride = stride
 	}
+	vmProg, err := vm.Prepare(module)
+	if err != nil {
+		return nil, fmt.Errorf("serve: %w", err)
+	}
 	ckksView := *res
 	ckksView.Module = module
 	s := &Server{
 		cfg:      cfg,
 		name:     prog.Name,
 		module:   module,
+		prog:     vmProg,
 		ckks:     &ckksView,
 		params:   params,
 		enc:      ckks.NewEncoder(params),
@@ -1342,6 +1351,10 @@ func (s *Server) StatzSnapshot() api.Statz {
 		st.CheckpointBytes = s.dur.ckptWritten.Load()
 		st.StoreBytes = s.dur.diskBytes()
 		st.StoreErrs = s.dur.storeErrs.Load()
+	}
+	st.ProgramTable = api.TableStatz(s.prog.TableStats())
+	if s.boot != nil {
+		st.BootstrapTable = api.TableStatz(s.boot.TableStats())
 	}
 	return st
 }

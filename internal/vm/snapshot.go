@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"antace/internal/ckks"
-	"antace/internal/ckksir"
 	"antace/internal/ir"
 )
 
@@ -16,9 +15,9 @@ import (
 // plus every live ciphertext register, serialized with the existing
 // ckks wire format. Plaintext registers are deliberately NOT included
 // — they are all produced by ckks.encode of compile-time constants
-// (model weights), so a resume re-encodes the ones still needed, which
-// keeps snapshots proportional to the handful of live ciphertexts
-// instead of the whole model.
+// (model weights), so a resumed run takes the ones it still needs from
+// the program's weight table, which keeps snapshots proportional to the
+// handful of live ciphertexts instead of the whole model.
 //
 // A snapshot embeds a fingerprint of the instruction stream it was
 // taken against; Restore refuses a snapshot from a different program,
@@ -42,12 +41,21 @@ func (p *CheckpointPolicy) active() bool {
 }
 
 // execState is a paused execution: the index of the next instruction
-// and the register files. It lives on the Machine only between Restore
+// and the register files, indexed by the program's slots. A run drops a
+// register at its last use, so the non-nil ciphertext registers are
+// exactly the live ones. It lives on the Machine only between Restore
 // and the RunCtx call that consumes it.
 type execState struct {
 	pc  int
-	cts map[*ir.Value]*ckks.Ciphertext
-	pts map[*ir.Value]*ckks.Plaintext
+	cts []*ckks.Ciphertext
+	pts []*ckks.Plaintext
+}
+
+func newExecState(p *Program) *execState {
+	return &execState{
+		cts: make([]*ckks.Ciphertext, len(p.ids)),
+		pts: make([]*ckks.Plaintext, len(p.ids)),
+	}
 }
 
 const snapMagic = "ACEVMS1\n"
@@ -83,45 +91,30 @@ func Fingerprint(f *ir.Func) uint64 {
 	return h.Sum64()
 }
 
-// lastUses maps every value to the last instruction index that reads
-// it; the return value is pinned to len(Body) so it is live forever.
-func lastUses(f *ir.Func) map[*ir.Value]int {
-	last := make(map[*ir.Value]int, len(f.Body))
-	for idx, in := range f.Body {
-		for _, a := range in.Args {
-			last[a] = idx
-		}
-	}
-	if f.Ret != nil {
-		last[f.Ret] = len(f.Body)
-	}
-	return last
-}
-
 // marshalState serializes a paused execution: magic, program
 // fingerprint, pc, then each live ciphertext register as (value ID,
-// length-prefixed ckks wire bytes).
-func marshalState(f *ir.Func, st *execState, last map[*ir.Value]int) ([]byte, error) {
-	type reg struct {
-		id int
-		ct *ckks.Ciphertext
-	}
-	var live []reg
-	for v, ct := range st.cts {
-		if last[v] >= st.pc {
-			live = append(live, reg{v.ID, ct})
+// length-prefixed ckks wire bytes), in ascending value ID — equal states
+// give equal bytes.
+func marshalState(p *Program, st *execState) ([]byte, error) {
+	live := 0
+	for _, ct := range st.cts {
+		if ct != nil {
+			live++
 		}
 	}
 	buf := []byte(snapMagic)
-	buf = binary.LittleEndian.AppendUint64(buf, Fingerprint(f))
+	buf = binary.LittleEndian.AppendUint64(buf, p.fp)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(st.pc))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(live)))
-	for _, r := range live {
-		ctb, err := r.ct.MarshalBinary()
-		if err != nil {
-			return nil, fmt.Errorf("vm: snapshot register %%v%d: %w", r.id, err)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(live))
+	for s, ct := range st.cts {
+		if ct == nil {
+			continue
 		}
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(r.id))
+		ctb, err := ct.MarshalBinary()
+		if err != nil {
+			return nil, fmt.Errorf("vm: snapshot register %%v%d: %w", p.ids[s], err)
+		}
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(p.ids[s]))
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(ctb)))
 		buf = append(buf, ctb...)
 	}
@@ -136,11 +129,11 @@ func (m *Machine) Snapshot(mod *ir.Module) ([]byte, error) {
 	if m.st == nil {
 		return nil, fmt.Errorf("vm: no paused execution to snapshot")
 	}
-	f := mod.Main()
-	if f == nil {
-		return nil, fmt.Errorf("vm: empty module")
+	p, err := Prepare(mod)
+	if err != nil {
+		return nil, err
 	}
-	return marshalState(f, m.st, lastUses(f))
+	return marshalState(p, m.st)
 }
 
 // Restore primes the machine with a serialized snapshot; the next
@@ -149,9 +142,9 @@ func (m *Machine) Snapshot(mod *ir.Module) ([]byte, error) {
 // every register's identity, returning an error — never panicking —
 // on torn or corrupted input.
 func (m *Machine) Restore(mod *ir.Module, data []byte) error {
-	f := mod.Main()
-	if f == nil {
-		return fmt.Errorf("vm: empty module")
+	p, err := Prepare(mod)
+	if err != nil {
+		return err
 	}
 	if len(data) < len(snapMagic)+16 {
 		return fmt.Errorf("vm: truncated snapshot (%d bytes)", len(data))
@@ -161,14 +154,14 @@ func (m *Machine) Restore(mod *ir.Module, data []byte) error {
 	}
 	rest := data[len(snapMagic):]
 	fp := binary.LittleEndian.Uint64(rest)
-	if want := Fingerprint(f); fp != want {
-		return fmt.Errorf("vm: snapshot fingerprint %016x does not match program %016x", fp, want)
+	if fp != p.fp {
+		return fmt.Errorf("vm: snapshot fingerprint %016x does not match program %016x", fp, p.fp)
 	}
 	pc := int(binary.LittleEndian.Uint32(rest[8:]))
 	count := int(binary.LittleEndian.Uint32(rest[12:]))
 	rest = rest[16:]
-	if pc < 0 || pc > len(f.Body) {
-		return fmt.Errorf("vm: snapshot pc %d outside program of %d instructions", pc, len(f.Body))
+	if pc < 0 || pc > len(p.code) {
+		return fmt.Errorf("vm: snapshot pc %d outside program of %d instructions", pc, len(p.code))
 	}
 	// One frame per register needs at least its 8-byte header; a forged
 	// count cannot force a large allocation.
@@ -176,19 +169,8 @@ func (m *Machine) Restore(mod *ir.Module, data []byte) error {
 		return fmt.Errorf("vm: implausible snapshot register count %d for %d bytes", count, len(rest))
 	}
 
-	byID := make(map[int]*ir.Value, len(f.Body)+len(f.Params))
-	for _, p := range f.Params {
-		byID[p.ID] = p
-	}
-	for _, in := range f.Body {
-		byID[in.Result.ID] = in.Result
-	}
-
-	st := &execState{
-		pc:  pc,
-		cts: make(map[*ir.Value]*ckks.Ciphertext, count),
-		pts: map[*ir.Value]*ckks.Plaintext{},
-	}
+	st := newExecState(p)
+	st.pc = pc
 	for i := 0; i < count; i++ {
 		if len(rest) < 8 {
 			return fmt.Errorf("vm: truncated snapshot register %d", i)
@@ -199,47 +181,23 @@ func (m *Machine) Restore(mod *ir.Module, data []byte) error {
 		if n < 0 || n > len(rest) {
 			return fmt.Errorf("vm: snapshot register %d claims %d bytes, %d remain", i, n, len(rest))
 		}
-		v, ok := byID[id]
+		slot, ok := p.slotOf(id)
 		if !ok {
 			return fmt.Errorf("vm: snapshot register %%v%d not defined by the program", id)
 		}
-		if _, dup := st.cts[v]; dup {
+		if st.cts[slot] != nil {
 			return fmt.Errorf("vm: duplicate snapshot register %%v%d", id)
 		}
 		ct := &ckks.Ciphertext{}
 		if err := ct.UnmarshalBinary(rest[:n]); err != nil {
 			return fmt.Errorf("vm: snapshot register %%v%d: %w", id, err)
 		}
-		st.cts[v] = ct
+		st.cts[slot] = ct
 		rest = rest[n:]
 	}
 	if len(rest) != 0 {
 		return fmt.Errorf("vm: %d trailing snapshot bytes", len(rest))
 	}
 	m.st = st
-	return nil
-}
-
-// replayEncodes re-materializes the plaintext registers a resumed
-// execution still needs: every encode instruction before pc whose
-// result is read at or after pc is re-run. Encoding a compile-time
-// constant is deterministic, so the resumed run is bit-identical to
-// one that never paused.
-func (m *Machine) replayEncodes(f *ir.Func, st *execState, last map[*ir.Value]int) error {
-	for idx := 0; idx < st.pc; idx++ {
-		in := f.Body[idx]
-		if in.Op != ckksir.OpEncode || last[in.Result] < st.pc {
-			continue
-		}
-		vec, ok := in.Args[0].Const.([]float64)
-		if !ok {
-			return fmt.Errorf("vm: resume instr %d: encode argument is not a vector constant", idx)
-		}
-		pt, err := m.enc.EncodeReal(vec, in.AttrInt("level", 0), in.AttrFloat("scale", 0))
-		if err != nil {
-			return fmt.Errorf("vm: resume instr %d: %w", idx, err)
-		}
-		st.pts[in.Result] = pt
-	}
 	return nil
 }

@@ -3,6 +3,7 @@ package vm
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"testing"
 
 	"antace/internal/ring"
@@ -150,5 +151,56 @@ func TestSnapshotLiveSetShrinks(t *testing.T) {
 	// all registers would mean liveness is not applied.
 	if maxLive*len(sizes) <= total {
 		t.Fatalf("live-set filtering had no effect: max %d, total %d over %d snaps", maxLive, total, len(sizes))
+	}
+}
+
+// TestSnapshotBytesDeterministic: equal states serialize to equal bytes.
+// Two runs of one program on one input pass through the same states, so
+// their checkpoint streams must match byte for byte.
+func TestSnapshotBytesDeterministic(t *testing.T) {
+	res, vres := compileLinear(t)
+	machine, client, err := New(res, vres.InLayout.L, ring.SeedFromInt(55))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ct, err := client.Encrypt(make([]float64, vres.InLayout.L))
+	if err != nil {
+		t.Fatal(err)
+	}
+	record := func() [][]byte {
+		var snaps [][]byte
+		machine.Ckpt = &CheckpointPolicy{EveryN: 1, Sink: func(s []byte) error {
+			snaps = append(snaps, bytes.Clone(s))
+			return nil
+		}}
+		if _, err := machine.RunCtx(context.Background(), res.Module, ct); err != nil {
+			t.Fatal(err)
+		}
+		return snaps
+	}
+	a, b := record(), record()
+	if len(a) != len(b) || len(a) == 0 {
+		t.Fatalf("runs took %d and %d snapshots", len(a), len(b))
+	}
+	multi := false
+	for i := range a {
+		if !bytes.Equal(a[i], b[i]) {
+			t.Fatalf("snapshot %d of the same state differs between runs", i)
+		}
+		// Register ids must ascend within a snapshot.
+		rest := a[i][len(snapMagic)+16:]
+		prev := -1
+		for n := 0; len(rest) > 0; n++ {
+			id := int(binary.LittleEndian.Uint32(rest))
+			size := int(binary.LittleEndian.Uint32(rest[4:]))
+			if id <= prev {
+				t.Fatalf("snapshot %d: register %%v%d follows %%v%d", i, id, prev)
+			}
+			multi = multi || n > 0
+			prev, rest = id, rest[8+size:]
+		}
+	}
+	if !multi {
+		t.Fatal("no snapshot held more than one register; ordering was not exercised")
 	}
 }

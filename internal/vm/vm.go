@@ -4,6 +4,10 @@
 // encrypted data, and asserts at every step that the runtime's level and
 // scale match what the compiler tracked — a strong end-to-end check of
 // the whole lowering pipeline.
+//
+// What depends only on the model and the parameters is worked out once
+// per module and shared by every machine that runs it (Program); a
+// Machine adds one session's keys and one run's registers.
 package vm
 
 import (
@@ -19,7 +23,6 @@ import (
 	"antace/internal/fault"
 	"antace/internal/ir"
 	"antace/internal/obs"
-	"antace/internal/poly"
 )
 
 // Machine is the server side: parameters, evaluation keys and the
@@ -199,20 +202,23 @@ func (m *Machine) Run(mod *ir.Module, input *ckks.Ciphertext) (*ckks.Ciphertext,
 // every CKKS operation is deterministic given the same keys and
 // registers. When m.Ckpt is set, RunCtx emits resumable snapshots on
 // the policy's cadence between instructions.
-func (m *Machine) RunCtx(ctx context.Context, mod *ir.Module, input *ckks.Ciphertext) (out *ckks.Ciphertext, err error) {
+func (m *Machine) RunCtx(ctx context.Context, mod *ir.Module, input *ckks.Ciphertext) (*ckks.Ciphertext, error) {
+	prog, err := Prepare(mod)
+	if err != nil {
+		m.st = nil
+		return nil, err
+	}
+	return m.run(ctx, prog, input)
+}
+
+// run executes a prepared program; RunCtx documents the contract.
+func (m *Machine) run(ctx context.Context, prog *Program, input *ckks.Ciphertext) (out *ckks.Ciphertext, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			m.Params.DiscardScratch()
 			out, err = nil, fault.FromPanic("vm.RunCtx", rec)
 		}
 	}()
-	f := mod.Main()
-	if f == nil {
-		return nil, fmt.Errorf("vm: empty module")
-	}
-	if len(f.Params) != 1 {
-		return nil, fmt.Errorf("vm: expected one parameter, have %d", len(f.Params))
-	}
 	ev := m.Eval
 	// Attribute fused key-switch kernel time (decomp_modup, hw_modmuladd,
 	// mod_down) to the run profile alongside the per-instruction records.
@@ -228,32 +234,25 @@ func (m *Machine) RunCtx(ctx context.Context, mod *ir.Module, input *ckks.Cipher
 	// run.
 	st := m.st
 	m.st = nil
-	var last map[*ir.Value]int
-	if m.Ckpt.active() || st != nil {
-		last = lastUses(f)
-	}
 	if st == nil {
 		if input == nil {
 			return nil, fmt.Errorf("vm: nil input and no restored snapshot")
 		}
-		st = &execState{
-			cts: map[*ir.Value]*ckks.Ciphertext{f.Params[0]: input},
-			pts: map[*ir.Value]*ckks.Plaintext{},
-		}
-		if err := m.check(f.Params[0], input); err != nil {
+		if err := m.check(prog.param, input); err != nil {
 			return nil, fmt.Errorf("vm: input: %w", err)
 		}
-	} else if err := m.replayEncodes(f, st, last); err != nil {
-		return nil, err
+		st = newExecState(prog)
+		st.cts[prog.pslot] = input
 	}
 	cts, pts := st.cts, st.pts
+	weights := prog.table(m.Params)
 
 	sinceCkpt := 0
 	lastCkpt := time.Now()
-	for idx := st.pc; idx < len(f.Body); idx++ {
-		in := f.Body[idx]
+	for idx := st.pc; idx < len(prog.code); idx++ {
+		in := &prog.code[idx]
 		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("vm: aborted before instr %d (%s): %w", idx, in.Op, err)
+			return nil, fmt.Errorf("vm: aborted before instr %d (%s): %w", idx, in.name, err)
 		}
 		instrStart := time.Now()
 		if m.StepDelay > 0 {
@@ -264,80 +263,82 @@ func (m *Machine) RunCtx(ctx context.Context, mod *ir.Module, input *ckks.Cipher
 		// exercising the recover boundary above.
 		fault.InjectPanic(fault.VMInstrPanic)
 		if ferr := fault.Inject(fault.VMInstrErr); ferr != nil {
-			return nil, fmt.Errorf("vm: instr %d (%s): %w", idx, in.Op, ferr)
+			return nil, fmt.Errorf("vm: instr %d (%s): %w", idx, in.name, ferr)
 		}
 		var err error
-		switch in.Op {
-		case ckksir.OpEncode:
-			vec, ok := in.Args[0].Const.([]float64)
-			if !ok {
-				return nil, fmt.Errorf("vm: encode argument is not a vector constant")
+		// An encode the weight table already holds did no work, so it
+		// leaves no sample: the profile shows encoding as what it is, a
+		// cost paid on first touch.
+		profiled := true
+		switch in.op {
+		case opEncode:
+			var hit bool
+			pts[in.dst], hit, err = m.encode(weights, idx, in)
+			profiled = !hit
+		case opAdd:
+			cts[in.dst], err = ev.Add(cts[in.a], cts[in.b])
+		case opAddPlain, opMulPlain:
+			pt := pts[in.b]
+			if pt == nil {
+				// A resumed run starts past the encode that made this operand.
+				if pt, _, err = m.encode(weights, in.k, &prog.code[in.k]); err != nil {
+					break
+				}
 			}
-			var pt *ckks.Plaintext
-			pt, err = m.enc.EncodeReal(vec, in.AttrInt("level", 0), in.AttrFloat("scale", 0))
-			pts[in.Result] = pt
-		case ckksir.OpAdd:
-			cts[in.Result], err = ev.Add(cts[in.Args[0]], cts[in.Args[1]])
-		case ckksir.OpAddPlain:
-			cts[in.Result], err = ev.AddPlain(cts[in.Args[0]], pts[in.Args[1]])
-		case ckksir.OpMulPlain:
-			cts[in.Result] = ev.MulPlain(cts[in.Args[0]], pts[in.Args[1]])
-		case ckksir.OpMul:
-			cts[in.Result], err = ev.Mul(cts[in.Args[0]], cts[in.Args[1]])
-		case ckksir.OpRelin:
-			cts[in.Result], err = ev.Relinearize(cts[in.Args[0]])
-		case ckksir.OpRescale:
-			cts[in.Result], err = ev.Rescale(cts[in.Args[0]])
-		case ckksir.OpRotate:
-			cts[in.Result], err = ev.Rotate(cts[in.Args[0]], in.AttrInt("k", 0))
-		case ckksir.OpModSwitch:
-			ct := cts[in.Args[0]].CopyNew()
-			err = ev.DropLevel(ct, in.AttrInt("down", 0))
-			cts[in.Result] = ct
-		case ckksir.OpMulConst:
-			cts[in.Result] = ev.MulByConst(cts[in.Args[0]], in.AttrFloat("c", 1), in.AttrFloat("const_scale", 1))
-		case ckksir.OpPoly:
-			coeffs := in.Attrs["coeffs"].([]float64)
-			var p *poly.Polynomial
-			if basis, _ := in.Attrs["basis"].(string); basis == "cheb" {
-				p = &poly.Polynomial{Coeffs: coeffs, Basis: poly.Chebyshev,
-					A: in.AttrFloat("a", -1), B: in.AttrFloat("b", 1)}
+			if in.op == opMulPlain {
+				cts[in.dst] = ev.MulPlain(cts[in.a], pt)
 			} else {
-				p = poly.NewMonomial(coeffs...)
+				cts[in.dst], err = ev.AddPlain(cts[in.a], pt)
 			}
-			cts[in.Result], err = ev.EvaluatePolynomial(cts[in.Args[0]], p, in.AttrFloat("target", 0))
-		case ckksir.OpBootstrap:
+		case opMul:
+			cts[in.dst], err = ev.Mul(cts[in.a], cts[in.b])
+		case opRelin:
+			cts[in.dst], err = ev.Relinearize(cts[in.a])
+		case opRescale:
+			cts[in.dst], err = ev.Rescale(cts[in.a])
+		case opRotate:
+			cts[in.dst], err = ev.Rotate(cts[in.a], in.k)
+		case opModSwitch:
+			ct := cts[in.a].CopyNew()
+			err = ev.DropLevel(ct, in.k)
+			cts[in.dst] = ct
+		case opMulConst:
+			cts[in.dst] = ev.MulByConst(cts[in.a], in.x, in.y)
+		case opPoly:
+			cts[in.dst], err = ev.EvaluatePolynomial(cts[in.a], in.poly, in.x)
+		case opBootstrap:
 			if m.Boot == nil {
 				return nil, fmt.Errorf("vm: program contains bootstrap but no bootstrapper configured")
 			}
-			cts[in.Result], err = m.Boot.Bootstrap(ev, cts[in.Args[0]], in.AttrInt("target", 0))
-		case ckksir.OpReinterpret:
-			ct := cts[in.Args[0]].CopyNew()
-			ct.Scale /= in.AttrFloat("factor", 1)
-			cts[in.Result] = ct
-		default:
-			return nil, fmt.Errorf("vm: unknown op %q", in.Op)
+			cts[in.dst], err = m.Boot.Bootstrap(ev, cts[in.a], in.k)
+		case opReinterpret:
+			ct := cts[in.a].CopyNew()
+			ct.Scale /= in.x
+			cts[in.dst] = ct
 		}
 		if err != nil {
-			return nil, fmt.Errorf("vm: instr %d (%s): %w", idx, in.Op, err)
+			return nil, fmt.Errorf("vm: instr %d (%s): %w", idx, in.name, err)
 		}
-		if m.Prof != nil {
-			m.Prof.Record(in.Op, time.Since(instrStart))
+		if m.Prof != nil && profiled {
+			m.Prof.Record(in.name, time.Since(instrStart))
 		}
-		if ct := cts[in.Result]; ct != nil {
-			if err := m.check(in.Result, ct); err != nil {
-				return nil, fmt.Errorf("vm: instr %d (%s): %w", idx, in.Op, err)
+		if ct := cts[in.dst]; ct != nil {
+			if err := m.check(in.res, ct); err != nil {
+				return nil, fmt.Errorf("vm: instr %d (%s): %w", idx, in.name, err)
 			}
 			if m.Prof != nil {
-				m.Prof.Step(idx, in.Op, ct.Level(), ct.Scale)
+				m.Prof.Step(idx, in.name, ct.Level(), ct.Scale)
 			}
+		}
+		for _, s := range in.drop {
+			cts[s], pts[s] = nil, nil
 		}
 		st.pc = idx + 1
 		if m.Ckpt.active() {
 			sinceCkpt++
 			if (m.Ckpt.EveryN > 0 && sinceCkpt >= m.Ckpt.EveryN) ||
 				(m.Ckpt.Every > 0 && time.Since(lastCkpt) >= m.Ckpt.Every) {
-				snap, serr := marshalState(f, st, last)
+				snap, serr := marshalState(prog, st)
 				if serr == nil {
 					// Sink errors are deliberately swallowed: losing a
 					// checkpoint only costs resume granularity, never
@@ -349,11 +350,18 @@ func (m *Machine) RunCtx(ctx context.Context, mod *ir.Module, input *ckks.Cipher
 			}
 		}
 	}
-	out, ok := cts[f.Ret]
-	if !ok {
+	if out = cts[prog.ret]; out == nil {
 		return nil, fmt.Errorf("vm: return value never computed")
 	}
 	return out, nil
+}
+
+// encode produces the plaintext of encode instruction idx, from the
+// program's weight table when it is there.
+func (m *Machine) encode(weights *ckks.PlaintextMemo, idx int, in *instr) (*ckks.Plaintext, bool, error) {
+	return weights.Get(ckks.PlaintextKey{Const: idx, Level: in.k, Scale: in.x}, func() (*ckks.Plaintext, error) {
+		return m.enc.EncodeReal(in.vec, in.k, in.x)
+	})
 }
 
 // check asserts the runtime state matches the compiler's tracking.

@@ -226,6 +226,8 @@ func TestMachineRejectsBootstrapWithoutBootstrapper(t *testing.T) {
 // instruction: counts match the program body, the op-time sum tracks
 // the wall-clock run within the 10% budget the paper-figure check
 // demands, and the trajectory mirrors each result's level and scale.
+// Once the weight table is warm an encode does no work and leaves no
+// sample, so ckks.encode is absent from the second run's profile.
 func TestRunProfileInstrumentation(t *testing.T) {
 	res, vres := compileLinear(t)
 	machine, client, err := New(res, vres.InLayout.L, ring.SeedFromInt(21))
@@ -273,12 +275,18 @@ func TestRunProfileInstrumentation(t *testing.T) {
 		}
 	}
 
-	// A second run on the same machine with a fresh profile starts clean.
+	// A second run on the same machine with a fresh profile starts clean,
+	// and finds every plaintext in the table.
 	machine.Prof = obs.NewRunProfile()
 	if _, err := machine.Run(res.Module, ct); err != nil {
 		t.Fatal(err)
 	}
-	if got := machine.Prof.Steps(); got != uint64(len(body)) {
-		t.Fatalf("second run profiled %d instructions, want %d", got, len(body))
+	if got, want := machine.Prof.Steps(), uint64(len(body))-wantByOp[ckksir.OpEncode]; got != want {
+		t.Fatalf("second run profiled %d instructions, want %d (all but the encodes)", got, want)
+	}
+	for _, st := range machine.Prof.Ops() {
+		if st.Op == ckksir.OpEncode {
+			t.Fatalf("warm run recorded %d ckks.encode samples", st.Count)
+		}
 	}
 }
