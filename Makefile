@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test verify vet race bench bench-parallel bench-fusion bench-batch serve-smoke obs-smoke chaos durability cluster-chaos cluster-membership-chaos autotune
+.PHONY: build test verify vet race bench bench-check bench-parallel bench-fusion bench-batch serve-smoke obs-smoke chaos durability cluster-chaos cluster-membership-chaos autotune
 
 build:
 	$(GO) build ./...
@@ -95,8 +95,15 @@ cluster-membership-chaos:
 autotune:
 	$(GO) run ./cmd/acebench -autotune
 
+# bench/ is its own module, so `go build ./...` and `go vet ./...` above
+# never compile it: an internal signature change could break the
+# repository's benchmark without any other target noticing.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
 verify:
 	$(MAKE) vet
+	$(MAKE) bench-check
 	$(MAKE) race
 	$(MAKE) chaos
 	$(MAKE) durability

@@ -242,7 +242,7 @@ func BenchmarkAblationConvRotationSharing(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		naive, err := vecir.Lower(nn, vecir.Options{NaiveConv: true})
+		naive, err := vecir.Lower(nn, vecir.Options{Conv: vecir.ConvNaive})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -23,6 +23,7 @@ import (
 
 	"antace/internal/cluster"
 	"antace/internal/fheclient"
+	"antace/internal/obs"
 )
 
 // loadReport is the machine-readable result of one load run, printed as
@@ -165,7 +166,6 @@ func runLoad(url string, clients int, window, reqDeadline time.Duration, routerM
 	cancel()
 	wg.Wait()
 
-	sort.Float64s(latencies)
 	rep := loadReport{
 		URL:        url,
 		Clients:    clients,
@@ -178,14 +178,16 @@ func runLoad(url string, clients int, window, reqDeadline time.Duration, routerM
 		rep.InferPerSec = float64(rep.Served) / rep.ElapsedSec
 	}
 	if n := len(latencies); n > 0 {
-		rep.LatSecP50 = quantile(latencies, 0.5)
-		rep.LatSecP90 = quantile(latencies, 0.9)
-		rep.LatSecP99 = quantile(latencies, 0.99)
-		rep.LatSecMax = latencies[n-1]
+		w := obs.NewWindow(n)
 		sum := 0.0
 		for _, v := range latencies {
+			w.Add(v)
 			sum += v
 		}
+		rep.LatSecP50 = w.Quantile(0.5)
+		rep.LatSecP90 = w.Quantile(0.9)
+		rep.LatSecP99 = w.Quantile(0.99)
+		rep.LatSecMax = w.Quantile(1)
 		rep.LatSecMean = sum / float64(n)
 	}
 	if m, err := scrapeMetrics(url); err != nil {
@@ -262,22 +264,6 @@ func shardSummary(cs cluster.ClusterStatz) []string {
 			ep, cs.Router.ShardRequests[ep], served, cs.Router.Ready[ep]))
 	}
 	return lines
-}
-
-// quantile reads the q-th quantile from an already-sorted sample using
-// the nearest-rank method.
-func quantile(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := int(math.Ceil(q*float64(len(sorted)))) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(sorted) {
-		i = len(sorted) - 1
-	}
-	return sorted[i]
 }
 
 // loadScrapeSeries is the subset of the server's exposition the report

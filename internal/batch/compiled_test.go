@@ -51,12 +51,12 @@ func TestCompiledModelSimDifferential(t *testing.T) {
 			packed[i] += x
 		}
 	}
-	batched, err := SimRun(bm, packed)
+	batched, err := ckksir.Run(bm.Main(), packed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for b := range inputs {
-		solo, err := SimRun(mod, inputs[b])
+		solo, err := ckksir.Run(mod.Main(), inputs[b])
 		if err != nil {
 			t.Fatal(err)
 		}

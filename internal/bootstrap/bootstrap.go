@@ -25,6 +25,7 @@ package bootstrap
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"antace/internal/ckks"
 	"antace/internal/poly"
@@ -212,7 +213,9 @@ func (bt *Bootstrapper) buildEvalMod() {
 }
 
 // RequiredRotations returns the slot rotations the evaluator's key set
-// must cover (conjugation is needed as well).
+// must cover (conjugation is needed as well), in ascending order: a
+// seeded key generator draws one key per entry, so the order is part of
+// what makes a seeded key set reproducible.
 func (bt *Bootstrapper) RequiredRotations() []int {
 	set := map[int]bool{}
 	for _, r := range bt.c2s.Rotations() {
@@ -225,6 +228,7 @@ func (bt *Bootstrapper) RequiredRotations() []int {
 	for r := range set {
 		out = append(out, r)
 	}
+	sort.Ints(out)
 	return out
 }
 

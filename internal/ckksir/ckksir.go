@@ -15,6 +15,7 @@ import (
 	"antace/internal/bootstrap"
 	"antace/internal/ckks"
 	"antace/internal/ir"
+	"antace/internal/poly"
 	"antace/internal/sihe"
 )
 
@@ -56,6 +57,43 @@ func init() {
 	ir.RegisterOp(ir.OpSpec{Name: OpPoly, Args: [][]ir.Kind{C}, Result: ir.KindCipher, RequiredAttrs: []string{"coeffs", "target"}})
 	ir.RegisterOp(ir.OpSpec{Name: OpBootstrap, Args: [][]ir.Kind{C}, Result: ir.KindCipher, RequiredAttrs: []string{"target"}})
 	ir.RegisterOp(ir.OpSpec{Name: OpReinterpret, Args: [][]ir.Kind{C}, Result: ir.KindCipher, RequiredAttrs: []string{"factor"}})
+}
+
+// Kernels is the CKKS dialect's op table over the shared slot kernels.
+// Relinearisation, rescaling, modulus switching and bootstrapping only
+// move level and scale: the ideal slot values pass through. Dividing the
+// declared scale by "factor" (reinterpret) multiplies the decoded value
+// by it.
+var Kernels = map[string]ir.SlotKernel{
+	OpAdd:         ir.SlotAdd,
+	OpAddPlain:    ir.SlotAdd,
+	OpMul:         ir.SlotMul,
+	OpMulPlain:    ir.SlotMul,
+	OpRotate:      ir.SlotRotate,
+	OpEncode:      ir.SlotIdentity,
+	OpMulConst:    ir.SlotScale("c"),
+	OpReinterpret: ir.SlotScale("factor"),
+	OpPoly:        ir.SlotPoly,
+	OpRelin:       ir.SlotIdentity,
+	OpRescale:     ir.SlotIdentity,
+	OpModSwitch:   ir.SlotIdentity,
+	OpBootstrap:   ir.SlotIdentity,
+}
+
+// Run executes a CKKS IR function slotwise on cleartext float64 slots.
+// Every op the compiler emits is elementwise or a cyclic rotation, so the
+// run is exact: no noise, the compiled polynomials themselves, the
+// identity an ideal bootstrap computes. That exactness carries the
+// bit-identity proof behind batching: lane b of Run(batch.Transform(mod,
+// S), packed) and Run(mod, input_b) perform the same float64 operations
+// in the same order on every logical slot, so the differential tests
+// assert == rather than closeness.
+func Run(f *ir.Func, input []float64) ([]float64, error) {
+	out, err := ir.RunSlots(f, input, Kernels, nil)
+	if err != nil {
+		return nil, fmt.Errorf("ckksir: %w", err)
+	}
+	return out, nil
 }
 
 // BootstrapMode selects the bootstrapping policy.
@@ -166,9 +204,11 @@ func plan(f *ir.Func, boot bool) ([]int, error) {
 			}
 			depth[in.Result] = d
 		case sihe.OpPoly:
-			coeffs := in.Attrs["coeffs"].([]float64)
-			basis, _ := in.Attrs["basis"].(string)
-			depth[in.Result] = cur(in.Args[0]) + sihe.StageDepthInstr(coeffs, basis, in.AttrFloat("a", -1), in.AttrFloat("b", 1))
+			p, err := poly.FromAttrs(in.Attrs)
+			if err != nil {
+				return nil, err
+			}
+			depth[in.Result] = cur(in.Args[0]) + sihe.StageDepthInstr(p)
 		case sihe.OpMul:
 			d := cur(in.Args[0])
 			if in.Args[1].Type.Kind == ir.KindCipher {
@@ -534,10 +574,11 @@ func (st *lowerState) emit(sm *ir.Module, src *ir.Func) (*ir.Module, error) {
 			vals[in.Result] = out
 
 		case sihe.OpPoly:
-			coeffs := in.Attrs["coeffs"].([]float64)
-			basis, _ := in.Attrs["basis"].(string)
-			pa, pb := in.AttrFloat("a", -1), in.AttrFloat("b", 1)
-			depth := sihe.StageDepthInstr(coeffs, basis, pa, pb)
+			p, err := poly.FromAttrs(in.Attrs)
+			if err != nil {
+				return nil, err
+			}
+			depth := sihe.StageDepthInstr(p)
 			outLevel := a.Level - depth
 			if outLevel < 0 {
 				return nil, fmt.Errorf("ckksir: level underflow in polynomial stage (have %d, need %d)", a.Level, depth)
@@ -552,10 +593,8 @@ func (st *lowerState) emit(sm *ir.Module, src *ir.Func) (*ir.Module, error) {
 					target = st.scale * qAt(outLevel) / xVal.Scale
 				}
 			}
-			attrs := map[string]any{"coeffs": coeffs, "target": target}
-			if basis == "cheb" {
-				attrs["basis"], attrs["a"], attrs["b"] = "cheb", pa, pb
-			}
+			attrs := p.Attrs()
+			attrs["target"] = target
 			out := f.Emit(OpPoly, ct, []*ir.Value{a}, attrs)
 			out.Level, out.Scale = outLevel, target
 			vals[in.Result] = out

@@ -1,10 +1,10 @@
 package cluster
 
 import (
-	"math"
-	"sort"
 	"sync"
 	"time"
+
+	"antace/internal/obs"
 )
 
 // Hedging defaults. The adaptive delay is the router's own per-shard p95
@@ -20,24 +20,18 @@ const (
 	hedgeQuantile   = 0.95
 )
 
-// latencyEstimator keeps a sliding window of observed infer latencies per
-// shard and answers ceil-rank quantiles over it. Hedge-won requests
-// record their *total* latency against the primary that failed to answer
-// — otherwise a uniformly slow shard would teach the estimator its own
-// slowness and hedging would stop firing exactly where it pays most.
+// latencyEstimator keeps a sliding window of observed infer latencies
+// (milliseconds) per shard. Hedge-won requests record their *total*
+// latency against the primary that failed to answer — otherwise a
+// uniformly slow shard would teach the estimator its own slowness and
+// hedging would stop firing exactly where it pays most.
 type latencyEstimator struct {
 	mu     sync.Mutex
-	shards map[string]*latencyRing
-}
-
-type latencyRing struct {
-	buf  [hedgeWindow]float64 // milliseconds
-	n    int                  // filled entries
-	next int                  // ring cursor
+	shards map[string]*obs.Window
 }
 
 func newLatencyEstimator() *latencyEstimator {
-	return &latencyEstimator{shards: make(map[string]*latencyRing)}
+	return &latencyEstimator{shards: make(map[string]*obs.Window)}
 }
 
 func (e *latencyEstimator) observe(shard string, d time.Duration) {
@@ -45,40 +39,25 @@ func (e *latencyEstimator) observe(shard string, d time.Duration) {
 		return
 	}
 	e.mu.Lock()
-	defer e.mu.Unlock()
-	r := e.shards[shard]
-	if r == nil {
-		r = &latencyRing{}
-		e.shards[shard] = r
+	w := e.shards[shard]
+	if w == nil {
+		w = obs.NewWindow(hedgeWindow)
+		e.shards[shard] = w
 	}
-	r.buf[r.next] = float64(d) / float64(time.Millisecond)
-	r.next = (r.next + 1) % hedgeWindow
-	if r.n < hedgeWindow {
-		r.n++
-	}
+	e.mu.Unlock()
+	w.Add(float64(d) / float64(time.Millisecond))
 }
 
 // p95 returns the shard's windowed p95 latency and whether enough
-// samples back it. Quantile is ceil-rank (nearest-rank, matching the
-// serve layer's latency window) so small windows stay conservative.
+// samples back it.
 func (e *latencyEstimator) p95(shard string) (time.Duration, bool) {
 	e.mu.Lock()
-	defer e.mu.Unlock()
-	r := e.shards[shard]
-	if r == nil || r.n < hedgeMinSamples {
+	w := e.shards[shard]
+	e.mu.Unlock()
+	if w == nil || w.Len() < hedgeMinSamples {
 		return 0, false
 	}
-	samples := make([]float64, r.n)
-	copy(samples, r.buf[:r.n])
-	sort.Float64s(samples)
-	rank := int(math.Ceil(hedgeQuantile*float64(len(samples)))) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	if rank >= len(samples) {
-		rank = len(samples) - 1
-	}
-	return time.Duration(samples[rank] * float64(time.Millisecond)), true
+	return time.Duration(w.Quantile(hedgeQuantile) * float64(time.Millisecond)), true
 }
 
 // forget drops a shard's window (it left the ring; a rejoin should not

@@ -185,6 +185,12 @@ func TestRouterHedgingSlowPrimary(t *testing.T) {
 	if st.Router.HedgeWins == 0 {
 		t.Error("ace_hedge_wins stayed 0 although the backup answered first")
 	}
+	// The cluster-level quantiles are the router's own: one infer, which
+	// waited out the 20ms hedge delay before the backup answered.
+	if c := st.Cluster; c.LatencyMsP50 < 20 || c.LatencyMsP99 != c.LatencyMsP50 {
+		t.Errorf("cluster latency after one hedged infer: p50 %gms p99 %gms, want both its ≥20ms total",
+			c.LatencyMsP50, c.LatencyMsP99)
+	}
 }
 
 // TestRouterHedgeAdaptiveDelay: with no fixed -hedge-after the router

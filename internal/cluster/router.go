@@ -50,6 +50,9 @@ type Router struct {
 	hedgeMin   time.Duration
 	hedgeMax   time.Duration
 	est        *latencyEstimator
+	// lat is the latency (ms) of every infer answered with a 200: the
+	// cluster-level quantiles of /v1/statz.
+	lat *obs.Window
 
 	// Health prober: shards answering /v1/readyz 200 are preferred
 	// targets; unready ones are skipped while any alternative exists
@@ -146,7 +149,8 @@ type RouterStatz struct {
 
 // ClusterStatz is returned by the router's GET /v1/statz: the router's
 // own counters, per-shard statz snapshots, and cluster-wide sums of the
-// shards' monotone counters. An unreachable shard is named in
+// shards' monotone counters (Cluster's latency quantiles are the
+// router's own observations). An unreachable shard is named in
 // Unreachable and contributes its last successful scrape (aged per
 // ScrapeAgeSec) to Shards and Cluster — a stale lower bound, never a
 // silent zero.
@@ -198,6 +202,7 @@ func NewRouter(ring *Ring, cfg RouterConfig) *Router {
 		hedgeMin:     hedgeMin,
 		hedgeMax:     hedgeMax,
 		est:          newLatencyEstimator(),
+		lat:          obs.NewWindow(obs.StatzWindow),
 		probeEvery:   probe,
 		suspectAfter: suspectAfter,
 		ejectAfter:   cfg.EjectAfter,
@@ -758,10 +763,14 @@ func (rt *Router) handleInfer(w http.ResponseWriter, r *http.Request) {
 		}
 		header.Set(api.HeaderIdemKey, key)
 	}
+	start := time.Now()
 	res, err := rt.forwardInfer(r.Context(), rt.curRing().LookupN(id, 2), header, body)
 	if err != nil {
 		rt.relayErr(w, err)
 		return
+	}
+	if res.status == http.StatusOK {
+		rt.lat.Add(float64(time.Since(start)) / float64(time.Millisecond))
 	}
 	rt.countForwarded()
 	rt.relay(w, res)
@@ -1025,6 +1034,11 @@ func (rt *Router) handleStatz(w http.ResponseWriter, r *http.Request) {
 		rstat.ShardRequests[ep] = n
 	}
 	rt.stats.mu.Unlock()
+	// Quantiles do not sum across shards: the cluster-level latency is the
+	// router's own, over every infer it answered with a 200.
+	sum.LatencyMsP50 = rt.lat.Quantile(0.50)
+	sum.LatencyMsP90 = rt.lat.Quantile(0.90)
+	sum.LatencyMsP99 = rt.lat.Quantile(0.99)
 	sort.Strings(unreachable)
 	writeJSON(w, http.StatusOK, ClusterStatz{
 		Router: rstat, Cluster: sum, Shards: shards,

@@ -1,9 +1,13 @@
 package codegen
 
 import (
+	"encoding/binary"
+	"math"
+	"math/rand/v2"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -11,58 +15,120 @@ import (
 	"antace/internal/core"
 	"antace/internal/onnx"
 	"antace/internal/sihe"
+	"antace/internal/tensor"
 )
 
+// gemmTanh is a single Gemm followed by Tanh: the smallest model whose
+// compiled program carries a Chebyshev polynomial on a general [a,b].
+func gemmTanh(t *testing.T) *onnx.Model {
+	rng := rand.New(rand.NewPCG(5, 6))
+	b := onnx.NewBuilder("gemm_tanh")
+	x := b.Input("image", 1, 16)
+	w := tensor.New(4, 16)
+	for i := range w.Data {
+		w.Data[i] = rng.NormFloat64() * 0.5
+	}
+	h := b.Gemm(x, b.Weight("w", w), b.Weight("b", tensor.New(4)))
+	b.Output(b.Node("Tanh", []string{h}), 1, 4)
+	m := b.Model()
+	if err := m.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// TestGenerateCompilesAndRuns builds and runs the generated program (real
+// keygen + encrypted inference) and checks the slots it prints against
+// the simulator of the same compiled model.
 func TestGenerateCompilesAndRuns(t *testing.T) {
-	m, err := onnx.BuildLinear(16, 4, 3)
+	linear, err := onnx.BuildLinear(16, 4, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := core.Compile(m, core.Config{
-		SIHE:     sihe.Options{ReLUAlpha: 5, ReLUEps: 0.125},
-		CKKS:     ckksir.Options{Mode: ckksir.BootstrapNever, IgnoreSecurity: true},
-		SkipPoly: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Generate into a directory inside the module so the generated code
-	// can import the internal packages.
 	root, err := moduleRoot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := filepath.Join(root, "gen_test_artifact")
-	t.Cleanup(func() { os.RemoveAll(dir) })
-	if err := Generate(c, dir); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "weights.bin")); err != nil {
-		t.Fatal("weights.bin missing")
-	}
-	src, err := os.ReadFile(filepath.Join(dir, "main.go"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(src), "Code generated") {
-		t.Fatal("missing generation header")
-	}
-	// The generated program must build.
-	build := exec.Command("go", "build", "-o", os.DevNull, "./gen_test_artifact")
-	build.Dir = root
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("generated program does not build: %v\n%s", err, out)
-	}
-	// And run end to end (it performs real keygen + encrypted inference).
-	run := exec.Command("go", "run", "./gen_test_artifact")
-	run.Dir = dir // weights.bin lives here
-	run.Args = []string{"go", "run", filepath.Join(root, "gen_test_artifact")}
-	out, err := run.CombinedOutput()
-	if err != nil {
-		t.Fatalf("generated program failed: %v\n%s", err, out)
-	}
-	if len(strings.Fields(string(out))) < 4 {
-		t.Fatalf("unexpected output: %s", out)
+	for _, tc := range []struct {
+		name  string
+		model *onnx.Model
+		sihe  sihe.Options
+	}{
+		{"linear", linear, sihe.Options{ReLUAlpha: 5, ReLUEps: 0.125}},
+		{"gemm_tanh", gemmTanh(t), sihe.Options{SmoothDegree: 15}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := core.Compile(tc.model, core.Config{
+				SIHE:     tc.sihe,
+				CKKS:     ckksir.Options{Mode: ckksir.BootstrapNever, IgnoreSecurity: true, LogScale: 40},
+				SkipPoly: true,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Generate into a directory inside the module so the generated
+			// code can import the internal packages.
+			dir := filepath.Join(root, "gen_test_artifact_"+tc.name)
+			t.Cleanup(func() { os.RemoveAll(dir) })
+			if err := Generate(c, dir); err != nil {
+				t.Fatal(err)
+			}
+			src, err := os.ReadFile(filepath.Join(dir, "main.go"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !strings.Contains(string(src), "Code generated") {
+				t.Fatal("missing generation header")
+			}
+
+			in := c.Vec.InLayout
+			img := tensor.New(in.C, in.H, in.W)
+			for i := range img.Data {
+				img.Data[i] = math.Sin(float64(i+1)) * 0.5
+			}
+			packed, err := in.Pack(img.Data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw := make([]byte, 8*len(packed))
+			for i, v := range packed {
+				binary.LittleEndian.PutUint64(raw[8*i:], math.Float64bits(v))
+			}
+			inputFile := filepath.Join(dir, "input.bin")
+			if err := os.WriteFile(inputFile, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			run := exec.Command("go", "run", dir, inputFile)
+			run.Dir = dir // weights.bin lives here
+			out, err := run.CombinedOutput()
+			if err != nil {
+				t.Fatalf("generated program failed: %v\n%s", err, out)
+			}
+			slots := make([]float64, c.VectorLen())
+			printed := strings.Fields(string(out))
+			for i, f := range printed {
+				if slots[i], err = strconv.ParseFloat(f, 64); err != nil {
+					t.Fatalf("unexpected output: %s", out)
+				}
+			}
+			got, err := c.Vec.OutLayout.Unpack(slots)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := c.RunSim(img)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range want.Data {
+				if s := c.Vec.OutLayout.Slot(i, 0, 0); s >= len(printed) {
+					t.Fatalf("output %d lives in slot %d, beyond the %d printed", i, s, len(printed))
+				}
+				if math.Abs(got[i]-want.Data[i]) > 1e-2 {
+					t.Fatalf("output %d: generated program %g vs simulator %g", i, got[i], want.Data[i])
+				}
+			}
+		})
 	}
 }
 

@@ -84,10 +84,6 @@ type PlanReport struct {
 // modulus chain at full scale) are recorded and skipped rather than
 // aborting the search.
 func CompileAuto(model *onnx.Model, cfg Config, cal costmodel.Calibration) (*Compiled, *PlanReport, error) {
-	if cfg.Vec.NaiveConv {
-		cfg.Vec.Conv = vecir.ConvNaive
-		cfg.Vec.NaiveConv = false
-	}
 	defaultPlan := Plan{Conv: cfg.Vec.Conv, Boot: cfg.CKKS.Mode}
 	report := &PlanReport{DefaultPlan: defaultPlan.Name(), CalibrationSrc: cal.Source}
 

@@ -7,6 +7,7 @@ import (
 	"antace/internal/costmodel"
 	"antace/internal/onnx"
 	"antace/internal/sihe"
+	"antace/internal/vecir"
 )
 
 func TestCompileAuto(t *testing.T) {
@@ -75,9 +76,9 @@ func TestCompileAuto(t *testing.T) {
 	}
 }
 
-// TestCompileAutoHonoursLegacyNaive: a caller still using the NaiveConv
-// bool gets it folded into the default plan, not silently dropped.
-func TestCompileAutoHonoursLegacyNaive(t *testing.T) {
+// TestCompileAutoNaiveDefaultPlan: the caller's Conv choice names the
+// default plan the search is measured against.
+func TestCompileAutoNaiveDefaultPlan(t *testing.T) {
 	m, err := onnx.BuildSmallCNN(onnx.SmallCNNConfig{InputSize: 8, Channels: 2, Classes: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -87,7 +88,7 @@ func TestCompileAutoHonoursLegacyNaive(t *testing.T) {
 		CKKS:     ckksir.Options{Mode: ckksir.BootstrapAlways, IgnoreSecurity: true},
 		SkipPoly: true,
 	}
-	cfg.Vec.NaiveConv = true
+	cfg.Vec.Conv = vecir.ConvNaive
 	_, report, err := CompileAuto(m, cfg, costmodel.DefaultCalibration())
 	if err != nil {
 		t.Fatal(err)

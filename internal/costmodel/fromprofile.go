@@ -291,7 +291,7 @@ func FitSchedule(cal Calibration, geom Geometry, res *ckksir.Result, snap obs.Pr
 	for _, in := range res.Module.Main().Body {
 		switch in.Op {
 		case ckksir.OpPoly:
-			predPoly += m.polyEvalCost(in.Attrs["coeffs"].([]float64), in.Args[0].Level)
+			predPoly += m.polyInstrCost(in)
 		case ckksir.OpBootstrap:
 			predBoot += m.bootstrapCost(in.AttrInt("target", 1), in.Result.Type.Len())
 		}

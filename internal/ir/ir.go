@@ -284,8 +284,8 @@ func (f *Func) OpHistogram() map[string]int {
 	return h
 }
 
-// sortedAttrKeys returns attribute keys in deterministic order.
-func sortedAttrKeys(attrs map[string]any) []string {
+// SortedAttrKeys returns attribute keys in deterministic (sorted) order.
+func SortedAttrKeys(attrs map[string]any) []string {
 	keys := make([]string, 0, len(attrs))
 	for k := range attrs {
 		keys = append(keys, k)

@@ -154,7 +154,7 @@ func instrKey(in *Instr) string {
 	for _, a := range in.Args {
 		fmt.Fprintf(&sb, "|%d", a.ID)
 	}
-	for _, k := range sortedAttrKeys(in.Attrs) {
+	for _, k := range SortedAttrKeys(in.Attrs) {
 		fmt.Fprintf(&sb, "|%s=%v", k, attrKeyString(in.Attrs[k]))
 	}
 	return sb.String()
@@ -206,7 +206,7 @@ func (f *Func) String() string {
 		}
 		if len(in.Attrs) > 0 {
 			parts := []string{}
-			for _, k := range sortedAttrKeys(in.Attrs) {
+			for _, k := range SortedAttrKeys(in.Attrs) {
 				parts = append(parts, fmt.Sprintf("%s=%s", k, attrKeyString(in.Attrs[k])))
 			}
 			fmt.Fprintf(&sb, " {%s}", strings.Join(parts, ", "))
@@ -224,7 +224,7 @@ func (f *Func) String() string {
 func (m *Module) String() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "module %s\n", m.Name)
-	keys := sortedAttrKeys(m.Attrs)
+	keys := SortedAttrKeys(m.Attrs)
 	sort.Strings(keys)
 	for _, k := range keys {
 		fmt.Fprintf(&sb, "  attr %s = %v\n", k, m.Attrs[k])

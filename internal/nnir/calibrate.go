@@ -1,96 +1,12 @@
 package nnir
 
 import (
-	"fmt"
 	"math"
 	"math/rand/v2"
 
 	"antace/internal/ir"
 	"antace/internal/tensor"
 )
-
-// RunWithHook executes the function like Run, additionally invoking the
-// hook with every instruction's input tensor (used by calibration).
-func RunWithHook(f *ir.Func, inputs map[string]*tensor.Tensor, hook func(*ir.Instr, []*tensor.Tensor)) (*tensor.Tensor, error) {
-	env := map[*ir.Value]*tensor.Tensor{}
-	for _, p := range f.Params {
-		in, ok := inputs[p.Name]
-		if !ok {
-			return nil, fmt.Errorf("nnir: missing input %q", p.Name)
-		}
-		env[p] = in
-	}
-	saved := f.Body
-	for _, in := range saved {
-		args := make([]*tensor.Tensor, len(in.Args))
-		for i, a := range in.Args {
-			if a.IsConst() {
-				args[i] = a.Const.(*tensor.Tensor)
-			} else {
-				args[i] = env[a]
-			}
-		}
-		if hook != nil {
-			hook(in, args)
-		}
-		out, err := runOne(in, args)
-		if err != nil {
-			return nil, err
-		}
-		env[in.Result] = out
-	}
-	out, ok := env[f.Ret]
-	if !ok {
-		if f.Ret.IsConst() {
-			return f.Ret.Const.(*tensor.Tensor), nil
-		}
-		return nil, fmt.Errorf("nnir: return value not computed")
-	}
-	return out, nil
-}
-
-// runOne dispatches a single instruction (shared with Run's semantics).
-func runOne(in *ir.Instr, args []*tensor.Tensor) (*tensor.Tensor, error) {
-	switch in.Op {
-	case OpConv:
-		var bias *tensor.Tensor
-		if len(args) == 3 {
-			bias = args[2]
-		}
-		return tensor.Conv2D(args[0], args[1], bias, in.AttrInt("stride", 1), in.AttrInt("pad", 0))
-	case OpGemm:
-		w := args[1]
-		if in.AttrInt("transB", 0) == 1 {
-			w = transpose(w)
-		}
-		var bias *tensor.Tensor
-		if len(args) == 3 {
-			bias = args[2]
-		}
-		return tensor.Gemm(args[0], w, bias, 1, 1)
-	case OpRelu:
-		return tensor.ReLU(args[0]), nil
-	case OpSigmoid:
-		return tensor.Sigmoid(args[0]), nil
-	case OpTanh:
-		return tensor.Tanh(args[0]), nil
-	case OpAdd:
-		return tensor.Add(args[0], args[1])
-	case OpBatchNorm:
-		return tensor.BatchNorm(args[0], args[1], args[2], args[3], args[4], in.AttrFloat("eps", 1e-5))
-	case OpAvgPool:
-		return tensor.AveragePool2D(args[0], in.AttrInt("kernel", 1), in.AttrInt("stride", 1))
-	case OpGlobalPool:
-		return tensor.GlobalAveragePool2D(args[0])
-	case OpFlatten:
-		return args[0].Flatten(), nil
-	case OpReshape:
-		return args[0].Reshape(in.AttrInts("shape")...)
-	case OpSlice:
-		return tensor.StridedSlice(args[0], in.AttrInts("start"), in.AttrInts("size"), in.AttrInts("stride"))
-	}
-	return nil, fmt.Errorf("nnir: unknown op %q", in.Op)
-}
 
 // CalibrateReLUBounds runs the network on `samples` random inputs drawn
 // uniformly from [-1,1] and attaches a "bound" attribute to every
@@ -113,7 +29,7 @@ func CalibrateReLUBounds(f *ir.Func, samples int, headroom float64, seed uint64)
 		for i := range x.Data {
 			x.Data[i] = rng.Float64()*2 - 1
 		}
-		_, err := RunWithHook(f, map[string]*tensor.Tensor{f.Params[0].Name: x}, func(in *ir.Instr, args []*tensor.Tensor) {
+		_, err := RunWithHook(f, map[string]*tensor.Tensor{f.Params[0].Name: x}, func(in *ir.Instr, args []*tensor.Tensor, _ *tensor.Tensor) {
 			if in.Op != OpRelu && in.Op != OpSigmoid && in.Op != OpTanh {
 				return
 			}

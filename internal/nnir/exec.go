@@ -12,96 +12,77 @@ import (
 // semantics for all lower IR levels, and the "unencrypted" side of the
 // paper's Table 11).
 func Run(f *ir.Func, inputs map[string]*tensor.Tensor) (*tensor.Tensor, error) {
-	env := map[*ir.Value]*tensor.Tensor{}
-	for _, p := range f.Params {
+	return RunWithHook(f, inputs, nil)
+}
+
+// RunWithHook is Run with an observer: hook sees every instruction once,
+// in body order, with its argument tensors and its result (calibration
+// reads the arguments of the nonlinear ops this way).
+func RunWithHook(f *ir.Func, inputs map[string]*tensor.Tensor, hook func(*ir.Instr, []*tensor.Tensor, *tensor.Tensor)) (*tensor.Tensor, error) {
+	params := make([]*tensor.Tensor, len(f.Params))
+	for i, p := range f.Params {
 		in, ok := inputs[p.Name]
 		if !ok {
 			return nil, fmt.Errorf("nnir: missing input %q", p.Name)
 		}
-		env[p] = in
+		params[i] = in
 	}
-	get := func(v *ir.Value) (*tensor.Tensor, error) {
-		if v.IsConst() {
-			t, ok := v.Const.(*tensor.Tensor)
-			if !ok {
-				return nil, fmt.Errorf("nnir: constant %s is not a tensor", v)
-			}
-			return t, nil
-		}
-		t, ok := env[v]
+	konst := func(v *ir.Value) (*tensor.Tensor, error) {
+		t, ok := v.Const.(*tensor.Tensor)
 		if !ok {
-			return nil, fmt.Errorf("nnir: value %s not computed", v)
+			return nil, fmt.Errorf("constant %s is not a tensor", v)
 		}
 		return t, nil
 	}
-	for _, in := range f.Body {
-		args := make([]*tensor.Tensor, len(in.Args))
-		for i, a := range in.Args {
-			t, err := get(a)
-			if err != nil {
-				return nil, err
-			}
-			args[i] = t
-		}
-		var out *tensor.Tensor
-		var err error
-		switch in.Op {
-		case OpConv:
-			var bias *tensor.Tensor
-			if len(args) == 3 {
-				bias = args[2]
-			}
-			out, err = tensor.Conv2D(args[0], args[1], bias, in.AttrInt("stride", 1), in.AttrInt("pad", 0))
-		case OpGemm:
-			w := args[1]
-			if in.AttrInt("transB", 0) == 1 {
-				w = transpose(w)
-			}
-			var bias *tensor.Tensor
-			if len(args) == 3 {
-				bias = args[2]
-			}
-			out, err = tensor.Gemm(args[0], w, bias, 1, 1)
-		case OpRelu:
-			out = tensor.ReLU(args[0])
-		case OpSigmoid:
-			out = tensor.Sigmoid(args[0])
-		case OpTanh:
-			out = tensor.Tanh(args[0])
-		case OpAdd:
-			out, err = tensor.Add(args[0], args[1])
-		case OpBatchNorm:
-			out, err = tensor.BatchNorm(args[0], args[1], args[2], args[3], args[4], in.AttrFloat("eps", 1e-5))
-		case OpAvgPool:
-			out, err = tensor.AveragePool2D(args[0], in.AttrInt("kernel", 1), in.AttrInt("stride", 1))
-		case OpGlobalPool:
-			out, err = tensor.GlobalAveragePool2D(args[0])
-		case OpFlatten:
-			out = args[0].Flatten()
-		case OpReshape:
-			out, err = args[0].Reshape(in.AttrInts("shape")...)
-		case OpSlice:
-			out, err = tensor.StridedSlice(args[0], in.AttrInts("start"), in.AttrInts("size"), in.AttrInts("stride"))
-		default:
-			return nil, fmt.Errorf("nnir: unknown op %q", in.Op)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("nnir: %s: %w", in.Op, err)
-		}
-		env[in.Result] = out
+	out, err := ir.Eval(f, params, konst, step, hook)
+	if err != nil {
+		return nil, fmt.Errorf("nnir: %w", err)
 	}
-	return get(f.Ret)
+	return out, nil
 }
 
-func transpose(t *tensor.Tensor) *tensor.Tensor {
-	m, n := t.Shape[0], t.Shape[1]
-	out := tensor.New(n, m)
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			out.Data[j*m+i] = t.Data[i*n+j]
+// step computes one NN IR instruction on its resolved argument tensors:
+// the cleartext meaning of every nn.* op.
+func step(in *ir.Instr, args []*tensor.Tensor) (*tensor.Tensor, error) {
+	switch in.Op {
+	case OpConv:
+		var bias *tensor.Tensor
+		if len(args) == 3 {
+			bias = args[2]
 		}
+		return tensor.Conv2D(args[0], args[1], bias, in.AttrInt("stride", 1), in.AttrInt("pad", 0))
+	case OpGemm:
+		w := args[1]
+		if in.AttrInt("transB", 0) == 1 {
+			w = w.Transpose()
+		}
+		var bias *tensor.Tensor
+		if len(args) == 3 {
+			bias = args[2]
+		}
+		return tensor.Gemm(args[0], w, bias, 1, 1)
+	case OpRelu:
+		return tensor.ReLU(args[0]), nil
+	case OpSigmoid:
+		return tensor.Sigmoid(args[0]), nil
+	case OpTanh:
+		return tensor.Tanh(args[0]), nil
+	case OpAdd:
+		return tensor.Add(args[0], args[1])
+	case OpBatchNorm:
+		return tensor.BatchNorm(args[0], args[1], args[2], args[3], args[4], in.AttrFloat("eps", 1e-5))
+	case OpAvgPool:
+		return tensor.AveragePool2D(args[0], in.AttrInt("kernel", 1), in.AttrInt("stride", 1))
+	case OpGlobalPool:
+		return tensor.GlobalAveragePool2D(args[0])
+	case OpFlatten:
+		return args[0].Flatten(), nil
+	case OpReshape:
+		return args[0].Reshape(in.AttrInts("shape")...)
+	case OpSlice:
+		return tensor.StridedSlice(args[0], in.AttrInts("start"), in.AttrInts("size"), in.AttrInts("stride"))
 	}
-	return out
+	return nil, fmt.Errorf("unknown op")
 }
 
 // FuseConvBatchNorm folds every batch_norm that directly follows a conv

@@ -1,20 +1,16 @@
-package serve
+package obs
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 // TestQuantilesCeilRank pins the nearest-rank-with-ceiling definition:
 // the q-quantile is the smallest sample with at least q·n samples ≤ it.
 // The old floor-rank code reported p99 of a 10-sample window as the 9th
 // value — systematically hiding the very outlier p99 exists to surface.
 func TestQuantilesCeilRank(t *testing.T) {
-	ms := func(v float64) time.Duration { return time.Duration(v * float64(time.Millisecond)) }
 	cases := []struct {
 		name          string
 		size          int
-		add           []time.Duration
+		add           []float64
 		p50, p90, p99 float64
 	}{
 		{
@@ -24,7 +20,7 @@ func TestQuantilesCeilRank(t *testing.T) {
 		{
 			name: "single sample is every quantile",
 			size: 8,
-			add:  []time.Duration{ms(7)},
+			add:  []float64{7},
 			p50:  7, p90: 7, p99: 7,
 		},
 		{
@@ -32,7 +28,7 @@ func TestQuantilesCeilRank(t *testing.T) {
 			// → the maximum. Floor-rank gave 9ms for p99 here.
 			name: "ten samples: p99 is the max",
 			size: 16,
-			add:  []time.Duration{ms(10), ms(3), ms(7), ms(1), ms(9), ms(5), ms(2), ms(8), ms(4), ms(6)},
+			add:  []float64{10, 3, 7, 1, 9, 5, 2, 8, 4, 6},
 			p50:  5, p90: 9, p99: 10,
 		},
 		{
@@ -41,7 +37,7 @@ func TestQuantilesCeilRank(t *testing.T) {
 			// ceil(0.9·4)=4 and ceil(0.99·4)=4 → 6ms.
 			name: "wrap-around keeps only the newest samples",
 			size: 4,
-			add:  []time.Duration{ms(1), ms(2), ms(3), ms(4), ms(5), ms(6)},
+			add:  []float64{1, 2, 3, 4, 5, 6},
 			p50:  4, p90: 6, p99: 6,
 		},
 		{
@@ -49,19 +45,22 @@ func TestQuantilesCeilRank(t *testing.T) {
 			// larger.
 			name: "two samples split at the median",
 			size: 8,
-			add:  []time.Duration{ms(20), ms(10)},
+			add:  []float64{20, 10},
 			p50:  10, p90: 20, p99: 20,
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			w := newLatencyWindow(tc.size)
+			w := NewWindow(tc.size)
 			for _, d := range tc.add {
-				w.add(d)
+				w.Add(d)
 			}
-			p50, p90, p99 := w.quantiles()
+			if w.Len() != min(len(tc.add), tc.size) {
+				t.Errorf("Len() = %d after %d adds into %d slots", w.Len(), len(tc.add), tc.size)
+			}
+			p50, p90, p99 := w.Quantile(0.50), w.Quantile(0.90), w.Quantile(0.99)
 			if p50 != tc.p50 || p90 != tc.p90 || p99 != tc.p99 {
-				t.Errorf("quantiles() = %g/%g/%g, want %g/%g/%g",
+				t.Errorf("quantiles = %g/%g/%g, want %g/%g/%g",
 					p50, p90, p99, tc.p50, tc.p90, tc.p99)
 			}
 		})
@@ -72,12 +71,25 @@ func TestQuantilesCeilRank(t *testing.T) {
 // is full; quantiles must read the whole ring, not just the prefix
 // before next wrapped to 0.
 func TestQuantilesWrapReadsFullRing(t *testing.T) {
-	w := newLatencyWindow(4)
+	w := NewWindow(4)
 	for i := 1; i <= 4; i++ {
-		w.add(time.Duration(i) * time.Millisecond)
+		w.Add(float64(i))
 	}
-	p50, _, p99 := w.quantiles()
+	p50, p99 := w.Quantile(0.50), w.Quantile(0.99)
 	if p50 != 2 || p99 != 4 {
 		t.Errorf("full ring quantiles p50=%g p99=%g, want 2 and 4", p50, p99)
+	}
+}
+
+// TestWindowOverflowOrder: sixteen adds into eight slots keep 9..16, and
+// the quantiles come out ordered and inside that range.
+func TestWindowOverflowOrder(t *testing.T) {
+	w := NewWindow(8)
+	for i := 1; i <= 16; i++ {
+		w.Add(float64(i))
+	}
+	p50, p90, p99 := w.Quantile(0.50), w.Quantile(0.90), w.Quantile(0.99)
+	if p50 < 9 || p50 > 16 || p90 < p50 || p99 < p90 {
+		t.Fatalf("quantiles out of order or range: %g %g %g", p50, p90, p99)
 	}
 }

@@ -50,6 +50,29 @@ func (p *Polynomial) Depth() int {
 	return depth
 }
 
+// BSGSShape returns what the runtime's baby-step/giant-step evaluation
+// of coeffs costs: the ciphertext-ciphertext products (power basis,
+// giant steps and the quotient spine) and the nonzero coefficients (one
+// constant multiply each). A polynomial of degree < 1 needs neither.
+func BSGSShape(coeffs []float64) (products, nonzero int) {
+	p := Polynomial{Coeffs: coeffs}
+	deg := p.Degree()
+	if deg < 1 {
+		return 0, 0
+	}
+	for _, c := range coeffs {
+		if c != 0 {
+			nonzero++
+		}
+	}
+	m := 1 << ((p.Depth() + 1) / 2)
+	giants := 0
+	for g := m; 2*g <= deg; g *= 2 {
+		giants++
+	}
+	return (m - 1) + giants + giants + 1, nonzero
+}
+
 // Eval evaluates p at x in plaintext (reference implementation).
 func (p *Polynomial) Eval(x float64) float64 {
 	switch p.Basis {
@@ -79,6 +102,41 @@ func (p *Polynomial) Eval(x float64) float64 {
 // (constant first).
 func NewMonomial(coeffs ...float64) *Polynomial {
 	return &Polynomial{Coeffs: append([]float64(nil), coeffs...), Basis: Monomial, A: -1, B: 1}
+}
+
+// FromAttrs decodes the polynomial a poly instruction (sihe.poly,
+// ckks.poly) carries in its attributes: "coeffs", plus, for the Chebyshev
+// basis, "basis" = "cheb" and the interval "a", "b" (default [-1,1]).
+// Every reader of that encoding goes through here; Attrs writes it.
+func FromAttrs(attrs map[string]any) (*Polynomial, error) {
+	coeffs, ok := attrs["coeffs"].([]float64)
+	if !ok || len(coeffs) == 0 {
+		return nil, fmt.Errorf("poly: coeffs attribute is not a non-empty float vector")
+	}
+	p := &Polynomial{Coeffs: coeffs, A: -1, B: 1}
+	switch basis, _ := attrs["basis"].(string); basis {
+	case "":
+	case "cheb":
+		p.Basis = Chebyshev
+		if a, ok := attrs["a"].(float64); ok {
+			p.A = a
+		}
+		if b, ok := attrs["b"].(float64); ok {
+			p.B = b
+		}
+	default:
+		return nil, fmt.Errorf("poly: unknown basis %q", basis)
+	}
+	return p, nil
+}
+
+// Attrs encodes p as instruction attributes, the inverse of FromAttrs.
+func (p *Polynomial) Attrs() map[string]any {
+	attrs := map[string]any{"coeffs": p.Coeffs}
+	if p.Basis == Chebyshev {
+		attrs["basis"], attrs["a"], attrs["b"] = "cheb", p.A, p.B
+	}
+	return attrs
 }
 
 // ChebyshevInterpolate approximates f on [a,b] with a degree-d polynomial

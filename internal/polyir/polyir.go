@@ -15,6 +15,7 @@ import (
 
 	"antace/internal/ckksir"
 	"antace/internal/ir"
+	"antace/internal/poly"
 	"antace/internal/sihe"
 )
 
@@ -109,8 +110,11 @@ func Lower(cm *ir.Module, alpha, k int) (*ir.Module, error) {
 		case ckksir.OpModSwitch, ckksir.OpReinterpret:
 			// Dropping RNS rows / re-declaring scale is free.
 		case ckksir.OpPoly:
-			coeffs := in.Attrs["coeffs"].([]float64)
-			expandPolyEval(emit, keySwitch, coeffs, in.Args[0].Level)
+			p, err := poly.FromAttrs(in.Attrs)
+			if err != nil {
+				return nil, fmt.Errorf("polyir: %s: %w", in.Op, err)
+			}
+			expandPolyEval(emit, keySwitch, p.Coeffs, in.Args[0].Level)
 		case ckksir.OpBootstrap:
 			expandBootstrap(emit, keySwitch, in, src.Params[0].Type.Len())
 		default:
@@ -128,30 +132,9 @@ func Lower(cm *ir.Module, alpha, k int) (*ir.Module, error) {
 // generation (ciphertext products with relinearisation and rescale) plus
 // per-coefficient constant multiplications.
 func expandPolyEval(emit func(string, int, int), keySwitch func(int), coeffs []float64, level int) {
-	deg := 0
-	nonzero := 0
-	for i, c := range coeffs {
-		if c != 0 {
-			deg = i
-			nonzero++
-		}
-	}
-	if deg < 1 {
-		return
-	}
-	logD := 0
-	for (1 << logD) < deg+1 {
-		logD++
-	}
-	m := 1 << ((logD + 1) / 2)
-	giants := 0
-	for g := m; 2*g <= deg; g *= 2 {
-		giants++
-	}
-	ctMuls := (m - 1) + giants // power basis products
-	spine := giants + 1        // quotient-spine products
+	products, nonzero := poly.BSGSShape(coeffs)
 	l := level
-	for i := 0; i < ctMuls+spine; i++ {
+	for i := 0; i < products; i++ {
 		r := l + 1
 		emit(OpModMul, r, 4)
 		emit(OpModAdd, r, 1)

@@ -60,9 +60,6 @@ type Config struct {
 	MaxDeadline     time.Duration
 	// RetryAfter is the hint sent with 429 responses (default 1s).
 	RetryAfter time.Duration
-	// LatencyWindow is the sample count behind the statz quantiles
-	// (default 1024).
-	LatencyWindow int
 	// IdemEntries bounds the idempotency result cache (default 256
 	// retained successes; in-flight executions are uncounted).
 	IdemEntries int
@@ -208,7 +205,7 @@ type Server struct {
 	sched    *scheduler
 	idem     *idemCache
 	stats    counters
-	lat      *latencyWindow
+	lat      *obs.Window // milliseconds
 	mux      *http.ServeMux
 
 	// Observability: structured logs, per-opcode profile aggregation and
@@ -348,7 +345,7 @@ func New(prog Program, cfg Config) (*Server, error) {
 		needRlk:   true,
 		sessions:  newSessionCache(cfg.SessionBudget),
 		idem:      newIdemCache(cfg.IdemEntries),
-		lat:       newLatencyWindow(cfg.LatencyWindow),
+		lat:       obs.NewWindow(obs.StatzWindow),
 		repl:      cfg.Replicator,
 		log:       cfg.Logger,
 		prof:      obs.NewAggregate(),
@@ -1253,7 +1250,7 @@ func (s *Server) finish(w http.ResponseWriter, j *job, entry *idemEntry, res job
 	}
 	s.completeIdem(entry, true, out, res.lane, res.stride)
 	s.stats.served.Add(1)
-	s.lat.add(time.Since(j.enqueued))
+	s.lat.Add(float64(time.Since(j.enqueued)) / float64(time.Millisecond))
 	log.Info("infer.reply", slog.String("outcome", "ok"),
 		slog.Duration("total", time.Since(j.enqueued)), slog.Int("bytes", len(out)))
 	w.Header().Set("Content-Type", api.ContentTypeBinary)
@@ -1308,7 +1305,6 @@ func (s *Server) handleStatz(w http.ResponseWriter, r *http.Request) {
 // counters survive the process.
 func (s *Server) StatzSnapshot() api.Statz {
 	count, used, hits, misses, evictions := s.sessions.snapshot()
-	p50, p90, p99 := s.lat.quantiles()
 	s.mu.RLock()
 	draining := s.draining
 	s.mu.RUnlock()
@@ -1336,9 +1332,9 @@ func (s *Server) StatzSnapshot() api.Statz {
 		SessionHits:      hits,
 		SessionMisses:    misses,
 		SessionEvictions: evictions,
-		LatencyMsP50:     p50,
-		LatencyMsP90:     p90,
-		LatencyMsP99:     p99,
+		LatencyMsP50:     s.lat.Quantile(0.50),
+		LatencyMsP90:     s.lat.Quantile(0.90),
+		LatencyMsP99:     s.lat.Quantile(0.99),
 	}
 	st.Restarts = s.restarts
 	st.SessionsRecovered = s.stats.sessionsRecovered.Load()

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"testing"
-	"time"
 
 	"antace/internal/ckks"
 )
@@ -87,19 +86,5 @@ func TestSessionIDsUnique(t *testing.T) {
 			t.Fatalf("bad or duplicate id %q", id)
 		}
 		seen[id] = true
-	}
-}
-
-func TestLatencyWindowQuantiles(t *testing.T) {
-	w := newLatencyWindow(8)
-	if p50, _, _ := w.quantiles(); p50 != 0 {
-		t.Fatal("empty window must report zeros")
-	}
-	for i := 1; i <= 16; i++ { // overflows the ring: keeps the last 8 (9..16ms)
-		w.add(time.Duration(i) * time.Millisecond)
-	}
-	p50, p90, p99 := w.quantiles()
-	if p50 < 9 || p50 > 16 || p90 < p50 || p99 < p90 {
-		t.Fatalf("quantiles out of order or range: %g %g %g", p50, p90, p99)
 	}
 }

@@ -1,12 +1,6 @@
 package serve
 
-import (
-	"math"
-	"sort"
-	"sync"
-	"sync/atomic"
-	"time"
-)
+import "sync/atomic"
 
 // counters are the monotone request counters behind /v1/statz.
 type counters struct {
@@ -28,60 +22,4 @@ type counters struct {
 	replicaSessions atomic.Uint64 // replicated key bundles applied on this shard
 	replicaResults  atomic.Uint64 // replicated journal completions applied here
 	replicaShipErrs atomic.Uint64 // replication shipments this shard failed to send
-}
-
-// latencyWindow keeps the most recent request latencies in a fixed ring
-// and computes quantiles on demand — O(1) memory, no dependency, and
-// precise enough for a /statz page (exact over the window).
-type latencyWindow struct {
-	mu     sync.Mutex
-	buf    []time.Duration
-	next   int
-	filled int
-}
-
-func newLatencyWindow(size int) *latencyWindow {
-	if size <= 0 {
-		size = 1024
-	}
-	return &latencyWindow{buf: make([]time.Duration, size)}
-}
-
-func (w *latencyWindow) add(d time.Duration) {
-	w.mu.Lock()
-	w.buf[w.next] = d
-	w.next = (w.next + 1) % len(w.buf)
-	if w.filled < len(w.buf) {
-		w.filled++
-	}
-	w.mu.Unlock()
-}
-
-// quantiles returns the p50/p90/p99 latencies in milliseconds over the
-// window, or zeros when nothing has been recorded.
-func (w *latencyWindow) quantiles() (p50, p90, p99 float64) {
-	w.mu.Lock()
-	sample := make([]time.Duration, w.filled)
-	copy(sample, w.buf[:w.filled])
-	w.mu.Unlock()
-	if len(sample) == 0 {
-		return 0, 0, 0
-	}
-	sort.Slice(sample, func(i, j int) bool { return sample[i] < sample[j] })
-	// Nearest-rank with a ceiling: the q-quantile is the smallest sample
-	// such that at least q·n samples are ≤ it. Flooring the rank instead
-	// (the previous behavior) reported p99 as p~90 on a 10-sample window
-	// — an outlier-hiding bias in exactly the quantile that exists to
-	// expose outliers.
-	at := func(q float64) float64 {
-		rank := int(math.Ceil(q * float64(len(sample))))
-		if rank < 1 {
-			rank = 1
-		}
-		if rank > len(sample) {
-			rank = len(sample)
-		}
-		return float64(sample[rank-1]) / float64(time.Millisecond)
-	}
-	return at(0.50), at(0.90), at(0.99)
 }

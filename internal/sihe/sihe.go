@@ -22,8 +22,8 @@ const (
 	OpNeg    = "sihe.neg"
 	OpRotate = "sihe.rotate"
 	OpEncode = "sihe.encode"
-	// OpPoly evaluates one polynomial stage on a ciphertext. Attributes:
-	// "coeffs" []float64 (monomial basis), "target" float64 hint.
+	// OpPoly evaluates one polynomial stage on a ciphertext. Its
+	// attributes carry the polynomial (poly.FromAttrs / Attrs).
 	OpPoly = "sihe.poly"
 	// OpMulConst multiplies a ciphertext by the scalar attribute "c".
 	OpMulConst = "sihe.mul_const"
@@ -108,9 +108,9 @@ func ReLUDepth(stages [][]float64) int {
 // StageDepthInstr returns the level consumption of a sihe.poly/ckks.poly
 // instruction, accounting for the Chebyshev affine domain map when the
 // interval differs from [-1,1].
-func StageDepthInstr(coeffs []float64, basis string, a, b float64) int {
-	d := StageDepth(coeffs)
-	if basis == "cheb" && (a != -1 || b != 1) {
+func StageDepthInstr(p *poly.Polynomial) int {
+	d := StageDepth(p.Coeffs)
+	if p.Basis == poly.Chebyshev && (p.A != -1 || p.B != 1) {
 		d++ // affine input normalisation inside the evaluator
 	}
 	return d
@@ -120,21 +120,12 @@ func StageDepthInstr(coeffs []float64, basis string, a, b float64) int {
 // the runtime's BSGS evaluator: ceil(log2(deg+1)) plus one (the extra
 // rescale that keeps baby-step coefficients precisely encodable).
 func StageDepth(coeffs []float64) int {
-	deg := 0
-	for i, c := range coeffs {
-		if c != 0 {
-			deg = i
-		}
-	}
-	if deg <= 1 {
+	p := poly.Polynomial{Coeffs: coeffs}
+	if p.Degree() <= 1 {
 		// A linear stage is a single constant multiplication + rescale.
 		return 1
 	}
-	depth := 0
-	for (1 << depth) < deg+1 {
-		depth++
-	}
-	return depth + 1
+	return p.Depth() + 1
 }
 
 // Lower re-types a VECTOR IR module into SIHE, inserting encode ops and
@@ -227,7 +218,7 @@ func Lower(vm *ir.Module, opts Options) (*ir.Module, error) {
 			// the final product.
 			h := f.Emit(OpMulConst, ct, []*ir.Value{a}, map[string]any{"c": 1 / bound, "relu_norm": true, "bound": bound})
 			for i, coeffs := range stages {
-				attrs := map[string]any{"coeffs": coeffs}
+				attrs := (&poly.Polynomial{Coeffs: coeffs}).Attrs()
 				if i == len(stages)-1 {
 					attrs["relu_last"] = true
 				}
@@ -250,10 +241,7 @@ func Lower(vm *ir.Module, opts Options) (*ir.Module, error) {
 			default:
 				return nil, fmt.Errorf("sihe: unknown nonlinearity %q", kind)
 			}
-			vals[in.Result] = f.Emit(OpPoly, ct, []*ir.Value{a}, map[string]any{
-				"coeffs": append([]float64(nil), p.Coeffs...),
-				"basis":  "cheb", "a": p.A, "b": p.B,
-			})
+			vals[in.Result] = f.Emit(OpPoly, ct, []*ir.Value{a}, p.Attrs())
 		default:
 			return nil, fmt.Errorf("sihe: cannot lower %q", in.Op)
 		}
@@ -269,86 +257,26 @@ func Lower(vm *ir.Module, opts Options) (*ir.Module, error) {
 	return mod, nil
 }
 
-// Run executes a SIHE function on cleartext data (ciphers and plains are
-// both []float64), faithfully applying the polynomial approximations: it
-// predicts what the encrypted execution computes, up to CKKS noise.
+// Kernels is the SIHE dialect's op table over the shared slot kernels
+// (ciphers and plains are both cleartext slot vectors).
+var Kernels = map[string]ir.SlotKernel{
+	OpAdd:      ir.SlotAdd,
+	OpSub:      ir.SlotSub,
+	OpMul:      ir.SlotMul,
+	OpNeg:      ir.SlotNeg,
+	OpRotate:   ir.SlotRotate,
+	OpEncode:   ir.SlotIdentity,
+	OpMulConst: ir.SlotScale("c"),
+	OpPoly:     ir.SlotPoly,
+}
+
+// Run executes a SIHE function on cleartext data, faithfully applying the
+// polynomial approximations: it predicts what the encrypted execution
+// computes, up to CKKS noise.
 func Run(f *ir.Func, input []float64) ([]float64, error) {
-	env := map[*ir.Value][]float64{f.Params[0]: input}
-	get := func(v *ir.Value) ([]float64, error) {
-		if v.IsConst() {
-			c, ok := v.Const.([]float64)
-			if !ok {
-				return nil, fmt.Errorf("sihe: constant %s is not a vector", v)
-			}
-			return c, nil
-		}
-		x, ok := env[v]
-		if !ok {
-			return nil, fmt.Errorf("sihe: %s not computed", v)
-		}
-		return x, nil
+	out, err := ir.RunSlots(f, input, Kernels, nil)
+	if err != nil {
+		return nil, fmt.Errorf("sihe: %w", err)
 	}
-	n := len(input)
-	for _, in := range f.Body {
-		args := make([][]float64, len(in.Args))
-		for i, a := range in.Args {
-			v, err := get(a)
-			if err != nil {
-				return nil, err
-			}
-			args[i] = v
-		}
-		out := make([]float64, n)
-		switch in.Op {
-		case OpAdd:
-			for i := range out {
-				out[i] = args[0][i] + args[1][i]
-			}
-		case OpSub:
-			for i := range out {
-				out[i] = args[0][i] - args[1][i]
-			}
-		case OpMul:
-			for i := range out {
-				out[i] = args[0][i] * args[1][i]
-			}
-		case OpNeg:
-			for i := range out {
-				out[i] = -args[0][i]
-			}
-		case OpRotate:
-			k := in.AttrInt("k", 0)
-			for i := range out {
-				out[i] = args[0][(i+k)%n]
-			}
-		case OpEncode:
-			copy(out, args[0])
-		case OpMulConst:
-			c := in.AttrFloat("c", 1)
-			for i := range out {
-				out[i] = args[0][i] * c
-			}
-		case OpPoly:
-			coeffs := in.Attrs["coeffs"].([]float64)
-			if basis, _ := in.Attrs["basis"].(string); basis == "cheb" {
-				p := &poly.Polynomial{Coeffs: coeffs, Basis: poly.Chebyshev,
-					A: in.AttrFloat("a", -1), B: in.AttrFloat("b", 1)}
-				for i := range out {
-					out[i] = p.Eval(args[0][i])
-				}
-				break
-			}
-			for i := range out {
-				acc := 0.0
-				for j := len(coeffs) - 1; j >= 0; j-- {
-					acc = acc*args[0][i] + coeffs[j]
-				}
-				out[i] = acc
-			}
-		default:
-			return nil, fmt.Errorf("sihe: unknown op %q", in.Op)
-		}
-		env[in.Result] = out
-	}
-	return get(f.Ret)
+	return out, nil
 }

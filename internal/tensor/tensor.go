@@ -112,6 +112,18 @@ func (t *Tensor) Flatten() *Tensor {
 	return out
 }
 
+// Transpose returns the transpose of a rank-2 tensor.
+func (t *Tensor) Transpose() *Tensor {
+	m, n := t.Shape[0], t.Shape[1]
+	out := New(n, m)
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
+			out.Data[j*m+i] = t.Data[i*n+j]
+		}
+	}
+	return out
+}
+
 // Add returns t + o elementwise (shapes must match).
 func Add(a, b *Tensor) (*Tensor, error) {
 	if !sameShape(a.Shape, b.Shape) {

@@ -118,7 +118,7 @@ func (m *Model) forward(x *tensor.Tensor) (*forwardState, error) {
 		return nil, err
 	}
 	flat := st.g.Flatten()
-	if st.logits, err = tensor.Gemm(flat, transpose(m.WF), m.BF, 1, 1); err != nil {
+	if st.logits, err = tensor.Gemm(flat, m.WF.Transpose(), m.BF, 1, 1); err != nil {
 		return nil, err
 	}
 	return st, nil
@@ -329,15 +329,4 @@ func (m *Model) Weights() map[string]*tensor.Tensor {
 // Describe returns a short model summary.
 func (m *Model) Describe() string {
 	return fmt.Sprintf("small-cnn(c=%d, classes=%d, input=%dx%d)", m.cfg.Channels, m.cfg.Classes, m.cfg.InputSize, m.cfg.InputSize)
-}
-
-func transpose(t *tensor.Tensor) *tensor.Tensor {
-	mRows, n := t.Shape[0], t.Shape[1]
-	out := tensor.New(n, mRows)
-	for i := 0; i < mRows; i++ {
-		for j := 0; j < n; j++ {
-			out.Data[j*mRows+i] = t.Data[i*n+j]
-		}
-	}
-	return out
 }

@@ -7,78 +7,42 @@ import (
 	"antace/internal/ir"
 )
 
+// Kernels is the VECTOR dialect's op table over the shared slot kernels.
+// vec.relu and vec.nonlinear are still exact here: their polynomial
+// approximations only appear at the SIHE level.
+var Kernels = map[string]ir.SlotKernel{
+	OpAdd:  ir.SlotAdd,
+	OpMul:  ir.SlotMul,
+	OpRoll: ir.SlotRotate,
+	OpRelu: func(_ *ir.Instr, a [][]float64) ([]float64, error) {
+		return ir.SlotMap(a[0], func(x float64) float64 {
+			if x > 0 {
+				return x
+			}
+			return 0
+		}), nil
+	},
+	OpNonlinear: func(in *ir.Instr, a [][]float64) ([]float64, error) {
+		switch kind, _ := in.Attrs["kind"].(string); kind {
+		case "tanh":
+			return ir.SlotMap(a[0], math.Tanh), nil
+		case "sigmoid":
+			return ir.SlotMap(a[0], func(x float64) float64 { return 1 / (1 + math.Exp(-x)) }), nil
+		default:
+			return nil, fmt.Errorf("unknown nonlinearity %q", kind)
+		}
+	},
+}
+
 // Run executes a VECTOR IR function on a cleartext slot vector. This is
 // the paper's VECTOR-level instrumentation mode: it validates the layout
 // and rotation program against the NN reference without any encryption.
 func Run(f *ir.Func, input []float64) ([]float64, error) {
-	if len(f.Params) != 1 {
-		return nil, fmt.Errorf("vecir: executor expects one parameter")
+	out, err := ir.RunSlots(f, input, Kernels, nil)
+	if err != nil {
+		return nil, fmt.Errorf("vecir: %w", err)
 	}
-	l := f.Params[0].Type.Len()
-	if len(input) != l {
-		return nil, fmt.Errorf("vecir: input length %d, want %d", len(input), l)
-	}
-	env := map[*ir.Value][]float64{f.Params[0]: input}
-	get := func(v *ir.Value) ([]float64, error) {
-		if v.IsConst() {
-			c, ok := v.Const.([]float64)
-			if !ok {
-				return nil, fmt.Errorf("vecir: constant %s is not a vector", v)
-			}
-			return c, nil
-		}
-		x, ok := env[v]
-		if !ok {
-			return nil, fmt.Errorf("vecir: %s not computed", v)
-		}
-		return x, nil
-	}
-	for _, in := range f.Body {
-		args := make([][]float64, len(in.Args))
-		for i, a := range in.Args {
-			v, err := get(a)
-			if err != nil {
-				return nil, err
-			}
-			args[i] = v
-		}
-		out := make([]float64, l)
-		switch in.Op {
-		case OpAdd:
-			for i := range out {
-				out[i] = args[0][i] + args[1][i]
-			}
-		case OpMul:
-			for i := range out {
-				out[i] = args[0][i] * args[1][i]
-			}
-		case OpRoll:
-			k := in.AttrInt("k", 0)
-			for i := range out {
-				out[i] = args[0][(i+k)%l]
-			}
-		case OpRelu:
-			for i := range out {
-				if args[0][i] > 0 {
-					out[i] = args[0][i]
-				}
-			}
-		case OpNonlinear:
-			kind, _ := in.Attrs["kind"].(string)
-			for i := range out {
-				switch kind {
-				case "tanh":
-					out[i] = math.Tanh(args[0][i])
-				default:
-					out[i] = 1 / (1 + math.Exp(-args[0][i]))
-				}
-			}
-		default:
-			return nil, fmt.Errorf("vecir: unknown op %q", in.Op)
-		}
-		env[in.Result] = out
-	}
-	return get(f.Ret)
+	return out, nil
 }
 
 // Stats summarises the homomorphic cost drivers of a VECTOR IR function.

@@ -74,10 +74,6 @@ type Options struct {
 	VectorLen int
 	// Conv selects the BSGS split point of the convolution lowering.
 	Conv ConvMode
-	// NaiveConv is the legacy switch for ConvNaive: one rotation per
-	// distinct total offset. Used by the Expert baseline and the
-	// ablation benchmarks; equivalent to Conv = ConvNaive.
-	NaiveConv bool
 	// DefaultReLUBound bounds |x| at ReLU inputs when no calibrated
 	// bound attribute is present on the nn.relu instruction.
 	DefaultReLUBound float64
@@ -87,15 +83,6 @@ type Options struct {
 	// figure/table analyses at paper scale, but cannot be executed.
 	// Compile timing is unaffected — the masks are still built.
 	AnalysisOnly bool
-}
-
-// convMode resolves the effective convolution structure, honouring the
-// legacy NaiveConv flag.
-func (o Options) convMode() ConvMode {
-	if o.NaiveConv {
-		return ConvNaive
-	}
-	return o.Conv
 }
 
 // Result carries the lowered module plus the packings of its boundary.
@@ -281,7 +268,7 @@ func Lower(nn *ir.Module, opts Options) (*Result, error) {
 		case nnir.OpGemm:
 			w := in.Args[1].Const.(*tensor.Tensor)
 			if in.AttrInt("transB", 0) == 0 {
-				w = transpose2(w)
+				w = w.Transpose()
 			}
 			var bias *tensor.Tensor
 			if len(in.Args) == 3 {
@@ -422,7 +409,7 @@ func (lw *lowering) emitConv(x *ir.Value, li, lo *Layout, w, bias *tensor.Tensor
 					}
 					sjRaw := dy*li.Sy*li.W0 + dx*li.Sx
 					var rv, sj int
-					switch lw.opts.convMode() {
+					switch lw.opts.Conv {
 					case ConvSpatialGiant:
 						// Swapped split: channel displacements become the
 						// shared babies, spatial offsets the giants. The
@@ -533,15 +520,4 @@ func (lw *lowering) emitGlobalSum(x *ir.Value, li *Layout) *ir.Value {
 		cur = lw.add(cur, lw.roll(cur, step*li.Sx))
 	}
 	return cur
-}
-
-func transpose2(t *tensor.Tensor) *tensor.Tensor {
-	m, n := t.Shape[0], t.Shape[1]
-	out := tensor.New(n, m)
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			out.Data[j*m+i] = t.Data[i*n+j]
-		}
-	}
-	return out
 }

@@ -165,7 +165,7 @@ func TestLowerResNetMiniNaive(t *testing.T) {
 		t.Fatal(err)
 	}
 	resShared, _ := lowerAndCompare(t, m, Options{}, []uint64{6}, 1e-9)
-	resNaive, _ := lowerAndCompare(t, m, Options{NaiveConv: true}, []uint64{6}, 1e-9)
+	resNaive, _ := lowerAndCompare(t, m, Options{Conv: ConvNaive}, []uint64{6}, 1e-9)
 	shared := Analyze(resShared.Module.Main())
 	naive := Analyze(resNaive.Module.Main())
 	if shared.Rotations >= naive.Rotations {

@@ -216,16 +216,11 @@ func decode(in *ir.Instr, slot func(*ir.Value) (int, error)) (instr, error) {
 	case ckksir.OpMulConst:
 		d.op, d.x, d.y = opMulConst, in.AttrFloat("c", 1), in.AttrFloat("const_scale", 1)
 	case ckksir.OpPoly:
-		coeffs, ok := in.Attrs["coeffs"].([]float64)
-		if !ok {
-			return d, fmt.Errorf("coeffs attribute is not a float vector")
+		p, err := poly.FromAttrs(in.Attrs)
+		if err != nil {
+			return d, err
 		}
-		if basis, _ := in.Attrs["basis"].(string); basis == "cheb" {
-			d.poly = &poly.Polynomial{Coeffs: coeffs, Basis: poly.Chebyshev,
-				A: in.AttrFloat("a", -1), B: in.AttrFloat("b", 1)}
-		} else {
-			d.poly = poly.NewMonomial(coeffs...)
-		}
+		d.poly = p
 		d.op, d.x = opPoly, in.AttrFloat("target", 0)
 	case ckksir.OpBootstrap:
 		d.op, d.k = opBootstrap, in.AttrInt("target", 0)

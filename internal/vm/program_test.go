@@ -468,3 +468,28 @@ func TestProgramUnderOtherParameters(t *testing.T) {
 		t.Fatal("the table was not re-made for the new parameters")
 	}
 }
+
+// TestSeededKeysReproducible: the same seed gives the same evaluation
+// keys, byte for byte, also for a bootstrapping program, whose rotation
+// list is collected through maps. Go reorders a map on every range, so
+// any order dependence shows within one process.
+func TestSeededKeysReproducible(t *testing.T) {
+	res := tinyBootstrapping(t)
+	seed := [32]byte{1, 2, 3}
+	var first []byte
+	for i := 0; i < 4; i++ {
+		m, _, err := New(res, vecLen(res), &seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys, err := m.Eval.Keys().MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			first = keys
+		} else if !bytes.Equal(keys, first) {
+			t.Fatalf("seeded vm.New #%d produced a different Galois key set", i)
+		}
+	}
+}
