@@ -89,4 +89,9 @@ func TestPaperProfileSelectsSecureParameters(t *testing.T) {
 	if lit.LogN != 16 || lit.LogQ[0] != 60 || lit.LogScale != 56 {
 		t.Fatalf("Table 10 mismatch: logN=%d logQ0=%d logD=%d", lit.LogN, lit.LogQ[0], lit.LogScale)
 	}
+	// With two special primes the modulus is 34 bits below the 128-bit
+	// bound at logN 16: a third would cost a ring degree, so there is none.
+	if len(lit.LogP) != 2 {
+		t.Fatalf("paper-scale ResNet-20 got %d special primes, want 2", len(lit.LogP))
+	}
 }

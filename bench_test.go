@@ -11,6 +11,7 @@
 package ace
 
 import (
+	"fmt"
 	"io"
 	"path/filepath"
 	"testing"
@@ -308,32 +309,52 @@ func BenchmarkAblationBootstrapLevel(b *testing.B) {
 	}
 }
 
-// Ablation 4: key-switching digit count (dnum sweep, runtime measured).
+// Ablation 4: key-switching digit count (special-prime sweep, runtime
+// measured). The shallow case is a 7-prime chain at digit widths 1-3.
+// The deep case is the sweep behind ckksir's special-prime rule: the
+// 30-prime chain of the bootstrapped reduced ResNets (q0, 16 compute
+// levels, 13 bootstrap levels) at the benchmark workload's ring degree,
+// K special primes, timed on one relinearisation and on one hoisted
+// batch of 15 rotations (the baby steps of a bootstrap DFT).
 func BenchmarkAblationKeySwitchDigits(b *testing.B) {
-	for _, logP := range [][]int{{60}, {60, 60}, {50, 50, 50}} {
-		name := map[int]string{1: "alpha1", 2: "alpha2", 3: "alpha3"}[len(logP)]
-		b.Run(name, func(b *testing.B) {
-			params, err := ckks.NewParameters(ckks.ParametersLiteral{
-				LogN: 12, LogQ: []int{50, 40, 40, 40, 40, 40, 40}, LogP: logP, LogScale: 40,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			kg := ckks.NewKeyGenerator(params, ring.SeedFromInt(1))
-			sk := kg.GenSecretKey()
-			keys := &ckks.EvaluationKeySet{Rlk: kg.GenRelinearizationKey(sk)}
-			enc := ckks.NewEncoder(params)
-			encryptor := ckks.NewEncryptorFromSecretKey(params, sk)
-			eval := ckks.NewEvaluator(params, keys)
-			vals := make([]float64, params.Slots())
-			for i := range vals {
-				vals[i] = 0.5
-			}
-			pt, _ := enc.EncodeReal(vals, params.MaxLevel(), params.DefaultScale())
-			ct := encryptor.Encrypt(pt)
+	mulRelin := func(lit ckks.ParametersLiteral) func(*testing.B) {
+		return func(b *testing.B) {
+			eval, ct := keySwitchBenchSetup(b, lit, nil)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := eval.MulRelin(ct, ct); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+	for _, logP := range [][]int{{60}, {60, 60}, {50, 50, 50}} {
+		lit := ckks.ParametersLiteral{LogN: 12, LogQ: []int{50, 40, 40, 40, 40, 40, 40}, LogP: logP, LogScale: 40}
+		b.Run(fmt.Sprintf("alpha%d", len(logP)), mulRelin(lit))
+	}
+	deep := []int{60}
+	for i := 0; i < 16; i++ {
+		deep = append(deep, 40)
+	}
+	for i := 0; i < 13; i++ {
+		deep = append(deep, 60)
+	}
+	babies := make([]int, 15)
+	for i := range babies {
+		babies[i] = i + 1
+	}
+	for _, k := range []int{2, 4, 6, 8, 10} {
+		logP := make([]int, k)
+		for i := range logP {
+			logP[i] = 61
+		}
+		lit := ckks.ParametersLiteral{LogN: 9, LogQ: deep, LogP: logP, LogScale: 40}
+		b.Run(fmt.Sprintf("deep30/K%d/MulRelin", k), mulRelin(lit))
+		b.Run(fmt.Sprintf("deep30/K%d/Hoisted15", k), func(b *testing.B) {
+			eval, ct := keySwitchBenchSetup(b, lit, babies)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := eval.RotateHoisted(ct, babies); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -440,11 +461,17 @@ func BenchmarkNTT(b *testing.B) {
 	}
 }
 
-func keySwitchBenchSetup(b *testing.B) (*ckks.Evaluator, *ckks.Ciphertext) {
+// keySwitchLiteral is the geometry of the limb-level key-switch
+// benchmarks below.
+var keySwitchLiteral = ckks.ParametersLiteral{
+	LogN: 12, LogQ: []int{50, 40, 40, 40, 40, 40}, LogP: []int{50, 50}, LogScale: 40,
+}
+
+// keySwitchBenchSetup builds an evaluator holding a relinearisation key
+// and the given rotation keys, and one top-level ciphertext.
+func keySwitchBenchSetup(b *testing.B, lit ckks.ParametersLiteral, rotations []int) (*ckks.Evaluator, *ckks.Ciphertext) {
 	b.Helper()
-	params, err := ckks.NewParameters(ckks.ParametersLiteral{
-		LogN: 12, LogQ: []int{50, 40, 40, 40, 40, 40}, LogP: []int{50, 50}, LogScale: 40,
-	})
+	params, err := ckks.NewParameters(lit)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -452,7 +479,7 @@ func keySwitchBenchSetup(b *testing.B) (*ckks.Evaluator, *ckks.Ciphertext) {
 	sk := kg.GenSecretKey()
 	keys := &ckks.EvaluationKeySet{
 		Rlk:    kg.GenRelinearizationKey(sk),
-		Galois: kg.GenGaloisKeys([]int{1, 2, 4, 8}, false, sk),
+		Galois: kg.GenGaloisKeys(rotations, false, sk),
 	}
 	enc := ckks.NewEncoder(params)
 	encryptor := ckks.NewEncryptorFromSecretKey(params, sk)
@@ -472,7 +499,7 @@ func keySwitchBenchSetup(b *testing.B) (*ckks.Evaluator, *ckks.Ciphertext) {
 // relinearisation: tensor product, digit decomposition, ModUp, MulAcc
 // against the key, ModDown.
 func BenchmarkKeySwitch(b *testing.B) {
-	eval, ct := keySwitchBenchSetup(b)
+	eval, ct := keySwitchBenchSetup(b, keySwitchLiteral, nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -486,8 +513,8 @@ func BenchmarkKeySwitch(b *testing.B) {
 // hoisted digit decomposition (the baby-step pattern of BSGS linear
 // transforms and the bootstrapping DFTs).
 func BenchmarkHoistedRotations(b *testing.B) {
-	eval, ct := keySwitchBenchSetup(b)
 	ks := []int{1, 2, 4, 8}
+	eval, ct := keySwitchBenchSetup(b, keySwitchLiteral, ks)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -22,7 +22,8 @@ type btContext struct {
 func newBtContext(t testing.TB) *btContext {
 	t.Helper()
 	// Chain layout: q0 (60 bits), two 40-bit compute levels, then twelve
-	// 60-bit levels for the bootstrap circuit itself.
+	// 60-bit levels for the bootstrap circuit itself; four special
+	// primes, the count the compiler picks for a 15-prime chain.
 	logQ := []int{60, 40, 40}
 	for i := 0; i < 12; i++ {
 		logQ = append(logQ, 60)
@@ -30,7 +31,7 @@ func newBtContext(t testing.TB) *btContext {
 	params, err := ckks.NewParameters(ckks.ParametersLiteral{
 		LogN:     8,
 		LogQ:     logQ,
-		LogP:     []int{61, 61},
+		LogP:     []int{61, 61, 61, 61},
 		LogScale: 40,
 	})
 	if err != nil {

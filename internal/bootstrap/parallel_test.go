@@ -8,7 +8,7 @@ import (
 )
 
 // TestParallelMatchesSerial bootstraps the same exhausted ciphertext with
-// 1 and 8 workers and asserts bit-identical output coefficients: the whole
+// 1, 2 and 8 workers and asserts bit-identical output coefficients: the whole
 // pipeline (ModRaise, CoeffsToSlots, EvalMod, SlotsToCoeffs) is exact
 // modular arithmetic once the input bytes are fixed, so limb scheduling
 // must not change a single coefficient. par.SetMinWork(1) precedes
@@ -40,18 +40,19 @@ func TestParallelMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par.SetWorkers(8)
-	parallel, err := tc.bt.Bootstrap(tc.eval, ct.CopyNew(), target)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if serial.Scale != parallel.Scale || len(serial.Value) != len(parallel.Value) {
-		t.Fatal("bootstrap outputs differ in shape between 1 and 8 workers")
-	}
-	for i := range serial.Value {
-		if !serial.Value[i].Equal(parallel.Value[i]) {
-			t.Fatalf("bootstrap output polynomial %d differs between 1 and 8 workers", i)
+	for _, workers := range []int{2, 8} {
+		par.SetWorkers(workers)
+		parallel, err := tc.bt.Bootstrap(tc.eval, ct.CopyNew(), target)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if serial.Scale != parallel.Scale || len(serial.Value) != len(parallel.Value) {
+			t.Fatalf("bootstrap outputs differ in shape between 1 and %d workers", workers)
+		}
+		for i := range serial.Value {
+			if !serial.Value[i].Equal(parallel.Value[i]) {
+				t.Fatalf("bootstrap output polynomial %d differs between 1 and %d workers", i, workers)
+			}
 		}
 	}
 }

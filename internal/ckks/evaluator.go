@@ -377,20 +377,30 @@ func (ev *Evaluator) Conjugate(ct *Ciphertext) (*Ciphertext, error) {
 	return ev.automorphism(ct, gal)
 }
 
+// galoisKey returns the key for the Galois element gal and the element's
+// NTT-domain index table over Q, built on first use.
+func (ev *Evaluator) galoisKey(gal uint64) (*GaloisKey, []int, error) {
+	key, err := ev.keys.GaloisKeyFor(gal)
+	if err != nil {
+		return nil, nil, err
+	}
+	idx, ok := ev.autIndexCache[gal]
+	if !ok {
+		idx = ev.params.RingQ().AutomorphismNTTIndex(gal)
+		ev.autIndexCache[gal] = idx
+	}
+	return key, idx, nil
+}
+
 func (ev *Evaluator) automorphism(ct *Ciphertext, gal uint64) (*Ciphertext, error) {
 	if ct.Degree() != 1 {
 		return nil, fmt.Errorf("ckks: automorphism requires a degree-1 ciphertext")
 	}
-	key, err := ev.keys.GaloisKeyFor(gal)
+	key, idx, err := ev.galoisKey(gal)
 	if err != nil {
 		return nil, err
 	}
 	rQ := ev.params.RingQ()
-	idx, ok := ev.autIndexCache[gal]
-	if !ok {
-		idx = rQ.AutomorphismNTTIndex(gal)
-		ev.autIndexCache[gal] = idx
-	}
 	level := ct.Level()
 	out := NewCiphertext(ev.params, 1, level)
 	out.Scale = ct.Scale

@@ -80,7 +80,7 @@ func (ev *Evaluator) decomposeForKeySwitch(c1 *ring.Poly) *hoistedDecomp {
 		}
 		tQ := rQ.GetPolyNoZero(level)
 		tP := rP.GetPolyNoZero(rP.MaxLevel())
-		be.DecompModUpNTT(c1c, start, end, level, tQ, tP)
+		be.DecompModUpNTT(c1c, c1, start, end, level, tQ, tP)
 		h.tQ = append(h.tQ, tQ)
 		h.tP = append(h.tP, tP)
 	}
@@ -89,55 +89,100 @@ func (ev *Evaluator) decomposeForKeySwitch(c1 *ring.Poly) *hoistedDecomp {
 	return h
 }
 
-// applyKeySwitchHoisted finishes a key switch from a (possibly permuted)
-// decomposition: the evaluation-key inner product runs as the fused
-// hw_modmuladd kernel (128-bit lazy accumulation, one reduction per
-// digit sum), and the divide-by-P tail as the fused ModDownNTT pass.
+// keySwitchSum is a key switch before its division by P: the two halves
+// of Σ ⟨digits, key⟩ over the basis Q∪P, NTT domain. The division is
+// linear up to rounding, so several switches (a linear transform's
+// giant steps) may be summed here and divided once. Its polynomials are
+// pooled scratch.
+type keySwitchSum struct {
+	q0, q1 *ring.Poly // rows 0..level
+	p0, p1 *ring.Poly // all P rows
+	empty  bool
+}
+
+// newKeySwitchSum takes the four accumulators from the ring pools. They
+// are not zeroed: the first add overwrites them.
+func (ev *Evaluator) newKeySwitchSum(level int) *keySwitchSum {
+	rQ, rP := ev.params.RingQ(), ev.params.RingP()
+	return &keySwitchSum{
+		q0: rQ.GetPolyNoZero(level), q1: rQ.GetPolyNoZero(level),
+		p0: rP.GetPolyNoZero(rP.MaxLevel()), p1: rP.GetPolyNoZero(rP.MaxLevel()),
+		empty: true,
+	}
+}
+
+// release returns the sum's polynomials to the ring pools.
+func (s *keySwitchSum) release(rQ, rP *ring.Ring) {
+	rQ.PutPoly(s.q0)
+	rQ.PutPoly(s.q1)
+	rP.PutPoly(s.p0)
+	rP.PutPoly(s.p1)
+	*s = keySwitchSum{}
+}
+
+// addKeySwitch accumulates the evaluation-key inner product of a
+// (possibly permuted) decomposition: the fused hw_modmuladd kernel,
+// 128-bit lazy accumulation with one reduction per digit sum, the running
+// sum entering the same accumulator.
+func (ev *Evaluator) addKeySwitch(sum *keySwitchSum, h *hoistedDecomp, swk *SwitchingKey) error {
+	rQ, rP := ev.params.RingQ(), ev.params.RingP()
+	nd := len(h.tQ)
+	if nd > len(swk.BQ) {
+		return fmt.Errorf("ckks: switching key has %d digits, need %d", len(swk.BQ), nd)
+	}
+	t0 := time.Now()
+	ipQ, ipP := rQ.InnerProductAdd, rP.InnerProductAdd
+	if sum.empty {
+		ipQ, ipP = rQ.InnerProduct, rP.InnerProduct
+		sum.empty = false
+	}
+	ipQ(h.tQ, swk.BQ[:nd], sum.q0)
+	ipP(h.tP, swk.BP[:nd], sum.p0)
+	ipQ(h.tQ, swk.AQ[:nd], sum.q1)
+	ipP(h.tP, swk.AP[:nd], sum.p1)
+	ev.observe(opModMulAdd, t0)
+	return nil
+}
+
+// modDown divides the sum by P with the fused ModDownNTT pass, leaving
+// the result in its Q halves.
+func (ev *Evaluator) modDown(sum *keySwitchSum) {
+	be := ev.params.BasisExtender()
+	// The two output halves are independent pipelines; run them as two
+	// coarse tasks on top of the limb-level parallelism inside each.
+	t0 := time.Now()
+	par.Do(
+		func() { be.ModDownNTT(sum.q0, sum.p0) },
+		func() { be.ModDownNTT(sum.q1, sum.p1) },
+	)
+	ev.observe(opModDown, t0)
+}
+
+// applyKeySwitchHoisted finishes one key switch from a (possibly
+// permuted) decomposition: inner product, then the divide-by-P tail.
 // The returned polynomials are pooled scratch owned by the caller
 // (release with RingQ().PutPoly).
 func (ev *Evaluator) applyKeySwitchHoisted(h *hoistedDecomp, swk *SwitchingKey) (d0, d1 *ring.Poly, err error) {
-	params := ev.params
-	rQ, rP := params.RingQ(), params.RingP()
-	be := params.BasisExtender()
-	nd := len(h.tQ)
-	if nd > len(swk.BQ) {
-		return nil, nil, fmt.Errorf("ckks: switching key has %d digits, need %d", len(swk.BQ), nd)
+	sum := ev.newKeySwitchSum(h.level)
+	if err = ev.addKeySwitch(sum, h, swk); err == nil {
+		ev.modDown(sum)
+		d0, d1, sum.q0, sum.q1 = sum.q0, sum.q1, nil, nil
 	}
-	// InnerProduct fully overwrites the accumulators, so the pooled polys
-	// need no zeroing pass.
-	accQ0 := rQ.GetPolyNoZero(h.level)
-	accQ1 := rQ.GetPolyNoZero(h.level)
-	accP0 := rP.GetPolyNoZero(rP.MaxLevel())
-	accP1 := rP.GetPolyNoZero(rP.MaxLevel())
-	t0 := time.Now()
-	rQ.InnerProduct(h.tQ, swk.BQ[:nd], accQ0)
-	rP.InnerProduct(h.tP, swk.BP[:nd], accP0)
-	rQ.InnerProduct(h.tQ, swk.AQ[:nd], accQ1)
-	rP.InnerProduct(h.tP, swk.AP[:nd], accP1)
-	ev.observe(opModMulAdd, t0)
-	// The two output halves are independent pipelines; run them as two
-	// coarse tasks on top of the limb-level parallelism inside each.
-	t1 := time.Now()
-	par.Do(
-		func() { be.ModDownNTT(accQ0, accP0) },
-		func() { be.ModDownNTT(accQ1, accP1) },
-	)
-	ev.observe(opModDown, t1)
-	rP.PutPoly(accP0)
-	rP.PutPoly(accP1)
-	return accQ0, accQ1, nil
+	sum.release(ev.params.RingQ(), ev.params.RingP())
+	return d0, d1, err
 }
 
-// permute applies a Galois automorphism (as an NTT index table) to every
-// digit, yielding the decomposition of the rotated polynomial. The result
-// is pooled scratch; release it after use.
-func (h *hoistedDecomp) permute(rQ, rP *ring.Ring, idxQ, idxP []int) *hoistedDecomp {
+// permute applies a Galois automorphism (as an NTT index table; Q and P
+// share the ring degree, hence the table) to every digit, yielding the
+// decomposition of the rotated polynomial. The result is pooled scratch;
+// release it after use.
+func (h *hoistedDecomp) permute(rQ, rP *ring.Ring, idx []int) *hoistedDecomp {
 	out := &hoistedDecomp{level: h.level}
 	for d := range h.tQ {
 		tQ := rQ.GetPolyNoZero(h.level)
 		tP := rP.GetPolyNoZero(rP.MaxLevel())
-		rQ.AutomorphismNTT(h.tQ[d], idxQ, tQ)
-		rP.AutomorphismNTT(h.tP[d], idxP, tP)
+		rQ.AutomorphismNTT(h.tQ[d], idx, tQ)
+		rP.AutomorphismNTT(h.tP[d], idx, tP)
 		out.tQ = append(out.tQ, tQ)
 		out.tP = append(out.tP, tP)
 	}
@@ -171,22 +216,11 @@ func (ev *Evaluator) RotateHoisted(ct *Ciphertext, ks []int) (map[int]*Ciphertex
 		if h == nil {
 			h = ev.decomposeForKeySwitch(ct.Value[1])
 		}
-		gal := rQ.GaloisElementForRotation(k)
-		key, err := ev.keys.GaloisKeyFor(gal)
+		key, idxQ, err := ev.galoisKey(rQ.GaloisElementForRotation(k))
 		if err != nil {
 			return nil, err
 		}
-		idxQ, ok := ev.autIndexCache[gal]
-		if !ok {
-			idxQ = rQ.AutomorphismNTTIndex(gal)
-			ev.autIndexCache[gal] = idxQ
-		}
-		// P uses the same degree, so the index table is identical.
-		idxP := idxQ
-		if rP.N != rQ.N {
-			idxP = rP.AutomorphismNTTIndex(gal)
-		}
-		hk := h.permute(rQ, rP, idxQ, idxP)
+		hk := h.permute(rQ, rP, idxQ)
 		d0, d1, err := ev.applyKeySwitchHoisted(hk, &key.SwitchingKey)
 		hk.release(rQ, rP)
 		if err != nil {

@@ -3,6 +3,8 @@ package ckks
 import (
 	"fmt"
 	"sort"
+
+	"antace/internal/ring"
 )
 
 // LinearTransform is a slots x slots complex matrix in diagonal form:
@@ -77,8 +79,7 @@ func (lt *LinearTransform) babyGiant() (n1 int, index map[int][]int) {
 // Rotations returns the slot rotations required to evaluate the
 // transform (callers must generate the corresponding Galois keys).
 func (lt *LinearTransform) Rotations() []int {
-	n1, index := lt.babyGiant()
-	_ = n1
+	_, index := lt.babyGiant()
 	set := map[int]bool{}
 	for g, babies := range index {
 		if g != 0 {
@@ -103,9 +104,23 @@ func (lt *LinearTransform) Rotations() []int {
 // landing on targetScale (0 selects the parameter default) after the
 // single rescale this operation consumes. The ciphertext must use the
 // full N/2 slots.
+//
+// The evaluation is one fused baby-step/giant-step kernel. The baby
+// rotations of the input share one hoisted decomposition. Each giant
+// group's inner sum Σ_b pt_{g+b} ⊙ rot_b(x) is one lazily reduced inner
+// product per ciphertext half. A giant rotation then splits in two: the
+// permuted c0 half joins a running sum over Q, and the evaluation-key
+// inner product of the permuted, decomposed c1 half joins a running sum
+// over Q∪P that is divided by P once, after the last group — division by
+// P is linear up to rounding, so the one division differs from the
+// per-rotation ones only by less rounding noise. One decomposition is
+// alive at a time.
 func (ev *Evaluator) EvaluateLinearTransform(ct *Ciphertext, lt *LinearTransform, enc *Encoder, targetScale float64) (*Ciphertext, error) {
 	if lt.Slots != ev.params.Slots() {
 		return nil, fmt.Errorf("ckks: linear transform over %d slots, parameters have %d", lt.Slots, ev.params.Slots())
+	}
+	if len(lt.Diags) == 0 {
+		return nil, fmt.Errorf("ckks: linear transform has no diagonals")
 	}
 	if targetScale == 0 {
 		targetScale = ev.params.DefaultScale()
@@ -114,7 +129,8 @@ func (ev *Evaluator) EvaluateLinearTransform(ct *Ciphertext, lt *LinearTransform
 	if level < 1 {
 		return nil, fmt.Errorf("ckks: linear transform needs at least one level")
 	}
-	ql := ev.params.RingQ().Moduli[level]
+	rQ, rP := ev.params.RingQ(), ev.params.RingP()
+	ql := rQ.Moduli[level]
 	ptScale := targetScale * float64(ql) / ct.Scale
 	if ptScale < 2 {
 		return nil, fmt.Errorf("ckks: linear transform plaintext scale %g collapses (target %g from ciphertext scale %g)", ptScale, targetScale, ct.Scale)
@@ -122,27 +138,38 @@ func (ev *Evaluator) EvaluateLinearTransform(ct *Ciphertext, lt *LinearTransform
 
 	n1, index := lt.babyGiant()
 	slots := lt.Slots
-
-	// Baby rotations of the input share one hoisted decomposition.
+	giants := make([]int, 0, len(index))
 	var babyKs []int
-	for _, bs := range index {
-		babyKs = append(babyKs, bs...)
+	for g, bs := range index {
+		giants = append(giants, g)
+		for _, b := range bs {
+			if b != 0 {
+				babyKs = append(babyKs, b)
+			}
+		}
 	}
-	babies, err := ev.rotateBabiesForTest(ct, babyKs)
+	sort.Ints(giants)
+	babies, err := ev.RotateHoisted(ct, babyKs)
 	if err != nil {
 		return nil, err
 	}
 	babies[0] = ct
-	_ = n1
 
-	var acc *Ciphertext
-	giants := make([]int, 0, len(index))
-	for g := range index {
-		giants = append(giants, g)
-	}
-	sort.Ints(giants)
+	acc := NewCiphertext(ev.params, 1, level) // Σ over Q, both halves
+	acc.Scale = ct.Scale * ptScale
+	sum := ev.newKeySwitchSum(level) // Σ over Q∪P of the giant key switches
+	u0, u1, phi := rQ.GetPolyNoZero(level), rQ.GetPolyNoZero(level), rQ.GetPolyNoZero(level)
+	defer func() {
+		sum.release(rQ, rP)
+		rQ.PutPoly(u0)
+		rQ.PutPoly(u1)
+		rQ.PutPoly(phi)
+	}()
+	pts := make([]*ring.Poly, 0, n1)
+	b0s := make([]*ring.Poly, 0, n1)
+	b1s := make([]*ring.Poly, 0, n1)
 	for _, g := range giants {
-		var inner *Ciphertext
+		pts, b0s, b1s = pts[:0], b0s[:0], b1s[:0]
 		for _, b := range index[g] {
 			pt, _, err := lt.Memo.Get(PlaintextKey{Const: g + b, Level: level, Scale: ptScale}, func() (*Plaintext, error) {
 				diag := lt.Diags[g+b]
@@ -157,65 +184,41 @@ func (ev *Evaluator) EvaluateLinearTransform(ct *Ciphertext, lt *LinearTransform
 			if err != nil {
 				return nil, err
 			}
-			term := ev.MulPlain(babies[b], pt)
-			if inner == nil {
-				inner = term
-				continue
-			}
-			inner, err = ev.Add(inner, term)
-			if err != nil {
-				return nil, err
-			}
+			pts = append(pts, pt.Value)
+			b0s = append(b0s, babies[b].Value[0])
+			b1s = append(b1s, babies[b].Value[1])
 		}
-		if g != 0 {
-			var err error
-			inner, err = ev.Rotate(inner, g)
-			if err != nil {
-				return nil, err
-			}
-		}
-		if acc == nil {
-			acc = inner
+		if g == 0 {
+			rQ.InnerProductAdd(pts, b0s, acc.Value[0])
+			rQ.InnerProductAdd(pts, b1s, acc.Value[1])
 			continue
 		}
-		var err error
-		acc, err = ev.Add(acc, inner)
+		rQ.InnerProduct(pts, b0s, u0)
+		rQ.InnerProduct(pts, b1s, u1)
+		// rot_g(u0, u1) = (φ(u0) + d0, d1), (d0, d1) the key switch of φ(u1).
+		key, idx, err := ev.galoisKey(rQ.GaloisElementForRotation(g))
+		if err != nil {
+			return nil, err
+		}
+		rQ.AutomorphismNTT(u0, idx, phi)
+		rQ.Add(acc.Value[0], phi, acc.Value[0])
+		rQ.AutomorphismNTT(u1, idx, phi)
+		h := ev.decomposeForKeySwitch(phi)
+		err = ev.addKeySwitch(sum, h, &key.SwitchingKey)
+		h.release(rQ, rP)
 		if err != nil {
 			return nil, err
 		}
 	}
-	if acc == nil {
-		return nil, fmt.Errorf("ckks: linear transform has no diagonals")
+	if !sum.empty {
+		ev.modDown(sum)
+		rQ.Add(acc.Value[0], sum.q0, acc.Value[0])
+		rQ.Add(acc.Value[1], sum.q1, acc.Value[1])
 	}
 	out, err := ev.Rescale(acc)
 	if err != nil {
 		return nil, err
 	}
 	out.Scale = targetScale
-	return out, nil
-}
-
-// rotateBabiesForTest switches between hoisted and plain rotations.
-var useHoistedBabies = true
-
-func (ev *Evaluator) rotateBabiesForTest(ct *Ciphertext, ks []int) (map[int]*Ciphertext, error) {
-	if useHoistedBabies {
-		return ev.RotateHoisted(ct, ks)
-	}
-	out := map[int]*Ciphertext{}
-	for _, k := range ks {
-		if _, ok := out[k]; ok {
-			continue
-		}
-		if k == 0 {
-			out[0] = ct.CopyNew()
-			continue
-		}
-		r, err := ev.Rotate(ct, k)
-		if err != nil {
-			return nil, err
-		}
-		out[k] = r
-	}
 	return out, nil
 }

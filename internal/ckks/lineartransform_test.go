@@ -1,0 +1,151 @@
+package ckks
+
+import (
+	"math/rand/v2"
+	"testing"
+)
+
+// diagonalMatrix returns a slots x slots matrix whose non-zero entries
+// sit on the given diagonals (M[i][(i+d) mod slots]), drawn from rng.
+func diagonalMatrix(slots int, diags []int, rng *rand.Rand) [][]complex128 {
+	m := make([][]complex128, slots)
+	for i := range m {
+		m[i] = make([]complex128, slots)
+		for _, d := range diags {
+			m[i][(i+d)%slots] = complex(rng.Float64()-0.5, rng.Float64()-0.5)
+		}
+	}
+	return m
+}
+
+// plainLinearTransform is the textbook evaluation the fused kernel is
+// checked against: one full rotation, one plaintext product and one
+// addition per diagonal, no baby-step/giant-step split, no hoisting.
+func plainLinearTransform(t *testing.T, tc *testContext, ct *Ciphertext, lt *LinearTransform) *Ciphertext {
+	t.Helper()
+	level := ct.Level()
+	ptScale := float64(tc.params.RingQ().Moduli[level])
+	var acc *Ciphertext
+	for d, diag := range lt.Diags {
+		rot, err := tc.eval.Rotate(ct, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pt, err := tc.enc.Encode(diag, level, ptScale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		term := tc.eval.MulPlain(rot, pt)
+		if acc == nil {
+			acc = term
+			continue
+		}
+		if acc, err = tc.eval.Add(acc, term); err != nil {
+			t.Fatal(err)
+		}
+	}
+	out, err := tc.eval.Rescale(acc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestHoistedVsPlainLinearTransform evaluates one matrix (every diagonal
+// populated) through the fused kernel and through plain rotations, and
+// holds both to the cleartext product.
+func TestHoistedVsPlainLinearTransform(t *testing.T) {
+	tc := newTestContext(t, nil)
+	slots := tc.params.Slots()
+	m := make([][]complex128, slots)
+	for i := range m {
+		m[i] = make([]complex128, slots)
+		for j := range m[i] {
+			if (i+j)%7 == 0 {
+				m[i][j] = complex(float64(i-j)/float64(slots), 0.25)
+			}
+		}
+	}
+	lt := NewLinearTransformFromMatrix(m)
+	all := make([]int, 0, len(lt.Diags))
+	for d := range lt.Diags {
+		all = append(all, d)
+	}
+	tc.eval.keys.Galois = tc.kg.GenGaloisKeys(all, false, tc.sk)
+
+	values := randomComplexVector(slots, 1, 321)
+	pt, _ := tc.enc.Encode(values, tc.params.MaxLevel(), tc.params.DefaultScale())
+	ct := tc.encPk.Encrypt(pt)
+	want := lt.MulVec(values)
+
+	fused, err := tc.eval.EvaluateLinearTransform(ct, lt, tc.enc, tc.params.DefaultScale())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e := maxErr(tc.enc.Decode(tc.dec.Decrypt(fused), slots), want); e > 1e-3 {
+		t.Errorf("fused: max error %.3e", e)
+	}
+	plain := plainLinearTransform(t, tc, ct, lt)
+	if e := maxErr(tc.enc.Decode(tc.dec.Decrypt(plain), slots), want); e > 1e-3 {
+		t.Errorf("plain: max error %.3e", e)
+	}
+}
+
+// TestLinearTransformShapes covers the group shapes the fused kernel
+// branches on: dense, sparse, with and without the g = 0 group (whose
+// sum needs no key switch), with and without any giant rotation, and a
+// lone diagonal.
+func TestLinearTransformShapes(t *testing.T) {
+	const slots = 128
+	every := func(step int) []int {
+		var ds []int
+		for d := 0; d < slots; d += step {
+			ds = append(ds, d)
+		}
+		return ds
+	}
+	cases := []struct {
+		name  string
+		diags []int
+		n1    int
+	}{
+		{"dense", every(1), 0},
+		{"every-7th", every(7), 0},
+		{"dense-n1-4", every(1), 4},
+		{"no-zero-group", []int{20, 21, 23, 37, 38}, 4},
+		{"zero-group-only", []int{0, 1, 3}, 4},
+		{"identity-diagonal", []int{0}, 0},
+		{"one-diagonal", []int{5}, 0},
+		{"one-giant-diagonal", []int{8}, 4},
+	}
+	for i, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			rng := rand.New(rand.NewPCG(uint64(i), 77))
+			lt := NewLinearTransformFromMatrix(diagonalMatrix(slots, c.diags, rng))
+			lt.N1 = c.n1
+			tc := newTestContext(t, lt.Rotations())
+			values := randomComplexVector(slots, 1, uint64(40+i))
+			pt, err := tc.enc.Encode(values, tc.params.MaxLevel(), tc.params.DefaultScale())
+			if err != nil {
+				t.Fatal(err)
+			}
+			out, err := tc.eval.EvaluateLinearTransform(tc.encSk.Encrypt(pt), lt, tc.enc, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out.Level() != tc.params.MaxLevel()-1 || out.Scale != tc.params.DefaultScale() {
+				t.Fatalf("output at level %d scale %g", out.Level(), out.Scale)
+			}
+			got := tc.enc.Decode(tc.dec.Decrypt(out), slots)
+			if e := maxErr(got, lt.MulVec(values)); e > 1e-3 {
+				t.Errorf("max error %.3e", e)
+			}
+		})
+	}
+	tc := newTestContext(t, nil)
+	pt, _ := tc.enc.Encode(randomComplexVector(slots, 1, 1), tc.params.MaxLevel(), tc.params.DefaultScale())
+	empty := &LinearTransform{Slots: slots, Diags: map[int][]complex128{}}
+	if _, err := tc.eval.EvaluateLinearTransform(tc.encSk.Encrypt(pt), empty, tc.enc, 0); err == nil {
+		t.Error("a transform without diagonals must be rejected")
+	}
+}

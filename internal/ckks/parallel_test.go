@@ -1,6 +1,7 @@
 package ckks
 
 import (
+	"math/rand/v2"
 	"testing"
 
 	"antace/internal/par"
@@ -29,7 +30,7 @@ func equalCiphertexts(a, b *Ciphertext) bool {
 
 // TestParallelMatchesSerial fixes the input ciphertext bytes (keygen and
 // encryption happen once, outside the measured ops) and asserts each
-// evaluator operation yields bit-identical ciphertexts under 1 and 8
+// evaluator operation yields bit-identical ciphertexts under 1, 2 and 8
 // workers. par.SetMinWork(1) runs first so the rings built by
 // newTestContext capture a grain that parallelises even at LogN 8.
 func TestParallelMatchesSerial(t *testing.T) {
@@ -52,6 +53,10 @@ func TestParallelMatchesSerial(t *testing.T) {
 	}
 	cta := tc.encSk.Encrypt(pa)
 	ctb := tc.encSk.Encrypt(pb)
+
+	// Diagonals 0..3 at N1 = 2: babies {0, 1}, giant groups {0, 2}.
+	lt := NewLinearTransformFromMatrix(diagonalMatrix(tc.params.Slots(), []int{0, 1, 2, 3}, rand.New(rand.NewPCG(5, 5))))
+	lt.N1 = 2
 
 	cases := []struct {
 		name string
@@ -111,6 +116,13 @@ func TestParallelMatchesSerial(t *testing.T) {
 			}
 			return acc
 		}},
+		{"LinearTransform", func() *Ciphertext {
+			out, err := tc.eval.EvaluateLinearTransform(cta.CopyNew(), lt, tc.enc, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return out
+		}},
 		{"MulByConst", func() *Ciphertext {
 			return tc.eval.MulByConst(cta.CopyNew(), 1.5, scale)
 		}},
@@ -126,11 +138,14 @@ func TestParallelMatchesSerial(t *testing.T) {
 
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			var serial, parallel *Ciphertext
+			var serial *Ciphertext
 			runWithWorkers(1, func() { serial = c.run() })
-			runWithWorkers(8, func() { parallel = c.run() })
-			if !equalCiphertexts(serial, parallel) {
-				t.Fatal("ciphertexts differ between 1 and 8 workers")
+			for _, workers := range []int{2, 8} {
+				var parallel *Ciphertext
+				runWithWorkers(workers, func() { parallel = c.run() })
+				if !equalCiphertexts(serial, parallel) {
+					t.Fatalf("ciphertexts differ between 1 and %d workers", workers)
+				}
 			}
 		})
 	}

@@ -225,8 +225,31 @@ func plan(f *ir.Func, boot bool) ([]int, error) {
 	return segments, nil
 }
 
+// specialPrimeBits is the size of every special prime: one bit above the
+// largest chain prime, so a special modulus of K primes exceeds every
+// key-switching digit (a product of K chain primes).
+const specialPrimeBits = 61
+
+// specialPrimes returns the number of special primes K for a chain of
+// chainLen primes when the security bound leaves room for at most `most`
+// of them. Hybrid key switching cuts the chain into ceil(chainLen/K)
+// digits of K primes: each digit costs a lift into all chainLen+K rows
+// (decompose, inner product), each special prime a row of the closing
+// division, so the work falls with K while digits outnumber the primes
+// in one and rises after — K is the smallest count with K*K >= chainLen,
+// the balanced point, which is where the measured sweep bottoms out
+// (EXPERIMENTS.md, "key-switch digit sweep"). Never fewer than two.
+func specialPrimes(chainLen, most int) int {
+	k := 2
+	for k*k < chainLen && k < most {
+		k++
+	}
+	return k
+}
+
 // SelectParameters derives the parameter literal from the planned
-// segment depths (the paper's automatic security parameter selection).
+// segment depths (the paper's automatic security parameter selection):
+// the chain, the ring degree and the special modulus.
 func SelectParameters(segments []int, slots int, opts Options) (ckks.ParametersLiteral, int, error) {
 	opts = opts.withDefaults()
 	target := 0
@@ -257,13 +280,10 @@ func SelectParameters(segments []int, slots int, opts Options) (ckks.ParametersL
 			logQ = append(logQ, 60)
 		}
 	}
-	lit := ckks.ParametersLiteral{
-		LogQ:     logQ,
-		LogP:     []int{61, 61},
-		LogScale: opts.LogScale,
-	}
-	logQP := opts.LogQ0 + target*opts.LogScale + bootDepth*60 + 122
-	logN := ckks.MinLogN(logQP)
+	chainBits := opts.LogQ0 + target*opts.LogScale + bootDepth*60
+	// The ring degree is set by the chain under the smallest special
+	// modulus; a larger one only fills what that degree leaves spare.
+	logN := ckks.MinLogN(chainBits + 2*specialPrimeBits)
 	// Slot requirement: N/2 >= slots.
 	minLogN := 1
 	for (1 << (minLogN - 1)) < slots {
@@ -277,10 +297,24 @@ func SelectParameters(segments []int, slots int, opts Options) (ckks.ParametersL
 	if opts.ForceLogN != 0 {
 		logN = opts.ForceLogN
 	}
+	most := len(logQ)
+	if !opts.IgnoreSecurity {
+		most = (ckks.MaxLogQP(logN) - chainBits) / specialPrimeBits
+	}
+	logP := make([]int, specialPrimes(len(logQ), most))
+	for i := range logP {
+		logP[i] = specialPrimeBits
+	}
+	lit := ckks.ParametersLiteral{
+		LogN:     logN,
+		LogQ:     logQ,
+		LogP:     logP,
+		LogScale: opts.LogScale,
+	}
 	if logN > 17 {
+		logQP := chainBits + len(logP)*specialPrimeBits
 		return lit, 0, fmt.Errorf("ckksir: required LogN %d exceeds the supported maximum 17 (logQP=%d)", logN, logQP)
 	}
-	lit.LogN = logN
 	return lit, target, nil
 }
 
@@ -320,7 +354,9 @@ func Lower(sm *ir.Module, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	qPrimes, _, err := ckks.GeneratePrimes(lit)
+	// Scale planning needs the chain's primes only; they are drawn before
+	// the special ones, so leaving those out changes none of them.
+	qPrimes, _, err := ckks.GeneratePrimes(ckks.ParametersLiteral{LogN: lit.LogN, LogQ: lit.LogQ})
 	if err != nil {
 		return nil, err
 	}

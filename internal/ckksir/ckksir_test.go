@@ -2,8 +2,11 @@ package ckksir
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
+	"antace/internal/bootstrap"
+	"antace/internal/ckks"
 	"antace/internal/ir"
 	"antace/internal/nnir"
 	"antace/internal/onnx"
@@ -139,6 +142,67 @@ func TestSelectParametersSecurity(t *testing.T) {
 	}
 	if 1<<(lit2.LogN-1) < 4096 {
 		t.Fatalf("LogN %d cannot hold 4096 slots", lit2.LogN)
+	}
+}
+
+// TestSpecialPrimeSelection pins the special-modulus rule: balanced
+// digits, never fewer than two primes, never more than the security
+// bound leaves room for.
+func TestSpecialPrimeSelection(t *testing.T) {
+	for _, c := range []struct{ chain, most, want int }{
+		{2, 30, 2}, {4, 30, 2}, {5, 30, 3}, {7, 30, 3}, {16, 30, 4}, {29, 30, 6}, {30, 30, 6},
+		{30, 4, 4}, {30, 2, 2}, {30, 0, 2}, {30, -3, 2},
+	} {
+		if got := specialPrimes(c.chain, c.most); got != c.want {
+			t.Errorf("specialPrimes(%d, %d) = %d, want %d", c.chain, c.most, got, c.want)
+		}
+	}
+
+	// A two-prime chain (the gemv and serving workloads) keeps the
+	// literal it always had.
+	lit, _, err := SelectParameters([]int{1}, 512, Options{LogScale: 40, IgnoreSecurity: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := ckks.ParametersLiteral{LogN: 10, LogQ: []int{60, 40}, LogP: []int{61, 61}, LogScale: 40}
+	if !reflect.DeepEqual(lit, want) {
+		t.Errorf("two-prime chain: literal %+v, want %+v", lit, want)
+	}
+
+	// A bootstrapped 30-prime chain without the security floor: six
+	// special primes, and the ring degree is still the slot floor.
+	deep, _, err := SelectParameters([]int{16, 16}, 256, Options{LogScale: 40, IgnoreSecurity: true, Boot: bootstrap.Parameters{K: 24, DoubleAngle: 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(deep.LogQ) != 30 || len(deep.LogP) != 6 || deep.LogN != 9 {
+		t.Errorf("deep chain: %d primes, %d special, logN %d; want 30, 6, 9", len(deep.LogQ), len(deep.LogP), deep.LogN)
+	}
+
+	// Under the security floor the special modulus only fills what the
+	// ring degree leaves spare. This paper-scale chain (28 primes, 60 +
+	// 15*56 + 12*60 = 1620 bits) needs logN 16 with two special primes and
+	// has 152 bits to the bound, no room for a third; the same chain in a
+	// ring forced one size up has room for the balanced count.
+	secure := Options{LogScale: 56, Mode: BootstrapAlways}
+	paper, _, err := SelectParameters([]int{15, 15}, 1<<14, secure)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bits := 0
+	for _, b := range append(append([]int{}, paper.LogQ...), paper.LogP...) {
+		bits += b
+	}
+	if paper.LogN != 16 || len(paper.LogP) != 2 || bits > ckks.MaxLogQP(16) {
+		t.Errorf("secure chain: logN %d, %d special primes, %d bits (bound %d)", paper.LogN, len(paper.LogP), bits, ckks.MaxLogQP(16))
+	}
+	secure.ForceLogN = 17
+	roomy, _, err := SelectParameters([]int{15, 15}, 1<<14, secure)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if k := len(roomy.LogP); k*k < len(roomy.LogQ) {
+		t.Errorf("roomy ring: %d special primes for %d chain primes", k, len(roomy.LogQ))
 	}
 }
 

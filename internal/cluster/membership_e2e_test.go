@@ -247,6 +247,18 @@ func TestMembershipDrainInProcess(t *testing.T) {
 	}
 }
 
+// presetSession pre-assigns the session id on registrations, as the
+// router does for the sessions it places.
+type presetSession string
+
+func (id presetSession) RoundTrip(r *http.Request) (*http.Response, error) {
+	if r.Method == http.MethodPost && r.URL.Path == api.PathSessions {
+		r = r.Clone(r.Context())
+		r.Header.Set(api.HeaderSession, string(id))
+	}
+	return http.DefaultTransport.RoundTrip(r)
+}
+
 // TestMembershipClientRefetch: a shard-dialed client rides a topology
 // change. Its registration endpoint drains away; the next inference
 // hits a survivor that does not own the session (404), which triggers
@@ -259,35 +271,34 @@ func TestMembershipClientRefetch(t *testing.T) {
 	ctx := context.Background()
 
 	// The client's first base registers the session; after that base
-	// drains, its successor list is [bases[1], ...]. Pick a client whose
-	// post-drain first candidate does NOT own the session, so the 404 ->
-	// refetch path is what serves the request (a client whose rotation
-	// happens to land on an owner would pass without exercising it).
+	// drains, the client's next candidate must be the one survivor that
+	// does NOT own the session, so the 404 -> refetch path is what serves
+	// the request (a client whose rotation lands on an owner would pass
+	// without exercising it). Which survivor that is follows from the
+	// session id and the ephemeral ports the shards got — on some layouts
+	// one shard co-owns nearly every id — so the id is fixed first,
+	// pre-assigned on the registration the way the router does, and the
+	// client's endpoint list is ordered around it.
 	first := tc.urls[0]
-	rest := append([]string(nil), tc.urls[1:]...)
-	survivors, err := cluster.NewRing(rest, 0)
+	survivors, err := cluster.NewRing(tc.urls[1:], 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var c *fheclient.Client
-	var sessID string
-	for seed := uint64(900); seed < 930; seed++ {
-		cand, err := fheclient.DialMulti(ctx, append([]string{first}, rest...), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		id, err := cand.Register(ctx, ring.SeedFromInt(seed))
-		if err != nil {
-			t.Fatal(err)
-		}
-		owners := survivors.LookupN(id, 2)
-		if owners[0] != rest[0] && owners[1] != rest[0] {
-			c, sessID = cand, id
-			break
+	const sessID = "00000000000000000000000000000900"
+	owners := survivors.LookupN(sessID, 2)
+	bases := []string{first}
+	for _, u := range tc.urls[1:] {
+		if u != owners[0] && u != owners[1] {
+			bases = append(bases, u)
 		}
 	}
-	if c == nil {
-		t.Fatal("no session placement hit the 404 path in 30 draws")
+	bases = append(bases, owners...)
+	c, err := fheclient.DialMulti(ctx, bases, &http.Client{Transport: presetSession(sessID)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if id, err := c.Register(ctx, ring.SeedFromInt(900)); err != nil || id != sessID {
+		t.Fatalf("registering under pre-assigned id %s: id %q, err %v", sessID, id, err)
 	}
 
 	// One ciphertext, inferred before and after the change: deterministic

@@ -37,6 +37,44 @@ func TestKeySwitchScaling(t *testing.T) {
 	}
 }
 
+// TestKeySwitchModelRanksDigits: the model must rank special-prime counts
+// the way the runtime does. A program switches keys at every level of
+// its chain, so the ranking is over the mean cost across the 30-prime
+// chain of the bootstrapped reduced ResNets at logN 9, where the measured
+// end-to-end sweep (EXPERIMENTS.md, "key-switch digit sweep") falls
+// 2 > 4 > 6, is flat between 6 and 8 and rises again at 10.
+func TestKeySwitchModelRanksDigits(t *testing.T) {
+	mean := func(k int) float64 {
+		m := &Model{Cal: DefaultCalibration(), LogN: 9, Alpha: k, K: k}
+		sum := 0.0
+		for l := 1; l < 30; l++ {
+			sum += m.KeySwitch(l)
+		}
+		return sum / 29
+	}
+	if !(mean(2) > mean(4) && mean(4) > mean(6)) {
+		t.Errorf("model not monotone over K = 2, 4, 6: %.3g %.3g %.3g", mean(2), mean(4), mean(6))
+	}
+	best := 2
+	for _, k := range []int{4, 6, 8, 10} {
+		if mean(k) < mean(best) {
+			best = k
+		}
+	}
+	if best != 6 && best != 8 {
+		t.Errorf("model bottoms out at K = %d, measured plateau is 6..8", best)
+	}
+	// At the top of the chain alone a wider special modulus still wins
+	// (fewest digits); it is the low levels, where the K special rows are
+	// most of the basis, that pull the optimum back.
+	top := func(k int) float64 {
+		return (&Model{Cal: DefaultCalibration(), LogN: 9, Alpha: k, K: k}).KeySwitch(29)
+	}
+	if top(10) >= top(6) {
+		t.Errorf("top-level switch: K=10 %.3g not below K=6 %.3g", top(10), top(6))
+	}
+}
+
 // TestCalibrateMeasuresEverything: every constant — including basis
 // conversion and the three fused key-switch kernels — must come from a
 // real microbenchmark, not a fabricated multiple of another constant.

@@ -15,8 +15,6 @@ type Geometry struct {
 	LogN  int `json:"log_n"`
 	Alpha int `json:"alpha"`
 	K     int `json:"k"`
-	// BootstrapStages mirrors Model.BootstrapStages (0 = 3).
-	BootstrapStages int `json:"bootstrap_stages,omitempty"`
 }
 
 // GeometryOf derives the profile geometry from a compiled program.
@@ -26,7 +24,7 @@ func GeometryOf(res *ckksir.Result) Geometry {
 
 // Model instantiates the cost model for this geometry.
 func (g Geometry) Model(cal Calibration) *Model {
-	return &Model{Cal: cal, LogN: g.LogN, Alpha: g.Alpha, K: g.K, BootstrapStages: g.BootstrapStages}
+	return &Model{Cal: cal, LogN: g.LogN, Alpha: g.Alpha, K: g.K}
 }
 
 // OpFit is one opcode's measured-vs-predicted agreement after a profile
@@ -104,17 +102,13 @@ var pwOps = []string{ckksir.OpAdd, ckksir.OpAddPlain, ckksir.OpMulPlain, ckksir.
 // kernelWork returns the model's work count (in the kernel's calibration
 // units) for one fused-kernel observation at input level l.
 func kernelWork(m *Model, kernel string, l int) float64 {
-	r := l + 1
-	d := float64((r + m.Alpha - 1) / m.Alpha)
-	rk := float64(r + m.K)
-	n, logN := m.n(), float64(m.LogN)
 	switch kernel {
 	case "poly.decomp_modup":
-		return d * rk * n * (float64(m.Alpha) + logN)
+		return m.modUpWork(l)
 	case "poly.hw_modmuladd":
-		return 2 * d * rk * n
+		return m.mulAddWork(l)
 	case "poly.mod_down":
-		return 2 * (float64(m.K)*n*logN + float64(r)*n*(2*logN+float64(m.K)))
+		return m.modDownWork(l)
 	}
 	return 0
 }
@@ -293,7 +287,7 @@ func FitSchedule(cal Calibration, geom Geometry, res *ckksir.Result, snap obs.Pr
 		case ckksir.OpPoly:
 			predPoly += m.polyInstrCost(in)
 		case ckksir.OpBootstrap:
-			predBoot += m.bootstrapCost(in.AttrInt("target", 1), in.Result.Type.Len())
+			predBoot += m.bootstrapCost(in.AttrInt("target", 1), in.Result.Type.Len(), bootParams(res))
 		}
 	}
 	if meas := snap.OpSecPerRun(ckksir.OpPoly); meas > 0 && predPoly > 0 {

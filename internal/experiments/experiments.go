@@ -194,9 +194,6 @@ func Figure6Spec(w io.Writer, scale Scale, cal costmodel.Calibration, specs []Mo
 				return nil, fmt.Errorf("%s (expert=%v): %w", spec.Name, expert, err)
 			}
 			model := &costmodel.Model{Cal: cal, LogN: c.CKKS.Literal.LogN, Alpha: len(c.CKKS.Literal.LogP), K: len(c.CKKS.Literal.LogP)}
-			if expert {
-				model.BootstrapStages = 2 // coarser hand-written DFT grouping
-			}
 			bd := model.InferenceCost(c.CKKS)
 			if expert {
 				row.Expert = bd
@@ -295,13 +292,14 @@ type Tab10Row struct {
 	Model                 string
 	LogN, LogQ0, LogScale int
 	Levels, Bootstraps    int
+	SpecialPrimes         int
 	SecurityOK            bool
 }
 
 // Table10 prints the automatically selected security parameters.
 func Table10(w io.Writer, scale Scale) ([]Tab10Row, error) {
 	fmt.Fprintln(w, "Table 10: security parameters selected automatically")
-	fmt.Fprintf(w, "%-18s %8s %9s %9s %8s %6s\n", "Model", "log2(N)", "log2(Q0)", "log2(D)", "levels", "128bit")
+	fmt.Fprintf(w, "%-18s %8s %9s %9s %8s %8s %6s\n", "Model", "log2(N)", "log2(Q0)", "log2(D)", "levels", "special", "128bit")
 	var rows []Tab10Row
 	for _, spec := range modelsFor(scale) {
 		m, err := BuildModel(spec, scale)
@@ -316,10 +314,11 @@ func Table10(w io.Writer, scale Scale) ([]Tab10Row, error) {
 		row := Tab10Row{
 			Model: spec.Name, LogN: lit.LogN, LogQ0: lit.LogQ[0], LogScale: lit.LogScale,
 			Levels: len(lit.LogQ), Bootstraps: c.CKKS.Bootstraps,
-			SecurityOK: scale == ScalePaper,
+			SpecialPrimes: len(lit.LogP),
+			SecurityOK:    scale == ScalePaper,
 		}
 		rows = append(rows, row)
-		fmt.Fprintf(w, "%-18s %8d %9d %9d %8d %6v\n", spec.Name, row.LogN, row.LogQ0, row.LogScale, row.Levels, row.SecurityOK)
+		fmt.Fprintf(w, "%-18s %8d %9d %9d %8d %8d %6v\n", spec.Name, row.LogN, row.LogQ0, row.LogScale, row.Levels, row.SpecialPrimes, row.SecurityOK)
 		runtime.GC()
 	}
 	return rows, nil

@@ -46,12 +46,14 @@ const fusedDigitBatch = 8
 // Q-basis primes with indices [start, end)) into the full basis
 // Q_level ∪ P and forward-NTTs every output row, fusing
 // poly.decomp_modup: outQ receives rows 0..level and outP all K rows of
-// the P basis, all in NTT domain. pQ is in coefficient domain. The lift
-// is the same approximate CRT conversion as ModUpDigitQP (result off by
-// u*D, |u| <= end-start), with the per-term Barrett reduction of the
-// inner product replaced by one lazy 128-bit accumulation per
-// coefficient.
-func (be *BasisExtender) DecompModUpNTT(pQ *Poly, start, end, level int, outQ, outP *Poly) {
+// the P basis, all in NTT domain. pQ is in coefficient domain and pQNTT
+// is the same polynomial in NTT domain: the digit's own rows are the
+// lift's identity rows, so they are copied from pQNTT instead of being
+// transformed again. The lift is the same approximate CRT conversion as
+// ModUpDigitQP (result off by u*D, |u| <= end-start), with the per-term
+// Barrett reduction of the inner product replaced by one lazy 128-bit
+// accumulation per coefficient.
+func (be *BasisExtender) DecompModUpNTT(pQ, pQNTT *Poly, start, end, level int, outQ, outP *Poly) {
 	d := end - start
 	dt := be.digitTableFor(start, end)
 	// y_i = x_i * (D/d_i)^-1 mod d_i, shared by every output row.
@@ -69,10 +71,10 @@ func (be *BasisExtender) DecompModUpNTT(pQ *Poly, start, end, level int, outQ, o
 	rows := level + 1 + len(be.rP.Moduli)
 	grain := par.Grain(be.rQ.N * (d + be.rQ.LogN))
 	if par.Inline(rows, grain) {
-		be.modUpNTTRows(pQ, ys, dt, start, end, level, outQ, outP, 0, rows)
+		be.modUpNTTRows(pQNTT, ys, dt, start, end, level, outQ, outP, 0, rows)
 	} else {
 		par.For(rows, grain, func(s, e int) {
-			be.modUpNTTRows(pQ, ys, dt, start, end, level, outQ, outP, s, e)
+			be.modUpNTTRows(pQNTT, ys, dt, start, end, level, outQ, outP, s, e)
 		})
 	}
 	be.rQ.PutPoly(ys)
@@ -95,8 +97,9 @@ func (be *BasisExtender) scaleDigitRows(pQ, ys *Poly, dt *digitTable, start, rs,
 }
 
 // modUpNTTRows converts-and-transforms output rows [rs, re) of the flat
-// index space (Q rows first, then P rows).
-func (be *BasisExtender) modUpNTTRows(pQ, ys *Poly, dt *digitTable, start, end, level int, outQ, outP *Poly, rs, re int) {
+// index space (Q rows first, then P rows); the digit's own rows are
+// copied from the NTT-domain source.
+func (be *BasisExtender) modUpNTTRows(pQNTT, ys *Poly, dt *digitTable, start, end, level int, outQ, outP *Poly, rs, re int) {
 	for i := rs; i < re; i++ {
 		switch {
 		case i > level:
@@ -104,8 +107,7 @@ func (be *BasisExtender) modUpNTTRows(pQ, ys *Poly, dt *digitTable, start, end, 
 			convertRowLazy(ys.Coeffs, be.rP.Mods[j], dt.overP[j], outP.Coeffs[j])
 			be.rP.nttRow(outP.Coeffs[j], j)
 		case i >= start && i < end:
-			copy(outQ.Coeffs[i], pQ.Coeffs[i])
-			be.rQ.nttRow(outQ.Coeffs[i], i)
+			copy(outQ.Coeffs[i], pQNTT.Coeffs[i])
 		default:
 			convertRowLazy(ys.Coeffs, be.rQ.Mods[i], dt.overQ[i], outQ.Coeffs[i])
 			be.rQ.nttRow(outQ.Coeffs[i], i)
@@ -149,6 +151,19 @@ func convertRowLazy(ys [][]uint64, m nt.Modulus, over, dst []uint64) {
 // writes. as and bs must have equal length; an empty digit list zeroes
 // out (so pooled, non-zeroed accumulators are safe to pass).
 func (r *Ring) InnerProduct(as, bs []*Poly, out *Poly) {
+	r.innerProduct(as, bs, out, false)
+}
+
+// InnerProductAdd is InnerProduct accumulating into out:
+// out[k] += sum_d as[d][k] * bs[d][k], with out (reduced) entering the
+// same 128-bit accumulator as the products. Sums over many digit lists
+// — a linear transform's giant steps — stream through one accumulator
+// this way instead of keeping every list alive.
+func (r *Ring) InnerProductAdd(as, bs []*Poly, out *Poly) {
+	r.innerProduct(as, bs, out, true)
+}
+
+func (r *Ring) innerProduct(as, bs []*Poly, out *Poly, acc bool) {
 	if len(as) != len(bs) {
 		panic("ring: InnerProduct digit count mismatch")
 	}
@@ -163,9 +178,9 @@ func (r *Ring) InnerProduct(as, bs []*Poly, out *Poly) {
 	}
 	grain := par.Grain(r.N * (len(as) + 1))
 	if par.Inline(l+1, grain) {
-		r.innerProductRows(as, bs, out, 0, l+1)
+		r.innerProductRows(as, bs, out, acc, 0, l+1)
 	} else {
-		par.For(l+1, grain, func(s, e int) { r.innerProductRows(as, bs, out, s, e) })
+		par.For(l+1, grain, func(s, e int) { r.innerProductRows(as, bs, out, acc, s, e) })
 	}
 }
 
@@ -173,8 +188,8 @@ func (r *Ring) InnerProduct(as, bs []*Poly, out *Poly) {
 // [start, end). Digit row pointers are hoisted into fixed stack arrays
 // in batches of fusedDigitBatch; between batches the running sum is
 // carried through the reduced accumulator (exact, since reduction
-// preserves the residue).
-func (r *Ring) innerProductRows(as, bs []*Poly, out *Poly, start, end int) {
+// preserves the residue); acc carries out's incoming value the same way.
+func (r *Ring) innerProductRows(as, bs []*Poly, out *Poly, acc bool, start, end int) {
 	n := r.N
 	D := len(as)
 	var ar, br [fusedDigitBatch][]uint64
@@ -182,8 +197,10 @@ func (r *Ring) innerProductRows(as, bs []*Poly, out *Poly, start, end int) {
 		m := r.Mods[i]
 		dst := out.Coeffs[i]
 		if D == 0 {
-			for k := 0; k < n; k++ {
-				dst[k] = 0
+			if !acc {
+				for k := 0; k < n; k++ {
+					dst[k] = 0
+				}
 			}
 			continue
 		}
@@ -196,9 +213,10 @@ func (r *Ring) innerProductRows(as, bs []*Poly, out *Poly, start, end int) {
 				ar[d] = as[g+d].Coeffs[i]
 				br[d] = bs[g+d].Coeffs[i]
 			}
+			carry := acc || g > 0
 			for k := 0; k < n; k++ {
 				var hi, lo uint64
-				if g > 0 {
+				if carry {
 					lo = dst[k]
 				}
 				for d := 0; d < b; d++ {

@@ -199,7 +199,8 @@ func fusedTestQP(t testing.TB, logN int, logQ uint64, qCount, pCount int) (*Ring
 // TestDecompModUpNTTMatchesUnfused checks the fused digit lift against
 // the primitive sequence it replaces — ModUpDigitQP followed by forward
 // NTTs — bit for bit, over several digit spans and moduli including the
-// 2^62 edge.
+// 2^62 edge. The digit's own rows come from the NTT-domain source the
+// caller already holds, and must equal the re-transformed ones.
 func TestDecompModUpNTTMatchesUnfused(t *testing.T) {
 	rng := rand.New(rand.NewPCG(3, 9))
 	for _, logQ := range []uint64{40, 61} {
@@ -207,9 +208,11 @@ func TestDecompModUpNTTMatchesUnfused(t *testing.T) {
 		level := rQ.MaxLevel()
 		for _, span := range [][2]int{{0, 1}, {1, 3}, {0, 4}, {2, 5}} {
 			pQ := randomPolyRNG(rQ, rng, level)
+			pQNTT := rQ.NewPoly(level)
+			rQ.NTT(pQ, pQNTT)
 			fusedQ := rQ.NewPoly(level)
 			fusedP := rP.NewPoly(rP.MaxLevel())
-			be.DecompModUpNTT(pQ, span[0], span[1], level, fusedQ, fusedP)
+			be.DecompModUpNTT(pQ, pQNTT, span[0], span[1], level, fusedQ, fusedP)
 
 			refQ := rQ.NewPoly(level)
 			refP := rP.NewPoly(rP.MaxLevel())
@@ -252,6 +255,15 @@ func TestInnerProductMatchesUnfused(t *testing.T) {
 			if !fused.Equal(ref) {
 				t.Fatalf("%s: fused InnerProduct differs from MulCoeffsThenAdd loop", what)
 			}
+			// The accumulating form continues the same sum.
+			r.InnerProductAdd(as, bs, fused)
+			for d := 0; d < D; d++ {
+				r.MulCoeffsThenAdd(as[d], bs[d], ref)
+			}
+			assertReduced(t, r, fused, what+" add")
+			if !fused.Equal(ref) {
+				t.Fatalf("%s: InnerProductAdd differs from MulCoeffsThenAdd loop", what)
+			}
 			r.PutPoly(fused)
 		}
 		// An empty digit list must zero the (pooled, dirty) output.
@@ -264,6 +276,12 @@ func TestInnerProductMatchesUnfused(t *testing.T) {
 		r.InnerProduct(nil, nil, dirty)
 		if !dirty.Equal(r.NewPoly(r.MaxLevel())) {
 			t.Fatal("InnerProduct with no digits must zero the output")
+		}
+		kept := randomPolyRNG(r, rng, r.MaxLevel())
+		same := kept.CopyNew()
+		r.InnerProductAdd(nil, nil, same)
+		if !same.Equal(kept) {
+			t.Fatal("InnerProductAdd with no digits must leave the output alone")
 		}
 		r.PutPoly(dirty)
 	}

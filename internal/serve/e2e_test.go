@@ -53,6 +53,14 @@ func compileLinear(t testing.TB) (Program, *vecir.Result) {
 func startServer(t testing.TB, cfg Config) (*Server, *httptest.Server, *vecir.Result) {
 	t.Helper()
 	prog, vres := compileLinear(t)
+	s, ts := serveProgram(t, prog, cfg)
+	return s, ts, vres
+}
+
+// serveProgram starts a loopback server for prog, drained and closed
+// when the test ends.
+func serveProgram(t testing.TB, prog Program, cfg Config) (*Server, *httptest.Server) {
+	t.Helper()
 	s, err := New(prog, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -64,7 +72,7 @@ func startServer(t testing.TB, cfg Config) (*Server, *httptest.Server, *vecir.Re
 		defer cancel()
 		_ = s.Drain(ctx)
 	})
-	return s, ts, vres
+	return s, ts
 }
 
 func testInput(n int) []float64 {
@@ -144,6 +152,34 @@ func TestLoopbackInference(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = s
+}
+
+// TestLoopbackSixSpecialPrimes: the special-prime count is the
+// compiler's choice, six for the deep bootstrapped chains, and nothing on
+// the serving path may assume two. The client rebuilds its parameters
+// from the served literal, generates keys of that shape and uploads them;
+// the shard switches keys with them.
+func TestLoopbackSixSpecialPrimes(t *testing.T) {
+	prog, vres := compileLinear(t)
+	prog.CKKS.Literal.LogP = []int{61, 61, 61, 61, 61, 61}
+	_, ts := serveProgram(t, prog, Config{Workers: 1})
+	ctx := context.Background()
+	c, err := fheclient.Dial(ctx, ts.URL, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if k := len(c.Params().P()); k != 6 {
+		t.Fatalf("client compiled %d special primes from the served literal, want 6", k)
+	}
+	if _, err := c.Register(ctx, ring.SeedFromInt(22)); err != nil {
+		t.Fatal(err)
+	}
+	input := testInput(vres.InLayout.L)
+	got, err := c.Infer(ctx, input)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkAgainstReference(t, vres, input, got)
 }
 
 // TestConcurrentClientsShareSession exercises the documented concurrency
