@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test verify vet race bench bench-check bench-parallel bench-fusion bench-batch serve-smoke obs-smoke chaos durability cluster-chaos cluster-membership-chaos autotune
+.PHONY: build test verify vet race bootstrap-large bench bench-check bench-parallel bench-fusion bench-batch serve-smoke obs-smoke chaos durability cluster-chaos cluster-membership-chaos autotune
 
 build:
 	$(GO) build ./...
@@ -26,6 +26,12 @@ vet:
 race:
 	ACE_WORKERS=8 $(GO) test -race ./internal/ring/... ./internal/ckks/... ./internal/bootstrap/... ./internal/par/... ./internal/nt/... ./internal/polyir/... ./internal/serve/... ./internal/fheclient/... ./internal/vm/... ./internal/obs/... ./internal/batch/... ./internal/cluster/...
 	ACE_WORKERS=2 $(GO) test -race ./internal/ring/... ./internal/ckks/... ./internal/bootstrap/... ./internal/par/... ./internal/vm/...
+
+# A real encrypted bootstrap at logN 13, in the stage counts the compiler
+# picks there: half a gigabyte of rotation keys, so it sits behind the
+# verify build tag instead of in every `go test ./...` (logN 12 is).
+bootstrap-large:
+	$(GO) test -count=1 -tags verify -run 'TestBootstrapAtLogN13' ./internal/bootstrap/ -v
 
 # Loopback smoke test of the serving layer: start an in-process daemon,
 # register a session through the real client, infer, decrypt, compare to
@@ -105,6 +111,7 @@ verify:
 	$(MAKE) vet
 	$(MAKE) bench-check
 	$(MAKE) race
+	$(MAKE) bootstrap-large
 	$(MAKE) chaos
 	$(MAKE) durability
 	$(MAKE) cluster-chaos

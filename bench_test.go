@@ -401,40 +401,133 @@ func BenchmarkRuntimeRotate(b *testing.B) {
 	}
 }
 
-func BenchmarkRuntimeBootstrap(b *testing.B) {
-	logQ := []int{60, 40, 40}
-	for i := 0; i < 12; i++ {
-		logQ = append(logQ, 60)
+// bootstrapBench is one bootstrap of the benchmark's reduced ResNet-8
+// (bench/infer.go: 16-level segments, 256 slots, K = 24, four double
+// angles, logN 9) with every phase's input at hand and the diagonal
+// tables warm.
+type bootstrapBench struct {
+	lit        ckks.ParametersLiteral
+	boot       bootstrap.Parameters
+	bt         *bootstrap.Bootstrapper
+	eval       *ckks.Evaluator
+	target     int
+	ct, raised *ckks.Ciphertext // exhausted input; after Raise
+	ct0, ct1   *ckks.Ciphertext // after CoeffsToSlots
+	y0, y1     *ckks.Ciphertext // after EvalMod
+	keys       int              // Galois keys the circuit needs
+	tableMiB   float64          // encoded diagonals after one bootstrap
+}
+
+// newBootstrapBench compiles the chain through ckksir.SelectParameters,
+// with the DFT stage counts given (zero: the compiler's choice).
+func newBootstrapBench(b *testing.B, c2sStages, s2cStages int) *bootstrapBench {
+	b.Helper()
+	must := func(err error) {
+		if err != nil {
+			b.Fatal(err)
+		}
 	}
-	params, err := ckks.NewParameters(ckks.ParametersLiteral{LogN: 8, LogQ: logQ, LogP: []int{61, 61}, LogScale: 40})
-	if err != nil {
-		b.Fatal(err)
-	}
-	bt, err := bootstrap.NewBootstrapper(params, bootstrap.Parameters{}, params.DefaultScale())
-	if err != nil {
-		b.Fatal(err)
-	}
+	lit, target, boot, err := ckksir.SelectParameters([]int{16, 16}, 256, ckksir.Options{
+		LogScale: 40, IgnoreSecurity: true,
+		Boot: bootstrap.Parameters{K: 24, DoubleAngle: 4, C2SStages: c2sStages, S2CStages: s2cStages},
+	})
+	must(err)
+	params, err := ckks.NewParameters(lit)
+	must(err)
+	bt, err := bootstrap.NewBootstrapper(params, *boot, params.DefaultScale())
+	must(err)
 	kg := ckks.NewKeyGenerator(params, ring.SeedFromInt(6))
 	sk := kg.GenSecretKey()
 	keys := &ckks.EvaluationKeySet{
 		Rlk:    kg.GenRelinearizationKey(sk),
 		Galois: kg.GenGaloisKeys(bt.RequiredRotations(), true, sk),
 	}
-	enc := ckks.NewEncoder(params)
-	encryptor := ckks.NewEncryptorFromSecretKey(params, sk)
-	eval := ckks.NewEvaluator(params, keys)
 	vals := make([]float64, params.Slots())
 	for i := range vals {
 		vals[i] = 0.25
 	}
-	pt, _ := enc.EncodeReal(vals, params.MaxLevel(), params.DefaultScale())
-	ct := encryptor.Encrypt(pt)
-	eval.DropLevel(ct, ct.Level())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := bt.Bootstrap(eval, ct, bt.MaxOutputLevel()); err != nil {
-			b.Fatal(err)
+	pt, err := ckks.NewEncoder(params).EncodeReal(vals, params.MaxLevel(), params.DefaultScale())
+	must(err)
+	s := &bootstrapBench{
+		lit: lit, boot: *boot, bt: bt, eval: ckks.NewEvaluator(params, keys), target: target,
+		ct:   ckks.NewEncryptorFromSecretKey(params, sk).Encrypt(pt),
+		keys: len(keys.Galois),
+	}
+	must(s.eval.DropLevel(s.ct, s.ct.Level()))
+	s.raised, _, err = bt.Raise(s.eval, s.ct, target)
+	must(err)
+	s.ct0, s.ct1, err = bt.CoeffsToSlots(s.eval, s.raised)
+	must(err)
+	s.y0, err = bt.EvalMod(s.eval, s.ct0)
+	must(err)
+	s.y1, err = bt.EvalMod(s.eval, s.ct1)
+	must(err)
+	_, err = bt.SlotsToCoeffs(s.eval, s.y0, s.y1)
+	must(err)
+	s.tableMiB = float64(bt.TableStats().Bytes) / (1 << 20)
+	return s
+}
+
+func (s *bootstrapBench) bootstrap() error {
+	_, err := s.bt.Bootstrap(s.eval, s.ct, s.target)
+	return err
+}
+
+// BenchmarkRuntimeBootstrap times one bootstrap and its three phases on
+// the chain and stage counts the compiler selects, refreshing to the
+// level the program refreshes to. The phase split is what ROADMAP and
+// DESIGN quote.
+func BenchmarkRuntimeBootstrap(b *testing.B) {
+	s := newBootstrapBench(b, 0, 0)
+	b.Logf("%d primes, %d special, C2S/S2C stages %d/%d, %d Galois keys, %.1f MiB of diagonals",
+		len(s.lit.LogQ), len(s.lit.LogP), s.boot.C2SStages, s.boot.S2CStages, s.keys, s.tableMiB)
+	for _, phase := range []struct {
+		name string
+		run  func() error
+	}{
+		{"Bootstrap", s.bootstrap},
+		{"C2S", func() error { _, _, err := s.bt.CoeffsToSlots(s.eval, s.raised); return err }},
+		{"EvalMod", func() error { // both halves, as one bootstrap runs it
+			if _, err := s.bt.EvalMod(s.eval, s.ct0); err != nil {
+				return err
+			}
+			_, err := s.bt.EvalMod(s.eval, s.ct1)
+			return err
+		}},
+		{"S2C", func() error { _, err := s.bt.SlotsToCoeffs(s.eval, s.y0, s.y1); return err }},
+	} {
+		b.Run(phase.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if err := phase.run(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// Ablation 5: DFT stage counts (runtime measured) — the sweep behind
+// ckksir's stage rule. Every pair gets the chain it needs (a prime per
+// stage) and the special modulus that chain gets; one whole bootstrap is
+// timed. "chosen" is whatever the rule picks.
+func BenchmarkAblationDFTStages(b *testing.B) {
+	for _, st := range [][2]int{{1, 1}, {2, 1}, {3, 1}, {2, 2}, {3, 2}, {4, 2}, {2, 3}, {3, 3}, {0, 0}} {
+		name := fmt.Sprintf("C2S%d-S2C%d", st[0], st[1])
+		if st == [2]int{} {
+			name = "chosen"
 		}
+		b.Run(name, func(b *testing.B) {
+			s := newBootstrapBench(b, st[0], st[1])
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := s.bootstrap(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(len(s.lit.LogQ)), "primes")
+			b.ReportMetric(float64(s.keys), "galois-keys")
+			b.ReportMetric(s.tableMiB, "table-MiB")
+		})
 	}
 }
 

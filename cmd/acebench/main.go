@@ -135,7 +135,7 @@ func table8() error {
 		"SIHE IR":           {"internal/sihe", "internal/poly"},
 		"CKKS IR":           {"internal/ckksir"},
 		"POLY IR":           {"internal/polyir"},
-		"Run-Time Library":  {"internal/nt", "internal/ring", "internal/ckks", "internal/bootstrap"},
+		"Run-Time Library":  {"internal/nt", "internal/ring", "internal/ckks", "internal/kswork", "internal/bootstrap"},
 		"Examples + facade": {"examples", "."},
 	}
 	order := []string{"Infrastructure", "NN IR", "VECTOR IR", "SIHE IR", "CKKS IR", "POLY IR", "Run-Time Library", "Examples + facade"}

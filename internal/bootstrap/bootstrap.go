@@ -17,6 +17,11 @@
 //  5. SlotsToCoeffs — the forward embedding moving the refreshed slots
 //     back into coefficients.
 //
+// The two embeddings are the encoder's special FFT, factorised into a few
+// sparse stage matrices (ckks.Encoder.DFTStages). How many stages each
+// gets is the compiler's decision (ckksir.SelectParameters): a stage more
+// shrinks every matrix and costs the chain one more prime.
+//
 // Following the paper's "minimal-level" strategy (§4.4), Bootstrap can
 // refresh to a caller-chosen target level rather than the top of the
 // chain, which shrinks every subsequent homomorphic operation.
@@ -28,6 +33,7 @@ import (
 	"sort"
 
 	"antace/internal/ckks"
+	"antace/internal/kswork"
 	"antace/internal/poly"
 )
 
@@ -45,22 +51,36 @@ type Parameters struct {
 	EvalModDegree int
 	// DoubleAngle is the number of angle-doubling iterations. Default 3.
 	DoubleAngle int
+	// C2SStages and S2CStages are the number of stage matrices
+	// CoeffsToSlots and SlotsToCoeffs are factorised into, one level each.
+	// Default 2 and 1; the compiler replaces zeros by what its cost rule
+	// picks for the ring and chain at hand (ckksir.SelectParameters).
+	C2SStages, S2CStages int
 }
 
 // WithDefaults fills unset fields with the default configuration.
 func (p Parameters) WithDefaults() Parameters { return p.withDefaults() }
 
 // CircuitDepth returns the number of levels the bootstrap circuit for
-// this configuration consumes, without instantiating it: C2S (1) +
-// scale normalisation (1) + EvalMod polynomial (ceil(log2(deg+1)) + 1) +
-// double angles + S2C (1). Must agree with Bootstrapper.Depth.
+// this configuration consumes, without instantiating it: the C2S stages
+// + EvalMod polynomial (ceil(log2(deg+1)) + 1) + double angles + the S2C
+// stages. Must agree with Bootstrapper.Depth.
 func CircuitDepth(p Parameters) int {
 	p = p.withDefaults()
 	depth := 0
 	for (1 << depth) < p.EvalModDegree+1 {
 		depth++
 	}
-	return 1 + 1 + depth + 1 + p.DoubleAngle + 1
+	return p.C2SStages + depth + 1 + p.DoubleAngle + p.S2CStages
+}
+
+// StageDiagonals returns the diagonal counts of the stage matrices this
+// configuration factorises CoeffsToSlots (the inverse special FFT) and
+// SlotsToCoeffs (the forward one) into over 2^logSlots slots, in
+// evaluation order.
+func StageDiagonals(p Parameters, logSlots int) (c2s, s2c []int) {
+	p = p.withDefaults()
+	return kswork.StageDiagonals(logSlots, p.C2SStages, true), kswork.StageDiagonals(logSlots, p.S2CStages, false)
 }
 
 func (p Parameters) withDefaults() Parameters {
@@ -76,22 +96,28 @@ func (p Parameters) withDefaults() Parameters {
 	if p.DoubleAngle == 0 {
 		p.DoubleAngle = 3
 	}
+	if p.C2SStages == 0 {
+		p.C2SStages = 2
+	}
+	if p.S2CStages == 0 {
+		p.S2CStages = 1
+	}
 	return p
 }
 
-// Bootstrapper holds the precomputed matrices and polynomials. It is
-// safe for concurrent use by evaluators with distinct key sets: the
-// matrices are read-only, and the two transforms keep their encoded
-// diagonals in memos that fill on first use, so every machine sharing a
-// bootstrapper encodes each diagonal once per (level, scale) rather than
-// on every bootstrap.
+// Bootstrapper holds the precomputed stage matrices and polynomials. It
+// is safe for concurrent use by evaluators with distinct key sets: the
+// matrices are read-only, and every stage keeps its encoded diagonals in
+// a memo that fills on first use, so every machine sharing a bootstrapper
+// encodes each diagonal once per (level, scale) rather than on every
+// bootstrap.
 type Bootstrapper struct {
 	params  *ckks.Parameters
 	bp      Parameters
 	enc     *ckks.Encoder
-	c2s     *ckks.LinearTransform // (1/(2B)) * SFinv
-	s2c     *ckks.LinearTransform // (q0/(2*pi*D)) * SF
-	evalMod *poly.Polynomial      // cos interpolation before double-angle
+	c2s     []*ckks.LinearTransform // stages of (1/(2B)) * SFinv
+	s2c     []*ckks.LinearTransform // stages of (q0/(2*pi*D)) * SF
+	evalMod *poly.Polynomial        // cos interpolation before double-angle
 
 	q0 float64
 	d  float64 // declared scale after ScaleUp+ModRaise
@@ -132,72 +158,53 @@ func NewBootstrapper(params *ckks.Parameters, bp Parameters, inputScale float64)
 		b:            b,
 		circuitScale: float64(params.Q()[params.MaxLevel()]),
 	}
-	bt.buildMatrices()
+	var err error
+	// CoeffsToSlots: u = (1/(2B)) SFinv * v.
+	if bt.c2s, err = bt.enc.DFTStages(true, bp.C2SStages, 1/(2*b)); err != nil {
+		return nil, fmt.Errorf("bootstrap: CoeffsToSlots: %w", err)
+	}
+	// SlotsToCoeffs: out = (q0/(2 pi D)) SF * y.
+	if bt.s2c, err = bt.enc.DFTStages(false, bp.S2CStages, q0/(2*math.Pi*d)); err != nil {
+		return nil, fmt.Errorf("bootstrap: SlotsToCoeffs: %w", err)
+	}
+	for _, lt := range bt.stages() {
+		lt.Memo = ckks.NewPlaintextMemoQP(params, ckks.PlaintextMemoCap)
+	}
 	bt.buildEvalMod()
 	return bt, nil
 }
 
-// buildMatrices probes the encoder FFT with unit vectors to obtain the
-// special FFT and its inverse as dense diagonal-form linear transforms.
-func (bt *Bootstrapper) buildMatrices() {
-	n := bt.params.Slots()
-	sfinv := make([][]complex128, n)
-	sf := make([][]complex128, n)
-	for i := range sfinv {
-		sfinv[i] = make([]complex128, n)
-		sf[i] = make([]complex128, n)
-	}
-	probe := make([]complex128, n)
-	for j := 0; j < n; j++ {
-		for i := range probe {
-			probe[i] = 0
-		}
-		probe[j] = 1
-		bt.enc.SpecialFFTInv(probe)
-		for i := 0; i < n; i++ {
-			sfinv[i][j] = probe[i]
-		}
-		for i := range probe {
-			probe[i] = 0
-		}
-		probe[j] = 1
-		bt.enc.SpecialFFT(probe)
-		for i := 0; i < n; i++ {
-			sf[i][j] = probe[i]
-		}
-	}
-	// CoeffsToSlots: u = (1/(2B)) SFinv * v.
-	c2sScale := complex(1/(2*bt.b), 0)
-	// SlotsToCoeffs: out = (q0/(2 pi D)) SF * y.
-	s2cScale := complex(bt.q0/(2*math.Pi*bt.d), 0)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			sfinv[i][j] *= c2sScale
-			sf[i][j] *= s2cScale
-		}
-	}
-	bt.c2s = ckks.NewLinearTransformFromMatrix(sfinv)
-	bt.s2c = ckks.NewLinearTransformFromMatrix(sf)
-	bt.c2s.Memo = ckks.NewPlaintextMemo(bt.params, ckks.PlaintextMemoCap)
-	bt.s2c.Memo = ckks.NewPlaintextMemo(bt.params, ckks.PlaintextMemoCap)
-}
-
 // WithTableCap returns a bootstrapper that shares bt's matrices and
 // polynomials but keeps its encoded diagonals in fresh, empty tables of
-// at most capBytes each. Tests use it to reach the over-budget path;
+// at most capBytes per stage. Tests use it to reach the over-budget path;
 // zero encodes every diagonal on every bootstrap.
 func (bt *Bootstrapper) WithTableCap(capBytes int64) *Bootstrapper {
+	fresh := func(stages []*ckks.LinearTransform) []*ckks.LinearTransform {
+		out := make([]*ckks.LinearTransform, len(stages))
+		for i, lt := range stages {
+			cp := *lt
+			cp.Memo = ckks.NewPlaintextMemoQP(bt.params, capBytes)
+			out[i] = &cp
+		}
+		return out
+	}
 	out := *bt
-	c2s, s2c := *bt.c2s, *bt.s2c
-	c2s.Memo = ckks.NewPlaintextMemo(bt.params, capBytes)
-	s2c.Memo = ckks.NewPlaintextMemo(bt.params, capBytes)
-	out.c2s, out.s2c = &c2s, &s2c
+	out.c2s, out.s2c = fresh(bt.c2s), fresh(bt.s2c)
 	return &out
 }
 
-// TableStats reads the counters of the two diagonal tables, summed.
+// TableStats reads the counters of every stage's diagonal table, summed.
 func (bt *Bootstrapper) TableStats() ckks.MemoStats {
-	return bt.c2s.Memo.Stats().Add(bt.s2c.Memo.Stats())
+	var st ckks.MemoStats
+	for _, lt := range bt.stages() {
+		st = st.Add(lt.Memo.Stats())
+	}
+	return st
+}
+
+// stages lists every stage matrix, CoeffsToSlots first.
+func (bt *Bootstrapper) stages() []*ckks.LinearTransform {
+	return append(append([]*ckks.LinearTransform(nil), bt.c2s...), bt.s2c...)
 }
 
 // buildEvalMod interpolates h(x) = cos(2*pi*freq*x/2^r - pi/2^(r+1)) on
@@ -218,11 +225,10 @@ func (bt *Bootstrapper) buildEvalMod() {
 // what makes a seeded key set reproducible.
 func (bt *Bootstrapper) RequiredRotations() []int {
 	set := map[int]bool{}
-	for _, r := range bt.c2s.Rotations() {
-		set[r] = true
-	}
-	for _, r := range bt.s2c.Rotations() {
-		set[r] = true
+	for _, lt := range bt.stages() {
+		for _, r := range lt.Rotations() {
+			set[r] = true
+		}
 	}
 	out := make([]int, 0, len(set))
 	for r := range set {
@@ -243,87 +249,66 @@ func (bt *Bootstrapper) MaxOutputLevel() int {
 	return bt.params.MaxLevel() - bt.Depth()
 }
 
-// Bootstrap refreshes ct (which must be at level 0 with |values| <= 1) to
-// the given target level. Following the paper's minimal-level strategy,
-// pass the smallest level your remaining computation needs; pass
-// MaxOutputLevel() to refresh as high as possible.
-func (bt *Bootstrapper) Bootstrap(ev *ckks.Evaluator, ct *ckks.Ciphertext, targetLevel int) (*ckks.Ciphertext, error) {
+// Raise is steps 1 and 2: it scales ct (which must be at level 0 with
+// |values| <= 1) up to D and re-interprets it modulo the chain up to the
+// level a refresh to targetLevel starts at. drift is how far the scale
+// ct declared was from the one the circuit was built for; the output of
+// SlotsToCoeffs carries that factor in its values.
+func (bt *Bootstrapper) Raise(ev *ckks.Evaluator, ct *ckks.Ciphertext, targetLevel int) (raised *ckks.Ciphertext, drift float64, err error) {
 	if ct.Level() != 0 {
-		return nil, fmt.Errorf("bootstrap: ciphertext at level %d, expected 0 (drop first)", ct.Level())
+		return nil, 0, fmt.Errorf("bootstrap: ciphertext at level %d, expected 0 (drop first)", ct.Level())
 	}
 	if targetLevel < 1 || targetLevel > bt.MaxOutputLevel() {
-		return nil, fmt.Errorf("bootstrap: target level %d out of [1, %d]", targetLevel, bt.MaxOutputLevel())
+		return nil, 0, fmt.Errorf("bootstrap: target level %d out of [1, %d]", targetLevel, bt.MaxOutputLevel())
 	}
 	// 1. ScaleUp to D.
 	k := uint64(math.Round(bt.d / ct.Scale))
 	if k == 0 {
-		return nil, fmt.Errorf("bootstrap: ciphertext scale %g above the configured input scale", ct.Scale)
+		return nil, 0, fmt.Errorf("bootstrap: ciphertext scale %g above the configured input scale", ct.Scale)
 	}
 	up := ev.ScaleUp(ct, k)
 	// The declared scale is now k*ct.Scale; the circuit was built for D.
 	// Any tiny mismatch shows up as a proportional output error, so we
 	// fold it in exactly by re-declaring (difference is < 1 part in 2^40
 	// when ct.Scale matches the scale the bootstrapper was built for).
-	rel := up.Scale / bt.d
-	if rel < 0.5 || rel > 2 {
-		return nil, fmt.Errorf("bootstrap: scale drift too large (declared %g, circuit expects %g)", up.Scale, bt.d)
+	drift = up.Scale / bt.d
+	if drift < 0.5 || drift > 2 {
+		return nil, 0, fmt.Errorf("bootstrap: scale drift too large (declared %g, circuit expects %g)", up.Scale, bt.d)
 	}
-
 	// 2. ModRaise, then drop to the level budget needed.
-	raised := ev.ModRaise(up, targetLevel+bt.Depth())
+	raised = ev.ModRaise(up, targetLevel+bt.Depth())
 	raised.Scale = bt.d
+	return raised, drift, nil
+}
 
-	// 3. CoeffsToSlots. The transform keeps the (large) declared scale of
-	// the raised ciphertext (plaintext scale = rescaling prime) so the
-	// matrix entries retain precision; a SetScale then brings the halves
-	// back to the default scale over a second rescale.
-	u, err := ev.EvaluateLinearTransform(raised, bt.c2s, bt.enc, raised.Scale)
+// Bootstrap refreshes ct (which must be at level 0 with |values| <= 1) to
+// the given target level. Following the paper's minimal-level strategy,
+// pass the smallest level your remaining computation needs; pass
+// MaxOutputLevel() to refresh as high as possible.
+func (bt *Bootstrapper) Bootstrap(ev *ckks.Evaluator, ct *ckks.Ciphertext, targetLevel int) (*ckks.Ciphertext, error) {
+	raised, drift, err := bt.Raise(ev, ct, targetLevel)
+	if err != nil {
+		return nil, err
+	}
+	ct0, ct1, err := bt.CoeffsToSlots(ev, raised)
 	if err != nil {
 		return nil, fmt.Errorf("bootstrap: CoeffsToSlots: %w", err)
 	}
-	uc, err := ev.Conjugate(u)
-	if err != nil {
-		return nil, err
-	}
-	ct0, err := ev.Add(u, uc) // real coefficient half
-	if err != nil {
-		return nil, err
-	}
-	diff, err := ev.Sub(u, uc)
-	if err != nil {
-		return nil, err
-	}
-	ct1 := ev.Neg(ev.MulByI(diff)) // imaginary coefficient half
-	if ct0, err = ev.SetScale(ct0, bt.circuitScale); err != nil {
-		return nil, err
-	}
-	if ct1, err = ev.SetScale(ct1, bt.circuitScale); err != nil {
-		return nil, err
-	}
-
-	// 4. EvalMod on both halves.
-	y0, err := bt.evalModCt(ev, ct0)
+	y0, err := bt.EvalMod(ev, ct0)
 	if err != nil {
 		return nil, fmt.Errorf("bootstrap: EvalMod: %w", err)
 	}
-	y1, err := bt.evalModCt(ev, ct1)
+	y1, err := bt.EvalMod(ev, ct1)
 	if err != nil {
 		return nil, fmt.Errorf("bootstrap: EvalMod: %w", err)
 	}
-
-	// 5. Recombine and SlotsToCoeffs.
-	y1i := ev.MulByI(y1)
-	yc, err := ev.Add(y0, y1i)
-	if err != nil {
-		return nil, err
-	}
-	out, err := ev.EvaluateLinearTransform(yc, bt.s2c, bt.enc, bt.params.DefaultScale())
+	out, err := bt.SlotsToCoeffs(ev, y0, y1)
 	if err != nil {
 		return nil, fmt.Errorf("bootstrap: SlotsToCoeffs: %w", err)
 	}
 	// Absorb the ScaleUp drift exactly: the circuit divides by the D it
-	// was built with, so the output values carry a factor rel = D'/D.
-	out.Scale = out.Scale * rel
+	// was built with, so the output values carry a factor D'/D.
+	out.Scale = out.Scale * drift
 	if out.Level() > targetLevel {
 		if err := ev.DropLevel(out, out.Level()-targetLevel); err != nil {
 			return nil, err
@@ -332,9 +317,63 @@ func (bt *Bootstrapper) Bootstrap(ev *ckks.Evaluator, ct *ckks.Ciphertext, targe
 	return out, nil
 }
 
-// evalModCt applies the cosine interpolation followed by the double-angle
-// iterations, producing sin(2*pi*t/q0) (up to the folded constants).
-func (bt *Bootstrapper) evalModCt(ev *ckks.Evaluator, ct *ckks.Ciphertext) (*ckks.Ciphertext, error) {
+// evalStages runs ct through the stage matrices of one transform, landing
+// on the target scale after the last. The scale moves there in equal
+// ratios, so every stage encodes its diagonals at the same plaintext
+// scale (rescaling prime times that ratio): no stage is left with the
+// whole jump and entries too coarse or too large for it.
+func (bt *Bootstrapper) evalStages(ev *ckks.Evaluator, ct *ckks.Ciphertext, stages []*ckks.LinearTransform, target float64) (*ckks.Ciphertext, error) {
+	for i, lt := range stages {
+		next := target
+		if left := len(stages) - i; left > 1 {
+			next = ct.Scale * math.Pow(target/ct.Scale, 1/float64(left))
+		}
+		var err error
+		if ct, err = ev.EvaluateLinearTransform(ct, lt, bt.enc, next); err != nil {
+			return nil, err
+		}
+	}
+	return ct, nil
+}
+
+// CoeffsToSlots is step 3: it moves the coefficients of the raised
+// ciphertext into the slots of two ciphertexts, the real and the
+// imaginary coefficient half, normalised for EvalMod. The stages carry
+// the declared scale from D to the circuit scale between them, so the
+// halves need no scale correction of their own.
+func (bt *Bootstrapper) CoeffsToSlots(ev *ckks.Evaluator, raised *ckks.Ciphertext) (ct0, ct1 *ckks.Ciphertext, err error) {
+	u, err := bt.evalStages(ev, raised, bt.c2s, bt.circuitScale)
+	if err != nil {
+		return nil, nil, err
+	}
+	uc, err := ev.Conjugate(u)
+	if err != nil {
+		return nil, nil, err
+	}
+	if ct0, err = ev.Add(u, uc); err != nil { // real coefficient half
+		return nil, nil, err
+	}
+	diff, err := ev.Sub(u, uc)
+	if err != nil {
+		return nil, nil, err
+	}
+	return ct0, ev.Neg(ev.MulByI(diff)), nil // imaginary coefficient half
+}
+
+// SlotsToCoeffs is step 5: it recombines the two refreshed halves and
+// moves their slots back into coefficients at the default scale.
+func (bt *Bootstrapper) SlotsToCoeffs(ev *ckks.Evaluator, y0, y1 *ckks.Ciphertext) (*ckks.Ciphertext, error) {
+	yc, err := ev.Add(y0, ev.MulByI(y1))
+	if err != nil {
+		return nil, err
+	}
+	return bt.evalStages(ev, yc, bt.s2c, bt.params.DefaultScale())
+}
+
+// EvalMod is step 4 on one half: the cosine interpolation followed by the
+// double-angle iterations, producing sin(2*pi*t/q0) (up to the folded
+// constants).
+func (bt *Bootstrapper) EvalMod(ev *ckks.Evaluator, ct *ckks.Ciphertext) (*ckks.Ciphertext, error) {
 	y, err := ev.EvaluatePolynomial(ct, bt.evalMod, bt.circuitScale)
 	if err != nil {
 		return nil, err

@@ -174,8 +174,9 @@ func TestBootstrapRejectsBadInputs(t *testing.T) {
 }
 
 func TestLinearTransformRoundTrip(t *testing.T) {
-	// The product SF * SFinv must be the identity on slot vectors; this
-	// validates the probed matrices independently of the full pipeline.
+	// The product SF * SFinv must be the identity on slot vectors (the
+	// bit-reversals both sides leave out cancel); this validates the stage
+	// matrices independently of the full pipeline.
 	tc := newBtContext(t)
 	slots := tc.params.Slots()
 	rng := rand.New(rand.NewPCG(17, 3))
@@ -183,8 +184,10 @@ func TestLinearTransformRoundTrip(t *testing.T) {
 	for i := range in {
 		in[i] = complex(rng.Float64()*2-1, rng.Float64()*2-1)
 	}
-	mid := tc.bt.c2s.MulVec(in)
-	out := tc.bt.s2c.MulVec(mid)
+	out := in
+	for _, lt := range tc.bt.stages() {
+		out = lt.MulVec(out)
+	}
 	// c2s folds 1/(2B), s2c folds q0/(2*pi*D): combined gain is
 	// q0/(4*pi*B*D).
 	gain := tc.bt.q0 / (4 * math.Pi * tc.bt.b * tc.bt.d)

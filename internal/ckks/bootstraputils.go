@@ -72,10 +72,3 @@ func (ev *Evaluator) ModRaise(ct *Ciphertext, toLevel int) *Ciphertext {
 	}
 	return out
 }
-
-// SpecialFFT exposes the decoding-direction special FFT (for building
-// bootstrapping matrices).
-func (e *Encoder) SpecialFFT(vals []complex128) { e.specialFFT(vals) }
-
-// SpecialFFTInv exposes the encoding-direction special FFT.
-func (e *Encoder) SpecialFFTInv(vals []complex128) { e.specialFFTInv(vals) }

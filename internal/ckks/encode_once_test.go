@@ -3,6 +3,7 @@ package ckks
 import (
 	"errors"
 	"math"
+	"math/big"
 	"math/rand/v2"
 	"sync"
 	"sync/atomic"
@@ -50,7 +51,7 @@ func TestInt64PathMatchesBigPath(t *testing.T) {
 		if _, ok := roundToInt64(scaled); !ok {
 			t.Fatalf("trial %d: vector below 2^53 refused by the integer path", trial)
 		}
-		got := enc.fromScaledCoeffs(scaled, level, mag)
+		got := enc.fromScaledCoeffs(scaled, level, mag, false)
 		if want := viaBig(scaled, level, mag); !got.Value.Equal(want.Value) || got.Scale != want.Scale {
 			t.Fatalf("trial %d (level %d, magnitude %g): integer path and big path disagree", trial, level, mag)
 		}
@@ -61,7 +62,7 @@ func TestInt64PathMatchesBigPath(t *testing.T) {
 		if _, ok := roundToInt64(scaled); ok {
 			t.Fatalf("trial %d: a coefficient ≥ 2^53 was accepted by the integer path", trial)
 		}
-		got = enc.fromScaledCoeffs(scaled, level, mag)
+		got = enc.fromScaledCoeffs(scaled, level, mag, false)
 		if want := viaBig(scaled, level, mag); !got.Value.Equal(want.Value) {
 			t.Fatalf("trial %d: big path through fromScaledCoeffs disagrees with itself", trial)
 		}
@@ -78,6 +79,52 @@ func TestInt64PathMatchesBigPath(t *testing.T) {
 		if math.Abs(v-vals[i]) > 1e-9 {
 			t.Fatalf("slot %d decodes to %g after a 2^58-scale encode, want %g", i, v, vals[i])
 		}
+	}
+}
+
+// TestEncodeQP: the rows EncodeQP adds are the same integer polynomial as
+// the Q rows, reduced modulo each special prime, on both rounding paths;
+// the Q rows are Encode's; and the QP memo charges for the extra rows.
+func TestEncodeQP(t *testing.T) {
+	tc := newTestContext(t, nil)
+	rQ, rP := tc.params.RingQ(), tc.params.RingP()
+	level := 2
+	vals := randomComplexVector(tc.params.Slots(), 1, 11)
+	for _, scale := range []float64{math.Exp2(40), math.Exp2(64)} { // int64 path, big path
+		pt, err := tc.enc.EncodeQP(vals, level, scale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plain, err := tc.enc.Encode(vals, level, scale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !pt.Value.Equal(plain.Value) || plain.ValueP != nil {
+			t.Fatalf("scale %g: EncodeQP and Encode disagree over Q, or Encode grew P rows", scale)
+		}
+		coeffQ := pt.Value.CopyNew()
+		rQ.INTT(coeffQ, coeffQ)
+		ints := centeredBigCoeffs(rQ, coeffQ)
+		coeffP := pt.ValueP.CopyNew()
+		rP.INTT(coeffP, coeffP)
+		if coeffP.Level() != rP.MaxLevel() {
+			t.Fatalf("P rows at level %d, want %d", coeffP.Level(), rP.MaxLevel())
+		}
+		tmp := new(big.Int)
+		for j, p := range rP.Moduli {
+			for k, c := range ints {
+				if want := tmp.Mod(c, new(big.Int).SetUint64(p)).Uint64(); coeffP.Coeffs[j][k] != want {
+					t.Fatalf("scale %g: coefficient %d is %d mod special prime %d, want %d", scale, k, coeffP.Coeffs[j][k], j, want)
+				}
+			}
+		}
+	}
+	memo := NewPlaintextMemoQP(tc.params, PlaintextMemoCap)
+	if _, _, err := memo.Get(PlaintextKey{Level: level, Scale: 1}, func() (*Plaintext, error) { return tc.enc.EncodeQP(vals, level, 1) }); err != nil {
+		t.Fatal(err)
+	}
+	if want := int64(level+1+len(rP.Moduli)) * int64(tc.params.N()) * 8; memo.Stats().Bytes != want {
+		t.Fatalf("one Q∪P entry charged %d bytes, want %d", memo.Stats().Bytes, want)
 	}
 }
 
@@ -196,7 +243,7 @@ func TestLinearTransformMemo(t *testing.T) {
 	plain := NewLinearTransformFromMatrix(m)
 	memoised := NewLinearTransformFromMatrix(m)
 	tc := newTestContext(t, plain.Rotations())
-	memoised.Memo = NewPlaintextMemo(tc.params, PlaintextMemoCap)
+	memoised.Memo = NewPlaintextMemoQP(tc.params, PlaintextMemoCap)
 
 	pt, err := tc.enc.Encode(randomComplexVector(slots, 1, 4), tc.params.MaxLevel(), tc.params.DefaultScale())
 	if err != nil {

@@ -16,6 +16,10 @@ import (
 type Plaintext struct {
 	Value *ring.Poly
 	Scale float64
+	// ValueP holds the same integer polynomial modulo the special primes.
+	// Only EncodeQP sets it: a linear transform multiplies its diagonals
+	// into key-switch results that have not been divided by P yet.
+	ValueP *ring.Poly
 }
 
 // Level returns the plaintext level.
@@ -23,7 +27,11 @@ func (p *Plaintext) Level() int { return p.Value.Level() }
 
 // CopyNew returns a deep copy.
 func (p *Plaintext) CopyNew() *Plaintext {
-	return &Plaintext{Value: p.Value.CopyNew(), Scale: p.Scale}
+	out := &Plaintext{Value: p.Value.CopyNew(), Scale: p.Scale}
+	if p.ValueP != nil {
+		out.ValueP = p.ValueP.CopyNew()
+	}
+	return out
 }
 
 // Encoder maps complex vectors to CKKS plaintexts through the canonical
@@ -58,20 +66,31 @@ func NewEncoder(params *Parameters) *Encoder {
 	return e
 }
 
+// twiddle returns the root that butterfly j of a special-FFT layer over
+// blocks of the given length multiplies by, forward (decoding) or
+// inverse. The FFTs and their homomorphic factorisation (dft.go) both
+// read it, so the stage matrices cannot drift from the encoder.
+func (e *Encoder) twiddle(length, j int, inverse bool) complex128 {
+	m := len(e.roots) - 1 // 2N
+	lenq := length << 2
+	k := e.rotGroup[j] % lenq
+	if inverse {
+		k = lenq - k
+	}
+	return e.roots[k*m/lenq]
+}
+
 // specialFFTInv applies the inverse special FFT in place (encoding
 // direction). size must be a power of two <= N/2.
 func (e *Encoder) specialFFTInv(vals []complex128) {
 	size := len(vals)
-	m := 2 * e.params.N()
-	for length := size; length >= 1; length >>= 1 {
+	for length := size; length >= 2; length >>= 1 {
+		lenh := length >> 1
 		for i := 0; i < size; i += length {
-			lenh := length >> 1
-			lenq := length << 2
 			for j := 0; j < lenh; j++ {
-				idx := (lenq - (e.rotGroup[j] % lenq)) * m / lenq
 				u := vals[i+j] + vals[i+j+lenh]
 				v := vals[i+j] - vals[i+j+lenh]
-				v *= e.roots[idx]
+				v *= e.twiddle(length, j, true)
 				vals[i+j] = u
 				vals[i+j+lenh] = v
 			}
@@ -88,16 +107,13 @@ func (e *Encoder) specialFFTInv(vals []complex128) {
 // direction).
 func (e *Encoder) specialFFT(vals []complex128) {
 	size := len(vals)
-	m := 2 * e.params.N()
 	bitReversePermute(vals)
 	for length := 2; length <= size; length <<= 1 {
+		lenh := length >> 1
 		for i := 0; i < size; i += length {
-			lenh := length >> 1
-			lenq := length << 2
 			for j := 0; j < lenh; j++ {
-				idx := (e.rotGroup[j] % lenq) * m / lenq
 				u := vals[i+j]
-				v := vals[i+j+lenh] * e.roots[idx]
+				v := vals[i+j+lenh] * e.twiddle(length, j, false)
 				vals[i+j] = u + v
 				vals[i+j+lenh] = u - v
 			}
@@ -124,6 +140,16 @@ func bitReversePermute(vals []complex128) {
 // implicitly padded with zeros to the next power of two) into a plaintext
 // at the given level and scale.
 func (e *Encoder) Encode(values []complex128, level int, scale float64) (*Plaintext, error) {
+	return e.encode(values, level, scale, false)
+}
+
+// EncodeQP is Encode for a plaintext that also carries its residues
+// modulo the special primes (Plaintext.ValueP).
+func (e *Encoder) EncodeQP(values []complex128, level int, scale float64) (*Plaintext, error) {
+	return e.encode(values, level, scale, true)
+}
+
+func (e *Encoder) encode(values []complex128, level int, scale float64, withP bool) (*Plaintext, error) {
 	n := e.params.N()
 	slots := nextPow2(len(values))
 	if slots > n/2 {
@@ -142,20 +168,33 @@ func (e *Encoder) Encode(values []complex128, level int, scale float64) (*Plaint
 		scaled[idx] = real(vals[i]) * scale
 		scaled[idx+n/2] = imag(vals[i]) * scale
 	}
-	return e.fromScaledCoeffs(scaled, level, scale), nil
+	return e.fromScaledCoeffs(scaled, level, scale, withP), nil
 }
 
 // fromScaledCoeffs rounds the scaled coefficients to integers, reduces
-// them into RNS form and transforms the result to NTT domain.
-func (e *Encoder) fromScaledCoeffs(scaled []float64, level int, scale float64) *Plaintext {
-	r := e.params.RingQ()
-	pt := &Plaintext{Value: r.NewPoly(level), Scale: scale}
-	if ints, ok := roundToInt64(scaled); ok {
-		setInt64Coeffs(r, pt.Value, ints)
-	} else {
-		setBigCoeffs(r, pt.Value, roundToBig(scaled))
+// them into RNS form and transforms the result to NTT domain; withP adds
+// the rows modulo the special primes.
+func (e *Encoder) fromScaledCoeffs(scaled []float64, level int, scale float64, withP bool) *Plaintext {
+	ints, small := roundToInt64(scaled)
+	var bigs []*big.Int
+	if !small {
+		bigs = roundToBig(scaled)
 	}
-	r.NTT(pt.Value, pt.Value)
+	fill := func(r *ring.Ring, level int) *ring.Poly {
+		p := r.NewPoly(level)
+		if small {
+			setInt64Coeffs(r, p, ints)
+		} else {
+			setBigCoeffs(r, p, bigs)
+		}
+		r.NTT(p, p)
+		return p
+	}
+	pt := &Plaintext{Value: fill(e.params.RingQ(), level), Scale: scale}
+	if withP {
+		rP := e.params.RingP()
+		pt.ValueP = fill(rP, rP.MaxLevel())
+	}
 	return pt
 }
 
@@ -180,7 +219,7 @@ func (e *Encoder) EncodeCoeffs(values []float64, level int, scale float64) (*Pla
 	for i, v := range values {
 		scaled[i] = v * scale
 	}
-	return e.fromScaledCoeffs(scaled, level, scale), nil
+	return e.fromScaledCoeffs(scaled, level, scale, false), nil
 }
 
 // Decode decodes a plaintext into the given number of slots.

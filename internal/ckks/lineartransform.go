@@ -3,7 +3,9 @@ package ckks
 import (
 	"fmt"
 	"sort"
+	"time"
 
+	"antace/internal/kswork"
 	"antace/internal/ring"
 )
 
@@ -15,32 +17,12 @@ type LinearTransform struct {
 	Diags map[int][]complex128
 	// N1 is the baby-step count; 0 selects sqrt of the diagonal count.
 	N1 int
-	// Memo, when set, keeps each pre-rotated, encoded diagonal per (level,
-	// plaintext scale), so evaluators sharing the transform encode a
-	// diagonal once instead of on every evaluation. Diags and N1 must not
-	// change once it holds entries.
+	// Memo, when set, keeps each pre-rotated diagonal, encoded over Q∪P,
+	// per (level, plaintext scale), so evaluators sharing the transform
+	// encode a diagonal once instead of on every evaluation. Make it with
+	// NewPlaintextMemoQP, which counts the rows over P against the budget.
+	// Diags and N1 must not change once it holds entries.
 	Memo *PlaintextMemo
-}
-
-// NewLinearTransformFromMatrix converts a dense row-major matrix into
-// diagonal form, dropping all-zero diagonals.
-func NewLinearTransformFromMatrix(m [][]complex128) *LinearTransform {
-	n := len(m)
-	lt := &LinearTransform{Slots: n, Diags: map[int][]complex128{}}
-	for d := 0; d < n; d++ {
-		diag := make([]complex128, n)
-		zero := true
-		for i := 0; i < n; i++ {
-			diag[i] = m[i][(i+d)%n]
-			if diag[i] != 0 {
-				zero = false
-			}
-		}
-		if !zero {
-			lt.Diags[d] = diag
-		}
-	}
-	return lt
 }
 
 // MulVec applies the transform to a plaintext vector (reference
@@ -55,31 +37,41 @@ func (lt *LinearTransform) MulVec(in []complex128) []complex128 {
 	return out
 }
 
-// babyGiant splits the diagonal indices into baby and giant components.
-func (lt *LinearTransform) babyGiant() (n1 int, index map[int][]int) {
-	count := len(lt.Diags)
-	n1 = lt.N1
-	if n1 == 0 {
-		n1 = 1
-		for n1*n1 < count {
-			n1 <<= 1
-		}
-	}
-	index = map[int][]int{}
+// babyGiant splits every diagonal index d into a giant and a baby
+// rotation, d = g + b, and returns the baby steps of every giant step. Diagonals that all sit on multiples of a stride —
+// a DFT stage's do — are split in units of that stride, so the n1 baby
+// steps are 0, s, …, (n1−1)·s rather than rotations no diagonal uses.
+func (lt *LinearTransform) babyGiant() map[int][]int {
+	stride := lt.Slots
 	for d := range lt.Diags {
-		g := d - d%n1
-		index[g] = append(index[g], d%n1)
+		stride = gcd(stride, d)
+	}
+	n1 := lt.N1
+	if n1 == 0 {
+		n1 = kswork.BabySteps(len(lt.Diags))
+	}
+	index := map[int][]int{}
+	for d := range lt.Diags {
+		b := d % (n1 * stride)
+		index[d-b] = append(index[d-b], b)
 	}
 	for g := range index {
 		sort.Ints(index[g])
 	}
-	return n1, index
+	return index
+}
+
+func gcd(a, b int) int {
+	for b != 0 {
+		a, b = b, a%b
+	}
+	return a
 }
 
 // Rotations returns the slot rotations required to evaluate the
 // transform (callers must generate the corresponding Galois keys).
 func (lt *LinearTransform) Rotations() []int {
-	_, index := lt.babyGiant()
+	index := lt.babyGiant()
 	set := map[int]bool{}
 	for g, babies := range index {
 		if g != 0 {
@@ -105,22 +97,30 @@ func (lt *LinearTransform) Rotations() []int {
 // single rescale this operation consumes. The ciphertext must use the
 // full N/2 slots.
 //
-// The evaluation is one fused baby-step/giant-step kernel. The baby
-// rotations of the input share one hoisted decomposition. Each giant
+// The evaluation is one fused baby-step/giant-step kernel that stays over
+// the extended basis Q∪P for as long as it can. The baby rotations of the
+// input share one hoisted decomposition and are kept as they leave the
+// evaluation-key inner product, before its division by P. Each giant
 // group's inner sum Σ_b pt_{g+b} ⊙ rot_b(x) is one lazily reduced inner
-// product per ciphertext half. A giant rotation then splits in two: the
-// permuted c0 half joins a running sum over Q, and the evaluation-key
-// inner product of the permuted, decomposed c1 half joins a running sum
-// over Q∪P that is divided by P once, after the last group — division by
-// P is linear up to rounding, so the one division differs from the
-// per-rotation ones only by less rounding noise. One decomposition is
-// alive at a time.
+// product per ciphertext half, against diagonals encoded over Q∪P. A
+// giant rotation then splits in two: the permuted c0 half joins a running
+// sum over Q∪P as it is, and the c1 half is divided by P, permuted,
+// decomposed, and its evaluation-key inner product joins the same sum,
+// which is divided by P once, after the last group. Division by P is
+// linear up to rounding, so dividing late differs from dividing every
+// rotation only by less rounding noise: one half-division per giant step
+// and one whole one, none per baby step. Decompositions are released as
+// soon as their key product is taken, so the working set is the baby
+// steps and two decompositions whatever the giant count.
 func (ev *Evaluator) EvaluateLinearTransform(ct *Ciphertext, lt *LinearTransform, enc *Encoder, targetScale float64) (*Ciphertext, error) {
 	if lt.Slots != ev.params.Slots() {
 		return nil, fmt.Errorf("ckks: linear transform over %d slots, parameters have %d", lt.Slots, ev.params.Slots())
 	}
 	if len(lt.Diags) == 0 {
 		return nil, fmt.Errorf("ckks: linear transform has no diagonals")
+	}
+	if ct.Degree() != 1 {
+		return nil, fmt.Errorf("ckks: linear transform requires a degree-1 ciphertext")
 	}
 	if targetScale == 0 {
 		targetScale = ev.params.DefaultScale()
@@ -130,46 +130,100 @@ func (ev *Evaluator) EvaluateLinearTransform(ct *Ciphertext, lt *LinearTransform
 		return nil, fmt.Errorf("ckks: linear transform needs at least one level")
 	}
 	rQ, rP := ev.params.RingQ(), ev.params.RingP()
-	ql := rQ.Moduli[level]
-	ptScale := targetScale * float64(ql) / ct.Scale
+	be := ev.params.BasisExtender()
+	ptScale := targetScale * float64(rQ.Moduli[level]) / ct.Scale
 	if ptScale < 2 {
 		return nil, fmt.Errorf("ckks: linear transform plaintext scale %g collapses (target %g from ciphertext scale %g)", ptScale, targetScale, ct.Scale)
 	}
 
-	n1, index := lt.babyGiant()
+	index := lt.babyGiant()
 	slots := lt.Slots
 	giants := make([]int, 0, len(index))
-	var babyKs []int
-	for g, bs := range index {
+	for g := range index {
 		giants = append(giants, g)
-		for _, b := range bs {
-			if b != 0 {
-				babyKs = append(babyKs, b)
-			}
-		}
 	}
 	sort.Ints(giants)
-	babies, err := ev.RotateHoisted(ct, babyKs)
-	if err != nil {
-		return nil, err
-	}
-	babies[0] = ct
 
-	acc := NewCiphertext(ev.params, 1, level) // Σ over Q, both halves
-	acc.Scale = ct.Scale * ptScale
-	sum := ev.newKeySwitchSum(level) // Σ over Q∪P of the giant key switches
-	u0, u1, phi := rQ.GetPolyNoZero(level), rQ.GetPolyNoZero(level), rQ.GetPolyNoZero(level)
+	// Everything below is pooled scratch, handed back on every path.
+	var scratchQ, scratchP []*ring.Poly
+	getQ := func() *ring.Poly {
+		p := rQ.GetPolyNoZero(level)
+		scratchQ = append(scratchQ, p)
+		return p
+	}
+	getP := func() *ring.Poly {
+		p := rP.GetPolyNoZero(rP.MaxLevel())
+		scratchP = append(scratchP, p)
+		return p
+	}
+	getSum := func() *keySwitchSum {
+		return &keySwitchSum{q0: getQ(), q1: getQ(), p0: getP(), p1: getP(), empty: true}
+	}
+	var h *hoistedDecomp
 	defer func() {
-		sum.release(rQ, rP)
-		rQ.PutPoly(u0)
-		rQ.PutPoly(u1)
-		rQ.PutPoly(phi)
+		for _, p := range scratchQ {
+			rQ.PutPoly(p)
+		}
+		for _, p := range scratchP {
+			rP.PutPoly(p)
+		}
+		if h != nil {
+			h.release(rQ, rP)
+		}
 	}()
-	pts := make([]*ring.Poly, 0, n1)
-	b0s := make([]*ring.Poly, 0, n1)
-	b1s := make([]*ring.Poly, 0, n1)
+
+	// Baby steps over Q∪P: rot_b(x)·P = (P·φ_b(c0) + d0, d1) with (d0, d1)
+	// the undivided key switch of φ_b(c1); the input itself is (P·c0, P·c1)
+	// over Q and zero over P.
+	liftedC0 := getQ()
+	be.MulByP(ct.Value[0], liftedC0)
+	phi := getQ()
+	babies := map[int]*keySwitchSum{}
 	for _, g := range giants {
-		pts, b0s, b1s = pts[:0], b0s[:0], b1s[:0]
+		for _, b := range index[g] {
+			if babies[b] != nil {
+				continue
+			}
+			baby := getSum()
+			babies[b] = baby
+			if b == 0 {
+				liftedC0.Copy(baby.q0)
+				be.MulByP(ct.Value[1], baby.q1)
+				baby.p0.Zero()
+				baby.p1.Zero()
+				continue
+			}
+			if h == nil {
+				h = ev.decomposeForKeySwitch(ct.Value[1])
+			}
+			key, idx, err := ev.galoisKey(rQ.GaloisElementForRotation(b))
+			if err != nil {
+				return nil, err
+			}
+			hb := h.permute(rQ, rP, idx)
+			err = ev.addKeySwitch(baby, hb, &key.SwitchingKey)
+			hb.release(rQ, rP)
+			if err != nil {
+				return nil, err
+			}
+			rQ.AutomorphismNTT(liftedC0, idx, phi)
+			rQ.Add(baby.q0, phi, baby.q0)
+		}
+	}
+	if h != nil {
+		h.release(rQ, rP)
+		h = nil
+	}
+
+	sum := getSum() // Σ over Q∪P of every group, both halves
+	for _, p := range []*ring.Poly{sum.q0, sum.q1, sum.p0, sum.p1} {
+		p.Zero()
+	}
+	sum.empty = false
+	group, phiP := getSum(), getP()
+	var ptsQ, ptsP, b0q, b0p, b1q, b1p []*ring.Poly
+	for _, g := range giants {
+		ptsQ, ptsP, b0q, b0p, b1q, b1p = ptsQ[:0], ptsP[:0], b0q[:0], b0p[:0], b1q[:0], b1p[:0]
 		for _, b := range index[g] {
 			pt, _, err := lt.Memo.Get(PlaintextKey{Const: g + b, Level: level, Scale: ptScale}, func() (*Plaintext, error) {
 				diag := lt.Diags[g+b]
@@ -179,43 +233,51 @@ func (ev *Evaluator) EvaluateLinearTransform(ct *Ciphertext, lt *LinearTransform
 				for i := 0; i < slots; i++ {
 					rotated[i] = diag[((i-g)%slots+slots)%slots]
 				}
-				return enc.Encode(rotated, level, ptScale)
+				return enc.EncodeQP(rotated, level, ptScale)
 			})
 			if err != nil {
 				return nil, err
 			}
-			pts = append(pts, pt.Value)
-			b0s = append(b0s, babies[b].Value[0])
-			b1s = append(b1s, babies[b].Value[1])
+			baby := babies[b]
+			ptsQ, ptsP = append(ptsQ, pt.Value), append(ptsP, pt.ValueP)
+			b0q, b0p = append(b0q, baby.q0), append(b0p, baby.p0)
+			b1q, b1p = append(b1q, baby.q1), append(b1p, baby.p1)
 		}
 		if g == 0 {
-			rQ.InnerProductAdd(pts, b0s, acc.Value[0])
-			rQ.InnerProductAdd(pts, b1s, acc.Value[1])
+			rQ.InnerProductAdd(ptsQ, b0q, sum.q0)
+			rP.InnerProductAdd(ptsP, b0p, sum.p0)
+			rQ.InnerProductAdd(ptsQ, b1q, sum.q1)
+			rP.InnerProductAdd(ptsP, b1p, sum.p1)
 			continue
 		}
-		rQ.InnerProduct(pts, b0s, u0)
-		rQ.InnerProduct(pts, b1s, u1)
-		// rot_g(u0, u1) = (φ(u0) + d0, d1), (d0, d1) the key switch of φ(u1).
+		rQ.InnerProduct(ptsQ, b0q, group.q0)
+		rP.InnerProduct(ptsP, b0p, group.p0)
+		rQ.InnerProduct(ptsQ, b1q, group.q1)
+		rP.InnerProduct(ptsP, b1p, group.p1)
+		// rot_g(u0, u1) = (φ(u0) + d0, d1), (d0, d1) the key switch of φ(u1):
+		// φ(u0) needs no division of its own, u1 must leave Q∪P to be
+		// decomposed.
 		key, idx, err := ev.galoisKey(rQ.GaloisElementForRotation(g))
 		if err != nil {
 			return nil, err
 		}
-		rQ.AutomorphismNTT(u0, idx, phi)
-		rQ.Add(acc.Value[0], phi, acc.Value[0])
-		rQ.AutomorphismNTT(u1, idx, phi)
-		h := ev.decomposeForKeySwitch(phi)
-		err = ev.addKeySwitch(sum, h, &key.SwitchingKey)
-		h.release(rQ, rP)
+		rQ.AutomorphismNTT(group.q0, idx, phi)
+		rQ.Add(sum.q0, phi, sum.q0)
+		rP.AutomorphismNTT(group.p0, idx, phiP)
+		rP.Add(sum.p0, phiP, sum.p0)
+		t0 := time.Now()
+		be.ModDownNTT(group.q1, group.p1)
+		ev.observe(opModDown, t0)
+		rQ.AutomorphismNTT(group.q1, idx, phi)
+		hg := ev.decomposeForKeySwitch(phi)
+		err = ev.addKeySwitch(sum, hg, &key.SwitchingKey)
+		hg.release(rQ, rP)
 		if err != nil {
 			return nil, err
 		}
 	}
-	if !sum.empty {
-		ev.modDown(sum)
-		rQ.Add(acc.Value[0], sum.q0, acc.Value[0])
-		rQ.Add(acc.Value[1], sum.q1, acc.Value[1])
-	}
-	out, err := ev.Rescale(acc)
+	ev.modDown(sum)
+	out, err := ev.Rescale(&Ciphertext{Value: []*ring.Poly{sum.q0, sum.q1}, Scale: ct.Scale * ptScale})
 	if err != nil {
 		return nil, err
 	}

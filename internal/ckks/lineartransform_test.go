@@ -5,6 +5,28 @@ import (
 	"testing"
 )
 
+// NewLinearTransformFromMatrix converts a dense row-major matrix into
+// diagonal form, dropping all-zero diagonals. Only tests hold dense
+// matrices.
+func NewLinearTransformFromMatrix(m [][]complex128) *LinearTransform {
+	n := len(m)
+	lt := &LinearTransform{Slots: n, Diags: map[int][]complex128{}}
+	for d := 0; d < n; d++ {
+		diag := make([]complex128, n)
+		zero := true
+		for i := 0; i < n; i++ {
+			diag[i] = m[i][(i+d)%n]
+			if diag[i] != 0 {
+				zero = false
+			}
+		}
+		if !zero {
+			lt.Diags[d] = diag
+		}
+	}
+	return lt
+}
+
 // diagonalMatrix returns a slots x slots matrix whose non-zero entries
 // sit on the given diagonals (M[i][(i+d) mod slots]), drawn from rng.
 func diagonalMatrix(slots int, diags []int, rng *rand.Rand) [][]complex128 {
@@ -52,8 +74,9 @@ func plainLinearTransform(t *testing.T, tc *testContext, ct *Ciphertext, lt *Lin
 }
 
 // TestHoistedVsPlainLinearTransform evaluates one matrix (every diagonal
-// populated) through the fused kernel and through plain rotations, and
-// holds both to the cleartext product.
+// populated) and one DFT stage (strided diagonals, on both sides of zero)
+// through the fused kernel and through plain rotations, and holds both to
+// the cleartext product.
 func TestHoistedVsPlainLinearTransform(t *testing.T) {
 	tc := newTestContext(t, nil)
 	slots := tc.params.Slots()
@@ -66,8 +89,18 @@ func TestHoistedVsPlainLinearTransform(t *testing.T) {
 			}
 		}
 	}
-	lt := NewLinearTransformFromMatrix(m)
-	all := make([]int, 0, len(lt.Diags))
+	stages, err := tc.enc.DFTStages(false, 3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, lt := range map[string]*LinearTransform{"dense": NewLinearTransformFromMatrix(m), "dft-stage": stages[1]} {
+		t.Run(name, func(t *testing.T) { hoistedVsPlain(t, tc, lt) })
+	}
+}
+
+func hoistedVsPlain(t *testing.T, tc *testContext, lt *LinearTransform) {
+	slots := tc.params.Slots()
+	all := lt.Rotations() // the plain evaluation rotates by every diagonal
 	for d := range lt.Diags {
 		all = append(all, d)
 	}
@@ -108,21 +141,31 @@ func TestLinearTransformShapes(t *testing.T) {
 		name  string
 		diags []int
 		n1    int
+		keys  int // rotation keys the split must come to; 0: unchecked
 	}{
-		{"dense", every(1), 0},
-		{"every-7th", every(7), 0},
-		{"dense-n1-4", every(1), 4},
-		{"no-zero-group", []int{20, 21, 23, 37, 38}, 4},
-		{"zero-group-only", []int{0, 1, 3}, 4},
-		{"identity-diagonal", []int{0}, 0},
-		{"one-diagonal", []int{5}, 0},
-		{"one-giant-diagonal", []int{8}, 4},
+		{"dense", every(1), 0, 0},
+		{"every-7th", every(7), 0, 0},
+		{"dense-n1-4", every(1), 4, 0},
+		{"no-zero-group", []int{20, 21, 23, 37, 38}, 4, 0},
+		{"zero-group-only", []int{0, 1, 3}, 4, 0},
+		{"identity-diagonal", []int{0}, 0, 0},
+		{"one-diagonal", []int{5}, 0, 0},
+		{"one-giant-diagonal", []int{8}, 4, 0},
+		// Diagonals on multiples of a stride, on both sides of zero, as a
+		// DFT stage has them: the baby steps are multiples of the stride
+		// too (8, 16, 24 and the one giant step 96; 16, 32 and 48, 96).
+		{"stride-8", []int{0, 8, 16, 24, 104, 112, 120}, 0, 4},
+		{"stride-16-wrapped", every(16), 0, 4},
+		{"stride-4-no-zero-group", []int{4, 12, 100, 124}, 2, 0},
 	}
 	for i, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			rng := rand.New(rand.NewPCG(uint64(i), 77))
 			lt := NewLinearTransformFromMatrix(diagonalMatrix(slots, c.diags, rng))
 			lt.N1 = c.n1
+			if c.keys != 0 && len(lt.Rotations()) != c.keys {
+				t.Errorf("rotations %v, want %d of them: baby steps must follow the stride", lt.Rotations(), c.keys)
+			}
 			tc := newTestContext(t, lt.Rotations())
 			values := randomComplexVector(slots, 1, uint64(40+i))
 			pt, err := tc.enc.Encode(values, tc.params.MaxLevel(), tc.params.DefaultScale())

@@ -37,7 +37,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 	par.SetMinWork(1)
 	defer par.SetMinWork(0)
 
-	tc := newTestContext(t, []int{1, 2, 3})
+	tc := newTestContext(t, []int{1, 2, 3, 4, 8, 120})
 	level := tc.params.MaxLevel()
 	scale := tc.params.DefaultScale()
 
@@ -54,8 +54,9 @@ func TestParallelMatchesSerial(t *testing.T) {
 	cta := tc.encSk.Encrypt(pa)
 	ctb := tc.encSk.Encrypt(pb)
 
-	// Diagonals 0..3 at N1 = 2: babies {0, 1}, giant groups {0, 2}.
-	lt := NewLinearTransformFromMatrix(diagonalMatrix(tc.params.Slots(), []int{0, 1, 2, 3}, rand.New(rand.NewPCG(5, 5))))
+	// A DFT stage's shape, diagonals on a stride of 4 either side of zero,
+	// at N1 = 2: babies {0, 4}, giant groups {0, 8, 120}.
+	lt := NewLinearTransformFromMatrix(diagonalMatrix(tc.params.Slots(), []int{0, 4, 8, 12, 120, 124}, rand.New(rand.NewPCG(5, 5))))
 	lt.N1 = 2
 
 	cases := []struct {

@@ -32,6 +32,7 @@ type PlaintextKey struct {
 type PlaintextMemo struct {
 	n        int      // ring degree the plaintexts live in
 	moduli   []uint64 // its modulus chain
+	special  []uint64 // the special primes, when entries carry rows over them
 	capBytes int64
 
 	mu      sync.Mutex
@@ -69,11 +70,21 @@ func NewPlaintextMemo(params *Parameters, capBytes int64) *PlaintextMemo {
 	}
 }
 
+// NewPlaintextMemoQP is NewPlaintextMemo for plaintexts encoded over Q∪P
+// (Encoder.EncodeQP, a linear transform's diagonals): every entry is
+// charged its rows over the special primes as well.
+func NewPlaintextMemoQP(params *Parameters, capBytes int64) *PlaintextMemo {
+	m := NewPlaintextMemo(params, capBytes)
+	m.special = params.P()
+	return m
+}
+
 // Fits reports whether plaintexts in this memo are valid under params:
-// an encoding depends on the ring degree and the modulus chain only,
-// never on keys.
+// an encoding depends on the ring degree and the moduli only, never on
+// keys.
 func (m *PlaintextMemo) Fits(params *Parameters) bool {
-	return m.n == params.N() && slices.Equal(m.moduli, params.Q())
+	return m.n == params.N() && slices.Equal(m.moduli, params.Q()) &&
+		(m.special == nil || slices.Equal(m.special, params.P()))
 }
 
 var errEncodeAborted = errors.New("ckks: plaintext encode did not complete")
@@ -85,7 +96,7 @@ func (m *PlaintextMemo) Get(k PlaintextKey, encode func() (*Plaintext, error)) (
 		pt, err = encode()
 		return pt, false, err
 	}
-	size := int64(k.Level+1) * int64(m.n) * 8
+	size := int64(k.Level+1+len(m.special)) * int64(m.n) * 8
 	m.mu.Lock()
 	e := m.entries[k]
 	if e == nil {

@@ -15,6 +15,7 @@ import (
 	"antace/internal/bootstrap"
 	"antace/internal/ckks"
 	"antace/internal/ir"
+	"antace/internal/kswork"
 	"antace/internal/poly"
 	"antace/internal/sihe"
 )
@@ -247,10 +248,79 @@ func specialPrimes(chainLen, most int) int {
 	return k
 }
 
+// dftStages picks how many stage matrices the two bootstrapping DFTs are
+// factorised into. A stage more cuts a transform's diagonals from about
+// 2·r to about 2·√r per stage and adds a 60-bit prime to the chain, which
+// every part of the circuit above it then carries and every evaluation
+// key grows by. So the rule prices one bootstrap to the given target
+// level under every pair of stage counts — the chain each pair needs, the
+// special modulus that chain gets — in the key-switching work units the
+// cost model calibrates (kswork), times the size of an evaluation key
+// over that chain: a prime is bought only where the bootstrap gets
+// cheaper by more than the keys a client uploads and a server holds get
+// larger. The smallest product wins, fewer stages on a tie. Stage counts
+// bp already fixes are kept. special reports, for a chain `extra` primes
+// longer than the shortest (one stage each), the special-prime count it
+// gets and whether the ring degree has room for it at all: like the
+// special modulus, stages fill spare room and never buy a larger ring.
+func dftStages(bp bootstrap.Parameters, logN, target int, special func(extra int) (k int, fits bool)) bootstrap.Parameters {
+	pick := func(fixed, stages int) bool { return fixed == 0 || fixed == stages }
+	best, bestWork := bp.WithDefaults(), math.Inf(1)
+	for c2s := 1; c2s <= kswork.MaxStages && c2s < logN; c2s++ {
+		for s2c := 1; s2c <= kswork.MaxStages && s2c < logN; s2c++ {
+			k, fits := special(c2s + s2c - 2)
+			if !fits || !pick(bp.C2SStages, c2s) || !pick(bp.S2CStages, s2c) {
+				continue
+			}
+			cand := bp
+			cand.C2SStages, cand.S2CStages = c2s, s2c
+			cand = cand.WithDefaults()
+			g := kswork.Geometry{LogN: logN, Alpha: k, K: k}
+			top := target + bootstrap.CircuitDepth(cand)
+			if w := bootstrapWork(g, target, cand) * g.KeyCoeffs(top); w < bestWork {
+				best, bestWork = cand, w
+			}
+		}
+	}
+	return best
+}
+
+// bootstrapWork counts the key-switching work of one bootstrap to the
+// target level: the stages of both transforms at their levels, and
+// between them the conjugation, EvalMod's products on both halves and
+// the double angles, which descend from below CoeffsToSlots to above
+// SlotsToCoeffs and are spread evenly over the levels in between.
+func bootstrapWork(g kswork.Geometry, target int, bp bootstrap.Parameters) float64 {
+	c2s, s2c := bootstrap.StageDiagonals(bp, g.LogN-1)
+	var work kswork.Work
+	level := target + bootstrap.CircuitDepth(bp)
+	for _, diags := range c2s {
+		work = work.Plus(g.LinearTransform(diags, level))
+		level--
+	}
+	bottom := target + bp.S2CStages
+	ones := make([]float64, bp.EvalModDegree+1)
+	for i := range ones {
+		ones[i] = 1
+	}
+	products, _ := poly.BSGSShape(ones)
+	perLevel := float64(1+2*(products+bp.DoubleAngle)) / float64(level-bottom)
+	for l := level; l > bottom; l-- {
+		work = work.Plus(g.KeySwitch(l).Times(perLevel))
+	}
+	for _, diags := range s2c {
+		work = work.Plus(g.LinearTransform(diags, bottom))
+		bottom--
+	}
+	return work.Units()
+}
+
 // SelectParameters derives the parameter literal from the planned
 // segment depths (the paper's automatic security parameter selection):
-// the chain, the ring degree and the special modulus.
-func SelectParameters(segments []int, slots int, opts Options) (ckks.ParametersLiteral, int, error) {
+// the chain, the ring degree, the special modulus and, for a program
+// that bootstraps, the bootstrapping circuit with its DFT stage counts
+// (nil otherwise).
+func SelectParameters(segments []int, slots int, opts Options) (ckks.ParametersLiteral, int, *bootstrap.Parameters, error) {
 	opts = opts.withDefaults()
 	target := 0
 	for i, d := range segments {
@@ -265,25 +335,36 @@ func SelectParameters(segments []int, slots int, opts Options) (ckks.ParametersL
 	if segments[0] > target {
 		target = segments[0]
 	}
-	boot := len(segments) > 1
 	target += opts.ExpertSlack
 
-	logQ := []int{opts.LogQ0}
-	for i := 0; i < target; i++ {
-		logQ = append(logQ, opts.LogScale)
-	}
-	bootDepth := 0
-	if boot {
-		bp := opts.Boot.WithDefaults()
-		bootDepth = bootstrap.CircuitDepth(bp)
-		for i := 0; i < bootDepth; i++ {
-			logQ = append(logQ, 60)
+	// chain lays out q0, the compute levels and the levels of a bootstrap
+	// circuit (nil: none).
+	chain := func(bp *bootstrap.Parameters) (logQ []int, bits int) {
+		logQ = append(logQ, opts.LogQ0)
+		for i := 0; i < target; i++ {
+			logQ = append(logQ, opts.LogScale)
 		}
+		if bp != nil {
+			for i := 0; i < bootstrap.CircuitDepth(*bp); i++ {
+				logQ = append(logQ, 60)
+			}
+		}
+		for _, b := range logQ {
+			bits += b
+		}
+		return logQ, bits
 	}
-	chainBits := opts.LogQ0 + target*opts.LogScale + bootDepth*60
-	// The ring degree is set by the chain under the smallest special
-	// modulus; a larger one only fills what that degree leaves spare.
-	logN := ckks.MinLogN(chainBits + 2*specialPrimeBits)
+	// The ring degree is set by the shortest chain — one stage per DFT —
+	// under the smallest special modulus; more stages and a larger special
+	// modulus only fill what that degree leaves spare.
+	var boot *bootstrap.Parameters
+	if len(segments) > 1 {
+		one := opts.Boot
+		one.C2SStages, one.S2CStages = 1, 1
+		boot = &one
+	}
+	shortest, shortestBits := chain(boot)
+	logN := ckks.MinLogN(shortestBits + 2*specialPrimeBits)
 	// Slot requirement: N/2 >= slots.
 	minLogN := 1
 	for (1 << (minLogN - 1)) < slots {
@@ -297,11 +378,24 @@ func SelectParameters(segments []int, slots int, opts Options) (ckks.ParametersL
 	if opts.ForceLogN != 0 {
 		logN = opts.ForceLogN
 	}
-	most := len(logQ)
-	if !opts.IgnoreSecurity {
-		most = (ckks.MaxLogQP(logN) - chainBits) / specialPrimeBits
+	// special sizes the special modulus of the chain `extra` 60-bit primes
+	// longer than the shortest, and reports whether two special primes
+	// still fit beside it (the shortest chain is taken as it comes).
+	special := func(extra int) (k int, fits bool) {
+		primes, most := len(shortest)+extra, len(shortest)+extra
+		if !opts.IgnoreSecurity {
+			most = (ckks.MaxLogQP(logN) - shortestBits - 60*extra) / specialPrimeBits
+		}
+		return specialPrimes(primes, most), most >= 2 || extra == 0
 	}
-	logP := make([]int, specialPrimes(len(logQ), most))
+	extra := 0
+	if boot != nil {
+		bp := dftStages(opts.Boot, logN, target, special)
+		boot, extra = &bp, bp.C2SStages+bp.S2CStages-2
+	}
+	logQ, chainBits := chain(boot)
+	k, _ := special(extra)
+	logP := make([]int, k)
 	for i := range logP {
 		logP[i] = specialPrimeBits
 	}
@@ -313,9 +407,9 @@ func SelectParameters(segments []int, slots int, opts Options) (ckks.ParametersL
 	}
 	if logN > 17 {
 		logQP := chainBits + len(logP)*specialPrimeBits
-		return lit, 0, fmt.Errorf("ckksir: required LogN %d exceeds the supported maximum 17 (logQP=%d)", logN, logQP)
+		return lit, 0, nil, fmt.Errorf("ckksir: required LogN %d exceeds the supported maximum 17 (logQP=%d)", logN, logQP)
 	}
-	return lit, target, nil
+	return lit, target, boot, nil
 }
 
 // Lower converts a SIHE module into a CKKS module with exact level and
@@ -350,7 +444,7 @@ func Lower(sm *ir.Module, opts Options) (*Result, error) {
 		useBoot = false
 	}
 
-	lit, target, err := SelectParameters(segments, slots, opts)
+	lit, target, boot, err := SelectParameters(segments, slots, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -367,11 +461,7 @@ func Lower(sm *ir.Module, opts Options) (*Result, error) {
 		scale:   math.Exp2(float64(lit.LogScale)),
 		target:  target,
 		useBoot: useBoot,
-	}
-	if useBoot {
-		bp := opts.Boot.WithDefaults()
-		st.bootDepth = bootstrap.CircuitDepth(bp)
-		st.boot = &bp
+		boot:    boot,
 	}
 	mod, err := st.emit(sm, src)
 	if err != nil {
@@ -395,13 +485,12 @@ func Lower(sm *ir.Module, opts Options) (*Result, error) {
 }
 
 type lowerState struct {
-	opts      Options
-	q         []uint64
-	scale     float64
-	target    int
-	useBoot   bool
-	boot      *bootstrap.Parameters
-	bootDepth int
+	opts    Options
+	q       []uint64
+	scale   float64
+	target  int
+	useBoot bool
+	boot    *bootstrap.Parameters
 
 	rotations      map[int]bool
 	rotationLevels map[int]int

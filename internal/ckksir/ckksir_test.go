@@ -88,8 +88,8 @@ func TestLowerCNNWithBootstrapPlacement(t *testing.T) {
 		}
 	}
 	// Chain layout: q0 + target compute levels + circuit levels.
-	if len(res.Literal.LogQ) != 1+res.TargetLevel+12 {
-		t.Fatalf("chain length %d, want %d", len(res.Literal.LogQ), 1+res.TargetLevel+12)
+	if want := 1 + res.TargetLevel + bootstrap.CircuitDepth(*res.Boot); len(res.Literal.LogQ) != want {
+		t.Fatalf("chain length %d, want %d", len(res.Literal.LogQ), want)
 	}
 	// Bootstrap ops must sit at level 0 inputs and target outputs.
 	for _, in := range res.Module.Main().Body {
@@ -128,7 +128,7 @@ func TestAutoModeSwitches(t *testing.T) {
 
 func TestSelectParametersSecurity(t *testing.T) {
 	// Deep chain without IgnoreSecurity must push LogN up.
-	lit, _, err := SelectParameters([]int{20, 20}, 16384, Options{LogScale: 56})
+	lit, _, _, err := SelectParameters([]int{20, 20}, 16384, Options{LogScale: 56})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestSelectParametersSecurity(t *testing.T) {
 		t.Fatalf("LogN %d too small for a %d-level chain", lit.LogN, len(lit.LogQ))
 	}
 	// Slot requirement dominates when security is ignored.
-	lit2, _, err := SelectParameters([]int{2}, 4096, Options{IgnoreSecurity: true})
+	lit2, _, _, err := SelectParameters([]int{2}, 4096, Options{IgnoreSecurity: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestSpecialPrimeSelection(t *testing.T) {
 
 	// A two-prime chain (the gemv and serving workloads) keeps the
 	// literal it always had.
-	lit, _, err := SelectParameters([]int{1}, 512, Options{LogScale: 40, IgnoreSecurity: true})
+	lit, _, _, err := SelectParameters([]int{1}, 512, Options{LogScale: 40, IgnoreSecurity: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestSpecialPrimeSelection(t *testing.T) {
 
 	// A bootstrapped 30-prime chain without the security floor: six
 	// special primes, and the ring degree is still the slot floor.
-	deep, _, err := SelectParameters([]int{16, 16}, 256, Options{LogScale: 40, IgnoreSecurity: true, Boot: bootstrap.Parameters{K: 24, DoubleAngle: 4}})
+	deep, _, _, err := SelectParameters([]int{16, 16}, 256, Options{LogScale: 40, IgnoreSecurity: true, Boot: bootstrap.Parameters{K: 24, DoubleAngle: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestSpecialPrimeSelection(t *testing.T) {
 	// has 152 bits to the bound, no room for a third; the same chain in a
 	// ring forced one size up has room for the balanced count.
 	secure := Options{LogScale: 56, Mode: BootstrapAlways}
-	paper, _, err := SelectParameters([]int{15, 15}, 1<<14, secure)
+	paper, _, _, err := SelectParameters([]int{15, 15}, 1<<14, secure)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,13 +197,94 @@ func TestSpecialPrimeSelection(t *testing.T) {
 		t.Errorf("secure chain: logN %d, %d special primes, %d bits (bound %d)", paper.LogN, len(paper.LogP), bits, ckks.MaxLogQP(16))
 	}
 	secure.ForceLogN = 17
-	roomy, _, err := SelectParameters([]int{15, 15}, 1<<14, secure)
+	roomy, _, _, err := SelectParameters([]int{15, 15}, 1<<14, secure)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if k := len(roomy.LogP); k*k < len(roomy.LogQ) {
 		t.Errorf("roomy ring: %d special primes for %d chain primes", k, len(roomy.LogQ))
 	}
+}
+
+// TestStageSelection pins the DFT stage rule: stages are bought with
+// chain primes where the priced bootstrap gets cheaper by more than the
+// evaluation keys grow, never with a larger ring, and never fewer as the
+// ring grows.
+func TestStageSelection(t *testing.T) {
+	// The benchmark's reduced ResNet-8 (bench/infer.go): CoeffsToSlots in
+	// two stages is worth its prime (30 in all, five digits of six). A
+	// second SlotsToCoeffs stage would cut the bootstrap by a tenth more
+	// and start a sixth digit in every key, a fifth more bytes: not bought.
+	bench := bench0()
+	lit, target, boot, err := SelectParameters([]int{16, 16}, 256, bench)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if boot.C2SStages != 2 || boot.S2CStages != 1 || len(lit.LogQ) != 30 || len(lit.LogP) != 6 || lit.LogN != 9 {
+		t.Errorf("bench chain: stages %d/%d, %d primes, %d special, logN %d; want 2/1, 30, 6, 9",
+			boot.C2SStages, boot.S2CStages, len(lit.LogQ), len(lit.LogP), lit.LogN)
+	}
+	if want := 1 + target + bootstrap.CircuitDepth(*boot); len(lit.LogQ) != want {
+		t.Errorf("bench chain: %d primes for target %d and depth %d", len(lit.LogQ), target, bootstrap.CircuitDepth(*boot))
+	}
+	// A stage count the caller fixes is kept; the other is still chosen.
+	bench.Boot.S2CStages = 2
+	if lit, _, boot, err = SelectParameters([]int{16, 16}, 256, bench); err != nil || boot.C2SStages != 2 || boot.S2CStages != 2 || len(lit.LogQ) != 31 {
+		t.Errorf("fixed S2C: stages %+v, %d primes, err %v; want 2/2, 31", boot, len(lit.LogQ), err)
+	}
+	// Shallow segments leave the keys small next to the circuit, and the
+	// second SlotsToCoeffs stage is worth it in the same ring.
+	if _, _, boot, err = SelectParameters([]int{4, 4}, 256, bench0()); err != nil || boot.C2SStages != 2 || boot.S2CStages != 2 {
+		t.Errorf("4-level segments: stages %+v, err %v; want 2/2", boot, err)
+	}
+
+	// Paper-scale ResNet-20 under the security floor: the shortest chain
+	// (one stage each, 27 primes) needs logN 16 and leaves 94 bits below
+	// the bound — room for CoeffsToSlots' second stage, whose prime stands
+	// where the scale normalisation's stood, and for nothing more.
+	paper := Options{LogQ0: 60, LogScale: 56, Mode: BootstrapAlways, Boot: bootstrap.Parameters{EvalModDegree: 24, DoubleAngle: 2}}
+	lit, _, boot, err = SelectParameters([]int{16, 16}, 1<<14, paper)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lit.LogN != 16 || len(lit.LogQ) != 28 || len(lit.LogP) != 2 || boot.C2SStages != 2 || boot.S2CStages != 1 {
+		t.Errorf("paper chain: logN %d, %d primes, %d special, stages %d/%d; want 16, 28, 2, 2/1",
+			lit.LogN, len(lit.LogQ), len(lit.LogP), boot.C2SStages, boot.S2CStages)
+	}
+	// The same program in a ring forced one size up has the room.
+	paper.ForceLogN = 17
+	_, _, roomy, err := SelectParameters([]int{16, 16}, 1<<14, paper)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if roomy.C2SStages+roomy.S2CStages <= boot.C2SStages+boot.S2CStages {
+		t.Errorf("roomy ring: stages %d/%d, no more than the tight ring's %d/%d", roomy.C2SStages, roomy.S2CStages, boot.C2SStages, boot.S2CStages)
+	}
+
+	// Monotone in the ring: more slots never get fewer stages of either
+	// transform, and a transform is never cut finer than its layers.
+	prev := bootstrap.Parameters{}
+	for logSlots := 1; logSlots <= 15; logSlots++ {
+		lit, _, boot, err := SelectParameters([]int{16, 16}, 1<<logSlots, bench0())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if boot.C2SStages < prev.C2SStages || boot.S2CStages < prev.S2CStages {
+			t.Errorf("%d slots: stages %d/%d after %d/%d for half as many", 1<<logSlots, boot.C2SStages, boot.S2CStages, prev.C2SStages, prev.S2CStages)
+		}
+		if boot.C2SStages > logSlots || boot.S2CStages > logSlots || lit.LogN != logSlots+1 {
+			t.Errorf("%d slots: stages %d/%d at logN %d", 1<<logSlots, boot.C2SStages, boot.S2CStages, lit.LogN)
+		}
+		prev = *boot
+	}
+	if prev.C2SStages < 3 {
+		t.Errorf("32768 slots: only %d CoeffsToSlots stages", prev.C2SStages)
+	}
+}
+
+// bench0 is the benchmark profile's CKKS options with no stage fixed.
+func bench0() Options {
+	return Options{LogScale: 40, IgnoreSecurity: true, Boot: bootstrap.Parameters{K: 24, DoubleAngle: 4}}
 }
 
 func TestExpertSlackRaisesChain(t *testing.T) {

@@ -2,11 +2,15 @@ package codegen
 
 import (
 	"encoding/binary"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"math"
 	"math/rand/v2"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -129,6 +133,72 @@ func TestGenerateCompilesAndRuns(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestGenerateKeepsEveryBootstrapField: the generated program rebuilds
+// its bootstrapper from the bootParams literal alone, so a field of the
+// compiler's choice that the literal drops silently reverts to a default
+// there. Every exported field is set to a value of its own and read back
+// from the parsed source.
+func TestGenerateKeepsEveryBootstrapField(t *testing.T) {
+	m, err := onnx.BuildSmallCNN(onnx.SmallCNNConfig{InputSize: 8, Channels: 2, Classes: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := core.Compile(m, core.Config{
+		SIHE:     sihe.Options{ReLUAlpha: 5, ReLUEps: 0.125},
+		CKKS:     ckksir.Options{Mode: ckksir.BootstrapAlways, IgnoreSecurity: true},
+		SkipPoly: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.CKKS.Boot == nil {
+		t.Fatal("program does not bootstrap")
+	}
+	boot := reflect.ValueOf(c.CKKS.Boot).Elem()
+	want := map[string]string{}
+	for i := 0; i < boot.NumField(); i++ {
+		f := boot.Type().Field(i)
+		if !f.IsExported() {
+			continue
+		}
+		switch f.Type.Kind() {
+		case reflect.Int:
+			boot.Field(i).SetInt(int64(3 + i))
+			want[f.Name] = strconv.Itoa(3 + i)
+		case reflect.Float64:
+			boot.Field(i).SetFloat(7.5 + float64(i))
+			want[f.Name] = strconv.FormatFloat(7.5+float64(i), 'g', -1, 64)
+		default:
+			t.Fatalf("field %s has kind %s: teach this test to set it", f.Name, f.Type.Kind())
+		}
+	}
+
+	dir := t.TempDir()
+	if err := Generate(c, dir); err != nil {
+		t.Fatal(err)
+	}
+	file, err := parser.ParseFile(token.NewFileSet(), filepath.Join(dir, "main.go"), nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]string{}
+	ast.Inspect(file, func(n ast.Node) bool {
+		spec, ok := n.(*ast.ValueSpec)
+		if !ok || spec.Names[0].Name != "bootParams" {
+			return true
+		}
+		lit := spec.Values[0].(*ast.UnaryExpr).X.(*ast.CompositeLit)
+		for _, elt := range lit.Elts {
+			kv := elt.(*ast.KeyValueExpr)
+			got[kv.Key.(*ast.Ident).Name] = kv.Value.(*ast.BasicLit).Value
+		}
+		return false
+	})
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("generated bootParams literal holds %v, compiled program %v", got, want)
 	}
 }
 

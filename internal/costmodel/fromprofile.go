@@ -104,11 +104,11 @@ var pwOps = []string{ckksir.OpAdd, ckksir.OpAddPlain, ckksir.OpMulPlain, ckksir.
 func kernelWork(m *Model, kernel string, l int) float64 {
 	switch kernel {
 	case "poly.decomp_modup":
-		return m.modUpWork(l)
+		return m.work().ModUp(l)
 	case "poly.hw_modmuladd":
-		return m.mulAddWork(l)
+		return m.work().MulAdd(l)
 	case "poly.mod_down":
-		return m.modDownWork(l)
+		return m.work().ModDown(l)
 	}
 	return 0
 }
@@ -287,7 +287,7 @@ func FitSchedule(cal Calibration, geom Geometry, res *ckksir.Result, snap obs.Pr
 		case ckksir.OpPoly:
 			predPoly += m.polyInstrCost(in)
 		case ckksir.OpBootstrap:
-			predBoot += m.bootstrapCost(in.AttrInt("target", 1), in.Result.Type.Len(), bootParams(res))
+			predBoot += m.bootstrapCost(in.AttrInt("target", 1), bootParams(res))
 		}
 	}
 	if meas := snap.OpSecPerRun(ckksir.OpPoly); meas > 0 && predPoly > 0 {

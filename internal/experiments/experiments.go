@@ -21,6 +21,7 @@ import (
 	"antace/internal/core"
 	"antace/internal/costmodel"
 	"antace/internal/dataset"
+	"antace/internal/kswork"
 	"antace/internal/onnx"
 	"antace/internal/sihe"
 	"antace/internal/tensor"
@@ -232,13 +233,16 @@ type Fig7Row struct {
 }
 
 // bootstrapRotationCount estimates the Galois keys the bootstrap circuit
-// needs: BSGS over a dense slots-diagonal transform.
-func bootstrapRotationCount(slots int) int {
-	n1 := 1
-	for n1*n1 < slots {
-		n1 <<= 1
+// needs: baby and giant steps of every DFT stage matrix, as compiled.
+// Stages that share a rotation make it an upper bound.
+func bootstrapRotationCount(res *ckksir.Result) int {
+	c2s, s2c := bootstrap.StageDiagonals(*res.Boot, res.Literal.LogN-1)
+	keys := 0
+	for _, diags := range append(c2s, s2c...) {
+		n1 := kswork.BabySteps(diags)
+		keys += n1 - 1 + (diags+n1-1)/n1 - 1
 	}
-	return n1 + slots/n1
+	return keys
 }
 
 // Figure7 compares server memory (keys + encoded weights + working set).
@@ -260,10 +264,9 @@ func Figure7(w io.Writer, scale Scale, cal costmodel.Calibration) ([]Fig7Row, er
 			if err != nil {
 				return nil, err
 			}
-			slots := 1 << (c.CKKS.Literal.LogN - 1)
 			bootKeys := 0
-			if c.CKKS.Bootstraps > 0 {
-				bootKeys = bootstrapRotationCount(slots)
+			if c.CKKS.Boot != nil {
+				bootKeys = bootstrapRotationCount(c.CKKS)
 			}
 			model := &costmodel.Model{Cal: cal, LogN: c.CKKS.Literal.LogN, Alpha: len(c.CKKS.Literal.LogP), K: len(c.CKKS.Literal.LogP)}
 			// ANT-ACE truncates each key to the level its rotation is used
@@ -293,13 +296,14 @@ type Tab10Row struct {
 	LogN, LogQ0, LogScale int
 	Levels, Bootstraps    int
 	SpecialPrimes         int
+	C2SStages, S2CStages  int // DFT stage matrices per bootstrap transform
 	SecurityOK            bool
 }
 
 // Table10 prints the automatically selected security parameters.
 func Table10(w io.Writer, scale Scale) ([]Tab10Row, error) {
 	fmt.Fprintln(w, "Table 10: security parameters selected automatically")
-	fmt.Fprintf(w, "%-18s %8s %9s %9s %8s %8s %6s\n", "Model", "log2(N)", "log2(Q0)", "log2(D)", "levels", "special", "128bit")
+	fmt.Fprintf(w, "%-18s %8s %9s %9s %8s %8s %10s %6s\n", "Model", "log2(N)", "log2(Q0)", "log2(D)", "levels", "special", "DFT stages", "128bit")
 	var rows []Tab10Row
 	for _, spec := range modelsFor(scale) {
 		m, err := BuildModel(spec, scale)
@@ -317,8 +321,12 @@ func Table10(w io.Writer, scale Scale) ([]Tab10Row, error) {
 			SpecialPrimes: len(lit.LogP),
 			SecurityOK:    scale == ScalePaper,
 		}
+		if b := c.CKKS.Boot; b != nil {
+			row.C2SStages, row.S2CStages = b.C2SStages, b.S2CStages
+		}
 		rows = append(rows, row)
-		fmt.Fprintf(w, "%-18s %8d %9d %9d %8d %8d %6v\n", spec.Name, row.LogN, row.LogQ0, row.LogScale, row.Levels, row.SpecialPrimes, row.SecurityOK)
+		fmt.Fprintf(w, "%-18s %8d %9d %9d %8d %8d %10s %6v\n", spec.Name, row.LogN, row.LogQ0, row.LogScale, row.Levels, row.SpecialPrimes,
+			fmt.Sprintf("%d/%d", row.C2SStages, row.S2CStages), row.SecurityOK)
 		runtime.GC()
 	}
 	return rows, nil

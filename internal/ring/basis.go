@@ -357,3 +357,22 @@ func (be *BasisExtender) pInvModQShoupAt(i int) uint64 { return be.pInvModQShoup
 
 // PModQ returns P mod q_i, used to pre-multiply before key switching.
 func (be *BasisExtender) PModQ(i int) uint64 { return be.pModQ[i] }
+
+// MulByP sets out = P·pQ over their common Q rows. With zero P rows
+// beside it, that is pQ written over the basis Q∪P the way a key switch
+// leaves its result before the division by P, so the two can be summed.
+func (be *BasisExtender) MulByP(pQ, out *Poly) {
+	r := be.rQ
+	l := minLevel(pQ, out)
+	par.For(l+1, r.grainPW, func(start, end int) {
+		for i := start; i < end; i++ {
+			q := r.Moduli[i]
+			s := be.pModQ[i]
+			sp := nt.ShoupPrec(s, q)
+			a, b := pQ.Coeffs[i], out.Coeffs[i]
+			for j := 0; j < r.N; j++ {
+				b[j] = nt.MulModShoup(a[j], s, sp, q)
+			}
+		}
+	})
+}

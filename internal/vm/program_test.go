@@ -84,6 +84,17 @@ func wire(t testing.TB, ct *ckks.Ciphertext) []byte {
 // vecLen is the packed input length a compiled module expects.
 func vecLen(res *ckksir.Result) int { return res.Module.Main().Params[0].Type.Len() }
 
+// stageDiagonals counts the diagonals of every DFT stage matrix the
+// program's bootstrapper holds.
+func stageDiagonals(res *ckksir.Result) int {
+	c2s, s2c := bootstrap.StageDiagonals(*res.Boot, res.Literal.LogN-1)
+	total := 0
+	for _, d := range append(c2s, s2c...) {
+		total += d
+	}
+	return total
+}
+
 // TestEncodeOnceBitIdentical: whether a plaintext comes out of the table
 // (warm), goes into it (cold) or is encoded on every use (zero cap), the
 // output ciphertext is the same, byte for byte.
@@ -180,11 +191,15 @@ func TestEncodeOnceBitIdentical(t *testing.T) {
 				t.Fatalf("zero-cap table reads %+v, want nothing held and %d misses", st, encodes)
 			}
 			if m.Boot != nil {
-				if st := m0.Boot.TableStats(); st.Entries != 0 || st.Hits != 0 {
-					t.Fatalf("zero-cap bootstrap table reads %+v, want nothing held", st)
+				// Every bootstrap refreshes to the same level at the same
+				// scales, so the Q∪P diagonal tables hold each stage's
+				// diagonals once, whatever the number of bootstraps and runs.
+				diags, boots := uint64(stageDiagonals(res)), uint64(res.Bootstraps)
+				if st := m0.Boot.TableStats(); st.Entries != 0 || st.Hits != 0 || st.Misses != diags*boots {
+					t.Fatalf("zero-cap bootstrap table reads %+v, want nothing held and %d misses", st, diags*boots)
 				}
-				if st := m.Boot.TableStats(); st.Hits == 0 || st.Entries == 0 {
-					t.Fatalf("bootstrap table reads %+v after two runs, want hits", st)
+				if st := m.Boot.TableStats(); uint64(st.Entries) != diags || st.Misses != diags || st.Hits != diags*(2*boots-1) {
+					t.Fatalf("bootstrap table reads %+v after two runs of %d bootstraps, want %d stage diagonals encoded once", st, boots, diags)
 				}
 			}
 			if !bytes.Equal(cold, warm) || !bytes.Equal(cold, zero) {
@@ -328,8 +343,8 @@ func TestSharedProgramAndBootstrapper(t *testing.T) {
 	if st.Misses != uint64(st.Entries) {
 		t.Fatalf("program table: %d misses for %d entries — a weight was encoded more than once", st.Misses, st.Entries)
 	}
-	if bs := lead.Boot.TableStats(); bs.Misses != uint64(bs.Entries) || bs.Hits == 0 {
-		t.Fatalf("bootstrap table reads %+v — a diagonal was encoded more than once, or never reused", bs)
+	if bs := lead.Boot.TableStats(); bs.Entries != stageDiagonals(res) || bs.Misses != uint64(bs.Entries) || bs.Hits == 0 {
+		t.Fatalf("bootstrap table reads %+v, want the %d stage diagonals — one was encoded more than once, or never reused", bs, stageDiagonals(res))
 	}
 }
 
