@@ -92,10 +92,10 @@ cluster-membership-chaos:
 	$(GO) test -count=1 -race -run '^$$' -fuzz FuzzMembershipWire -fuzztime 10s ./internal/cluster/
 
 # Calibrated-cost-model autotune: microbenchmark the runtime, enumerate
-# compilation plans (conv split x bootstrap placement) for the reduced
-# ResNet-20 under the calibrated model, then run the hand-picked naive
-# default and the chosen plan for real. Fails if the chosen plan does
-# not beat the default in measured wall-clock or if any per-category
+# compilation plans (bootstrap placement) for the reduced ResNet-20
+# under the calibrated model, then run the hand-picked naive-conv
+# baseline and the chosen plan for real. Fails if the chosen plan does
+# not beat the baseline in measured wall-clock or if any per-category
 # prediction (Conv / Bootstrap / ReLU) strays past 2x of measurement.
 # Writes BENCH_autotune.json.
 autotune:

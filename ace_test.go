@@ -2,11 +2,15 @@ package ace
 
 import (
 	"math"
+	"math/rand/v2"
 	"strings"
 	"testing"
 
+	"antace/internal/ckksir"
 	"antace/internal/onnx"
+	"antace/internal/ring"
 	"antace/internal/tensor"
+	"antace/internal/vm"
 )
 
 func TestFacadeEndToEnd(t *testing.T) {
@@ -56,6 +60,98 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 }
 
+// TestEncryptedProjectionBlockAndGemm runs the layers whose rotation
+// structure the derived baby/giant split changed most — a stride-2 1x1
+// projection shortcut beside a stride-2 3x3 convolution, a convolution
+// over the multiplexed layout they produce, and a final Gemm — encrypted
+// under seeded keys, against the cleartext evaluators.
+func TestEncryptedProjectionBlockAndGemm(t *testing.T) {
+	rng := rand.New(rand.NewPCG(19, 7))
+	weight := func(shape ...int) *tensor.Tensor {
+		w := tensor.New(shape...)
+		for i := range w.Data {
+			w.Data[i] = rng.NormFloat64() * 0.3
+		}
+		return w
+	}
+	b := onnx.NewBuilder("projection_block")
+	x := b.Input("image", 1, 2, 8, 8)
+	y := b.Conv(x, b.Weight("conv1.w", weight(4, 2, 3, 3)), b.Weight("conv1.b", weight(4)), 2, 1)
+	sc := b.Conv(x, b.Weight("proj.w", weight(4, 2, 1, 1)), "", 2, 0)
+	y = b.Conv(b.Add(y, sc), b.Weight("conv2.w", weight(4, 4, 3, 3)), "", 1, 1)
+	y = b.Flatten(b.GlobalAveragePool(y))
+	b.Output(b.Gemm(y, b.Weight("fc.w", weight(3, 4)), b.Weight("fc.b", weight(3))), 1, 3)
+	model := b.Model()
+	if err := model.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	prog, err := Compile(model, TestProfile())
+	if err != nil {
+		t.Fatal(err)
+	}
+	machine, client, err := vm.New(prog.CKKS, prog.VectorLen(), ring.SeedFromInt(19))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt := &Runtime{prog: prog, machine: machine, client: client}
+	image := tensor.New(1, 2, 8, 8)
+	for i := range image.Data {
+		image.Data[i] = rng.Float64()*2 - 1
+	}
+	enc, err := rt.Infer(image)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := InferPlain(prog, image)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim, err := InferSim(prog, image)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range plain.Data {
+		if math.Abs(enc.Data[i]-plain.Data[i]) > 1e-3 {
+			t.Fatalf("output %d: encrypted %g vs plaintext %g", i, enc.Data[i], plain.Data[i])
+		}
+		if math.Abs(sim.Data[i]-plain.Data[i]) > 1e-9 {
+			t.Fatalf("output %d: simulator %g vs plaintext %g", i, sim.Data[i], plain.Data[i])
+		}
+	}
+}
+
+// TestDerivedSplitRotationCounts pins the rotation counts the derived
+// baby/giant split was introduced for, on the benchmark's two models.
+func TestDerivedSplitRotationCounts(t *testing.T) {
+	gemv, err := onnx.BuildLinear(512, 10, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resnet8, err := onnx.BuildResNet(onnx.ResNetConfig{Depth: 8, InputSize: 8, BaseChannels: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		model *Model
+		most  int
+	}{{"512x10 gemv", gemv, 46}, {"reduced ResNet-8", resnet8, 150}} {
+		prog, err := Compile(tc.model, TestProfile())
+		if err != nil {
+			t.Fatal(err)
+		}
+		rotations := 0
+		for _, in := range prog.CKKS.Module.Main().Body {
+			if in.Op == ckksir.OpRotate {
+				rotations++
+			}
+		}
+		if rotations > tc.most {
+			t.Errorf("%s: %d rotations, want at most %d", tc.name, rotations, tc.most)
+		}
+	}
+}
+
 func TestFacadeONNXFileRoundTrip(t *testing.T) {
 	model, _ := onnx.BuildSmallCNN(onnx.SmallCNNConfig{})
 	path := t.TempDir() + "/m.onnx"
@@ -81,6 +177,7 @@ func TestPaperProfileSelectsSecureParameters(t *testing.T) {
 	}
 	cfg := PaperProfile()
 	cfg.SkipPoly = true
+	cfg.Vec.AnalysisOnly = true
 	prog, err := Compile(model, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -93,5 +190,10 @@ func TestPaperProfileSelectsSecureParameters(t *testing.T) {
 	// bound at logN 16: a third would cost a ring degree, so there is none.
 	if len(lit.LogP) != 2 {
 		t.Fatalf("paper-scale ResNet-20 got %d special primes, want 2", len(lit.LogP))
+	}
+	// Figure 7's driver: the program's own rotation keys (bootstrapping
+	// adds its stage keys on top).
+	if keys := len(prog.CKKS.Rotations); keys > 200 {
+		t.Fatalf("paper-scale ResNet-20 needs %d program rotation keys, want at most 200", keys)
 	}
 }

@@ -226,7 +226,7 @@ func BenchmarkCheckpointOverheadResNet20(b *testing.B) {
 
 // --- Ablations (DESIGN.md) ----------------------------------------------
 
-// Ablation 1: cross-channel rotation sharing vs naive conv lowering.
+// Ablation 1: derived baby/giant split vs naive conv lowering.
 func BenchmarkAblationConvRotationSharing(b *testing.B) {
 	m, _ := onnx.BuildResNet(onnx.ResNetConfig{Depth: 8, InputSize: 8, BaseChannels: 4, Classes: 10})
 	for i := 0; i < b.N; i++ {

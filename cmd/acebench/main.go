@@ -34,7 +34,7 @@ func main() {
 	resnetImages := flag.Int("resnet-images", 50, "Table 11: images for the ResNet agreement runs")
 	calibrate := flag.Bool("calibrate", true, "microbenchmark the runtime for the cost model")
 	calibrateFrom := flag.String("calibrate-from", "", "base URL of a live aced: recalibrate the cost model from its /v1/profilez aggregates and print the fit")
-	autotune := flag.Bool("autotune", false, "calibrate, enumerate compilation plans for the reduced ResNet-20, measure chosen vs default and write -autotune-out")
+	autotune := flag.Bool("autotune", false, "calibrate, enumerate compilation plans for the reduced ResNet-20, measure chosen vs the naive-conv baseline and write -autotune-out")
 	autotuneOut := flag.String("autotune-out", "BENCH_autotune.json", "autotune mode: file the report is written to")
 	profileOps := flag.Bool("profile-ops", false, "compile the demo model, run one encrypted inference and print the measured per-opcode profile (Figure 6's measured analogue)")
 	load := flag.String("load", "", "base URL of a live aced: run the concurrent-client load generator instead of the paper artifacts")

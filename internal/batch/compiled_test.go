@@ -13,8 +13,8 @@ import (
 // TestCompiledModelSimDifferential runs the bit-identity differential on
 // a real compiler artifact (the demo linear classifier) instead of a
 // hand-written module, so the transform is exercised against everything
-// the lowering pipeline actually emits — vecir masks, the rotation
-// reduction tree, ReLU polynomial segments, scale management.
+// the lowering pipeline actually emits — vecir masks, the baby and giant
+// rotations of the derived split, scale management.
 func TestCompiledModelSimDifferential(t *testing.T) {
 	model, err := onnx.BuildLinear(64, 10, 42)
 	if err != nil {
@@ -30,6 +30,11 @@ func TestCompiledModelSimDifferential(t *testing.T) {
 	}
 	mod := prog.CKKS.Module
 	l := prog.VectorLen()
+	// A 64-wide gemv splits into at most 16 baby and giant rotations; 63
+	// would be the naive one-rotation-per-diagonal program.
+	if n := len(prog.CKKS.Rotations); n == 0 || n > 16 {
+		t.Fatalf("gemv compiled to %d rotation amounts, want a baby/giant split of at most 16", n)
+	}
 	stride := 4
 	bm, err := Transform(mod, stride)
 	if err != nil {

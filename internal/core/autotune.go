@@ -6,22 +6,22 @@ import (
 
 	"antace/internal/ckksir"
 	"antace/internal/costmodel"
+	"antace/internal/ir"
 	"antace/internal/onnx"
 	"antace/internal/vecir"
 )
 
-// Plan is one point in the compilation search space the auto-layout
-// search enumerates: a BSGS convolution split crossed with a bootstrap
-// placement policy. The per-plan knobs are the ones the paper leaves to
-// the expert; everything else (levels, scales, keys) the compiler
-// already derives.
+// Plan is one point in the compilation search space the plan search
+// enumerates: a bootstrap placement policy, the knob the paper leaves to
+// the expert. Everything else (the baby/giant split of every linear
+// layer, levels, scales, keys) the compiler already derives.
 type Plan struct {
-	Conv vecir.ConvMode       `json:"-"`
 	Boot ckksir.BootstrapMode `json:"-"`
 }
 
-func bootModeName(m ckksir.BootstrapMode) string {
-	switch m {
+// Name is the plan's stable identifier in reports and benchmarks.
+func (p Plan) Name() string {
+	switch p.Boot {
 	case ckksir.BootstrapNever:
 		return "boot-never"
 	case ckksir.BootstrapAlways:
@@ -30,22 +30,14 @@ func bootModeName(m ckksir.BootstrapMode) string {
 	return "boot-auto"
 }
 
-// Name is the plan's stable identifier in reports and benchmarks.
-func (p Plan) Name() string { return p.Conv.String() + "/" + bootModeName(p.Boot) }
-
-// EnumeratePlans lists the candidate plans: every convolution split
-// crossed with every bootstrap policy. The default (hand-picked) plan —
-// channel-giant babies with the caller's bootstrap mode — is always
-// first, so reports can show chosen-vs-default at a glance.
+// EnumeratePlans lists the candidate plans, one per bootstrap policy.
+// The default plan — the caller's bootstrap mode — is always first, so
+// reports can show chosen-vs-default at a glance.
 func EnumeratePlans(defaultBoot ckksir.BootstrapMode) []Plan {
-	plans := []Plan{{Conv: vecir.ConvChannelGiant, Boot: defaultBoot}}
+	plans := []Plan{{Boot: defaultBoot}}
 	for _, bm := range []ckksir.BootstrapMode{ckksir.BootstrapAlways, ckksir.BootstrapAuto, ckksir.BootstrapNever} {
-		for _, cm := range vecir.ConvModes() {
-			p := Plan{Conv: cm, Boot: bm}
-			if p == plans[0] {
-				continue
-			}
-			plans = append(plans, p)
+		if bm != defaultBoot {
+			plans = append(plans, Plan{Boot: bm})
 		}
 	}
 	return plans
@@ -77,33 +69,43 @@ type PlanReport struct {
 }
 
 // CompileAuto runs the plan search: it compiles every candidate plan,
-// prices each schedule under the calibrated cost model, and commits to
-// the cheapest. cfg supplies every non-searched option; cfg.Vec.Conv and
-// cfg.CKKS.Mode give the default plan the search is measured against.
+// prices each distinct schedule under the calibrated cost model, and
+// commits to the cheapest. cfg supplies every non-searched option;
+// cfg.CKKS.Mode gives the default plan the search is measured against.
+// Plans that compile to the same schedule (boot-auto is always one of
+// the other two) are priced once and share one row, named after all of
+// them. Same schedule means equal ir.Fingerprint and equal bootstrap
+// count: the fingerprint does not hash attributes, and on this axis the
+// bootstrap count is what every level, scale and chain prime follows
+// from.
 // Candidates that fail to compile (e.g. BootstrapNever overflowing the
 // modulus chain at full scale) are recorded and skipped rather than
 // aborting the search.
 func CompileAuto(model *onnx.Model, cfg Config, cal costmodel.Calibration) (*Compiled, *PlanReport, error) {
-	defaultPlan := Plan{Conv: cfg.Vec.Conv, Boot: cfg.CKKS.Mode}
-	report := &PlanReport{DefaultPlan: defaultPlan.Name(), CalibrationSrc: cal.Source}
-
-	type candidate struct {
-		plan Plan
-		c    *Compiled
-		cost float64
+	report := &PlanReport{CalibrationSrc: cal.Source}
+	var best *Compiled
+	chosen := -1
+	type schedule struct {
+		fingerprint uint64
+		bootstraps  int
 	}
-	var best *candidate
-	for _, p := range EnumeratePlans(cfg.CKKS.Mode) {
+	rowOf := map[schedule]int{} // index in report.Candidates
+	for i, p := range EnumeratePlans(cfg.CKKS.Mode) {
 		pcfg := cfg
-		pcfg.Vec.Conv = p.Conv
 		pcfg.CKKS.Mode = p.Boot
-		pc := PlanCost{Plan: p.Name(), Default: p == defaultPlan}
+		pc := PlanCost{Plan: p.Name(), Default: i == 0}
 		c, err := Compile(model, pcfg)
 		if err != nil {
 			pc.Err = err.Error()
 			report.Candidates = append(report.Candidates, pc)
 			continue
 		}
+		sched := schedule{ir.Fingerprint(c.CKKS.Module.Main()), c.CKKS.Bootstraps}
+		if row, seen := rowOf[sched]; seen {
+			report.Candidates[row].Plan += "=" + pc.Plan
+			continue
+		}
+		rowOf[sched] = len(report.Candidates)
 		m := costmodel.GeometryOf(c.CKKS).Model(cal)
 		pc.PredictedSec = m.InferenceCost(c.CKKS).Total()
 		pc.LogN = c.CKKS.Literal.LogN
@@ -111,20 +113,19 @@ func CompileAuto(model *onnx.Model, cfg Config, cal costmodel.Calibration) (*Com
 		pc.Bootstraps = c.CKKS.Bootstraps
 		pc.Rotations = vecir.Analyze(c.Vec.Module.Main()).Rotations
 		report.Candidates = append(report.Candidates, pc)
-		if best == nil || pc.PredictedSec < best.cost {
-			best = &candidate{plan: p, c: c, cost: pc.PredictedSec}
+		if best == nil || pc.PredictedSec < report.Candidates[chosen].PredictedSec {
+			best, chosen = c, len(report.Candidates)-1
 		}
 	}
 	if best == nil {
 		return nil, report, fmt.Errorf("core: no candidate plan compiled")
 	}
-	report.ChosenPlan = best.plan.Name()
-	for i := range report.Candidates {
-		pc := &report.Candidates[i]
-		pc.Chosen = pc.Plan == report.ChosenPlan && pc.Err == ""
-		if pc.Default && pc.Err == "" && best.cost > 0 {
-			report.PredictedSpeedup = pc.PredictedSec / best.cost
-		}
+	report.Candidates[chosen].Chosen = true
+	report.ChosenPlan = report.Candidates[chosen].Plan
+	// The default plan is enumerated first, so it heads its row.
+	report.DefaultPlan = report.Candidates[0].Plan
+	if def := report.Candidates[0]; def.Err == "" && report.Candidates[chosen].PredictedSec > 0 {
+		report.PredictedSpeedup = def.PredictedSec / report.Candidates[chosen].PredictedSec
 	}
 	sort.SliceStable(report.Candidates, func(i, j int) bool {
 		a, b := report.Candidates[i], report.Candidates[j]
@@ -133,5 +134,5 @@ func CompileAuto(model *onnx.Model, cfg Config, cal costmodel.Calibration) (*Com
 		}
 		return a.PredictedSec < b.PredictedSec
 	})
-	return best.c, report, nil
+	return best, report, nil
 }

@@ -7,7 +7,6 @@ import (
 	"antace/internal/costmodel"
 	"antace/internal/onnx"
 	"antace/internal/sihe"
-	"antace/internal/vecir"
 )
 
 func TestCompileAuto(t *testing.T) {
@@ -27,8 +26,10 @@ func TestCompileAuto(t *testing.T) {
 	if chosen == nil || chosen.CKKS == nil {
 		t.Fatal("no compiled program returned")
 	}
-	if len(report.Candidates) < 4 {
-		t.Fatalf("only %d candidates enumerated", len(report.Candidates))
+	// Three bootstrap policies, two schedules: this model is deep enough
+	// that boot-auto bootstraps, so it is boot-always and shares its row.
+	if len(report.Candidates) != 2 || report.DefaultPlan != "boot-always=boot-auto" {
+		t.Fatalf("%d rows, default plan %q; want 2 rows and boot-always=boot-auto", len(report.Candidates), report.DefaultPlan)
 	}
 	var sawChosen, sawDefault bool
 	var chosenCost, defaultCost float64
@@ -76,24 +77,34 @@ func TestCompileAuto(t *testing.T) {
 	}
 }
 
-// TestCompileAutoNaiveDefaultPlan: the caller's Conv choice names the
-// default plan the search is measured against.
-func TestCompileAutoNaiveDefaultPlan(t *testing.T) {
+// TestCompileAutoDefaultPlan: the caller's bootstrap mode names the
+// default plan the search is measured against, and a policy that
+// compiles to the default's schedule joins its row.
+func TestCompileAutoDefaultPlan(t *testing.T) {
 	m, err := onnx.BuildSmallCNN(onnx.SmallCNNConfig{InputSize: 8, Channels: 2, Classes: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := Config{
 		SIHE:     sihe.Options{ReLUAlpha: 5, ReLUEps: 0.125},
-		CKKS:     ckksir.Options{Mode: ckksir.BootstrapAlways, IgnoreSecurity: true},
+		CKKS:     ckksir.Options{Mode: ckksir.BootstrapNever, IgnoreSecurity: true, MaxNoBootstrapDepth: 1 << 10},
 		SkipPoly: true,
 	}
-	cfg.Vec.Conv = vecir.ConvNaive
 	_, report, err := CompileAuto(m, cfg, costmodel.DefaultCalibration())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if report.DefaultPlan != "naive/boot-always" {
-		t.Fatalf("default plan %q, want naive/boot-always", report.DefaultPlan)
+	if report.DefaultPlan != "boot-never=boot-auto" {
+		t.Fatalf("default plan %q, want boot-never=boot-auto", report.DefaultPlan)
+	}
+	var rows []string
+	for _, pc := range report.Candidates {
+		rows = append(rows, pc.Plan)
+		if pc.Default != (pc.Plan == report.DefaultPlan) {
+			t.Errorf("row %s: default flag %v", pc.Plan, pc.Default)
+		}
+	}
+	if len(rows) != 2 {
+		t.Fatalf("rows %v, want the default's and boot-always", rows)
 	}
 }

@@ -7,7 +7,9 @@
 package ir
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"sort"
 	"strings"
 	"sync"
@@ -292,4 +294,37 @@ func SortedAttrKeys(attrs map[string]any) []string {
 	}
 	sort.Strings(keys)
 	return keys
+}
+
+// Fingerprint hashes a function's instruction stream — ops, value
+// numbering, parameter list — so that a runtime snapshot is bound to
+// the program it was taken against and repeated compiles can be checked
+// to agree. No attribute is hashed, neither payloads (weights: hashing
+// them on each checkpoint would dominate the checkpoint cost) nor
+// scalars (roll amounts, levels, scales), so two functions that differ
+// only in attributes collide: a caller comparing compiles made under
+// different options must compare what those options change as well.
+func Fingerprint(f *Func) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	word := func(v uint64) {
+		binary.LittleEndian.PutUint64(b[:], v)
+		h.Write(b[:])
+	}
+	word(uint64(len(f.Params)))
+	for _, p := range f.Params {
+		word(uint64(p.ID))
+	}
+	for _, in := range f.Body {
+		h.Write([]byte(in.Op))
+		word(uint64(in.Result.ID))
+		word(uint64(len(in.Args)))
+		for _, a := range in.Args {
+			word(uint64(a.ID))
+		}
+	}
+	if f.Ret != nil {
+		word(uint64(f.Ret.ID))
+	}
+	return h.Sum64()
 }

@@ -2,12 +2,12 @@
 // one-dimensional slot vectors using the multiplexed packed layout of
 // Lee et al. [35] (channels distributed over blocks and stride phases of
 // a fixed base grid), and the NN operators become rotate/multiply/add
-// programs. Convolutions use a two-level baby-step/giant-step structure:
-// K^2 spatial "baby" rotations shared across all channel pairs, and one
-// "giant" rotation per channel diagonal (plus carry variants), which is
-// the cross-channel rotation sharing the paper credits for its Conv
-// speedups. A naive single-level mode is kept for the Expert baseline
-// and ablation benchmarks.
+// programs. A linear layer (convolution, pooling, Gemm) is a set of
+// diagonals, one mask per total slot offset, evaluated baby-step/
+// giant-step with a split derived from the offset set per layer
+// (bsgsModulus) — the rotation sharing the paper credits for its Conv
+// speedups. The split's M = L point, one rotation per diagonal, is kept
+// as ConvNaive for the Expert baseline and ablation benchmarks.
 package vecir
 
 import (

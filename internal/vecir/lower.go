@@ -29,50 +29,28 @@ func init() {
 	ir.RegisterOp(ir.OpSpec{Name: OpNonlinear, Args: [][]ir.Kind{V}, Result: ir.KindVector, RequiredAttrs: []string{"kind", "bound"}})
 }
 
-// ConvMode selects where the BSGS convolution structure splits each
-// weight offset into a shared baby rotation and a per-diagonal giant
-// rotation. The decomposition rv + sj = channel displacement + spatial
-// offset is algebraically symmetric, so either component can play
-// either role; the two-level modes trade which rotations are shared
-// across diagonals (babies, hoisted on the layer input) against which
-// are issued once per accumulated diagonal (giants). The plan
-// enumerator in internal/core compiles a candidate per mode and ranks
-// them under the calibrated cost model.
+// ConvMode selects how a linear layer's diagonals are rotated into
+// place. There is one lowering; the modes are two points of its split
+// modulus (see bsgsModulus).
 type ConvMode int
 
 const (
-	// ConvChannelGiant is the default two-level structure: spatial
-	// offsets are the shared baby rotations, cross-channel diagonal
-	// displacements the giant rotations.
-	ConvChannelGiant ConvMode = iota
-	// ConvSpatialGiant swaps the roles: channel displacements become the
-	// shared babies, spatial offsets the giants.
-	ConvSpatialGiant
-	// ConvNaive folds both components into one rotation per distinct
+	// ConvBSGS derives the baby/giant split of each layer's offset set
+	// (the default).
+	ConvBSGS ConvMode = iota
+	// ConvNaive issues one rotation of the layer input per distinct
 	// total offset, as a hand-written implementation without diagonal
-	// grouping would issue — the Expert baseline's structure.
+	// grouping would — the split at M = L, kept as the Expert, ablation
+	// and autotune baseline.
 	ConvNaive
 )
-
-func (m ConvMode) String() string {
-	switch m {
-	case ConvSpatialGiant:
-		return "spatial-giant"
-	case ConvNaive:
-		return "naive"
-	}
-	return "channel-giant"
-}
-
-// ConvModes lists every enumerable convolution structure.
-func ConvModes() []ConvMode { return []ConvMode{ConvChannelGiant, ConvSpatialGiant, ConvNaive} }
 
 // Options configures the lowering.
 type Options struct {
 	// VectorLen forces the slot-vector length (0 selects the smallest
 	// power of two that fits the widest layer).
 	VectorLen int
-	// Conv selects the BSGS split point of the convolution lowering.
+	// Conv selects the derived baby/giant split or the naive baseline.
 	Conv ConvMode
 	// DefaultReLUBound bounds |x| at ReLU inputs when no calibrated
 	// bound attribute is present on the nn.relu instruction.
@@ -367,114 +345,99 @@ func (lw *lowering) mul(a, b *ir.Value) *ir.Value {
 
 // emitConv lowers a convolution (stride s, pad p) from layout li to lo.
 // Weights are OIHW; the input's pending gain is divided out.
+//
+// The layer is a set of diagonals: out[s] = Σ_t W_t[s]·x[s+t], one mask
+// W_t per total slot offset t (channel displacement + spatial offset;
+// taps that land on the same t share its mask). Each t is evaluated as a
+// baby rotation b of the input and a giant rotation g of the masked sum,
+// b + g ≡ t, with the split derived from the offset set by bsgsModulus.
 func (lw *lowering) emitConv(x *ir.Value, li, lo *Layout, w, bias *tensor.Tensor, stride, pad int) (*ir.Value, error) {
 	cOut, cIn, kh, kw := w.Shape[0], w.Shape[1], w.Shape[2], w.Shape[3]
 	if cIn > li.C {
 		return nil, fmt.Errorf("vecir: conv consumes %d channels, layout has %d", cIn, li.C)
 	}
-	mod := func(v int) int {
-		v %= lw.l
-		if v < 0 {
-			v += lw.l
+	// valid returns the output positions whose input under kernel index
+	// k lies inside the image; a tap with none contributes no diagonal.
+	valid := func(k, nOut, nIn int) (from, to int) {
+		d := k - pad
+		for from = 0; from < nOut && from*stride+d < 0; from++ {
 		}
-		return v
+		for to = nOut; to > from && (to-1)*stride+d >= nIn; to-- {
+		}
+		return from, to
 	}
-	// masks[rv][sj] accumulates weights at (output slot + rv).
-	masks := map[int]map[int][]float64{}
-	addMask := func(rv, sj, slot int, v float64) {
-		inner, ok := masks[rv]
-		if !ok {
-			inner = map[int][]float64{}
-			masks[rv] = inner
-		}
-		m, ok := inner[sj]
-		if !ok {
-			m = make([]float64, lw.l)
-			inner[sj] = m
-		}
-		m[slot] += v
+	// A tap is one non-zero weight: its total offset, weight and output
+	// pixel range depend on (co, ci, ky, kx) only, never on the pixel.
+	type tap struct {
+		t, base        int // total offset; slot of output pixel (co, 0, 0)
+		y0, y1, x0, x1 int
+		w              float64
 	}
+	var taps []tap
+	masks := map[int][]float64{}
 	for co := 0; co < cOut; co++ {
-		bo, pyo, pxo := lo.phase(co)
+		base := lo.Slot(co, 0, 0)
 		for ci := 0; ci < cIn; ci++ {
-			bi, pyi, pxi := li.phase(ci)
-			rvRaw := (bi-bo)*li.H0*li.W0 + (pyi-pyo)*li.W0 + pxi - pxo
 			for ky := 0; ky < kh; ky++ {
-				dy := ky - pad
-				for kx := 0; kx < kw; kx++ {
-					dx := kx - pad
+				y0, y1 := valid(ky, lo.H, li.H)
+				for kx := 0; kx < kw && y0 < y1; kx++ {
+					x0, x1 := valid(kx, lo.W, li.W)
 					wv := w.At(co, ci, ky, kx) / li.Gain
-					if wv == 0 {
+					if wv == 0 || x0 == x1 {
 						continue
 					}
-					sjRaw := dy*li.Sy*li.W0 + dx*li.Sx
-					var rv, sj int
-					switch lw.opts.Conv {
-					case ConvSpatialGiant:
-						// Swapped split: channel displacements become the
-						// shared babies, spatial offsets the giants. The
-						// roll identity only needs rv+sj ≡ rvRaw+sjRaw
-						// (mod l), so the assignment of components to
-						// roles is free.
-						rv, sj = mod(sjRaw), mod(rvRaw)
-					case ConvNaive:
-						// One rotation per total offset: fold the channel
-						// displacement into the spatial one.
-						rv, sj = 0, mod(rvRaw+sjRaw)
-					default:
-						rv, sj = mod(rvRaw), mod(sjRaw)
-					}
-					for yo := 0; yo < lo.H; yo++ {
-						iy := yo*stride + dy
-						if iy < 0 || iy >= li.H {
-							continue
-						}
-						for xo := 0; xo < lo.W; xo++ {
-							ix := xo*stride + dx
-							if ix < 0 || ix >= li.W {
-								continue
-							}
-							addMask(rv, sj, mod(lo.Slot(co, yo, xo)+rv), wv)
-						}
+					t := offset(li, ci, ky-pad, kx-pad, lo, co)
+					taps = append(taps, tap{t, base, y0, y1, x0, x1, wv})
+					if masks[t] == nil {
+						masks[t] = make([]float64, lw.l)
 					}
 				}
 			}
 		}
 	}
-
-	// Emit: baby rotations shared across all diagonals.
-	sjSet := map[int]bool{}
-	for _, inner := range masks {
-		for sj := range inner {
-			sjSet[sj] = true
-		}
-	}
-	babies := map[int]*ir.Value{}
-	for _, sj := range sortedKeys(sjSet) {
-		babies[sj] = lw.roll(x, sj)
-	}
-	rvs := make([]int, 0, len(masks))
-	for rv := range masks {
-		rvs = append(rvs, rv)
-	}
-	sort.Ints(rvs)
-	var acc *ir.Value
-	for _, rv := range rvs {
-		inner := masks[rv]
-		var sum *ir.Value
-		for _, sj := range sortedMapKeys(inner) {
-			m := lw.constVec(fmt.Sprintf("mask_r%d_s%d", rv, sj), inner[sj])
-			sum = lw.add(sum, lw.mul(babies[sj], m))
-		}
-		if rv != 0 {
-			// Masks were laid out at (output slot + rv); the giant
-			// rotation brings them home: roll(v, rv)[s] = v[s+rv].
-			sum = lw.roll(sum, rv)
-		}
-		acc = lw.add(acc, sum)
-	}
-	if acc == nil {
+	if len(taps) == 0 {
 		return nil, fmt.Errorf("vecir: convolution with all-zero weights")
+	}
+	// The offset set alone decides the split.
+	offsets := sortedKeys(masks)
+	m := lw.l
+	if lw.opts.Conv != ConvNaive {
+		m = bsgsModulus(offsets, lw.l)
+	}
+	// Fill each mask where its giant rotation will pick it up, at
+	// (output slot + g): roll(v, g)[s] = v[s+g].
+	for _, tp := range taps {
+		mask := masks[tp.t]
+		_, g := bsgsSplit(tp.t, m, lw.l)
+		for yo := tp.y0; yo < tp.y1; yo++ {
+			row := tp.base + g + yo*lo.Sy*lo.W0
+			for xo := tp.x0; xo < tp.x1; xo++ {
+				mask[(row+xo*lo.Sx)%lw.l] += tp.w
+			}
+		}
+	}
+
+	// Emit: baby rotations shared by every giant group, then one masked
+	// inner sum and one giant rotation per group.
+	groups := map[int][]int{} // g -> its offsets, ascending
+	babies := map[int]*ir.Value{}
+	for _, t := range offsets {
+		b, g := bsgsSplit(t, m, lw.l)
+		groups[g] = append(groups[g], t)
+		babies[b] = nil
+	}
+	for _, b := range sortedKeys(babies) {
+		babies[b] = lw.roll(x, b)
+	}
+	var acc *ir.Value
+	for _, g := range sortedKeys(groups) {
+		var sum *ir.Value
+		for _, t := range groups[g] {
+			b, _ := bsgsSplit(t, m, lw.l)
+			mask := lw.constVec(fmt.Sprintf("mask_r%d_s%d", g, b), masks[t])
+			sum = lw.add(sum, lw.mul(babies[b], mask))
+		}
+		acc = lw.add(acc, lw.roll(sum, g))
 	}
 	if bias != nil {
 		bv := make([]float64, lw.l)
@@ -490,16 +453,46 @@ func (lw *lowering) emitConv(x *ir.Value, li, lo *Layout, w, bias *tensor.Tensor
 	return acc, nil
 }
 
-func sortedKeys(m map[int]bool) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Ints(out)
-	return out
+// bsgsSplit decomposes total offset t under modulus m into the baby
+// b = centred residue of t mod m and the giant g = t - b, both reduced
+// mod l. The roll identity only needs b + g ≡ t (mod l).
+func bsgsSplit(t, m, l int) (b, g int) {
+	b = (t+m/2)%m - m/2
+	return ((b % l) + l) % l, (((t - b) % l) + l) % l
 }
 
-func sortedMapKeys(m map[int][]float64) []int {
+// bsgsRotations counts the non-zero rotations modulus m issues for an
+// offset set: distinct babies plus distinct giants.
+func bsgsRotations(offsets []int, m, l int) int {
+	babies, giants := map[int]bool{}, map[int]bool{}
+	for _, t := range offsets {
+		b, g := bsgsSplit(t, m, l)
+		babies[b], giants[g] = true, true
+	}
+	delete(babies, 0)
+	delete(giants, 0)
+	return len(babies) + len(giants)
+}
+
+// bsgsModulus derives a layer's baby/giant split from its offset set
+// (each in [0, l)): among the power-of-two moduli M ≤ l it returns the
+// one whose split issues the fewest rotations, the larger M on a tie
+// (more rotations of the layer input itself, which layers reading the
+// same value share). M = 1 is all giants, M = l all babies — what
+// ConvNaive forces. Rotation count is the price at this level: the ring
+// is not chosen yet and the runtime executes a baby and a giant as the
+// same key switch.
+func bsgsModulus(offsets []int, l int) int {
+	best, bestRot := 1, bsgsRotations(offsets, 1, l)
+	for m := 2; m <= l; m <<= 1 {
+		if r := bsgsRotations(offsets, m, l); r <= bestRot {
+			best, bestRot = m, r
+		}
+	}
+	return best
+}
+
+func sortedKeys[V any](m map[int]V) []int {
 	out := make([]int, 0, len(m))
 	for k := range m {
 		out = append(out, k)

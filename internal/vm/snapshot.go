@@ -3,7 +3,6 @@ package vm
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"time"
 
 	"antace/internal/ckks"
@@ -60,36 +59,9 @@ func newExecState(p *Program) *execState {
 
 const snapMagic = "ACEVMS1\n"
 
-// Fingerprint hashes a function's instruction stream — ops, value
-// numbering, parameter list — so snapshots are bound to the exact
-// program they were taken against. Attribute payloads (weights) are
-// excluded: the compiler derives value numbering and ops from them
-// deterministically, and hashing every weight on each checkpoint would
-// dominate the checkpoint cost.
-func Fingerprint(f *ir.Func) uint64 {
-	h := fnv.New64a()
-	var b [8]byte
-	word := func(v uint64) {
-		binary.LittleEndian.PutUint64(b[:], v)
-		h.Write(b[:])
-	}
-	word(uint64(len(f.Params)))
-	for _, p := range f.Params {
-		word(uint64(p.ID))
-	}
-	for _, in := range f.Body {
-		h.Write([]byte(in.Op))
-		word(uint64(in.Result.ID))
-		word(uint64(len(in.Args)))
-		for _, a := range in.Args {
-			word(uint64(a.ID))
-		}
-	}
-	if f.Ret != nil {
-		word(uint64(f.Ret.ID))
-	}
-	return h.Sum64()
-}
+// Fingerprint is ir.Fingerprint, the hash snapshots are bound to their
+// program by (the repository's benchmark reads it under this name).
+func Fingerprint(f *ir.Func) uint64 { return ir.Fingerprint(f) }
 
 // marshalState serializes a paused execution: magic, program
 // fingerprint, pc, then each live ciphertext register as (value ID,
