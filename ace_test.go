@@ -3,10 +3,13 @@ package ace
 import (
 	"math"
 	"math/rand/v2"
+	"reflect"
 	"strings"
 	"testing"
 
+	"antace/internal/bootstrap"
 	"antace/internal/ckksir"
+	"antace/internal/obs"
 	"antace/internal/onnx"
 	"antace/internal/ring"
 	"antace/internal/tensor"
@@ -120,6 +123,65 @@ func TestEncryptedProjectionBlockAndGemm(t *testing.T) {
 	}
 }
 
+// TestCompilerAndRuntimeAgreeOnLevels runs the reduced ResNet-8 encrypted
+// under the benchmark's profile (bench/infer.go) and under the test
+// profile's defaults. The compiler, which takes every polynomial stage and
+// the bootstrap circuit at the depth of their evaluation plans, and the
+// runtime, which executes those plans, must agree on the level of every
+// ckks.poly and ckks.bootstrap result (vm.check compares every
+// instruction; the trajectory makes the two ops explicit), and the chain
+// must be the short one: 13-level segments, at most 27 primes.
+func TestCompilerAndRuntimeAgreeOnLevels(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two encrypted ResNet-8 inferences")
+	}
+	model, err := onnx.BuildResNet(onnx.ResNetConfig{Depth: 8, InputSize: 8, BaseChannels: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bench := TestProfile()
+	bench.CKKS.Boot = bootstrap.Parameters{K: 24, DoubleAngle: 4}
+	for name, profile := range map[string]Profile{"bench": bench, "test": TestProfile()} {
+		prog, err := Compile(model, profile)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := prog.CKKS
+		if want := []int{2, 13, 13, 13, 13, 13, 13, 12}; !reflect.DeepEqual(res.SegmentDepths, want) {
+			t.Errorf("%s: segment depths %v, want %v", name, res.SegmentDepths, want)
+		}
+		if len(res.Literal.LogQ) > 27 || len(res.Literal.LogQ) != 1+res.TargetLevel+bootstrap.CircuitDepth(*res.Boot) {
+			t.Errorf("%s: %d chain primes for target %d and a bootstrap of %d", name, len(res.Literal.LogQ), res.TargetLevel, bootstrap.CircuitDepth(*res.Boot))
+		}
+		machine, client, err := vm.New(res, prog.VectorLen(), ring.SeedFromInt(20))
+		if err != nil {
+			t.Fatal(err)
+		}
+		machine.Prof = obs.NewRunProfile()
+		image := tensor.New(1, 3, 8, 8)
+		for i := range image.Data {
+			image.Data[i] = math.Sin(float64(i))
+		}
+		if _, err := (&Runtime{prog: prog, machine: machine, client: client}).Infer(image); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		body := res.Module.Main().Body
+		seen := map[string]int{}
+		for _, pt := range machine.Prof.Trajectory {
+			if pt.Op != ckksir.OpPoly && pt.Op != ckksir.OpBootstrap {
+				continue
+			}
+			seen[pt.Op]++
+			if compiled := body[pt.PC].Result.Level; pt.Level != compiled {
+				t.Errorf("%s: instr %d (%s): runtime level %d, compiler %d", name, pt.PC, pt.Op, pt.Level, compiled)
+			}
+		}
+		if seen[ckksir.OpPoly] != 21 || seen[ckksir.OpBootstrap] != 7 {
+			t.Errorf("%s: ran %d polynomial stages and %d bootstraps, want 21 and 7", name, seen[ckksir.OpPoly], seen[ckksir.OpBootstrap])
+		}
+	}
+}
+
 // TestDerivedSplitRotationCounts pins the rotation counts the derived
 // baby/giant split was introduced for, on the benchmark's two models.
 func TestDerivedSplitRotationCounts(t *testing.T) {
@@ -186,10 +248,12 @@ func TestPaperProfileSelectsSecureParameters(t *testing.T) {
 	if lit.LogN != 16 || lit.LogQ[0] != 60 || lit.LogScale != 56 {
 		t.Fatalf("Table 10 mismatch: logN=%d logQ0=%d logD=%d", lit.LogN, lit.LogQ[0], lit.LogScale)
 	}
-	// With two special primes the modulus is 34 bits below the 128-bit
-	// bound at logN 16: a third would cost a ring degree, so there is none.
-	if len(lit.LogP) != 2 {
-		t.Fatalf("paper-scale ResNet-20 got %d special primes, want 2", len(lit.LogP))
+	// Segments of 13 and a bootstrap of 11 (both DFTs in two stages) make a
+	// 25-prime chain of 60 + 13*56 + 11*60 = 1448 bits, which leaves logN 16
+	// room for the balanced five special primes: 1753 of the 1772 bits the
+	// 128-bit bound allows there.
+	if len(lit.LogQ) != 25 || len(lit.LogP) != 5 {
+		t.Fatalf("paper-scale ResNet-20 got %d chain and %d special primes, want 25 and 5", len(lit.LogQ), len(lit.LogP))
 	}
 	// Figure 7's driver: the program's own rotation keys (bootstrapping
 	// adds its stage keys on top).

@@ -402,8 +402,8 @@ func BenchmarkRuntimeRotate(b *testing.B) {
 }
 
 // bootstrapBench is one bootstrap of the benchmark's reduced ResNet-8
-// (bench/infer.go: 16-level segments, 256 slots, K = 24, four double
-// angles, logN 9) with every phase's input at hand and the diagonal
+// (bench/infer.go: K = 24, four double angles) on the parameters that
+// program compiles to, with every phase's input at hand and the diagonal
 // tables warm.
 type bootstrapBench struct {
 	lit        ckks.ParametersLiteral
@@ -418,8 +418,9 @@ type bootstrapBench struct {
 	tableMiB   float64          // encoded diagonals after one bootstrap
 }
 
-// newBootstrapBench compiles the chain through ckksir.SelectParameters,
-// with the DFT stage counts given (zero: the compiler's choice).
+// newBootstrapBench compiles the model bench/infer.go runs, under its
+// profile, with the DFT stage counts given (zero: the compiler's choice):
+// the chain, the target level and the circuit are the program's own.
 func newBootstrapBench(b *testing.B, c2sStages, s2cStages int) *bootstrapBench {
 	b.Helper()
 	must := func(err error) {
@@ -427,11 +428,13 @@ func newBootstrapBench(b *testing.B, c2sStages, s2cStages int) *bootstrapBench {
 			b.Fatal(err)
 		}
 	}
-	lit, target, boot, err := ckksir.SelectParameters([]int{16, 16}, 256, ckksir.Options{
-		LogScale: 40, IgnoreSecurity: true,
-		Boot: bootstrap.Parameters{K: 24, DoubleAngle: 4, C2SStages: c2sStages, S2CStages: s2cStages},
-	})
+	m, err := onnx.BuildResNet(onnx.ResNetConfig{Depth: 8, InputSize: 8, BaseChannels: 4})
 	must(err)
+	profile := TestProfile()
+	profile.CKKS.Boot = bootstrap.Parameters{K: 24, DoubleAngle: 4, C2SStages: c2sStages, S2CStages: s2cStages}
+	prog, err := Compile(m, profile)
+	must(err)
+	lit, target, boot := prog.CKKS.Literal, prog.CKKS.TargetLevel, prog.CKKS.Boot
 	params, err := ckks.NewParameters(lit)
 	must(err)
 	bt, err := bootstrap.NewBootstrapper(params, *boot, params.DefaultScale())

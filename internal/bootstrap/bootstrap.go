@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"antace/internal/ckks"
 	"antace/internal/kswork"
@@ -62,17 +63,41 @@ type Parameters struct {
 func (p Parameters) WithDefaults() Parameters { return p.withDefaults() }
 
 // CircuitDepth returns the number of levels the bootstrap circuit for
-// this configuration consumes, without instantiating it: the C2S stages
-// + EvalMod polynomial (ceil(log2(deg+1)) + 1) + double angles + the S2C
-// stages. Must agree with Bootstrapper.Depth.
+// this configuration consumes, without instantiating it: the C2S stages,
+// EvalMod's polynomial as its evaluation plan runs it, the double angles
+// and the S2C stages.
 func CircuitDepth(p Parameters) int {
 	p = p.withDefaults()
-	depth := 0
-	for (1 << depth) < p.EvalModDegree+1 {
-		depth++
-	}
-	return p.C2SStages + depth + 1 + p.DoubleAngle + p.S2CStages
+	return p.C2SStages + EvalModPlan(p).Depth() + p.DoubleAngle + p.S2CStages
 }
+
+// EvalModPlan returns the evaluation plan of EvalMod's polynomial: the
+// Chebyshev interpolation on [-1,1] of
+//
+//	h(x) = cos((2*pi*(K+1)*x - pi/2) / 2^DoubleAngle),
+//
+// where the input normalisation by B = (K+1)*q0/D makes K+1 the frequency
+// that restores the true q0-periodicity. It depends on the configuration
+// alone, so the compiler and the cost models price the very plan the
+// bootstrapper executes.
+func EvalModPlan(p Parameters) *poly.Plan {
+	p = p.withDefaults()
+	key := [3]int{p.K, p.EvalModDegree, p.DoubleAngle}
+	if pl, ok := evalModPlans.Load(key); ok {
+		return pl.(*poly.Plan)
+	}
+	r := float64(int(1) << p.DoubleAngle)
+	h := func(x float64) float64 {
+		return math.Cos((2*math.Pi*float64(p.K+1)*x - math.Pi/2) / r)
+	}
+	pl, _ := evalModPlans.LoadOrStore(key, poly.NewPlan(poly.ChebyshevInterpolate(h, -1, 1, p.EvalModDegree)))
+	return pl.(*poly.Plan)
+}
+
+// evalModPlans memoises EvalModPlan by (K, degree, double angles): the
+// compiler asks for the plan of one configuration some fifty times while
+// it prices stage counts, and a plan is read-only once built.
+var evalModPlans sync.Map
 
 // StageDiagonals returns the diagonal counts of the stage matrices this
 // configuration factorises CoeffsToSlots (the inverse special FFT) and
@@ -117,11 +142,10 @@ type Bootstrapper struct {
 	enc     *ckks.Encoder
 	c2s     []*ckks.LinearTransform // stages of (1/(2B)) * SFinv
 	s2c     []*ckks.LinearTransform // stages of (q0/(2*pi*D)) * SF
-	evalMod *poly.Polynomial        // cos interpolation before double-angle
+	evalMod *poly.Plan              // cos interpolation before double-angle
 
 	q0 float64
 	d  float64 // declared scale after ScaleUp+ModRaise
-	b  float64 // normalisation bound for EvalMod input
 
 	// circuitScale is the working scale inside the bootstrap circuit.
 	// The circuit's levels should carry primes of about this size (the
@@ -155,8 +179,8 @@ func NewBootstrapper(params *ckks.Parameters, bp Parameters, inputScale float64)
 		enc:          ckks.NewEncoder(params),
 		q0:           q0,
 		d:            d,
-		b:            b,
 		circuitScale: float64(params.Q()[params.MaxLevel()]),
+		evalMod:      EvalModPlan(bp),
 	}
 	var err error
 	// CoeffsToSlots: u = (1/(2B)) SFinv * v.
@@ -170,7 +194,6 @@ func NewBootstrapper(params *ckks.Parameters, bp Parameters, inputScale float64)
 	for _, lt := range bt.stages() {
 		lt.Memo = ckks.NewPlaintextMemoQP(params, ckks.PlaintextMemoCap)
 	}
-	bt.buildEvalMod()
 	return bt, nil
 }
 
@@ -207,18 +230,6 @@ func (bt *Bootstrapper) stages() []*ckks.LinearTransform {
 	return append(append([]*ckks.LinearTransform(nil), bt.c2s...), bt.s2c...)
 }
 
-// buildEvalMod interpolates h(x) = cos(2*pi*freq*x/2^r - pi/2^(r+1)) on
-// [-1,1], where freq = B*D/q0 = K+1 restores the true q0-periodicity
-// after the input normalisation by B.
-func (bt *Bootstrapper) buildEvalMod() {
-	freq := bt.b * bt.d / bt.q0
-	r := float64(int(1) << bt.bp.DoubleAngle)
-	h := func(x float64) float64 {
-		return math.Cos((2*math.Pi*freq*x - math.Pi/2) / r)
-	}
-	bt.evalMod = poly.ChebyshevInterpolate(h, -1, 1, bt.bp.EvalModDegree)
-}
-
 // RequiredRotations returns the slot rotations the evaluator's key set
 // must cover (conjugation is needed as well), in ascending order: a
 // seeded key generator draws one key per entry, so the order is part of
@@ -241,7 +252,7 @@ func (bt *Bootstrapper) RequiredRotations() []int {
 // Depth returns the number of levels the bootstrap circuit consumes
 // above its output level.
 func (bt *Bootstrapper) Depth() int {
-	return CircuitDepth(bt.bp)
+	return len(bt.c2s) + bt.evalMod.Depth() + bt.bp.DoubleAngle + len(bt.s2c)
 }
 
 // MaxOutputLevel is the highest level Bootstrap can refresh to.
@@ -309,10 +320,8 @@ func (bt *Bootstrapper) Bootstrap(ev *ckks.Evaluator, ct *ckks.Ciphertext, targe
 	// Absorb the ScaleUp drift exactly: the circuit divides by the D it
 	// was built with, so the output values carry a factor D'/D.
 	out.Scale = out.Scale * drift
-	if out.Level() > targetLevel {
-		if err := ev.DropLevel(out, out.Level()-targetLevel); err != nil {
-			return nil, err
-		}
+	if out.Level() != targetLevel {
+		return nil, fmt.Errorf("bootstrap: circuit of depth %d ended at level %d, not the target %d", bt.Depth(), out.Level(), targetLevel)
 	}
 	return out, nil
 }

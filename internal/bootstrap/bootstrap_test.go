@@ -21,11 +21,11 @@ type btContext struct {
 
 func newBtContext(t testing.TB) *btContext {
 	t.Helper()
-	// Chain layout: q0 (60 bits), two 40-bit compute levels, then twelve
-	// 60-bit levels for the bootstrap circuit itself; four special
-	// primes, the count the compiler picks for a 15-prime chain.
+	// Chain layout: q0 (60 bits), two 40-bit compute levels, then the
+	// 60-bit levels of the bootstrap circuit itself; four special primes,
+	// the count the compiler picks for a 14-prime chain.
 	logQ := []int{60, 40, 40}
-	for i := 0; i < 12; i++ {
+	for i := 0; i < CircuitDepth(Parameters{}); i++ {
 		logQ = append(logQ, 60)
 	}
 	params, err := ckks.NewParameters(ckks.ParametersLiteral{
@@ -189,8 +189,8 @@ func TestLinearTransformRoundTrip(t *testing.T) {
 		out = lt.MulVec(out)
 	}
 	// c2s folds 1/(2B), s2c folds q0/(2*pi*D): combined gain is
-	// q0/(4*pi*B*D).
-	gain := tc.bt.q0 / (4 * math.Pi * tc.bt.b * tc.bt.d)
+	// q0/(4*pi*B*D), and B*D = (K+1)*q0.
+	gain := 1 / (4 * math.Pi * float64(tc.bt.bp.K+1))
 	for i := range out {
 		want := in[i] * complex(gain, 0)
 		if e := out[i] - want; math.Hypot(real(e), imag(e)) > 1e-9*math.Abs(gain) {

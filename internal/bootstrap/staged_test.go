@@ -60,8 +60,13 @@ func refreshError(t *testing.T, slots, c2sStages, s2cStages int) (worst float64,
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Level() != target {
-		t.Fatalf("bootstrap output level %d, want %d", out.Level(), target)
+	// One depth everywhere: the chain the compiler laid out has exactly the
+	// levels the plan-derived CircuitDepth names, the bootstrapper built
+	// from the same configuration agrees, and the circuit consumed them all
+	// (Bootstrap refuses to end anywhere but on the target).
+	if d := bootstrap.CircuitDepth(*boot); d != bt.Depth() || params.MaxLevel()-target != d || out.Level() != target {
+		t.Fatalf("CircuitDepth %d, Bootstrapper.Depth %d, chain has %d levels above the target, output at level %d (target %d)",
+			d, bt.Depth(), params.MaxLevel()-target, out.Level(), target)
 	}
 	got := enc.Decode(ckks.NewDecryptor(params, sk).Decrypt(out), params.Slots())
 	for i := range got {

@@ -1,10 +1,12 @@
 package ckks
 
 import (
+	"math"
 	"math/rand/v2"
 	"testing"
 
 	"antace/internal/par"
+	"antace/internal/poly"
 	"antace/internal/ring"
 )
 
@@ -58,6 +60,8 @@ func TestParallelMatchesSerial(t *testing.T) {
 	// at N1 = 2: babies {0, 4}, giant groups {0, 8, 120}.
 	lt := NewLinearTransformFromMatrix(diagonalMatrix(tc.params.Slots(), []int{0, 4, 8, 12, 120, 124}, rand.New(rand.NewPCG(5, 5))))
 	lt.N1 = 2
+
+	chebPlan := poly.NewPlan(poly.ChebyshevInterpolate(math.Sin, -1, 1, 7))
 
 	cases := []struct {
 		name string
@@ -119,6 +123,15 @@ func TestParallelMatchesSerial(t *testing.T) {
 		}},
 		{"LinearTransform", func() *Ciphertext {
 			out, err := tc.eval.EvaluateLinearTransform(cta.CopyNew(), lt, tc.enc, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return out
+		}},
+		{"Polynomial", func() *Ciphertext {
+			// Depth 3: every level of the chain, through products, lazy
+			// relinearisation and the level views of the power basis.
+			out, err := tc.eval.EvaluatePolynomial(cta.CopyNew(), chebPlan, scale)
 			if err != nil {
 				t.Fatal(err)
 			}

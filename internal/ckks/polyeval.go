@@ -4,362 +4,174 @@ import (
 	"fmt"
 
 	"antace/internal/poly"
+	"antace/internal/ring"
 )
 
-// PowerBasis caches the ciphertext powers x^i (monomial basis) or
-// Chebyshev polynomials T_i(x) used by BSGS polynomial evaluation.
-type PowerBasis struct {
-	basis poly.Basis
-	ct    map[int]*Ciphertext
-}
-
-// NewPowerBasis starts a power basis from x itself.
-func (ev *Evaluator) NewPowerBasis(ct *Ciphertext, basis poly.Basis) *PowerBasis {
-	return &PowerBasis{basis: basis, ct: map[int]*Ciphertext{1: ct}}
-}
-
-// Get returns the cached ciphertext for index i.
-func (pb *PowerBasis) Get(i int) *Ciphertext { return pb.ct[i] }
-
-// Gen ensures index i is available, recursively generating dependencies.
-func (pb *PowerBasis) Gen(ev *Evaluator, i int) error {
-	if i < 1 {
-		return fmt.Errorf("ckks: power basis index %d < 1", i)
-	}
-	if _, ok := pb.ct[i]; ok {
-		return nil
-	}
-	// Split i = a + b with a the largest power of two < i.
-	a := 1
-	for a*2 < i {
-		a *= 2
-	}
-	b := i - a
-	if err := pb.Gen(ev, a); err != nil {
-		return err
-	}
-	if err := pb.Gen(ev, b); err != nil {
-		return err
-	}
-	ta, tb := pb.ct[a], pb.ct[b]
-	prod, err := ev.Mul(ta, tb)
-	if err != nil {
-		return err
-	}
-	if pb.basis == poly.Chebyshev {
-		// T_{a+b} = 2*T_a*T_b - T_{|a-b|}
-		two, err := ev.Add(prod, prod)
-		if err != nil {
-			return err
-		}
-		c := a - b
-		if c == 0 {
-			two = ev.AddConst(two, -1)
-		} else {
-			if err := pb.Gen(ev, c); err != nil {
-				return err
-			}
-			tc := pb.ct[c]
-			// Bring T_c to the product's scale with a free constant
-			// multiplication, then align levels and subtract.
-			adj := ev.MulByConst(tc, 1, two.Scale/tc.Scale)
-			adj.Scale = two.Scale
-			two, err = ev.Sub(two, adj)
-			if err != nil {
-				return err
-			}
-		}
-		prod = two
-	}
-	rl, err := ev.Relinearize(prod)
-	if err != nil {
-		return err
-	}
-	rs, err := ev.Rescale(rl)
-	if err != nil {
-		return err
-	}
-	pb.ct[i] = rs
-	return nil
-}
-
-// EvaluatePolynomial evaluates p homomorphically on ct using
-// baby-step/giant-step evaluation with exact scale bookkeeping. The
-// result has scale targetScale (pass 0 for the parameter default). The
-// multiplicative depth consumed is p.Depth() (+1 if the Chebyshev domain
-// [A,B] differs from [-1,1], for the affine input map).
-func (ev *Evaluator) EvaluatePolynomial(ct *Ciphertext, p *poly.Polynomial, targetScale float64) (*Ciphertext, error) {
+// EvaluatePolynomial executes the evaluation plan of a polynomial on ct.
+// The result has exactly the scale targetScale (pass 0 for the parameter
+// default) and sits pl.Depth() levels below ct; the plan says which
+// products are formed, where, and which sums are relinearised.
+//
+// Scales are exact by construction: a node is asked for the scale its sum
+// must carry before its rescale, and asks each quotient for the scale that
+// makes the product with its giant step land there, so no sum ever adds
+// operands whose scales differ.
+func (ev *Evaluator) EvaluatePolynomial(ct *Ciphertext, pl *poly.Plan, targetScale float64) (*Ciphertext, error) {
 	if targetScale == 0 {
 		targetScale = ev.params.DefaultScale()
 	}
+	if ct.Level() < pl.Depth() {
+		return nil, fmt.Errorf("ckks: degree-%d polynomial needs %d levels, ciphertext has %d", pl.Poly.Degree(), pl.Depth(), ct.Level())
+	}
+	if pl.Root == nil {
+		// A constant: c0 on a zeroed copy of ct at the right scale.
+		out := ev.MulByConst(ct, 0, 1)
+		out.Scale = targetScale
+		return ev.AddConst(out, pl.Poly.Coeffs[0]), nil
+	}
+	moduli := ev.params.RingQ().Moduli
 	x := ct
-	if p.Basis == poly.Chebyshev && (p.A != -1 || p.B != 1) {
+	if pl.Affine {
 		// u = (2x - (A+B)) / (B-A), landing exactly on the default scale.
-		alpha := 2 / (p.B - p.A)
-		beta := -(p.A + p.B) / (p.B - p.A)
-		ql := ev.params.RingQ().Moduli[ct.Level()]
-		cs := ev.params.DefaultScale() * float64(ql) / ct.Scale
-		scaled := ev.MulByConst(ct, alpha, cs)
-		rs, err := ev.Rescale(scaled)
+		p := pl.Poly
+		cs := ev.params.DefaultScale() * float64(moduli[ct.Level()]) / ct.Scale
+		rs, err := ev.Rescale(ev.MulByConst(ct, 2/(p.B-p.A), cs))
 		if err != nil {
 			return nil, err
 		}
 		rs.Scale = ev.params.DefaultScale()
-		x = ev.AddConst(rs, beta)
+		x = ev.AddConst(rs, -(p.A+p.B)/(p.B-p.A))
 	}
-
-	deg := p.Degree()
-	if deg == 0 {
-		// Constant polynomial: encrypt-free — return c0 added to a zeroed
-		// copy of ct at the right scale.
-		out := ev.MulByConst(x, 0, targetScale/x.Scale)
-		out.Scale = targetScale
-		return ev.AddConst(out, p.Coeffs[0]), nil
-	}
-
-	// Choose the baby-step size m = 2^ceil(logD/2).
-	logD := 0
-	for (1 << logD) < deg+1 {
-		logD++
-	}
-	m := 1 << ((logD + 1) / 2)
-	if m > deg {
-		m = 1 << (logD - 1)
-		if m < 1 {
-			m = 1
-		}
-	}
-
-	pb := ev.NewPowerBasis(x, p.Basis)
-	for i := 1; i <= m && i <= deg; i++ {
-		if err := pb.Gen(ev, i); err != nil {
+	pe := &planEval{ev: ev, moduli: moduli, chebyshev: pl.Poly.Basis == poly.Chebyshev, level: x.Level(), powers: map[int]*Ciphertext{1: x}}
+	for _, pw := range pl.Powers {
+		if err := pe.genPower(pw); err != nil {
 			return nil, err
 		}
 	}
-	g := m
-	for 2*g <= deg {
-		g *= 2
-		if err := pb.Gen(ev, g); err != nil {
-			return nil, err
-		}
-	}
-
-	pe := &polyEvalState{ev: ev, pb: pb, basis: p.Basis, m: m}
-	if pe.levelOf(p.Coeffs) < 0 {
-		return nil, fmt.Errorf("ckks: insufficient levels to evaluate degree-%d polynomial", deg)
-	}
-	res, err := pe.recurse(p.Coeffs, targetScale)
+	res, err := pe.node(pl.Root, targetScale*float64(moduli[pe.level-pl.Root.Depth]))
 	if err != nil {
 		return nil, err
 	}
-	if res == nil {
-		out := ev.MulByConst(x, 0, 1)
-		out.Scale = targetScale
-		return out, nil
+	if res, err = pe.finish(res); err != nil {
+		return nil, err
 	}
+	res.Scale = targetScale
 	return res, nil
 }
 
-type polyEvalState struct {
-	ev    *Evaluator
-	pb    *PowerBasis
-	basis poly.Basis
-	m     int
+// planEval is one execution of a plan: the level of the (mapped) input
+// and the powers formed so far.
+type planEval struct {
+	ev        *Evaluator
+	moduli    []uint64 // the chain's primes, by level
+	chebyshev bool
+	level     int
+	powers    map[int]*Ciphertext
 }
 
-func polyDeg(coeffs []float64) int {
-	for i := len(coeffs) - 1; i >= 0; i-- {
-		if coeffs[i] != 0 {
-			return i
-		}
+// power returns X_i as seen from the given level: the limbs above it are
+// left out, nothing is copied (the evaluator never writes to an operand).
+func (pe *planEval) power(i, level int) *Ciphertext {
+	ct := pe.powers[i]
+	if ct.Level() == level {
+		return ct
 	}
-	return -1
+	view := &Ciphertext{Value: make([]*ring.Poly, len(ct.Value)), Scale: ct.Scale}
+	for j, p := range ct.Value {
+		view.Value[j] = &ring.Poly{Coeffs: p.Coeffs[:level+1]}
+	}
+	return view
 }
 
-// split writes p = q*X^g + r (monomial) or p = q*T_g + r (Chebyshev).
-func (pe *polyEvalState) split(coeffs []float64, g int) (q, r []float64) {
-	if pe.basis == poly.Chebyshev {
-		return splitChebyshev(coeffs, g)
+// finish ends a sum: one relinearisation if it holds products, and the
+// rescale.
+func (pe *planEval) finish(ct *Ciphertext) (*Ciphertext, error) {
+	rl, err := pe.ev.Relinearize(ct)
+	if err != nil {
+		return nil, err
 	}
-	return append([]float64(nil), coeffs[g:]...), append([]float64(nil), coeffs[:g]...)
+	return pe.ev.Rescale(rl)
 }
 
-func (pe *polyEvalState) giantFor(deg int) int {
-	g := pe.m
-	for 2*g <= deg {
-		g *= 2
-	}
-	return g
-}
-
-// levelOf predicts the output level of recurse for these coefficients
-// without performing any homomorphic work. The recursion in recurse must
-// mirror this computation exactly.
-//
-// Note: the evaluation consumes ceil(log2(deg+1)) + 1 levels. The extra
-// level relative to the theoretical optimum is deliberate: an unrescaled
-// baby-step sum would force its coefficients to be encoded at scale ~1,
-// quantising them to integers.
-func (pe *polyEvalState) levelOf(coeffs []float64) int {
-	deg := polyDeg(coeffs)
-	if deg < 0 {
-		return 1 << 30 // "any level": a nil result imposes no constraint
-	}
-	if deg <= pe.m {
-		return pe.minUsedBasisLevel(coeffs) - 1
-	}
-	g := pe.giantFor(deg)
-	qc, _ := pe.split(coeffs, g)
-	lq := pe.levelOf(qc)
-	lg := pe.pb.Get(g).Level()
-	lp := lq
-	if lg < lp {
-		lp = lg
-	}
-	return lp - 1
-}
-
-// minUsedBasisLevel returns the smallest level among the power-basis
-// elements a baby-step evaluation of coeffs will touch.
-func (pe *polyEvalState) minUsedBasisLevel(coeffs []float64) int {
-	level := pe.pb.Get(1).Level()
-	for i := 1; i < len(coeffs); i++ {
-		if coeffs[i] == 0 {
-			continue
-		}
-		if l := pe.pb.Get(i).Level(); l < level {
-			level = l
-		}
-	}
-	return level
-}
-
-// recurse returns a ciphertext holding the polynomial with the given
-// coefficients at exactly the requested scale (and at the deterministic
-// level computed by levelOf), or nil if all coefficients are zero.
-func (pe *polyEvalState) recurse(coeffs []float64, scale float64) (*Ciphertext, error) {
-	deg := polyDeg(coeffs)
-	if deg < 0 {
-		return nil, nil
-	}
+// genPower forms X_Index = X_A·X_B, or T_Index = 2·T_A·T_B − T_{A−B}, at
+// the level of its deeper operand X_A.
+func (pe *planEval) genPower(pw poly.Power) error {
 	ev := pe.ev
-	if deg <= pe.m {
-		return pe.evalBaby(coeffs[:deg+1], scale)
-	}
-	g := pe.giantFor(deg)
-	qc, rc := pe.split(coeffs, g)
-	pbg := pe.pb.Get(g)
-
-	// The product q*T_g rescales at the level where the operands meet.
-	lq := pe.levelOf(qc)
-	lp := min(lq, pbg.Level())
-	if lp < 1 {
-		return nil, fmt.Errorf("ckks: insufficient levels in polynomial evaluation")
-	}
-	ql := ev.params.RingQ().Moduli[lp]
-	qTargetScale := scale * float64(ql) / pbg.Scale
-	q, err := pe.recurse(qc, qTargetScale)
+	level := pe.level - poly.PowerDepth(pw.A)
+	prod, err := ev.Mul(pe.powers[pw.A], pe.power(pw.B, level))
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if q == nil {
-		return nil, fmt.Errorf("ckks: internal error: zero quotient for degree-%d split", deg)
-	}
-	if q.Level() != lq {
-		return nil, fmt.Errorf("ckks: level prediction mismatch (have %d, predicted %d)", q.Level(), lq)
-	}
-	prod, err := ev.Mul(q, pbg)
-	if err != nil {
-		return nil, err
-	}
-	rl, err := ev.Relinearize(prod)
-	if err != nil {
-		return nil, err
-	}
-	rs, err := ev.Rescale(rl)
-	if err != nil {
-		return nil, err
-	}
-	rs.Scale = scale // exact by construction of qTargetScale
-	r, err := pe.recurse(rc, scale)
-	if err != nil {
-		return nil, err
-	}
-	if r == nil {
-		return rs, nil
-	}
-	return ev.Add(rs, r)
-}
-
-// evalBaby evaluates a degree <= m polynomial directly from the power
-// basis at exactly the requested scale.
-func (pe *polyEvalState) evalBaby(coeffs []float64, scale float64) (*Ciphertext, error) {
-	ev := pe.ev
-	lcom := pe.minUsedBasisLevel(coeffs)
-	if lcom < 1 {
-		return nil, fmt.Errorf("ckks: insufficient levels in baby-step evaluation")
-	}
-	ql := ev.params.RingQ().Moduli[lcom]
-	s := scale * float64(ql)
-	var acc *Ciphertext
-	for i := 1; i < len(coeffs); i++ {
-		if coeffs[i] == 0 {
-			continue
+	if pe.chebyshev {
+		if prod, err = ev.Add(prod, prod); err != nil {
+			return err
 		}
-		base := pe.pb.Get(i)
-		if base == nil {
-			return nil, fmt.Errorf("ckks: missing power basis element %d", i)
-		}
-		term := ev.MulByConst(base, coeffs[i], s/base.Scale)
-		term.Scale = s
-		if term.Level() > lcom {
-			if err := ev.DropLevel(term, term.Level()-lcom); err != nil {
-				return nil, err
+		if pw.A == pw.B {
+			prod = ev.AddConst(prod, -1)
+		} else {
+			// T_{A−B} comes up to the product's scale by a constant
+			// multiplication that costs no level.
+			tc := pe.power(pw.A-pw.B, level)
+			adj := ev.MulByConst(tc, 1, prod.Scale/tc.Scale)
+			adj.Scale = prod.Scale
+			if prod, err = ev.Sub(prod, adj); err != nil {
+				return err
 			}
 		}
+	}
+	pe.powers[pw.Index], err = pe.finish(prod)
+	return err
+}
+
+// node forms the sum of n at its level, carrying exactly the given scale
+// and not yet rescaled.
+func (pe *planEval) node(n *poly.Node, scale float64) (*Ciphertext, error) {
+	ev := pe.ev
+	level := pe.level - n.Depth
+	var acc *Ciphertext
+	add := func(term *Ciphertext) (err error) {
+		term.Scale = scale // exact by construction of the operand scales
 		if acc == nil {
 			acc = term
+			return nil
+		}
+		acc, err = ev.Add(acc, term)
+		return err
+	}
+	for _, pr := range n.Products {
+		giant := pe.power(pr.Giant, level)
+		ql := float64(pe.moduli[level+1]) // the prime the quotient's rescale divides by
+		q, err := pe.node(pr.Quotient, scale*ql/giant.Scale)
+		if err != nil {
+			return nil, err
+		}
+		if q, err = pe.finish(q); err != nil {
+			return nil, err
+		}
+		prod, err := ev.Mul(q, giant)
+		if err != nil {
+			return nil, err
+		}
+		if err := add(prod); err != nil {
+			return nil, err
+		}
+	}
+	for i, c := range n.Coeffs {
+		if i == 0 || c == 0 {
 			continue
 		}
-		var err error
-		acc, err = ev.Add(acc, term)
-		if err != nil {
+		x := pe.power(i, level)
+		if err := add(ev.MulByConst(x, c, scale/x.Scale)); err != nil {
 			return nil, err
 		}
 	}
 	if acc == nil {
-		// Only the constant coefficient: build a zero ciphertext.
-		base := pe.pb.Get(1)
-		acc = ev.MulByConst(base, 0, 1)
-		acc.Scale = s
-		if acc.Level() > lcom {
-			if err := ev.DropLevel(acc, acc.Level()-lcom); err != nil {
-				return nil, err
-			}
-		}
+		return nil, fmt.Errorf("ckks: polynomial plan holds a sum without terms")
 	}
-	if coeffs[0] != 0 {
-		acc = ev.AddConst(acc, coeffs[0])
+	if n.Coeffs[0] != 0 {
+		acc = ev.AddConst(acc, n.Coeffs[0])
 	}
-	out, err := ev.Rescale(acc)
-	if err != nil {
-		return nil, err
-	}
-	out.Scale = scale
-	return out, nil
-}
-
-// splitChebyshev writes p = q*T_g + r using
-// T_{g+j} = 2 T_g T_j - T_{g-j}; requires deg(p) < 2g.
-func splitChebyshev(coeffs []float64, g int) (q, r []float64) {
-	q = make([]float64, len(coeffs)-g)
-	r = append([]float64(nil), coeffs[:g]...)
-	q[0] = coeffs[g]
-	for j := 1; j < len(q); j++ {
-		q[j] = 2 * coeffs[g+j]
-		r[g-j] -= coeffs[g+j]
-	}
-	return q, r
+	return acc, nil
 }
 
 // EvaluateComposite evaluates a composition of polynomials (applied left
@@ -369,7 +181,7 @@ func (ev *Evaluator) EvaluateComposite(ct *Ciphertext, stages []*poly.Polynomial
 	cur := ct
 	var err error
 	for i, st := range stages {
-		cur, err = ev.EvaluatePolynomial(cur, st, ev.params.DefaultScale())
+		cur, err = ev.EvaluatePolynomial(cur, poly.NewPlan(st), ev.params.DefaultScale())
 		if err != nil {
 			return nil, fmt.Errorf("ckks: composite stage %d: %w", i, err)
 		}

@@ -2,9 +2,12 @@ package ckks
 
 import (
 	"math"
+	"math/bits"
 	"testing"
+	"time"
 
 	"antace/internal/poly"
+	"antace/internal/poly/polytest"
 	"antace/internal/ring"
 )
 
@@ -54,7 +57,8 @@ func evalPolyCase(t *testing.T, tc *testContext, p *poly.Polynomial, inputs []fl
 		t.Fatal(err)
 	}
 	ct := tc.encPk.Encrypt(pt)
-	res, err := tc.eval.EvaluatePolynomial(ct, p, tc.params.DefaultScale())
+	pl := poly.NewPlan(p)
+	res, err := tc.eval.EvaluatePolynomial(ct, pl, tc.params.DefaultScale())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,10 +69,68 @@ func evalPolyCase(t *testing.T, tc *testContext, p *poly.Polynomial, inputs []fl
 			t.Fatalf("p(%g): got %g, want %g (err %.2e)", vals[i], got[i], want, math.Abs(got[i]-want))
 		}
 	}
-	// Depth audit: consumed levels must equal the polynomial depth.
-	consumed := tc.params.MaxLevel() - res.Level()
-	if consumed > p.Depth()+1 {
-		t.Fatalf("evaluation consumed %d levels for depth-%d polynomial", consumed, p.Depth())
+	if consumed := tc.params.MaxLevel() - res.Level(); consumed != pl.Depth() {
+		t.Fatalf("evaluation consumed %d levels, the plan says %d", consumed, pl.Depth())
+	}
+}
+
+// TestEvaluatePolynomialExecutesThePlan is the contract between the plan
+// and the evaluator, on every generated shape of degree 1…63 in both
+// bases: the output sits exactly Depth() levels below the input and
+// carries exactly the requested scale, the values are the polynomial's, and
+// the evaluator key-switched as often as the plan relinearises.
+func TestEvaluatePolynomialExecutesThePlan(t *testing.T) {
+	tc := deepTestContext(t, 8)
+	slots := tc.params.Slots()
+	// Secret-key encryption: its fresh noise is a twentieth of a public
+	// key's, and T_n multiplies whatever noise the input carries by up to
+	// n² at the ends of the interval — with degree 63 that, not the
+	// evaluator, would set the error.
+	encSk := NewEncryptorFromSecretKey(tc.params, tc.sk)
+	keySwitches := 0
+	tc.eval.KernelObserver = func(op string, _ time.Duration) {
+		if op == opDecompModUp {
+			keySwitches++
+		}
+	}
+	defer func() { tc.eval.KernelObserver = nil }()
+	for _, p := range polytest.Cases() {
+		pl := poly.NewPlan(p)
+		lo, hi := -1.0, 1.0
+		if pl.Affine {
+			lo, hi = p.A, p.B
+		}
+		vals := make([]float64, slots)
+		for i := range vals {
+			vals[i] = lo + (hi-lo)*float64(i)/float64(slots-1)
+		}
+		pt, err := tc.enc.EncodeReal(vals, tc.params.MaxLevel(), tc.params.DefaultScale())
+		if err != nil {
+			t.Fatal(err)
+		}
+		// An odd target scale: the plan must land on it, not near it.
+		target := tc.params.DefaultScale() * 1.0078125
+		keySwitches = 0
+		res, err := tc.eval.EvaluatePolynomial(encSk.Encrypt(pt), pl, target)
+		if err != nil {
+			t.Fatalf("degree %d basis %d: %v", p.Degree(), p.Basis, err)
+		}
+		if want := bits.Len(uint(p.Degree())); pl.Depth() != want && !(pl.Affine && pl.Depth() == want+1) {
+			t.Fatalf("degree %d: plan depth %d", p.Degree(), pl.Depth())
+		}
+		if res.Level() != tc.params.MaxLevel()-pl.Depth() || res.Scale != target || res.Degree() != 1 {
+			t.Fatalf("degree %d basis %d: level %d (plan depth %d), scale %g (target %g), degree %d",
+				p.Degree(), p.Basis, res.Level(), pl.Depth(), res.Scale, target, res.Degree())
+		}
+		if want := pl.Count(poly.StepRelin); keySwitches != want {
+			t.Fatalf("degree %d basis %d: %d key switches, the plan relinearises %d times", p.Degree(), p.Basis, keySwitches, want)
+		}
+		got := tc.enc.DecodeReal(tc.dec.Decrypt(res), slots)
+		for i := range got {
+			if want := p.Eval(vals[i]); math.Abs(got[i]-want) > math.Exp2(-20) {
+				t.Fatalf("degree %d basis %d: p(%g) = %g, want %g (err %.2e)", p.Degree(), p.Basis, vals[i], got[i], want, math.Abs(got[i]-want))
+			}
+		}
 	}
 }
 
@@ -105,7 +167,7 @@ func TestEvaluatePolynomialChebyshevShiftedDomain(t *testing.T) {
 	}
 	pt, _ := tc.enc.EncodeReal(vals, tc.params.MaxLevel(), tc.params.DefaultScale())
 	ct := tc.encPk.Encrypt(pt)
-	res, err := tc.eval.EvaluatePolynomial(ct, p, tc.params.DefaultScale())
+	res, err := tc.eval.EvaluatePolynomial(ct, poly.NewPlan(p), tc.params.DefaultScale())
 	if err != nil {
 		t.Fatal(err)
 	}

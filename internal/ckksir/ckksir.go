@@ -209,7 +209,7 @@ func plan(f *ir.Func, boot bool) ([]int, error) {
 			if err != nil {
 				return nil, err
 			}
-			depth[in.Result] = cur(in.Args[0]) + sihe.StageDepthInstr(p)
+			depth[in.Result] = cur(in.Args[0]) + sihe.StageDepth(p)
 		case sihe.OpMul:
 			d := cur(in.Args[0])
 			if in.Args[1].Type.Kind == ir.KindCipher {
@@ -287,9 +287,9 @@ func dftStages(bp bootstrap.Parameters, logN, target int, special func(extra int
 
 // bootstrapWork counts the key-switching work of one bootstrap to the
 // target level: the stages of both transforms at their levels, and
-// between them the conjugation, EvalMod's products on both halves and
-// the double angles, which descend from below CoeffsToSlots to above
-// SlotsToCoeffs and are spread evenly over the levels in between.
+// between them the conjugation, the relinearisations of EvalMod's
+// evaluation plan on both halves, each at the level the plan puts it, and
+// the double angles.
 func bootstrapWork(g kswork.Geometry, target int, bp bootstrap.Parameters) float64 {
 	c2s, s2c := bootstrap.StageDiagonals(bp, g.LogN-1)
 	var work kswork.Work
@@ -298,19 +298,21 @@ func bootstrapWork(g kswork.Geometry, target int, bp bootstrap.Parameters) float
 		work = work.Plus(g.LinearTransform(diags, level))
 		level--
 	}
-	bottom := target + bp.S2CStages
-	ones := make([]float64, bp.EvalModDegree+1)
-	for i := range ones {
-		ones[i] = 1
-	}
-	products, _ := poly.BSGSShape(ones)
-	perLevel := float64(1+2*(products+bp.DoubleAngle)) / float64(level-bottom)
-	for l := level; l > bottom; l-- {
-		work = work.Plus(g.KeySwitch(l).Times(perLevel))
+	work = work.Plus(g.KeySwitch(level)) // the conjugation that splits the halves
+	evalMod := bootstrap.EvalModPlan(bp)
+	evalMod.Walk(func(s poly.Step, depth int) {
+		if s == poly.StepRelin {
+			work = work.Plus(g.KeySwitch(level - depth).Times(2))
+		}
+	})
+	level -= evalMod.Depth()
+	for i := 0; i < bp.DoubleAngle; i++ {
+		work = work.Plus(g.KeySwitch(level).Times(2))
+		level--
 	}
 	for _, diags := range s2c {
-		work = work.Plus(g.LinearTransform(diags, bottom))
-		bottom--
+		work = work.Plus(g.LinearTransform(diags, level))
+		level--
 	}
 	return work.Units()
 }
@@ -345,7 +347,7 @@ func SelectParameters(segments []int, slots int, opts Options) (ckks.ParametersL
 			logQ = append(logQ, opts.LogScale)
 		}
 		if bp != nil {
-			for i := 0; i < bootstrap.CircuitDepth(*bp); i++ {
+			for i, depth := 0, bootstrap.CircuitDepth(*bp); i < depth; i++ {
 				logQ = append(logQ, 60)
 			}
 		}
@@ -703,7 +705,7 @@ func (st *lowerState) emit(sm *ir.Module, src *ir.Func) (*ir.Module, error) {
 			if err != nil {
 				return nil, err
 			}
-			depth := sihe.StageDepthInstr(p)
+			depth := sihe.StageDepth(p)
 			outLevel := a.Level - depth
 			if outLevel < 0 {
 				return nil, fmt.Errorf("ckksir: level underflow in polynomial stage (have %d, need %d)", a.Level, depth)

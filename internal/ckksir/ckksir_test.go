@@ -169,14 +169,14 @@ func TestSpecialPrimeSelection(t *testing.T) {
 		t.Errorf("two-prime chain: literal %+v, want %+v", lit, want)
 	}
 
-	// A bootstrapped 30-prime chain without the security floor: six
+	// A bootstrapped 27-prime chain without the security floor: six
 	// special primes, and the ring degree is still the slot floor.
-	deep, _, _, err := SelectParameters([]int{16, 16}, 256, Options{LogScale: 40, IgnoreSecurity: true, Boot: bootstrap.Parameters{K: 24, DoubleAngle: 4}})
+	deep, _, _, err := SelectParameters([]int{13, 13}, 256, Options{LogScale: 40, IgnoreSecurity: true, Boot: bootstrap.Parameters{K: 24, DoubleAngle: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(deep.LogQ) != 30 || len(deep.LogP) != 6 || deep.LogN != 9 {
-		t.Errorf("deep chain: %d primes, %d special, logN %d; want 30, 6, 9", len(deep.LogQ), len(deep.LogP), deep.LogN)
+	if len(deep.LogQ) != 27 || len(deep.LogP) != 6 || deep.LogN != 9 {
+		t.Errorf("deep chain: %d primes, %d special, logN %d; want 27, 6, 9", len(deep.LogQ), len(deep.LogP), deep.LogN)
 	}
 
 	// Under the security floor the special modulus only fills what the
@@ -211,49 +211,49 @@ func TestSpecialPrimeSelection(t *testing.T) {
 // evaluation keys grow, never with a larger ring, and never fewer as the
 // ring grows.
 func TestStageSelection(t *testing.T) {
-	// The benchmark's reduced ResNet-8 (bench/infer.go): CoeffsToSlots in
-	// two stages is worth its prime (30 in all, five digits of six). A
-	// second SlotsToCoeffs stage would cut the bootstrap by a tenth more
-	// and start a sixth digit in every key, a fifth more bytes: not bought.
+	// The benchmark's reduced ResNet-8 (bench/infer.go, 13-level segments):
+	// both transforms in two stages, 27 primes in all. The second
+	// SlotsToCoeffs stage's prime does not start a digit (five digits of six
+	// with or without it), so it costs the keys one prime in 33 and is
+	// bought; a third CoeffsToSlots stage saves less than its prime costs.
 	bench := bench0()
-	lit, target, boot, err := SelectParameters([]int{16, 16}, 256, bench)
+	lit, target, boot, err := SelectParameters([]int{13, 13}, 256, bench)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if boot.C2SStages != 2 || boot.S2CStages != 1 || len(lit.LogQ) != 30 || len(lit.LogP) != 6 || lit.LogN != 9 {
-		t.Errorf("bench chain: stages %d/%d, %d primes, %d special, logN %d; want 2/1, 30, 6, 9",
+	if boot.C2SStages != 2 || boot.S2CStages != 2 || len(lit.LogQ) != 27 || len(lit.LogP) != 6 || lit.LogN != 9 {
+		t.Errorf("bench chain: stages %d/%d, %d primes, %d special, logN %d; want 2/2, 27, 6, 9",
 			boot.C2SStages, boot.S2CStages, len(lit.LogQ), len(lit.LogP), lit.LogN)
 	}
 	if want := 1 + target + bootstrap.CircuitDepth(*boot); len(lit.LogQ) != want {
 		t.Errorf("bench chain: %d primes for target %d and depth %d", len(lit.LogQ), target, bootstrap.CircuitDepth(*boot))
 	}
 	// A stage count the caller fixes is kept; the other is still chosen.
-	bench.Boot.S2CStages = 2
-	if lit, _, boot, err = SelectParameters([]int{16, 16}, 256, bench); err != nil || boot.C2SStages != 2 || boot.S2CStages != 2 || len(lit.LogQ) != 31 {
-		t.Errorf("fixed S2C: stages %+v, %d primes, err %v; want 2/2, 31", boot, len(lit.LogQ), err)
+	bench.Boot.S2CStages = 1
+	if lit, _, boot, err = SelectParameters([]int{13, 13}, 256, bench); err != nil || boot.C2SStages != 2 || boot.S2CStages != 1 || len(lit.LogQ) != 26 {
+		t.Errorf("fixed S2C: stages %+v, %d primes, err %v; want 2/1, 26", boot, len(lit.LogQ), err)
 	}
-	// Shallow segments leave the keys small next to the circuit, and the
-	// second SlotsToCoeffs stage is worth it in the same ring.
+	// Shallow segments get the same split in the same ring.
 	if _, _, boot, err = SelectParameters([]int{4, 4}, 256, bench0()); err != nil || boot.C2SStages != 2 || boot.S2CStages != 2 {
 		t.Errorf("4-level segments: stages %+v, err %v; want 2/2", boot, err)
 	}
 
 	// Paper-scale ResNet-20 under the security floor: the shortest chain
-	// (one stage each, 27 primes) needs logN 16 and leaves 94 bits below
-	// the bound — room for CoeffsToSlots' second stage, whose prime stands
-	// where the scale normalisation's stood, and for nothing more.
+	// (one stage each, 23 primes, 1328 bits) needs logN 16 and leaves 322
+	// bits below the bound beside two special primes — room for the second
+	// stage of both transforms, and the special modulus takes the rest.
 	paper := Options{LogQ0: 60, LogScale: 56, Mode: BootstrapAlways, Boot: bootstrap.Parameters{EvalModDegree: 24, DoubleAngle: 2}}
-	lit, _, boot, err = SelectParameters([]int{16, 16}, 1<<14, paper)
+	lit, _, boot, err = SelectParameters([]int{13, 13}, 1<<14, paper)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lit.LogN != 16 || len(lit.LogQ) != 28 || len(lit.LogP) != 2 || boot.C2SStages != 2 || boot.S2CStages != 1 {
-		t.Errorf("paper chain: logN %d, %d primes, %d special, stages %d/%d; want 16, 28, 2, 2/1",
+	if lit.LogN != 16 || len(lit.LogQ) != 25 || len(lit.LogP) != 5 || boot.C2SStages != 2 || boot.S2CStages != 2 {
+		t.Errorf("paper chain: logN %d, %d primes, %d special, stages %d/%d; want 16, 25, 5, 2/2",
 			lit.LogN, len(lit.LogQ), len(lit.LogP), boot.C2SStages, boot.S2CStages)
 	}
 	// The same program in a ring forced one size up has the room.
 	paper.ForceLogN = 17
-	_, _, roomy, err := SelectParameters([]int{16, 16}, 1<<14, paper)
+	_, _, roomy, err := SelectParameters([]int{13, 13}, 1<<14, paper)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +265,7 @@ func TestStageSelection(t *testing.T) {
 	// transform, and a transform is never cut finer than its layers.
 	prev := bootstrap.Parameters{}
 	for logSlots := 1; logSlots <= 15; logSlots++ {
-		lit, _, boot, err := SelectParameters([]int{16, 16}, 1<<logSlots, bench0())
+		lit, _, boot, err := SelectParameters([]int{13, 13}, 1<<logSlots, bench0())
 		if err != nil {
 			t.Fatal(err)
 		}

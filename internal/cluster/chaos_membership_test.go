@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"os/exec"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -326,7 +327,8 @@ func TestChaosMembershipDrainMidLoad(t *testing.T) {
 // (-instr-delay). For a session whose primary is the straggler, router-
 // side hedging must keep the observed p99 under 2x the healthy p99 —
 // the hedge fires after the latency SLO, the replica answers first, and
-// every response stays byte-identical and exactly-once.
+// every response stays byte-identical and exactly-once. Healthy and
+// hedged phases are interleaved and their medians compared.
 func TestChaosMembershipStragglerHedging(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess e2e")
@@ -363,31 +365,36 @@ func TestChaosMembershipStragglerHedging(t *testing.T) {
 		t.Fatal("placement draws never covered both a healthy and a straggler primary")
 	}
 
-	// Healthy baseline through the default router.
-	const baseline = 12
-	healthyP99 := time.Duration(0)
+	// healthyPhase is one baseline phase through the default router: the
+	// slowest of a run of requests for the healthy session.
+	const baseline, loads, repeats = 8, 10, 3
 	var healthyRef []byte
-	for i := 0; i < baseline; i++ {
-		start := time.Now()
-		resp, body := rawInfer(t, f.routerURL, healthyID, fmt.Sprintf("base-%d", i), healthyCT)
-		el := time.Since(start)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("baseline %d: status %d", i, resp.StatusCode)
+	healthyPhase := func(rep int) time.Duration {
+		worst := time.Duration(0)
+		for i := 0; i < baseline; i++ {
+			start := time.Now()
+			resp, body := rawInfer(t, f.routerURL, healthyID, fmt.Sprintf("base-%d-%d", rep, i), healthyCT)
+			el := time.Since(start)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("baseline %d/%d: status %d", rep, i, resp.StatusCode)
+			}
+			if healthyRef == nil {
+				healthyRef = body
+			} else if !bytes.Equal(body, healthyRef) {
+				t.Fatalf("baseline %d/%d not deterministic", rep, i)
+			}
+			if el > worst {
+				worst = el
+			}
 		}
-		if i == 0 {
-			healthyRef = body
-		} else if !bytes.Equal(body, healthyRef) {
-			t.Fatalf("baseline %d not deterministic", i)
-		}
-		if el > healthyP99 {
-			healthyP99 = el
-		}
+		return worst
 	}
+	healthy := []time.Duration{healthyPhase(0)}
 
 	// A second stateless router fronts the same shards with the hedge
-	// SLO set from the measured baseline — a third of the healthy p99,
-	// floored against scheduler jitter.
-	hedgeAfter := healthyP99 / 3
+	// SLO set from the first measured baseline — a third of the healthy
+	// p99, floored against scheduler jitter.
+	hedgeAfter := healthy[0] / 3
 	if hedgeAfter < 5*time.Millisecond {
 		hedgeAfter = 5 * time.Millisecond
 	}
@@ -402,26 +409,44 @@ func TestChaosMembershipStragglerHedging(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("straggler reference: status %d", resp.StatusCode)
 	}
-
-	const loads = 15
-	worst := time.Duration(0)
-	for i := 0; i < loads; i++ {
-		start := time.Now()
-		status, body, err := tryInfer(hedgedRouter, slowID, fmt.Sprintf("hedged-%d", i), slowCT)
-		el := time.Since(start)
-		if err != nil || status != http.StatusOK {
-			t.Fatalf("hedged %d: status %d err %v", i, status, err)
+	hedgedPhase := func(rep int) time.Duration {
+		worst := time.Duration(0)
+		for i := 0; i < loads; i++ {
+			start := time.Now()
+			status, body, err := tryInfer(hedgedRouter, slowID, fmt.Sprintf("hedged-%d-%d", rep, i), slowCT)
+			el := time.Since(start)
+			if err != nil || status != http.StatusOK {
+				t.Fatalf("hedged %d/%d: status %d err %v", rep, i, status, err)
+			}
+			if !bytes.Equal(body, slowWant) {
+				t.Fatalf("hedged %d/%d answered different bytes", rep, i)
+			}
+			if el > worst {
+				worst = el
+			}
 		}
-		if !bytes.Equal(body, slowWant) {
-			t.Fatalf("hedged %d answered different bytes", i)
-		}
-		if el > worst {
-			worst = el
-		}
+		return worst
 	}
 
+	// The two kinds of phase alternate, so a neighbour stalling the box for
+	// a second lands in one phase of one repeat, and the medians over the
+	// repeats are compared: one stalled phase on either side moves
+	// neither. The bound itself is the one the mechanism promises.
+	var hedged []time.Duration
+	for rep := 0; rep < repeats; rep++ {
+		if rep > 0 {
+			healthy = append(healthy, healthyPhase(rep))
+		}
+		hedged = append(hedged, hedgedPhase(rep))
+	}
+	median := func(d []time.Duration) time.Duration {
+		s := append([]time.Duration(nil), d...)
+		sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+		return s[len(s)/2]
+	}
+	healthyP99, worst := median(healthy), median(hedged)
 	if worst >= 2*healthyP99 {
-		t.Errorf("straggler p99 %v with hedging, want < 2x healthy p99 (%v)", worst, 2*healthyP99)
+		t.Errorf("straggler p99 %v with hedging (phases %v), want < 2x healthy p99 %v (phases %v)", worst, hedged, healthyP99, healthy)
 	}
 
 	// The router's counters prove the mechanism: hedges fired and the
@@ -442,6 +467,6 @@ func TestChaosMembershipStragglerHedging(t *testing.T) {
 	if st.Router.HedgeWins == 0 {
 		t.Error("ace_hedge_wins = 0: the replica never beat the straggler")
 	}
-	t.Logf("healthy p99 %v, hedge-after %v, straggler p99 with hedging %v, hedged=%d wins=%d",
-		healthyP99, hedgeAfter, worst, st.Router.Hedged, st.Router.HedgeWins)
+	t.Logf("healthy p99 %v of %v, hedge-after %v, straggler p99 with hedging %v of %v, hedged=%d wins=%d",
+		healthyP99, healthy, hedgeAfter, worst, hedged, st.Router.Hedged, st.Router.HedgeWins)
 }

@@ -6,6 +6,7 @@ import (
 
 	"antace/internal/ckksir"
 	"antace/internal/ir"
+	"antace/internal/poly"
 )
 
 func TestCalibrateSane(t *testing.T) {
@@ -160,5 +161,21 @@ func TestInferenceCostLevelAccounting(t *testing.T) {
 	// that increments again would price a 5-residue rescale.
 	if m.Rescale(3) == m.Rescale(4) {
 		t.Fatal("Rescale(3) == Rescale(4); the convention test is vacuous")
+	}
+}
+
+// TestPolyEvalCostFollowsThePlan hand-counts a polynomial stage: c3·x³ +
+// c1·x entering at level 5 is planned as x² (a product at level 5), the
+// quotient c3·x (a constant multiply and its rescale at level 5), and the
+// root (c3·x)·x² + c1·x one level down, relinearised once and rescaled.
+// Nothing is priced at a guessed level.
+func TestPolyEvalCostFollowsThePlan(t *testing.T) {
+	m := &Model{Cal: DefaultCalibration(), LogN: 12, Alpha: 2, K: 2}
+	got := m.polyEvalCost(poly.NewPlan(poly.NewMonomial(0, 0.5, 0, -0.25)), 5)
+	want := 5*m.pw(6) + m.KeySwitch(5) + m.Rescale(5) + // x²
+		2*m.pw(6) + m.Rescale(5) + // c3·x
+		5*m.pw(5) + 2*m.pw(5) + 2*m.pw(5) + m.KeySwitch(4) + m.Rescale(4) // root
+	if diff := math.Abs(got-want) / want; diff > 1e-12 {
+		t.Fatalf("degree-3 stage at level 5: got %.6g, want %.6g (rel diff %g)", got, want, diff)
 	}
 }

@@ -39,8 +39,9 @@ func (p *Polynomial) Degree() int {
 	return 0
 }
 
-// Depth returns the multiplicative depth needed to evaluate p with a
-// BSGS evaluation: ceil(log2(degree+1)).
+// Depth returns the multiplicative depth of p, ceil(log2(degree+1)): what
+// its evaluation plan consumes on [-1,1] (Plan.Depth adds the level of a
+// Chebyshev interval's affine map).
 func (p *Polynomial) Depth() int {
 	d := p.Degree()
 	depth := 0
@@ -48,29 +49,6 @@ func (p *Polynomial) Depth() int {
 		depth++
 	}
 	return depth
-}
-
-// BSGSShape returns what the runtime's baby-step/giant-step evaluation
-// of coeffs costs: the ciphertext-ciphertext products (power basis,
-// giant steps and the quotient spine) and the nonzero coefficients (one
-// constant multiply each). A polynomial of degree < 1 needs neither.
-func BSGSShape(coeffs []float64) (products, nonzero int) {
-	p := Polynomial{Coeffs: coeffs}
-	deg := p.Degree()
-	if deg < 1 {
-		return 0, 0
-	}
-	for _, c := range coeffs {
-		if c != 0 {
-			nonzero++
-		}
-	}
-	m := 1 << ((p.Depth() + 1) / 2)
-	giants := 0
-	for g := m; 2*g <= deg; g *= 2 {
-		giants++
-	}
-	return (m - 1) + giants + giants + 1, nonzero
 }
 
 // Eval evaluates p at x in plaintext (reference implementation).

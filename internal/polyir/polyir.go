@@ -13,6 +13,7 @@ package polyir
 import (
 	"fmt"
 
+	"antace/internal/bootstrap"
 	"antace/internal/ckksir"
 	"antace/internal/ir"
 	"antace/internal/poly"
@@ -114,7 +115,7 @@ func Lower(cm *ir.Module, alpha, k int) (*ir.Module, error) {
 			if err != nil {
 				return nil, fmt.Errorf("polyir: %s: %w", in.Op, err)
 			}
-			expandPolyEval(emit, keySwitch, p.Coeffs, in.Args[0].Level)
+			expandPolyEval(emit, keySwitch, poly.NewPlan(p), in.Args[0].Level)
 		case ckksir.OpBootstrap:
 			expandBootstrap(emit, keySwitch, in, src.Params[0].Type.Len())
 		default:
@@ -128,24 +129,27 @@ func Lower(cm *ir.Module, alpha, k int) (*ir.Module, error) {
 	return mod, nil
 }
 
-// expandPolyEval models the runtime's BSGS evaluation: power-basis
-// generation (ciphertext products with relinearisation and rescale) plus
-// per-coefficient constant multiplications.
-func expandPolyEval(emit func(string, int, int), keySwitch func(int), coeffs []float64, level int) {
-	products, nonzero := poly.BSGSShape(coeffs)
-	l := level
-	for i := 0; i < products; i++ {
+// expandPolyEval expands the evaluation plan of a polynomial whose input
+// sits at the given level, every operation at the level the plan puts it.
+func expandPolyEval(emit func(string, int, int), keySwitch func(int), pl *poly.Plan, level int) {
+	pl.Walk(func(s poly.Step, depth int) {
+		l := level - depth
 		r := l + 1
-		emit(OpModMul, r, 4)
-		emit(OpModAdd, r, 1)
-		keySwitch(l)
-		emit(OpRescale, r, 2)
-		if i%2 == 1 && l > 1 {
-			l--
+		switch s {
+		case poly.StepMul:
+			emit(OpModMul, r, 4)
+			emit(OpModAdd, r, 1)
+		case poly.StepRelin:
+			keySwitch(l)
+			emit(OpModAdd, r, 2)
+		case poly.StepRescale:
+			emit(OpRescale, r, 2)
+		case poly.StepMulConst:
+			emit(OpModMul, r, 2)
+		case poly.StepAdd:
+			emit(OpModAdd, r, 2)
 		}
-	}
-	emit(OpModMul, level+1, 2*nonzero) // baby-step constant multiplies
-	emit(OpModAdd, level+1, nonzero)
+	})
 }
 
 // expandBootstrap models the circuit: two dense linear transforms over
@@ -168,13 +172,10 @@ func expandBootstrap(emit func(string, int, int), keySwitch func(int), in *ir.In
 		emit(OpModMul, phase+1, 2*slots/8) // sparse-diagonal estimate
 		emit(OpRescale, phase+1, 2)
 	}
-	// EvalMod: degree-30 Chebyshev + 3 double angles on two halves.
-	evalCoeffs := make([]float64, 31)
-	for i := range evalCoeffs {
-		evalCoeffs[i] = 1
-	}
+	// EvalMod: the default cosine's plan + 3 double angles on two halves.
+	evalMod := bootstrap.EvalModPlan(bootstrap.Parameters{})
 	for half := 0; half < 2; half++ {
-		expandPolyEval(emit, keySwitch, evalCoeffs, l-2)
+		expandPolyEval(emit, keySwitch, evalMod, l-2)
 		for i := 0; i < 3; i++ {
 			emit(OpModMul, target+6, 4)
 			keySwitch(target + 5)

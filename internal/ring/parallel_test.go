@@ -77,6 +77,16 @@ func TestParallelMatchesSerial(t *testing.T) {
 			rQ.MulCoeffs(a, b, out)
 			return []*Poly{out}
 		}},
+		{"MulCoeffsOnLevelViews", func() []*Poly {
+			// Operands that share the rows of deeper polynomials, as the
+			// polynomial evaluator passes its power basis.
+			av, bv := &Poly{Coeffs: a.Coeffs[:level]}, &Poly{Coeffs: b.Coeffs[:level]}
+			out := rQ.NewPoly(level - 1)
+			rQ.MulCoeffs(av, bv, out)
+			inner := rQ.NewPoly(level - 1)
+			rQ.InnerProduct([]*Poly{av, bv}, []*Poly{bv, av}, inner)
+			return []*Poly{out, inner}
+		}},
 		{"MulCoeffsThenAdd", func() []*Poly {
 			out := b.CopyNew()
 			rQ.MulCoeffsThenAdd(a, b, out)

@@ -95,38 +95,18 @@ func ReLUStages(bound float64, opts Options) ([][]float64, error) {
 
 // ReLUDepth returns the multiplicative depth the CKKS backend consumes
 // for a ReLU lowered with the given stages: the input normalisation,
-// the per-stage BSGS depths, and the final ciphertext-ciphertext
-// product.
+// the stages, and the final ciphertext-ciphertext product.
 func ReLUDepth(stages [][]float64) int {
 	d := 1 // normalisation x/bound
 	for _, coeffs := range stages {
-		d += StageDepth(coeffs)
+		d += StageDepth(&poly.Polynomial{Coeffs: coeffs})
 	}
 	return d + 1
 }
 
-// StageDepthInstr returns the level consumption of a sihe.poly/ckks.poly
-// instruction, accounting for the Chebyshev affine domain map when the
-// interval differs from [-1,1].
-func StageDepthInstr(p *poly.Polynomial) int {
-	d := StageDepth(p.Coeffs)
-	if p.Basis == poly.Chebyshev && (p.A != -1 || p.B != 1) {
-		d++ // affine input normalisation inside the evaluator
-	}
-	return d
-}
-
-// StageDepth returns the level consumption of one polynomial stage under
-// the runtime's BSGS evaluator: ceil(log2(deg+1)) plus one (the extra
-// rescale that keeps baby-step coefficients precisely encodable).
-func StageDepth(coeffs []float64) int {
-	p := poly.Polynomial{Coeffs: coeffs}
-	if p.Degree() <= 1 {
-		// A linear stage is a single constant multiplication + rescale.
-		return 1
-	}
-	return p.Depth() + 1
-}
+// StageDepth returns the level consumption of a sihe.poly/ckks.poly
+// instruction: the depth of the plan the runtime evaluates it by.
+func StageDepth(p *poly.Polynomial) int { return poly.NewPlan(p).Depth() }
 
 // Lower re-types a VECTOR IR module into SIHE, inserting encode ops and
 // expanding vec.relu into its polynomial program.

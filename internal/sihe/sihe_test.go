@@ -8,6 +8,7 @@ import (
 	"antace/internal/ir"
 	"antace/internal/nnir"
 	"antace/internal/onnx"
+	"antace/internal/poly"
 	"antace/internal/tensor"
 	"antace/internal/vecir"
 )
@@ -132,13 +133,19 @@ func TestReLUStagesApproximateReLU(t *testing.T) {
 	}
 }
 
+// TestStageDepth: a stage costs the depth of its evaluation plan,
+// ceil(log2(deg+1)), one more where a Chebyshev interval needs the affine
+// input map.
 func TestStageDepth(t *testing.T) {
-	cases := map[int]int{1: 1, 3: 3, 7: 4, 15: 5}
+	cases := map[int]int{1: 1, 3: 2, 7: 3, 15: 4, 30: 5}
 	for deg, want := range cases {
 		coeffs := make([]float64, deg+1)
 		coeffs[deg] = 1
-		if got := StageDepth(coeffs); got != want {
+		if got := StageDepth(&poly.Polynomial{Coeffs: coeffs}); got != want {
 			t.Errorf("StageDepth(deg %d) = %d, want %d", deg, got, want)
+		}
+		if got := StageDepth(&poly.Polynomial{Coeffs: coeffs, Basis: poly.Chebyshev, A: 0, B: 4}); got != want+1 {
+			t.Errorf("StageDepth(deg %d on [0,4]) = %d, want %d", deg, got, want+1)
 		}
 	}
 }

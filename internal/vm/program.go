@@ -72,7 +72,7 @@ type instr struct {
 	k    int
 	x, y float64
 	vec  []float64
-	poly *poly.Polynomial
+	plan *poly.Plan // how a ckks.poly is evaluated, worked out once here
 }
 
 // Prepare returns the module's Program, building it on the first call.
@@ -220,7 +220,7 @@ func decode(in *ir.Instr, slot func(*ir.Value) (int, error)) (instr, error) {
 		if err != nil {
 			return d, err
 		}
-		d.poly = p
+		d.plan = poly.NewPlan(p)
 		d.op, d.x = opPoly, in.AttrFloat("target", 0)
 	case ckksir.OpBootstrap:
 		d.op, d.k = opBootstrap, in.AttrInt("target", 0)

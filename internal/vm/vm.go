@@ -305,7 +305,7 @@ func (m *Machine) run(ctx context.Context, prog *Program, input *ckks.Ciphertext
 		case opMulConst:
 			cts[in.dst] = ev.MulByConst(cts[in.a], in.x, in.y)
 		case opPoly:
-			cts[in.dst], err = ev.EvaluatePolynomial(cts[in.a], in.poly, in.x)
+			cts[in.dst], err = ev.EvaluatePolynomial(cts[in.a], in.plan, in.x)
 		case opBootstrap:
 			if m.Boot == nil {
 				return nil, fmt.Errorf("vm: program contains bootstrap but no bootstrapper configured")
