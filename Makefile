@@ -1,5 +1,15 @@
 GO ?= go
 
+# gotest FLAGS,SELECTOR,PATTERN,PACKAGE runs `go test FLAGS SELECTOR
+# 'PATTERN' PACKAGE` for one -run, -fuzz or -bench selector, after
+# `go test -list` (with FLAGS' -tags) has found a test PATTERN names in
+# PACKAGE. A renamed test would otherwise leave its suite passing on "no
+# tests to run".
+define gotest
+	@$(GO) test $(filter -tags=%,$(1)) -list '$(3)' $(4) | grep -q '^\(Test\|Fuzz\|Benchmark\)' || { echo "$(4): $(2) '$(3)' selects nothing" >&2; exit 1; }
+	$(GO) test $(1) $(2) '$(3)' $(4)
+endef
+
 .PHONY: build test verify vet race bootstrap-large bench bench-check bench-parallel bench-fusion bench-batch serve-smoke obs-smoke chaos durability cluster-chaos cluster-membership-chaos autotune
 
 build:
@@ -31,13 +41,13 @@ race:
 # picks there: half a gigabyte of rotation keys, so it sits behind the
 # verify build tag instead of in every `go test ./...` (logN 12 is).
 bootstrap-large:
-	$(GO) test -count=1 -tags verify -run 'TestBootstrapAtLogN13' ./internal/bootstrap/ -v
+	$(call gotest,-count=1 -tags=verify -v,-run,TestBootstrapAtLogN13,./internal/bootstrap/)
 
 # Loopback smoke test of the serving layer: start an in-process daemon,
 # register a session through the real client, infer, decrypt, compare to
 # the cleartext reference.
 serve-smoke:
-	$(GO) test -count=1 -run 'TestLoopbackInference' ./internal/serve/ -v
+	$(call gotest,-count=1 -v,-run,TestLoopbackInference,./internal/serve/)
 
 # Observability smoke test against the real binary: boot aced, run one
 # traced inference through the client library, strict-parse /metrics
@@ -45,7 +55,7 @@ serve-smoke:
 # evaluation time, and verify one trace id strings the daemon's log
 # events together across the request's whole life.
 obs-smoke:
-	$(GO) test -count=1 -run 'TestObsSmokeAced|TestMetricsExposition|TestProfilezTracksEval' ./internal/serve/ -v
+	$(call gotest,-count=1 -v,-run,TestObsSmokeAced|TestMetricsExposition|TestProfilezTracksEval,./internal/serve/)
 
 # Chaos suite: deterministic fault injection (internal/fault) drives the
 # daemon through worker panics, dropped responses and queue-full storms
@@ -53,7 +63,7 @@ obs-smoke:
 # replay exactly; -count=1 defeats the test cache because fault points
 # are process-global state.
 chaos:
-	$(GO) test -count=1 -race -run 'Chaos' ./internal/serve/ -v
+	$(call gotest,-count=1 -race -v,-run,Chaos,./internal/serve/)
 	$(GO) test -count=1 -race ./internal/fault/
 	$(GO) test -count=1 -race ./internal/batch/
 
@@ -62,9 +72,9 @@ chaos:
 # bit-identically from its checkpoint; the fuzz smokes feed corrupt
 # journal and snapshot bytes to the replay/restore paths. All raced.
 durability:
-	$(GO) test -count=1 -race -run 'TestCrashRestart|TestRestart|TestRecovery' ./internal/serve/ -v -timeout 600s
-	$(GO) test -count=1 -race -run '^$$' -fuzz FuzzStoreReplay -fuzztime 10s ./internal/store/
-	$(GO) test -count=1 -race -run '^$$' -fuzz FuzzSnapshotRestore -fuzztime 10s ./internal/vm/
+	$(call gotest,-count=1 -race -v -timeout 600s,-run,TestCrashRestart|TestRestart|TestRecovery,./internal/serve/)
+	$(call gotest,-count=1 -race -run '^$$' -fuzztime 10s,-fuzz,FuzzStoreReplay,./internal/store/)
+	$(call gotest,-count=1 -race -run '^$$' -fuzztime 10s,-fuzz,FuzzSnapshotRestore,./internal/vm/)
 
 # Cluster chaos suite: the sharded-serving proofs, all raced. The
 # subprocess e2e boots three real aced shards plus an acerouter,
@@ -74,7 +84,7 @@ durability:
 # in-process tests drive the same ring/shipper/router machinery through
 # the router.forward.err and replica.ship.torn injection points.
 cluster-chaos:
-	$(GO) test -count=1 -race -run 'TestChaos|TestRouter|TestShipper' ./internal/cluster/ -v -timeout 600s
+	$(call gotest,-count=1 -race -v -timeout 600s,-run,TestChaos|TestRouter|TestShipper,./internal/cluster/)
 
 # Live-membership chaos suite, all raced. Subprocess e2e against the
 # real binaries: a cold shard joins a loaded cluster through the
@@ -87,9 +97,9 @@ cluster-chaos:
 # wire fuzzing seeds, the handoff readyz gate and the client's
 # membership refetch.
 cluster-membership-chaos:
-	$(GO) test -count=1 -race -run 'TestChaosMembership|TestMembership|TestLatencyEstimator' ./internal/cluster/ -v -timeout 600s
-	$(GO) test -count=1 -race -run 'TestRefreshMembership|TestAPIErrorCarriesEpoch' ./internal/fheclient/ -v
-	$(GO) test -count=1 -race -run '^$$' -fuzz FuzzMembershipWire -fuzztime 10s ./internal/cluster/
+	$(call gotest,-count=1 -race -v -timeout 600s,-run,TestChaosMembership|TestMembership|TestLatencyEstimator,./internal/cluster/)
+	$(call gotest,-count=1 -race -v,-run,TestRefreshMembership|TestAPIErrorCarriesEpoch,./internal/fheclient/)
+	$(call gotest,-count=1 -race -run '^$$' -fuzztime 10s,-fuzz,FuzzMembershipWire,./internal/cluster/)
 
 # Calibrated-cost-model autotune: microbenchmark the runtime, enumerate
 # compilation plans (bootstrap placement) for the reduced ResNet-20
@@ -129,15 +139,14 @@ bench:
 # Microbenchmarks for the limb-parallel engine and buffer pooling
 # (BENCH_parallel.json records reference numbers).
 bench-parallel:
-	$(GO) test -run '^$$' -bench 'BenchmarkNTT$$|BenchmarkKeySwitch$$|BenchmarkHoistedRotations$$' -benchmem .
+	$(call gotest,-run '^$$' -benchmem,-bench,BenchmarkNTT$$|BenchmarkKeySwitch$$|BenchmarkHoistedRotations$$,.)
 
 # Fused-kernel benchmarks (BENCH_fusion.json records reference numbers):
 # the four benchmarks the fused key-switch path and lazy-reduction NTT
 # move. -count=3 because single runs on shared machines are ±10% noisy;
 # take the best run per benchmark when comparing.
 bench-fusion:
-	$(GO) test -run '^$$' -count=3 -timeout 1800s \
-		-bench 'BenchmarkNTT$$|BenchmarkKeySwitch$$|BenchmarkHoistedRotations$$|BenchmarkRuntimeBootstrap$$' -benchmem .
+	$(call gotest,-run '^$$' -count=3 -timeout 1800s -benchmem,-bench,BenchmarkNTT$$|BenchmarkKeySwitch$$|BenchmarkHoistedRotations$$|BenchmarkRuntimeBootstrap$$,.)
 
 # Cross-request batching benchmark (BENCH_batch.json records reference
 # numbers): boot a real aced serving the reduced ResNet-20 at logN 12

@@ -73,9 +73,8 @@ func PaperProfile() Profile {
 // Never deploy with this profile.
 func TestProfile() Profile {
 	return core.Config{
-		SIHE:     sihe.Options{ReLUAlpha: 5, ReLUEps: 0.125},
-		CKKS:     ckksir.Options{LogScale: 40, Mode: ckksir.BootstrapAuto, IgnoreSecurity: true},
-		SkipPoly: true,
+		SIHE: sihe.Options{ReLUAlpha: 5, ReLUEps: 0.125},
+		CKKS: ckksir.Options{LogScale: 40, Mode: ckksir.BootstrapAuto, IgnoreSecurity: true},
 	}
 }
 

@@ -238,7 +238,6 @@ func TestPaperProfileSelectsSecureParameters(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := PaperProfile()
-	cfg.SkipPoly = true
 	cfg.Vec.AnalysisOnly = true
 	prog, err := Compile(model, cfg)
 	if err != nil {

@@ -24,6 +24,7 @@ import (
 	"antace/internal/costmodel"
 	"antace/internal/experiments"
 	"antace/internal/ir"
+	"antace/internal/kswork"
 	"antace/internal/nnir"
 	"antace/internal/onnx"
 	"antace/internal/poly"
@@ -48,9 +49,11 @@ func benchCompile(b *testing.B, spec experiments.ModelSpec, scale experiments.Sc
 		if scale == experiments.ScalePaper {
 			cfg = experiments.PaperConfig()
 		}
-		cfg.SkipPoly = false
 		c, err := core.Compile(m, cfg)
 		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := c.LowerPoly(); err != nil {
 			b.Fatal(err)
 		}
 		if i == 0 {
@@ -300,7 +303,7 @@ func BenchmarkAblationBootstrapLevel(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			model := &costmodel.Model{Cal: cal, LogN: 16, Alpha: 2, K: 2}
+			model := &costmodel.Model{Cal: cal, Geometry: kswork.Geometry{LogN: 16, K: 2}}
 			totals[j] = model.InferenceCost(c.CKKS).Bootstrap
 		}
 		if i == 0 {

@@ -38,14 +38,14 @@ func runCalibrateFrom(base string, w io.Writer) error {
 	if err := getJSON(base+api.PathProfilez, &snap); err != nil {
 		return fmt.Errorf("fetching profile: %w", err)
 	}
-	geom := costmodel.Geometry{LogN: lit.LogN, Alpha: len(lit.LogP), K: len(lit.LogP)}
+	geom := lit.Geometry()
 	cal, fits, err := costmodel.FromProfile(snap, geom, costmodel.DefaultCalibration())
 	if err != nil {
 		return fmt.Errorf("fit: %w", err)
 	}
 
-	fmt.Fprintf(w, "recalibrated from %s (%s, %d runs, logN=%d alpha=%d)\n\n",
-		base, spec.Name, snap.Runs, geom.LogN, geom.Alpha)
+	fmt.Fprintf(w, "recalibrated from %s (%s, %d runs, logN=%d K=%d)\n\n",
+		base, spec.Name, snap.Runs, geom.LogN, geom.K)
 	def := costmodel.DefaultCalibration()
 	row := func(name string, fitted, base float64) {
 		fmt.Fprintf(w, "%-18s %12.3e %12.3e %8.2fx\n", name, fitted, base, fitted/base)
@@ -53,7 +53,6 @@ func runCalibrateFrom(base string, w io.Writer) error {
 	fmt.Fprintf(w, "%-18s %12s %12s %8s\n", "constant", "fitted", "default", "ratio")
 	row("ntt/butterfly", cal.NTTPerButterfly, def.NTTPerButterfly)
 	row("pointwise/coeff", cal.PointwisePerCoeff, def.PointwisePerCoeff)
-	row("bconv/coeff", cal.BConvPerCoeff, def.BConvPerCoeff)
 	row("modup/unit", cal.ModUpPerUnit, def.ModUpPerUnit)
 	row("muladd/unit", cal.MulAddPerUnit, def.MulAddPerUnit)
 	row("moddown/unit", cal.ModDownPerUnit, def.ModDownPerUnit)
@@ -210,7 +209,7 @@ func runAutotune(w io.Writer, outPath string, cal costmodel.Calibration) error {
 		return err
 	}
 
-	geom := costmodel.GeometryOf(def.CKKS)
+	geom := def.CKKS.Literal.Geometry()
 	meas, err := costmodel.MeasuredBreakdown(defSnap)
 	if err != nil {
 		return err
@@ -220,8 +219,8 @@ func runAutotune(w io.Writer, outPath string, cal costmodel.Calibration) error {
 		return err
 	}
 	live = costmodel.FitSchedule(live, geom, def.CKKS, defSnap)
-	predDef := geom.Model(cal).InferenceCost(def.CKKS)
-	predLive := geom.Model(live).InferenceCost(def.CKKS)
+	predDef := (&costmodel.Model{Cal: cal, Geometry: geom}).InferenceCost(def.CKKS)
+	predLive := (&costmodel.Model{Cal: live, Geometry: geom}).InferenceCost(def.CKKS)
 
 	rep := autotuneReport{
 		Model:                spec.Name + "-reduced",

@@ -75,8 +75,8 @@ func main() {
 	if *calibrate {
 		if c, err := costmodel.Calibrate(); err == nil {
 			cal = c
-			fmt.Printf("calibration: ntt=%.2e/butterfly pointwise=%.2e/coeff bconv=%.2e/coeff modup=%.2e muladd=%.2e moddown=%.2e (keyswitch cross-check: measured %.3gs vs predicted %.3gs)\n\n",
-				c.NTTPerButterfly, c.PointwisePerCoeff, c.BConvPerCoeff,
+			fmt.Printf("calibration: ntt=%.2e/butterfly pointwise=%.2e/coeff modup=%.2e muladd=%.2e moddown=%.2e (keyswitch cross-check: measured %.3gs vs predicted %.3gs)\n\n",
+				c.NTTPerButterfly, c.PointwisePerCoeff,
 				c.ModUpPerUnit, c.MulAddPerUnit, c.ModDownPerUnit,
 				c.KeySwitchMeasuredSec, c.KeySwitchPredictedSec)
 		}

@@ -21,9 +21,8 @@ func TestCompiledModelSimDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 	prog, err := core.Compile(model, core.Config{
-		SIHE:     sihe.Options{ReLUAlpha: 5, ReLUEps: 0.125},
-		CKKS:     ckksir.Options{LogScale: 40, Mode: ckksir.BootstrapAuto, IgnoreSecurity: true},
-		SkipPoly: true,
+		SIHE: sihe.Options{ReLUAlpha: 5, ReLUEps: 0.125},
+		CKKS: ckksir.Options{LogScale: 40, Mode: ckksir.BootstrapAuto, IgnoreSecurity: true},
 	})
 	if err != nil {
 		t.Fatal(err)

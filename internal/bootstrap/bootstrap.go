@@ -68,20 +68,77 @@ func (p Parameters) WithDefaults() Parameters { return p.withDefaults() }
 // and the S2C stages.
 func CircuitDepth(p Parameters) int {
 	p = p.withDefaults()
-	return p.C2SStages + EvalModPlan(p).Depth() + p.DoubleAngle + p.S2CStages
+	return p.C2SStages + evalModPlan(p).Depth() + p.DoubleAngle + p.S2CStages
 }
 
-// EvalModPlan returns the evaluation plan of EvalMod's polynomial: the
+// StepKind names what one step of the circuit's schedule does.
+type StepKind int
+
+const (
+	StepC2S         StepKind = iota // one CoeffsToSlots stage matrix
+	StepConjugate                   // the conjugation that splits the coefficient halves
+	StepEvalMod                     // EvalMod's polynomial
+	StepDoubleAngle                 // one double angle: square, relinearise, rescale
+	StepS2C                         // one SlotsToCoeffs stage matrix
+)
+
+// Step is one key-switching step of the bootstrap circuit.
+type Step struct {
+	Kind StepKind
+	// Level is the level the ciphertext enters the step at.
+	Level int
+	// Diags is the stage matrix's diagonal count (StepC2S, StepS2C).
+	Diags int
+	// Plan is the polynomial's evaluation plan (StepEvalMod).
+	Plan *poly.Plan
+	// Count is how many ciphertexts run the step: 2 for EvalMod's steps,
+	// which run on both coefficient halves at the same levels, else 1.
+	Count int
+}
+
+// Schedule returns the key-switching steps of one bootstrap to the
+// target level in a ring of degree 2^logN, in the order Bootstrap runs
+// them and each with the level it enters at: the CoeffsToSlots stages
+// down from target + CircuitDepth, the conjugation, EvalMod's polynomial
+// and double angles (each listed once for both halves), the
+// SlotsToCoeffs stages down to the target. The transforms act on all
+// 2^(logN-1) slots of the ring. The compiler, the cost model, the POLY
+// IR and the memory figures all fold over this one list.
+func Schedule(p Parameters, logN, target int) []Step {
+	p = p.withDefaults()
+	c2s := kswork.StageDiagonals(logN-1, p.C2SStages, true)
+	s2c := kswork.StageDiagonals(logN-1, p.S2CStages, false)
+	evalMod := evalModPlan(p)
+	level := target + CircuitDepth(p)
+	steps := make([]Step, 0, len(c2s)+2+p.DoubleAngle+len(s2c))
+	for _, d := range c2s {
+		steps = append(steps, Step{Kind: StepC2S, Level: level, Diags: d, Count: 1})
+		level--
+	}
+	steps = append(steps,
+		Step{Kind: StepConjugate, Level: level, Count: 1},
+		Step{Kind: StepEvalMod, Level: level, Plan: evalMod, Count: 2})
+	level -= evalMod.Depth()
+	for i := 0; i < p.DoubleAngle; i++ {
+		steps = append(steps, Step{Kind: StepDoubleAngle, Level: level, Count: 2})
+		level--
+	}
+	for _, d := range s2c {
+		steps = append(steps, Step{Kind: StepS2C, Level: level, Diags: d, Count: 1})
+		level--
+	}
+	return steps
+}
+
+// evalModPlan returns the evaluation plan of EvalMod's polynomial: the
 // Chebyshev interpolation on [-1,1] of
 //
 //	h(x) = cos((2*pi*(K+1)*x - pi/2) / 2^DoubleAngle),
 //
 // where the input normalisation by B = (K+1)*q0/D makes K+1 the frequency
 // that restores the true q0-periodicity. It depends on the configuration
-// alone, so the compiler and the cost models price the very plan the
-// bootstrapper executes.
-func EvalModPlan(p Parameters) *poly.Plan {
-	p = p.withDefaults()
+// alone, so the schedule prices the very plan the bootstrapper executes.
+func evalModPlan(p Parameters) *poly.Plan {
 	key := [3]int{p.K, p.EvalModDegree, p.DoubleAngle}
 	if pl, ok := evalModPlans.Load(key); ok {
 		return pl.(*poly.Plan)
@@ -94,19 +151,10 @@ func EvalModPlan(p Parameters) *poly.Plan {
 	return pl.(*poly.Plan)
 }
 
-// evalModPlans memoises EvalModPlan by (K, degree, double angles): the
+// evalModPlans memoises evalModPlan by (K, degree, double angles): the
 // compiler asks for the plan of one configuration some fifty times while
 // it prices stage counts, and a plan is read-only once built.
 var evalModPlans sync.Map
-
-// StageDiagonals returns the diagonal counts of the stage matrices this
-// configuration factorises CoeffsToSlots (the inverse special FFT) and
-// SlotsToCoeffs (the forward one) into over 2^logSlots slots, in
-// evaluation order.
-func StageDiagonals(p Parameters, logSlots int) (c2s, s2c []int) {
-	p = p.withDefaults()
-	return kswork.StageDiagonals(logSlots, p.C2SStages, true), kswork.StageDiagonals(logSlots, p.S2CStages, false)
-}
 
 func (p Parameters) withDefaults() Parameters {
 	if p.K == 0 {
@@ -180,7 +228,7 @@ func NewBootstrapper(params *ckks.Parameters, bp Parameters, inputScale float64)
 		q0:           q0,
 		d:            d,
 		circuitScale: float64(params.Q()[params.MaxLevel()]),
-		evalMod:      EvalModPlan(bp),
+		evalMod:      evalModPlan(bp),
 	}
 	var err error
 	// CoeffsToSlots: u = (1/(2B)) SFinv * v.
@@ -251,9 +299,7 @@ func (bt *Bootstrapper) RequiredRotations() []int {
 
 // Depth returns the number of levels the bootstrap circuit consumes
 // above its output level.
-func (bt *Bootstrapper) Depth() int {
-	return len(bt.c2s) + bt.evalMod.Depth() + bt.bp.DoubleAngle + len(bt.s2c)
-}
+func (bt *Bootstrapper) Depth() int { return CircuitDepth(bt.bp) }
 
 // MaxOutputLevel is the highest level Bootstrap can refresh to.
 func (bt *Bootstrapper) MaxOutputLevel() int {

@@ -11,7 +11,8 @@ import (
 // the parameters allow) to 4096 and every stage count, chaining the stage
 // matrices on a cleartext vector is the encoder's special FFT up to the
 // bit-reversal both directions leave out, each stage has the diagonals
-// kswork prices it with, and the two directions undo each other. One
+// kswork prices it with and splits into the n1 − 1 baby and n2 − 1 giant
+// rotations kswork counts, and the two directions undo each other. One
 // stage over more than 1024 slots is the dense matrix itself (16 M
 // entries and up) and is left to the smaller rings.
 func TestDFTStagesMatchSpecialFFT(t *testing.T) {
@@ -37,6 +38,21 @@ func TestDFTStagesMatchSpecialFFT(t *testing.T) {
 					for i, lt := range lts {
 						if len(lt.Diags) != want[i] {
 							t.Errorf("inverse %v stage %d: %d diagonals, priced as %d", inverse, i, len(lt.Diags), want[i])
+						}
+						index := lt.babyGiant()
+						babies := map[int]bool{}
+						for _, bs := range index {
+							for _, b := range bs {
+								babies[b] = true
+							}
+						}
+						delete(babies, 0)
+						giants := len(index)
+						if _, ok := index[0]; ok {
+							giants--
+						}
+						if n1, n2 := kswork.BabySteps(want[i]), kswork.GiantSteps(want[i]); len(babies) != n1-1 || giants != n2-1 {
+							t.Errorf("inverse %v stage %d: %d baby and %d giant rotations, priced as %d and %d", inverse, i, len(babies), giants, n1-1, n2-1)
 						}
 						v = lt.MulVec(v)
 					}

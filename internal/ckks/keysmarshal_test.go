@@ -165,7 +165,7 @@ func TestEvaluationKeySetWithoutRlk(t *testing.T) {
 func TestParametersLiteralRoundTrip(t *testing.T) {
 	lits := []ParametersLiteral{
 		{LogN: 8, LogQ: []int{50, 40, 40, 40}, LogP: []int{50, 50}, LogScale: 40},
-		{LogN: 13, LogQ: []int{60, 56, 56}, LogP: []int{60}, LogScale: 56, Dnum: 3},
+		{LogN: 13, LogQ: []int{60, 56, 56}, LogP: []int{60}, LogScale: 56},
 		{LogN: 9, LogQ: []int{60, 40, 40, 40, 40, 40, 40, 60, 60}, LogP: []int{61, 61, 61, 61, 61, 61}, LogScale: 40},
 	}
 	for _, lit := range lits {

@@ -15,13 +15,11 @@ import (
 type LinearTransform struct {
 	Slots int
 	Diags map[int][]complex128
-	// N1 is the baby-step count; 0 selects sqrt of the diagonal count.
-	N1 int
 	// Memo, when set, keeps each pre-rotated diagonal, encoded over Q∪P,
 	// per (level, plaintext scale), so evaluators sharing the transform
 	// encode a diagonal once instead of on every evaluation. Make it with
 	// NewPlaintextMemoQP, which counts the rows over P against the budget.
-	// Diags and N1 must not change once it holds entries.
+	// Diags must not change once it holds entries.
 	Memo *PlaintextMemo
 }
 
@@ -38,18 +36,17 @@ func (lt *LinearTransform) MulVec(in []complex128) []complex128 {
 }
 
 // babyGiant splits every diagonal index d into a giant and a baby
-// rotation, d = g + b, and returns the baby steps of every giant step. Diagonals that all sit on multiples of a stride —
-// a DFT stage's do — are split in units of that stride, so the n1 baby
-// steps are 0, s, …, (n1−1)·s rather than rotations no diagonal uses.
+// rotation, d = g + b, with kswork.BabySteps baby steps, and returns the
+// baby steps of every giant step. Diagonals that all sit on multiples of
+// a stride — a DFT stage's do — are split in units of that stride, so
+// the n1 baby steps are 0, s, …, (n1−1)·s rather than rotations no
+// diagonal uses.
 func (lt *LinearTransform) babyGiant() map[int][]int {
 	stride := lt.Slots
 	for d := range lt.Diags {
 		stride = gcd(stride, d)
 	}
-	n1 := lt.N1
-	if n1 == 0 {
-		n1 = kswork.BabySteps(len(lt.Diags))
-	}
+	n1 := kswork.BabySteps(len(lt.Diags))
 	index := map[int][]int{}
 	for d := range lt.Diags {
 		b := d % (n1 * stride)

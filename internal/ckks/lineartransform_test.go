@@ -137,32 +137,37 @@ func TestLinearTransformShapes(t *testing.T) {
 		}
 		return ds
 	}
+	band := func(n int) []int { // diagonals 0 … n−1
+		ds := make([]int, n)
+		for i := range ds {
+			ds[i] = i
+		}
+		return ds
+	}
 	cases := []struct {
 		name  string
 		diags []int
-		n1    int
 		keys  int // rotation keys the split must come to; 0: unchecked
 	}{
-		{"dense", every(1), 0, 0},
-		{"every-7th", every(7), 0, 0},
-		{"dense-n1-4", every(1), 4, 0},
-		{"no-zero-group", []int{20, 21, 23, 37, 38}, 4, 0},
-		{"zero-group-only", []int{0, 1, 3}, 4, 0},
-		{"identity-diagonal", []int{0}, 0, 0},
-		{"one-diagonal", []int{5}, 0, 0},
-		{"one-giant-diagonal", []int{8}, 4, 0},
+		{"dense", every(1), 0},
+		{"every-7th", every(7), 0},
+		{"dense-n1-4", band(16), 6}, // baby steps 1, 2, 3; giant steps 4, 8, 12
+		{"no-zero-group", []int{20, 21, 23, 37, 38}, 0},
+		{"zero-group-only", []int{0, 1}, 1},
+		{"identity-diagonal", []int{0}, 0},
+		{"one-diagonal", []int{5}, 0},
+		{"one-giant-diagonal", []int{8}, 1},
 		// Diagonals on multiples of a stride, on both sides of zero, as a
 		// DFT stage has them: the baby steps are multiples of the stride
 		// too (8, 16, 24 and the one giant step 96; 16, 32 and 48, 96).
-		{"stride-8", []int{0, 8, 16, 24, 104, 112, 120}, 0, 4},
-		{"stride-16-wrapped", every(16), 0, 4},
-		{"stride-4-no-zero-group", []int{4, 12, 100, 124}, 2, 0},
+		{"stride-8", []int{0, 8, 16, 24, 104, 112, 120}, 4},
+		{"stride-16-wrapped", every(16), 4},
+		{"stride-4-no-zero-group", []int{4, 12, 100, 124}, 0},
 	}
 	for i, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			rng := rand.New(rand.NewPCG(uint64(i), 77))
 			lt := NewLinearTransformFromMatrix(diagonalMatrix(slots, c.diags, rng))
-			lt.N1 = c.n1
 			if c.keys != 0 && len(lt.Rotations()) != c.keys {
 				t.Errorf("rotations %v, want %d of them: baby steps must follow the stride", lt.Rotations(), c.keys)
 			}

@@ -399,7 +399,9 @@ func (lit ParametersLiteral) MarshalBinary() ([]byte, error) {
 		return nil, fmt.Errorf("ckks: modulus chain too long to serialize (%d/%d)", len(lit.LogQ), len(lit.LogP))
 	}
 	buf := putHeader(nil, kindParams)
-	buf = append(buf, uint8(lit.LogN), uint8(lit.LogScale), uint8(lit.Dnum))
+	// The third byte once carried a digit count nothing read; it stays in
+	// the layout, always zero, so encoded literals keep their bytes.
+	buf = append(buf, uint8(lit.LogN), uint8(lit.LogScale), 0)
 	buf = append(buf, uint8(len(lit.LogQ)))
 	for _, lq := range lit.LogQ {
 		if lq < 1 || lq > 63 {
@@ -426,7 +428,10 @@ func (lit *ParametersLiteral) UnmarshalBinary(data []byte) error {
 	if len(rest) < 5 {
 		return fmt.Errorf("ckks: truncated parameter literal")
 	}
-	out := ParametersLiteral{LogN: int(rest[0]), LogScale: int(rest[1]), Dnum: int(rest[2])}
+	if rest[2] != 0 {
+		return fmt.Errorf("ckks: reserved parameter byte is %d, not 0", rest[2])
+	}
+	out := ParametersLiteral{LogN: int(rest[0]), LogScale: int(rest[1])}
 	rest = rest[3:]
 	readChain := func(name string) ([]int, error) {
 		n := int(rest[0])

@@ -56,10 +56,9 @@ func TestParallelMatchesSerial(t *testing.T) {
 	cta := tc.encSk.Encrypt(pa)
 	ctb := tc.encSk.Encrypt(pb)
 
-	// A DFT stage's shape, diagonals on a stride of 4 either side of zero,
-	// at N1 = 2: babies {0, 4}, giant groups {0, 8, 120}.
-	lt := NewLinearTransformFromMatrix(diagonalMatrix(tc.params.Slots(), []int{0, 4, 8, 12, 120, 124}, rand.New(rand.NewPCG(5, 5))))
-	lt.N1 = 2
+	// A DFT stage's shape, diagonals on a stride of 4 either side of zero:
+	// four of them split into babies {0, 4} and giant groups {0, 120}.
+	lt := NewLinearTransformFromMatrix(diagonalMatrix(tc.params.Slots(), []int{0, 4, 120, 124}, rand.New(rand.NewPCG(5, 5))))
 
 	chebPlan := poly.NewPlan(poly.ChebyshevInterpolate(math.Sin, -1, 1, 7))
 

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 
+	"antace/internal/kswork"
 	"antace/internal/nt"
 	"antace/internal/ring"
 )
@@ -22,14 +23,19 @@ import (
 // set: ring degree 2^LogN, a ciphertext modulus chain with prime bit sizes
 // LogQ (LogQ[0] is the "output" prime q0), special-prime bit sizes LogP
 // for hybrid key switching, and the default encoding scale 2^LogScale.
+// Key switching cuts the chain into digits of len(LogP) primes.
 type ParametersLiteral struct {
 	LogN     int
 	LogQ     []int
 	LogP     []int
 	LogScale int
-	// Dnum is the number of key-switching digits; 0 means
-	// ceil(len(LogQ)/len(LogP)), the smallest (cheapest in memory) choice.
-	Dnum int
+}
+
+// Geometry is the key-switching shape of the parameter set, the one the
+// work counts and the cost model read: the ring degree and K special
+// primes, which NewParameters also makes the digit width.
+func (lit ParametersLiteral) Geometry() kswork.Geometry {
+	return kswork.Geometry{LogN: lit.LogN, K: len(lit.LogP)}
 }
 
 // Parameters is a compiled, validated CKKS parameter set.
@@ -40,8 +46,7 @@ type Parameters struct {
 	ringQ    *ring.Ring
 	ringP    *ring.Ring
 	be       *ring.BasisExtender
-	alpha    int // primes per key-switching digit
-	dnum     int
+	alpha    int // primes per key-switching digit: the special-prime count
 	lit      ParametersLiteral
 }
 
@@ -104,12 +109,6 @@ func NewParameters(lit ParametersLiteral) (*Parameters, error) {
 		return nil, err
 	}
 
-	dnum := lit.Dnum
-	alpha := len(pPrimes)
-	if dnum == 0 {
-		dnum = (len(qPrimes) + alpha - 1) / alpha
-	}
-
 	return &Parameters{
 		logN:     lit.LogN,
 		logScale: lit.LogScale,
@@ -117,8 +116,7 @@ func NewParameters(lit ParametersLiteral) (*Parameters, error) {
 		ringQ:    ringQ,
 		ringP:    ringP,
 		be:       ring.NewBasisExtender(ringQ, ringP),
-		alpha:    alpha,
-		dnum:     dnum,
+		alpha:    len(pPrimes),
 		lit:      lit,
 	}, nil
 }
@@ -180,9 +178,6 @@ func (p *Parameters) RingP() *ring.Ring { return p.ringP }
 
 // Alpha returns the number of special primes (digit width).
 func (p *Parameters) Alpha() int { return p.alpha }
-
-// Dnum returns the number of key-switching digits.
-func (p *Parameters) Dnum() int { return p.dnum }
 
 // Q returns the ciphertext prime chain.
 func (p *Parameters) Q() []uint64 { return p.ringQ.Moduli }

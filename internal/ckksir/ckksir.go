@@ -275,7 +275,7 @@ func dftStages(bp bootstrap.Parameters, logN, target int, special func(extra int
 			cand := bp
 			cand.C2SStages, cand.S2CStages = c2s, s2c
 			cand = cand.WithDefaults()
-			g := kswork.Geometry{LogN: logN, Alpha: k, K: k}
+			g := kswork.Geometry{LogN: logN, K: k}
 			top := target + bootstrap.CircuitDepth(cand)
 			if w := bootstrapWork(g, target, cand) * g.KeyCoeffs(top); w < bestWork {
 				best, bestWork = cand, w
@@ -286,35 +286,33 @@ func dftStages(bp bootstrap.Parameters, logN, target int, special func(extra int
 }
 
 // bootstrapWork counts the key-switching work of one bootstrap to the
-// target level: the stages of both transforms at their levels, and
-// between them the conjugation, the relinearisations of EvalMod's
-// evaluation plan on both halves, each at the level the plan puts it, and
-// the double angles.
+// target level, step by step of its schedule.
 func bootstrapWork(g kswork.Geometry, target int, bp bootstrap.Parameters) float64 {
-	c2s, s2c := bootstrap.StageDiagonals(bp, g.LogN-1)
 	var work kswork.Work
-	level := target + bootstrap.CircuitDepth(bp)
-	for _, diags := range c2s {
-		work = work.Plus(g.LinearTransform(diags, level))
-		level--
-	}
-	work = work.Plus(g.KeySwitch(level)) // the conjugation that splits the halves
-	evalMod := bootstrap.EvalModPlan(bp)
-	evalMod.Walk(func(s poly.Step, depth int) {
-		if s == poly.StepRelin {
-			work = work.Plus(g.KeySwitch(level - depth).Times(2))
-		}
-	})
-	level -= evalMod.Depth()
-	for i := 0; i < bp.DoubleAngle; i++ {
-		work = work.Plus(g.KeySwitch(level).Times(2))
-		level--
-	}
-	for _, diags := range s2c {
-		work = work.Plus(g.LinearTransform(diags, level))
-		level--
+	for _, s := range bootstrap.Schedule(bp, g.LogN, target) {
+		work = work.Plus(stepWork(g, s).Times(float64(s.Count)))
 	}
 	return work.Units()
+}
+
+// stepWork counts one step of the bootstrap schedule: a stage matrix as
+// the fused transform runs it, EvalMod's relinearisations each at the
+// level its evaluation plan puts it, and one key switch for the
+// conjugation or a double angle.
+func stepWork(g kswork.Geometry, s bootstrap.Step) kswork.Work {
+	switch s.Kind {
+	case bootstrap.StepC2S, bootstrap.StepS2C:
+		return g.LinearTransform(s.Diags, s.Level)
+	case bootstrap.StepEvalMod:
+		var w kswork.Work
+		s.Plan.Walk(func(st poly.Step, depth int) {
+			if st == poly.StepRelin {
+				w = w.Plus(g.KeySwitch(s.Level - depth))
+			}
+		})
+		return w
+	}
+	return g.KeySwitch(s.Level)
 }
 
 // SelectParameters derives the parameter literal from the planned

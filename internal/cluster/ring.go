@@ -93,13 +93,21 @@ func NewRing(endpoints []string, vnodes int) (*Ring, error) {
 	return r, nil
 }
 
-// ringHash is FNV-1a 64: stable across processes, architectures and Go
-// releases, which is the whole point — placement must be a protocol,
-// not an implementation detail.
+// ringHash places vnode points and keys alike: FNV-1a 64, stable across
+// processes, architectures and Go releases — placement must be a
+// protocol, not an implementation detail — followed by the splitmix64
+// finalizer. FNV-1a alone leaves strings that differ only in their last
+// bytes (a port, a vnode suffix) bunched on the ring: over random
+// loopback layouts on ephemeral ports, one in five 2-member rings and
+// three in four 5-member rings gave a member more than 1.5× the mean arc,
+// the worst 3.2×; with the finalizer none did (TestRingBalance).
 func ringHash(s string) uint64 {
 	h := fnv.New64a()
 	_, _ = h.Write([]byte(s))
-	return h.Sum64()
+	x := h.Sum64()
+	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+	x = (x ^ x>>27) * 0x94d049bb133111eb
+	return x ^ x>>31
 }
 
 // Endpoints returns the ring members, sorted.

@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"fmt"
+	"math"
+	"math/rand/v2"
 	"testing"
 )
 
@@ -81,28 +83,53 @@ func TestRingMinimalMovement(t *testing.T) {
 	}
 }
 
-// TestRingBalance sanity-checks vnode spreading: no shard owns more
-// than 2x its fair share of a large key sample.
+// TestRingBalance makes placement quality a property of the ring rather
+// than of one member list: over a thousand random loopback layouts of 2,
+// 3 and 5 members on ephemeral ports, the largest share of the hash space
+// any member owns stays within 1.5× the mean.
 func TestRingBalance(t *testing.T) {
-	eps := []string{"http://a:1", "http://b:1", "http://c:1", "http://d:1"}
-	r, err := NewRing(eps, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	counts := map[string]int{}
-	keys := testKeys(20000)
-	for _, key := range keys {
-		counts[r.Lookup(key)]++
-	}
-	fair := len(keys) / len(eps)
-	for ep, c := range counts {
-		if c > 2*fair {
-			t.Errorf("%s owns %d of %d keys (fair share %d)", ep, c, len(keys), fair)
+	rng := rand.New(rand.NewPCG(20, 22))
+	for _, members := range []int{2, 3, 5} {
+		worst := 0.0
+		for layout := 0; layout < 1000; layout++ {
+			ports := map[int]bool{}
+			var eps []string
+			for len(eps) < members {
+				if p := 32768 + rng.IntN(28000); !ports[p] {
+					ports[p] = true
+					eps = append(eps, fmt.Sprintf("http://127.0.0.1:%d", p))
+				}
+			}
+			r, err := NewRing(eps, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if skew := arcSkew(r); skew > worst {
+				worst = skew
+			}
+			if worst > 1.5 {
+				t.Fatalf("%v: a member owns %.2f× the mean arc", eps, worst)
+			}
 		}
-		if c == 0 {
-			t.Errorf("%s owns no keys", ep)
-		}
+		t.Logf("%d members: worst max/mean arc ownership %.2f", members, worst)
 	}
+}
+
+// arcSkew returns the largest hash-space share any member of r owns over
+// the mean share: a point owns the arc from its predecessor up to itself,
+// the keys Lookup sends to it.
+func arcSkew(r *Ring) float64 {
+	owned := make([]float64, r.Len())
+	prev := r.points[len(r.points)-1].hash
+	for _, p := range r.points {
+		owned[p.ep] += float64(p.hash - prev) // wraps modulo 2^64 for the first point
+		prev = p.hash
+	}
+	most := 0.0
+	for _, o := range owned {
+		most = math.Max(most, o)
+	}
+	return most / (math.Exp2(64) / float64(r.Len()))
 }
 
 func TestRingRejectsHostileLists(t *testing.T) {

@@ -63,9 +63,8 @@ func TestGenerateCompilesAndRuns(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c, err := core.Compile(tc.model, core.Config{
-				SIHE:     tc.sihe,
-				CKKS:     ckksir.Options{Mode: ckksir.BootstrapNever, IgnoreSecurity: true, LogScale: 40},
-				SkipPoly: true,
+				SIHE: tc.sihe,
+				CKKS: ckksir.Options{Mode: ckksir.BootstrapNever, IgnoreSecurity: true, LogScale: 40},
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -147,9 +146,8 @@ func TestGenerateKeepsEveryBootstrapField(t *testing.T) {
 		t.Fatal(err)
 	}
 	c, err := core.Compile(m, core.Config{
-		SIHE:     sihe.Options{ReLUAlpha: 5, ReLUEps: 0.125},
-		CKKS:     ckksir.Options{Mode: ckksir.BootstrapAlways, IgnoreSecurity: true},
-		SkipPoly: true,
+		SIHE: sihe.Options{ReLUAlpha: 5, ReLUEps: 0.125},
+		CKKS: ckksir.Options{Mode: ckksir.BootstrapAlways, IgnoreSecurity: true},
 	})
 	if err != nil {
 		t.Fatal(err)

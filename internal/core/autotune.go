@@ -106,7 +106,7 @@ func CompileAuto(model *onnx.Model, cfg Config, cal costmodel.Calibration) (*Com
 			continue
 		}
 		rowOf[sched] = len(report.Candidates)
-		m := costmodel.GeometryOf(c.CKKS).Model(cal)
+		m := &costmodel.Model{Cal: cal, Geometry: c.CKKS.Literal.Geometry()}
 		pc.PredictedSec = m.InferenceCost(c.CKKS).Total()
 		pc.LogN = c.CKKS.Literal.LogN
 		pc.Levels = len(c.CKKS.Literal.LogQ)

@@ -15,9 +15,8 @@ func TestCompileAuto(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := Config{
-		SIHE:     sihe.Options{ReLUAlpha: 5, ReLUEps: 0.125},
-		CKKS:     ckksir.Options{Mode: ckksir.BootstrapAlways, IgnoreSecurity: true},
-		SkipPoly: true,
+		SIHE: sihe.Options{ReLUAlpha: 5, ReLUEps: 0.125},
+		CKKS: ckksir.Options{Mode: ckksir.BootstrapAlways, IgnoreSecurity: true},
 	}
 	chosen, report, err := CompileAuto(m, cfg, costmodel.DefaultCalibration())
 	if err != nil {
@@ -86,9 +85,8 @@ func TestCompileAutoDefaultPlan(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := Config{
-		SIHE:     sihe.Options{ReLUAlpha: 5, ReLUEps: 0.125},
-		CKKS:     ckksir.Options{Mode: ckksir.BootstrapNever, IgnoreSecurity: true, MaxNoBootstrapDepth: 1 << 10},
-		SkipPoly: true,
+		SIHE: sihe.Options{ReLUAlpha: 5, ReLUEps: 0.125},
+		CKKS: ckksir.Options{Mode: ckksir.BootstrapNever, IgnoreSecurity: true, MaxNoBootstrapDepth: 1 << 10},
 	}
 	_, report, err := CompileAuto(m, cfg, costmodel.DefaultCalibration())
 	if err != nil {

@@ -1,7 +1,7 @@
 // Package core is the compiler driver — the paper's primary
 // contribution glued end to end: ONNX front end → NN IR → VECTOR IR →
-// SIHE IR → CKKS IR → POLY IR, with per-level timing (Figure 5),
-// automatic ReLU-bound calibration, security parameter selection
+// SIHE IR → CKKS IR (→ POLY IR on request), with per-level timing
+// (Figure 5), automatic ReLU-bound calibration, security parameter selection
 // (Table 10), and handles for running the result on the real FHE
 // runtime or the plaintext reference.
 package core
@@ -20,12 +20,6 @@ import (
 	"antace/internal/vecir"
 )
 
-// LowerPoly expands a compiled CKKS module into the POLY IR with its
-// fusion passes applied.
-func LowerPoly(res *ckksir.Result) (*ir.Module, error) {
-	return polyir.LowerFromCKKS(res)
-}
-
 // Config assembles the options of every stage.
 type Config struct {
 	Vec  vecir.Options
@@ -43,10 +37,7 @@ type Config struct {
 	// minimum, full-chain key generation, and a coarser bootstrap DFT
 	// grouping (modelled in the cost model).
 	Expert bool
-	// SkipPoly disables the POLY IR lowering (used by latency-sensitive
-	// callers that only need the executable CKKS form).
-	SkipPoly bool
-	Seed     uint64
+	Seed   uint64
 }
 
 // Compiled is the result of a full compilation.
@@ -56,7 +47,6 @@ type Compiled struct {
 	Vec     *vecir.Result
 	SIHE    *ir.Module
 	CKKS    *ckksir.Result
-	Poly    *ir.Module
 	Timings []ir.PassTiming
 }
 
@@ -141,18 +131,21 @@ func Compile(model *onnx.Model, cfg Config) (*Compiled, error) {
 	}
 	record("CKKS", "lazy-rescale", start)
 	out.CKKS = cres
-
-	// POLY IR (analysis and code generation substrate).
-	if !cfg.SkipPoly {
-		start = time.Now()
-		pm, err := LowerPoly(cres)
-		if err != nil {
-			return nil, err
-		}
-		record("POLY", "lower+fuse", start)
-		out.Poly = pm
-	}
 	return out, nil
+}
+
+// LowerPoly expands the compiled CKKS program into the POLY IR with its
+// fusion passes applied, timed into the POLY level of the compile-time
+// breakdown (Figure 5). Nothing executes the POLY IR, so Compile leaves
+// it to the callers that analyse it.
+func (c *Compiled) LowerPoly() (*ir.Module, error) {
+	start := time.Now()
+	pm, err := polyir.LowerFromCKKS(c.CKKS)
+	if err != nil {
+		return nil, err
+	}
+	c.Timings = append(c.Timings, ir.PassTiming{Pass: "lower+fuse", Level: "POLY", Duration: time.Since(start)})
+	return pm, nil
 }
 
 // RunPlain executes the unencrypted reference on an input image.

@@ -63,8 +63,11 @@ func TestCompilePipelineStages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.NN == nil || c.Vec == nil || c.SIHE == nil || c.CKKS == nil || c.Poly == nil {
+	if c.NN == nil || c.Vec == nil || c.SIHE == nil || c.CKKS == nil {
 		t.Fatal("missing pipeline stage output")
+	}
+	if pm, err := c.LowerPoly(); err != nil || len(pm.Main().Body) == 0 {
+		t.Fatalf("POLY lowering: %v", err)
 	}
 	levels := c.LevelBreakdown()
 	for _, l := range []string{"NN", "VECTOR", "SIHE", "CKKS", "POLY"} {

@@ -89,9 +89,8 @@ func TestCrossLevelAgreement(t *testing.T) {
 		}
 	}
 	c, err := Compile(m, Config{
-		SIHE:     sihe.Options{ReLUAlpha: 9, ReLUEps: 1.0 / 64},
-		CKKS:     ckksir.Options{Mode: ckksir.BootstrapNever, IgnoreSecurity: true},
-		SkipPoly: true,
+		SIHE: sihe.Options{ReLUAlpha: 9, ReLUEps: 1.0 / 64},
+		CKKS: ckksir.Options{Mode: ckksir.BootstrapNever, IgnoreSecurity: true},
 	})
 	if err != nil {
 		t.Fatal(err)

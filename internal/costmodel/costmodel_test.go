@@ -6,6 +6,7 @@ import (
 
 	"antace/internal/ckksir"
 	"antace/internal/ir"
+	"antace/internal/kswork"
 	"antace/internal/poly"
 )
 
@@ -23,7 +24,7 @@ func TestCalibrateSane(t *testing.T) {
 }
 
 func TestKeySwitchScaling(t *testing.T) {
-	m := &Model{Cal: DefaultCalibration(), LogN: 16, Alpha: 2, K: 2}
+	m := &Model{Cal: DefaultCalibration(), Geometry: kswork.Geometry{LogN: 16, K: 2}}
 	// Key switching cost must grow superlinearly with level (the r^2
 	// behaviour the paper cites for rotations/multiplications).
 	low := m.KeySwitch(4)
@@ -32,7 +33,7 @@ func TestKeySwitchScaling(t *testing.T) {
 		t.Fatalf("keyswitch cost not superlinear: %g vs %g", low, high)
 	}
 	// And with ring degree: doubling N slightly more than doubles cost.
-	m2 := &Model{Cal: DefaultCalibration(), LogN: 17, Alpha: 2, K: 2}
+	m2 := &Model{Cal: DefaultCalibration(), Geometry: kswork.Geometry{LogN: 17, K: 2}}
 	if m2.KeySwitch(10) <= m.KeySwitch(10) {
 		t.Fatal("keyswitch cost not increasing in N")
 	}
@@ -46,7 +47,7 @@ func TestKeySwitchScaling(t *testing.T) {
 // 2 > 4 > 6, is flat between 6 and 8 and rises again at 10.
 func TestKeySwitchModelRanksDigits(t *testing.T) {
 	mean := func(k int) float64 {
-		m := &Model{Cal: DefaultCalibration(), LogN: 9, Alpha: k, K: k}
+		m := &Model{Cal: DefaultCalibration(), Geometry: kswork.Geometry{LogN: 9, K: k}}
 		sum := 0.0
 		for l := 1; l < 30; l++ {
 			sum += m.KeySwitch(l)
@@ -69,23 +70,22 @@ func TestKeySwitchModelRanksDigits(t *testing.T) {
 	// (fewest digits); it is the low levels, where the K special rows are
 	// most of the basis, that pull the optimum back.
 	top := func(k int) float64 {
-		return (&Model{Cal: DefaultCalibration(), LogN: 9, Alpha: k, K: k}).KeySwitch(29)
+		return (&Model{Cal: DefaultCalibration(), Geometry: kswork.Geometry{LogN: 9, K: k}}).KeySwitch(29)
 	}
 	if top(10) >= top(6) {
 		t.Errorf("top-level switch: K=10 %.3g not below K=6 %.3g", top(10), top(6))
 	}
 }
 
-// TestCalibrateMeasuresEverything: every constant — including basis
-// conversion and the three fused key-switch kernels — must come from a
-// real microbenchmark, not a fabricated multiple of another constant.
+// TestCalibrateMeasuresEverything: every constant — the three fused
+// key-switch kernels included — must come from a real microbenchmark, not
+// a fabricated multiple of another constant.
 func TestCalibrateMeasuresEverything(t *testing.T) {
 	cal, err := Calibrate()
 	if err != nil {
 		t.Fatal(err)
 	}
 	for name, v := range map[string]float64{
-		"BConvPerCoeff":  cal.BConvPerCoeff,
 		"ModUpPerUnit":   cal.ModUpPerUnit,
 		"MulAddPerUnit":  cal.MulAddPerUnit,
 		"ModDownPerUnit": cal.ModDownPerUnit,
@@ -93,9 +93,6 @@ func TestCalibrateMeasuresEverything(t *testing.T) {
 		if v <= 0 || v > 1e-6 {
 			t.Errorf("%s = %g implausible", name, v)
 		}
-	}
-	if !cal.fused() {
-		t.Error("calibration did not produce the fused-kernel constants")
 	}
 	if cal.Source != "microbench" {
 		t.Errorf("Source = %q, want microbench", cal.Source)
@@ -106,7 +103,7 @@ func TestCalibrateMeasuresEverything(t *testing.T) {
 // measured end-to-end key switch. The tolerance band is 3x — wide
 // enough for CI noise and scheduler jitter, tight enough to catch a
 // constant that is off by an order of magnitude (the failure mode the
-// warmup fix and the direct BConv benchmark exist for).
+// warmup fix exists for).
 func TestCalibrateCrossCheck(t *testing.T) {
 	cal, err := Calibrate()
 	if err != nil {
@@ -141,7 +138,7 @@ func TestInferenceCostLevelAccounting(t *testing.T) {
 	v3.Level = 2
 	f.Ret = v3
 
-	m := &Model{Cal: DefaultCalibration(), LogN: 12, Alpha: 2, K: 2}
+	m := &Model{Cal: DefaultCalibration(), Geometry: kswork.Geometry{LogN: 12, K: 2}}
 	got := m.InferenceCost(&ckksir.Result{Module: mod}).Total()
 
 	// Hand count. mul_plain at level 3: two pointwise passes over 4
@@ -170,7 +167,7 @@ func TestInferenceCostLevelAccounting(t *testing.T) {
 // root (c3·x)·x² + c1·x one level down, relinearised once and rescaled.
 // Nothing is priced at a guessed level.
 func TestPolyEvalCostFollowsThePlan(t *testing.T) {
-	m := &Model{Cal: DefaultCalibration(), LogN: 12, Alpha: 2, K: 2}
+	m := &Model{Cal: DefaultCalibration(), Geometry: kswork.Geometry{LogN: 12, K: 2}}
 	got := m.polyEvalCost(poly.NewPlan(poly.NewMonomial(0, 0.5, 0, -0.25)), 5)
 	want := 5*m.pw(6) + m.KeySwitch(5) + m.Rescale(5) + // x²
 		2*m.pw(6) + m.Rescale(5) + // c3·x

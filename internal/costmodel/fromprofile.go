@@ -5,27 +5,9 @@ import (
 	"math"
 
 	"antace/internal/ckksir"
+	"antace/internal/kswork"
 	"antace/internal/obs"
 )
-
-// Geometry is the ring configuration a profile was recorded under —
-// everything FromProfile needs to invert measured per-op times back into
-// per-element constants.
-type Geometry struct {
-	LogN  int `json:"log_n"`
-	Alpha int `json:"alpha"`
-	K     int `json:"k"`
-}
-
-// GeometryOf derives the profile geometry from a compiled program.
-func GeometryOf(res *ckksir.Result) Geometry {
-	return Geometry{LogN: res.Literal.LogN, Alpha: len(res.Literal.LogP), K: len(res.Literal.LogP)}
-}
-
-// Model instantiates the cost model for this geometry.
-func (g Geometry) Model(cal Calibration) *Model {
-	return &Model{Cal: cal, LogN: g.LogN, Alpha: g.Alpha, K: g.K}
-}
 
 // OpFit is one opcode's measured-vs-predicted agreement after a profile
 // fit: the per-instruction mean the server measured and what the fitted
@@ -68,29 +50,20 @@ func trajLevels(snap obs.ProfileSnapshot) map[string][]int {
 	return out
 }
 
-// primitiveMean returns the model's mean predicted seconds for one
-// opcode over its trajectory levels, and whether the op is a primitive
-// the fit understands. The formulas mirror InferenceCost.
-func primitiveMean(m *Model, op string, levels []int) (float64, bool) {
+// meanOpCost returns the model's mean price of one opcode over its
+// trajectory levels (Model.opCost, InferenceCost's price), and whether
+// the op is a primitive the fit understands.
+func meanOpCost(m *Model, op string, levels []int) (float64, bool) {
 	if len(levels) == 0 {
 		return 0, false
 	}
 	sum := 0.0
 	for _, l := range levels {
-		switch op {
-		case ckksir.OpAdd, ckksir.OpAddPlain, ckksir.OpMulPlain, ckksir.OpMulConst:
-			sum += 2 * m.pw(l+1)
-		case ckksir.OpMul:
-			sum += 5 * m.pw(l+1)
-		case ckksir.OpRelin:
-			sum += m.KeySwitch(l)
-		case ckksir.OpRotate:
-			sum += m.KeySwitch(l) + 2*m.pw(l+1)
-		case ckksir.OpRescale:
-			sum += m.Rescale(l)
-		default:
+		c, ok := m.opCost(op, l)
+		if !ok {
 			return 0, false
 		}
+		sum += c
 	}
 	return sum / float64(len(levels)), true
 }
@@ -104,11 +77,11 @@ var pwOps = []string{ckksir.OpAdd, ckksir.OpAddPlain, ckksir.OpMulPlain, ckksir.
 func kernelWork(m *Model, kernel string, l int) float64 {
 	switch kernel {
 	case "poly.decomp_modup":
-		return m.work().ModUp(l)
+		return m.ModUp(l)
 	case "poly.hw_modmuladd":
-		return m.work().MulAdd(l)
+		return m.MulAdd(l)
 	case "poly.mod_down":
-		return m.work().ModDown(l)
+		return m.ModDown(l)
 	}
 	return 0
 }
@@ -127,15 +100,13 @@ func kernelWork(m *Model, kernel string, l int) float64 {
 //     has no encode samples, and the trajectory, which follows
 //     ciphertexts, never says at which level a cold one ran);
 //   - the three fused-kernel constants from the Kernels table, priced at
-//     the key-switch levels the trajectory observed;
-//   - BConvPerCoeff rides the pointwise ratio (it is only exercised when
-//     the fused kernels are absent, in which case there is no kernel
-//     table to fit it from).
+//     the key-switch levels the trajectory observed, then anchored
+//     together on the measured rotate/relin totals.
 //
 // Macro ops (ckks.poly, ckks.bootstrap) need the compiled schedule's
 // attributes; FitSchedule refines their correction scales separately.
 // Every ratio is clamped to [0.1, 10] of base.
-func FromProfile(snap obs.ProfileSnapshot, geom Geometry, base Calibration) (Calibration, []OpFit, error) {
+func FromProfile(snap obs.ProfileSnapshot, geom kswork.Geometry, base Calibration) (Calibration, []OpFit, error) {
 	if snap.Runs == 0 || len(snap.Ops) == 0 {
 		return base, nil, fmt.Errorf("costmodel: profile snapshot has no runs")
 	}
@@ -147,7 +118,7 @@ func FromProfile(snap obs.ProfileSnapshot, geom Geometry, base Calibration) (Cal
 	for _, st := range snap.Ops {
 		stats[st.Op] = st
 	}
-	m := geom.Model(base)
+	m := &Model{Cal: base, Geometry: geom}
 
 	c := base
 	c.Source = "profile"
@@ -160,7 +131,7 @@ func FromProfile(snap obs.ProfileSnapshot, geom Geometry, base Calibration) (Cal
 		if !ok {
 			continue
 		}
-		pm, ok := primitiveMean(m, op, levels[op])
+		pm, ok := meanOpCost(m, op, levels[op])
 		if !ok {
 			continue
 		}
@@ -169,7 +140,6 @@ func FromProfile(snap obs.ProfileSnapshot, geom Geometry, base Calibration) (Cal
 	}
 	xPw := clampRatio(measPw / predPw)
 	c.PointwisePerCoeff = base.PointwisePerCoeff * xPw
-	c.BConvPerCoeff = base.BConvPerCoeff * xPw
 
 	// NTT family from rescale: subtract the fitted pointwise share,
 	// attribute the rest to the butterflies.
@@ -189,22 +159,17 @@ func FromProfile(snap obs.ProfileSnapshot, geom Geometry, base Calibration) (Cal
 	// run at nearby levels, and the clamp bounds the residual error.
 	ksLevels := append(append([]int{}, levels[ckksir.OpRotate]...), levels[ckksir.OpRelin]...)
 	if len(ksLevels) > 0 && len(snap.Kernels) > 0 {
-		def := DefaultCalibration()
 		for _, st := range snap.Kernels {
 			var unit *float64
-			var seed float64
 			switch st.Op {
 			case "poly.decomp_modup":
-				unit, seed = &c.ModUpPerUnit, def.ModUpPerUnit
+				unit = &c.ModUpPerUnit
 			case "poly.hw_modmuladd":
-				unit, seed = &c.MulAddPerUnit, def.MulAddPerUnit
+				unit = &c.MulAddPerUnit
 			case "poly.mod_down":
-				unit, seed = &c.ModDownPerUnit, def.ModDownPerUnit
+				unit = &c.ModDownPerUnit
 			default:
 				continue
-			}
-			if *unit == 0 {
-				*unit = seed // seed a fused path for unfused bases
 			}
 			work := 0.0
 			for _, l := range ksLevels {
@@ -223,40 +188,34 @@ func FromProfile(snap obs.ProfileSnapshot, geom Geometry, base Calibration) (Cal
 	// Anchor them on the measured rotate/relin op means: one uniform
 	// rescale of the three units makes the model reproduce the measured
 	// key-switch totals at the levels the trajectory recorded.
-	if c.fused() {
-		mc := geom.Model(c)
-		var measKs, fixedKs, kernKs float64
-		for _, op := range []string{ckksir.OpRotate, ckksir.OpRelin} {
-			st, ok := stats[op]
-			if !ok || len(levels[op]) == 0 {
-				continue
-			}
-			w := float64(st.Count) / float64(len(levels[op]))
-			for _, l := range levels[op] {
-				kernKs += w * (c.ModUpPerUnit*kernelWork(mc, "poly.decomp_modup", l) +
-					c.MulAddPerUnit*kernelWork(mc, "poly.hw_modmuladd", l) +
-					c.ModDownPerUnit*kernelWork(mc, "poly.mod_down", l))
-				fixed := mc.ntt(l + 1)
-				if op == ckksir.OpRotate {
-					fixed += 2 * mc.pw(l+1) // slot permutation
-				}
-				fixedKs += w * fixed
-			}
-			measKs += st.TotalMs / 1e3
+	mc := &Model{Cal: c, Geometry: geom}
+	var measKs, fixedKs, kernKs float64
+	for _, op := range []string{ckksir.OpRotate, ckksir.OpRelin} {
+		st, ok := stats[op]
+		if !ok || len(levels[op]) == 0 {
+			continue
 		}
-		if kernKs > 0 && measKs > fixedKs {
-			x := clampRatio((measKs - fixedKs) / kernKs)
-			c.ModUpPerUnit *= x
-			c.MulAddPerUnit *= x
-			c.ModDownPerUnit *= x
+		w := float64(st.Count) / float64(len(levels[op]))
+		for _, l := range levels[op] {
+			kern := mc.fusedSeconds(mc.Geometry.KeySwitch(l))
+			price, _ := mc.opCost(op, l)
+			kernKs += w * kern
+			fixedKs += w * (price - kern) // the input transform, a rotation's slot permutation
 		}
+		measKs += st.TotalMs / 1e3
+	}
+	if kernKs > 0 && measKs > fixedKs {
+		x := clampRatio((measKs - fixedKs) / kernKs)
+		c.ModUpPerUnit *= x
+		c.MulAddPerUnit *= x
+		c.ModDownPerUnit *= x
 	}
 
 	// Agreement report under the fitted constants.
-	fitted := geom.Model(c)
+	fitted := &Model{Cal: c, Geometry: geom}
 	var fits []OpFit
 	for _, st := range snap.Ops {
-		pm, ok := primitiveMean(fitted, st.Op, levels[st.Op])
+		pm, ok := meanOpCost(fitted, st.Op, levels[st.Op])
 		if !ok {
 			continue
 		}
@@ -274,13 +233,13 @@ func FromProfile(snap obs.ProfileSnapshot, geom Geometry, base Calibration) (Cal
 // structural ckks.poly / ckks.bootstrap estimates match the measured
 // per-run totals from the snapshot. The primitive constants are left
 // untouched — call FromProfile first, then FitSchedule with its result.
-func FitSchedule(cal Calibration, geom Geometry, res *ckksir.Result, snap obs.ProfileSnapshot) Calibration {
+func FitSchedule(cal Calibration, geom kswork.Geometry, res *ckksir.Result, snap obs.ProfileSnapshot) Calibration {
 	if snap.Runs == 0 {
 		return cal
 	}
 	probe := cal
 	probe.PolyScale, probe.BootstrapScale = 0, 0 // structural estimates
-	m := geom.Model(probe)
+	m := &Model{Cal: probe, Geometry: geom}
 	var predPoly, predBoot float64
 	for _, in := range res.Module.Main().Body {
 		switch in.Op {

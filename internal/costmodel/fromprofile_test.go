@@ -5,14 +5,15 @@ import (
 	"testing"
 
 	"antace/internal/ckksir"
+	"antace/internal/kswork"
 	"antace/internal/obs"
 )
 
 // synthSnapshot builds a ProfileSnapshot whose measured times are
 // *generated* from a known "true" calibration, so FromProfile's fit can
 // be checked for exact recovery.
-func synthSnapshot(truth Calibration, geom Geometry) obs.ProfileSnapshot {
-	m := geom.Model(truth)
+func synthSnapshot(truth Calibration, geom kswork.Geometry) obs.ProfileSnapshot {
+	m := &Model{Cal: truth, Geometry: geom}
 	const runs = 4
 	type inst struct {
 		op    string
@@ -67,7 +68,7 @@ func synthSnapshot(truth Calibration, geom Geometry) obs.ProfileSnapshot {
 // calibration must be inverted back to it, starting from a deliberately
 // wrong base.
 func TestFromProfileRecoversConstants(t *testing.T) {
-	geom := Geometry{LogN: 12, Alpha: 2, K: 2}
+	geom := kswork.Geometry{LogN: 12, K: 2}
 	truth := DefaultCalibration()
 	truth.PointwisePerCoeff *= 2.0
 	truth.NTTPerButterfly *= 0.6
@@ -111,7 +112,7 @@ func TestFromProfileRecoversConstants(t *testing.T) {
 // serves profiles with no ckks.encode row at all. The fit must not need
 // one, nor be moved by one a cold run left behind.
 func TestFromProfileWithoutEncode(t *testing.T) {
-	geom := Geometry{LogN: 12, Alpha: 2, K: 2}
+	geom := kswork.Geometry{LogN: 12, K: 2}
 	truth := DefaultCalibration()
 	truth.NTTPerButterfly *= 0.6
 	cold := synthSnapshot(truth, geom)
@@ -142,7 +143,7 @@ func TestFromProfileWithoutEncode(t *testing.T) {
 // slower than physics allows) must not drag a constant beyond the 10x
 // guard rail.
 func TestFromProfileClamps(t *testing.T) {
-	geom := Geometry{LogN: 12, Alpha: 2, K: 2}
+	geom := kswork.Geometry{LogN: 12, K: 2}
 	base := DefaultCalibration()
 	snap := synthSnapshot(base, geom)
 	for i := range snap.Ops {
@@ -161,7 +162,7 @@ func TestFromProfileClamps(t *testing.T) {
 // TestFromProfileEmpty: an idle server's snapshot is a calibration
 // no-op, reported as an error rather than garbage constants.
 func TestFromProfileEmpty(t *testing.T) {
-	if _, _, err := FromProfile(obs.ProfileSnapshot{}, Geometry{LogN: 12, Alpha: 2, K: 2}, DefaultCalibration()); err == nil {
+	if _, _, err := FromProfile(obs.ProfileSnapshot{}, kswork.Geometry{LogN: 12, K: 2}, DefaultCalibration()); err == nil {
 		t.Fatal("empty snapshot did not error")
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"antace/internal/ckksir"
 	"antace/internal/core"
 	"antace/internal/costmodel"
+	"antace/internal/kswork"
 	"antace/internal/onnx"
 	"antace/internal/sihe"
 )
@@ -20,10 +21,9 @@ func compileFor(t *testing.T, expert bool) *core.Compiled {
 		t.Fatal(err)
 	}
 	c, err := core.Compile(m, core.Config{
-		SIHE:     sihe.Options{ReLUAlpha: 5, ReLUEps: 0.125},
-		CKKS:     ckksir.Options{Mode: ckksir.BootstrapAlways, IgnoreSecurity: true},
-		Expert:   expert,
-		SkipPoly: true,
+		SIHE:   sihe.Options{ReLUAlpha: 5, ReLUEps: 0.125},
+		CKKS:   ckksir.Options{Mode: ckksir.BootstrapAlways, IgnoreSecurity: true},
+		Expert: expert,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -34,7 +34,7 @@ func compileFor(t *testing.T, expert bool) *core.Compiled {
 func TestInferenceCostShape(t *testing.T) {
 	ace := compileFor(t, false)
 	expert := compileFor(t, true)
-	model := &costmodel.Model{Cal: costmodel.DefaultCalibration(), LogN: 16, Alpha: 2, K: 2}
+	model := &costmodel.Model{Cal: costmodel.DefaultCalibration(), Geometry: kswork.Geometry{LogN: 16, K: 2}}
 
 	bAce := model.InferenceCost(ace.CKKS)
 	bExp := model.InferenceCost(expert.CKKS)
@@ -62,7 +62,7 @@ func TestEncodeIsSetupNotInference(t *testing.T) {
 	if c.CKKS.Module.Main().InstrCount(ckksir.OpEncode) == 0 {
 		t.Fatal("program has no encode instruction")
 	}
-	model := &costmodel.Model{Cal: costmodel.DefaultCalibration(), LogN: 16, Alpha: 2, K: 2}
+	model := &costmodel.Model{Cal: costmodel.DefaultCalibration(), Geometry: kswork.Geometry{LogN: 16, K: 2}}
 	b := model.InferenceCost(c.CKKS)
 	if b.Setup <= 0 {
 		t.Fatalf("breakdown %+v prices no one-time encoding", b)
@@ -75,7 +75,7 @@ func TestEncodeIsSetupNotInference(t *testing.T) {
 func TestMemoryCostShape(t *testing.T) {
 	ace := compileFor(t, false)
 	expert := compileFor(t, true)
-	model := &costmodel.Model{Cal: costmodel.DefaultCalibration(), LogN: 16, Alpha: 2, K: 2}
+	model := &costmodel.Model{Cal: costmodel.DefaultCalibration(), Geometry: kswork.Geometry{LogN: 16, K: 2}}
 
 	// ACE truncates keys to their used level; the baseline generates
 	// full-chain keys.

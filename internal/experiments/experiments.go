@@ -93,7 +93,6 @@ func PaperConfig() core.Config {
 			Mode:     ckksir.BootstrapAlways,
 			Boot:     bootstrap.Parameters{EvalModDegree: 24, DoubleAngle: 2},
 		},
-		SkipPoly: true,
 	}
 }
 
@@ -107,7 +106,6 @@ func ReducedConfig() core.Config {
 			Mode:           ckksir.BootstrapAlways,
 			IgnoreSecurity: true,
 		},
-		SkipPoly: true,
 	}
 }
 
@@ -143,11 +141,12 @@ func Figure5(w io.Writer, scale Scale) error {
 		if err != nil {
 			return err
 		}
-		cfg := configFor(scale, false)
-		cfg.SkipPoly = false
 		start := time.Now()
-		c, err := core.Compile(m, cfg)
+		c, err := core.Compile(m, configFor(scale, false))
 		if err != nil {
+			return fmt.Errorf("%s: %w", spec.Name, err)
+		}
+		if _, err := c.LowerPoly(); err != nil {
 			return fmt.Errorf("%s: %w", spec.Name, err)
 		}
 		total := time.Since(start)
@@ -194,7 +193,7 @@ func Figure6Spec(w io.Writer, scale Scale, cal costmodel.Calibration, specs []Mo
 			if err != nil {
 				return nil, fmt.Errorf("%s (expert=%v): %w", spec.Name, expert, err)
 			}
-			model := &costmodel.Model{Cal: cal, LogN: c.CKKS.Literal.LogN, Alpha: len(c.CKKS.Literal.LogP), K: len(c.CKKS.Literal.LogP)}
+			model := &costmodel.Model{Cal: cal, Geometry: c.CKKS.Literal.Geometry()}
 			bd := model.InferenceCost(c.CKKS)
 			if expert {
 				row.Expert = bd
@@ -233,14 +232,14 @@ type Fig7Row struct {
 }
 
 // bootstrapRotationCount estimates the Galois keys the bootstrap circuit
-// needs: baby and giant steps of every DFT stage matrix, as compiled.
+// needs: the baby and giant steps of every stage matrix in its schedule.
 // Stages that share a rotation make it an upper bound.
 func bootstrapRotationCount(res *ckksir.Result) int {
-	c2s, s2c := bootstrap.StageDiagonals(*res.Boot, res.Literal.LogN-1)
 	keys := 0
-	for _, diags := range append(c2s, s2c...) {
-		n1 := kswork.BabySteps(diags)
-		keys += n1 - 1 + (diags+n1-1)/n1 - 1
+	for _, s := range bootstrap.Schedule(*res.Boot, res.Literal.LogN, res.TargetLevel) {
+		if s.Kind == bootstrap.StepC2S || s.Kind == bootstrap.StepS2C {
+			keys += kswork.BabySteps(s.Diags) - 1 + kswork.GiantSteps(s.Diags) - 1
+		}
 	}
 	return keys
 }
@@ -268,7 +267,7 @@ func Figure7(w io.Writer, scale Scale, cal costmodel.Calibration) ([]Fig7Row, er
 			if c.CKKS.Boot != nil {
 				bootKeys = bootstrapRotationCount(c.CKKS)
 			}
-			model := &costmodel.Model{Cal: cal, LogN: c.CKKS.Literal.LogN, Alpha: len(c.CKKS.Literal.LogP), K: len(c.CKKS.Literal.LogP)}
+			model := &costmodel.Model{Cal: cal, Geometry: c.CKKS.Literal.Geometry()}
 			// ANT-ACE truncates each key to the level its rotation is used
 			// at (data-flow key analysis); the baseline generates every
 			// key over the full chain.

@@ -10,18 +10,19 @@ package kswork
 
 import "math"
 
-// Geometry is the ring shape the counts depend on.
+// Geometry is the ring shape the counts depend on: the ring degree 2^LogN
+// and K special primes. Hybrid key switching cuts the chain into digits
+// of K primes (ckks.Parameters does), so K is the digit width as well.
 type Geometry struct {
-	LogN  int
-	Alpha int // chain primes per key-switching digit
-	K     int // special primes
+	LogN int `json:"log_n"`
+	K    int `json:"k"`
 }
 
 func (g Geometry) n() float64 { return math.Exp2(float64(g.LogN)) }
 
 // Digits returns the key-switching digit count of a polynomial entering
 // at level (level+1 residues).
-func (g Geometry) Digits(level int) int { return (level + g.Alpha) / g.Alpha }
+func (g Geometry) Digits(level int) int { return (level + g.K) / g.K }
 
 // ModUp counts poly.decomp_modup's units for one decomposition entering
 // at level: per digit of width w, the rk−w rows that are not the digit's
@@ -31,8 +32,8 @@ func (g Geometry) ModUp(level int) float64 {
 	r := level + 1
 	rk := r + g.K
 	logN := float64(g.LogN)
-	work := float64(r/g.Alpha*(rk-g.Alpha)) * (float64(g.Alpha) + logN)
-	if rest := r % g.Alpha; rest > 0 {
+	work := float64(r/g.K*(rk-g.K)) * (float64(g.K) + logN)
+	if rest := r % g.K; rest > 0 {
 		work += float64(rk-rest) * (float64(rest) + logN)
 	}
 	return work * g.n()
@@ -124,6 +125,13 @@ func BabySteps(diags int) int {
 	return n1
 }
 
+// GiantSteps returns the giant-step count that goes with BabySteps: the
+// groups of n1 diagonals the diags diagonals fill.
+func GiantSteps(diags int) int {
+	n1 := BabySteps(diags)
+	return (diags + n1 - 1) / n1
+}
+
 // LinearTransform counts the fused baby-step/giant-step evaluation of a
 // transform with diags diagonals entering at level, as
 // ckks.EvaluateLinearTransform runs it. The n1−1 baby rotations share
@@ -133,8 +141,7 @@ func BabySteps(diags int) int {
 // half of its group's sum by P, decomposes it and adds a key product
 // into the one Q∪P accumulator, which is divided once at the end.
 func (g Geometry) LinearTransform(diags, level int) Work {
-	n1 := BabySteps(diags)
-	n2 := (diags + n1 - 1) / n1
+	n1, n2 := BabySteps(diags), GiantSteps(diags)
 	babies, giants := float64(n1-1), float64(n2-1)
 	sums := g.n() * float64(2*n2*(level+1+g.K)) * MAC(n1)
 	w := Work{

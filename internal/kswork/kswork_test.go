@@ -35,7 +35,7 @@ func TestStageShapes(t *testing.T) {
 // transform plus half of one per giant step, and less work for a stage
 // than for the dense transform it replaces.
 func TestLinearTransformWork(t *testing.T) {
-	g := Geometry{LogN: 9, Alpha: 6, K: 6}
+	g := Geometry{LogN: 9, K: 6}
 	const level = 29
 	if w := g.LinearTransform(1, level); w.ModUp != 0 || w.ModDown != g.ModDown(level) {
 		t.Errorf("one diagonal: %+v, want no decomposition and one division", w)

@@ -2,12 +2,15 @@
 // decomposed into the RNS-polynomial primitives the runtime library (or
 // a future hardware accelerator) executes — NTTs, per-modulus
 // element-wise loops, digit decomposition/base extension, and modulus
-// reduction — annotated with their residue counts. Two optimisation
+// reduction — annotated with their residue counts. A bootstrap expands
+// into the steps of its schedule (bootstrap.Schedule), each stage matrix
+// as the fused baby-step/giant-step kernel runs it. Two optimisation
 // passes mirror the paper's POLY-level techniques: operator fusion
 // (decomp+mod_up, modmul+modadd) and RNS loop fusion, which merges
 // adjacent element-wise loops with identical trip counts to cut memory
-// traffic. The POLY module drives code generation and the analytic cost
-// model; it is not executed directly.
+// traffic. The POLY module is an analysis view of the compiled program:
+// Figure 5 times its lowering and Analyze summarises it; nothing
+// executes it, and neither code generation nor the cost model reads it.
 package polyir
 
 import (
@@ -16,8 +19,8 @@ import (
 	"antace/internal/bootstrap"
 	"antace/internal/ckksir"
 	"antace/internal/ir"
+	"antace/internal/kswork"
 	"antace/internal/poly"
-	"antace/internal/sihe"
 )
 
 // Op names ("hw_" marks primitives that map to accelerator
@@ -44,70 +47,48 @@ func init() {
 	}
 }
 
-// Lower expands a CKKS module into POLY IR counts. alpha is the number
-// of special primes (key-switch digit width); k their count.
-func Lower(cm *ir.Module, alpha, k int) (*ir.Module, error) {
+// Lower expands a compiled CKKS program into POLY IR counts, in the key-
+// switching geometry and bootstrap circuit it was compiled for.
+func Lower(res *ckksir.Result) (*ir.Module, error) {
+	cm := res.Module
 	src := cm.Main()
 	if src == nil {
 		return nil, fmt.Errorf("polyir: empty module")
 	}
+	g := res.Literal.Geometry()
 	mod := ir.NewModule(cm.Name)
 	for key, v := range cm.Attrs {
 		mod.Attrs[key] = v
 	}
 	f := mod.NewFunc(src.Name)
 	pt := ir.Type{Kind: ir.KindPoly, Shape: []int{1}}
-	seed := f.NewParam("ct", pt)
-	cur := seed
-
-	emit := func(op string, rns, count int) {
-		if count <= 0 {
-			return
+	cur := f.NewParam("ct", pt)
+	e := &expander{g: g, emit: func(op string, rns, count int) {
+		if count > 0 {
+			cur = f.Emit(op, pt, []*ir.Value{cur}, map[string]any{"rns": rns, "count": count})
 		}
-		cur = f.Emit(op, pt, []*ir.Value{cur}, map[string]any{"rns": rns, "count": count})
-	}
-	keySwitch := func(level int) {
-		r := level + 1
-		digits := (r + alpha - 1) / alpha
-		emit(OpINTT, r, 1)
-		// Per digit: decompose, extend to Q∪P, forward NTT, and
-		// multiply-accumulate against both key components.
-		emit(OpDecomp, r, digits)
-		emit(OpModUp, r+k, digits)
-		emit(OpNTT, r+k, digits)
-		emit(OpModMul, r+k, 4*digits)
-		emit(OpModAdd, r+k, 4*digits)
-		// Two output polynomials: back to coefficients, divide by P,
-		// forward again.
-		emit(OpINTT, r+k, 2)
-		emit(OpModDown, r, 2)
-		emit(OpNTT, r, 2)
-	}
+	}}
 
 	for _, in := range src.Body {
 		l := in.Result.Level
 		r := l + 1
 		switch in.Op {
 		case ckksir.OpEncode:
-			emit(OpNTT, r, 1)
+			e.emit(OpNTT, r, 1)
 		case ckksir.OpAdd:
-			emit(OpModAdd, r, 2)
+			e.emit(OpModAdd, r, 2)
 		case ckksir.OpAddPlain:
-			emit(OpModAdd, r, 1)
+			e.emit(OpModAdd, r, 1)
 		case ckksir.OpMulPlain, ckksir.OpMulConst:
-			emit(OpModMul, r, 2)
+			e.emit(OpModMul, r, 2)
 		case ckksir.OpMul:
-			emit(OpModMul, r, 4)
-			emit(OpModAdd, r, 1)
+			e.mul(l)
 		case ckksir.OpRelin:
-			keySwitch(l)
-			emit(OpModAdd, r, 2)
+			e.relin(l)
 		case ckksir.OpRotate:
-			emit(OpRotate, r, 2)
-			keySwitch(l)
-			emit(OpModAdd, r, 1)
+			e.rotate(l)
 		case ckksir.OpRescale:
-			emit(OpRescale, r, 2)
+			e.emit(OpRescale, r, 2)
 		case ckksir.OpModSwitch, ckksir.OpReinterpret:
 			// Dropping RNS rows / re-declaring scale is free.
 		case ckksir.OpPoly:
@@ -115,9 +96,16 @@ func Lower(cm *ir.Module, alpha, k int) (*ir.Module, error) {
 			if err != nil {
 				return nil, fmt.Errorf("polyir: %s: %w", in.Op, err)
 			}
-			expandPolyEval(emit, keySwitch, poly.NewPlan(p), in.Args[0].Level)
+			e.polyEval(poly.NewPlan(p), in.Args[0].Level)
 		case ckksir.OpBootstrap:
-			expandBootstrap(emit, keySwitch, in, src.Params[0].Type.Len())
+			if res.Boot == nil {
+				return nil, fmt.Errorf("polyir: %s in a program compiled without a bootstrap circuit", in.Op)
+			}
+			for _, st := range bootstrap.Schedule(*res.Boot, g.LogN, in.AttrInt("target", 1)) {
+				for i := 0; i < st.Count; i++ {
+					e.bootstrapStep(st)
+				}
+			}
 		default:
 			return nil, fmt.Errorf("polyir: cannot lower %q", in.Op)
 		}
@@ -129,58 +117,131 @@ func Lower(cm *ir.Module, alpha, k int) (*ir.Module, error) {
 	return mod, nil
 }
 
-// expandPolyEval expands the evaluation plan of a polynomial whose input
-// sits at the given level, every operation at the level the plan puts it.
-func expandPolyEval(emit func(string, int, int), keySwitch func(int), pl *poly.Plan, level int) {
+// expander emits the primitives of one program in its geometry.
+type expander struct {
+	g    kswork.Geometry
+	emit func(op string, rns, count int)
+}
+
+// A hybrid key switch is three kernels, emitted apart because the fused
+// linear transform runs them in other proportions than one per switch.
+
+// decompose emits times digit decompositions of a polynomial entering at
+// level: back to coefficients, then per digit decompose, extend to Q∪P
+// and transform.
+func (e *expander) decompose(level, times int) {
+	r, digits := level+1, e.g.Digits(level)
+	e.emit(OpINTT, r, times)
+	e.emit(OpDecomp, r, times*digits)
+	e.emit(OpModUp, r+e.g.K, times*digits)
+	e.emit(OpNTT, r+e.g.K, times*digits)
+}
+
+// keyProduct emits times evaluation-key inner products: every digit
+// multiplied into both key components and accumulated, over Q∪P.
+func (e *expander) keyProduct(level, times int) {
+	rk, digits := level+1+e.g.K, e.g.Digits(level)
+	e.emit(OpModMul, rk, 4*digits*times)
+	e.emit(OpModAdd, rk, 4*digits*times)
+}
+
+// modDown emits the division by P of the given number of polynomials:
+// back to coefficients over Q∪P, divide, forward again.
+func (e *expander) modDown(level, polys int) {
+	r := level + 1
+	e.emit(OpINTT, r+e.g.K, polys)
+	e.emit(OpModDown, r, polys)
+	e.emit(OpNTT, r, polys)
+}
+
+func (e *expander) keySwitch(level int) {
+	e.decompose(level, 1)
+	e.keyProduct(level, 1)
+	e.modDown(level, 2)
+}
+
+// mul emits a ciphertext product: degree 2 out, not relinearised.
+func (e *expander) mul(level int) {
+	e.emit(OpModMul, level+1, 4)
+	e.emit(OpModAdd, level+1, 1)
+}
+
+func (e *expander) relin(level int) {
+	e.keySwitch(level)
+	e.emit(OpModAdd, level+1, 2)
+}
+
+func (e *expander) rotate(level int) {
+	r := level + 1
+	e.emit(OpRotate, r, 2)
+	e.keySwitch(level)
+	e.emit(OpModAdd, r, 1)
+}
+
+// polyEval expands the evaluation plan of a polynomial whose input sits
+// at the given level, every operation at the level the plan puts it.
+func (e *expander) polyEval(pl *poly.Plan, level int) {
 	pl.Walk(func(s poly.Step, depth int) {
 		l := level - depth
 		r := l + 1
 		switch s {
 		case poly.StepMul:
-			emit(OpModMul, r, 4)
-			emit(OpModAdd, r, 1)
+			e.mul(l)
 		case poly.StepRelin:
-			keySwitch(l)
-			emit(OpModAdd, r, 2)
+			e.relin(l)
 		case poly.StepRescale:
-			emit(OpRescale, r, 2)
+			e.emit(OpRescale, r, 2)
 		case poly.StepMulConst:
-			emit(OpModMul, r, 2)
+			e.emit(OpModMul, r, 2)
 		case poly.StepAdd:
-			emit(OpModAdd, r, 2)
+			e.emit(OpModAdd, r, 2)
 		}
 	})
 }
 
-// expandBootstrap models the circuit: two dense linear transforms over
-// the slot space (BSGS rotations plus diagonal multiplications), the
-// EvalMod polynomial and the double-angle squarings.
-func expandBootstrap(emit func(string, int, int), keySwitch func(int), in *ir.Instr, slots int) {
-	target := in.AttrInt("target", 1)
-	// Conservative model at the raised level.
-	l := target + 10
-	n1 := 1
-	for n1*n1 < slots {
-		n1 <<= 1
+// linearTransform expands one stage matrix of diags diagonals entering
+// at level as ckks.EvaluateLinearTransform runs it (kswork.LinearTransform
+// counts the same kernels): the n1−1 baby rotations share one
+// decomposition and stay over Q∪P, every diagonal is a multiply-
+// accumulate per half in its group's inner sum, each of the n2−1 giant
+// rotations divides its group's c1 half by P, decomposes it and adds a
+// key product into the one accumulator, which is divided once at the end
+// and rescaled.
+func (e *expander) linearTransform(diags, level int) {
+	n1, n2 := kswork.BabySteps(diags), kswork.GiantSteps(diags)
+	r, rk := level+1, level+1+e.g.K
+	if n1 > 1 {
+		e.decompose(level, 1)
 	}
-	rotations := n1 + slots/n1
-	for _, phase := range []int{l, target + 2} { // C2S then S2C
-		for i := 0; i < rotations; i++ {
-			emit(OpRotate, phase+1, 2)
-			keySwitch(phase)
-		}
-		emit(OpModMul, phase+1, 2*slots/8) // sparse-diagonal estimate
-		emit(OpRescale, phase+1, 2)
-	}
-	// EvalMod: the default cosine's plan + 3 double angles on two halves.
-	evalMod := bootstrap.EvalModPlan(bootstrap.Parameters{})
-	for half := 0; half < 2; half++ {
-		expandPolyEval(emit, keySwitch, evalMod, l-2)
-		for i := 0; i < 3; i++ {
-			emit(OpModMul, target+6, 4)
-			keySwitch(target + 5)
-			emit(OpRescale, target+6, 2)
-		}
+	e.emit(OpRotate, rk, 2*(n1-1))
+	e.keyProduct(level, n1-1)
+	e.emit(OpModMul, rk, 2*diags)
+	e.emit(OpModAdd, rk, 2*diags)
+	e.modDown(level, n2-1)
+	e.emit(OpRotate, rk, 2*(n2-1))
+	e.decompose(level, n2-1)
+	e.keyProduct(level, n2-1)
+	e.modDown(level, 2)
+	e.emit(OpRescale, r, 2)
+}
+
+// bootstrapStep expands one step of the bootstrap schedule on one
+// ciphertext.
+func (e *expander) bootstrapStep(s bootstrap.Step) {
+	l, r := s.Level, s.Level+1
+	switch s.Kind {
+	case bootstrap.StepC2S, bootstrap.StepS2C:
+		e.linearTransform(s.Diags, l)
+	case bootstrap.StepConjugate:
+		e.rotate(l)
+		e.emit(OpModAdd, r, 4) // the halves' sum and difference
+	case bootstrap.StepEvalMod:
+		e.polyEval(s.Plan, l)
+	case bootstrap.StepDoubleAngle: // 2y² − 1: square, double, relinearise, rescale
+		e.mul(l)
+		e.emit(OpModAdd, r, 2)
+		e.relin(l)
+		e.emit(OpRescale, r, 2)
 	}
 }
 
@@ -214,7 +275,7 @@ func Analyze(f *ir.Func) Stats {
 			s.ModMuls += rns * in.AttrInt("ops", count)
 		}
 		if in.Op == OpModDown {
-			s.KeySwitches++ // two ModDowns per switch; adjusted below
+			s.KeySwitches += count // two divided halves per switch; adjusted below
 		}
 	}
 	s.KeySwitches /= 2
@@ -298,11 +359,9 @@ func FuseRNSLoops() ir.Pass {
 	}}
 }
 
-// LowerFromCKKS is a convenience wrapper deriving alpha/k from the
-// compiled literal.
+// LowerFromCKKS lowers a compiled program and runs both fusion passes.
 func LowerFromCKKS(res *ckksir.Result) (*ir.Module, error) {
-	alpha := len(res.Literal.LogP)
-	mod, err := Lower(res.Module, alpha, alpha)
+	mod, err := Lower(res)
 	if err != nil {
 		return nil, err
 	}
@@ -313,7 +372,3 @@ func LowerFromCKKS(res *ckksir.Result) (*ir.Module, error) {
 	}
 	return mod, nil
 }
-
-// ReluCost is exported for the cost model: the level consumption of a
-// stage list (re-exported from sihe to avoid an import cycle there).
-func ReluCost(stages [][]float64) int { return sihe.ReLUDepth(stages) }

@@ -3,10 +3,13 @@ package polyir
 import (
 	"testing"
 
+	"antace/internal/bootstrap"
 	"antace/internal/ckksir"
 	"antace/internal/ir"
+	"antace/internal/kswork"
 	"antace/internal/nnir"
 	"antace/internal/onnx"
+	"antace/internal/poly"
 	"antace/internal/sihe"
 	"antace/internal/vecir"
 )
@@ -50,7 +53,7 @@ func compiledCKKS(t *testing.T, boot bool) *ckksir.Result {
 
 func TestLowerProducesPolyOps(t *testing.T) {
 	res := compiledCKKS(t, false)
-	mod, err := Lower(res.Module, 2, 2)
+	mod, err := Lower(res)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +75,7 @@ func TestLowerProducesPolyOps(t *testing.T) {
 
 func TestOperatorFusion(t *testing.T) {
 	res := compiledCKKS(t, false)
-	mod, err := Lower(res.Module, 2, 2)
+	mod, err := Lower(res)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +103,7 @@ func TestOperatorFusion(t *testing.T) {
 
 func TestRNSLoopFusion(t *testing.T) {
 	res := compiledCKKS(t, false)
-	mod, err := Lower(res.Module, 2, 2)
+	mod, err := Lower(res)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,5 +138,41 @@ func TestLowerWithBootstrapExpands(t *testing.T) {
 	s2 := Analyze(mod2.Main())
 	if s.NTTs <= s2.NTTs {
 		t.Fatal("bootstrap expansion did not add NTT work")
+	}
+}
+
+// TestBootstrapExpandsTheSchedule: a bootstrap lowers step by step of
+// its schedule, with the decompositions and divisions by P the runtime
+// runs there (bootstrap's TestScheduleMatchesRuntime counts the same on
+// a real bootstrap): one of each per key switch outside the transforms,
+// and for a stage matrix of n1 baby and n2 giant steps [n1 > 1] + n2 − 1
+// decompositions and n2 − 1 divided halves before one whole division.
+func TestBootstrapExpandsTheSchedule(t *testing.T) {
+	g := kswork.Geometry{LogN: 12, K: 3}
+	for _, s := range bootstrap.Schedule(bootstrap.Parameters{C2SStages: 3, S2CStages: 2}, g.LogN, 4) {
+		got := map[string]int{}
+		e := &expander{g: g, emit: func(op string, _, count int) { got[op] += count }}
+		e.bootstrapStep(s)
+		digits, halves := g.Digits(s.Level), 2 // one key switch
+		switch s.Kind {
+		case bootstrap.StepC2S, bootstrap.StepS2C:
+			n1, n2 := kswork.BabySteps(s.Diags), kswork.GiantSteps(s.Diags)
+			decomps := n2 - 1
+			if n1 > 1 {
+				decomps++
+			}
+			digits, halves = decomps*g.Digits(s.Level), n2+1
+		case bootstrap.StepEvalMod:
+			digits, halves = 0, 0
+			s.Plan.Walk(func(st poly.Step, depth int) {
+				if st == poly.StepRelin {
+					digits += g.Digits(s.Level - depth)
+					halves += 2
+				}
+			})
+		}
+		if got[OpDecomp] != digits || got[OpModDown] != halves {
+			t.Errorf("step %+v: %d digit decompositions and %d divided halves, want %d and %d", s, got[OpDecomp], got[OpModDown], digits, halves)
+		}
 	}
 }

@@ -341,25 +341,6 @@ func (r *Ring) MulScalar(p1 *Poly, scalar uint64, p2 *Poly) {
 	})
 }
 
-// AddScalar sets p2 = p1 + scalar (added to the constant coefficient in
-// coefficient domain; in NTT domain it adds to all evaluation points,
-// which is the correct embedding of a constant).
-func (r *Ring) AddScalar(p1 *Poly, scalar uint64, p2 *Poly) {
-	l := minLevel(p1, p2)
-	par.For(l+1, r.grainPW, func(start, end int) {
-		for i := start; i < end; i++ {
-			m := r.Mods[i]
-			s := nt.BRedAdd(scalar, m)
-			a, b := p1.Coeffs[i], p2.Coeffs[i]
-			for j := 0; j < r.N; j++ {
-				b[j] = nt.Add(a[j], s, m.Q)
-			}
-		}
-	})
-}
-
-// MulByVectorMontgomeryThenAdd is not provided; see MulCoeffsThenAdd.
-
 // Shift applies the negacyclic shift by k positions in coefficient domain:
 // p2(X) = p1(X) * X^k mod (X^N+1). k may be negative.
 func (r *Ring) Shift(p1 *Poly, k int, p2 *Poly) {

@@ -4,6 +4,7 @@ import (
 	"net/http"
 
 	"antace/internal/costmodel"
+	"antace/internal/kswork"
 )
 
 // CostmodelzResponse is the /v1/costmodelz payload: the cost model's
@@ -13,9 +14,9 @@ import (
 // what the differential tests (and an operator judging whether the
 // model still tracks this machine) read.
 type CostmodelzResponse struct {
-	Program  string             `json:"program"`
-	Geometry costmodel.Geometry `json:"geometry"`
-	Runs     uint64             `json:"runs"`
+	Program  string          `json:"program"`
+	Geometry kswork.Geometry `json:"geometry"`
+	Runs     uint64          `json:"runs"`
 
 	Default costmodel.Calibration `json:"default_calibration"`
 	// Live is the profile-fitted calibration; absent until the server
@@ -38,14 +39,14 @@ type CostmodelzResponse struct {
 // not a hot path.
 func (s *Server) handleCostmodelz(w http.ResponseWriter, r *http.Request) {
 	snap := s.prof.Snapshot()
-	geom := costmodel.GeometryOf(s.ckks)
+	geom := s.ckks.Literal.Geometry()
 	resp := CostmodelzResponse{
 		Program:  s.name,
 		Geometry: geom,
 		Runs:     snap.Runs,
 		Default:  costmodel.DefaultCalibration(),
 	}
-	resp.PredictedDefaultSec = geom.Model(resp.Default).InferenceCost(s.ckks)
+	resp.PredictedDefaultSec = (&costmodel.Model{Cal: resp.Default, Geometry: geom}).InferenceCost(s.ckks)
 
 	if meas, err := costmodel.MeasuredBreakdown(snap); err == nil {
 		resp.MeasuredSec = &meas
@@ -59,7 +60,7 @@ func (s *Server) handleCostmodelz(w http.ResponseWriter, r *http.Request) {
 	live = costmodel.FitSchedule(live, geom, s.ckks, snap)
 	resp.Live = &live
 	resp.Fits = fits
-	pl := geom.Model(live).InferenceCost(s.ckks)
+	pl := (&costmodel.Model{Cal: live, Geometry: geom}).InferenceCost(s.ckks)
 	resp.PredictedLiveSec = &pl
 	writeJSON(w, http.StatusOK, resp)
 }

@@ -20,9 +20,8 @@ import (
 
 func testConfig(mode ckksir.BootstrapMode) core.Config {
 	return core.Config{
-		SIHE:     sihe.Options{ReLUAlpha: 5, ReLUEps: 0.125},
-		CKKS:     ckksir.Options{LogScale: 40, Mode: mode, IgnoreSecurity: true},
-		SkipPoly: true,
+		SIHE: sihe.Options{ReLUAlpha: 5, ReLUEps: 0.125},
+		CKKS: ckksir.Options{LogScale: 40, Mode: mode, IgnoreSecurity: true},
 	}
 }
 
@@ -87,10 +86,9 @@ func vecLen(res *ckksir.Result) int { return res.Module.Main().Params[0].Type.Le
 // stageDiagonals counts the diagonals of every DFT stage matrix the
 // program's bootstrapper holds.
 func stageDiagonals(res *ckksir.Result) int {
-	c2s, s2c := bootstrap.StageDiagonals(*res.Boot, res.Literal.LogN-1)
 	total := 0
-	for _, d := range append(c2s, s2c...) {
-		total += d
+	for _, s := range bootstrap.Schedule(*res.Boot, res.Literal.LogN, res.TargetLevel) {
+		total += s.Diags
 	}
 	return total
 }
