@@ -149,10 +149,12 @@ bench-fusion:
 	$(call gotest,-run '^$$' -count=3 -timeout 1800s -benchmem,-bench,BenchmarkNTT$$|BenchmarkKeySwitch$$|BenchmarkHoistedRotations$$|BenchmarkRuntimeBootstrap$$,.)
 
 # Cross-request batching benchmark (BENCH_batch.json records reference
-# numbers): boot a real aced serving the reduced ResNet-20 at logN 12
-# (stride 8), drive 8 concurrent clients through acebench -load, batched
-# vs unbatched, best of 3 runs per mode. SLOW: one encrypted inference
-# takes ~12.5 minutes on a single-core box, so the full run exceeds an
-# hour. See scripts/bench_batch.sh for tunables.
+# numbers): boot a real aced serving the 64x10 linear demo at logN 12
+# (stride 32), drive 8 concurrent clients through acebench -load, batched
+# vs unbatched, best of 3 runs per mode. One evaluation takes about 15 ms
+# on one worker (66 unbatched inferences/s on a 2-vCPU VM), so the six
+# 60 s phases take about 8 minutes. MODEL=builtin:resnet20 serves the
+# reduced ResNet-20 instead, minutes per inference. See
+# scripts/bench_batch.sh for tunables.
 bench-batch:
 	bash scripts/bench_batch.sh

@@ -9,10 +9,13 @@ import (
 
 	"antace/internal/bootstrap"
 	"antace/internal/ckksir"
+	"antace/internal/ir"
 	"antace/internal/obs"
 	"antace/internal/onnx"
 	"antace/internal/ring"
+	"antace/internal/sihe"
 	"antace/internal/tensor"
+	"antace/internal/vecir"
 	"antace/internal/vm"
 )
 
@@ -182,8 +185,9 @@ func TestCompilerAndRuntimeAgreeOnLevels(t *testing.T) {
 	}
 }
 
-// TestDerivedSplitRotationCounts pins the rotation counts the derived
-// baby/giant split was introduced for, on the benchmark's two models.
+// TestDerivedSplitRotationCounts pins the rotation and mask counts the
+// derived baby/giant split and the fold period were introduced for, on
+// the benchmark's two models.
 func TestDerivedSplitRotationCounts(t *testing.T) {
 	gemv, err := onnx.BuildLinear(512, 10, 42)
 	if err != nil {
@@ -194,22 +198,28 @@ func TestDerivedSplitRotationCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
-		name  string
-		model *Model
-		most  int
-	}{{"512x10 gemv", gemv, 46}, {"reduced ResNet-8", resnet8, 150}} {
+		name        string
+		model       *Model
+		most, masks int
+	}{{"512x10 gemv", gemv, 12, 16}, {"reduced ResNet-8", resnet8, 125, 415}} {
 		prog, err := Compile(tc.model, TestProfile())
 		if err != nil {
 			t.Fatal(err)
 		}
-		rotations := 0
+		rotations, masks := 0, 0
 		for _, in := range prog.CKKS.Module.Main().Body {
-			if in.Op == ckksir.OpRotate {
+			switch in.Op {
+			case ckksir.OpRotate:
 				rotations++
+			case ckksir.OpMulPlain:
+				masks++
 			}
 		}
 		if rotations > tc.most {
 			t.Errorf("%s: %d rotations, want at most %d", tc.name, rotations, tc.most)
+		}
+		if masks > tc.masks {
+			t.Errorf("%s: %d mul_plain, want at most %d", tc.name, masks, tc.masks)
 		}
 	}
 }
@@ -256,7 +266,109 @@ func TestPaperProfileSelectsSecureParameters(t *testing.T) {
 	}
 	// Figure 7's driver: the program's own rotation keys (bootstrapping
 	// adds its stage keys on top).
-	if keys := len(prog.CKKS.Rotations); keys > 200 {
-		t.Fatalf("paper-scale ResNet-20 needs %d program rotation keys, want at most 200", keys)
+	if keys := len(prog.CKKS.Rotations); keys > 120 {
+		t.Fatalf("paper-scale ResNet-20 needs %d program rotation keys, want at most 120", keys)
+	}
+	// Folded linear layers: one mask per distinct offset mod each layer's
+	// period (14 252 unfolded).
+	if masks := vecir.Analyze(prog.Vec.Module.Main()).Mults; masks > 8100 {
+		t.Fatalf("paper-scale ResNet-20 lowers to %d masks, want at most 8100", masks)
+	}
+}
+
+// TestFoldedBiasStaysInReLURange runs a stride-2 convolution folded onto
+// a short period, with a bias that cancels a large positive input to
+// within the calibrated ReLU bound, into that ReLU and the bootstrap
+// after it, encrypted. The products alone are ten times the bound, so a
+// replica slot that missed the bias would leave the sign polynomial's
+// range, and the bootstrap mixes every slot into every other. Every
+// decrypted slot must match the noise-free simulation of the program
+// within 1e-3, and the logits the plaintext reference within the ReLU
+// approximation's error.
+func TestFoldedBiasStaysInReLURange(t *testing.T) {
+	rng := rand.New(rand.NewPCG(29, 11))
+	uniform := func(lo, hi float64, shape ...int) *tensor.Tensor {
+		w := tensor.New(shape...)
+		for i := range w.Data {
+			w.Data[i] = lo + (hi-lo)*rng.Float64()
+		}
+		return w
+	}
+	b := onnx.NewBuilder("folded_bias")
+	x := b.Input("image", 1, 4, 8, 8)
+	// About 10 in every slot of all four 64-slot blocks.
+	y := b.Relu(b.Conv(x, b.Weight("lift.w", uniform(-0.05, 0.05, 4, 4, 1, 1)), b.Weight("lift.b", uniform(9.8, 10.2, 4)), 1, 0))
+	// Products of about 10 biased to within ±1, on the 64 slots of one
+	// block: the bound calibrates to 1.
+	y = b.Relu(b.Conv(y, b.Weight("down.w", uniform(0.24, 0.26, 4, 4, 1, 1)), b.Weight("down.b", uniform(-10, -10, 4)), 2, 0))
+	y = b.Relu(b.Conv(y, b.Weight("mix.w", uniform(-0.5, 0.5, 4, 4, 1, 1)), "", 1, 0))
+	y = b.Flatten(b.GlobalAveragePool(y))
+	b.Output(b.Gemm(y, b.Weight("fc.w", uniform(-1, 1, 3, 4)), b.Weight("fc.b", uniform(-1, 1, 3))), 1, 3)
+	prog, err := Compile(b.Model(), TestProfile())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if prog.CKKS.Bootstraps < 2 {
+		t.Fatalf("%d bootstraps, want one after the folded layer's ReLU", prog.CKKS.Bootstraps)
+	}
+	image := uniform(-1, 1, 1, 4, 8, 8)
+	packed, err := prog.Vec.InLayout.Pack(image.Data)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The premise: the stride-2 layer is folded, so its ReLU sees the 64
+	// outputs at every slot.
+	relus := 0
+	if _, err := ir.RunSlots(prog.Vec.Module.Main(), packed, vecir.Kernels, func(in *ir.Instr, args [][]float64, _ []float64) {
+		if in.Op != vecir.OpRelu {
+			return
+		}
+		if relus++; relus == 2 {
+			for s, v := range args[0] {
+				if math.Abs(v-args[0][s%64]) > 1e-9 {
+					t.Errorf("slot %d of the folded layer holds %g, its replica of slot %d %g", s, v, s%64, args[0][s%64])
+					return
+				}
+			}
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	machine, client, err := vm.New(prog.CKKS, prog.VectorLen(), ring.SeedFromInt(29))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ct, err := client.Encrypt(packed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := machine.Run(prog.CKKS.Module, ct)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := client.Decrypt(out)
+	want, err := sihe.Run(prog.SIHE.Main(), packed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for s := range want {
+		if !(math.Abs(got[s]-want[s]) <= 1e-3) {
+			t.Fatalf("slot %d: encrypted %g vs simulated %g", s, got[s], want[s])
+		}
+	}
+	logits, err := prog.Vec.OutLayout.Unpack(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := InferPlain(prog, image)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range plain.Data {
+		if !(math.Abs(logits[i]-plain.Data[i]) <= 2e-2) {
+			t.Fatalf("logit %d: encrypted %g vs plaintext %g", i, logits[i], plain.Data[i])
+		}
 	}
 }

@@ -3,11 +3,16 @@
 // Lee et al. [35] (channels distributed over blocks and stride phases of
 // a fixed base grid), and the NN operators become rotate/multiply/add
 // programs. A linear layer (convolution, pooling, Gemm) is a set of
-// diagonals, one mask per total slot offset, evaluated baby-step/
-// giant-step with a split derived from the offset set per layer
-// (bsgsModulus) — the rotation sharing the paper credits for its Conv
-// speedups. The split's M = L point, one rotation per diagonal, is kept
-// as ConvNaive for the Expert baseline and ablation benchmarks.
+// diagonals folded onto a period P under which its output slots are
+// distinct: one mask per total slot offset mod P, evaluated baby-step/
+// giant-step, then log₂(L/P) rotate-and-adds that land every output on
+// all its replicas (slots congruent to it mod P). P and the split are
+// derived from the offset set per layer (foldSplit) — the rotation
+// sharing the paper credits for its Conv speedups. A non-output slot of
+// a layer's result holds an exact replica of an output or 0, never a
+// partial sum that a ReLU polynomial or a bootstrap could take out of
+// range. The unfolded split's M = L point, one rotation per diagonal,
+// is kept as ConvNaive for the ablation and autotune baselines.
 package vecir
 
 import (

@@ -30,18 +30,18 @@ func init() {
 }
 
 // ConvMode selects how a linear layer's diagonals are rotated into
-// place. There is one lowering; the modes are two points of its split
-// modulus (see bsgsModulus).
+// place. There is one lowering; the modes are two points of its fold
+// period and split modulus (see foldSplit).
 type ConvMode int
 
 const (
-	// ConvBSGS derives the baby/giant split of each layer's offset set
-	// (the default).
+	// ConvBSGS derives the fold period and baby/giant split of each
+	// layer from its offset set (the default).
 	ConvBSGS ConvMode = iota
 	// ConvNaive issues one rotation of the layer input per distinct
 	// total offset, as a hand-written implementation without diagonal
-	// grouping would — the split at M = L, kept as the Expert, ablation
-	// and autotune baseline.
+	// grouping would — no fold and the split at M = L, kept as the
+	// ablation and autotune baseline.
 	ConvNaive
 )
 
@@ -210,6 +210,8 @@ func Lower(nn *ir.Module, opts Options) (*Result, error) {
 	lw := &lowering{f: f, l: l, vt: vt, opts: opts}
 	vals := map[*ir.Value]*ir.Value{src.Params[0]: f.NewParam(src.Params[0].Name, vt)}
 	lays := map[*ir.Value]*Layout{src.Params[0]: inLay}
+	// The fold period of each value's replicas (see emitConv); l is none.
+	periods := map[*ir.Value]int{src.Params[0]: l}
 
 	for _, in := range src.Body {
 		li := lays[in.Args[0]]
@@ -223,6 +225,7 @@ func Lower(nn *ir.Module, opts Options) (*Result, error) {
 		}
 		lo.L = l
 		var out *ir.Value
+		period := periods[in.Args[0]] // pointwise ops keep their input's
 		switch in.Op {
 		case nnir.OpConv:
 			w := in.Args[1].Const.(*tensor.Tensor)
@@ -230,7 +233,7 @@ func Lower(nn *ir.Module, opts Options) (*Result, error) {
 			if len(in.Args) == 3 {
 				bias = in.Args[2].Const.(*tensor.Tensor)
 			}
-			out, err = lw.emitConv(x, li, lo, w, bias, in.AttrInt("stride", 1), in.AttrInt("pad", 0))
+			out, period, err = lw.emitConv(x, li, lo, w, bias, in.AttrInt("stride", 1), in.AttrInt("pad", 0))
 		case nnir.OpAvgPool:
 			// Depthwise sum (the 1/k^2 is folded into the layout gain).
 			k := in.AttrInt("kernel", 1)
@@ -240,9 +243,9 @@ func Lower(nn *ir.Module, opts Options) (*Result, error) {
 					w.Data[(c*li.C+c)*k*k+i] = 1 * li.Gain // emitConv divides by Gain
 				}
 			}
-			out, err = lw.emitConv(x, li, lo, w, nil, k, 0)
+			out, period, err = lw.emitConv(x, li, lo, w, nil, k, 0)
 		case nnir.OpGlobalPool:
-			out = lw.emitGlobalSum(x, li)
+			out, period = lw.emitGlobalSum(x, li), l
 		case nnir.OpGemm:
 			w := in.Args[1].Const.(*tensor.Tensor)
 			if in.AttrInt("transB", 0) == 0 {
@@ -255,7 +258,7 @@ func Lower(nn *ir.Module, opts Options) (*Result, error) {
 			// Express the FC layer as a 1x1 convolution over the (C,1,1)
 			// channel layout.
 			wc := tensor.FromData(w.Data, w.Shape[0], w.Shape[1], 1, 1)
-			out, err = lw.emitConv(x, li, lo, wc, bias, 1, 0)
+			out, period, err = lw.emitConv(x, li, lo, wc, bias, 1, 0)
 		case nnir.OpRelu:
 			bound := in.AttrFloat("bound", opts.DefaultReLUBound)
 			out = f.Emit(OpRelu, vt, []*ir.Value{x}, map[string]any{"bound": bound * li.Gain})
@@ -274,7 +277,13 @@ func Lower(nn *ir.Module, opts Options) (*Result, error) {
 			if !li.Equal(ly) {
 				return nil, fmt.Errorf("vecir: add with mismatched layouts %s vs %s", li, ly)
 			}
-			out = f.Emit(OpAdd, vt, []*ir.Value{x, vals[in.Args[1]]}, nil)
+			// Operands folded onto different periods are brought to the
+			// shorter one first; otherwise a slot could hold one
+			// operand's replica without the other's.
+			py := periods[in.Args[1]]
+			to := min(period, py)
+			x, y := lw.fold(x, period, to), lw.fold(vals[in.Args[1]], py, to)
+			out, period = f.Emit(OpAdd, vt, []*ir.Value{x, y}, nil), to
 		case nnir.OpFlatten, nnir.OpReshape:
 			if in.Result.Type.Len() != li.C*li.H*li.W {
 				return nil, fmt.Errorf("vecir: reshape changing element count unsupported")
@@ -291,6 +300,7 @@ func Lower(nn *ir.Module, opts Options) (*Result, error) {
 			lo.Gain = 1
 		}
 		vals[in.Result] = out
+		periods[in.Result] = period
 		lays[in.Result] = lo
 	}
 	f.Ret = vals[src.Ret]
@@ -346,15 +356,22 @@ func (lw *lowering) mul(a, b *ir.Value) *ir.Value {
 // emitConv lowers a convolution (stride s, pad p) from layout li to lo.
 // Weights are OIHW; the input's pending gain is divided out.
 //
-// The layer is a set of diagonals: out[s] = Σ_t W_t[s]·x[s+t], one mask
-// W_t per total slot offset t (channel displacement + spatial offset;
-// taps that land on the same t share its mask). Each t is evaluated as a
-// baby rotation b of the input and a giant rotation g of the masked sum,
-// b + g ≡ t, with the split derived from the offset set by bsgsModulus.
-func (lw *lowering) emitConv(x *ir.Value, li, lo *Layout, w, bias *tensor.Tensor, stride, pad int) (*ir.Value, error) {
+// The layer is a set of diagonals: out[s] = Σ_t W_t[s]·x[s+t] over the
+// total slot offsets t (channel displacement + spatial offset), folded
+// onto a period P (a power of two under which the output slots are
+// pairwise distinct): one mask per residue r = t mod P, where each tap
+// lands at the replica s + t − r of its output slot s (the one its input
+// reaches at offset r), then log₂(L/P) rotate-and-adds that sum every
+// residue class. Each r is
+// evaluated as a baby rotation b of the input and a giant rotation g of
+// the masked sum, b + g ≡ r (mod P). P and the baby/giant modulus are
+// derived from the offset set by foldSplit. The result holds every
+// output at all its replicas (slots congruent to it mod P) and 0 in
+// every other slot; the returned period says which.
+func (lw *lowering) emitConv(x *ir.Value, li, lo *Layout, w, bias *tensor.Tensor, stride, pad int) (*ir.Value, int, error) {
 	cOut, cIn, kh, kw := w.Shape[0], w.Shape[1], w.Shape[2], w.Shape[3]
 	if cIn > li.C {
-		return nil, fmt.Errorf("vecir: conv consumes %d channels, layout has %d", cIn, li.C)
+		return nil, 0, fmt.Errorf("vecir: conv consumes %d channels, layout has %d", cIn, li.C)
 	}
 	// valid returns the output positions whose input under kernel index
 	// k lies inside the image; a tap with none contributes no diagonal.
@@ -374,7 +391,7 @@ func (lw *lowering) emitConv(x *ir.Value, li, lo *Layout, w, bias *tensor.Tensor
 		w              float64
 	}
 	var taps []tap
-	masks := map[int][]float64{}
+	seen := map[int]bool{}
 	for co := 0; co < cOut; co++ {
 		base := lo.Slot(co, 0, 0)
 		for ci := 0; ci < cIn; ci++ {
@@ -388,29 +405,43 @@ func (lw *lowering) emitConv(x *ir.Value, li, lo *Layout, w, bias *tensor.Tensor
 					}
 					t := offset(li, ci, ky-pad, kx-pad, lo, co)
 					taps = append(taps, tap{t, base, y0, y1, x0, x1, wv})
-					if masks[t] == nil {
-						masks[t] = make([]float64, lw.l)
-					}
+					seen[t] = true
 				}
 			}
 		}
 	}
 	if len(taps) == 0 {
-		return nil, fmt.Errorf("vecir: convolution with all-zero weights")
+		return nil, 0, fmt.Errorf("vecir: convolution with all-zero weights")
 	}
-	// The offset set alone decides the split.
-	offsets := sortedKeys(masks)
-	m := lw.l
+	outs := make([]int, 0, cOut*lo.H*lo.W)
+	for co := 0; co < cOut; co++ {
+		for yo := 0; yo < lo.H; yo++ {
+			for xo := 0; xo < lo.W; xo++ {
+				outs = append(outs, lo.Slot(co, yo, xo))
+			}
+		}
+	}
+	// The offset set and the output slots alone decide the fold and the
+	// split; masks exist only for the residues of the chosen period.
+	p, m := lw.l, lw.l
 	if lw.opts.Conv != ConvNaive {
-		m = bsgsModulus(offsets, lw.l)
+		p, m = foldSplit(sortedKeys(seen), outs, lw.l)
 	}
-	// Fill each mask where its giant rotation will pick it up, at
-	// (output slot + g): roll(v, g)[s] = v[s+g].
+	// Fill each mask where its giant rotation will pick it up, at the
+	// replica of the output slot the baby-rotated input reaches:
+	// (output slot + t − b), and roll(v, k)[s] = v[s+k].
+	masks := map[int][]float64{}
 	for _, tp := range taps {
-		mask := masks[tp.t]
-		_, g := bsgsSplit(tp.t, m, lw.l)
+		r := tp.t % p
+		mask := masks[r]
+		if mask == nil {
+			mask = make([]float64, lw.l)
+			masks[r] = mask
+		}
+		b, _ := bsgsSplit(r, m, p, lw.l)
+		shift := (tp.t - b + lw.l) % lw.l
 		for yo := tp.y0; yo < tp.y1; yo++ {
-			row := tp.base + g + yo*lo.Sy*lo.W0
+			row := tp.base + shift + yo*lo.Sy*lo.W0
 			for xo := tp.x0; xo < tp.x1; xo++ {
 				mask[(row+xo*lo.Sx)%lw.l] += tp.w
 			}
@@ -418,12 +449,13 @@ func (lw *lowering) emitConv(x *ir.Value, li, lo *Layout, w, bias *tensor.Tensor
 	}
 
 	// Emit: baby rotations shared by every giant group, then one masked
-	// inner sum and one giant rotation per group.
-	groups := map[int][]int{} // g -> its offsets, ascending
+	// inner sum and one giant rotation per group, then the fold.
+	residues := sortedKeys(masks)
+	groups := map[int][]int{} // g -> its residues, ascending
 	babies := map[int]*ir.Value{}
-	for _, t := range offsets {
-		b, g := bsgsSplit(t, m, lw.l)
-		groups[g] = append(groups[g], t)
+	for _, r := range residues {
+		b, g := bsgsSplit(r, m, p, lw.l)
+		groups[g] = append(groups[g], r)
 		babies[b] = nil
 	}
 	for _, b := range sortedKeys(babies) {
@@ -432,41 +464,53 @@ func (lw *lowering) emitConv(x *ir.Value, li, lo *Layout, w, bias *tensor.Tensor
 	var acc *ir.Value
 	for _, g := range sortedKeys(groups) {
 		var sum *ir.Value
-		for _, t := range groups[g] {
-			b, _ := bsgsSplit(t, m, lw.l)
-			mask := lw.constVec(fmt.Sprintf("mask_r%d_s%d", g, b), masks[t])
+		for _, r := range groups[g] {
+			b, _ := bsgsSplit(r, m, p, lw.l)
+			mask := lw.constVec(fmt.Sprintf("mask_r%d_s%d", g, b), masks[r])
 			sum = lw.add(sum, lw.mul(babies[b], mask))
 		}
 		acc = lw.add(acc, lw.roll(sum, g))
 	}
+	acc = lw.fold(acc, lw.l, p)
 	if bias != nil {
+		// At every replica, so that no slot holds a partial sum.
 		bv := make([]float64, lw.l)
-		for co := 0; co < cOut; co++ {
-			for yo := 0; yo < lo.H; yo++ {
-				for xo := 0; xo < lo.W; xo++ {
-					bv[lo.Slot(co, yo, xo)] += bias.Data[co]
-				}
+		for i, s := range outs {
+			for ; s < lw.l; s += p {
+				bv[s] += bias.Data[i/(lo.H*lo.W)]
 			}
 		}
 		acc = lw.add(acc, lw.constVec("bias", bv))
 	}
-	return acc, nil
+	return acc, p, nil
 }
 
-// bsgsSplit decomposes total offset t under modulus m into the baby
-// b = centred residue of t mod m and the giant g = t - b, both reduced
-// mod l. The roll identity only needs b + g ≡ t (mod l).
-func bsgsSplit(t, m, l int) (b, g int) {
+// fold takes a vector holding period-from replicas to period to (both
+// powers of two, to ≤ from): every slot gains the sum of the slots
+// congruent to it mod to within its period-from window. When the
+// outputs are distinct mod to, at most one of those holds a value.
+func (lw *lowering) fold(v *ir.Value, from, to int) *ir.Value {
+	for step := to; step < from; step <<= 1 {
+		v = lw.add(v, lw.roll(v, step))
+	}
+	return v
+}
+
+// bsgsSplit decomposes offset t under baby/giant modulus m and fold
+// period p into the baby b = centred residue of t mod m, reduced mod l,
+// and the giant g = t − b reduced mod p. The fold sums every residue
+// class mod p, so the roll identity only needs b + g ≡ t (mod p).
+func bsgsSplit(t, m, p, l int) (b, g int) {
 	b = (t+m/2)%m - m/2
-	return ((b % l) + l) % l, (((t - b) % l) + l) % l
+	return ((b % l) + l) % l, (((t - b) % p) + p) % p
 }
 
 // bsgsRotations counts the non-zero rotations modulus m issues for an
-// offset set: distinct babies plus distinct giants.
-func bsgsRotations(offsets []int, m, l int) int {
+// offset set under fold period p: distinct babies plus distinct giants.
+func bsgsRotations(offsets []int, m, p, l int) int {
 	babies, giants := map[int]bool{}, map[int]bool{}
 	for _, t := range offsets {
-		b, g := bsgsSplit(t, m, l)
+		b, g := bsgsSplit(t, m, p, l)
 		babies[b], giants[g] = true, true
 	}
 	delete(babies, 0)
@@ -475,21 +519,62 @@ func bsgsRotations(offsets []int, m, l int) int {
 }
 
 // bsgsModulus derives a layer's baby/giant split from its offset set
-// (each in [0, l)): among the power-of-two moduli M ≤ l it returns the
-// one whose split issues the fewest rotations, the larger M on a tie
-// (more rotations of the layer input itself, which layers reading the
-// same value share). M = 1 is all giants, M = l all babies — what
-// ConvNaive forces. Rotation count is the price at this level: the ring
-// is not chosen yet and the runtime executes a baby and a giant as the
-// same key switch.
-func bsgsModulus(offsets []int, l int) int {
-	best, bestRot := 1, bsgsRotations(offsets, 1, l)
-	for m := 2; m <= l; m <<= 1 {
-		if r := bsgsRotations(offsets, m, l); r <= bestRot {
-			best, bestRot = m, r
+// (each in [0, p)) under fold period p: among the power-of-two moduli
+// M ≤ p it returns the one whose split issues the fewest rotations, and
+// that count, the larger M on a tie (more rotations of the layer input
+// itself, which layers reading the same value share). M = 1 is all
+// giants, M = p all babies — what ConvNaive forces at p = l. Rotation
+// count is the price at this level: the ring is not chosen yet and the
+// runtime executes a baby and a giant as the same key switch.
+func bsgsModulus(offsets []int, p, l int) (m, rotations int) {
+	m, rotations = 1, bsgsRotations(offsets, 1, p, l)
+	for mm := 2; mm <= p; mm <<= 1 {
+		if r := bsgsRotations(offsets, mm, p, l); r <= rotations {
+			m, rotations = mm, r
 		}
 	}
-	return best
+	return m, rotations
+}
+
+// distinctMod reports whether the slots are pairwise distinct mod p.
+func distinctMod(slots []int, p int) bool {
+	seen := make([]bool, p)
+	for _, s := range slots {
+		if seen[s%p] {
+			return false
+		}
+		seen[s%p] = true
+	}
+	return true
+}
+
+// foldSplit chooses a linear layer's fold period p and baby/giant
+// modulus m from its offset set (sorted, in [0, l)) and output slots:
+// over the powers of two p ≤ l under which the outputs stay distinct,
+// the fewest rotations (the log₂(l/p) fold rotations included), then
+// the fewest masks (distinct offsets mod p), the larger p on a tie.
+// p = l is the unfolded lowering.
+func foldSplit(offsets, outs []int, l int) (p, m int) {
+	p = l
+	m, bestRot := bsgsModulus(offsets, l, l)
+	bestMasks := len(offsets)
+	for q, folds := l/2, 1; q >= len(outs) && distinctMod(outs, q); q, folds = q/2, folds+1 {
+		hit := make([]bool, q)
+		for _, t := range offsets {
+			hit[t%q] = true
+		}
+		var reduced []int
+		for r, h := range hit {
+			if h {
+				reduced = append(reduced, r)
+			}
+		}
+		mq, rot := bsgsModulus(reduced, q, l)
+		if rot += folds; rot < bestRot || rot == bestRot && len(reduced) < bestMasks {
+			p, m, bestRot, bestMasks = q, mq, rot, len(reduced)
+		}
+	}
+	return p, m
 }
 
 func sortedKeys[V any](m map[int]V) []int {

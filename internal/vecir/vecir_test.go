@@ -224,27 +224,27 @@ func TestBSGSModulus(t *testing.T) {
 		for i, v := range tc.offsets {
 			offsets[i] = ((v % tc.l) + tc.l) % tc.l
 		}
-		m := bsgsModulus(offsets, tc.l)
+		m, _ := bsgsModulus(offsets, tc.l, tc.l)
 		if m < 1 || m > tc.l || m&(m-1) != 0 {
 			t.Fatalf("%s: modulus %d is not a power of two in [1, %d]", tc.name, m, tc.l)
 		}
-		if got := bsgsRotations(offsets, m, tc.l); got > tc.most {
+		if got := bsgsRotations(offsets, m, tc.l, tc.l); got > tc.most {
 			t.Errorf("%s: %d rotations at M=%d, want at most %d", tc.name, got, m, tc.most)
 		}
 		rng := rand.New(rand.NewPCG(7, uint64(len(offsets))))
 		rng.Shuffle(len(offsets), func(i, j int) { offsets[i], offsets[j] = offsets[j], offsets[i] })
-		if again := bsgsModulus(offsets, tc.l); again != m {
+		if again, _ := bsgsModulus(offsets, tc.l, tc.l); again != m {
 			t.Errorf("%s: modulus %d, then %d on the same set reordered", tc.name, m, again)
 		}
 		for _, off := range offsets {
-			b, g := bsgsSplit(off, m, tc.l)
+			b, g := bsgsSplit(off, m, tc.l, tc.l)
 			if b < 0 || b >= tc.l || g < 0 || g >= tc.l || (b+g)%tc.l != off {
 				t.Fatalf("%s: offset %d split into b=%d g=%d at M=%d", tc.name, off, b, g, m)
 			}
 		}
 		if tc.name == "centred negatives" {
 			for _, off := range offsets {
-				if b, _ := bsgsSplit(off, m, tc.l); (b+33)%tc.l > 66 {
+				if b, _ := bsgsSplit(off, m, tc.l, tc.l); (b+33)%tc.l > 66 {
 					t.Fatalf("offset %d: baby %d is not a spatial offset in [-33, 33]", off, b)
 				}
 			}
@@ -252,18 +252,20 @@ func TestBSGSModulus(t *testing.T) {
 	}
 }
 
-// TestDerivedSplitProperty lowers generated convolutions from a
-// multiplexed layout (the packing after a stride-2 layer) and checks the
-// three things the derived split promises: the same function as the NN
-// reference, one mask per distinct total offset, and no more rotations
-// than fixing spatial offsets as babies and channel displacements as
-// giants would issue. The last holds for layers with several channels on
-// both sides. With a single channel on one side of a 3x3 kernel the
-// other side's stride phases interleave with the spatial offsets bit by
-// bit, which no residue split can separate: there the split is held to
-// the bound it can always meet, one rotation per non-zero diagonal (over
-// 20 000 generated layers it exceeded the fixed split on 1.9 %, all of
-// this kind, by at most 5 rotations).
+// TestDerivedSplitProperty lowers generated linear layers — convolutions
+// from a multiplexed layout (the packing after a stride-2 layer) and Gemm
+// shapes — and checks what the fold and the derived split promise: the
+// same function as the reference, held at every replica of every output
+// (checkFolded), one mask per distinct total offset mod the chosen
+// period, and no more rotations than the unfolded derived split. That
+// split in turn issues no more rotations than fixing spatial offsets as
+// babies and channel displacements as giants would, for layers with
+// several channels on both sides. With a single channel on one side of a
+// 3x3 kernel the other side's stride phases interleave with the spatial
+// offsets bit by bit, which no residue split can separate: there the
+// split is held to the bound it can always meet, one rotation per
+// non-zero diagonal (over 20 000 generated layers it exceeded the fixed
+// split on 1.9 %, all of this kind, by at most 5 rotations).
 func TestDerivedSplitProperty(t *testing.T) {
 	rng := rand.New(rand.NewPCG(19, 3))
 	for trial := 0; trial < 80; trial++ {
@@ -280,6 +282,10 @@ func TestDerivedSplitProperty(t *testing.T) {
 			}
 		}
 		w.Data[rng.IntN(len(w.Data))] = 0.5
+		bias := tensor.New(cOut)
+		for i := range bias.Data {
+			bias.Data[i] = rng.Float64() + 0.5
+		}
 		name := fmt.Sprintf("trial %d (%d->%d channels, %dx%d, stride %d)", trial, cIn, cOut, k, k, stride)
 
 		li := &Layout{C: cIn, H: 4, W: 4, H0: 8, W0: 8, Sy: 2, Sx: 2, Gain: 1}
@@ -288,7 +294,7 @@ func TestDerivedSplitProperty(t *testing.T) {
 		li.L, lo.L = l, l
 
 		b := onnx.NewBuilder("conv")
-		y := b.Conv(b.Input("x", 1, int64(cIn), 4, 4), b.Weight("w", w), "", int64(stride), int64(pad))
+		y := b.Conv(b.Input("x", 1, int64(cIn), 4, 4), b.Weight("w", w), b.Weight("b", bias), int64(stride), int64(pad))
 		b.Output(y, 1, int64(cOut), int64(lo.H), int64(lo.W))
 		nn, err := nnir.Import(b.Model())
 		if err != nil {
@@ -296,6 +302,7 @@ func TestDerivedSplitProperty(t *testing.T) {
 		}
 		// The weights as imported (ONNX stores them as float32).
 		w = nn.Main().Body[0].Args[1].Const.(*tensor.Tensor)
+		bias = nn.Main().Body[0].Args[2].Const.(*tensor.Tensor)
 		x := tensor.New(1, cIn, 4, 4)
 		for i := range x.Data {
 			x.Data[i] = rng.Float64()*2 - 1
@@ -303,24 +310,6 @@ func TestDerivedSplitProperty(t *testing.T) {
 		want, err := nnir.Run(nn.Main(), map[string]*tensor.Tensor{"x": x})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
-		}
-
-		f := ir.NewModule("conv").NewFunc("main")
-		lw := &lowering{f: f, l: l, vt: ir.VectorType(l)}
-		f.Ret, err = lw.emitConv(f.NewParam("x", lw.vt), li, lo, w, nil, stride, pad)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		packed, _ := li.Pack(x.Data)
-		outVec, err := Run(f, packed)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		got, _ := lo.Unpack(outVec)
-		for i := range want.Data {
-			if math.Abs(got[i]-want.Data[i]) > 1e-9 {
-				t.Fatalf("%s: output %d: vec %g vs nn %g", name, i, got[i], want.Data[i])
-			}
 		}
 
 		// The offset sets, from the weights and the two layouts alone.
@@ -348,19 +337,153 @@ func TestDerivedSplitProperty(t *testing.T) {
 				}
 			}
 		}
-		stats := Analyze(f)
-		if stats.Mults != len(totals) {
-			t.Errorf("%s: %d masks for %d distinct total offsets", name, stats.Mults, len(totals))
-		}
-		delete(totals, 0)
+		packed, _ := li.Pack(x.Data)
+		unfolded := checkFolded(t, name, li, lo, w, bias, stride, pad, packed, want.Data, totals)
 		bound, rule := len(totals), "one per diagonal"
+		if totals[0] {
+			bound--
+		}
 		if cIn > 1 && cOut > 1 {
 			bound, rule = min(bound, len(spatial)+len(channel)), "spatial-baby/channel-giant"
 		}
-		if stats.Rotations > bound {
-			t.Errorf("%s: %d rotations, %s would issue %d", name, stats.Rotations, rule, bound)
+		if unfolded > bound {
+			t.Errorf("%s: the unfolded split issues %d rotations, %s would issue %d", name, unfolded, rule, bound)
 		}
 	}
+	for trial := 0; trial < 40; trial++ {
+		features, classes := 16+rng.IntN(1009), 1+rng.IntN(40)
+		name := fmt.Sprintf("gemm %d (%dx%d)", trial, features, classes)
+		w, bias := tensor.New(classes, features, 1, 1), tensor.New(classes)
+		x, want := make([]float64, features), make([]float64, classes)
+		for i := range x {
+			x[i] = rng.Float64()*2 - 1
+		}
+		l := nextPow2(max(features, classes))
+		totals := map[int]bool{}
+		for c := 0; c < classes; c++ {
+			bias.Data[c] = rng.Float64() + 0.5
+			want[c] = bias.Data[c]
+			for f := 0; f < features; f++ {
+				if rng.IntN(4) != 0 {
+					w.Data[c*features+f] = rng.Float64()*2 - 1
+					want[c] += w.Data[c*features+f] * x[f]
+					totals[(f-c+l)%l] = true
+				}
+			}
+		}
+		li := &Layout{C: features, H: 1, W: 1, H0: 1, W0: 1, Sy: 1, Sx: 1, L: l, Gain: 1}
+		lo := &Layout{C: classes, H: 1, W: 1, H0: 1, W0: 1, Sy: 1, Sx: 1, L: l, Gain: 1}
+		packed, _ := li.Pack(x)
+		checkFolded(t, name, li, lo, w, bias, 1, 0, packed, want, totals)
+	}
+}
+
+// checkFolded lowers one linear layer, runs it on packed and checks the
+// vector against the reference outputs want at every slot (checkReplicas),
+// one mask per distinct total offset mod the chosen period, and no more
+// rotations than the unfolded derived split, whose count it returns.
+func checkFolded(t *testing.T, name string, li, lo *Layout, w, bias *tensor.Tensor, stride, pad int, packed, want []float64, totals map[int]bool) int {
+	t.Helper()
+	l := li.L
+	f := ir.NewModule("linear").NewFunc("main")
+	lw := &lowering{f: f, l: l, vt: ir.VectorType(l)}
+	var p int
+	var err error
+	f.Ret, p, err = lw.emitConv(f.NewParam("x", lw.vt), li, lo, w, bias, stride, pad)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	outVec, err := Run(f, packed)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if err := checkReplicas(outVec, lo, want, p, 1e-9); err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	residues := map[int]bool{}
+	for off := range totals {
+		residues[off%p] = true
+	}
+	stats := Analyze(f)
+	if stats.Mults != len(residues) {
+		t.Errorf("%s: %d masks for %d distinct total offsets mod the period %d", name, stats.Mults, len(residues), p)
+	}
+	_, unfolded := bsgsModulus(sortedKeys(totals), l, l)
+	if stats.Rotations > unfolded {
+		t.Errorf("%s: %d rotations at period %d, the unfolded split issues %d", name, stats.Rotations, p, unfolded)
+	}
+	return unfolded
+}
+
+// checkReplicas reports the first slot of v that breaks period p: every
+// slot congruent mod p to an output slot of lo must hold that output's
+// reference value (within tol) and every other slot exactly 0.
+func checkReplicas(v []float64, lo *Layout, want []float64, p int, tol float64) error {
+	at := map[int]float64{}
+	for c := 0; c < lo.C; c++ {
+		for y := 0; y < lo.H; y++ {
+			for x := 0; x < lo.W; x++ {
+				at[lo.Slot(c, y, x)%p] = want[(c*lo.H+y)*lo.W+x]
+			}
+		}
+	}
+	for s, got := range v {
+		ref, ok := at[s%p]
+		if !ok && got != 0 || ok && math.Abs(got-ref) > tol {
+			return fmt.Errorf("period %d: slot %d holds %g, want %g", p, s, got, ref)
+		}
+	}
+	return nil
+}
+
+// TestFoldedAddOperands adds a convolution folded onto a short period to
+// the network input, which has none: the lowering must bring both to the
+// shorter period, so that every slot of the sum, and of the ReLU after
+// it, holds a replica of an output or 0 — never one operand's replica
+// alone.
+func TestFoldedAddOperands(t *testing.T) {
+	rng := rand.New(rand.NewPCG(23, 5))
+	weight := func(shape ...int) *tensor.Tensor {
+		w := tensor.New(shape...)
+		for i := range w.Data {
+			w.Data[i] = rng.Float64() - 0.5
+		}
+		return w
+	}
+	b := onnx.NewBuilder("folded_add")
+	x := b.Input("x", 1, 1, 4, 4)
+	y := b.Conv(x, b.Weight("w1", weight(4, 1, 3, 3)), b.Weight("b1", weight(4)), 1, 1)
+	y = b.Conv(b.Relu(y), b.Weight("w2", weight(1, 4, 3, 3)), b.Weight("b2", weight(1)), 1, 1)
+	b.Output(b.Relu(b.Add(y, x)), 1, 1, 4, 4)
+	nn, err := nnir.Import(b.Model())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Lower(nn, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := tensor.New(1, 1, 4, 4)
+	for i := range in.Data {
+		in.Data[i] = rng.Float64()*2 - 1
+	}
+	want, err := nnir.Run(nn.Main(), map[string]*tensor.Tensor{"x": in})
+	if err != nil {
+		t.Fatal(err)
+	}
+	packed, _ := res.InLayout.Pack(in.Data)
+	v, err := Run(res.Module.Main(), packed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := res.OutLayout.L
+	var errs []error
+	for p := 16; p < l; p <<= 1 {
+		if errs = append(errs, checkReplicas(v, res.OutLayout, want.Data, p, 1e-9)); errs[len(errs)-1] == nil {
+			return
+		}
+	}
+	t.Fatalf("the sum is not replicated with any period below %d: %v", l, errs)
 }
 
 func TestVectorLenAuto(t *testing.T) {

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # bench_batch.sh — cross-request slot batching throughput experiment.
 #
-# Serves the reduced ResNet-20 with the ring degree forced to 2^LOGN so
-# the program has spare slot lanes, then measures inferences/sec under
+# Serves MODEL (default the 64x10 linear demo; builtin:resnet20 is the
+# reduced ResNet-20) with the ring degree forced to 2^LOGN so the program
+# has spare slot lanes, then measures inferences/sec under
 # CLIENTS concurrent clients twice: batched (-batch-max) and unbatched.
 # Both daemons run the SAME forced ring on ONE worker, so the ratio
 # isolates what coalescing buys. acebench -load extends its window until
@@ -10,15 +11,15 @@
 # single inference takes longer than WINDOW.
 #
 # Best-of-RUNS per mode; the summary lands in OUT (BENCH_batch.json).
-# The full run is slow: one encrypted inference of the reduced
-# ResNet-20 at logN 12 takes ~12.5 minutes on a single-core box, and
-# each of the 2*RUNS phases pays one inference plus one client keygen.
+# With the default model a run takes about 2*RUNS*WINDOW; with
+# MODEL=builtin:resnet20 every load phase waits for at least one
+# encrypted ResNet-20 inference, minutes each, so budget hours.
 #
 # Tunables (env): MODEL LOGN CLIENTS BATCH_MAX BATCH_WINDOW WINDOW RUNS OUT
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-MODEL=${MODEL:-builtin:resnet20}
+MODEL=${MODEL:-builtin:linear}
 LOGN=${LOGN:-12}
 CLIENTS=${CLIENTS:-8}
 BATCH_MAX=${BATCH_MAX:-8}
@@ -115,7 +116,7 @@ cat >"$OUT" <<EOF
     "goos": "$(go env GOOS)",
     "goarch": "$(go env GOARCH)",
     "num_cpu": $(getconf _NPROCESSORS_ONLN),
-    "note": "Single-worker daemon; one encrypted inference of the reduced ResNet-20 at logN 12 takes ~12.5 min on this box, so each load phase completes roughly one evaluation wave. Batched waves carry up to $BATCH_MAX requests in one ciphertext."
+    "note": "Single-worker daemon. Batched waves carry up to $BATCH_MAX requests in one ciphertext; the unbatched rate is one client-observed inference per evaluation."
   },
   "config": {
     "model": "$MODEL",
