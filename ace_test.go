@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -273,6 +274,30 @@ func TestPaperProfileSelectsSecureParameters(t *testing.T) {
 	// period (14 252 unfolded).
 	if masks := vecir.Analyze(prog.Vec.Module.Main()).Mults; masks > 8100 {
 		t.Fatalf("paper-scale ResNet-20 lowers to %d masks, want at most 8100", masks)
+	}
+}
+
+// TestPaperCompileAllocation bounds what one AnalysisOnly compile of
+// paper-scale ResNet-20 allocates: its masks are built one at a time into
+// a reused buffer (≈ 150 MB in all), not all held at once (≈ 1.16 GB).
+func TestPaperCompileAllocation(t *testing.T) {
+	if testing.Short() {
+		t.Skip("compiles at paper scale")
+	}
+	model, err := onnx.BuildResNet(onnx.ResNetConfig{Depth: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := PaperProfile()
+	cfg.Vec.AnalysisOnly = true
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := Compile(model, cfg); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if mb := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20); mb > 400 {
+		t.Fatalf("paper-scale ResNet-20 AnalysisOnly compile allocated %.0f MB, want at most 400", mb)
 	}
 }
 

@@ -45,11 +45,7 @@ func benchCompile(b *testing.B, spec experiments.ModelSpec, scale experiments.Sc
 		if err != nil {
 			b.Fatal(err)
 		}
-		cfg := experiments.ReducedConfig()
-		if scale == experiments.ScalePaper {
-			cfg = experiments.PaperConfig()
-		}
-		c, err := core.Compile(m, cfg)
+		c, err := core.Compile(m, experiments.ConfigFor(scale, false))
 		if err != nil {
 			b.Fatal(err)
 		}

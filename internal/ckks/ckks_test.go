@@ -1,11 +1,13 @@
 package ckks
 
 import (
+	"fmt"
 	"math"
 	"math/cmplx"
 	"math/rand/v2"
 	"testing"
 
+	"antace/internal/nt"
 	"antace/internal/ring"
 )
 
@@ -397,6 +399,109 @@ func TestMinLogN(t *testing.T) {
 	for logQP, want := range cases {
 		if got := MinLogN(logQP); got != want {
 			t.Errorf("MinLogN(%d) = %d, want %d", logQP, got, want)
+		}
+	}
+}
+
+// nttPrimesRescan is the scan GeneratePrimes used to restart once per
+// prime, kept as the reference: count primes ≡ 1 mod nthRoot outward
+// from 2^logQ, skipping avoid.
+func nttPrimesRescan(logQ, nthRoot uint64, count int, avoid ...uint64) ([]uint64, error) {
+	if logQ < 10 || logQ > 61 {
+		return nil, fmt.Errorf("logQ %d out of range", logQ)
+	}
+	skip := make(map[uint64]bool, len(avoid))
+	for _, q := range avoid {
+		skip[q] = true
+	}
+	var primes []uint64
+	center := uint64(1) << logQ
+	up := center + 1
+	down := center + 1 - nthRoot
+	for len(primes) < count {
+		if nt.IsPrime(up) && !skip[up] {
+			primes = append(primes, up)
+			if len(primes) == count {
+				break
+			}
+		}
+		up += nthRoot
+		if down > nthRoot && nt.IsPrime(down) && !skip[down] {
+			primes = append(primes, down)
+		}
+		if down > nthRoot {
+			down -= nthRoot
+		}
+		if up >= 1<<62 {
+			return nil, fmt.Errorf("exhausted candidates for logQ=%d", logQ)
+		}
+	}
+	return primes[:count], nil
+}
+
+// primesPerPrime is the per-prime loop GeneratePrimes replaced: one
+// rescan from 2^b for every prime of the chain, in LogQ then LogP order.
+func primesPerPrime(lit ParametersLiteral) (qPrimes, pPrimes []uint64, err error) {
+	nthRoot := uint64(2) << lit.LogN
+	var used []uint64
+	pick := func(logQ int) (uint64, error) {
+		ps, err := nttPrimesRescan(uint64(logQ), nthRoot, 1, used...)
+		if err != nil {
+			return 0, err
+		}
+		used = append(used, ps[0])
+		return ps[0], nil
+	}
+	for _, lq := range lit.LogQ {
+		p, err := pick(lq)
+		if err != nil {
+			return nil, nil, err
+		}
+		qPrimes = append(qPrimes, p)
+	}
+	for _, lp := range lit.LogP {
+		p, err := pick(lp)
+		if err != nil {
+			return nil, nil, err
+		}
+		pPrimes = append(pPrimes, p)
+	}
+	return qPrimes, pPrimes, nil
+}
+
+// TestGeneratePrimesMatchesPerPrime checks the one-scan prime search
+// against the per-prime loop on every supported ring degree: uniform,
+// mixed 40/60/61-bit and small-prime chains, a 300-prime chain, and the
+// out-of-range bit size both reject.
+func TestGeneratePrimesMatchesPerPrime(t *testing.T) {
+	chain := func(n, bits int) []int {
+		out := make([]int, n)
+		for i := range out {
+			out[i] = bits
+		}
+		return out
+	}
+	for logN := 4; logN <= 17; logN++ {
+		lits := []ParametersLiteral{
+			{LogQ: append([]int{60}, chain(24, 40)...), LogP: chain(5, 61)},
+			{LogQ: []int{40, 60, 40, 61, 60, 40, 61, 40}, LogP: []int{61, 60, 40, 61}},
+			{LogQ: []int{60, 60, 61, 61, 60}, LogP: []int{60, 61}},
+			{LogQ: []int{20, 21, 20, 22, 21}, LogP: []int{20, 22}},
+			{LogQ: []int{60, 9}, LogP: []int{61}},
+		}
+		if logN == 10 || logN == 17 {
+			lits = append(lits, ParametersLiteral{LogQ: append([]int{60}, chain(294, 40)...), LogP: chain(5, 61)})
+		}
+		for _, lit := range lits {
+			lit.LogN = logN
+			q, p, err := GeneratePrimes(lit)
+			wq, wp, werr := primesPerPrime(lit)
+			if (err == nil) != (werr == nil) {
+				t.Fatalf("logN %d, LogQ %v: error %v, per-prime loop %v", logN, lit.LogQ, err, werr)
+			}
+			if fmt.Sprint(q, p) != fmt.Sprint(wq, wp) {
+				t.Fatalf("logN %d, LogQ %v, LogP %v:\n%v %v\nper-prime loop:\n%v %v", logN, lit.LogQ, lit.LogP, q, p, wq, wp)
+			}
 		}
 	}
 }

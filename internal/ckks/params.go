@@ -123,17 +123,32 @@ func NewParameters(lit ParametersLiteral) (*Parameters, error) {
 
 // GeneratePrimes deterministically derives the Q and P prime chains for
 // a parameter literal: callers that only need the modulus values (the
-// compiler's scale planner) can avoid instantiating the rings.
+// compiler's scale planner) can avoid instantiating the rings. Each prime
+// is the first of its bit size's scan (nt.PrimeScan) not already in the
+// chain, in LogQ then LogP order; one scan per bit size serves them all.
 func GeneratePrimes(lit ParametersLiteral) (qPrimes, pPrimes []uint64, err error) {
 	nthRoot := uint64(2) << lit.LogN
-	var used []uint64
+	scans := map[int]*nt.PrimeScan{}
+	used := map[uint64]bool{}
 	pick := func(logQ int) (uint64, error) {
-		ps, err := nt.GenerateNTTPrimes(uint64(logQ), nthRoot, 1, used...)
-		if err != nil {
-			return 0, err
+		scan := scans[logQ]
+		if scan == nil {
+			var err error
+			if scan, err = nt.NewPrimeScan(uint64(logQ), nthRoot); err != nil {
+				return 0, err
+			}
+			scans[logQ] = scan
 		}
-		used = append(used, ps[0])
-		return ps[0], nil
+		for {
+			q, err := scan.Next()
+			if err != nil {
+				return 0, err
+			}
+			if !used[q] {
+				used[q] = true
+				return q, nil
+			}
+		}
 	}
 	for _, lq := range lit.LogQ {
 		p, err := pick(lq)

@@ -109,13 +109,14 @@ func ReducedConfig() core.Config {
 	}
 }
 
-func configFor(scale Scale, expert bool) core.Config {
+// ConfigFor is the profile the figures and tables compile a model with at
+// a scale, as ANT-ACE or as the Expert baseline.
+func ConfigFor(scale Scale, expert bool) core.Config {
 	var cfg core.Config
 	if scale == ScalePaper {
 		cfg = PaperConfig()
 		// Paper-scale figures analyse the compiled schedule without
-		// executing it; dropping the mask payloads (after building them)
-		// keeps the six-model suite within laptop memory.
+		// executing it: the masks are built, one at a time, and dropped.
 		cfg.Vec.AnalysisOnly = true
 	} else {
 		cfg = ReducedConfig()
@@ -142,7 +143,7 @@ func Figure5(w io.Writer, scale Scale) error {
 			return err
 		}
 		start := time.Now()
-		c, err := core.Compile(m, configFor(scale, false))
+		c, err := core.Compile(m, ConfigFor(scale, false))
 		if err != nil {
 			return fmt.Errorf("%s: %w", spec.Name, err)
 		}
@@ -189,7 +190,7 @@ func Figure6Spec(w io.Writer, scale Scale, cal costmodel.Calibration, specs []Mo
 			if err != nil {
 				return nil, err
 			}
-			c, err := core.Compile(m, configFor(scale, expert))
+			c, err := core.Compile(m, ConfigFor(scale, expert))
 			if err != nil {
 				return nil, fmt.Errorf("%s (expert=%v): %w", spec.Name, expert, err)
 			}
@@ -259,7 +260,7 @@ func Figure7(w io.Writer, scale Scale, cal costmodel.Calibration) ([]Fig7Row, er
 			if err != nil {
 				return nil, err
 			}
-			c, err := core.Compile(m, configFor(scale, expert))
+			c, err := core.Compile(m, ConfigFor(scale, expert))
 			if err != nil {
 				return nil, err
 			}
@@ -309,7 +310,7 @@ func Table10(w io.Writer, scale Scale) ([]Tab10Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		c, err := core.Compile(m, configFor(scale, false))
+		c, err := core.Compile(m, ConfigFor(scale, false))
 		if err != nil {
 			return nil, err
 		}

@@ -145,34 +145,68 @@ func RootOfUnity(n, q uint64) (uint64, error) {
 // lets callers build disjoint Q and P chains at the same bit size.
 // nthRoot must be a power of two.
 func GenerateNTTPrimes(logQ, nthRoot uint64, count int, avoid ...uint64) ([]uint64, error) {
-	if logQ < 10 || logQ > 61 {
-		return nil, fmt.Errorf("nt: logQ %d out of range [10, 61]", logQ)
+	scan, err := NewPrimeScan(logQ, nthRoot)
+	if err != nil {
+		return nil, err
 	}
 	skip := make(map[uint64]bool, len(avoid))
 	for _, q := range avoid {
 		skip[q] = true
 	}
 	var primes []uint64
-	center := uint64(1) << logQ
-	up := center + 1
-	down := center + 1 - nthRoot
 	for len(primes) < count {
-		if IsPrime(up) && !skip[up] {
-			primes = append(primes, up)
-			if len(primes) == count {
-				break
-			}
+		q, err := scan.Next()
+		if err != nil {
+			return nil, err
 		}
-		up += nthRoot
-		if down > nthRoot && IsPrime(down) && !skip[down] {
-			primes = append(primes, down)
-		}
-		if down > nthRoot {
-			down -= nthRoot
-		}
-		if up >= 1<<62 {
-			return nil, fmt.Errorf("nt: exhausted candidates for logQ=%d nthRoot=%d", logQ, nthRoot)
+		if !skip[q] {
+			primes = append(primes, q)
 		}
 	}
-	return primes[:count], nil
+	return primes, nil
+}
+
+// PrimeScan walks the primes congruent to 1 modulo nthRoot outward from
+// 2^logQ in GenerateNTTPrimes' order: 2^logQ + 1, then one step below,
+// one above, and so on. Each candidate is tested once, so handing out a
+// chain's primes one at a time costs one scan, not one per prime.
+type PrimeScan struct {
+	logQ, nthRoot, up, down uint64
+	below                   bool // the next candidate is down
+}
+
+// NewPrimeScan starts a scan around 2^logQ; nthRoot must be a power of
+// two.
+func NewPrimeScan(logQ, nthRoot uint64) (*PrimeScan, error) {
+	if logQ < 10 || logQ > 61 {
+		return nil, fmt.Errorf("nt: logQ %d out of range [10, 61]", logQ)
+	}
+	center := uint64(1) << logQ
+	return &PrimeScan{logQ: logQ, nthRoot: nthRoot, up: center + 1, down: center + 1 - nthRoot}, nil
+}
+
+// Next returns the scan's next prime.
+func (s *PrimeScan) Next() (uint64, error) {
+	for {
+		if !s.below {
+			q := s.up
+			s.up += s.nthRoot
+			s.below = true
+			if IsPrime(q) {
+				return q, nil
+			}
+			continue
+		}
+		q, ok := s.down, s.down > s.nthRoot
+		if ok {
+			s.down -= s.nthRoot
+		}
+		s.below = false
+		if s.up >= 1<<62 {
+			return 0, fmt.Errorf("nt: exhausted candidates for logQ=%d nthRoot=%d", s.logQ, s.nthRoot)
+		}
+		if ok && IsPrime(q) {
+			return q, nil
+		}
+	}
 }

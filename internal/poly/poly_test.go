@@ -1,6 +1,7 @@
 package poly
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -164,6 +165,34 @@ func TestSignComposite(t *testing.T) {
 	}
 	if ReLUFromSign(stages) != CompositeDepth(stages)+1 {
 		t.Fatal("ReLU depth must be sign depth + 1")
+	}
+}
+
+// TestSignCompositeMemoised mutates one caller's stages: the next call
+// must still return the search's result, equal to a fresh search.
+func TestSignCompositeMemoised(t *testing.T) {
+	first, err := SignComposite(0.125, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range first {
+		for i := range st.Coeffs {
+			st.Coeffs[i] = 7
+		}
+		st.Basis = Chebyshev
+	}
+	again, err := SignComposite(0.125, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, _ := searchSignComposite(0.125, 6)
+	if len(again) != len(fresh) {
+		t.Fatalf("%d stages after a caller's mutation, the search gives %d", len(again), len(fresh))
+	}
+	for i, st := range fresh {
+		if fmt.Sprint(*again[i]) != fmt.Sprint(*st) {
+			t.Fatalf("stage %d after a caller's mutation: %v, the search gives %v", i, *again[i], *st)
+		}
 	}
 }
 

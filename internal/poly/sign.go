@@ -3,6 +3,7 @@ package poly
 import (
 	"fmt"
 	"math"
+	"sync"
 )
 
 // Homomorphic ReLU needs sign(x), approximated on [-1,1]\(-eps,eps) by a
@@ -121,7 +122,45 @@ func (p *Polynomial) ComposeAffine(alpha, beta float64) *Polynomial {
 // the depth saving of the minimax composite method of Lee et al. [36]
 // relative to pure f_n iteration. f_3 flattening stages follow until a
 // dense grid check certifies the target accuracy.
+//
+// The search runs once per (eps, alpha); every call returns its own copy
+// of the stages.
 func SignComposite(eps float64, alpha int) ([]*Polynomial, error) {
+	key := signKey{eps, alpha}
+	e, ok := signComposites.Load(key)
+	if !ok {
+		var r signResult
+		r.stages, r.err = searchSignComposite(eps, alpha)
+		e, _ = signComposites.LoadOrStore(key, r)
+	}
+	r := e.(signResult)
+	if r.err != nil {
+		return nil, r.err
+	}
+	out := make([]*Polynomial, len(r.stages))
+	for i, st := range r.stages {
+		cp := *st
+		cp.Coeffs = append([]float64(nil), st.Coeffs...)
+		out[i] = &cp
+	}
+	return out, nil
+}
+
+// signComposites memoises SignComposite's search by (eps, alpha): every
+// ReLU of every compile asks for the composite of its profile.
+var signComposites sync.Map
+
+type signKey struct {
+	eps   float64
+	alpha int
+}
+
+type signResult struct {
+	stages []*Polynomial
+	err    error
+}
+
+func searchSignComposite(eps float64, alpha int) ([]*Polynomial, error) {
 	if eps <= 0 || eps >= 1 {
 		return nil, fmt.Errorf("poly: eps %g out of (0,1)", eps)
 	}

@@ -237,8 +237,28 @@ func Gemm(a, b, c *Tensor, alpha, beta float64) (*Tensor, error) {
 	return out, nil
 }
 
+// ValidRange returns the output positions [from, to) along one axis whose
+// input under kernel index k lies inside the image: o·stride + k − pad in
+// [0, nIn). A tap with an empty range reads only padding.
+func ValidRange(k, stride, pad, nOut, nIn int) (from, to int) {
+	d := k - pad
+	if d < 0 {
+		from = (-d + stride - 1) / stride
+	}
+	if d < nIn {
+		to = (nIn-1-d)/stride + 1
+	}
+	from = min(from, nOut)
+	return from, max(from, min(to, nOut))
+}
+
 // Conv2D computes a 2-D convolution in NCHW layout with OIHW weights,
 // symmetric zero padding and the given stride. Bias may be nil.
+//
+// Taps are the outer loop: each (co, ci, ky, kx) adds its weight times
+// the input row it reads into every output row its valid range covers.
+// Every output still starts from its bias and gains its taps in (ci, ky,
+// kx) order, so the result is the per-output sum bit for bit.
 func Conv2D(x, w, bias *Tensor, stride, pad int) (*Tensor, error) {
 	if x.Rank() != 4 || w.Rank() != 4 {
 		return nil, fmt.Errorf("tensor: conv2d requires NCHW input and OIHW weights, got %v, %v", x.Shape, w.Shape)
@@ -256,29 +276,37 @@ func Conv2D(x, w, bias *Tensor, stride, pad int) (*Tensor, error) {
 	out := New(n, cOut, oh, ow)
 	for b := 0; b < n; b++ {
 		for co := 0; co < cOut; co++ {
-			base := 0.0
+			dst := out.Data[(b*cOut+co)*oh*ow : (b*cOut+co+1)*oh*ow]
 			if bias != nil {
-				base = bias.Data[co]
+				for i := range dst {
+					dst[i] = bias.Data[co]
+				}
 			}
-			for oy := 0; oy < oh; oy++ {
-				for ox := 0; ox < ow; ox++ {
-					acc := base
-					for ci := 0; ci < cIn; ci++ {
-						for ky := 0; ky < kh; ky++ {
-							iy := oy*stride + ky - pad
-							if iy < 0 || iy >= h {
+			for ci := 0; ci < cIn; ci++ {
+				src := x.Data[(b*cIn+ci)*h*wd : (b*cIn+ci+1)*h*wd]
+				for ky := 0; ky < kh; ky++ {
+					y0, y1 := ValidRange(ky, stride, pad, oh, h)
+					for kx := 0; kx < kw; kx++ {
+						x0, x1 := ValidRange(kx, stride, pad, ow, wd)
+						if x0 == x1 {
+							continue
+						}
+						wv := w.Data[((co*cIn+ci)*kh+ky)*kw+kx]
+						for oy := y0; oy < y1; oy++ {
+							row := dst[oy*ow+x0 : oy*ow+x1]
+							in := src[(oy*stride+ky-pad)*wd+x0*stride+kx-pad:]
+							if stride == 1 {
+								in = in[:len(row)]
+								for i := range row {
+									row[i] += in[i] * wv
+								}
 								continue
 							}
-							for kx := 0; kx < kw; kx++ {
-								ix := ox*stride + kx - pad
-								if ix < 0 || ix >= wd {
-									continue
-								}
-								acc += x.Data[((b*cIn+ci)*h+iy)*wd+ix] * w.Data[((co*cIn+ci)*kh+ky)*kw+kx]
+							for i := range row {
+								row[i] += in[i*stride] * wv
 							}
 						}
 					}
-					out.Data[((b*cOut+co)*oh+oy)*ow+ox] = acc
 				}
 			}
 		}

@@ -178,6 +178,95 @@ func TestConv2DBiasAndChannels(t *testing.T) {
 	}
 }
 
+// conv2DPerOutput is the per-output convolution Conv2D replaced: each
+// output starts from its bias and sums its in-range taps in (ci, ky, kx)
+// order.
+func conv2DPerOutput(x, w, bias *Tensor, stride, pad int) *Tensor {
+	n, cIn, h, wd := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
+	cOut, kh, kw := w.Shape[0], w.Shape[2], w.Shape[3]
+	oh, ow := (h+2*pad-kh)/stride+1, (wd+2*pad-kw)/stride+1
+	out := New(n, cOut, oh, ow)
+	for b := 0; b < n; b++ {
+		for co := 0; co < cOut; co++ {
+			base := 0.0
+			if bias != nil {
+				base = bias.Data[co]
+			}
+			for oy := 0; oy < oh; oy++ {
+				for ox := 0; ox < ow; ox++ {
+					acc := base
+					for ci := 0; ci < cIn; ci++ {
+						for ky := 0; ky < kh; ky++ {
+							iy := oy*stride + ky - pad
+							if iy < 0 || iy >= h {
+								continue
+							}
+							for kx := 0; kx < kw; kx++ {
+								ix := ox*stride + kx - pad
+								if ix < 0 || ix >= wd {
+									continue
+								}
+								acc += x.Data[((b*cIn+ci)*h+iy)*wd+ix] * w.Data[((co*cIn+ci)*kh+ky)*kw+kx]
+							}
+						}
+					}
+					out.Data[((b*cOut+co)*oh+oy)*ow+ox] = acc
+				}
+			}
+		}
+	}
+	return out
+}
+
+// TestConv2DMatchesPerOutput checks the row-wise Conv2D against the
+// per-output loop bit for bit, and ValidRange against a scan, over random
+// shapes, strides and paddings.
+func TestConv2DMatchesPerOutput(t *testing.T) {
+	rng := rand.New(rand.NewPCG(24, 1))
+	for trial := 0; trial < 2000; trial++ {
+		n, cIn, cOut := 1+rng.IntN(2), 1+rng.IntN(5), 1+rng.IntN(5)
+		h, wd, kh, kw := 1+rng.IntN(9), 1+rng.IntN(9), 1+rng.IntN(4), 1+rng.IntN(4)
+		stride, pad := 1+rng.IntN(3), rng.IntN(3)
+		if h+2*pad < kh || wd+2*pad < kw {
+			continue
+		}
+		x, w := New(n, cIn, h, wd), New(cOut, cIn, kh, kw)
+		for _, d := range [][]float64{x.Data, w.Data} {
+			for i := range d {
+				d[i] = rng.NormFloat64()
+			}
+		}
+		var bias *Tensor
+		if rng.IntN(2) == 1 {
+			bias = New(cOut)
+			for i := range bias.Data {
+				bias.Data[i] = rng.NormFloat64()
+			}
+		}
+		got, err := Conv2D(x, w, bias, stride, pad)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := conv2DPerOutput(x, w, bias, stride, pad)
+		for i := range want.Data {
+			if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+				t.Fatalf("trial %d (x %v, w %v, stride %d, pad %d, bias %t): output %d is %v, per-output loop %v",
+					trial, x.Shape, w.Shape, stride, pad, bias != nil, i, got.Data[i], want.Data[i])
+			}
+		}
+		for k := 0; k < kh; k++ {
+			nOut := got.Shape[2]
+			from, to := ValidRange(k, stride, pad, nOut, h)
+			for o := 0; o < nOut; o++ {
+				iy := o*stride + k - pad
+				if in := iy >= 0 && iy < h; in != (o >= from && o < to) {
+					t.Fatalf("ValidRange(%d, %d, %d, %d, %d) = [%d, %d), output %d reads row %d", k, stride, pad, nOut, h, from, to, o, iy)
+				}
+			}
+		}
+	}
+}
+
 func TestPools(t *testing.T) {
 	x := FromData([]float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}, 1, 1, 4, 4)
 	avg, err := AveragePool2D(x, 2, 2)

@@ -55,11 +55,12 @@ type Options struct {
 	// DefaultReLUBound bounds |x| at ReLU inputs when no calibrated
 	// bound attribute is present on the nn.relu instruction.
 	DefaultReLUBound float64
-	// AnalysisOnly discards mask payloads after constructing them,
-	// keeping unique one-element stubs: the compiled module retains its
-	// exact structure (instruction counts, rotations, levels) for the
-	// figure/table analyses at paper scale, but cannot be executed.
-	// Compile timing is unaffected — the masks are still built.
+	// AnalysisOnly keeps unique one-element stubs in place of the mask
+	// payloads: the compiled module retains its exact structure
+	// (instruction counts, rotations, levels) for the figure/table
+	// analyses at paper scale, but cannot be executed. Every mask is
+	// still built, into one reused buffer, so compile time counts that
+	// work while memory holds one mask, not all of them.
 	AnalysisOnly bool
 }
 
@@ -323,15 +324,26 @@ type lowering struct {
 	vt      ir.Type
 	opts    Options
 	stubSeq int
+	scratch []float64 // AnalysisOnly's one mask buffer, all zeros between constants
 }
 
-func (lw *lowering) constVec(name string, v []float64) *ir.Value {
+// constVec emits a constant vector that fill writes into zeros; fill with
+// reset must zero exactly the slots it wrote. Under AnalysisOnly fill runs
+// into one reused scratch vector, which reset then clears, and the
+// payload is a unique one-element stub: CSE keys on content, so every
+// mask must stay distinct.
+func (lw *lowering) constVec(name string, fill func(v []float64, reset bool)) *ir.Value {
 	if lw.opts.AnalysisOnly {
+		if lw.scratch == nil {
+			lw.scratch = make([]float64, lw.l)
+		}
+		fill(lw.scratch, false)
+		fill(lw.scratch, true)
 		lw.stubSeq++
-		// A unique one-element stub: CSE keys on content, so every mask
-		// must stay distinct.
-		v = []float64{float64(lw.stubSeq)}
+		return lw.f.NewConst(name, lw.vt, []float64{float64(lw.stubSeq)})
 	}
+	v := make([]float64, lw.l)
+	fill(v, false)
 	return lw.f.NewConst(name, lw.vt, v)
 }
 
@@ -373,32 +385,16 @@ func (lw *lowering) emitConv(x *ir.Value, li, lo *Layout, w, bias *tensor.Tensor
 	if cIn > li.C {
 		return nil, 0, fmt.Errorf("vecir: conv consumes %d channels, layout has %d", cIn, li.C)
 	}
-	// valid returns the output positions whose input under kernel index
-	// k lies inside the image; a tap with none contributes no diagonal.
-	valid := func(k, nOut, nIn int) (from, to int) {
-		d := k - pad
-		for from = 0; from < nOut && from*stride+d < 0; from++ {
-		}
-		for to = nOut; to > from && (to-1)*stride+d >= nIn; to-- {
-		}
-		return from, to
-	}
-	// A tap is one non-zero weight: its total offset, weight and output
-	// pixel range depend on (co, ci, ky, kx) only, never on the pixel.
-	type tap struct {
-		t, base        int // total offset; slot of output pixel (co, 0, 0)
-		y0, y1, x0, x1 int
-		w              float64
-	}
+	// A tap with an empty output range reads only padding: no diagonal.
 	var taps []tap
 	seen := map[int]bool{}
 	for co := 0; co < cOut; co++ {
 		base := lo.Slot(co, 0, 0)
 		for ci := 0; ci < cIn; ci++ {
 			for ky := 0; ky < kh; ky++ {
-				y0, y1 := valid(ky, lo.H, li.H)
+				y0, y1 := tensor.ValidRange(ky, stride, pad, lo.H, li.H)
 				for kx := 0; kx < kw && y0 < y1; kx++ {
-					x0, x1 := valid(kx, lo.W, li.W)
+					x0, x1 := tensor.ValidRange(kx, stride, pad, lo.W, li.W)
 					wv := w.At(co, ci, ky, kx) / li.Gain
 					if wv == 0 || x0 == x1 {
 						continue
@@ -427,30 +423,16 @@ func (lw *lowering) emitConv(x *ir.Value, li, lo *Layout, w, bias *tensor.Tensor
 	if lw.opts.Conv != ConvNaive {
 		p, m = foldSplit(sortedKeys(seen), outs, lw.l)
 	}
-	// Fill each mask where its giant rotation will pick it up, at the
-	// replica of the output slot the baby-rotated input reaches:
-	// (output slot + t − b), and roll(v, k)[s] = v[s+k].
-	masks := map[int][]float64{}
+	// Each residue's taps, in tap order: a mask is filled just before it
+	// is emitted, so one is live at a time.
+	byResidue := map[int][]tap{}
 	for _, tp := range taps {
-		r := tp.t % p
-		mask := masks[r]
-		if mask == nil {
-			mask = make([]float64, lw.l)
-			masks[r] = mask
-		}
-		b, _ := bsgsSplit(r, m, p, lw.l)
-		shift := (tp.t - b + lw.l) % lw.l
-		for yo := tp.y0; yo < tp.y1; yo++ {
-			row := tp.base + shift + yo*lo.Sy*lo.W0
-			for xo := tp.x0; xo < tp.x1; xo++ {
-				mask[(row+xo*lo.Sx)%lw.l] += tp.w
-			}
-		}
+		byResidue[tp.t%p] = append(byResidue[tp.t%p], tp)
 	}
 
 	// Emit: baby rotations shared by every giant group, then one masked
 	// inner sum and one giant rotation per group, then the fold.
-	residues := sortedKeys(masks)
+	residues := sortedKeys(byResidue)
 	groups := map[int][]int{} // g -> its residues, ascending
 	babies := map[int]*ir.Value{}
 	for _, r := range residues {
@@ -466,7 +448,9 @@ func (lw *lowering) emitConv(x *ir.Value, li, lo *Layout, w, bias *tensor.Tensor
 		var sum *ir.Value
 		for _, r := range groups[g] {
 			b, _ := bsgsSplit(r, m, p, lw.l)
-			mask := lw.constVec(fmt.Sprintf("mask_r%d_s%d", g, b), masks[r])
+			mask := lw.constVec(fmt.Sprintf("mask_r%d_s%d", g, b), func(v []float64, reset bool) {
+				fillMask(v, byResidue[r], b, lo, reset)
+			})
 			sum = lw.add(sum, lw.mul(babies[b], mask))
 		}
 		acc = lw.add(acc, lw.roll(sum, g))
@@ -474,15 +458,52 @@ func (lw *lowering) emitConv(x *ir.Value, li, lo *Layout, w, bias *tensor.Tensor
 	acc = lw.fold(acc, lw.l, p)
 	if bias != nil {
 		// At every replica, so that no slot holds a partial sum.
-		bv := make([]float64, lw.l)
-		for i, s := range outs {
-			for ; s < lw.l; s += p {
-				bv[s] += bias.Data[i/(lo.H*lo.W)]
+		acc = lw.add(acc, lw.constVec("bias", func(v []float64, reset bool) {
+			for i, s := range outs {
+				for ; s < lw.l; s += p {
+					if reset {
+						v[s] = 0
+					} else {
+						v[s] += bias.Data[i/(lo.H*lo.W)]
+					}
+				}
 			}
-		}
-		acc = lw.add(acc, lw.constVec("bias", bv))
+		}))
 	}
 	return acc, p, nil
+}
+
+// A tap is one non-zero weight of a linear layer: its total offset,
+// weight and output pixel range depend on (co, ci, ky, kx) only, never on
+// the pixel.
+type tap struct {
+	t, base        int // total offset; slot of output pixel (co, 0, 0)
+	y0, y1, x0, x1 int // valid output rows and columns
+	w              float64
+}
+
+// fillMask adds one residue's taps, in order, into v where the giant
+// rotation picks them up: at the replica of the output slot that the
+// input rotated by baby b reaches, output slot + t − b (roll(v, k)[s] =
+// v[s+k]). With reset it zeroes those slots instead.
+func fillMask(v []float64, taps []tap, b int, lo *Layout, reset bool) {
+	l := len(v)
+	for _, tp := range taps {
+		start := tp.base + (tp.t-b+l)%l + tp.x0*lo.Sx
+		for yo := tp.y0; yo < tp.y1; yo++ {
+			i := (start + yo*lo.Sy*lo.W0) % l
+			for xo := tp.x0; xo < tp.x1; xo++ {
+				if reset {
+					v[i] = 0
+				} else {
+					v[i] += tp.w
+				}
+				if i += lo.Sx; i >= l {
+					i -= l
+				}
+			}
+		}
+	}
 }
 
 // fold takes a vector holding period-from replicas to period to (both

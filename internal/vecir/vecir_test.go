@@ -400,6 +400,22 @@ func checkFolded(t *testing.T, name string, li, lo *Layout, w, bias *tensor.Tens
 	if err := checkReplicas(outVec, lo, want, p, 1e-9); err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
+	if err := checkMasks(f, masksPerTap(li, lo, w, bias, stride, pad)); err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	fa := ir.NewModule("linear").NewFunc("main")
+	la := &lowering{f: fa, l: l, vt: ir.VectorType(l), opts: Options{AnalysisOnly: true}}
+	if fa.Ret, _, err = la.emitConv(fa.NewParam("x", la.vt), li, lo, w, bias, stride, pad); err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if err := sameStream(f, fa); err != nil {
+		t.Fatalf("%s: AnalysisOnly: %v", name, err)
+	}
+	for s, v := range la.scratch {
+		if v != 0 {
+			t.Fatalf("%s: AnalysisOnly left %g in scratch slot %d", name, v, s)
+		}
+	}
 	residues := map[int]bool{}
 	for off := range totals {
 		residues[off%p] = true
@@ -434,6 +450,192 @@ func checkReplicas(v []float64, lo *Layout, want []float64, p int, tol float64) 
 		}
 	}
 	return nil
+}
+
+// masksPerTap is the mask construction emitConv replaced, kept as the
+// reference: every mask of the layer allocated before any is emitted, taps
+// visited in (co, ci, ky, kx) order, each element placed with a %. It
+// returns every constant by name, the bias included.
+func masksPerTap(li, lo *Layout, w, bias *tensor.Tensor, stride, pad int) map[string][]float64 {
+	l := li.L
+	cOut, cIn, kh, kw := w.Shape[0], w.Shape[1], w.Shape[2], w.Shape[3]
+	valid := func(k, nOut, nIn int) (from, to int) {
+		d := k - pad
+		for from = 0; from < nOut && from*stride+d < 0; from++ {
+		}
+		for to = nOut; to > from && (to-1)*stride+d >= nIn; to-- {
+		}
+		return from, to
+	}
+	var taps []tap
+	seen := map[int]bool{}
+	for co := 0; co < cOut; co++ {
+		for ci := 0; ci < cIn; ci++ {
+			for ky := 0; ky < kh; ky++ {
+				y0, y1 := valid(ky, lo.H, li.H)
+				for kx := 0; kx < kw && y0 < y1; kx++ {
+					x0, x1 := valid(kx, lo.W, li.W)
+					wv := w.At(co, ci, ky, kx) / li.Gain
+					if wv == 0 || x0 == x1 {
+						continue
+					}
+					t := offset(li, ci, ky-pad, kx-pad, lo, co)
+					taps = append(taps, tap{t, lo.Slot(co, 0, 0), y0, y1, x0, x1, wv})
+					seen[t] = true
+				}
+			}
+		}
+	}
+	var outs []int
+	for co := 0; co < cOut; co++ {
+		for yo := 0; yo < lo.H; yo++ {
+			for xo := 0; xo < lo.W; xo++ {
+				outs = append(outs, lo.Slot(co, yo, xo))
+			}
+		}
+	}
+	p, m := foldSplit(sortedKeys(seen), outs, l)
+	masks, byName := map[int][]float64{}, map[string][]float64{}
+	for _, tp := range taps {
+		r := tp.t % p
+		b, g := bsgsSplit(r, m, p, l)
+		if masks[r] == nil {
+			masks[r] = make([]float64, l)
+			byName[fmt.Sprintf("mask_r%d_s%d", g, b)] = masks[r]
+		}
+		shift := (tp.t - b + l) % l
+		for yo := tp.y0; yo < tp.y1; yo++ {
+			row := tp.base + shift + yo*lo.Sy*lo.W0
+			for xo := tp.x0; xo < tp.x1; xo++ {
+				masks[r][(row+xo*lo.Sx)%l] += tp.w
+			}
+		}
+	}
+	if bias != nil {
+		bv := make([]float64, l)
+		for i, s := range outs {
+			for ; s < l; s += p {
+				bv[s] += bias.Data[i/(lo.H*lo.W)]
+			}
+		}
+		byName["bias"] = bv
+	}
+	return byName
+}
+
+// TestFillMaskWraps checks fillMask against the per-element % placement
+// on random taps, offsets and babies: rows that run past the end of the
+// vector, which no generated layer or zoo model produces, wrap to its
+// start, and reset clears every slot the fill wrote.
+func TestFillMaskWraps(t *testing.T) {
+	rng := rand.New(rand.NewPCG(24, 2))
+	for trial := 0; trial < 500; trial++ {
+		s := 1 << rng.IntN(3)
+		lo := &Layout{C: 1 + rng.IntN(16), H: 8 / s, W: 8 / s, H0: 8, W0: 8, Sy: s, Sx: s, Gain: 1}
+		l := nextPow2(lo.Blocks() * 64)
+		lo.L = l
+		taps := make([]tap, 1+rng.IntN(4))
+		want := make([]float64, l)
+		b := rng.IntN(l)
+		for i := range taps {
+			y0, x0 := rng.IntN(lo.H), rng.IntN(lo.W)
+			tp := tap{rng.IntN(l), lo.Slot(rng.IntN(lo.C), 0, 0), y0, y0 + 1 + rng.IntN(lo.H-y0), x0, x0 + 1 + rng.IntN(lo.W-x0), rng.NormFloat64()}
+			taps[i] = tp
+			for yo := tp.y0; yo < tp.y1; yo++ {
+				row := tp.base + (tp.t-b+l)%l + yo*lo.Sy*lo.W0
+				for xo := tp.x0; xo < tp.x1; xo++ {
+					want[(row+xo*lo.Sx)%l] += tp.w
+				}
+			}
+		}
+		got := make([]float64, l)
+		fillMask(got, taps, b, lo, false)
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("trial %d: slot %d holds %v, the %% placement %v", trial, i, got[i], want[i])
+			}
+		}
+		fillMask(got, taps, b, lo, true)
+		for i, v := range got {
+			if v != 0 {
+				t.Fatalf("trial %d: reset left %v in slot %d", trial, v, i)
+			}
+		}
+	}
+}
+
+// checkMasks reports the first constant of f that differs in a bit from
+// its reference, or a reference constant f does not hold.
+func checkMasks(f *ir.Func, ref map[string][]float64) error {
+	found := map[string]bool{}
+	for _, in := range f.Body {
+		for _, a := range in.Args {
+			if !a.IsConst() {
+				continue
+			}
+			got, want := a.Const.([]float64), ref[a.Name]
+			if want == nil {
+				return fmt.Errorf("constant %s has no reference", a.Name)
+			}
+			for s := range want {
+				if math.Float64bits(got[s]) != math.Float64bits(want[s]) {
+					return fmt.Errorf("constant %s slot %d: %v, per-tap construction %v", a.Name, s, got[s], want[s])
+				}
+			}
+			found[a.Name] = true
+		}
+	}
+	if len(found) != len(ref) {
+		return fmt.Errorf("%d constants, the per-tap construction has %d", len(found), len(ref))
+	}
+	return nil
+}
+
+// sameStream reports the first difference between two lowerings'
+// instruction streams: ops, operands, attributes and constant names.
+func sameStream(a, b *ir.Func) error {
+	if a.String() != b.String() {
+		return fmt.Errorf("printed functions differ:\n%s\nvs\n%s", a, b)
+	}
+	for i, in := range a.Body {
+		for j, x := range in.Args {
+			if y := b.Body[i].Args[j]; x.IsConst() && x.Name != y.Name {
+				return fmt.Errorf("instruction %d operand %d: constant %s vs %s", i, j, x.Name, y.Name)
+			}
+		}
+	}
+	return nil
+}
+
+// TestAnalysisOnlySameStream lowers whole models with and without
+// AnalysisOnly: the instruction streams must be the same, only the
+// payloads differ.
+func TestAnalysisOnlySameStream(t *testing.T) {
+	small, _ := onnx.BuildSmallCNN(onnx.SmallCNNConfig{InputSize: 8, Channels: 4, Classes: 4})
+	resnet, _ := onnx.BuildResNet(onnx.ResNetConfig{Depth: 8, BaseChannels: 4, InputSize: 8, Classes: 10})
+	linear, _ := onnx.BuildLinear(84, 10, 5)
+	for _, m := range []*onnx.Model{small, resnet, linear} {
+		nn, err := nnir.Import(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pm := &ir.PassManager{}
+		pm.Add(nnir.FuseConvBatchNorm(), ir.DCE())
+		if err := pm.Run(nn); err != nil {
+			t.Fatal(err)
+		}
+		full, err := Lower(nn, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		stub, err := Lower(nn, Options{AnalysisOnly: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sameStream(full.Module.Main(), stub.Module.Main()); err != nil {
+			t.Fatalf("%s: %v", m.Graph.Name, err)
+		}
+	}
 }
 
 // TestFoldedAddOperands adds a convolution folded onto a short period to
