@@ -42,10 +42,6 @@ func run() int {
 		probeEvery = flag.Duration("probe-every", 500*time.Millisecond, "readiness poll period per shard (negative = disabled)")
 		attempts   = flag.Int("attempts", 0, "failover rounds across the candidate shards (0 = default 4)")
 		hedgeAfter = flag.Duration("hedge-after", 0, "fixed delay before hedging an inference to the replica shard (0 = adaptive per-shard p95, negative = hedging off)")
-		hedgeMin   = flag.Duration("hedge-min", 0, "floor for the adaptive hedge delay (0 = default 20ms)")
-		hedgeMax   = flag.Duration("hedge-max", 0, "ceiling for the adaptive hedge delay (0 = default 2s)")
-		suspectAft = flag.Int("suspect-after", 0, "consecutive failed readiness probes before a shard is marked suspect (0 = default 3, negative = disabled)")
-		ejectAfter = flag.Duration("eject-after", 0, "how long a shard may stay suspect before the router force-removes it from the ring (0 = never eject)")
 		addrFile   = flag.String("addr-file", "", "write the bound listen address to this file once serving (for scripts and tests)")
 		logFormat  = flag.String("log-format", "json", "log output format: json or text")
 		logLevel   = flag.String("log-level", "info", "minimum log level: debug, info, warn or error")
@@ -79,14 +75,10 @@ func run() int {
 		return 1
 	}
 	router := cluster.NewRouter(ring, cluster.RouterConfig{
-		Retry:        fheclient.RetryPolicy{MaxAttempts: *attempts},
-		ProbeEvery:   *probeEvery,
-		HedgeAfter:   *hedgeAfter,
-		HedgeMin:     *hedgeMin,
-		HedgeMax:     *hedgeMax,
-		SuspectAfter: *suspectAft,
-		EjectAfter:   *ejectAfter,
-		Logger:       logger,
+		Retry:      fheclient.RetryPolicy{MaxAttempts: *attempts},
+		ProbeEvery: *probeEvery,
+		HedgeAfter: *hedgeAfter,
+		Logger:     logger,
 	})
 	defer router.Close()
 

@@ -7,13 +7,13 @@ import (
 	"antace/internal/obs"
 )
 
-// Hedging defaults. The adaptive delay is the router's own per-shard p95
-// observation clamped to [DefaultHedgeMin, DefaultHedgeMax]; until a
-// shard has hedgeMinSamples observations the estimator answers the
-// conservative maximum, so a cold router never hedges eagerly.
+// Adaptive hedging. The delay is the router's own per-shard p95
+// observation clamped to [hedgeMin, hedgeMax]; until a shard has
+// hedgeMinSamples observations the estimator answers the conservative
+// maximum, so a cold router never hedges eagerly.
 const (
-	DefaultHedgeMin = 20 * time.Millisecond
-	DefaultHedgeMax = 2 * time.Second
+	hedgeMin = 20 * time.Millisecond
+	hedgeMax = 2 * time.Second
 
 	hedgeWindow     = 256
 	hedgeMinSamples = 8
@@ -58,6 +58,16 @@ func (e *latencyEstimator) p95(shard string) (time.Duration, bool) {
 		return 0, false
 	}
 	return time.Duration(w.Quantile(hedgeQuantile) * float64(time.Millisecond)), true
+}
+
+// hedgeDelay is the adaptive hedge delay for a primary: its p95 clamped
+// to [hedgeMin, hedgeMax], and hedgeMax until enough samples back it.
+func (e *latencyEstimator) hedgeDelay(primary string) time.Duration {
+	p95, ok := e.p95(primary)
+	if !ok {
+		return hedgeMax
+	}
+	return min(max(p95, hedgeMin), hedgeMax)
 }
 
 // forget drops a shard's window (it left the ring; a rejoin should not

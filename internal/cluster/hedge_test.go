@@ -47,6 +47,20 @@ func TestLatencyEstimator(t *testing.T) {
 	if _, ok := est.p95("s"); ok {
 		t.Fatal("forgotten shard still has samples")
 	}
+	// The hedge delay clamps the p95 into [hedgeMin, hedgeMax] and is
+	// the ceiling until enough samples back it.
+	for i := 0; i < hedgeMinSamples; i++ {
+		est.observe("u", 10*time.Second)
+	}
+	if d := est.hedgeDelay("t"); d != hedgeMin {
+		t.Fatalf("2ms p95 hedges after %v, want the %v floor", d, hedgeMin)
+	}
+	if d := est.hedgeDelay("u"); d != hedgeMax {
+		t.Fatalf("10s p95 hedges after %v, want the %v ceiling", d, hedgeMax)
+	}
+	if d := est.hedgeDelay("s"); d != hedgeMax {
+		t.Fatalf("unsampled shard hedges after %v, want the %v ceiling", d, hedgeMax)
+	}
 }
 
 // fakeShard is a minimal shard stand-in for router-only tests: it
@@ -57,6 +71,7 @@ func TestLatencyEstimator(t *testing.T) {
 type fakeShard struct {
 	srv     *httptest.Server
 	delayMs atomic.Int64
+	status  atomic.Int64 // nonzero: /v1/infer answers this status
 	failing atomic.Bool
 	hits    atomic.Int64
 
@@ -73,6 +88,10 @@ func newFakeShard(t *testing.T, marker string) *fakeShard {
 		f.mu.Lock()
 		f.idemKeys = append(f.idemKeys, r.Header.Get(api.HeaderIdemKey))
 		f.mu.Unlock()
+		if st := f.status.Load(); st != 0 {
+			w.WriteHeader(int(st))
+			return
+		}
 		if d := f.delayMs.Load(); d > 0 {
 			select {
 			case <-time.After(time.Duration(d) * time.Millisecond):
@@ -190,6 +209,27 @@ func TestRouterHedgingSlowPrimary(t *testing.T) {
 	if c := st.Cluster; c.LatencyMsP50 < 20 || c.LatencyMsP99 != c.LatencyMsP50 {
 		t.Errorf("cluster latency after one hedged infer: p50 %gms p99 %gms, want both its ≥20ms total",
 			c.LatencyMsP50, c.LatencyMsP99)
+	}
+}
+
+// TestRouterFailoverAsksPrimaryOnce: a primary that answers an infer
+// 503 is asked exactly once — the replica goes out the moment that
+// answer lands, not after a second round-one try at the primary — and
+// the replica's answer is relayed with one failover and no hedge.
+func TestRouterFailoverAsksPrimaryOnce(t *testing.T) {
+	routerURL, sessID, primary, backup := hedgeFixture(t, RouterConfig{ProbeEvery: -1})
+	primary.status.Store(http.StatusServiceUnavailable)
+
+	status, body := routerInfer(t, routerURL, sessID)
+	if status != http.StatusOK {
+		t.Fatalf("infer past a 503 primary: status %d body %q", status, body)
+	}
+	if p, b := primary.hits.Load(), backup.hits.Load(); p != 1 || b != 1 {
+		t.Fatalf("primary asked %d times, replica %d; want 1 and 1", p, b)
+	}
+	st := routerStatz(t, routerURL)
+	if st.Router.Failovers != 1 || st.Router.Hedged != 0 || st.Router.Forwarded != 1 {
+		t.Fatalf("router counters after one failover: %+v", st.Router)
 	}
 }
 

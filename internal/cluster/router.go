@@ -10,9 +10,11 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"maps"
 	"net/http"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"antace/internal/fault"
@@ -47,8 +49,6 @@ type Router struct {
 	// — same idempotency key — races to the replica and the first answer
 	// wins. hedgeAfter < 0 disables; 0 selects the adaptive estimate.
 	hedgeAfter time.Duration
-	hedgeMin   time.Duration
-	hedgeMax   time.Duration
 	est        *latencyEstimator
 	// lat is the latency (ms) of every infer answered with a 200: the
 	// cluster-level quantiles of /v1/statz.
@@ -57,17 +57,9 @@ type Router struct {
 	// Health prober: shards answering /v1/readyz 200 are preferred
 	// targets; unready ones are skipped while any alternative exists
 	// (but still tried as a last resort — the prober is advisory).
-	// Consecutive failures past suspectAfter mark a shard suspect; a
-	// shard suspect for longer than ejectAfter is force-removed from the
-	// membership, its orphaned replicas re-replicated by the survivors.
-	probeEvery   time.Duration
-	suspectAfter int
-	ejectAfter   time.Duration
-	mu           sync.RWMutex
-	unready      map[string]bool
-	probeFails   map[string]int
-	suspectSince map[string]time.Time
-	ejecting     map[string]bool
+	probeEvery time.Duration
+	mu         sync.RWMutex
+	unready    map[string]bool
 
 	// Per-shard statz scrape cache: an unreachable shard's last good
 	// snapshot still counts toward cluster totals (a stale lower bound
@@ -75,13 +67,11 @@ type Router struct {
 	scrapeMu  sync.Mutex
 	lastStatz map[string]scrapedStatz
 
+	// The router's counters; only the per-shard request map needs a lock.
 	stats struct {
+		forwarded, failovers, errors, hedged, hedgeWins atomic.Uint64
+
 		mu            sync.Mutex
-		forwarded     uint64
-		failovers     uint64
-		errors        uint64
-		hedged        uint64
-		hedgeWins     uint64
 		shardRequests map[string]uint64
 	}
 
@@ -109,20 +99,9 @@ type RouterConfig struct {
 
 	// HedgeAfter is the infer hedging delay: 0 (the default) hedges
 	// adaptively at the primary's observed p95 latency, clamped to
-	// [HedgeMin, HedgeMax]; a positive value hedges at that fixed delay;
-	// a negative value disables hedging.
+	// [20ms, 2s]; a positive value hedges at that fixed delay; a negative
+	// value disables hedging.
 	HedgeAfter time.Duration
-	// HedgeMin/HedgeMax clamp the adaptive delay (defaults
-	// DefaultHedgeMin/DefaultHedgeMax).
-	HedgeMin time.Duration
-	HedgeMax time.Duration
-
-	// SuspectAfter is how many consecutive readyz probe failures mark a
-	// shard suspect (default 3; negative disables suspicion tracking).
-	SuspectAfter int
-	// EjectAfter force-removes a shard from the membership once it has
-	// been suspect this long (default 0 = never eject automatically).
-	EjectAfter time.Duration
 }
 
 // RouterStatz is the router's own half of the aggregated statz page.
@@ -142,9 +121,6 @@ type RouterStatz struct {
 	ShardRequests map[string]uint64 `json:"shard_requests"`
 	// Ready is the prober's current view of each shard.
 	Ready map[string]bool `json:"ready"`
-	// Suspect lists shards with suspectAfter+ consecutive probe failures,
-	// with how long each has been suspect.
-	Suspect map[string]float64 `json:"suspect_sec,omitempty"`
 }
 
 // ClusterStatz is returned by the router's GET /v1/statz: the router's
@@ -180,38 +156,19 @@ func NewRouter(ring *Ring, cfg RouterConfig) *Router {
 	if probe == 0 {
 		probe = 500 * time.Millisecond
 	}
-	hedgeMin := cfg.HedgeMin
-	if hedgeMin <= 0 {
-		hedgeMin = DefaultHedgeMin
-	}
-	hedgeMax := cfg.HedgeMax
-	if hedgeMax <= 0 {
-		hedgeMax = DefaultHedgeMax
-	}
-	suspectAfter := cfg.SuspectAfter
-	if suspectAfter == 0 {
-		suspectAfter = 3
-	}
 	mem := &Membership{ring: ring}
 	rt := &Router{
-		mem:          mem,
-		hc:           hc,
-		log:          log,
-		pol:          cfg.Retry.WithDefaults(),
-		hedgeAfter:   cfg.HedgeAfter,
-		hedgeMin:     hedgeMin,
-		hedgeMax:     hedgeMax,
-		est:          newLatencyEstimator(),
-		lat:          obs.NewWindow(obs.StatzWindow),
-		probeEvery:   probe,
-		suspectAfter: suspectAfter,
-		ejectAfter:   cfg.EjectAfter,
-		unready:      map[string]bool{},
-		probeFails:   map[string]int{},
-		suspectSince: map[string]time.Time{},
-		ejecting:     map[string]bool{},
-		lastStatz:    map[string]scrapedStatz{},
-		stop:         make(chan struct{}),
+		mem:        mem,
+		hc:         hc,
+		log:        log,
+		pol:        cfg.Retry.WithDefaults(),
+		hedgeAfter: cfg.HedgeAfter,
+		est:        newLatencyEstimator(),
+		lat:        obs.NewWindow(obs.StatzWindow),
+		probeEvery: probe,
+		unready:    map[string]bool{},
+		lastStatz:  map[string]scrapedStatz{},
+		stop:       make(chan struct{}),
 	}
 	rt.stats.shardRequests = map[string]uint64{}
 
@@ -298,17 +255,6 @@ func (rt *Router) probeOnce() {
 			rt.mu.Lock()
 			was := !rt.unready[ep]
 			rt.unready[ep] = !ready
-			if ready {
-				rt.probeFails[ep] = 0
-				delete(rt.suspectSince, ep)
-			} else if rt.suspectAfter > 0 {
-				rt.probeFails[ep]++
-				if rt.probeFails[ep] == rt.suspectAfter {
-					rt.suspectSince[ep] = time.Now()
-					rt.log.Warn("router.shard.suspect", slog.String("shard", ep),
-						slog.Int("consecutive_failures", rt.probeFails[ep]))
-				}
-			}
 			rt.mu.Unlock()
 			if was != ready {
 				rt.log.Info("router.shard", slog.String("shard", ep), slog.Bool("ready", ready))
@@ -316,43 +262,6 @@ func (rt *Router) probeOnce() {
 		}(ep)
 	}
 	wg.Wait()
-	rt.maybeEject()
-}
-
-// maybeEject force-removes shards that have been suspect longer than the
-// eject deadline: a Leave with Force, so the dead member is not waited
-// on and the survivors re-replicate its orphaned sessions.
-func (rt *Router) maybeEject() {
-	if rt.ejectAfter <= 0 {
-		return
-	}
-	var victims []string
-	rt.mu.Lock()
-	for ep, since := range rt.suspectSince {
-		if time.Since(since) >= rt.ejectAfter && !rt.ejecting[ep] {
-			rt.ejecting[ep] = true
-			victims = append(victims, ep)
-		}
-	}
-	rt.mu.Unlock()
-	for _, ep := range victims {
-		go func(ep string) {
-			defer func() {
-				rt.mu.Lock()
-				delete(rt.ejecting, ep)
-				rt.mu.Unlock()
-			}()
-			if rt.curRing().Len() <= 1 {
-				return // never eject the last shard: degraded beats empty
-			}
-			rt.log.Warn("router.shard.eject", slog.String("shard", ep))
-			if _, err := rt.leave(ep, true); err != nil && !errorsIsNoChange(err) {
-				rt.log.Warn("router.shard.eject.failed", slog.String("shard", ep), slog.String("err", err.Error()))
-				return
-			}
-			rt.forgetShard(ep)
-		}(ep)
-	}
 }
 
 // forgetShard clears per-shard prober and estimator state after a member
@@ -360,8 +269,6 @@ func (rt *Router) maybeEject() {
 func (rt *Router) forgetShard(ep string) {
 	rt.mu.Lock()
 	delete(rt.unready, ep)
-	delete(rt.probeFails, ep)
-	delete(rt.suspectSince, ep)
 	rt.mu.Unlock()
 	rt.est.forget(ep)
 }
@@ -387,8 +294,6 @@ func (rt *Router) orderCandidates(candidates []string) []string {
 }
 
 // --- membership ----------------------------------------------------------
-
-func errorsIsNoChange(err error) bool { return errors.Is(err, ErrNoChange) }
 
 // join runs the full join transition: propose the ring with endpoint
 // added, broadcast the update to every member (the joiner included — the
@@ -481,54 +386,54 @@ func truncateBody(b []byte) string {
 }
 
 func (rt *Router) handleClusterMembership(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, rt.mem.View())
+	api.WriteJSON(w, http.StatusOK, rt.mem.View())
 }
 
 func (rt *Router) handleClusterJoin(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxControlBody))
 	if err != nil {
-		writeJSON(w, http.StatusRequestEntityTooLarge, api.ErrorReply{Error: err.Error()})
+		api.WriteError(w, http.StatusRequestEntityTooLarge, "%v", err)
 		return
 	}
 	jr, err := ParseJoin(body)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, api.ErrorReply{Error: err.Error()})
+		api.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	view, err := rt.join(jr.Endpoint)
 	switch {
-	case errorsIsNoChange(err):
-		writeJSON(w, http.StatusOK, view) // already a member: idempotent
+	case errors.Is(err, ErrNoChange):
+		api.WriteJSON(w, http.StatusOK, view) // already a member: idempotent
 	case err != nil:
-		writeJSON(w, http.StatusBadGateway, api.ErrorReply{Error: err.Error()})
+		api.WriteError(w, http.StatusBadGateway, "%v", err)
 	default:
 		rt.log.Info("router.cluster.join", slog.String("shard", jr.Endpoint), slog.Uint64("epoch", view.Epoch))
-		writeJSON(w, http.StatusOK, view)
+		api.WriteJSON(w, http.StatusOK, view)
 	}
 }
 
 func (rt *Router) handleClusterLeave(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxControlBody))
 	if err != nil {
-		writeJSON(w, http.StatusRequestEntityTooLarge, api.ErrorReply{Error: err.Error()})
+		api.WriteError(w, http.StatusRequestEntityTooLarge, "%v", err)
 		return
 	}
 	lr, err := ParseLeave(body)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, api.ErrorReply{Error: err.Error()})
+		api.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	view, err := rt.leave(lr.Endpoint, lr.Force)
 	switch {
-	case errorsIsNoChange(err):
-		writeJSON(w, http.StatusOK, view) // already gone: idempotent
+	case errors.Is(err, ErrNoChange):
+		api.WriteJSON(w, http.StatusOK, view) // already gone: idempotent
 	case err != nil:
-		writeJSON(w, http.StatusBadGateway, api.ErrorReply{Error: err.Error()})
+		api.WriteError(w, http.StatusBadGateway, "%v", err)
 	default:
 		rt.forgetShard(lr.Endpoint)
 		rt.log.Info("router.cluster.leave", slog.String("shard", lr.Endpoint),
 			slog.Bool("force", lr.Force), slog.Uint64("epoch", view.Epoch))
-		writeJSON(w, http.StatusOK, view)
+		api.WriteJSON(w, http.StatusOK, view)
 	}
 }
 
@@ -539,7 +444,6 @@ type fwdResult struct {
 	status int
 	header http.Header
 	body   []byte
-	shard  string
 }
 
 // maxRouterBody bounds any single body the router buffers (bundles and
@@ -552,64 +456,133 @@ var copiedHeaders = []string{
 	api.HeaderTrace, api.HeaderIdemReplayed, api.HeaderLane, api.HeaderLaneStride,
 }
 
-// forward tries candidates in order, with up to Retry.MaxAttempts
-// rounds and backoff between rounds. A candidate "fails over" on a
+// forward sends one request to candidates until a shard answers
+// conclusively, in up to Retry.MaxAttempts rounds with backoff between
+// them. Each round launches the candidates one at a time in ready-first
+// ring order, the next as soon as the last answered failover-class: a
 // connection error, a 503 (draining/recovering), a 429 (queue full —
-// the replica may have capacity) or — when allow404 — a 404 (the shard
-// restarted empty but its peer holds the replicated session); any other
-// response is the answer and is returned as-is.
-// The router.forward.err fault point fails the first candidate of the
-// first round artificially, forcing the failover path under test.
-func (rt *Router) forward(ctx context.Context, candidates []string, method, path string, header http.Header, body []byte, allow404 bool) (fwdResult, error) {
+// the replica may have capacity) or, for infer, a 404 (the shard
+// restarted empty but its peer holds the replicated session). In the
+// first round of an infer with two or more candidates the next one also
+// goes out when the hedge delay fires: the identical request, same
+// idempotency key — exactly-once by construction, both shards compute
+// the same deterministic bytes — races the primary. The first
+// conclusive answer wins and the others are cancelled; when nothing is
+// conclusive the last failover-class reply is relayed rather than
+// inventing one. The router.forward.err fault point fails the first
+// launch, router.hedge.fire fires the hedge at once.
+func (rt *Router) forward(ctx context.Context, candidates []string, method, path string, header http.Header, body []byte) (fwdResult, error) {
+	infer := path == api.PathInfer
+	type answer struct {
+		res   fwdResult
+		err   error
+		ep    string
+		hedge bool
+	}
 	var lastRes fwdResult
 	var lastErr error
 	haveRes := false
-	first := true
-	for attempt := 1; attempt <= rt.pol.MaxAttempts; attempt++ {
-		for _, ep := range rt.orderCandidates(candidates) {
+	forced := fault.Inject(fault.RouterForwardErr)
+
+	// race runs one round and returns its conclusive answer, if any.
+	race := func(ordered []string, hedging bool) (fwdResult, bool) {
+		rctx, cancel := context.WithCancel(ctx)
+		defer cancel()
+		answers := make(chan answer, len(ordered))
+		next := 0
+		launch := func(hedge bool) {
+			ep := ordered[next]
+			next++
 			rt.countShard(ep)
-			if first {
-				first = false
-				if ferr := fault.Inject(fault.RouterForwardErr); ferr != nil {
-					rt.countFailover()
-					rt.log.Warn("router.forward", slog.String("shard", ep), slog.String("err", ferr.Error()))
-					lastErr = ferr
-					continue
+			if forced != nil {
+				answers <- answer{err: forced, ep: ep}
+				forced = nil
+				return
+			}
+			go func() {
+				res, err := rt.roundTrip(rctx, ep, method, path, header, body)
+				answers <- answer{res: res, err: err, ep: ep, hedge: hedge}
+			}()
+		}
+		var fire <-chan time.Time
+		delay := rt.hedgeAfter
+		if hedging {
+			if delay == 0 {
+				delay = rt.est.hedgeDelay(ordered[0])
+			}
+			if fault.Inject(fault.RouterHedgeFire) != nil {
+				delay = 0
+			}
+			t := time.NewTimer(delay)
+			defer t.Stop()
+			fire = t.C
+		}
+		start := time.Now()
+		launch(false)
+		for pending := 1; pending > 0; {
+			select {
+			case <-fire:
+				fire = nil
+				if next < len(ordered) {
+					rt.stats.hedged.Add(1)
+					rt.log.Info("router.hedge", slog.String("primary", ordered[0]),
+						slog.String("backup", ordered[next]), slog.Duration("after", delay))
+					launch(true)
+					pending++
+				}
+			case a := <-answers:
+				pending--
+				s := a.res.status
+				if a.err == nil && s != http.StatusServiceUnavailable && s != http.StatusTooManyRequests &&
+					!(infer && s == http.StatusNotFound) {
+					if infer {
+						// Even a hedge win charges the primary's window: the
+						// primary was too slow, and teaching the estimator
+						// that keeps hedging firing against a uniformly slow
+						// shard.
+						rt.est.observe(ordered[0], time.Since(start))
+					}
+					if a.hedge {
+						rt.stats.hedgeWins.Add(1)
+						rt.log.Info("router.hedge.win", slog.String("backup", a.ep),
+							slog.Duration("latency", time.Since(start)))
+					}
+					return a.res, true
+				}
+				rt.stats.failovers.Add(1)
+				if a.err != nil {
+					rt.log.Warn("router.forward", slog.String("shard", a.ep), slog.String("err", a.err.Error()))
+					lastErr = a.err
+				} else {
+					rt.log.Info("router.failover", slog.String("shard", a.ep), slog.Int("status", s))
+					lastRes, haveRes = a.res, true
+				}
+				if next < len(ordered) {
+					launch(false)
+					pending++
 				}
 			}
-			res, err := rt.roundTrip(ctx, ep, method, path, header, body)
-			if err != nil {
-				rt.countFailover()
-				rt.log.Warn("router.forward", slog.String("shard", ep), slog.String("err", err.Error()))
-				lastErr = err
-				continue
-			}
-			if res.status == http.StatusServiceUnavailable || res.status == http.StatusTooManyRequests ||
-				(allow404 && res.status == http.StatusNotFound) {
-				rt.countFailover()
-				rt.log.Info("router.failover", slog.String("shard", ep), slog.Int("status", res.status))
-				lastRes, haveRes = res, true
-				continue
-			}
+		}
+		return fwdResult{}, false
+	}
+
+	for round := 1; round <= rt.pol.MaxAttempts; round++ {
+		ordered := rt.orderCandidates(candidates)
+		if res, ok := race(ordered, infer && round == 1 && rt.hedgeAfter >= 0 && len(ordered) >= 2); ok {
 			return res, nil
 		}
-		if attempt < rt.pol.MaxAttempts {
+		if round < rt.pol.MaxAttempts {
 			select {
 			case <-ctx.Done():
 				return fwdResult{}, ctx.Err()
-			case <-time.After(rt.pol.Backoff(attempt, 0)):
+			case <-time.After(rt.pol.Backoff(round, 0)):
 			}
 		}
 	}
 	if haveRes {
-		// Every candidate kept answering 503/404: relay the last shard
-		// reply rather than inventing one.
 		return lastRes, nil
 	}
-	rt.countErr()
-	if lastErr == nil {
-		lastErr = fmt.Errorf("cluster: no candidates for %s %s", method, path)
-	}
+	rt.stats.errors.Add(1)
 	return fwdResult{}, lastErr
 }
 
@@ -630,7 +603,7 @@ func (rt *Router) roundTrip(ctx context.Context, ep, method, path string, header
 	if err != nil {
 		return fwdResult{}, err
 	}
-	return fwdResult{status: resp.StatusCode, header: resp.Header, body: data, shard: ep}, nil
+	return fwdResult{status: resp.StatusCode, header: resp.Header, body: data}, nil
 }
 
 func (rt *Router) relay(w http.ResponseWriter, res fwdResult) {
@@ -644,13 +617,7 @@ func (rt *Router) relay(w http.ResponseWriter, res fwdResult) {
 }
 
 func (rt *Router) relayErr(w http.ResponseWriter, err error) {
-	writeJSON(w, http.StatusBadGateway, api.ErrorReply{Error: fmt.Sprintf("cluster: %v", err)})
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	api.WriteError(w, http.StatusBadGateway, "cluster: %v", err)
 }
 
 func mintHex32() (string, error) {
@@ -666,12 +633,12 @@ func mintHex32() (string, error) {
 // handleProgram forwards the spec fetch to any shard (every shard
 // serves the same compiled program).
 func (rt *Router) handleProgram(w http.ResponseWriter, r *http.Request) {
-	res, err := rt.forward(r.Context(), rt.curRing().Endpoints(), http.MethodGet, api.PathProgram, nil, nil, false)
+	res, err := rt.forward(r.Context(), rt.curRing().Endpoints(), http.MethodGet, api.PathProgram, nil, nil)
 	if err != nil {
 		rt.relayErr(w, err)
 		return
 	}
-	rt.countForwarded()
+	rt.stats.forwarded.Add(1)
 	rt.relay(w, res)
 }
 
@@ -684,7 +651,7 @@ func (rt *Router) handleProgram(w http.ResponseWriter, r *http.Request) {
 func (rt *Router) handleRegister(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRouterBody))
 	if err != nil {
-		writeJSON(w, http.StatusRequestEntityTooLarge, api.ErrorReply{Error: err.Error()})
+		api.WriteError(w, http.StatusRequestEntityTooLarge, "%v", err)
 		return
 	}
 	id, err := mintHex32()
@@ -700,12 +667,12 @@ func (rt *Router) handleRegister(w http.ResponseWriter, r *http.Request) {
 	// Candidates are the id's primary then its successor: when the
 	// primary is down the bundle registers directly on the successor,
 	// which serves the session until the primary returns.
-	res, err := rt.forward(r.Context(), rt.curRing().LookupN(id, 2), http.MethodPost, api.PathSessions, header, body, false)
+	res, err := rt.forward(r.Context(), rt.curRing().LookupN(id, 2), http.MethodPost, api.PathSessions, header, body)
 	if err != nil {
 		rt.relayErr(w, err)
 		return
 	}
-	rt.countForwarded()
+	rt.stats.forwarded.Add(1)
 	rt.relay(w, res)
 }
 
@@ -721,12 +688,12 @@ func (rt *Router) handleDrop(w http.ResponseWriter, r *http.Request) {
 			dropped = true
 		}
 	}
-	rt.countForwarded()
+	rt.stats.forwarded.Add(1)
 	if dropped {
 		w.WriteHeader(http.StatusNoContent)
 		return
 	}
-	writeJSON(w, http.StatusNotFound, api.ErrorReply{Error: "unknown session"})
+	api.WriteError(w, http.StatusNotFound, "unknown session")
 }
 
 // handleInfer routes by the session id's ring placement with failover
@@ -740,12 +707,12 @@ func (rt *Router) handleInfer(w http.ResponseWriter, r *http.Request) {
 		id = r.URL.Query().Get("session")
 	}
 	if id == "" {
-		writeJSON(w, http.StatusBadRequest, api.ErrorReply{Error: "missing " + api.HeaderSession + " header"})
+		api.WriteError(w, http.StatusBadRequest, "missing %s header", api.HeaderSession)
 		return
 	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRouterBody))
 	if err != nil {
-		writeJSON(w, http.StatusRequestEntityTooLarge, api.ErrorReply{Error: err.Error()})
+		api.WriteError(w, http.StatusRequestEntityTooLarge, "%v", err)
 		return
 	}
 	header := http.Header{}
@@ -764,7 +731,7 @@ func (rt *Router) handleInfer(w http.ResponseWriter, r *http.Request) {
 		header.Set(api.HeaderIdemKey, key)
 	}
 	start := time.Now()
-	res, err := rt.forwardInfer(r.Context(), rt.curRing().LookupN(id, 2), header, body)
+	res, err := rt.forward(r.Context(), rt.curRing().LookupN(id, 2), http.MethodPost, api.PathInfer, header, body)
 	if err != nil {
 		rt.relayErr(w, err)
 		return
@@ -772,131 +739,14 @@ func (rt *Router) handleInfer(w http.ResponseWriter, r *http.Request) {
 	if res.status == http.StatusOK {
 		rt.lat.Add(float64(time.Since(start)) / float64(time.Millisecond))
 	}
-	rt.countForwarded()
+	rt.stats.forwarded.Add(1)
 	rt.relay(w, res)
-}
-
-// forwardInfer is the hedged infer forward: the request goes to the
-// primary, and if no answer lands within the hedge delay the identical
-// request (same idempotency key — exactly-once by construction, both
-// shards compute the same deterministic bytes) races to the replica.
-// First conclusive answer wins and the loser's context is cancelled. A
-// failover-class result (conn error / 503 / 429 / 404) from both
-// contenders falls back to the ordinary retry loop. The router.hedge.fire fault
-// point forces the hedge to fire immediately.
-func (rt *Router) forwardInfer(ctx context.Context, candidates []string, header http.Header, body []byte) (fwdResult, error) {
-	ordered := rt.orderCandidates(candidates)
-	if rt.hedgeAfter < 0 || len(ordered) < 2 {
-		return rt.forward(ctx, candidates, http.MethodPost, api.PathInfer, header, body, true)
-	}
-	primary, backup := ordered[0], ordered[1]
-	delay := rt.hedgeDelay(primary)
-	if ferr := fault.Inject(fault.RouterHedgeFire); ferr != nil {
-		delay = 0
-	}
-
-	type attempt struct {
-		res   fwdResult
-		err   error
-		ep    string
-		hedge bool
-	}
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	ch := make(chan attempt, 2)
-	start := time.Now()
-	launch := func(ep string, hedge bool) {
-		rt.countShard(ep)
-		if !hedge {
-			if ferr := fault.Inject(fault.RouterForwardErr); ferr != nil {
-				ch <- attempt{err: ferr, ep: ep, hedge: hedge}
-				return
-			}
-		}
-		res, err := rt.roundTrip(cctx, ep, http.MethodPost, api.PathInfer, header, body)
-		ch <- attempt{res: res, err: err, ep: ep, hedge: hedge}
-	}
-	go launch(primary, false)
-
-	timer := time.NewTimer(delay)
-	defer timer.Stop()
-	hedged := false
-	landed := 0
-	for {
-		select {
-		case <-timer.C:
-			if !hedged {
-				hedged = true
-				rt.countHedged()
-				rt.log.Info("router.hedge", slog.String("primary", primary),
-					slog.String("backup", backup), slog.Duration("after", delay))
-				go launch(backup, true)
-			}
-		case a := <-ch:
-			landed++
-			conclusive := a.err == nil && a.res.status != http.StatusServiceUnavailable &&
-				a.res.status != http.StatusNotFound && a.res.status != http.StatusTooManyRequests
-			if conclusive {
-				// Either way the total latency charges to the primary's window:
-				// a hedge win means the primary was too slow, and teaching the
-				// estimator that is what keeps hedging firing against a
-				// uniformly slow shard.
-				rt.est.observe(primary, time.Since(start))
-				if a.hedge {
-					rt.countHedgeWin()
-					rt.log.Info("router.hedge.win", slog.String("backup", backup),
-						slog.Duration("latency", time.Since(start)))
-				}
-				cancel()
-				return a.res, nil
-			}
-			rt.countFailover()
-			if a.err != nil {
-				rt.log.Warn("router.forward", slog.String("shard", a.ep), slog.String("err", a.err.Error()))
-			} else {
-				rt.log.Info("router.failover", slog.String("shard", a.ep), slog.Int("status", a.res.status))
-			}
-			want := 1
-			if hedged {
-				want = 2
-			}
-			if landed >= want {
-				// Both contenders (or the sole one) answered failover-class:
-				// hand the request to the ordinary retry/failover loop, which
-				// also owns relaying a final 503/404 if nothing recovers.
-				cancel()
-				return rt.forward(ctx, candidates, http.MethodPost, api.PathInfer, header, body, true)
-			}
-		case <-ctx.Done():
-			return fwdResult{}, ctx.Err()
-		}
-	}
-}
-
-// hedgeDelay picks the hedge delay for a primary: the configured fixed
-// delay, or the shard's observed p95 clamped to [hedgeMin, hedgeMax] —
-// conservative (hedgeMax) until enough samples exist.
-func (rt *Router) hedgeDelay(primary string) time.Duration {
-	if rt.hedgeAfter > 0 {
-		return rt.hedgeAfter
-	}
-	p95, ok := rt.est.p95(primary)
-	if !ok {
-		return rt.hedgeMax
-	}
-	if p95 < rt.hedgeMin {
-		return rt.hedgeMin
-	}
-	if p95 > rt.hedgeMax {
-		return rt.hedgeMax
-	}
-	return p95
 }
 
 // handleHealthz is the router's own liveness: it holds no state, so
 // alive means ok.
 func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, api.Healthz{Status: "ok"})
+	api.WriteJSON(w, http.StatusOK, api.Healthz{Status: "ok"})
 }
 
 // handleReadyz reports the router ready while at least one shard is:
@@ -912,10 +762,10 @@ func (rt *Router) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	}
 	rt.mu.RUnlock()
 	if ready == 0 {
-		writeJSON(w, http.StatusServiceUnavailable, api.Readyz{Status: "no ready shards"})
+		api.WriteJSON(w, http.StatusServiceUnavailable, api.Readyz{Status: "no ready shards"})
 		return
 	}
-	writeJSON(w, http.StatusOK, api.Readyz{Status: "ready"})
+	api.WriteJSON(w, http.StatusOK, api.Readyz{Status: "ready"})
 }
 
 // --- aggregation ---------------------------------------------------------
@@ -1007,41 +857,14 @@ func (rt *Router) handleStatz(w http.ResponseWriter, r *http.Request) {
 		sum.ReplicaResults += st.ReplicaResults
 		sum.ReplicaShipErrs += st.ReplicaShipErrs
 	}
-	epoch, ring := rt.mem.Current()
-	rt.mu.RLock()
-	ready := make(map[string]bool, ring.Len())
-	for _, ep := range ring.Endpoints() {
-		ready[ep] = !rt.unready[ep]
-	}
-	suspect := map[string]float64{}
-	for ep, since := range rt.suspectSince {
-		suspect[ep] = now.Sub(since).Seconds()
-	}
-	rt.mu.RUnlock()
-	rt.stats.mu.Lock()
-	rstat := RouterStatz{
-		Forwarded:     rt.stats.forwarded,
-		Failovers:     rt.stats.failovers,
-		Errors:        rt.stats.errors,
-		Hedged:        rt.stats.hedged,
-		HedgeWins:     rt.stats.hedgeWins,
-		Epoch:         epoch,
-		ShardRequests: make(map[string]uint64, len(rt.stats.shardRequests)),
-		Ready:         ready,
-		Suspect:       suspect,
-	}
-	for ep, n := range rt.stats.shardRequests {
-		rstat.ShardRequests[ep] = n
-	}
-	rt.stats.mu.Unlock()
 	// Quantiles do not sum across shards: the cluster-level latency is the
 	// router's own, over every infer it answered with a 200.
 	sum.LatencyMsP50 = rt.lat.Quantile(0.50)
 	sum.LatencyMsP90 = rt.lat.Quantile(0.90)
 	sum.LatencyMsP99 = rt.lat.Quantile(0.99)
 	sort.Strings(unreachable)
-	writeJSON(w, http.StatusOK, ClusterStatz{
-		Router: rstat, Cluster: sum, Shards: shards,
+	api.WriteJSON(w, http.StatusOK, ClusterStatz{
+		Router: rt.routerStatz(), Cluster: sum, Shards: shards,
 		Unreachable: unreachable, ScrapeAgeSec: ages,
 	})
 }
@@ -1057,7 +880,7 @@ func (rt *Router) handleProfilez(w http.ResponseWriter, r *http.Request) {
 		}
 		out[ep] = json.RawMessage(body)
 	}
-	writeJSON(w, http.StatusOK, out)
+	api.WriteJSON(w, http.StatusOK, out)
 }
 
 // handleMetrics federates the shards' Prometheus pages: every sample is
@@ -1070,9 +893,7 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		ep  string
 		fam map[string]*obs.ParsedFamily
 	}
-	epoch, ring := rt.mem.Current()
 	var pages []parsed
-	eps := make([]string, 0, ring.Len())
 	for ep, body := range rt.scrapeAll(r.Context(), api.PathMetrics) {
 		if body == nil {
 			continue
@@ -1083,7 +904,6 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		pages = append(pages, parsed{ep: ep, fam: fams})
-		eps = append(eps, ep)
 	}
 	sort.Slice(pages, func(i, j int) bool { return pages[i].ep < pages[j].ep })
 
@@ -1113,35 +933,27 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	rt.stats.mu.Lock()
-	fwd, fo, errs := rt.stats.forwarded, rt.stats.failovers, rt.stats.errors
-	hedged, hedgeWins := rt.stats.hedged, rt.stats.hedgeWins
-	perShard := make(map[string]uint64, len(rt.stats.shardRequests))
-	for ep, n := range rt.stats.shardRequests {
-		perShard[ep] = n
-	}
-	rt.stats.mu.Unlock()
-	e.Family("ace_router_forwarded_total", "Requests the router forwarded to a shard and answered.", obs.Counter).Add(float64(fwd))
-	e.Family("ace_router_failovers_total", "Forward attempts that failed over to the next candidate shard.", obs.Counter).Add(float64(fo))
-	e.Family("ace_router_errors_total", "Requests that exhausted every candidate shard.", obs.Counter).Add(float64(errs))
-	e.Family("ace_hedged_requests", "Infer requests that fired a duplicate to the replica after the hedge delay.", obs.Counter).Add(float64(hedged))
-	e.Family("ace_hedge_wins", "Hedged infer requests the replica answered first.", obs.Counter).Add(float64(hedgeWins))
-	e.Family("ace_cluster_epoch", "Committed cluster membership epoch.", obs.Gauge).Add(float64(epoch))
+	rs := rt.routerStatz()
+	e.Family("ace_router_forwarded_total", "Requests the router forwarded to a shard and answered.", obs.Counter).Add(float64(rs.Forwarded))
+	e.Family("ace_router_failovers_total", "Forward attempts that failed over to the next candidate shard.", obs.Counter).Add(float64(rs.Failovers))
+	e.Family("ace_router_errors_total", "Requests that exhausted every candidate shard.", obs.Counter).Add(float64(rs.Errors))
+	e.Family("ace_hedged_requests", "Infer requests that fired a duplicate to the replica after the hedge delay.", obs.Counter).Add(float64(rs.Hedged))
+	e.Family("ace_hedge_wins", "Hedged infer requests the replica answered first.", obs.Counter).Add(float64(rs.HedgeWins))
+	e.Family("ace_cluster_epoch", "Committed cluster membership epoch.", obs.Gauge).Add(float64(rs.Epoch))
 	sf := e.Family("ace_router_shard_requests_total", "Forward attempts per shard.", obs.Counter)
-	sort.Strings(eps)
-	shardKeys := make([]string, 0, len(perShard))
-	for ep := range perShard {
+	shardKeys := make([]string, 0, len(rs.ShardRequests))
+	for ep := range rs.ShardRequests {
 		shardKeys = append(shardKeys, ep)
 	}
 	sort.Strings(shardKeys)
 	for _, ep := range shardKeys {
-		sf.Add(float64(perShard[ep]), obs.Label{Name: "shard", Value: ep})
+		sf.Add(float64(rs.ShardRequests[ep]), obs.Label{Name: "shard", Value: ep})
 	}
-	e.Family("ace_router_shards", "Shards in the routing ring.", obs.Gauge).Add(float64(ring.Len()))
+	e.Family("ace_router_shards", "Shards in the routing ring.", obs.Gauge).Add(float64(len(rs.Ready)))
 
 	var buf bytes.Buffer
 	if err := e.Write(&buf); err != nil {
-		writeJSON(w, http.StatusInternalServerError, api.ErrorReply{Error: err.Error()})
+		api.WriteError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -1151,38 +963,31 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 // --- counters ------------------------------------------------------------
 
-func (rt *Router) countForwarded() {
-	rt.stats.mu.Lock()
-	rt.stats.forwarded++
-	rt.stats.mu.Unlock()
-}
-
-func (rt *Router) countFailover() {
-	rt.stats.mu.Lock()
-	rt.stats.failovers++
-	rt.stats.mu.Unlock()
-}
-
-func (rt *Router) countErr() {
-	rt.stats.mu.Lock()
-	rt.stats.errors++
-	rt.stats.mu.Unlock()
-}
-
 func (rt *Router) countShard(ep string) {
 	rt.stats.mu.Lock()
 	rt.stats.shardRequests[ep]++
 	rt.stats.mu.Unlock()
 }
 
-func (rt *Router) countHedged() {
+// routerStatz snapshots the router's own counters and prober view.
+func (rt *Router) routerStatz() RouterStatz {
+	epoch, ring := rt.mem.Current()
+	st := RouterStatz{
+		Forwarded: rt.stats.forwarded.Load(),
+		Failovers: rt.stats.failovers.Load(),
+		Errors:    rt.stats.errors.Load(),
+		Hedged:    rt.stats.hedged.Load(),
+		HedgeWins: rt.stats.hedgeWins.Load(),
+		Epoch:     epoch,
+		Ready:     make(map[string]bool, ring.Len()),
+	}
+	rt.mu.RLock()
+	for _, ep := range ring.Endpoints() {
+		st.Ready[ep] = !rt.unready[ep]
+	}
+	rt.mu.RUnlock()
 	rt.stats.mu.Lock()
-	rt.stats.hedged++
+	st.ShardRequests = maps.Clone(rt.stats.shardRequests)
 	rt.stats.mu.Unlock()
-}
-
-func (rt *Router) countHedgeWin() {
-	rt.stats.mu.Lock()
-	rt.stats.hedgeWins++
-	rt.stats.mu.Unlock()
+	return st
 }

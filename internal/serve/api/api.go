@@ -6,6 +6,12 @@
 // JSON carries only small control data.
 package api
 
+import (
+	"encoding/json"
+	"fmt"
+	"net/http"
+)
+
 // URL paths of the v1 API.
 const (
 	PathSessions = "/v1/sessions"
@@ -133,6 +139,21 @@ type ErrorReply struct {
 	Code  string `json:"code,omitempty"`
 }
 
+// WriteJSON writes v as the JSON body of a response with the given
+// status; the daemon and the router answer every control request
+// through it.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	_ = json.NewEncoder(w).Encode(v)
+}
+
+// WriteError writes an ErrorReply without a Code, its message formatted
+// from format and args.
+func WriteError(w http.ResponseWriter, status int, format string, args ...any) {
+	WriteJSON(w, status, ErrorReply{Error: fmt.Sprintf(format, args...)})
+}
+
 // Healthz is returned by GET /v1/healthz.
 type Healthz struct {
 	Status string `json:"status"` // "ok" or "draining"
@@ -178,9 +199,9 @@ type JoinRequest struct {
 // LeaveRequest is the body of POST /v1/cluster/leave. A plain leave is a
 // drain: the departing shard re-ships all state it holds to the new
 // owners, finishes in-flight work, and acknowledges before the epoch
-// commits. Force skips contacting the departing shard — used by the
-// router's health prober to eject a dead member (its replicas re-ship
-// the orphaned state instead).
+// commits. Force skips contacting the departing shard — the operator's
+// way to eject a dead member (its replicas re-ship the orphaned state
+// instead).
 type LeaveRequest struct {
 	Endpoint string `json:"endpoint"`
 	Force    bool   `json:"force,omitempty"`

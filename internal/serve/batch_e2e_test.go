@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"math"
 	"net/http/httptest"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -14,6 +16,7 @@ import (
 	"antace/internal/fault"
 	"antace/internal/fheclient"
 	"antace/internal/nnir"
+	"antace/internal/obs"
 	"antace/internal/onnx"
 	"antace/internal/sihe"
 	"antace/internal/vecir"
@@ -145,25 +148,54 @@ func TestBatchedInferenceMatchesSolo(t *testing.T) {
 
 // TestBatchedMixedDeadlines coalesces jobs whose deadlines differ: the
 // fused run gets the most patient member's deadline and both members
-// still complete correctly within their own.
+// still complete correctly within their own. A third member hangs up
+// once the group is running: its own request ends, its lane-mates'
+// evaluation does not.
 func TestBatchedMixedDeadlines(t *testing.T) {
-	_, ts, vres := startBatchedServer(t, Config{
-		Workers: 1, BatchMax: 4, BatchWindow: 300 * time.Millisecond,
+	s, ts, vres := startBatchedServer(t, Config{
+		Workers: 1, BatchMax: 4, BatchWindow: time.Second,
 	})
 	c := dialRegistered(t, ts.URL, 42)
 
-	deadlines := []time.Duration{5 * time.Second, time.Minute}
+	const leaver = "1ea7e000000000000000000000000003"
+	leaveCtx, hangUp := context.WithCancel(obs.WithTrace(context.Background(), leaver))
+	defer hangUp()
+	s.beforeExec = func(j *job) {
+		if obs.TraceID(j.ctx) != leaver {
+			return
+		}
+		hangUp()
+		select {
+		case <-j.ctx.Done():
+		case <-time.After(10 * time.Second):
+			t.Error("the server never saw the client hang up")
+		}
+	}
+
+	deadlines := []time.Duration{5 * time.Second, time.Minute, time.Minute}
 	var wg sync.WaitGroup
 	errs := make(chan error, len(deadlines))
 	for g, d := range deadlines {
 		wg.Add(1)
 		go func(g int, d time.Duration) {
 			defer wg.Done()
-			rctx, cancel := context.WithTimeout(context.Background(), d)
+			parent := context.Background()
+			if g == 2 {
+				parent = leaveCtx
+			}
+			rctx, cancel := context.WithTimeout(parent, d)
 			defer cancel()
 			input := testInput(vres.InLayout.L)
 			input[1] = float64(g) / 3
-			errs <- inferChecked(rctx, c, vres, input)
+			err := inferChecked(rctx, c, vres, input)
+			if g == 2 {
+				if !errors.Is(err, context.Canceled) {
+					err = fmt.Errorf("the member that hung up got %v, want its own cancellation", err)
+				} else {
+					err = nil
+				}
+			}
+			errs <- err
 		}(g, d)
 	}
 	wg.Wait()
@@ -174,8 +206,54 @@ func TestBatchedMixedDeadlines(t *testing.T) {
 		}
 	}
 	st := fetchStatz(t, ts.URL)
-	if st.Served != 2 || st.TimedOut != 0 {
+	if st.Batches != 1 || st.BatchedJobs != 3 {
+		t.Fatalf("the three requests did not share one evaluation: %+v", st)
+	}
+	if st.Served != 2 || st.TimedOut != 0 || st.Failed != 0 {
 		t.Fatalf("mixed-deadline window: %+v", st)
+	}
+}
+
+// TestBatchedMembersLogOwnTrace: every member of a coalesced group logs
+// infer.exec and infer.eval under its own trace id, as a lone request
+// does, so one grep still tells each request's whole story.
+func TestBatchedMembersLogOwnTrace(t *testing.T) {
+	sink := &syncBuffer{}
+	_, ts, vres := startBatchedServer(t, Config{
+		Workers: 1, BatchMax: 4, BatchWindow: time.Second,
+		Logger: slog.New(slog.NewJSONHandler(sink, nil)),
+	})
+	c := dialRegistered(t, ts.URL, 46)
+
+	traces := []string{"a11ce000000000000000000000000001", "b0b00000000000000000000000000002"}
+	var wg sync.WaitGroup
+	errs := make(chan error, len(traces))
+	for g, trace := range traces {
+		wg.Add(1)
+		go func(g int, trace string) {
+			defer wg.Done()
+			input := testInput(vres.InLayout.L)
+			input[3] = float64(g) / 4
+			errs <- inferChecked(obs.WithTrace(context.Background(), trace), c, vres, input)
+		}(g, trace)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := fetchStatz(t, ts.URL); st.Batches != 1 || st.BatchedJobs != 2 {
+		t.Fatalf("the two requests did not share one evaluation: %+v", st)
+	}
+	byMsg := tracesByMsg(jsonEvents(t, sink.String()))
+	for _, msg := range []string{"infer.exec", "infer.eval"} {
+		for _, trace := range traces {
+			if !slices.Contains(byMsg[msg], trace) {
+				t.Errorf("%s never logged under member trace %s (got %v)", msg, trace, byMsg[msg])
+			}
+		}
 	}
 }
 

@@ -198,7 +198,7 @@ func TestChaosIdemReplayBitIdentical(t *testing.T) {
 // and the counters must reconcile to exactly one success per client.
 func TestChaosQueueFullStorm(t *testing.T) {
 	const clients = 6
-	s, ts, vres := startServer(t, Config{Workers: 1, QueueDepth: 1, RetryAfter: time.Second})
+	s, ts, vres := startServer(t, Config{Workers: 1, QueueDepth: 1})
 	s.beforeExec = func(*job) { time.Sleep(10 * time.Millisecond) }
 	input := testInput(vres.InLayout.L)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)

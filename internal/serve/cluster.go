@@ -45,10 +45,10 @@ func (s *Server) stampEpoch(w http.ResponseWriter) {
 func (s *Server) handleClusterMembership(w http.ResponseWriter, r *http.Request) {
 	view, ok := s.clusterMembership()
 	if !ok {
-		writeErr(w, http.StatusNotFound, "shard is not cluster-wired")
+		api.WriteError(w, http.StatusNotFound, "shard is not cluster-wired")
 		return
 	}
-	writeJSON(w, http.StatusOK, view)
+	api.WriteJSON(w, http.StatusOK, view)
 }
 
 // handleClusterUpdate ingests a router membership broadcast. Ordering is
@@ -69,24 +69,24 @@ func (s *Server) handleClusterMembership(w http.ResponseWriter, r *http.Request)
 func (s *Server) handleClusterUpdate(w http.ResponseWriter, r *http.Request) {
 	cv, ok := s.repl.(clusterView)
 	if !ok {
-		writeErr(w, http.StatusNotFound, "shard is not cluster-wired")
+		api.WriteError(w, http.StatusNotFound, "shard is not cluster-wired")
 		return
 	}
 	body, err := readBody(w, r, 1<<20)
 	if err != nil {
-		writeErr(w, http.StatusRequestEntityTooLarge, "cluster update: %v", err)
+		api.WriteError(w, http.StatusRequestEntityTooLarge, "cluster update: %v", err)
 		return
 	}
 	update, ring, err := cluster.ParseUpdate(body)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, "cluster update: %v", err)
+		api.WriteError(w, http.StatusBadRequest, "cluster update: %v", err)
 		return
 	}
 	cur := cv.View()
 	if update.Epoch <= cur.Epoch {
 		// Duplicate or stale broadcast: the adopted epoch already covers
 		// it. Idempotent ACK so a router retry converges.
-		writeJSON(w, http.StatusOK, api.ClusterUpdateReply{Epoch: cur.Epoch})
+		api.WriteJSON(w, http.StatusOK, api.ClusterUpdateReply{Epoch: cur.Epoch})
 		return
 	}
 	self := cv.Self()
@@ -110,7 +110,7 @@ func (s *Server) handleClusterUpdate(w http.ResponseWriter, r *http.Request) {
 		// rather than commit an epoch that would strand sessions.
 		if leaving {
 			s.handingOff.Store(false)
-			writeErr(w, http.StatusInternalServerError, "cluster handoff failed: %v", err)
+			api.WriteError(w, http.StatusInternalServerError, "cluster handoff failed: %v", err)
 			return
 		}
 		// A survivor's partial delta is fail-open like all replication:
@@ -122,7 +122,7 @@ func (s *Server) handleClusterUpdate(w http.ResponseWriter, r *http.Request) {
 	s.log.Info("cluster.update", slog.Uint64("epoch", update.Epoch),
 		slog.Int("members", len(update.Members)), slog.Bool("leaving", leaving),
 		slog.Int("reshipped", reshipped))
-	writeJSON(w, http.StatusOK, api.ClusterUpdateReply{Epoch: update.Epoch, Reshipped: reshipped})
+	api.WriteJSON(w, http.StatusOK, api.ClusterUpdateReply{Epoch: update.Epoch, Reshipped: reshipped})
 	if leaving && s.cfg.OnLeave != nil {
 		s.leaveOnce.Do(func() { go s.cfg.OnLeave() })
 	}

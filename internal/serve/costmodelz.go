@@ -5,6 +5,7 @@ import (
 
 	"antace/internal/costmodel"
 	"antace/internal/kswork"
+	"antace/internal/serve/api"
 )
 
 // CostmodelzResponse is the /v1/costmodelz payload: the cost model's
@@ -54,7 +55,7 @@ func (s *Server) handleCostmodelz(w http.ResponseWriter, r *http.Request) {
 	live, fits, err := costmodel.FromProfile(snap, geom, resp.Default)
 	if err != nil {
 		resp.LiveErr = err.Error()
-		writeJSON(w, http.StatusOK, resp)
+		api.WriteJSON(w, http.StatusOK, resp)
 		return
 	}
 	live = costmodel.FitSchedule(live, geom, s.ckks, snap)
@@ -62,5 +63,5 @@ func (s *Server) handleCostmodelz(w http.ResponseWriter, r *http.Request) {
 	resp.Fits = fits
 	pl := (&costmodel.Model{Cal: live, Geometry: geom}).InferenceCost(s.ckks)
 	resp.PredictedLiveSec = &pl
-	writeJSON(w, http.StatusOK, resp)
+	api.WriteJSON(w, http.StatusOK, resp)
 }

@@ -43,9 +43,6 @@ type idemCache struct {
 }
 
 func newIdemCache(capacity int) *idemCache {
-	if capacity <= 0 {
-		capacity = 256
-	}
 	return &idemCache{capacity: capacity, order: list.New(), byKey: map[string]*idemEntry{}}
 }
 

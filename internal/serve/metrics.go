@@ -19,7 +19,7 @@ const contentTypeExposition = "text/plain; version=0.0.4; charset=utf-8"
 // traffic. Counts, total/mean/max times and duration histograms per
 // ckks opcode, plus the most recent run's level/scale trajectory.
 func (s *Server) handleProfilez(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.prof.Snapshot())
+	api.WriteJSON(w, http.StatusOK, s.prof.Snapshot())
 }
 
 // handleMetrics serves every statz counter, the request-level
@@ -123,7 +123,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 	var buf bytes.Buffer
 	if err := e.Write(&buf); err != nil {
-		writeErr(w, http.StatusInternalServerError, "rendering metrics: %v", err)
+		api.WriteError(w, http.StatusInternalServerError, "rendering metrics: %v", err)
 		return
 	}
 	w.Header().Set("Content-Type", contentTypeExposition)

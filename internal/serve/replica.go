@@ -46,14 +46,14 @@ func (s *Server) handleReplicaApply(w http.ResponseWriter, r *http.Request) {
 	if eh := r.Header.Get(api.HeaderEpoch); eh != "" {
 		if view, ok := s.clusterMembership(); ok {
 			if shipEpoch, perr := strconv.ParseUint(eh, 10, 64); perr == nil && shipEpoch < view.Epoch {
-				writeJSON(w, http.StatusConflict, view)
+				api.WriteJSON(w, http.StatusConflict, view)
 				return
 			}
 		}
 	}
-	body, err := readBody(w, r, s.cfg.MaxUploadBytes+s.cfg.MaxCipherBytes)
+	body, err := readBody(w, r, s.cfg.SessionBudget+maxCipherBytes)
 	if err != nil {
-		writeErr(w, http.StatusRequestEntityTooLarge, "replica image: %v", err)
+		api.WriteError(w, http.StatusRequestEntityTooLarge, "replica image: %v", err)
 		return
 	}
 	records, _, rerr := store.Replay(body)
@@ -63,7 +63,7 @@ func (s *Server) handleReplicaApply(w http.ResponseWriter, r *http.Request) {
 	case errors.Is(rerr, store.ErrTorn):
 		torn = true
 	default:
-		writeErr(w, http.StatusBadRequest, "replica image: %v", rerr)
+		api.WriteError(w, http.StatusBadRequest, "replica image: %v", rerr)
 		return
 	}
 	applied := 0
@@ -73,16 +73,16 @@ func (s *Server) handleReplicaApply(w http.ResponseWriter, r *http.Request) {
 			// The frame passed its CRC but does not parse: a protocol
 			// mismatch, not wire damage. Report what landed and refuse the
 			// rest — re-shipping the same bytes cannot help.
-			writeErr(w, http.StatusBadRequest, "replica record %d: %v", applied, err)
+			api.WriteError(w, http.StatusBadRequest, "replica record %d: %v", applied, err)
 			return
 		}
 		if err := s.applyReplicaRecord(rec); err != nil {
-			writeErr(w, http.StatusBadRequest, "replica record %d: %v", applied, err)
+			api.WriteError(w, http.StatusBadRequest, "replica record %d: %v", applied, err)
 			return
 		}
 		applied++
 	}
-	writeJSON(w, http.StatusOK, api.ReplicaApply{Applied: applied, Torn: torn})
+	api.WriteJSON(w, http.StatusOK, api.ReplicaApply{Applied: applied, Torn: torn})
 }
 
 // applyReplicaRecord lands one replicated record in the same stores a
@@ -142,22 +142,22 @@ var (
 // readiness answers 503 with a Retry-After hint until both clear.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if s.handingOff.Load() {
-		s.setRetryAfter(w)
-		writeJSON(w, http.StatusServiceUnavailable, api.Readyz{Status: "handing-off"})
+		setRetryAfter(w)
+		api.WriteJSON(w, http.StatusServiceUnavailable, api.Readyz{Status: "handing-off"})
 		return
 	}
 	s.mu.RLock()
 	draining := s.draining
 	s.mu.RUnlock()
 	if draining {
-		s.setRetryAfter(w)
-		writeJSON(w, http.StatusServiceUnavailable, api.Readyz{Status: "draining"})
+		setRetryAfter(w)
+		api.WriteJSON(w, http.StatusServiceUnavailable, api.Readyz{Status: "draining"})
 		return
 	}
 	if pending := s.recovering.Load(); pending > 0 {
-		s.setRetryAfter(w)
-		writeJSON(w, http.StatusServiceUnavailable, api.Readyz{Status: "recovering", PendingRecovery: pending})
+		setRetryAfter(w)
+		api.WriteJSON(w, http.StatusServiceUnavailable, api.Readyz{Status: "recovering", PendingRecovery: pending})
 		return
 	}
-	writeJSON(w, http.StatusOK, api.Readyz{Status: "ready"})
+	api.WriteJSON(w, http.StatusOK, api.Readyz{Status: "ready"})
 }

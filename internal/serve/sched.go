@@ -26,10 +26,9 @@ type job struct {
 	resume  []byte
 }
 
-// jobResult carries a finished evaluation back to the handler. When the
-// job rode a shared batched ciphertext, stride > 1 and lane say which
-// interleaved slots of ct belong to this caller; stride <= 1 is a plain
-// solo result.
+// jobResult carries a finished evaluation back to the handler. On a
+// lane-transformed program, stride > 1 and lane say which interleaved
+// slots of ct belong to this caller; stride <= 1 is a plain result.
 type jobResult struct {
 	ct     *ckks.Ciphertext
 	lane   int
@@ -37,10 +36,9 @@ type jobResult struct {
 	err    error
 }
 
-// batchGroup is the scheduler's unit of work: one or more jobs that
-// share a session and will be evaluated together. The solo path
-// enqueues singleton groups, so batched and unbatched serving flow
-// through the same queue, drain logic and worker pool.
+// batchGroup is the scheduler's unit of work and the only one: one or
+// more jobs that share a session and will be evaluated together. A lone
+// inference is a one-member group.
 type batchGroup struct {
 	jobs []*job
 }

@@ -12,8 +12,8 @@
 package serve
 
 import (
+	"cmp"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -47,22 +47,14 @@ type Config struct {
 	// QueueDepth bounds the request queue (default 4×Workers). A full
 	// queue answers 429 rather than buffering unbounded ciphertexts.
 	QueueDepth int
-	// SessionBudget caps resident evaluation-key bytes (default 256 MiB).
+	// SessionBudget caps resident evaluation-key bytes (default 256 MiB),
+	// and with them one key-bundle upload.
 	SessionBudget int64
-	// MaxUploadBytes caps one key-bundle upload (default SessionBudget).
-	MaxUploadBytes int64
-	// MaxCipherBytes caps one request ciphertext (default 64 MiB).
-	MaxCipherBytes int64
 	// DefaultDeadline applies when a request carries no deadline header
 	// (default 60s); MaxDeadline clamps client-supplied values
 	// (default 10m).
 	DefaultDeadline time.Duration
 	MaxDeadline     time.Duration
-	// RetryAfter is the hint sent with 429 responses (default 1s).
-	RetryAfter time.Duration
-	// IdemEntries bounds the idempotency result cache (default 256
-	// retained successes; in-flight executions are uncounted).
-	IdemEntries int
 
 	// BatchMax > 1 enables cross-request slot batching: concurrent
 	// inference requests on the same session that arrive within
@@ -72,9 +64,10 @@ type Config struct {
 	// lane-transformed at startup (every rotation scaled by the stride,
 	// every constant replicated per lane), so clients must encode inputs
 	// strided per the spec's BatchStride and extract their lane from
-	// replies. 0 or 1 disables batching and serves exactly the solo
-	// path. BatchWindow defaults to 20ms when batching is on: latency
-	// traded per request for up-to-stride-fold throughput.
+	// replies. 0 or 1 disables batching: every request evaluates alone
+	// on the untransformed program. BatchWindow defaults to 20ms when
+	// batching is on: latency traded per request for up-to-stride-fold
+	// throughput.
 	BatchMax    int
 	BatchWindow time.Duration
 
@@ -132,23 +125,11 @@ func (c Config) withDefaults() Config {
 	if c.SessionBudget <= 0 {
 		c.SessionBudget = 256 << 20
 	}
-	if c.MaxUploadBytes <= 0 {
-		c.MaxUploadBytes = c.SessionBudget
-	}
-	if c.MaxCipherBytes <= 0 {
-		c.MaxCipherBytes = 64 << 20
-	}
 	if c.DefaultDeadline <= 0 {
 		c.DefaultDeadline = 60 * time.Second
 	}
 	if c.MaxDeadline <= 0 {
 		c.MaxDeadline = 10 * time.Minute
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
-	}
-	if c.IdemEntries <= 0 {
-		c.IdemEntries = 256
 	}
 	if c.BatchMax > 1 && c.BatchWindow <= 0 {
 		c.BatchWindow = 20 * time.Millisecond
@@ -161,6 +142,16 @@ func (c Config) withDefaults() Config {
 	}
 	return c
 }
+
+const (
+	// maxCipherBytes caps one request ciphertext.
+	maxCipherBytes = 64 << 20
+	// idemEntries bounds the idempotency result cache: retained
+	// successes, in-flight executions uncounted.
+	idemEntries = 256
+	// retryAfter is the back-off hint on every load-shed answer.
+	retryAfter = time.Second
+)
 
 // Program is the compiled artifact the daemon serves: the executable
 // CKKS module plus the metadata clients need to participate. It is the
@@ -196,7 +187,8 @@ type Server struct {
 	// Cross-request batching: stride is the lane spacing the served
 	// module was transformed for (1 = batching off), maxLanes the most
 	// jobs one evaluation carries, and coal the per-session coalescing
-	// window in front of the queue (nil when batching is off).
+	// window every request passes on its way to the queue (with one lane
+	// it hands each request straight on).
 	stride   int
 	maxLanes int
 	coal     *batch.Coalescer[*job]
@@ -236,8 +228,8 @@ type Server struct {
 	mu       sync.RWMutex // guards draining/stopped vs. queue sends and close
 	draining bool
 	// stopped is set after the coalescer's final sweep and before the
-	// queue closes; flush callbacks check it under mu so no send can
-	// race the close.
+	// queue closes; submit checks it under mu so no send can race the
+	// close.
 	stopped bool
 
 	// beforeExec is a test hook invoked by workers ahead of evaluation;
@@ -344,7 +336,7 @@ func New(prog Program, cfg Config) (*Server, error) {
 		},
 		needRlk:   true,
 		sessions:  newSessionCache(cfg.SessionBudget),
-		idem:      newIdemCache(cfg.IdemEntries),
+		idem:      newIdemCache(idemEntries),
 		lat:       obs.NewWindow(obs.StatzWindow),
 		repl:      cfg.Replicator,
 		log:       cfg.Logger,
@@ -362,11 +354,16 @@ func New(prog Program, cfg Config) (*Server, error) {
 	if conj {
 		s.required = append(s.required, rQ.GaloisElementForConjugation())
 	}
-	s.sched = newScheduler(cfg.QueueDepth, cfg.Workers, s.executeGroup,
+	s.sched = newScheduler(cfg.QueueDepth, cfg.Workers, s.run,
 		func(*job) { s.stats.queueExpired.Add(1) })
-	if maxLanes > 1 {
-		s.coal = batch.NewCoalescer[*job](cfg.BatchWindow, maxLanes, s.flushBatch)
-	}
+	s.coal = batch.NewCoalescer(cfg.BatchWindow, maxLanes, func(jobs []*job, final bool) {
+		// With one lane every flush is a singleton: only a window that
+		// could have shared its evaluation counts as a solo fallback.
+		if len(jobs) == 1 && maxLanes > 1 {
+			s.stats.soloFallbacks.Add(1)
+		}
+		s.submit(jobs, final)
+	})
 
 	if cfg.DataDir != "" {
 		if err := s.openDurability(); err != nil {
@@ -407,7 +404,7 @@ func New(prog Program, cfg Config) (*Server, error) {
 // checkpoint files. Called from New before the listener exists, so a
 // post-restart retry can never race recovery for job ownership.
 func (s *Server) openDurability() error {
-	dur, st, err := openDurable(s.cfg.DataDir, s.cfg.DiskBudget, s.cfg.IdemEntries)
+	dur, st, err := openDurable(s.cfg.DataDir, s.cfg.DiskBudget, idemEntries)
 	if err != nil {
 		return err
 	}
@@ -416,10 +413,10 @@ func (s *Server) openDurability() error {
 
 	// Journaled successes become pre-completed idempotency entries:
 	// post-restart retries replay them bit for bit. Oldest first, so the
-	// LRU retains the most recent IdemEntries of them.
+	// LRU retains the most recent idemEntries of them.
 	done := st.done
-	if len(done) > s.cfg.IdemEntries {
-		done = done[len(done)-s.cfg.IdemEntries:]
+	if len(done) > idemEntries {
+		done = done[len(done)-idemEntries:]
 	}
 	for _, key := range done {
 		c := st.completed[key]
@@ -502,12 +499,13 @@ func (s *Server) recoverJob(key string, a acceptRec, entry *idemEntry) {
 		slog.String("session", a.sessID),
 		slog.Duration("budget", budget),
 		slog.Bool("checkpoint", resume != nil))
+	// A one-member group that waits for queue space rather than bouncing
+	// 429 (nobody is holding an HTTP connection open for it), and never
+	// coalesces: its checkpoint, if any, is one machine's mid-execution
+	// state.
 	j := &job{ctx: ctx, sess: sess, ct: ct, done: make(chan jobResult, 1),
 		enqueued: time.Now(), idemKey: key, resume: resume}
-	if !s.enqueueBlocking(j) {
-		s.completeIdem(entry, false, nil, 0, 0)
-		return
-	}
+	s.submit([]*job{j}, true)
 	res := <-j.done
 	if res.err != nil {
 		log.Warn("recover.failed", slog.String("err", res.err.Error()))
@@ -522,22 +520,6 @@ func (s *Server) recoverJob(key string, a acceptRec, entry *idemEntry) {
 	s.completeIdem(entry, true, out, res.lane, res.stride)
 	s.stats.served.Add(1)
 	log.Info("recover.done")
-}
-
-// enqueueBlocking submits a recovered job as a singleton group, waiting
-// for queue space rather than bouncing 429 (nobody is holding an HTTP
-// connection open for it). Returns false if the server is draining.
-// Recovered jobs never coalesce: their journaled input is a complete
-// ciphertext and their checkpoint (if any) is mid-execution state that
-// only makes sense solo.
-func (s *Server) enqueueBlocking(j *job) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.draining {
-		return false
-	}
-	s.sched.queue <- &batchGroup{jobs: []*job{j}}
-	return true
 }
 
 // lookupSession resolves a session id through both tiers: the RAM LRU
@@ -587,13 +569,11 @@ func (s *Server) Drain(ctx context.Context) error {
 	}
 	done := make(chan struct{})
 	go func() {
-		// Order matters: new arrivals are already refused (draining),
-		// so sweep the coalescer's open windows into the queue first
-		// (blocking — accepted work must run), then flip stopped so no
-		// flush can send again, then close the queue.
-		if s.coal != nil {
-			s.coal.CloseAndFlush()
-		}
+		// Order matters: close the coalescer to new arrivals and sweep
+		// its open windows into the queue first (blocking — accepted work
+		// must run), then flip stopped so nothing can send again, then
+		// close the queue.
+		s.coal.CloseAndFlush()
 		s.mu.Lock()
 		s.stopped = true
 		s.mu.Unlock()
@@ -611,289 +591,199 @@ func (s *Server) Drain(ctx context.Context) error {
 	}
 }
 
-// tryEnqueue submits a singleton group unless the server drains or the
-// queue is full. The read lock pairs with Drain's write lock so no send
-// can race the queue close.
-func (s *Server) tryEnqueue(j *job) (ok, draining bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.draining {
-		return false, true
-	}
-	select {
-	case s.sched.queue <- &batchGroup{jobs: []*job{j}}:
-		return true, false
-	default:
-		return false, false
-	}
-}
-
-// Sentinel results for jobs a batch flush could not hand to the queue;
-// finish maps them onto the same 429/503 responses the solo admission
-// path produces.
+// Sentinel results for jobs that never reached a worker; finish maps
+// them onto 429 and 503.
 var (
-	errQueueFull    = errors.New("serve: queue full at batch flush")
+	errQueueFull    = errors.New("serve: queue full")
 	errDrainingDrop = errors.New("serve: server draining")
 )
 
-// flushBatch is the coalescer's flush callback: hand one closed window
-// to the worker queue as a group. A timer- or max-triggered flush
-// load-sheds on a full queue exactly like the solo path (each member
-// answers 429); the final drain-time sweep blocks instead, because
-// every member was already accepted and must be served before the
-// workers stop. Holding the read lock across the send pairs with
-// Drain's write-locked stopped flip, so no send races the queue close.
-func (s *Server) flushBatch(jobs []*job, final bool) {
-	if len(jobs) == 1 {
-		s.stats.soloFallbacks.Add(1)
-	}
-	g := &batchGroup{jobs: jobs}
+// submit hands one group to the worker queue; every member learns the
+// outcome on its done channel. A full queue load-sheds (each member
+// answers 429) unless block is set: the drain-time sweep and crash
+// recovery wait for space instead, because their members were already
+// accepted and must run. Once the server has stopped, every member
+// answers 503. Holding the read lock across the send pairs with Drain's
+// write-locked stopped flip, so no send races the queue close.
+func (s *Server) submit(jobs []*job, block bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if s.stopped {
-		for _, j := range jobs {
-			j.done <- jobResult{err: errDrainingDrop}
+	err := errDrainingDrop
+	if !s.stopped {
+		g := &batchGroup{jobs: jobs}
+		if block {
+			s.sched.queue <- g
+			return
 		}
-		return
-	}
-	if final {
-		s.sched.queue <- g
-		return
-	}
-	select {
-	case s.sched.queue <- g:
-	default:
-		for _, j := range jobs {
-			j.done <- jobResult{err: errQueueFull}
+		select {
+		case s.sched.queue <- g:
+			return
+		default:
+			err = errQueueFull
 		}
+	}
+	for _, j := range jobs {
+		j.done <- jobResult{err: err}
 	}
 }
 
-// executeGroup is the worker entry point: singleton groups run the solo
-// path (which keeps checkpointing for journaled jobs), multi-job groups
-// run the fused batched evaluation. Either way every job's done channel
-// is settled here.
-func (s *Server) executeGroup(g *batchGroup) {
-	if len(g.jobs) == 1 {
-		j := g.jobs[0]
-		j.done <- s.execute(j)
-		return
-	}
-	s.executeBatch(g)
-}
-
-// execute runs one job on a fresh per-request machine around the shared
-// read-only parts; it is called from worker goroutines.
+// run is the worker entry point and the one executor: every inference,
+// alone or coalesced, evaluates here as a group, and every member's
+// done channel is settled here. Member b's lane-0 ciphertext is rotated
+// into lane b (Rotate by −b costs one key switch, no level) and summed
+// into one packed ciphertext — lanes are disjoint by construction, so
+// the addition is exact — and the served module runs once; every member
+// receives the same output tagged with its lane. A one-member group
+// packs nothing.
 //
-// It is also the serve-side panic isolation boundary: vm.RunCtx already
-// recovers panics below itself, so the recover here catches everything
-// outside it — test hooks, machine construction, the armed
-// serve.worker.panic injection point — and converts it to the same typed
-// failure. Either way the worker goroutine survives, the pool keeps its
-// size, and the now-suspect pooled scratch is discarded rather than
-// recycled.
-func (s *Server) execute(j *job) (res jobResult) {
+// run is also the serve-side panic and failure boundary: vm.RunCtx
+// recovers panics below itself, and the recover here catches everything
+// outside it — test hooks, machine construction, packing, the
+// serve.worker.panic and batch.flush.panic injection points. A panic or
+// evaluation error fails every member of this group and nothing outside
+// it: the worker survives, the pool keeps its size, and the now-suspect
+// pooled scratch is discarded rather than recycled.
+func (s *Server) run(g *batchGroup) {
+	// A member whose input is not at the compiled level/scale would
+	// poison the whole pack; fail it alone before touching the others.
+	jobs := g.jobs[:0]
+	for _, j := range g.jobs {
+		if j.ct.Level() != s.spec.InputLevel || !vm.ScaleClose(j.ct.Scale, s.spec.InputScale) {
+			j.done <- jobResult{err: fmt.Errorf("serve: input at level %d scale %g, compiled for level %d scale %g",
+				j.ct.Level(), j.ct.Scale, s.spec.InputLevel, s.spec.InputScale)}
+			continue
+		}
+		jobs = append(jobs, j)
+	}
+	if len(jobs) == 0 {
+		return
+	}
+
+	var out *ckks.Ciphertext
+	var err error
 	defer func() {
 		if rec := recover(); rec != nil {
 			s.params.DiscardScratch()
-			res = jobResult{err: fault.FromPanic("serve.worker", rec)}
+			out, err = nil, fault.FromPanic("serve.worker", rec)
 		}
-		var re *fault.RuntimeError
-		if res.err != nil && errors.As(res.err, &re) && re.Code == fault.CodeEvalPanic {
-			s.stats.panics.Add(1)
-		}
-	}()
-	if s.beforeExec != nil {
-		s.beforeExec(j)
-	}
-	wait := time.Since(j.enqueued)
-	s.queueWait.Observe(wait)
-	log := obs.Logger(j.ctx, s.log)
-	log.Info("infer.exec", slog.Duration("queue_wait", wait))
-	fault.InjectPanic(fault.ServeWorkerPanic)
-	m := vm.NewMachine(s.params, j.sess.keys, s.boot, s.enc)
-	m.StepDelay = s.cfg.InstrDelay
-	m.Prof = obs.NewRunProfile()
-	if s.dur != nil && j.idemKey != "" {
-		key := j.idemKey
-		m.Ckpt = &vm.CheckpointPolicy{
-			EveryN: s.cfg.CheckpointEveryN,
-			Every:  s.cfg.CheckpointEvery,
-			Sink: func(snap []byte) error {
-				log.Debug("infer.checkpoint", slog.Int("bytes", len(snap)))
-				return s.dur.writeCheckpoint(key, snap)
-			},
-		}
-	}
-	in := j.ct
-	if j.resume != nil {
-		// A bad checkpoint is not fatal: fall back to re-executing the
-		// journaled input from instruction 0.
-		if err := m.Restore(s.module, j.resume); err == nil {
-			in = nil
-			s.stats.jobsResumed.Add(1)
-		}
-	}
-	evalStart := time.Now()
-	out, err := m.RunCtx(j.ctx, s.module, in)
-	eval := time.Since(evalStart)
-	s.evalHist.Observe(eval)
-	s.prof.Merge(m.Prof, eval)
-	if err != nil {
-		log.Warn("infer.eval", slog.Duration("eval", eval), slog.String("err", err.Error()))
-	} else {
-		log.Info("infer.eval", slog.Duration("eval", eval),
-			slog.Uint64("instrs", m.Prof.Steps()))
-	}
-	// Under a batched server even a solo run executes the
-	// lane-transformed module, so the caller's result lives in lane 0 of
-	// a strided layout and the reply must say so.
-	return jobResult{ct: out, lane: 0, stride: s.stride, err: err}
-}
-
-// executeBatch runs a coalesced multi-job group as one fused
-// evaluation: each member's lane-0 ciphertext is rotated into its own
-// lane (Rotate by −b costs one key switch, no level), the rotated
-// inputs are summed into a single packed ciphertext — lanes are
-// disjoint by construction, so addition is exact — and the transformed
-// module runs once. Every surviving member receives the same output
-// ciphertext tagged with its lane.
-//
-// It is the batch-wide panic and failure boundary the batch.flush.panic
-// injection point exercises: a panic or evaluation error fails every
-// job in THIS group (each answers 500) and nothing outside it — the
-// worker survives, other groups are untouched.
-func (s *Server) executeBatch(g *batchGroup) {
-	jobs := g.jobs
-	fail := func(err error) {
 		var re *fault.RuntimeError
 		if errors.As(err, &re) && re.Code == fault.CodeEvalPanic {
 			s.stats.panics.Add(1)
 		}
-		for _, j := range jobs {
-			j.done <- jobResult{err: err}
-		}
-	}
-	defer func() {
-		if rec := recover(); rec != nil {
-			s.params.DiscardScratch()
-			fail(fault.FromPanic("serve.worker", rec))
+		for b, j := range jobs {
+			j.done <- jobResult{ct: out, lane: b, stride: s.stride, err: err}
 		}
 	}()
+	ctx, cancel := runContext(jobs)
+	defer cancel()
 
-	// A member whose input is not at the compiled level/scale would
-	// poison the whole pack; fail it alone before touching the others.
-	live := jobs[:0]
 	for _, j := range jobs {
-		if j.ct.Level() != s.spec.InputLevel || !scaleClose(j.ct.Scale, s.spec.InputScale) {
-			j.done <- jobResult{err: fmt.Errorf(
-				"serve: batched input at level %d scale %g, compiled for level %d scale %g",
-				j.ct.Level(), j.ct.Scale, s.spec.InputLevel, s.spec.InputScale)}
-			continue
-		}
-		live = append(live, j)
-	}
-	jobs = live
-	switch len(jobs) {
-	case 0:
-		return
-	case 1:
-		jobs[0].done <- s.execute(jobs[0])
-		return
-	}
-
-	s.stats.batches.Add(1)
-	s.stats.batchedJobs.Add(uint64(len(jobs)))
-
-	// The fused run serves every member, so it gets the most patient
-	// member's deadline; a member whose own deadline lapses mid-flight
-	// times out at its handler without dooming its lane-mates.
-	trace := obs.NewTraceID()
-	deadline := time.Time{}
-	for _, j := range jobs {
-		if d, ok := j.ctx.Deadline(); ok && d.After(deadline) {
-			deadline = d
-		}
 		if s.beforeExec != nil {
 			s.beforeExec(j)
 		}
 		wait := time.Since(j.enqueued)
 		s.queueWait.Observe(wait)
+		obs.Logger(j.ctx, s.log).Info("infer.exec",
+			slog.Duration("queue_wait", wait), slog.Int("lanes", len(jobs)))
 	}
-	ctx := obs.WithTrace(context.Background(), trace)
-	if !deadline.IsZero() {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithDeadline(ctx, deadline)
-		defer cancel()
+	fault.InjectPanic(fault.ServeWorkerPanic)
+	if len(jobs) > 1 {
+		s.stats.batches.Add(1)
+		s.stats.batchedJobs.Add(uint64(len(jobs)))
+		fault.InjectPanic(fault.BatchFlushPanic)
 	}
-	log := obs.Logger(ctx, s.log)
-	log.Info("batch.exec", slog.Int("jobs", len(jobs)), slog.Int("stride", s.stride))
 
-	fault.InjectPanic(fault.BatchFlushPanic)
 	m := vm.NewMachine(s.params, jobs[0].sess.keys, s.boot, s.enc)
 	m.StepDelay = s.cfg.InstrDelay
 	m.Prof = obs.NewRunProfile()
-
 	in := jobs[0].ct
 	for b := 1; b < len(jobs); b++ {
-		rot, err := m.Eval.Rotate(jobs[b].ct, -b)
-		if err == nil {
+		var rot *ckks.Ciphertext
+		if rot, err = m.Eval.Rotate(jobs[b].ct, -b); err == nil {
 			in, err = m.Eval.Add(in, rot)
 		}
 		if err != nil {
-			fail(fmt.Errorf("serve: packing lane %d: %w", b, err))
+			err = fmt.Errorf("serve: packing lane %d: %w", b, err)
 			return
+		}
+	}
+	// Only a group that is one journaled job checkpoints and resumes: a
+	// shared machine's snapshot belongs to no member alone.
+	if j := jobs[0]; len(jobs) == 1 && s.dur != nil && j.idemKey != "" {
+		log := obs.Logger(j.ctx, s.log)
+		m.Ckpt = &vm.CheckpointPolicy{
+			EveryN: s.cfg.CheckpointEveryN,
+			Every:  s.cfg.CheckpointEvery,
+			Sink: func(snap []byte) error {
+				log.Debug("infer.checkpoint", slog.Int("bytes", len(snap)))
+				return s.dur.writeCheckpoint(j.idemKey, snap)
+			},
+		}
+		// A bad checkpoint is not fatal: fall back to re-executing the
+		// journaled input from instruction 0.
+		if j.resume != nil && m.Restore(s.module, j.resume) == nil {
+			in = nil
+			s.stats.jobsResumed.Add(1)
 		}
 	}
 
 	evalStart := time.Now()
-	out, err := m.RunCtx(ctx, s.module, in)
+	out, err = m.RunCtx(ctx, s.module, in)
 	eval := time.Since(evalStart)
 	s.evalHist.Observe(eval)
 	s.prof.Merge(m.Prof, eval)
-	if err != nil {
-		log.Warn("batch.eval", slog.Duration("eval", eval), slog.String("err", err.Error()))
-		fail(err)
-		return
+	for _, j := range jobs {
+		log := obs.Logger(j.ctx, s.log)
+		if err != nil {
+			log.Warn("infer.eval", slog.Duration("eval", eval), slog.String("err", err.Error()))
+		} else {
+			log.Info("infer.eval", slog.Duration("eval", eval),
+				slog.Uint64("instrs", m.Prof.Steps()))
+		}
 	}
-	log.Info("batch.eval", slog.Duration("eval", eval),
-		slog.Uint64("instrs", m.Prof.Steps()))
-	for b, j := range jobs {
-		j.done <- jobResult{ct: out, lane: b, stride: s.stride}
+}
+
+// runContext is the context a group evaluates under. A one-member group
+// runs under its member's own context. A larger group serves every
+// member, so it runs until the most patient member's deadline (every
+// job carries one: handleInfer and recoverJob both set it) and is
+// cancelled early only once every member's context is done — one
+// caller hanging up never voids its lane-mates' work.
+func runContext(jobs []*job) (context.Context, context.CancelFunc) {
+	if len(jobs) == 1 {
+		return jobs[0].ctx, func() {}
+	}
+	var latest time.Time
+	for _, j := range jobs {
+		if d, _ := j.ctx.Deadline(); d.After(latest) {
+			latest = d
+		}
+	}
+	ctx, cancel := context.WithDeadline(context.Background(), latest)
+	var live atomic.Int64
+	live.Store(int64(len(jobs)))
+	stops := make([]func() bool, len(jobs))
+	for i, j := range jobs {
+		stops[i] = context.AfterFunc(j.ctx, func() {
+			if live.Add(-1) == 0 {
+				cancel()
+			}
+		})
+	}
+	return ctx, func() {
+		for _, stop := range stops {
+			stop()
+		}
+		cancel()
 	}
 }
 
-// scaleClose mirrors the vm's scale tolerance (1e-6 relative).
-func scaleClose(a, b float64) bool {
-	d := a - b
-	if d < 0 {
-		d = -d
-	}
-	return d <= 1e-6*b
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func writeErr(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, api.ErrorReply{Error: fmt.Sprintf(format, args...)})
-}
-
-// setRetryAfter stamps the configured back-off hint on a response about
-// to carry a retryable rejection (429 queue-full, 503 draining or
-// recovering): every load-shed answer tells the client when to come
-// back, so routers and retry loops back off instead of hammering.
-func (s *Server) setRetryAfter(w http.ResponseWriter) {
-	w.Header().Set("Retry-After", strconv.Itoa(int(s.cfg.RetryAfter/time.Second)))
-}
-
-// writeErrCode writes a failure with a stable machine-readable code from
-// the fault taxonomy alongside the human-readable message.
-func writeErrCode(w http.ResponseWriter, status int, code, format string, args ...any) {
-	writeJSON(w, status, api.ErrorReply{Error: fmt.Sprintf(format, args...), Code: code})
+// setRetryAfter stamps the back-off hint on a response about to carry a
+// retryable rejection (429 queue-full, 503 draining or recovering):
+// every load-shed answer tells the client when to come back, so routers
+// and retry loops back off instead of hammering.
+func setRetryAfter(w http.ResponseWriter) {
+	w.Header().Set("Retry-After", strconv.Itoa(int(retryAfter/time.Second)))
 }
 
 // readBody reads a bounded octet-stream body.
@@ -906,7 +796,7 @@ func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, erro
 }
 
 func (s *Server) handleProgram(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.spec)
+	api.WriteJSON(w, http.StatusOK, s.spec)
 }
 
 // validateKeys rejects bundles that would fail mid-request: the server
@@ -932,18 +822,18 @@ func (s *Server) validateKeys(keys *ckks.EvaluationKeySet) error {
 }
 
 func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
-	body, err := readBody(w, r, s.cfg.MaxUploadBytes)
+	body, err := readBody(w, r, s.cfg.SessionBudget)
 	if err != nil {
-		writeErr(w, http.StatusRequestEntityTooLarge, "key upload: %v", err)
+		api.WriteError(w, http.StatusRequestEntityTooLarge, "key upload: %v", err)
 		return
 	}
 	keys := &ckks.EvaluationKeySet{}
 	if err := keys.UnmarshalBinary(body); err != nil {
-		writeErr(w, http.StatusBadRequest, "decoding key bundle: %v", err)
+		api.WriteError(w, http.StatusBadRequest, "decoding key bundle: %v", err)
 		return
 	}
 	if err := s.validateKeys(keys); err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
+		api.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	// A cluster router pre-assigns the session id (X-ACE-Session on the
@@ -955,7 +845,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var sess *session
 	if want := r.Header.Get(api.HeaderSession); want != "" {
 		if !validSessionID(want) {
-			writeErr(w, http.StatusBadRequest, "pre-assigned session id must be 32 lowercase hex characters")
+			api.WriteError(w, http.StatusBadRequest, "pre-assigned session id must be 32 lowercase hex characters")
 			return
 		}
 		sess, err = s.sessions.putWithID(want, keys, int64(len(body)))
@@ -963,7 +853,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		sess, err = s.sessions.put(keys, int64(len(body)))
 	}
 	if err != nil {
-		writeErr(w, http.StatusRequestEntityTooLarge, "%v", err)
+		api.WriteError(w, http.StatusRequestEntityTooLarge, "%v", err)
 		return
 	}
 	if s.dur != nil {
@@ -983,7 +873,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 				slog.String("err", err.Error()))
 		}
 	}
-	writeJSON(w, http.StatusCreated, api.SessionReply{
+	api.WriteJSON(w, http.StatusCreated, api.SessionReply{
 		SessionID: sess.id,
 		KeyBytes:  sess.bytes,
 		GaloisLen: len(keys.Galois),
@@ -995,7 +885,7 @@ func (s *Server) handleDrop(w http.ResponseWriter, r *http.Request) {
 	ram := s.sessions.drop(id)
 	disk := s.dur != nil && s.dur.dropSession(id)
 	if !ram && !disk {
-		writeErr(w, http.StatusNotFound, "unknown session")
+		api.WriteError(w, http.StatusNotFound, "unknown session")
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
@@ -1030,30 +920,30 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		id = r.URL.Query().Get("session")
 	}
 	if id == "" {
-		writeErr(w, http.StatusBadRequest, "missing %s header", api.HeaderSession)
+		api.WriteError(w, http.StatusBadRequest, "missing %s header", api.HeaderSession)
 		return
 	}
 	idemKey := r.Header.Get(api.HeaderIdemKey)
 	if len(idemKey) > maxIdemKeyBytes {
 		// The key becomes a journal record field behind a uint16 length —
 		// an unbounded client string is a framing hazard, not a retry token.
-		writeErr(w, http.StatusBadRequest, "%s of %d bytes exceeds the %d-byte limit",
+		api.WriteError(w, http.StatusBadRequest, "%s of %d bytes exceeds the %d-byte limit",
 			api.HeaderIdemKey, len(idemKey), maxIdemKeyBytes)
 		return
 	}
 	d, err := s.deadline(r)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
+		api.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	body, err := readBody(w, r, s.cfg.MaxCipherBytes)
+	body, err := readBody(w, r, maxCipherBytes)
 	if err != nil {
-		writeErr(w, http.StatusRequestEntityTooLarge, "ciphertext: %v", err)
+		api.WriteError(w, http.StatusRequestEntityTooLarge, "ciphertext: %v", err)
 		return
 	}
 	ct := &ckks.Ciphertext{}
 	if err := ct.UnmarshalBinary(body); err != nil {
-		writeErr(w, http.StatusBadRequest, "decoding ciphertext: %v", err)
+		api.WriteError(w, http.StatusBadRequest, "decoding ciphertext: %v", err)
 		return
 	}
 	sess, ok := s.lookupSession(id)
@@ -1062,7 +952,7 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		// change usually means the client's endpoint list is stale, and
 		// the epoch tells it to re-fetch /v1/cluster/membership.
 		s.stampEpoch(w)
-		writeErr(w, http.StatusNotFound, "unknown session %s (register keys first)", id)
+		api.WriteError(w, http.StatusNotFound, "unknown session %s (register keys first)", id)
 		return
 	}
 
@@ -1108,36 +998,15 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
+	// Admission: the job joins its session's coalescing window (with one
+	// lane it is handed on at once); submit performs the queue send and
+	// reports load shedding through the job's done channel, which finish
+	// maps to 429. A closed coalescer means the server is draining.
 	j := &job{ctx: ctx, sess: sess, ct: ct, done: make(chan jobResult, 1), enqueued: time.Now(), idemKey: idemFull}
-	if s.coal != nil {
-		// Batched admission: the job waits in the session's coalescing
-		// window; the flush callback performs the actual queue send and
-		// reports full-queue load shedding through the job's done
-		// channel (finish maps it to the same 429).
-		if !s.coal.Add(sess.id, j) {
-			s.completeIdem(entry, false, nil, 0, 0)
-			s.setRetryAfter(w)
-			writeErr(w, http.StatusServiceUnavailable, "server is draining")
-			return
-		}
-		log.Info("infer.coalesce", slog.String("session", sess.id))
-	} else {
-		ok, draining := s.tryEnqueue(j)
-		if draining {
-			s.completeIdem(entry, false, nil, 0, 0)
-			s.setRetryAfter(w)
-			writeErr(w, http.StatusServiceUnavailable, "server is draining")
-			return
-		}
-		if !ok {
-			s.completeIdem(entry, false, nil, 0, 0)
-			s.stats.rejected.Add(1)
-			log.Info("infer.reject", slog.Int("queue_depth", s.cfg.QueueDepth))
-			s.setRetryAfter(w)
-			writeErr(w, http.StatusTooManyRequests, "queue full (%d deep)", s.cfg.QueueDepth)
-			return
-		}
+	if s.coal.Add(sess.id, j) {
 		log.Info("infer.enqueue", slog.Int("queue_depth", len(s.sched.queue)))
+	} else {
+		j.done <- jobResult{err: errDrainingDrop}
 	}
 
 	select {
@@ -1166,8 +1035,8 @@ func (s *Server) followIdem(w http.ResponseWriter, ctx context.Context, entry *i
 		return
 	}
 	if !entry.ok {
-		s.setRetryAfter(w)
-		writeErr(w, http.StatusServiceUnavailable, "previous attempt under this idempotency key failed; retry")
+		setRetryAfter(w)
+		api.WriteError(w, http.StatusServiceUnavailable, "previous attempt under this idempotency key failed; retry")
 		return
 	}
 	s.stats.idemReplays.Add(1)
@@ -1210,8 +1079,9 @@ func (s *Server) completeIdem(entry *idemEntry, ok bool, body []byte, lane, stri
 	s.idem.complete(entry, ok, body, lane, stride)
 }
 
-// finish writes a completed job's response. Evaluation failures carry a
-// stable code from the fault taxonomy so clients and dashboards can
+// finish writes every settled job's response, the 429/503 of a job that
+// never reached a worker included. Evaluation failures carry a stable
+// code from the fault taxonomy so clients and dashboards can
 // distinguish a recovered worker panic from an ordinary evaluation
 // error without parsing message text.
 func (s *Server) finish(w http.ResponseWriter, j *job, entry *idemEntry, res jobResult) {
@@ -1220,32 +1090,35 @@ func (s *Server) finish(w http.ResponseWriter, j *job, entry *idemEntry, res job
 		s.completeIdem(entry, false, nil, 0, 0)
 		if errors.Is(res.err, context.DeadlineExceeded) || errors.Is(res.err, context.Canceled) {
 			log.Info("infer.reply", slog.String("outcome", "timeout"))
-			s.failCtx(w, res.err, 0)
+			// A group's run reports its own context; answer from ours.
+			s.failCtx(w, cmp.Or(j.ctx.Err(), res.err), 0)
 			return
 		}
 		if errors.Is(res.err, errQueueFull) {
 			s.stats.rejected.Add(1)
 			log.Info("infer.reject", slog.Int("queue_depth", s.cfg.QueueDepth))
-			s.setRetryAfter(w)
-			writeErr(w, http.StatusTooManyRequests, "queue full (%d deep)", s.cfg.QueueDepth)
+			setRetryAfter(w)
+			api.WriteError(w, http.StatusTooManyRequests, "queue full (%d deep)", s.cfg.QueueDepth)
 			return
 		}
 		if errors.Is(res.err, errDrainingDrop) {
-			s.setRetryAfter(w)
-			writeErr(w, http.StatusServiceUnavailable, "server is draining")
+			setRetryAfter(w)
+			api.WriteError(w, http.StatusServiceUnavailable, "server is draining")
 			return
 		}
 		s.stats.failed.Add(1)
 		re := fault.AsRuntime(fault.CodeEvalError, "serve.infer", res.err)
 		log.Warn("infer.reply", slog.String("outcome", "error"), slog.String("code", re.Code))
-		writeErrCode(w, http.StatusInternalServerError, re.Code, "evaluation failed: %v", res.err)
+		api.WriteJSON(w, http.StatusInternalServerError,
+			api.ErrorReply{Error: fmt.Sprintf("evaluation failed: %v", res.err), Code: re.Code})
 		return
 	}
 	out, err := res.ct.MarshalBinary()
 	if err != nil {
 		s.completeIdem(entry, false, nil, 0, 0)
 		s.stats.failed.Add(1)
-		writeErrCode(w, http.StatusInternalServerError, fault.CodeEvalError, "encoding result: %v", err)
+		api.WriteJSON(w, http.StatusInternalServerError,
+			api.ErrorReply{Error: fmt.Sprintf("encoding result: %v", err), Code: fault.CodeEvalError})
 		return
 	}
 	s.completeIdem(entry, true, out, res.lane, res.stride)
@@ -1276,9 +1149,9 @@ func (s *Server) failCtx(w http.ResponseWriter, err error, d time.Duration) {
 	if errors.Is(err, context.DeadlineExceeded) {
 		s.stats.timedOut.Add(1)
 		if d > 0 {
-			writeErr(w, http.StatusGatewayTimeout, "deadline of %s exceeded", d)
+			api.WriteError(w, http.StatusGatewayTimeout, "deadline of %s exceeded", d)
 		} else {
-			writeErr(w, http.StatusGatewayTimeout, "deadline exceeded")
+			api.WriteError(w, http.StatusGatewayTimeout, "deadline exceeded")
 		}
 		return
 	}
@@ -1290,14 +1163,14 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	draining := s.draining
 	s.mu.RUnlock()
 	if draining {
-		writeJSON(w, http.StatusServiceUnavailable, api.Healthz{Status: "draining"})
+		api.WriteJSON(w, http.StatusServiceUnavailable, api.Healthz{Status: "draining"})
 		return
 	}
-	writeJSON(w, http.StatusOK, api.Healthz{Status: "ok"})
+	api.WriteJSON(w, http.StatusOK, api.Healthz{Status: "ok"})
 }
 
 func (s *Server) handleStatz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.StatzSnapshot())
+	api.WriteJSON(w, http.StatusOK, s.StatzSnapshot())
 }
 
 // StatzSnapshot assembles the /v1/statz counters. The daemon also calls

@@ -372,10 +372,14 @@ func (m *Machine) check(v *ir.Value, ct *ckks.Ciphertext) error {
 	if ct.Level() != v.Level {
 		return fmt.Errorf("level mismatch: runtime %d, compiler %d", ct.Level(), v.Level)
 	}
-	if v.Scale != 0 {
-		if rel := math.Abs(ct.Scale/v.Scale - 1); rel > 1e-6 {
-			return fmt.Errorf("scale mismatch: runtime %g, compiler %g", ct.Scale, v.Scale)
-		}
+	if v.Scale != 0 && !ScaleClose(ct.Scale, v.Scale) {
+		return fmt.Errorf("scale mismatch: runtime %g, compiler %g", ct.Scale, v.Scale)
 	}
 	return nil
+}
+
+// ScaleClose reports whether a runtime scale matches the compiler's
+// (want, nonzero) within the runtime's tolerance: 1e-6 relative.
+func ScaleClose(got, want float64) bool {
+	return math.Abs(got/want-1) <= 1e-6
 }
