@@ -72,10 +72,14 @@ chaos:
 
 # Durability suite: the crash-restart e2e kills a real aced daemon with
 # SIGKILL mid-inference and proves the restarted one finishes the job
-# bit-identically from its checkpoint; the fuzz smokes feed corrupt
-# journal and snapshot bytes to the replay/restore paths. All raced.
+# bit-identically from its checkpoint; the record tests hold the journal
+# and the replication stream to one codec (one result is the same bytes
+# in both journals and on the wire; old layouts are refused, never
+# reinterpreted); the fuzz smokes feed corrupt record, journal and
+# snapshot bytes to the decode/replay/restore paths. All raced.
 durability:
-	$(call gotest,-count=1 -race -v -timeout 600s,-run,TestCrashRestart|TestRestart|TestRecovery,./internal/serve/)
+	$(call gotest,-count=1 -race -v -timeout 600s,-run,TestCrashRestart|TestRestart|TestRecovery|TestRecord,./internal/serve/)
+	$(call gotest,-count=1 -race -run '^$$' -fuzztime 10s,-fuzz,FuzzRecord,./internal/serve/)
 	$(call gotest,-count=1 -race -run '^$$' -fuzztime 10s,-fuzz,FuzzStoreReplay,./internal/store/)
 	$(call gotest,-count=1 -race -run '^$$' -fuzztime 10s,-fuzz,FuzzSnapshotRestore,./internal/vm/)
 

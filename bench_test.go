@@ -170,7 +170,7 @@ func BenchmarkEncryptedInference(b *testing.B) {
 	}
 }
 
-// --- Durability: checkpoint overhead (BENCH_durability.json) ------------
+// --- Durability: checkpoint overhead ---------------------------------------
 
 // BenchmarkCheckpointOverheadResNet20 measures what VM checkpointing
 // costs on the ResNet-20 serving path (reduced scale): the same

@@ -4,78 +4,17 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"net/http"
 	"os"
 	"time"
 
-	"antace/internal/ckks"
 	"antace/internal/core"
 	"antace/internal/costmodel"
 	"antace/internal/experiments"
 	"antace/internal/obs"
 	"antace/internal/ring"
-	"antace/internal/serve/api"
 	"antace/internal/vecir"
 	"antace/internal/vm"
 )
-
-// runCalibrateFrom recalibrates the cost model from a live daemon: the
-// served geometry comes from /v1/program, the measured aggregates from
-// /v1/profilez, and costmodel.FromProfile inverts them into constants
-// for this machine. The same fit runs server-side behind /v1/costmodelz;
-// doing it client-side lets an operator recalibrate against any shard
-// without shell access to it.
-func runCalibrateFrom(base string, w io.Writer) error {
-	var spec api.ProgramSpec
-	if err := getJSON(base+api.PathProgram, &spec); err != nil {
-		return fmt.Errorf("fetching program spec: %w", err)
-	}
-	var lit ckks.ParametersLiteral
-	if err := lit.UnmarshalBinary(spec.Params); err != nil {
-		return fmt.Errorf("decoding served parameters: %w", err)
-	}
-	var snap obs.ProfileSnapshot
-	if err := getJSON(base+api.PathProfilez, &snap); err != nil {
-		return fmt.Errorf("fetching profile: %w", err)
-	}
-	geom := lit.Geometry()
-	cal, fits, err := costmodel.FromProfile(snap, geom, costmodel.DefaultCalibration())
-	if err != nil {
-		return fmt.Errorf("fit: %w", err)
-	}
-
-	fmt.Fprintf(w, "recalibrated from %s (%s, %d runs, logN=%d K=%d)\n\n",
-		base, spec.Name, snap.Runs, geom.LogN, geom.K)
-	def := costmodel.DefaultCalibration()
-	row := func(name string, fitted, base float64) {
-		fmt.Fprintf(w, "%-18s %12.3e %12.3e %8.2fx\n", name, fitted, base, fitted/base)
-	}
-	fmt.Fprintf(w, "%-18s %12s %12s %8s\n", "constant", "fitted", "default", "ratio")
-	row("ntt/butterfly", cal.NTTPerButterfly, def.NTTPerButterfly)
-	row("pointwise/coeff", cal.PointwisePerCoeff, def.PointwisePerCoeff)
-	row("modup/unit", cal.ModUpPerUnit, def.ModUpPerUnit)
-	row("muladd/unit", cal.MulAddPerUnit, def.MulAddPerUnit)
-	row("moddown/unit", cal.ModDownPerUnit, def.ModDownPerUnit)
-	fmt.Fprintf(w, "\nper-op agreement under the fitted constants:\n")
-	fmt.Fprintf(w, "%-18s %7s %12s %12s %7s\n", "op", "count", "measured_ms", "predicted_ms", "ratio")
-	for _, f := range fits {
-		fmt.Fprintf(w, "%-18s %7d %12.4f %12.4f %6.2fx\n", f.Op, f.Count, f.MeasuredMs, f.PredictedMs, f.Ratio)
-	}
-	return nil
-}
-
-func getJSON(url string, v any) error {
-	resp, err := http.Get(url)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<10))
-		return fmt.Errorf("GET %s: status %d: %s", url, resp.StatusCode, body)
-	}
-	return json.NewDecoder(resp.Body).Decode(v)
-}
 
 // categoryRow is one Figure-6 category's measured-vs-predicted line in
 // the autotune report.

@@ -15,13 +15,11 @@ import (
 	"math"
 	"net/http"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
 
-	"antace/internal/cluster"
 	"antace/internal/fheclient"
 	"antace/internal/obs"
 )
@@ -44,23 +42,12 @@ type loadReport struct {
 	ServerScrape map[string]float64 `json:"server_metrics,omitempty"`
 }
 
-// clusterReport is the -router mode artifact (BENCH_cluster.json): the
-// client-observed load report plus the router's view of how the work
-// spread — forward/failover counters and per-shard request counts —
-// and each shard's own served/replica counters.
-type clusterReport struct {
-	Load    loadReport           `json:"load"`
-	Cluster cluster.ClusterStatz `json:"cluster"`
-}
-
 // runLoad drives the generator end to end and emits the report.
 // The window is extended until at least one inference completes, so a
 // model whose single-inference latency exceeds the window still yields
 // a meaningful rate; requests still in flight at the cutoff are
-// canceled and count as neither served nor failed. With routerMode the
-// target is an acerouter: the run additionally scrapes the aggregated
-// cluster statz and writes the per-shard breakdown to clusterOut.
-func runLoad(url string, clients int, window, reqDeadline time.Duration, routerMode bool, clusterOut string) error {
+// canceled and count as neither served nor failed.
+func runLoad(url string, clients int, window, reqDeadline time.Duration) error {
 	if clients < 1 {
 		return fmt.Errorf("load: need at least 1 client, got %d", clients)
 	}
@@ -203,67 +190,7 @@ func runLoad(url string, clients int, window, reqDeadline time.Duration, routerM
 		return err
 	}
 	fmt.Println(string(out))
-	if routerMode {
-		return writeClusterReport(url, rep, clusterOut)
-	}
 	return nil
-}
-
-// writeClusterReport scrapes the router's aggregated statz and writes
-// the BENCH_cluster.json artifact: the load report plus per-shard
-// request counts, so a bench run shows how the ring spread the work.
-func writeClusterReport(url string, rep loadReport, path string) error {
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url+"/v1/statz", nil)
-	if err != nil {
-		return err
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return fmt.Errorf("load: scraping router statz: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("load: router statz returned %s", resp.Status)
-	}
-	var cs cluster.ClusterStatz
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 4<<20)).Decode(&cs); err != nil {
-		return fmt.Errorf("load: decoding router statz: %w", err)
-	}
-	data, err := json.MarshalIndent(clusterReport{Load: rep, Cluster: cs}, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	for _, line := range shardSummary(cs) {
-		fmt.Fprintln(os.Stderr, line)
-	}
-	fmt.Fprintf(os.Stderr, "load: cluster report written to %s\n", path)
-	return nil
-}
-
-// shardSummary renders the per-shard spread for the run log.
-func shardSummary(cs cluster.ClusterStatz) []string {
-	eps := make([]string, 0, len(cs.Router.ShardRequests))
-	for ep := range cs.Router.ShardRequests {
-		eps = append(eps, ep)
-	}
-	sort.Strings(eps)
-	lines := make([]string, 0, len(eps)+1)
-	lines = append(lines, fmt.Sprintf("load: router forwarded=%d failovers=%d errors=%d",
-		cs.Router.Forwarded, cs.Router.Failovers, cs.Router.Errors))
-	for _, ep := range eps {
-		served := uint64(0)
-		if st, ok := cs.Shards[ep]; ok {
-			served = st.Served
-		}
-		lines = append(lines, fmt.Sprintf("load: shard %s requests=%d served=%d ready=%v",
-			ep, cs.Router.ShardRequests[ep], served, cs.Router.Ready[ep]))
-	}
-	return lines
 }
 
 // loadScrapeSeries is the subset of the server's exposition the report

@@ -33,7 +33,6 @@ func main() {
 	images := flag.Int("images", 200, "Table 11: images for the trained-CNN accuracy run")
 	resnetImages := flag.Int("resnet-images", 50, "Table 11: images for the ResNet agreement runs")
 	calibrate := flag.Bool("calibrate", true, "microbenchmark the runtime for the cost model")
-	calibrateFrom := flag.String("calibrate-from", "", "base URL of a live aced: recalibrate the cost model from its /v1/profilez aggregates and print the fit")
 	autotune := flag.Bool("autotune", false, "calibrate, enumerate compilation plans for the reduced ResNet-20, measure chosen vs the naive-conv baseline and write -autotune-out")
 	autotuneOut := flag.String("autotune-out", "BENCH_autotune.json", "autotune mode: file the report is written to")
 	profileOps := flag.Bool("profile-ops", false, "compile the demo model, run one encrypted inference and print the measured per-opcode profile (Figure 6's measured analogue)")
@@ -41,12 +40,10 @@ func main() {
 	clients := flag.Int("clients", 8, "load mode: number of concurrent clients")
 	window := flag.Duration("duration", time.Minute, "load mode: measurement window (extended until at least one inference completes)")
 	reqDeadline := flag.Duration("request-deadline", 30*time.Minute, "load mode: per-request deadline forwarded to the server")
-	routerMode := flag.Bool("router", false, "load mode: the -load URL is an acerouter; scrape its cluster statz afterwards and write per-shard request counts to -cluster-out")
-	clusterOut := flag.String("cluster-out", "BENCH_cluster.json", "router mode: file the cluster report is written to")
 	flag.Parse()
 
 	if *load != "" {
-		if err := runLoad(*load, *clients, *window, *reqDeadline, *routerMode, *clusterOut); err != nil {
+		if err := runLoad(*load, *clients, *window, *reqDeadline); err != nil {
 			fmt.Fprintf(os.Stderr, "load failed: %v\n", err)
 			os.Exit(1)
 		}
@@ -55,13 +52,6 @@ func main() {
 	if *profileOps {
 		if err := runOpProfile(os.Stdout); err != nil {
 			fmt.Fprintf(os.Stderr, "profile-ops failed: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *calibrateFrom != "" {
-		if err := runCalibrateFrom(*calibrateFrom, os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "calibrate-from failed: %v\n", err)
 			os.Exit(1)
 		}
 		return

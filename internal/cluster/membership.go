@@ -229,11 +229,10 @@ func validateEndpoint(ep string) error {
 }
 
 // StateSource enumerates the replicable state a shard holds, for delta
-// re-replication on a membership change. Implemented by serve.Server:
-// session bundles come from the durable tier when present (raw bytes)
-// or are re-marshaled from the RAM cache; completions are the
-// idempotency cache's completed entries.
+// re-replication on a membership change: per session, the encoded
+// records that re-create it on another shard, its session record first.
+// Implemented by serve.Server, which owns the record format; the
+// shipper moves the records as opaque bytes.
 type StateSource interface {
-	ForEachSessionBundle(fn func(id string, bundle []byte))
-	ForEachCompletion(fn func(key string, lane, stride int, body []byte))
+	ForEachSession(fn func(id string, recs [][]byte))
 }

@@ -3,14 +3,13 @@ package cluster
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"log/slog"
-	"math"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -20,117 +19,6 @@ import (
 	"antace/internal/serve/api"
 	"antace/internal/store"
 )
-
-// Replication record kinds. A shipment is an ACELOG1 log image whose
-// frames each hold one of these records: the kind byte followed by
-// uint16-length-prefixed strings and a trailing opaque payload — the
-// same framing discipline as the serve journal, checked end to end by
-// the store layer's CRCs.
-const (
-	// RecSession replicates a registered evaluation-key bundle:
-	// session id, bundle bytes.
-	RecSession = byte(1)
-	// RecComplete replicates one idempotency-journal completion:
-	// key, lane (uint16), stride (uint16), result bytes.
-	RecComplete = byte(2)
-	// RecForget withdraws a previously replicated completion: key.
-	RecForget = byte(3)
-)
-
-// Record is one decoded replication record.
-type Record struct {
-	Kind      byte
-	SessionID string // RecSession
-	Bundle    []byte // RecSession
-	Key       string // RecComplete, RecForget
-	Lane      int    // RecComplete
-	Stride    int    // RecComplete
-	Body      []byte // RecComplete
-}
-
-func appendString(buf []byte, s string) ([]byte, error) {
-	if len(s) > math.MaxUint16 {
-		return nil, fmt.Errorf("cluster: record string of %d bytes exceeds %d", len(s), math.MaxUint16)
-	}
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(s)))
-	return append(buf, s...), nil
-}
-
-func readString(data []byte) (string, []byte, error) {
-	if len(data) < 2 {
-		return "", nil, fmt.Errorf("cluster: truncated record string")
-	}
-	n := int(binary.LittleEndian.Uint16(data))
-	data = data[2:]
-	if len(data) < n {
-		return "", nil, fmt.Errorf("cluster: record string %d > %d bytes", n, len(data))
-	}
-	return string(data[:n]), data[n:], nil
-}
-
-// EncodeSession builds a RecSession record.
-func EncodeSession(id string, bundle []byte) ([]byte, error) {
-	buf, err := appendString([]byte{RecSession}, id)
-	if err != nil {
-		return nil, err
-	}
-	return append(buf, bundle...), nil
-}
-
-// EncodeComplete builds a RecComplete record.
-func EncodeComplete(key string, lane, stride int, body []byte) ([]byte, error) {
-	if lane < 0 || lane > math.MaxUint16 || stride < 0 || stride > math.MaxUint16 {
-		return nil, fmt.Errorf("cluster: lane %d/stride %d out of range", lane, stride)
-	}
-	buf, err := appendString([]byte{RecComplete}, key)
-	if err != nil {
-		return nil, err
-	}
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(lane))
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(stride))
-	return append(buf, body...), nil
-}
-
-// EncodeForget builds a RecForget record.
-func EncodeForget(key string) ([]byte, error) {
-	return appendString([]byte{RecForget}, key)
-}
-
-// DecodeRecord parses one replication record (a frame payload that
-// already passed the store layer's CRC).
-func DecodeRecord(raw []byte) (Record, error) {
-	if len(raw) < 1 {
-		return Record{}, fmt.Errorf("cluster: empty replication record")
-	}
-	kind, rest := raw[0], raw[1:]
-	switch kind {
-	case RecSession:
-		id, rest, err := readString(rest)
-		if err != nil {
-			return Record{}, err
-		}
-		return Record{Kind: kind, SessionID: id, Bundle: rest}, nil
-	case RecComplete:
-		key, rest, err := readString(rest)
-		if err != nil {
-			return Record{}, err
-		}
-		if len(rest) < 4 {
-			return Record{}, fmt.Errorf("cluster: truncated lane in completion record")
-		}
-		lane := int(binary.LittleEndian.Uint16(rest))
-		stride := int(binary.LittleEndian.Uint16(rest[2:]))
-		return Record{Kind: kind, Key: key, Lane: lane, Stride: stride, Body: rest[4:]}, nil
-	case RecForget:
-		key, _, err := readString(rest)
-		if err != nil {
-			return Record{}, err
-		}
-		return Record{Kind: kind, Key: key}, nil
-	default:
-		return Record{}, fmt.Errorf("cluster: unknown replication record kind %d", kind)
-	}
-}
 
 // ShipperStats are the Shipper's monotone counters.
 type ShipperStats struct {
@@ -142,11 +30,13 @@ type ShipperStats struct {
 
 // Shipper implements the serve layer's Replicator against a cluster
 // ring: every session's durable state ships to the ring successor of
-// that session's primary. Session-bundle shipments are synchronous —
-// when registration answers 201, the replica can already serve the
-// session — while journal completions ride an ordered async queue, so
-// the request fast path never waits on a peer (a lost completion only
-// costs a deterministic re-execution on failover).
+// that session's primary. Serve owns the record format; the shipper
+// moves each record as an opaque frame of an ACELOG1 log image, checked
+// end to end by the store layer's CRCs. Session records ship
+// synchronously — when registration answers 201, the replica can
+// already serve the session — while completions ride an ordered async
+// queue, so the request fast path never waits on a peer (a lost
+// completion only costs a deterministic re-execution on failover).
 type Shipper struct {
 	self string
 	hc   *http.Client
@@ -172,12 +62,12 @@ type Shipper struct {
 	}
 }
 
-// shipItem carries the session-scoped key alongside the encoded record:
-// the target shard is computed from the key at drain time, so records
-// queued across a membership change land on the post-change successor.
+// shipItem carries a record with the session it belongs to: the target
+// shard is computed from the session at drain time, so records queued
+// across a membership change land on the post-change successor.
 type shipItem struct {
-	key string
-	rec []byte
+	session string
+	rec     []byte
 }
 
 // NewShipper builds a Shipper for the shard at self (which must be a
@@ -271,16 +161,11 @@ func (s *Shipper) successor(key string) string {
 	return ""
 }
 
-// ShipSession replicates a registered key bundle to the session's
-// successor shard, synchronously with retries: a 201 from registration
-// implies the replica holds the keys, which is what makes shard death
-// cost zero re-registration.
-func (s *Shipper) ShipSession(id string, bundle []byte) error {
-	rec, err := EncodeSession(id, bundle)
-	if err != nil {
-		s.countErr()
-		return err
-	}
+// ShipSession replicates a session record to the session's successor
+// shard, synchronously with retries: a 201 from registration implies
+// the replica holds the keys, which is what makes shard death cost zero
+// re-registration.
+func (s *Shipper) ShipSession(id string, rec []byte) error {
 	if err := s.shipKeyed(id, [][]byte{rec}); err != nil {
 		s.countErr()
 		return fmt.Errorf("cluster: replicating session %s: %w", id, err)
@@ -311,48 +196,19 @@ func (s *Shipper) shipKeyed(key string, recs [][]byte) error {
 	return lastErr
 }
 
-// ShipComplete replicates one idempotency completion asynchronously.
-// The key is session-scoped ("<sessionid>/<idemkey>"), so the target is
-// derived from its session half.
-func (s *Shipper) ShipComplete(key string, lane, stride int, body []byte) {
-	rec, err := EncodeComplete(key, lane, stride, body)
-	s.enqueue(key, rec, err)
-}
-
-// ShipForget withdraws a completion from the replica asynchronously.
-func (s *Shipper) ShipForget(key string) {
-	rec, err := EncodeForget(key)
-	s.enqueue(key, rec, err)
-}
-
-func (s *Shipper) enqueue(key string, rec []byte, err error) {
-	if err != nil {
-		s.countErr()
-		return
-	}
+// Ship replicates one record of a session's state asynchronously.
+func (s *Shipper) Ship(session string, rec []byte) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		return
 	}
-	s.queue = append(s.queue, shipItem{key: sessionOf(key), rec: rec})
+	s.queue = append(s.queue, shipItem{session: session, rec: rec})
 	s.mu.Unlock()
 	select {
 	case s.kick <- struct{}{}:
 	default:
 	}
-}
-
-// sessionOf extracts the session half of a serve idempotency key
-// ("<sessionid>/<clientkey>"); a key without the separator hashes
-// whole.
-func sessionOf(key string) string {
-	for i := 0; i < len(key); i++ {
-		if key[i] == '/' {
-			return key[:i]
-		}
-	}
-	return key
 }
 
 // pump drains the async queue, batching everything queued for one
@@ -367,17 +223,16 @@ func (s *Shipper) pump() {
 				break
 			}
 			// Take the longest prefix that resolves to one target under the
-			// current ring, so ordering per target is preserved (a forget must
-			// never overtake its complete).
-			target := s.successor(s.queue[0].key)
+			// current ring, so records for one target keep their order.
+			target := s.successor(s.queue[0].session)
 			var recs [][]byte
-			var keys []string
+			var sessions []string
 			rest := s.queue[:0]
 			taken := true
 			for _, it := range s.queue {
-				if taken && s.successor(it.key) == target {
+				if taken && s.successor(it.session) == target {
 					recs = append(recs, it.rec)
-					keys = append(keys, it.key)
+					sessions = append(sessions, it.session)
 					continue
 				}
 				taken = false
@@ -396,7 +251,7 @@ func (s *Shipper) pump() {
 				s.mu.Lock()
 				requeue := make([]shipItem, 0, len(recs)+len(s.queue))
 				for i, rec := range recs {
-					requeue = append(requeue, shipItem{key: keys[i], rec: rec})
+					requeue = append(requeue, shipItem{session: sessions[i], rec: rec})
 				}
 				s.queue = append(requeue, s.queue...)
 				s.mu.Unlock()
@@ -531,13 +386,13 @@ func (s *Shipper) countErr() {
 
 // Rebalance adopts a broadcast ClusterUpdate and re-ships the ownership
 // delta from src: every session this shard holds whose owner set gained
-// a member that cannot already hold its state gets its bundle and
-// completed results shipped there. When this shard is the one leaving,
-// the delta is everything it holds, shipped to every new owner — the
-// handoff that lets it drain without losing a session. Shipments are
-// synchronous; the returned count is records shipped. Duplicate ships
-// (two holders re-shipping the same session after an ejection) are
-// harmless: replica apply is idempotent.
+// a member that cannot already hold its state gets its records (the
+// session record, then its completed results) shipped there. When this
+// shard is the one leaving, the delta is everything it holds, shipped to
+// every new owner — the handoff that lets it drain without losing a
+// session. Shipments are synchronous; the returned count is records
+// shipped. Duplicate ships (two holders re-shipping the same session
+// after an ejection) are harmless: replica apply is idempotent.
 func (s *Shipper) Rebalance(update api.ClusterUpdate, newRing *Ring, src StateSource) (int, error) {
 	oldRing, _ := s.current()
 	if !s.Adopt(update.Epoch, newRing) {
@@ -548,66 +403,18 @@ func (s *Shipper) Rebalance(update api.ClusterUpdate, newRing *Ring, src StateSo
 	if src == nil {
 		return 0, nil
 	}
-	leaving := update.Leaving == s.self
-	if !leaving {
-		leaving = true
-		for _, ep := range update.Members {
-			if ep == s.self {
-				leaving = false
-				break
-			}
-		}
-	}
-
-	oldOwners := func(id string) map[string]bool {
-		set := make(map[string]bool, 2)
-		for _, ep := range oldRing.LookupN(id, 2) {
-			set[ep] = true
-		}
-		return set
-	}
-
-	// Group completions by session so each target receives the bundle
-	// followed by its results in one ordered image.
-	completions := make(map[string][][]byte)
-	var encErr error
-	src.ForEachCompletion(func(key string, lane, stride int, body []byte) {
-		rec, err := EncodeComplete(key, lane, stride, body)
-		if err != nil {
-			encErr = err
-			return
-		}
-		sid := sessionOf(key)
-		completions[sid] = append(completions[sid], rec)
-	})
+	leaving := update.Leaves(s.self)
 
 	shipped := 0
 	var firstErr error
-	src.ForEachSessionBundle(func(id string, bundle []byte) {
-		was := oldOwners(id)
-		var targets []string
-		for _, ep := range newRing.LookupN(id, 2) {
-			if ep == s.self {
-				continue
-			}
+	src.ForEachSession(func(id string, recs [][]byte) {
+		was := oldRing.LookupN(id, 2)
+		for _, target := range newRing.LookupN(id, 2) {
 			// A leaver must place its state on every new owner; a survivor
 			// only ships to owners the old ring could not have populated.
-			if leaving || !was[ep] {
-				targets = append(targets, ep)
+			if target == s.self || (!leaving && slices.Contains(was, target)) {
+				continue
 			}
-		}
-		if len(targets) == 0 {
-			return
-		}
-		rec, err := EncodeSession(id, bundle)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			return
-		}
-		recs := append([][]byte{rec}, completions[id]...)
-		for _, target := range targets {
 			err := s.shipSync(target, recs)
 			if errors.Is(err, errStaleEpoch) {
 				// An even newer epoch arrived mid-rebalance; its own
@@ -626,9 +433,6 @@ func (s *Shipper) Rebalance(update api.ClusterUpdate, newRing *Ring, src StateSo
 			shipped += len(recs)
 		}
 	})
-	if firstErr == nil {
-		firstErr = encErr
-	}
 	s.stats.mu.Lock()
 	s.stats.rebalanced += uint64(shipped)
 	s.stats.mu.Unlock()

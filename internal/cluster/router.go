@@ -3,8 +3,6 @@ package cluster
 import (
 	"bytes"
 	"context"
-	"crypto/rand"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -620,14 +618,6 @@ func (rt *Router) relayErr(w http.ResponseWriter, err error) {
 	api.WriteError(w, http.StatusBadGateway, "cluster: %v", err)
 }
 
-func mintHex32() (string, error) {
-	var b [16]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		return "", fmt.Errorf("cluster: minting id: %w", err)
-	}
-	return hex.EncodeToString(b[:]), nil
-}
-
 // --- request handlers ----------------------------------------------------
 
 // handleProgram forwards the spec fetch to any shard (every shard
@@ -654,7 +644,7 @@ func (rt *Router) handleRegister(w http.ResponseWriter, r *http.Request) {
 		api.WriteError(w, http.StatusRequestEntityTooLarge, "%v", err)
 		return
 	}
-	id, err := mintHex32()
+	id, err := api.NewID()
 	if err != nil {
 		rt.relayErr(w, err)
 		return
@@ -723,7 +713,7 @@ func (rt *Router) handleInfer(w http.ResponseWriter, r *http.Request) {
 	}
 	header.Set(api.HeaderSession, id)
 	if header.Get(api.HeaderIdemKey) == "" {
-		key, err := mintHex32()
+		key, err := api.NewID()
 		if err != nil {
 			rt.relayErr(w, err)
 			return

@@ -7,10 +7,43 @@
 package api
 
 import (
+	"crypto/rand"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"slices"
 )
+
+// NewID mints a 128-bit random id in 32 lowercase hex characters: every
+// session id (minted by the shard, or by the router so the id's ring
+// placement is known before the session exists) and every idempotency
+// key the router attaches to a keyless inference.
+func NewID() (string, error) {
+	var b [16]byte
+	if _, err := rand.Read(b[:]); err != nil {
+		return "", fmt.Errorf("api: minting id: %w", err)
+	}
+	return hex.EncodeToString(b[:]), nil
+}
+
+// ValidID reports whether id has exactly the form NewID produces. Session
+// ids arrive from clients (header, query param, URL path) and from
+// replicated records, and they become file names and ring keys — anything
+// else ("../…", encoded separators, the empty string) must be refused
+// before any disk operation or a hostile id escapes the data dir.
+func ValidID(id string) bool {
+	if len(id) != 32 {
+		return false
+	}
+	for i := 0; i < len(id); i++ {
+		c := id[i]
+		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return true
+}
 
 // URL paths of the v1 API.
 const (
@@ -216,6 +249,12 @@ type ClusterUpdate struct {
 	Epoch   uint64   `json:"epoch"`
 	Members []string `json:"members"`
 	Leaving string   `json:"leaving,omitempty"`
+}
+
+// Leaves reports whether the update takes self out of the ring: self is
+// the draining endpoint, or is absent from Members (an ejection).
+func (u ClusterUpdate) Leaves(self string) bool {
+	return u.Leaving == self || !slices.Contains(u.Members, self)
 }
 
 // ClusterUpdateReply acknowledges a ClusterUpdate: the epoch the shard

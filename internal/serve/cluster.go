@@ -89,17 +89,7 @@ func (s *Server) handleClusterUpdate(w http.ResponseWriter, r *http.Request) {
 		api.WriteJSON(w, http.StatusOK, api.ClusterUpdateReply{Epoch: cur.Epoch})
 		return
 	}
-	self := cv.Self()
-	leaving := update.Leaving == self
-	if !leaving {
-		leaving = true
-		for _, ep := range update.Members {
-			if ep == self {
-				leaving = false
-				break
-			}
-		}
-	}
+	leaving := update.Leaves(cv.Self())
 	if leaving {
 		s.handingOff.Store(true)
 	}
@@ -128,11 +118,26 @@ func (s *Server) handleClusterUpdate(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// ForEachSessionBundle enumerates every session this shard holds, disk
-// tier first (raw spilled bytes — includes sessions evicted from RAM),
-// then RAM-only sessions re-marshaled from their immutable key sets.
-// Part of the cluster.StateSource contract.
-func (s *Server) ForEachSessionBundle(fn func(id string, bundle []byte)) {
+// ForEachSession yields every session this shard holds as the records
+// that re-create it elsewhere: its session record, then the complete
+// records of its retained results. Bundles come from the disk tier
+// first (raw spilled bytes — includes sessions evicted from RAM), then
+// RAM-only sessions re-marshaled from their immutable key sets. The
+// cluster.StateSource contract.
+func (s *Server) ForEachSession(fn func(id string, recs [][]byte)) {
+	results := map[string][][]byte{}
+	for _, res := range s.idem.completed() {
+		id := idemSession(res.key)
+		results[id] = append(results[id], res.raw)
+	}
+	yield := func(id string, bundle []byte) {
+		rec, err := record{kind: recSession, key: id, body: bundle}.encode()
+		if err != nil {
+			s.log.Warn("cluster.rebalance.encode", slog.String("session", id), slog.String("err", err.Error()))
+			return
+		}
+		fn(id, append([][]byte{rec.raw}, results[id]...))
+	}
 	seen := map[string]bool{}
 	if s.dur != nil {
 		for _, id := range s.dur.sessionIDs() {
@@ -142,7 +147,7 @@ func (s *Server) ForEachSessionBundle(fn func(id string, bundle []byte)) {
 				continue
 			}
 			seen[id] = true
-			fn(id, raw)
+			yield(id, raw)
 		}
 	}
 	for _, sess := range s.sessions.all() {
@@ -154,14 +159,6 @@ func (s *Server) ForEachSessionBundle(fn func(id string, bundle []byte)) {
 			s.log.Warn("cluster.rebalance.marshal", slog.String("session", sess.id), slog.String("err", err.Error()))
 			continue
 		}
-		fn(sess.id, raw)
-	}
-}
-
-// ForEachCompletion enumerates the retained idempotency successes, for
-// re-replication. Part of the cluster.StateSource contract.
-func (s *Server) ForEachCompletion(fn func(key string, lane, stride int, body []byte)) {
-	for _, c := range s.idem.completedSnapshot() {
-		fn(c.key, c.lane, c.stride, c.body)
+		yield(sess.id, raw)
 	}
 }

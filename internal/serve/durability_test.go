@@ -78,7 +78,7 @@ func drain(t *testing.T, s *Server) {
 }
 
 // TestDurableRejectsHostileSessionIDs: session ids become file names
-// under the data dir, so anything but the 32-hex form newSessionID
+// under the data dir, so anything but the 32-hex form api.NewID
 // produces must be refused before any disk operation — a traversal id
 // must not read, touch or delete files outside sessions/.
 func TestDurableRejectsHostileSessionIDs(t *testing.T) {
@@ -118,7 +118,7 @@ func TestDurableRejectsHostileSessionIDs(t *testing.T) {
 	}
 
 	good := strings.Repeat("0123456789abcdef", 2)
-	if !validSessionID(good) {
+	if !api.ValidID(good) {
 		t.Fatalf("generated-form id %q rejected", good)
 	}
 	if err := dur.saveSession(good, []byte("bundle")); err != nil {
@@ -189,11 +189,14 @@ func TestOversizedIdemKeyRejected(t *testing.T) {
 // replayable.
 func TestJournalEncodingRejectsOversizedStrings(t *testing.T) {
 	big := strings.Repeat("k", math.MaxUint16+1)
-	if _, err := encodeForget(big); err == nil {
-		t.Fatal("encodeForget silently truncated an oversized string")
-	}
-	if _, err := encodeAccept("key", big, time.Time{}, nil); err == nil {
-		t.Fatal("encodeAccept silently truncated an oversized session id")
+	for _, r := range []record{
+		{kind: recForget, key: big},
+		{kind: recAccept, key: "key", sessID: big},
+		{kind: recComplete, key: big, body: []byte("result")},
+	} {
+		if _, err := r.encode(); err == nil {
+			t.Fatalf("kind %d record silently truncated an oversized string", r.kind)
+		}
 	}
 
 	dir := t.TempDir()
@@ -204,7 +207,7 @@ func TestJournalEncodingRejectsOversizedStrings(t *testing.T) {
 	if err := dur.accept(big, "sess", time.Time{}, []byte("input")); err == nil {
 		t.Fatal("accept journaled an unframeable key")
 	}
-	dur.complete(big, []byte("result"), 0, 0) // must not write a misframed record
+	dur.forget(big) // must not write a misframed record
 	dur.close()
 
 	dur2, st, err := openDurable(dir, 1<<30, 16)

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -14,6 +13,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"antace/internal/serve/api"
 	"antace/internal/store"
 )
 
@@ -55,46 +55,14 @@ type durable struct {
 // a rewrite keeping only live accepts and the retained result LRU.
 const journalCap = 64 << 20
 
-// Journal record kinds. A record is its kind byte followed by
-// length-prefixed strings and a trailing opaque payload.
-const (
-	recAccept   = 1 // key, session id, deadline (unix ms), input ciphertext
-	recComplete = 2 // key, result ciphertext
-	recForget   = 3 // key
-	// recCompleteLane extends recComplete for results evaluated inside a
-	// shared batched ciphertext: key, lane (uint16), stride (uint16),
-	// result ciphertext. Kept as a separate kind so journals written by
-	// an unbatched daemon stay byte-identical to the pre-batching format
-	// and old journals replay without migration.
-	recCompleteLane = 4
-)
-
 // journalState is the fold of a journal replay: jobs accepted but not
-// yet settled, and settled results in completion order.
+// yet settled, and settled results in completion order. Each live
+// record keeps its bytes, so compaction rewrites them as they are.
 type journalState struct {
-	pending   map[string]acceptRec
-	order     []string // accept order of pending keys
-	completed map[string]completedRec
-	done      []string // completion order of completed keys
-}
-
-// completedRec is one settled result: the reply bytes plus, for results
-// that rode a shared batch, the caller's lane (stride <= 1 means solo).
-type completedRec struct {
-	lane   int
-	stride int
-	body   []byte
-}
-
-type acceptRec struct {
-	sessID string
-	// deadline is the absolute wall-clock deadline the client's request
-	// carried when the job was accepted; zero means none was recorded.
-	// Recovery honors it: a restarted daemon resumes the job with the
-	// remaining budget rather than a fresh MaxDeadline, and drops jobs
-	// whose deadline already passed (the client stopped waiting).
-	deadline time.Time
-	input    []byte
+	pending   map[string]record // accepts not yet settled
+	order     []string          // accept order of pending keys
+	completed map[string]record // settled results
+	done      []string          // completion order of completed keys
 }
 
 func openDurable(dir string, diskBudget int64, idemCap int) (*durable, *journalState, error) {
@@ -154,129 +122,42 @@ func (d *durable) bumpRestarts() uint64 {
 	return starts // 0 on the very first start
 }
 
-// --- journal record encoding --------------------------------------------
-
-func appendString(buf []byte, s string) ([]byte, error) {
-	if len(s) > math.MaxUint16 {
-		// Silent truncation of the length field would frame a record that
-		// misparses on replay and bricks the next startup.
-		return nil, fmt.Errorf("serve: journal string of %d bytes exceeds %d", len(s), math.MaxUint16)
-	}
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(s)))
-	return append(buf, s...), nil
-}
-
-func readString(data []byte) (string, []byte, error) {
-	if len(data) < 2 {
-		return "", nil, fmt.Errorf("serve: truncated journal string")
-	}
-	n := int(binary.LittleEndian.Uint16(data))
-	data = data[2:]
-	if len(data) < n {
-		return "", nil, fmt.Errorf("serve: journal string %d > %d bytes", n, len(data))
-	}
-	return string(data[:n]), data[n:], nil
-}
-
-func encodeAccept(key, sessID string, deadline time.Time, input []byte) ([]byte, error) {
-	buf, err := appendString([]byte{recAccept}, key)
-	if err != nil {
-		return nil, err
-	}
-	if buf, err = appendString(buf, sessID); err != nil {
-		return nil, err
-	}
-	var ms int64
-	if !deadline.IsZero() {
-		ms = deadline.UnixMilli()
-	}
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(ms))
-	return append(buf, input...), nil
-}
-
-func encodeComplete(key string, result []byte) ([]byte, error) {
-	buf, err := appendString([]byte{recComplete}, key)
-	if err != nil {
-		return nil, err
-	}
-	return append(buf, result...), nil
-}
-
-func encodeCompleteLane(key string, lane, stride int, result []byte) ([]byte, error) {
-	if lane < 0 || lane > math.MaxUint16 || stride < 0 || stride > math.MaxUint16 {
-		return nil, fmt.Errorf("serve: journal lane %d/stride %d out of range", lane, stride)
-	}
-	buf, err := appendString([]byte{recCompleteLane}, key)
-	if err != nil {
-		return nil, err
-	}
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(lane))
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(stride))
-	return append(buf, result...), nil
-}
-
-func encodeForget(key string) ([]byte, error) {
-	return appendString([]byte{recForget}, key)
-}
-
 // foldJournal reduces replayed records to the live state. Keys with
-// limits overlapping (accept → forget → complete, from a handler that
+// overlapping records (accept → forget → complete, from a handler that
 // gave up while the worker finished) resolve in append order, so the
 // final record wins.
 func foldJournal(records [][]byte) (*journalState, error) {
-	st := &journalState{pending: map[string]acceptRec{}, completed: map[string]completedRec{}}
-	for i, rec := range records {
-		if len(rec) < 1 {
-			return nil, fmt.Errorf("serve: empty journal record %d", i)
-		}
-		kind, rest := rec[0], rec[1:]
-		key, rest, err := readString(rest)
+	st := &journalState{pending: map[string]record{}, completed: map[string]record{}}
+	for i, raw := range records {
+		r, err := decodeRecord(raw)
 		if err != nil {
 			return nil, fmt.Errorf("serve: journal record %d: %w", i, err)
 		}
-		switch kind {
+		switch r.kind {
 		case recAccept:
-			sessID, rest, err := readString(rest)
-			if err != nil {
-				return nil, fmt.Errorf("serve: journal record %d: %w", i, err)
+			if _, dup := st.pending[r.key]; !dup {
+				st.order = append(st.order, r.key)
 			}
-			if len(rest) < 8 {
-				return nil, fmt.Errorf("serve: journal record %d: truncated deadline", i)
-			}
-			var deadline time.Time
-			if ms := int64(binary.LittleEndian.Uint64(rest)); ms != 0 {
-				deadline = time.UnixMilli(ms)
-			}
-			rest = rest[8:]
-			if _, dup := st.pending[key]; !dup {
-				st.order = append(st.order, key)
-			}
-			st.pending[key] = acceptRec{sessID: sessID, deadline: deadline, input: append([]byte(nil), rest...)}
+			st.pending[r.key] = r
 		case recComplete:
-			st.dropPending(key)
-			if _, dup := st.completed[key]; !dup {
-				st.done = append(st.done, key)
+			st.dropPending(r.key)
+			if _, dup := st.completed[r.key]; !dup {
+				st.done = append(st.done, r.key)
 			}
-			st.completed[key] = completedRec{body: append([]byte(nil), rest...)}
-		case recCompleteLane:
-			if len(rest) < 4 {
-				return nil, fmt.Errorf("serve: journal record %d: truncated lane", i)
-			}
-			lane := int(binary.LittleEndian.Uint16(rest))
-			strideV := int(binary.LittleEndian.Uint16(rest[2:]))
-			rest = rest[4:]
-			st.dropPending(key)
-			if _, dup := st.completed[key]; !dup {
-				st.done = append(st.done, key)
-			}
-			st.completed[key] = completedRec{lane: lane, stride: strideV, body: append([]byte(nil), rest...)}
+			st.completed[r.key] = r
 		case recForget:
-			st.dropPending(key)
+			st.dropPending(r.key)
 		default:
-			return nil, fmt.Errorf("serve: unknown journal record kind %d", kind)
+			return nil, fmt.Errorf("serve: journal record %d: kind %d is never journaled", i, r.kind)
 		}
 	}
 	return st, nil
+}
+
+// retained returns the keys of the newest n settled results, oldest
+// first: the ones the idempotency LRU keeps.
+func (st *journalState) retained(n int) []string {
+	return st.done[max(0, len(st.done)-n):]
 }
 
 func (st *journalState) dropPending(key string) {
@@ -299,61 +180,48 @@ func (st *journalState) dropPending(key string) {
 // the job enters the queue so a crash at any later point can re-execute
 // it within the client's remaining time budget.
 func (d *durable) accept(key, sessID string, deadline time.Time, input []byte) error {
-	rec, err := encodeAccept(key, sessID, deadline, input)
+	r := record{kind: recAccept, key: key, sessID: sessID, body: input}
+	if !deadline.IsZero() {
+		r.deadlineMs = deadline.UnixMilli()
+	}
+	r, err := r.encode()
 	if err != nil {
 		d.storeErrs.Add(1)
 		return err
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if err := d.journal.Append(rec); err != nil {
-		d.storeErrs.Add(1)
-		return err
-	}
-	d.compactIfOversized()
-	return nil
+	return d.append(r.raw)
 }
 
-// complete journals a finished job's result bytes — the persisted half
-// of the idempotency success LRU — and removes its checkpoint. Results
-// of batched evaluations (stride > 1) record their lane so post-restart
-// replays carry the same lane headers.
-func (d *durable) complete(key string, result []byte, lane, stride int) {
-	var rec []byte
-	var err error
-	if stride > 1 {
-		rec, err = encodeCompleteLane(key, lane, stride, result)
-	} else {
-		rec, err = encodeComplete(key, result)
-	}
-	if err != nil {
-		d.storeErrs.Add(1)
-	} else {
-		d.mu.Lock()
-		if err := d.journal.Append(rec); err != nil {
-			d.storeErrs.Add(1)
-		}
-		d.compactIfOversized()
-		d.mu.Unlock()
-	}
-	d.removeCheckpoint(key)
+// complete journals a settled job's complete record — the persisted half
+// of the idempotency success LRU, byte for byte the record the
+// replication stream carries — and removes its checkpoint.
+func (d *durable) complete(r record) {
+	_ = d.append(r.raw) // a failure is counted in storeErrs
+	d.removeCheckpoint(r.key)
 }
 
 // forget journals that a job's attempt died (failure, timeout, drain):
 // a post-restart retry must re-execute rather than resume or replay.
 func (d *durable) forget(key string) {
-	rec, err := encodeForget(key)
-	if err != nil {
+	if r, err := (record{kind: recForget, key: key}).encode(); err != nil {
 		d.storeErrs.Add(1)
 	} else {
-		d.mu.Lock()
-		if err := d.journal.Append(rec); err != nil {
-			d.storeErrs.Add(1)
-		}
-		d.compactIfOversized()
-		d.mu.Unlock()
+		_ = d.append(r.raw) // a failure is counted in storeErrs
 	}
 	d.removeCheckpoint(key)
+}
+
+// append journals one encoded record and compacts the journal once it
+// crosses journalCap. A failed append is counted in storeErrs.
+func (d *durable) append(raw []byte) error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if err := d.journal.Append(raw); err != nil {
+		d.storeErrs.Add(1)
+		return err
+	}
+	d.compactIfOversized()
+	return nil
 }
 
 // compactIfOversized rewrites the journal down to live state once it
@@ -383,35 +251,15 @@ func (d *durable) compactIfOversized() {
 }
 
 // rewrite compacts the journal to the given state: every pending
-// accept plus the most recent idemCap completed results. Called with
-// mu held.
+// accept plus the most recent idemCap completed results, each as the
+// bytes it was journaled with. Called with mu held.
 func (d *durable) rewrite(st *journalState) error {
-	var recs [][]byte
+	recs := make([][]byte, 0, len(st.order)+len(st.done))
 	for _, key := range st.order {
-		a := st.pending[key]
-		rec, err := encodeAccept(key, a.sessID, a.deadline, a.input)
-		if err != nil {
-			return err
-		}
-		recs = append(recs, rec)
+		recs = append(recs, st.pending[key].raw)
 	}
-	done := st.done
-	if len(done) > d.idemCap {
-		done = done[len(done)-d.idemCap:]
-	}
-	for _, key := range done {
-		c := st.completed[key]
-		var rec []byte
-		var err error
-		if c.stride > 1 {
-			rec, err = encodeCompleteLane(key, c.lane, c.stride, c.body)
-		} else {
-			rec, err = encodeComplete(key, c.body)
-		}
-		if err != nil {
-			return err
-		}
-		recs = append(recs, rec)
+	for _, key := range st.retained(d.idemCap) {
+		recs = append(recs, st.completed[key].raw)
 	}
 	return d.journal.Rewrite(recs)
 }
@@ -485,25 +333,6 @@ func (d *durable) pruneCheckpoints(st *journalState) {
 
 // --- session spill ------------------------------------------------------
 
-// validSessionID reports whether id has exactly the 32-lowercase-hex
-// form newSessionID produces. Session ids arrive from clients (header,
-// query param, URL path) and from replayed journal records, and they
-// become file names under sessDir — anything else ("../…", encoded
-// separators, the empty string) must be rejected before any disk
-// operation or a hostile id escapes the data dir.
-func validSessionID(id string) bool {
-	if len(id) != 32 {
-		return false
-	}
-	for i := 0; i < len(id); i++ {
-		c := id[i]
-		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
-			return false
-		}
-	}
-	return true
-}
-
 func (d *durable) sessPath(id string) string {
 	return filepath.Join(d.sessDir, id+".key")
 }
@@ -513,7 +342,7 @@ func (d *durable) sessPath(id string) string {
 // larger than the whole budget is simply not spilled — the session
 // still serves from RAM, it just will not survive a restart.
 func (d *durable) saveSession(id string, raw []byte) error {
-	if !validSessionID(id) {
+	if !api.ValidID(id) {
 		d.storeErrs.Add(1)
 		return fmt.Errorf("serve: invalid session id %q", id)
 	}
@@ -573,7 +402,7 @@ func (d *durable) evictSessionsLocked(keep string) {
 // loadSession reads a spilled key bundle back, bumping its mtime so
 // disk eviction approximates LRU.
 func (d *durable) loadSession(id string) ([]byte, error) {
-	if !validSessionID(id) {
+	if !api.ValidID(id) {
 		return nil, fmt.Errorf("serve: invalid session id %q: %w", id, os.ErrNotExist)
 	}
 	raw, err := store.ReadFile(d.sessPath(id))
@@ -586,7 +415,7 @@ func (d *durable) loadSession(id string) ([]byte, error) {
 }
 
 func (d *durable) dropSession(id string) bool {
-	if !validSessionID(id) {
+	if !api.ValidID(id) {
 		return false
 	}
 	path := d.sessPath(id)
@@ -618,7 +447,7 @@ func (d *durable) sessionIDs() []string {
 			continue
 		}
 		id := strings.TrimSuffix(name, ".key")
-		if validSessionID(id) {
+		if api.ValidID(id) {
 			ids = append(ids, id)
 		}
 	}

@@ -2,30 +2,30 @@ package serve
 
 import (
 	"container/list"
+	"strings"
 	"sync"
 )
 
 // idemEntry tracks one idempotency key's execution: in flight until done
-// closes, then either a retained success (ok, body set — the exact bytes
-// the first execution produced) or a failure (removed from the cache so
-// a retry re-executes).
+// closes, then either a retained success (ok, res set) or a failure
+// (removed from the cache so a retry re-executes).
 type idemEntry struct {
 	key  string
 	done chan struct{}
 	ok   bool
-	body []byte
-	// lane/stride record where in the stored ciphertext the caller's
-	// slots live when the execution rode a shared batch (stride <= 1
-	// for solo results); replays re-emit them as response headers.
-	lane   int
-	stride int
-	elem   *list.Element // non-nil once retained in the completed LRU
+	// res is the settled success: the complete record the journal and
+	// the replication stream carry. Its body is the exact bytes the first
+	// execution produced; its lane/stride say where the caller's slots
+	// live when the execution rode a shared batch (stride <= 1 for solo
+	// results), and replays re-emit them as response headers.
+	res  record
+	elem *list.Element // non-nil once retained in the completed LRU
 	// restored stashes a replicated completion that arrived while a local
 	// attempt under the same key was still in flight (a hedged duplicate
 	// racing the original's shipped settlement). If the local attempt is
 	// abandoned or fails, the stash is promoted instead of forgetting the
 	// key — the replicated bytes are the authoritative result.
-	restored *completedResult
+	restored *record
 }
 
 // idemCache makes /v1/infer retries safe: the first request bearing a
@@ -64,27 +64,22 @@ func (c *idemCache) begin(key string) (entry *idemEntry, owner bool) {
 	return e, true
 }
 
-// complete finalizes an owned entry. Success retains the body under the
-// LRU cap; failure removes the key so the next attempt re-executes.
+// complete finalizes an owned entry. Success retains res under the LRU
+// cap; failure removes the key so the next attempt re-executes.
 // Followers blocked on entry.done observe the final state afterwards.
-func (c *idemCache) complete(e *idemEntry, ok bool, body []byte, lane, stride int) {
+func (c *idemCache) complete(e *idemEntry, ok bool, res record) {
 	c.mu.Lock()
 	if !ok && e.restored != nil {
 		// The local attempt died, but a replicated completion for this key
 		// landed while it ran: promote it rather than forgetting the key,
 		// or a hedge loser's cancellation would destroy the winner's
 		// settled result.
-		ok, body, lane, stride = true, e.restored.body, e.restored.lane, e.restored.stride
+		ok, res = true, *e.restored
 	}
 	e.restored = nil
-	e.ok, e.body = ok, body
-	e.lane, e.stride = lane, stride
+	e.ok, e.res = ok, res
 	if ok {
-		e.elem = c.order.PushFront(e)
-		for c.order.Len() > c.capacity {
-			victim := c.order.Remove(c.order.Back()).(*idemEntry)
-			delete(c.byKey, victim.key)
-		}
+		c.retain(e)
 	} else {
 		delete(c.byKey, e.key)
 	}
@@ -92,69 +87,50 @@ func (c *idemCache) complete(e *idemEntry, ok bool, body []byte, lane, stride in
 	close(e.done)
 }
 
-// restore seeds a retained success from the durable journal during
-// crash recovery: the entry is born completed (done already closed), so
-// a post-restart retry under the same key replays the stored bytes
-// exactly as if the daemon had never died. Keys already present — e.g.
-// claimed by an in-flight recovered job — are left alone.
-func (c *idemCache) restore(key string, body []byte, lane, stride int) {
+// restore seeds a retained success from a complete record — journaled,
+// during crash recovery, or shipped by a peer: the entry is born
+// completed (done already closed), so a retry under the same key replays
+// the stored bytes exactly as if the execution had happened here. Keys
+// already present — e.g. claimed by an in-flight recovered job — are
+// left alone.
+func (c *idemCache) restore(res record) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if e, ok := c.byKey[key]; ok {
+	if e, ok := c.byKey[res.key]; ok {
 		if e.elem == nil {
 			// In flight here, already settled elsewhere (a hedged duplicate
 			// raced the original): stash the authoritative bytes so an
 			// abandoned local attempt promotes them instead of losing them.
-			e.restored = &completedResult{key: key, lane: lane, stride: stride, body: body}
+			e.restored = &res
 		}
 		return
 	}
-	e := &idemEntry{key: key, done: make(chan struct{}), ok: true, body: body, lane: lane, stride: stride}
+	e := &idemEntry{key: res.key, done: make(chan struct{}), ok: true, res: res}
 	close(e.done)
+	c.byKey[res.key] = e
+	c.retain(e)
+}
+
+// retain puts a settled success at the front of the LRU, evicting the
+// oldest past capacity. Called with mu held.
+func (c *idemCache) retain(e *idemEntry) {
 	e.elem = c.order.PushFront(e)
-	c.byKey[key] = e
 	for c.order.Len() > c.capacity {
 		victim := c.order.Remove(c.order.Back()).(*idemEntry)
 		delete(c.byKey, victim.key)
 	}
 }
 
-// forgetCompleted removes a retained success, the in-memory half of a
-// replicated forget: the shipping shard's attempt under this key died,
-// so a retry arriving here must re-execute rather than replay stale
-// bytes. In-flight entries are left alone — a local owner already
-// racing under the key settles it itself.
-func (c *idemCache) forgetCompleted(key string) {
+// completed returns the retained successes oldest-first (LRU back to
+// front), so re-replication re-applies them in roughly the order they
+// were produced. In-flight entries are skipped — their completion ships
+// through the normal path when it lands.
+func (c *idemCache) completed() []record {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e, ok := c.byKey[key]
-	if !ok || e.elem == nil {
-		return
-	}
-	c.order.Remove(e.elem)
-	delete(c.byKey, key)
-}
-
-// completedResult is one retained success, snapshotted for membership
-// re-replication.
-type completedResult struct {
-	key    string
-	lane   int
-	stride int
-	body   []byte
-}
-
-// completedSnapshot returns the retained successes oldest-first (LRU
-// back to front), so re-replication re-applies them in roughly the
-// order they were produced. In-flight entries are skipped — their
-// completion ships through the normal path when it lands.
-func (c *idemCache) completedSnapshot() []completedResult {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]completedResult, 0, c.order.Len())
+	out := make([]record, 0, c.order.Len())
 	for el := c.order.Back(); el != nil; el = el.Prev() {
-		e := el.Value.(*idemEntry)
-		out = append(out, completedResult{key: e.key, lane: e.lane, stride: e.stride, body: e.body})
+		out = append(out, el.Value.(*idemEntry).res)
 	}
 	return out
 }
@@ -164,4 +140,12 @@ func (c *idemCache) len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.byKey)
+}
+
+// idemSession returns the session half of an idempotency key:
+// handleInfer scopes every client key to its session as
+// "<session id>/<client key>".
+func idemSession(key string) string {
+	id, _, _ := strings.Cut(key, "/")
+	return id
 }

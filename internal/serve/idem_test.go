@@ -5,6 +5,11 @@ import (
 	"testing"
 )
 
+// settled is a complete record for the key "sess/k".
+func settled(body string, lane, stride int) record {
+	return record{kind: recComplete, key: "sess/k", lane: lane, stride: stride, body: []byte(body)}
+}
+
 // TestIdemRestorePromotesOverAbandonedAttempt: a replicated completion
 // arriving while a local attempt under the same key is in flight (a
 // hedged duplicate racing the original's shipped settlement) must not
@@ -19,20 +24,20 @@ func TestIdemRestorePromotesOverAbandonedAttempt(t *testing.T) {
 
 	// The authoritative settlement lands from the replica stream while
 	// the local attempt is still running.
-	c.restore("sess/k", []byte("settled"), 3, 4)
+	c.restore(settled("settled", 3, 4))
 
 	// The local attempt is abandoned (hedge loser cancelled): instead of
 	// forgetting the key, the replicated result takes its place.
-	c.complete(entry, false, nil, 0, 0)
+	c.complete(entry, false, record{})
 
 	again, owner := c.begin("sess/k")
 	if owner {
 		t.Fatal("key was forgotten despite a stashed replicated completion")
 	}
 	<-again.done
-	if !again.ok || !bytes.Equal(again.body, []byte("settled")) || again.lane != 3 || again.stride != 4 {
+	if !again.ok || !bytes.Equal(again.res.body, []byte("settled")) || again.res.lane != 3 || again.res.stride != 4 {
 		t.Fatalf("promoted entry = ok=%v body=%q lane=%d stride=%d, want the replicated settlement",
-			again.ok, again.body, again.lane, again.stride)
+			again.ok, again.res.body, again.res.lane, again.res.stride)
 	}
 }
 
@@ -42,15 +47,15 @@ func TestIdemRestorePromotesOverAbandonedAttempt(t *testing.T) {
 func TestIdemRestoreDoesNotOverrideLocalSuccess(t *testing.T) {
 	c := newIdemCache(8)
 	entry, _ := c.begin("sess/k")
-	c.restore("sess/k", []byte("replicated"), 0, 0)
-	c.complete(entry, true, []byte("local"), 1, 2)
+	c.restore(settled("replicated", 0, 0))
+	c.complete(entry, true, settled("local", 1, 2))
 
 	again, owner := c.begin("sess/k")
 	if owner {
 		t.Fatal("completed key was not retained")
 	}
-	if !bytes.Equal(again.body, []byte("local")) || again.lane != 1 || again.stride != 2 {
-		t.Fatalf("entry = %q lane=%d stride=%d, want the local success", again.body, again.lane, again.stride)
+	if !bytes.Equal(again.res.body, []byte("local")) || again.res.lane != 1 || again.res.stride != 2 {
+		t.Fatalf("entry = %q lane=%d stride=%d, want the local success", again.res.body, again.res.lane, again.res.stride)
 	}
 }
 
@@ -59,11 +64,11 @@ func TestIdemRestoreDoesNotOverrideLocalSuccess(t *testing.T) {
 func TestIdemRestoreCompletedUntouched(t *testing.T) {
 	c := newIdemCache(8)
 	entry, _ := c.begin("sess/k")
-	c.complete(entry, true, []byte("first"), 0, 0)
-	c.restore("sess/k", []byte("second"), 0, 0)
+	c.complete(entry, true, settled("first", 0, 0))
+	c.restore(settled("second", 0, 0))
 
 	again, _ := c.begin("sess/k")
-	if !bytes.Equal(again.body, []byte("first")) {
-		t.Fatalf("retained body %q, want the original", again.body)
+	if !bytes.Equal(again.res.body, []byte("first")) {
+		t.Fatalf("retained body %q, want the original", again.res.body)
 	}
 }

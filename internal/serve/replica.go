@@ -2,36 +2,36 @@ package serve
 
 import (
 	"errors"
+	"fmt"
 	"log/slog"
 	"net/http"
 	"strconv"
 
 	"antace/internal/ckks"
-	"antace/internal/cluster"
 	"antace/internal/serve/api"
 	"antace/internal/store"
 )
 
-// Replicator receives this shard's durable state as it is produced, to
-// ship to a successor shard: the session key bundle at registration and
-// every idempotency-journal settlement afterwards. The serve layer only
-// calls it — internal/cluster provides the implementation that hashes
-// the session onto a ring and POSTs ACELOG1 images to the peer — so a
-// shard without cluster wiring keeps the exact single-node behavior.
+// Replicator ships this shard's durable state to a successor shard as it
+// is produced: the session record at registration and the complete
+// record of every settled idempotent job. Serve owns the record format
+// and hands over encoded records — the bytes its own journal holds — so
+// the implementation (internal/cluster hashes the session onto a ring
+// and POSTs ACELOG1 images to the peer) moves opaque bytes. A shard
+// without cluster wiring keeps the exact single-node behavior.
 //
 // ShipSession is synchronous: registration does not answer 201 until
 // the replica holds the keys (or shipping conclusively failed, which is
-// fail-open and counted). ShipComplete and ShipForget are asynchronous;
-// a lost completion only costs the replica a deterministic
-// re-execution on failover, never a wrong answer.
+// fail-open and counted). Ship is asynchronous; a lost completion only
+// costs the replica a deterministic re-execution on failover, never a
+// wrong answer. Nothing ships a forget.
 type Replicator interface {
-	ShipSession(id string, bundle []byte) error
-	ShipComplete(key string, lane, stride int, body []byte)
-	ShipForget(key string)
+	ShipSession(id string, rec []byte) error
+	Ship(session string, rec []byte)
 }
 
 // handleReplicaApply ingests one replication shipment: the body is an
-// ACELOG1 log image of cluster replication records. The store layer's
+// ACELOG1 log image of session and complete records. The store layer's
 // CRC framing is the integrity check — a corrupt frame rejects the
 // shipment with 400, while a torn tail (the shipper died or the
 // replica.ship.torn fault cut the stream mid-frame) applies the intact
@@ -68,15 +68,10 @@ func (s *Server) handleReplicaApply(w http.ResponseWriter, r *http.Request) {
 	}
 	applied := 0
 	for _, raw := range records {
-		rec, err := cluster.DecodeRecord(raw)
-		if err != nil {
-			// The frame passed its CRC but does not parse: a protocol
+		if err := s.applyReplicaRecord(raw); err != nil {
+			// The frame passed its CRC but does not apply: a protocol
 			// mismatch, not wire damage. Report what landed and refuse the
 			// rest — re-shipping the same bytes cannot help.
-			api.WriteError(w, http.StatusBadRequest, "replica record %d: %v", applied, err)
-			return
-		}
-		if err := s.applyReplicaRecord(rec); err != nil {
 			api.WriteError(w, http.StatusBadRequest, "replica record %d: %v", applied, err)
 			return
 		}
@@ -85,56 +80,55 @@ func (s *Server) handleReplicaApply(w http.ResponseWriter, r *http.Request) {
 	api.WriteJSON(w, http.StatusOK, api.ReplicaApply{Applied: applied, Torn: torn})
 }
 
-// applyReplicaRecord lands one replicated record in the same stores a
-// local request would use, so failover needs no special read path: a
-// replicated session serves /v1/infer via the ordinary session lookup
-// and a replicated completion replays via the ordinary idempotency
-// cache, bit for bit.
-func (s *Server) applyReplicaRecord(rec cluster.Record) error {
-	switch rec.Kind {
-	case cluster.RecSession:
-		if !validSessionID(rec.SessionID) {
+// applyReplicaRecord decodes one replicated record and lands it in the
+// same stores a local request would use, so failover needs no special
+// read path: a replicated session serves /v1/infer via the ordinary
+// session lookup, and a replicated completion replays via the ordinary
+// idempotency cache, bit for bit, and enters this shard's journal as
+// the bytes it arrived as. Only session and complete records replicate:
+// accepts and forgets are one shard's own journal business, and a
+// forget crossing another shard's settled result would destroy it.
+func (s *Server) applyReplicaRecord(raw []byte) error {
+	rec, err := decodeRecord(raw)
+	if err != nil {
+		return err
+	}
+	switch rec.kind {
+	case recSession:
+		if !api.ValidID(rec.key) {
 			return errInvalidReplicaSession
 		}
 		keys := &ckks.EvaluationKeySet{}
-		if err := keys.UnmarshalBinary(rec.Bundle); err != nil {
+		if err := keys.UnmarshalBinary(rec.body); err != nil {
 			return err
 		}
 		if err := s.validateKeys(keys); err != nil {
 			return err
 		}
-		if _, err := s.sessions.putWithID(rec.SessionID, keys, int64(len(rec.Bundle))); err != nil {
+		if _, err := s.sessions.putWithID(rec.key, keys, int64(len(rec.body))); err != nil {
 			return err
 		}
 		if s.dur != nil {
 			// Fail open like local registration: a disk error leaves the
 			// replica RAM-only, counted in storeErrs.
-			_ = s.dur.saveSession(rec.SessionID, rec.Bundle)
+			_ = s.dur.saveSession(rec.key, rec.body)
 		}
 		s.stats.replicaSessions.Add(1)
-		s.log.Info("replica.session", slog.String("session", rec.SessionID),
-			slog.Int("bytes", len(rec.Bundle)))
-	case cluster.RecComplete:
-		s.idem.restore(rec.Key, rec.Body, rec.Lane, rec.Stride)
+		s.log.Info("replica.session", slog.String("session", rec.key),
+			slog.Int("bytes", len(rec.body)))
+	case recComplete:
+		s.idem.restore(rec)
 		if s.dur != nil {
-			s.dur.complete(rec.Key, rec.Body, rec.Lane, rec.Stride)
+			s.dur.complete(rec)
 		}
 		s.stats.replicaResults.Add(1)
-	case cluster.RecForget:
-		s.idem.forgetCompleted(rec.Key)
-		if s.dur != nil {
-			s.dur.forget(rec.Key)
-		}
 	default:
-		return errUnknownReplicaRecord
+		return fmt.Errorf("serve: record kind %d does not replicate", rec.kind)
 	}
 	return nil
 }
 
-var (
-	errInvalidReplicaSession = errors.New("serve: replicated session id is not 32 lowercase hex")
-	errUnknownReplicaRecord  = errors.New("serve: unknown replication record kind")
-)
+var errInvalidReplicaSession = errors.New("serve: replicated session id is not 32 lowercase hex")
 
 // handleReadyz is the routing signal, distinct from the liveness probe:
 // a shard that is draining or still re-executing journaled jobs after a

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"antace/internal/cluster"
 	"antace/internal/fheclient"
 	"antace/internal/ring"
 	"antace/internal/serve/api"
@@ -67,8 +66,8 @@ func TestReadyzStates(t *testing.T) {
 func TestReplicaApplyTornTail(t *testing.T) {
 	_, ts, _ := startServer(t, Config{Workers: 1})
 
-	rec1 := mustEncodeComplete(t, "aaaa/k1", []byte("result-one"))
-	rec2 := mustEncodeComplete(t, "aaaa/k2", []byte("result-two"))
+	rec1 := mustEncode(t, recComplete, "aaaa/k1", []byte("result-one"))
+	rec2 := mustEncode(t, recComplete, "aaaa/k2", []byte("result-two"))
 	image := store.Image([][]byte{rec1, rec2})
 
 	// Cut inside the second frame.
@@ -89,7 +88,7 @@ func TestReplicaApplyTornTail(t *testing.T) {
 // is never partially applied.
 func TestReplicaApplyRejectsCorruptImage(t *testing.T) {
 	_, ts, _ := startServer(t, Config{Workers: 1})
-	image := store.Image([][]byte{mustEncodeComplete(t, "aaaa/k1", []byte("result"))})
+	image := store.Image([][]byte{mustEncode(t, recComplete, "aaaa/k1", []byte("result"))})
 	image[len(image)-3] ^= 0xff
 	postReplica(t, ts.URL, image, http.StatusBadRequest)
 }
@@ -108,9 +107,8 @@ func TestReplicaApplyRejectsUnknownRecord(t *testing.T) {
 // settlement are shipped to shard B as ACELOG1 records; B then (1)
 // serves a fresh inference under the replicated keys with bytes
 // identical to A's — FHE evaluation is deterministic given keys and
-// input — (2) replays A's completed idempotency key from the replicated
-// journal entry without executing, and (3) re-executes that key after a
-// replicated forget withdraws it.
+// input — and (2) replays A's completed idempotency key from the
+// replicated journal entry without executing.
 func TestReplicatedStateServesFailover(t *testing.T) {
 	prog, vres := compileLinear(t)
 	dirA := t.TempDir()
@@ -151,10 +149,7 @@ func TestReplicatedStateServesFailover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sessRec, err := cluster.EncodeSession(id, bundle)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sessRec := mustEncode(t, recSession, id, bundle)
 	if reply := postReplica(t, tsB.URL, store.Image([][]byte{sessRec}), http.StatusOK); reply.Applied != 1 {
 		t.Fatalf("session apply: %+v", reply)
 	}
@@ -166,7 +161,7 @@ func TestReplicatedStateServesFailover(t *testing.T) {
 	}
 
 	// (2) Replicate A's settlement for k1: B must replay, not execute.
-	compRec := mustEncodeComplete(t, id+"/k1", want)
+	compRec := mustEncode(t, recComplete, id+"/k1", want)
 	if reply := postReplica(t, tsB.URL, store.Image([][]byte{compRec}), http.StatusOK); reply.Applied != 1 {
 		t.Fatalf("completion apply: %+v", reply)
 	}
@@ -185,30 +180,6 @@ func TestReplicatedStateServesFailover(t *testing.T) {
 		t.Fatal("replicated completion replayed different bytes")
 	}
 
-	// (3) A replicated forget withdraws the key; the next attempt
-	// re-executes and — determinism again — still matches.
-	forgetRec, err := cluster.EncodeForget(id + "/k1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reply := postReplica(t, tsB.URL, store.Image([][]byte{forgetRec}), http.StatusOK); reply.Applied != 1 {
-		t.Fatalf("forget apply: %+v", reply)
-	}
-	req, _ = http.NewRequest(http.MethodPost, tsB.URL+api.PathInfer, bytes.NewReader(ctBytes))
-	req.Header.Set(api.HeaderSession, id)
-	req.Header.Set(api.HeaderIdemKey, "k1")
-	resp, err = http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reExec := readAll(t, resp)
-	if resp.StatusCode != http.StatusOK || resp.Header.Get(api.HeaderIdemReplayed) != "" {
-		t.Fatalf("after forget: %d replayed=%q, want fresh execution", resp.StatusCode, resp.Header.Get(api.HeaderIdemReplayed))
-	}
-	if !bytes.Equal(reExec, want) {
-		t.Fatal("re-execution after forget produced different bytes")
-	}
-
 	st := fetchStatz(t, tsB.URL)
 	if st.ReplicaSessions != 1 {
 		t.Errorf("replica_sessions = %d, want 1", st.ReplicaSessions)
@@ -222,16 +193,10 @@ func TestReplicatedStateServesFailover(t *testing.T) {
 // not decode must not poison the session table.
 func TestReplicaApplyRejectsBadSession(t *testing.T) {
 	_, ts, _ := startServer(t, Config{Workers: 1})
-	rec, err := cluster.EncodeSession("0123456789abcdef0123456789abcdef", []byte("not a key bundle"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	rec := mustEncode(t, recSession, "0123456789abcdef0123456789abcdef", []byte("not a key bundle"))
 	postReplica(t, ts.URL, store.Image([][]byte{rec}), http.StatusBadRequest)
 
-	rec, err = cluster.EncodeSession("NOT-HEX", []byte{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rec = mustEncode(t, recSession, "NOT-HEX", []byte{})
 	postReplica(t, ts.URL, store.Image([][]byte{rec}), http.StatusBadRequest)
 }
 
@@ -291,13 +256,13 @@ func postReplica(t *testing.T, base string, image []byte, wantStatus int) api.Re
 	return reply
 }
 
-func mustEncodeComplete(t *testing.T, key string, body []byte) []byte {
+func mustEncode(t *testing.T, kind byte, key string, body []byte) []byte {
 	t.Helper()
-	rec, err := cluster.EncodeComplete(key, 0, 0, body)
+	r, err := record{kind: kind, key: key, body: body}.encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return rec
+	return r.raw
 }
 
 func doInfer(t *testing.T, base, session, idemKey string, ctBytes []byte, wantStatus int) []byte {

@@ -414,13 +414,8 @@ func (s *Server) openDurability() error {
 	// Journaled successes become pre-completed idempotency entries:
 	// post-restart retries replay them bit for bit. Oldest first, so the
 	// LRU retains the most recent idemEntries of them.
-	done := st.done
-	if len(done) > idemEntries {
-		done = done[len(done)-idemEntries:]
-	}
-	for _, key := range done {
-		c := st.completed[key]
-		s.idem.restore(key, c.body, c.lane, c.stride)
+	for _, key := range st.retained(idemEntries) {
+		s.idem.restore(st.completed[key])
 	}
 
 	// Compact to live state and drop checkpoints with no pending accept,
@@ -459,7 +454,7 @@ func (s *Server) openDurability() error {
 // its job resurrected into a 10-minute zombie occupying a worker long
 // after the caller gave up. Jobs whose deadline already passed are
 // dropped outright (journaled as forgotten, so a retry re-executes).
-func (s *Server) recoverJob(key string, a acceptRec, entry *idemEntry) {
+func (s *Server) recoverJob(key string, a record, entry *idemEntry) {
 	defer s.recovering.Add(-1)
 	trace := obs.NewTraceID()
 	log := s.log.With(slog.String("trace", trace), slog.String("idem_key", key))
@@ -468,10 +463,11 @@ func (s *Server) recoverJob(key string, a acceptRec, entry *idemEntry) {
 		return
 	}
 	budget := s.cfg.MaxDeadline
-	if !a.deadline.IsZero() {
-		rem := time.Until(a.deadline)
+	if a.deadlineMs != 0 {
+		deadline := time.UnixMilli(a.deadlineMs)
+		rem := time.Until(deadline)
 		if rem <= 0 {
-			log.Info("recover.expired", slog.Time("deadline", a.deadline))
+			log.Info("recover.expired", slog.Time("deadline", deadline))
 			s.completeIdem(entry, false, nil, 0, 0)
 			return
 		}
@@ -488,7 +484,7 @@ func (s *Server) recoverJob(key string, a acceptRec, entry *idemEntry) {
 		return
 	}
 	ct := &ckks.Ciphertext{}
-	if err := ct.UnmarshalBinary(a.input); err != nil {
+	if err := ct.UnmarshalBinary(a.body); err != nil {
 		s.completeIdem(entry, false, nil, 0, 0)
 		return
 	}
@@ -840,11 +836,11 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	// registration) so the id's hash placement is decided before the id
 	// exists anywhere: the router mints it, picks this shard by ring
 	// lookup, and every process can later re-derive primary and replica
-	// from the id alone. Anything but the exact newSessionID shape is
+	// from the id alone. Anything but the exact api.NewID shape is
 	// rejected — ids become file names and ring keys.
 	var sess *session
 	if want := r.Header.Get(api.HeaderSession); want != "" {
-		if !validSessionID(want) {
+		if !api.ValidID(want) {
 			api.WriteError(w, http.StatusBadRequest, "pre-assigned session id must be 32 lowercase hex characters")
 			return
 		}
@@ -867,7 +863,11 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		// already holds the keys — that is what makes shard death cost
 		// zero re-registration. Fail open past retries (counted); a lone
 		// surviving shard still serves.
-		if err := s.repl.ShipSession(sess.id, body); err != nil {
+		rec, err := record{kind: recSession, key: sess.id, body: body}.encode()
+		if err == nil {
+			err = s.repl.ShipSession(sess.id, rec.raw)
+		}
+		if err != nil {
 			s.stats.replicaShipErrs.Add(1)
 			s.log.Warn("replica.ship.session", slog.String("session", sess.id),
 				slog.String("err", err.Error()))
@@ -1042,41 +1042,46 @@ func (s *Server) followIdem(w http.ResponseWriter, ctx context.Context, entry *i
 	s.stats.idemReplays.Add(1)
 	w.Header().Set("Content-Type", api.ContentTypeBinary)
 	w.Header().Set(api.HeaderIdemReplayed, "1")
-	setLaneHeaders(w, entry.lane, entry.stride)
+	setLaneHeaders(w, entry.res.lane, entry.res.stride)
 	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(entry.body)
+	_, _ = w.Write(entry.res.body)
 }
 
 // completeIdem finalizes an owned idempotency entry; nil entries (no key
-// on the request) are ignored. With a disk tier attached the outcome is
-// journaled first — success persists the reply bytes for post-restart
-// replay, failure (or an abandoned attempt) forgets the job so a retry
-// re-executes rather than resuming a doomed checkpoint. A batched
-// success additionally records the lane the caller's slots live in, so
-// a replay — in-memory or post-restart — carries the same lane headers
-// as the original response.
+// on the request) are ignored. A success is encoded once, as the complete
+// record carrying the reply bytes and, for a batched result, the lane the
+// caller's slots live in: the journal appends those bytes for
+// post-restart replay, the replicator ships them, and the retained entry
+// replays from them — in memory, after a restart or on a replica, with
+// the lane headers of the original response. A failure (or an abandoned
+// attempt) journals a forget so a retry re-executes rather than resuming
+// a doomed checkpoint.
 func (s *Server) completeIdem(entry *idemEntry, ok bool, body []byte, lane, stride int) {
 	if entry == nil {
 		return
 	}
+	var res record
+	if ok {
+		var err error
+		res, err = record{kind: recComplete, key: entry.key, lane: lane, stride: stride, body: body}.encode()
+		ok = err == nil // a result the record cannot frame is settled as failed
+	}
 	if s.dur != nil {
 		if ok {
-			s.dur.complete(entry.key, body, lane, stride)
+			s.dur.complete(res)
 		} else {
 			s.dur.forget(entry.key)
 		}
 	}
 	if s.repl != nil && ok {
 		// Asynchronous: the settlement rides the shipper's ordered queue,
-		// off the reply path, replicating the exact reply bytes so a
-		// failover retry replays bit-identically. Failures and abandoned
-		// attempts ship nothing: no completion was ever replicated under
-		// this key, so there is nothing to withdraw — and a forget crossing
-		// another shard's legitimate completion (a hedged duplicate losing
-		// the race) would destroy a settled result.
-		s.repl.ShipComplete(entry.key, lane, stride, body)
+		// off the reply path, so a failover retry replays bit-identically.
+		// A failure ships nothing: a replicated forget crossing another
+		// shard's legitimate completion (a hedged duplicate losing the
+		// race) would destroy a settled result.
+		s.repl.Ship(idemSession(entry.key), res.raw)
 	}
-	s.idem.complete(entry, ok, body, lane, stride)
+	s.idem.complete(entry, ok, res)
 }
 
 // finish writes every settled job's response, the 429/503 of a job that

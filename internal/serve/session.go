@@ -2,12 +2,11 @@ package serve
 
 import (
 	"container/list"
-	"crypto/rand"
-	"encoding/hex"
 	"fmt"
 	"sync"
 
 	"antace/internal/ckks"
+	"antace/internal/serve/api"
 )
 
 // session is one registered client: its evaluation-key bundle and the
@@ -38,19 +37,11 @@ func newSessionCache(budget int64) *sessionCache {
 	return &sessionCache{budget: budget, order: list.New(), byID: map[string]*list.Element{}}
 }
 
-func newSessionID() (string, error) {
-	var b [16]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		return "", fmt.Errorf("serve: session id: %w", err)
-	}
-	return hex.EncodeToString(b[:]), nil
-}
-
 // put registers a key bundle under a fresh id, evicting
 // least-recently-used sessions until it fits. A bundle larger than the
 // whole budget is refused.
 func (c *sessionCache) put(keys *ckks.EvaluationKeySet, size int64) (*session, error) {
-	id, err := newSessionID()
+	id, err := api.NewID()
 	if err != nil {
 		return nil, err
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"antace/internal/ckks"
+	"antace/internal/serve/api"
 )
 
 func put(t *testing.T, c *sessionCache, size int64) *session {
@@ -78,7 +79,7 @@ func TestSessionCacheDrop(t *testing.T) {
 func TestSessionIDsUnique(t *testing.T) {
 	seen := map[string]bool{}
 	for i := 0; i < 64; i++ {
-		id, err := newSessionID()
+		id, err := api.NewID()
 		if err != nil {
 			t.Fatal(err)
 		}
