@@ -75,10 +75,13 @@ chaos:
 # bit-identically from its checkpoint; the record tests hold the journal
 # and the replication stream to one codec (one result is the same bytes
 # in both journals and on the wire; old layouts are refused, never
-# reinterpreted); the fuzz smokes feed corrupt record, journal and
-# snapshot bytes to the decode/replay/restore paths. All raced.
+# reinterpreted); the VM resumes from every checkpoint of a run whose
+# rotations share a decomposition and gets the uninterrupted run's bytes;
+# the fuzz smokes feed corrupt record, journal and snapshot bytes to the
+# decode/replay/restore paths. All raced.
 durability:
 	$(call gotest,-count=1 -race -v -timeout 600s,-run,TestCrashRestart|TestRestart|TestRecovery|TestRecord,./internal/serve/)
+	$(call gotest,-count=1 -race -v,-run,TestSnapshotResumeBitIdentical,./internal/vm/)
 	$(call gotest,-count=1 -race -run '^$$' -fuzztime 10s,-fuzz,FuzzRecord,./internal/serve/)
 	$(call gotest,-count=1 -race -run '^$$' -fuzztime 10s,-fuzz,FuzzStoreReplay,./internal/store/)
 	$(call gotest,-count=1 -race -run '^$$' -fuzztime 10s,-fuzz,FuzzSnapshotRestore,./internal/vm/)

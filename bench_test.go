@@ -353,7 +353,7 @@ func BenchmarkAblationKeySwitchDigits(b *testing.B) {
 			eval, ct := keySwitchBenchSetup(b, lit, babies)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := eval.RotateHoisted(ct, babies); err != nil {
+				if err := rotateHoisted(eval, ct, babies); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -613,10 +613,26 @@ func BenchmarkHoistedRotations(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eval.RotateHoisted(ct, ks); err != nil {
+		if err := rotateHoisted(eval, ct, ks); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+// rotateHoisted rotates ct by every offset in ks from one shared
+// decomposition.
+func rotateHoisted(eval *ckks.Evaluator, ct *ckks.Ciphertext, ks []int) error {
+	h, err := eval.Decompose(ct)
+	if err != nil {
+		return err
+	}
+	defer h.Release()
+	for _, k := range ks {
+		if _, err := eval.RotateHoisted(ct, h, k); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // ReLU polynomial evaluation (the dominant compute outside bootstrap).

@@ -14,13 +14,25 @@ type Ciphertext struct {
 	Scale float64
 }
 
-// NewCiphertext allocates a zero ciphertext of the given degree and level.
+// NewCiphertext returns a zero ciphertext of the given degree and level,
+// its polynomials taken from the ring pool (Release hands them back).
 func NewCiphertext(params *Parameters, degree, level int) *Ciphertext {
 	ct := &Ciphertext{Value: make([]*ring.Poly, degree+1), Scale: params.DefaultScale()}
 	for i := range ct.Value {
-		ct.Value[i] = params.RingQ().NewPoly(level)
+		ct.Value[i] = params.RingQ().GetPoly(level)
 	}
 	return ct
+}
+
+// Release returns the ciphertext's pooled polynomials to the ring pool
+// of params and clears it. Only the sole holder of a ciphertext may
+// release it; polynomials that did not come from the pool are left to
+// the garbage collector.
+func (ct *Ciphertext) Release(params *Parameters) {
+	for _, p := range ct.Value {
+		params.RingQ().PutPoly(p)
+	}
+	ct.Value = nil
 }
 
 // Degree returns the ciphertext degree (number of polynomials minus one).

@@ -1,6 +1,7 @@
 package ckks
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/cmplx"
@@ -506,6 +507,9 @@ func TestGeneratePrimesMatchesPerPrime(t *testing.T) {
 	}
 }
 
+// TestRotateHoistedMatchesRotate: rotations sharing one decomposition
+// are byte-for-byte the rotations that decompose on their own, whatever
+// order they run in and however often the decomposition was read before.
 func TestRotateHoistedMatchesRotate(t *testing.T) {
 	rots := []int{1, 2, 5, -3, 64}
 	tc := newTestContext(t, rots)
@@ -514,17 +518,78 @@ func TestRotateHoistedMatchesRotate(t *testing.T) {
 	pt, _ := tc.enc.Encode(values, tc.params.MaxLevel(), tc.params.DefaultScale())
 	ct := tc.encPk.Encrypt(pt)
 
-	hoisted, err := tc.eval.RotateHoisted(ct, append([]int{0}, rots...))
+	h, err := tc.eval.Decompose(ct)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, k := range append([]int{0}, rots...) {
+	defer h.Release()
+	for _, k := range append(append([]int{0}, rots...), rots[0]) {
+		hoisted, err := tc.eval.RotateHoisted(ct, h, k)
+		if err != nil {
+			t.Fatal(err)
+		}
 		want, err := tc.eval.Rotate(ct, k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gw := tc.enc.Decode(tc.dec.Decrypt(want), slots)
-		gh := tc.enc.Decode(tc.dec.Decrypt(hoisted[k]), slots)
-		requireClose(t, gh, gw, 1e-4, "hoisted rotation")
+		hb, err := hoisted.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		wb, err := want.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(hb, wb) {
+			t.Fatalf("rotation by %d from a shared decomposition differs from Rotate", k)
+		}
+	}
+}
+
+// TestCenteredRowMatchesBigPath: decoding at level 0 centers the one
+// residue directly; it must give the float64 the big-integer CRT path
+// gives, bit for bit, on random rows of a 60-bit prime (where the
+// rounding to float64 is not exact) and at the centering edges 0, 1,
+// ⌊q/2⌋, ⌊q/2⌋+1 and q−1.
+func TestCenteredRowMatchesBigPath(t *testing.T) {
+	params, err := NewParameters(ParametersLiteral{LogN: 8, LogQ: []int{60, 40}, LogP: []int{61}, LogScale: 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rQ := params.RingQ()
+	q := rQ.Moduli[0]
+	rng := rand.New(rand.NewPCG(29, 31))
+	p := rQ.NewPoly(0)
+	row := p.Coeffs[0]
+	for j := range row {
+		row[j] = rng.Uint64N(q)
+	}
+	copy(row, []uint64{0, 1, q / 2, q/2 + 1, q - 1})
+	fast := centeredRow(row, q)
+	for j, c := range centeredBigCoeffs(rQ, p) {
+		if want := bigToFloat(c); math.Float64bits(fast[j]) != math.Float64bits(want) {
+			t.Fatalf("residue %d: fast path %v, big-integer path %v", row[j], fast[j], want)
+		}
+	}
+}
+
+// TestRelinearizeNeverReturnsOperand: a degree-1 ciphertext comes back
+// as an equal copy, not as itself, so a caller may release the operand
+// and the result independently.
+func TestRelinearizeNeverReturnsOperand(t *testing.T) {
+	tc := newTestContext(t, nil)
+	pt, _ := tc.enc.Encode(randomComplexVector(tc.params.Slots(), 1, 57), tc.params.MaxLevel(), tc.params.DefaultScale())
+	ct := tc.encPk.Encrypt(pt)
+	out, err := tc.eval.Relinearize(ct)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range ct.Value {
+		if out.Value[i] == ct.Value[i] || &out.Value[i].Coeffs[0][0] == &ct.Value[i].Coeffs[0][0] {
+			t.Fatalf("polynomial %d of the result is the operand's", i)
+		}
+		if !out.Value[i].Equal(ct.Value[i]) {
+			t.Fatalf("polynomial %d of the result differs from the operand", i)
+		}
 	}
 }

@@ -228,16 +228,11 @@ func (e *Encoder) Decode(pt *Plaintext, slots int) []complex128 {
 	if slots <= 0 || slots > n/2 {
 		slots = n / 2
 	}
-	coeffPoly := pt.Value.CopyNew()
-	e.params.RingQ().INTT(coeffPoly, coeffPoly)
-	coeffs := centeredBigCoeffs(e.params.RingQ(), coeffPoly)
-
+	coeffs := e.centeredCoeffs(pt)
 	gap := (n / 2) / slots
 	vals := make([]complex128, slots)
 	for i, idx := 0, 0; i < slots; i, idx = i+1, idx+gap {
-		re := bigToFloat(coeffs[idx]) / pt.Scale
-		im := bigToFloat(coeffs[idx+n/2]) / pt.Scale
-		vals[i] = complex(re, im)
+		vals[i] = complex(coeffs[idx]/pt.Scale, coeffs[idx+n/2]/pt.Scale)
 	}
 	e.specialFFT(vals)
 	return vals
@@ -255,12 +250,43 @@ func (e *Encoder) DecodeReal(pt *Plaintext, slots int) []float64 {
 
 // DecodeCoeffs returns the raw (un-embedded) scaled coefficients.
 func (e *Encoder) DecodeCoeffs(pt *Plaintext) []float64 {
+	out := e.centeredCoeffs(pt)
+	for i := range out {
+		out[i] /= pt.Scale
+	}
+	return out
+}
+
+// centeredCoeffs returns the plaintext's integer coefficients, centered
+// in (-Q/2, Q/2], rounded to float64. At level 0 the one residue is the
+// coefficient, centered directly; above it the coefficients are
+// CRT-reconstructed as big integers. Both round to the nearest float64,
+// so they agree bit for bit where both apply.
+func (e *Encoder) centeredCoeffs(pt *Plaintext) []float64 {
+	rQ := e.params.RingQ()
 	coeffPoly := pt.Value.CopyNew()
-	e.params.RingQ().INTT(coeffPoly, coeffPoly)
-	coeffs := centeredBigCoeffs(e.params.RingQ(), coeffPoly)
-	out := make([]float64, len(coeffs))
-	for i, c := range coeffs {
-		out[i] = bigToFloat(c) / pt.Scale
+	rQ.INTT(coeffPoly, coeffPoly)
+	if coeffPoly.Level() == 0 {
+		return centeredRow(coeffPoly.Coeffs[0], rQ.Moduli[0])
+	}
+	wide := centeredBigCoeffs(rQ, coeffPoly)
+	out := make([]float64, len(wide))
+	for i, c := range wide {
+		out[i] = bigToFloat(c)
+	}
+	return out
+}
+
+// centeredRow centers residues modulo q in (-q/2, q/2] as float64.
+func centeredRow(row []uint64, q uint64) []float64 {
+	half := q >> 1
+	out := make([]float64, len(row))
+	for i, x := range row {
+		if x > half {
+			out[i] = -float64(q - x)
+		} else {
+			out[i] = float64(x)
+		}
 	}
 	return out
 }

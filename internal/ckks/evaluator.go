@@ -54,22 +54,46 @@ func scaleClose(a, b float64) bool {
 	return math.Abs(a-b) <= math.Max(a, b)*math.Exp2(-20)
 }
 
-// alignLevels drops both ciphertexts to their common level, returning
-// copies when truncation is needed.
-func (ev *Evaluator) alignLevels(a, b *Ciphertext) (*Ciphertext, *Ciphertext, error) {
-	la, lb := a.Level(), b.Level()
-	if la == lb {
-		return a, b, nil
+// newCiphertext takes a ciphertext of the given degree and level from
+// the ring pool without zeroing it: the caller writes every row.
+func (ev *Evaluator) newCiphertext(degree, level int, scale float64) *Ciphertext {
+	rQ := ev.params.RingQ()
+	ct := &Ciphertext{Value: make([]*ring.Poly, degree+1), Scale: scale}
+	for i := range ct.Value {
+		ct.Value[i] = rQ.GetPolyNoZero(level)
 	}
-	var err error
-	if la > lb {
-		a = a.CopyNew()
-		err = ev.DropLevel(a, la-lb)
-	} else {
-		b = b.CopyNew()
-		err = ev.DropLevel(b, lb-la)
+	return ct
+}
+
+// copyAt returns a pooled copy of ct truncated to level (at most its
+// own): exact RNS modulus switching, the scale unchanged.
+func (ev *Evaluator) copyAt(ct *Ciphertext, level int) *Ciphertext {
+	out := ev.newCiphertext(ct.Degree(), level, ct.Scale)
+	for i, p := range ct.Value {
+		for r, row := range out.Value[i].Coeffs {
+			copy(row, p.Coeffs[r])
+		}
 	}
-	return a, b, err
+	return out
+}
+
+// alignLevels views both ciphertexts at their common level. The view of
+// the higher one shares its rows, so neither may be written through.
+func alignLevels(a, b *Ciphertext) (*Ciphertext, *Ciphertext) {
+	l := min(a.Level(), b.Level())
+	return levelView(a, l), levelView(b, l)
+}
+
+// levelView returns ct seen at level (at most its own), sharing its rows.
+func levelView(ct *Ciphertext, level int) *Ciphertext {
+	if ct.Level() == level {
+		return ct
+	}
+	view := &Ciphertext{Value: make([]*ring.Poly, len(ct.Value)), Scale: ct.Scale}
+	for i, p := range ct.Value {
+		view.Value[i] = &ring.Poly{Coeffs: p.Coeffs[:level+1]}
+	}
+	return view
 }
 
 // Add returns a + b. Scales must match; levels are aligned automatically.
@@ -77,14 +101,10 @@ func (ev *Evaluator) Add(a, b *Ciphertext) (*Ciphertext, error) {
 	if !scaleClose(a.Scale, b.Scale) {
 		return nil, fmt.Errorf("ckks: addition scale mismatch: %g vs %g", a.Scale, b.Scale)
 	}
-	a, b, err := ev.alignLevels(a, b)
-	if err != nil {
-		return nil, err
-	}
+	a, b = alignLevels(a, b)
 	rQ := ev.params.RingQ()
 	deg := max(a.Degree(), b.Degree())
-	out := NewCiphertext(ev.params, deg, a.Level())
-	out.Scale = math.Max(a.Scale, b.Scale)
+	out := ev.newCiphertext(deg, a.Level(), math.Max(a.Scale, b.Scale))
 	for i := 0; i <= deg; i++ {
 		switch {
 		case i <= a.Degree() && i <= b.Degree():
@@ -107,8 +127,7 @@ func (ev *Evaluator) Sub(a, b *Ciphertext) (*Ciphertext, error) {
 // Neg returns -a.
 func (ev *Evaluator) Neg(a *Ciphertext) *Ciphertext {
 	rQ := ev.params.RingQ()
-	out := NewCiphertext(ev.params, a.Degree(), a.Level())
-	out.Scale = a.Scale
+	out := ev.newCiphertext(a.Degree(), a.Level(), a.Scale)
 	for i := range a.Value {
 		rQ.Neg(a.Value[i], out.Value[i])
 	}
@@ -120,11 +139,7 @@ func (ev *Evaluator) AddPlain(a *Ciphertext, pt *Plaintext) (*Ciphertext, error)
 	if !scaleClose(a.Scale, pt.Scale) {
 		return nil, fmt.Errorf("ckks: plaintext addition scale mismatch: %g vs %g", a.Scale, pt.Scale)
 	}
-	level := min(a.Level(), pt.Level())
-	out := a.CopyNew()
-	if err := ev.DropLevel(out, a.Level()-level); err != nil {
-		return nil, err
-	}
+	out := ev.copyAt(a, min(a.Level(), pt.Level()))
 	ev.params.RingQ().Add(out.Value[0], pt.Value, out.Value[0])
 	return out, nil
 }
@@ -134,11 +149,7 @@ func (ev *Evaluator) SubPlain(a *Ciphertext, pt *Plaintext) (*Ciphertext, error)
 	if !scaleClose(a.Scale, pt.Scale) {
 		return nil, fmt.Errorf("ckks: plaintext subtraction scale mismatch: %g vs %g", a.Scale, pt.Scale)
 	}
-	level := min(a.Level(), pt.Level())
-	out := a.CopyNew()
-	if err := ev.DropLevel(out, a.Level()-level); err != nil {
-		return nil, err
-	}
+	out := ev.copyAt(a, min(a.Level(), pt.Level()))
 	ev.params.RingQ().Sub(out.Value[0], pt.Value, out.Value[0])
 	return out, nil
 }
@@ -146,9 +157,7 @@ func (ev *Evaluator) SubPlain(a *Ciphertext, pt *Plaintext) (*Ciphertext, error)
 // MulPlain returns a * pt; the output scale is the product of scales.
 func (ev *Evaluator) MulPlain(a *Ciphertext, pt *Plaintext) *Ciphertext {
 	rQ := ev.params.RingQ()
-	level := min(a.Level(), pt.Level())
-	out := NewCiphertext(ev.params, a.Degree(), level)
-	out.Scale = a.Scale * pt.Scale
+	out := ev.newCiphertext(a.Degree(), min(a.Level(), pt.Level()), a.Scale*pt.Scale)
 	for i := range a.Value {
 		rQ.MulCoeffs(a.Value[i], pt.Value, out.Value[i])
 	}
@@ -161,13 +170,9 @@ func (ev *Evaluator) Mul(a, b *Ciphertext) (*Ciphertext, error) {
 	if a.Degree() != 1 || b.Degree() != 1 {
 		return nil, fmt.Errorf("ckks: Mul requires degree-1 inputs (got %d and %d); relinearise first", a.Degree(), b.Degree())
 	}
-	a, b, err := ev.alignLevels(a, b)
-	if err != nil {
-		return nil, err
-	}
+	a, b = alignLevels(a, b)
 	rQ := ev.params.RingQ()
-	out := NewCiphertext(ev.params, 2, a.Level())
-	out.Scale = a.Scale * b.Scale
+	out := ev.newCiphertext(2, a.Level(), a.Scale*b.Scale)
 	rQ.MulCoeffs(a.Value[0], b.Value[0], out.Value[0])
 	// The middle term a0*b1 + a1*b0 is a two-digit inner product: one
 	// fused pass with a single reduction per coefficient, no scratch poly.
@@ -190,10 +195,11 @@ func (ev *Evaluator) MulRelin(a, b *Ciphertext) (*Ciphertext, error) {
 }
 
 // Relinearize converts a degree-2 ciphertext back to degree 1 using the
-// relinearisation key.
+// relinearisation key. A degree-1 ciphertext comes back as a copy: like
+// every operation, Relinearize never returns its operand.
 func (ev *Evaluator) Relinearize(ct *Ciphertext) (*Ciphertext, error) {
 	if ct.Degree() == 1 {
-		return ct, nil
+		return ev.copyAt(ct, ct.Level()), nil
 	}
 	if ct.Degree() != 2 {
 		return nil, fmt.Errorf("ckks: cannot relinearise degree-%d ciphertext", ct.Degree())
@@ -205,14 +211,11 @@ func (ev *Evaluator) Relinearize(ct *Ciphertext) (*Ciphertext, error) {
 	if err != nil {
 		return nil, err
 	}
+	// (c0 + d0, c1 + d1), summed into the key switch's pooled output.
 	rQ := ev.params.RingQ()
-	out := NewCiphertext(ev.params, 1, ct.Level())
-	out.Scale = ct.Scale
-	rQ.Add(ct.Value[0], d0, out.Value[0])
-	rQ.Add(ct.Value[1], d1, out.Value[1])
-	rQ.PutPoly(d0)
-	rQ.PutPoly(d1)
-	return out, nil
+	rQ.Add(ct.Value[0], d0, d0)
+	rQ.Add(ct.Value[1], d1, d1)
+	return &Ciphertext{Value: []*ring.Poly{d0, d1}, Scale: ct.Scale}, nil
 }
 
 // Rescale divides the ciphertext by its last prime, dropping one level
@@ -227,9 +230,8 @@ func (ev *Evaluator) Rescale(ct *Ciphertext) (*Ciphertext, error) {
 	}
 	rQ := ev.params.RingQ()
 	ql := rQ.Moduli[level]
-	out := &Ciphertext{Value: make([]*ring.Poly, len(ct.Value)), Scale: ct.Scale / float64(ql)}
+	out := ev.newCiphertext(ct.Degree(), level-1, ct.Scale/float64(ql))
 	for i := range ct.Value {
-		out.Value[i] = rQ.NewPoly(level)
 		if err := rQ.DivRoundByLastModulusNTT(ct.Value[i], out.Value[i]); err != nil {
 			return nil, err
 		}
@@ -261,8 +263,7 @@ func (ev *Evaluator) DropLevel(ct *Ciphertext, n int) error {
 // paper's "upscale" operation, used to align scales before additions.
 func (ev *Evaluator) ScaleUp(ct *Ciphertext, u uint64) *Ciphertext {
 	rQ := ev.params.RingQ()
-	out := NewCiphertext(ev.params, ct.Degree(), ct.Level())
-	out.Scale = ct.Scale * float64(u)
+	out := ev.newCiphertext(ct.Degree(), ct.Level(), ct.Scale*float64(u))
 	for i := range ct.Value {
 		rQ.MulScalar(ct.Value[i], u, out.Value[i])
 	}
@@ -305,8 +306,7 @@ func (ev *Evaluator) MulByConst(ct *Ciphertext, c float64, constScale float64) *
 	rQ := ev.params.RingQ()
 	level := ct.Level()
 	res := ev.constResidues(c*constScale, level)
-	out := NewCiphertext(ev.params, ct.Degree(), level)
-	out.Scale = ct.Scale * constScale
+	out := ev.newCiphertext(ct.Degree(), level, ct.Scale*constScale)
 	for i := range ct.Value {
 		src, dst := ct.Value[i], out.Value[i]
 		par.For(level+1, par.Grain(rQ.N), func(start, end int) {
@@ -329,8 +329,8 @@ func (ev *Evaluator) MulByConst(ct *Ciphertext, c float64, constScale float64) *
 // constant polynomial, i.e. c to every slot.
 func (ev *Evaluator) AddConst(ct *Ciphertext, c float64) *Ciphertext {
 	rQ := ev.params.RingQ()
-	out := ct.CopyNew()
 	level := ct.Level()
+	out := ev.copyAt(ct, level)
 	res := ev.constResidues(c*ct.Scale, level)
 	par.For(level+1, par.Grain(rQ.N), func(start, end int) {
 		for i := start; i < end; i++ {
@@ -362,19 +362,29 @@ func (ev *Evaluator) SetScale(ct *Ciphertext, target float64) (*Ciphertext, erro
 }
 
 // Rotate cyclically rotates the slot vector by k positions (positive k
-// rotates towards lower indices, matching the VECTOR IR roll semantics).
+// rotates towards lower indices, matching the VECTOR IR roll semantics):
+// the one-offset case of the hoisted rotation path.
 func (ev *Evaluator) Rotate(ct *Ciphertext, k int) (*Ciphertext, error) {
 	if k == 0 {
-		return ct.CopyNew(), nil
+		return ev.copyAt(ct, ct.Level()), nil
 	}
-	gal := ev.params.RingQ().GaloisElementForRotation(k)
-	return ev.automorphism(ct, gal)
+	h, err := ev.Decompose(ct)
+	if err != nil {
+		return nil, err
+	}
+	defer h.Release()
+	return ev.RotateHoisted(ct, h, k)
 }
 
-// Conjugate applies complex conjugation to the slots.
+// Conjugate applies complex conjugation to the slots, on the same path
+// as a rotation.
 func (ev *Evaluator) Conjugate(ct *Ciphertext) (*Ciphertext, error) {
-	gal := ev.params.RingQ().GaloisElementForConjugation()
-	return ev.automorphism(ct, gal)
+	h, err := ev.Decompose(ct)
+	if err != nil {
+		return nil, err
+	}
+	defer h.Release()
+	return ev.automorphismHoisted(ct, h, ev.params.RingQ().GaloisElementForConjugation())
 }
 
 // galoisKey returns the key for the Galois element gal and the element's
@@ -392,37 +402,6 @@ func (ev *Evaluator) galoisKey(gal uint64) (*GaloisKey, []int, error) {
 	return key, idx, nil
 }
 
-func (ev *Evaluator) automorphism(ct *Ciphertext, gal uint64) (*Ciphertext, error) {
-	if ct.Degree() != 1 {
-		return nil, fmt.Errorf("ckks: automorphism requires a degree-1 ciphertext")
-	}
-	key, idx, err := ev.galoisKey(gal)
-	if err != nil {
-		return nil, err
-	}
-	rQ := ev.params.RingQ()
-	level := ct.Level()
-	out := NewCiphertext(ev.params, 1, level)
-	out.Scale = ct.Scale
-	// phi(ct) decrypts under phi(s); key-switch phi(c1) back to s.
-	phi0 := rQ.GetPolyNoZero(level)
-	phi1 := rQ.GetPolyNoZero(level)
-	rQ.AutomorphismNTT(ct.Value[0], idx, phi0)
-	rQ.AutomorphismNTT(ct.Value[1], idx, phi1)
-	d0, d1, err := ev.keySwitch(phi1, &key.SwitchingKey)
-	rQ.PutPoly(phi1)
-	if err != nil {
-		rQ.PutPoly(phi0)
-		return nil, err
-	}
-	rQ.Add(phi0, d0, out.Value[0])
-	d1.Copy(out.Value[1])
-	rQ.PutPoly(phi0)
-	rQ.PutPoly(d0)
-	rQ.PutPoly(d1)
-	return out, nil
-}
-
 // keySwitch computes (d0, d1) with d0 + d1*s ~= c1*sFrom, for c1 in NTT
 // domain at its level, using hybrid RNS-digit key switching. The returned
 // polynomials are pooled scratch owned by the caller, who must release
@@ -430,12 +409,12 @@ func (ev *Evaluator) automorphism(ct *Ciphertext, gal uint64) (*Ciphertext, erro
 //
 // It is the one-shot form of the hoisted path: decompose with the fused
 // decomp_modup kernel, then inner-product and mod-down with the fused
-// hw_modmuladd / mod_down kernels. Relinearisation, automorphisms and
-// hoisted rotations therefore all execute the identical fused pipeline.
+// hw_modmuladd / mod_down kernels. Relinearisation and rotations
+// therefore all execute the identical fused pipeline.
 func (ev *Evaluator) keySwitch(c1 *ring.Poly, swk *SwitchingKey) (d0, d1 *ring.Poly, err error) {
 	h := ev.decomposeForKeySwitch(c1)
-	defer h.release(ev.params.RingQ(), ev.params.RingP())
-	return ev.applyKeySwitchHoisted(h, swk)
+	defer h.Release()
+	return ev.keySwitchHoisted(h, nil, swk)
 }
 
 func min(a, b int) int {

@@ -28,37 +28,52 @@ func (ev *Evaluator) observe(op string, start time.Time) {
 
 // Hoisted rotations (Halevi–Shoup): the expensive part of a rotation is
 // decomposing c1 into key-switching digits (INTT, base extension, forward
-// NTTs). Digit decomposition commutes with Galois automorphisms, so many
-// rotations of the same ciphertext can share one decomposition: each
-// rotation then only permutes the decomposed digits, multiplies by its
-// key and mod-downs. Linear transforms (and the bootstrapping DFTs built
-// on them) use this for their baby-step rotations.
+// NTTs). Digit decomposition commutes with Galois automorphisms, so every
+// rotation is run as decompose c1, permute the digits, take the key
+// inner product, divide by P — and the rotations of one ciphertext can
+// share its decomposition: each then only permutes, multiplies by its key
+// and mod-downs. A rotation's bytes do not depend on whether its
+// decomposition was shared, because the decomposition is a deterministic
+// function of c1. Linear transforms (and the bootstrapping DFTs built on
+// them) share it across their baby steps; the VM across the rotations of
+// one program value.
 
-// hoistedDecomp holds the NTT-domain digit decomposition of one
-// polynomial over the basis Q∪P. Its polynomials are pooled scratch:
-// whoever ends up holding the decomposition must call release.
-type hoistedDecomp struct {
-	level int
-	tQ    []*ring.Poly // per digit, rows 0..level
-	tP    []*ring.Poly // per digit, all P rows
+// Decomposition holds the NTT-domain digit decomposition of one
+// ciphertext's c1 over the basis Q∪P. Its polynomials are pooled
+// scratch: whoever ends up holding the decomposition must call Release.
+type Decomposition struct {
+	level  int
+	rQ, rP *ring.Ring
+	tQ     []*ring.Poly // per digit, rows 0..level
+	tP     []*ring.Poly // per digit, all P rows
 }
 
-// release returns the decomposition's polynomials to the ring pools.
-func (h *hoistedDecomp) release(rQ, rP *ring.Ring) {
+// Release returns the decomposition's polynomials to the ring pools. It
+// is idempotent.
+func (h *Decomposition) Release() {
 	for _, p := range h.tQ {
-		rQ.PutPoly(p)
+		h.rQ.PutPoly(p)
 	}
 	for _, p := range h.tP {
-		rP.PutPoly(p)
+		h.rP.PutPoly(p)
 	}
 	h.tQ, h.tP = nil, nil
+}
+
+// Decompose computes the digit decomposition every rotation of ct starts
+// from. Pass it to RotateHoisted for each rotation of ct, then Release it.
+func (ev *Evaluator) Decompose(ct *Ciphertext) (*Decomposition, error) {
+	if ct.Degree() != 1 {
+		return nil, fmt.Errorf("ckks: rotation requires a degree-1 ciphertext")
+	}
+	return ev.decomposeForKeySwitch(ct.Value[1]), nil
 }
 
 // decomposeForKeySwitch computes the shared digit decomposition of c1
 // (NTT domain, at its level) with the fused decomp_modup kernel: each
 // digit is decomposed, base-extended and forward-NTT'd row by row
 // without materialising a coefficient-domain intermediate.
-func (ev *Evaluator) decomposeForKeySwitch(c1 *ring.Poly) *hoistedDecomp {
+func (ev *Evaluator) decomposeForKeySwitch(c1 *ring.Poly) *Decomposition {
 	t0 := time.Now()
 	params := ev.params
 	rQ, rP := params.RingQ(), params.RingP()
@@ -71,7 +86,7 @@ func (ev *Evaluator) decomposeForKeySwitch(c1 *ring.Poly) *hoistedDecomp {
 	c1.Copy(c1c)
 	rQ.INTT(c1c, c1c)
 
-	h := &hoistedDecomp{level: level}
+	h := &Decomposition{level: level, rQ: rQ, rP: rP}
 	for d := 0; d < digits; d++ {
 		start := d * alpha
 		end := start + alpha
@@ -121,25 +136,24 @@ func (s *keySwitchSum) release(rQ, rP *ring.Ring) {
 }
 
 // addKeySwitch accumulates the evaluation-key inner product of a
-// (possibly permuted) decomposition: the fused hw_modmuladd kernel,
-// 128-bit lazy accumulation with one reduction per digit sum, the running
-// sum entering the same accumulator.
-func (ev *Evaluator) addKeySwitch(sum *keySwitchSum, h *hoistedDecomp, swk *SwitchingKey) error {
+// decomposition, read through the automorphism index table idx (nil for
+// none): the fused hw_modmuladd kernel, 128-bit lazy accumulation with
+// one reduction per digit sum, the running sum entering the same
+// accumulator. Permuting the digits inside the product is what makes a
+// decomposition shareable between rotations.
+func (ev *Evaluator) addKeySwitch(sum *keySwitchSum, h *Decomposition, idx []int, swk *SwitchingKey) error {
 	rQ, rP := ev.params.RingQ(), ev.params.RingP()
 	nd := len(h.tQ)
 	if nd > len(swk.BQ) {
 		return fmt.Errorf("ckks: switching key has %d digits, need %d", len(swk.BQ), nd)
 	}
 	t0 := time.Now()
-	ipQ, ipP := rQ.InnerProductAdd, rP.InnerProductAdd
-	if sum.empty {
-		ipQ, ipP = rQ.InnerProduct, rP.InnerProduct
-		sum.empty = false
-	}
-	ipQ(h.tQ, swk.BQ[:nd], sum.q0)
-	ipP(h.tP, swk.BP[:nd], sum.p0)
-	ipQ(h.tQ, swk.AQ[:nd], sum.q1)
-	ipP(h.tP, swk.AP[:nd], sum.p1)
+	acc := !sum.empty
+	sum.empty = false
+	rQ.InnerProductPermuted(h.tQ, idx, swk.BQ[:nd], sum.q0, acc)
+	rP.InnerProductPermuted(h.tP, idx, swk.BP[:nd], sum.p0, acc)
+	rQ.InnerProductPermuted(h.tQ, idx, swk.AQ[:nd], sum.q1, acc)
+	rP.InnerProductPermuted(h.tP, idx, swk.AP[:nd], sum.p1, acc)
 	ev.observe(opModMulAdd, t0)
 	return nil
 }
@@ -158,13 +172,13 @@ func (ev *Evaluator) modDown(sum *keySwitchSum) {
 	ev.observe(opModDown, t0)
 }
 
-// applyKeySwitchHoisted finishes one key switch from a (possibly
-// permuted) decomposition: inner product, then the divide-by-P tail.
-// The returned polynomials are pooled scratch owned by the caller
-// (release with RingQ().PutPoly).
-func (ev *Evaluator) applyKeySwitchHoisted(h *hoistedDecomp, swk *SwitchingKey) (d0, d1 *ring.Poly, err error) {
+// keySwitchHoisted finishes one key switch from a decomposition read
+// through idx (nil for none): inner product, then the divide-by-P tail.
+// The returned polynomials are pooled scratch at the decomposition's
+// level, owned by the caller.
+func (ev *Evaluator) keySwitchHoisted(h *Decomposition, idx []int, swk *SwitchingKey) (d0, d1 *ring.Poly, err error) {
 	sum := ev.newKeySwitchSum(h.level)
-	if err = ev.addKeySwitch(sum, h, swk); err == nil {
+	if err = ev.addKeySwitch(sum, h, idx, swk); err == nil {
 		ev.modDown(sum)
 		d0, d1, sum.q0, sum.q1 = sum.q0, sum.q1, nil, nil
 	}
@@ -172,68 +186,43 @@ func (ev *Evaluator) applyKeySwitchHoisted(h *hoistedDecomp, swk *SwitchingKey) 
 	return d0, d1, err
 }
 
-// permute applies a Galois automorphism (as an NTT index table; Q and P
-// share the ring degree, hence the table) to every digit, yielding the
-// decomposition of the rotated polynomial. The result is pooled scratch;
-// release it after use.
-func (h *hoistedDecomp) permute(rQ, rP *ring.Ring, idx []int) *hoistedDecomp {
-	out := &hoistedDecomp{level: h.level}
-	for d := range h.tQ {
-		tQ := rQ.GetPolyNoZero(h.level)
-		tP := rP.GetPolyNoZero(rP.MaxLevel())
-		rQ.AutomorphismNTT(h.tQ[d], idx, tQ)
-		rP.AutomorphismNTT(h.tP[d], idx, tP)
-		out.tQ = append(out.tQ, tQ)
-		out.tP = append(out.tP, tP)
+// RotateHoisted rotates ct by k slots from h, the decomposition of ct
+// (Decompose). An offset of 0 returns a copy. The result is
+// bit-identical to Rotate(ct, k).
+func (ev *Evaluator) RotateHoisted(ct *Ciphertext, h *Decomposition, k int) (*Ciphertext, error) {
+	if k == 0 {
+		return ev.copyAt(ct, ct.Level()), nil
 	}
-	return out
+	return ev.automorphismHoisted(ct, h, ev.params.RingQ().GaloisElementForRotation(k))
 }
 
-// RotateHoisted rotates ct by every offset in ks, sharing one digit
-// decomposition across all of them. Offsets of 0 return a copy. The
-// result map is keyed by offset.
-func (ev *Evaluator) RotateHoisted(ct *Ciphertext, ks []int) (map[int]*Ciphertext, error) {
+// automorphismHoisted is the one rotation path: ct mapped by the Galois
+// element gal, from h, the decomposition of ct's c1. φ(ct) decrypts
+// under φ(s); the key switch of φ(c1) — the permuted digits' key
+// product, divided by P — takes it back to s: (φ(c0) + d0, d1).
+func (ev *Evaluator) automorphismHoisted(ct *Ciphertext, h *Decomposition, gal uint64) (*Ciphertext, error) {
 	if ct.Degree() != 1 {
-		return nil, fmt.Errorf("ckks: hoisted rotation requires a degree-1 ciphertext")
+		return nil, fmt.Errorf("ckks: rotation requires a degree-1 ciphertext")
 	}
-	out := make(map[int]*Ciphertext, len(ks))
-	var h *hoistedDecomp
-	rQ, rP := ev.params.RingQ(), ev.params.RingP()
-	defer func() {
-		if h != nil {
-			h.release(rQ, rP)
-		}
-	}()
 	level := ct.Level()
-	for _, k := range ks {
-		if _, done := out[k]; done {
-			continue
-		}
-		if k == 0 {
-			out[0] = ct.CopyNew()
-			continue
-		}
-		if h == nil {
-			h = ev.decomposeForKeySwitch(ct.Value[1])
-		}
-		key, idxQ, err := ev.galoisKey(rQ.GaloisElementForRotation(k))
-		if err != nil {
-			return nil, err
-		}
-		hk := h.permute(rQ, rP, idxQ)
-		d0, d1, err := ev.applyKeySwitchHoisted(hk, &key.SwitchingKey)
-		hk.release(rQ, rP)
-		if err != nil {
-			return nil, err
-		}
-		res := NewCiphertext(ev.params, 1, level)
-		res.Scale = ct.Scale
-		rQ.AutomorphismNTT(ct.Value[0], idxQ, res.Value[0])
-		rQ.Add(res.Value[0], d0, res.Value[0])
-		d1.Copy(res.Value[1])
-		rQ.PutPoly(d0)
-		rQ.PutPoly(d1)
-		out[k] = res
+	if len(h.tQ) == 0 {
+		return nil, fmt.Errorf("ckks: rotation from a released decomposition")
 	}
+	if h.level != level {
+		return nil, fmt.Errorf("ckks: decomposition at level %d does not belong to a level-%d ciphertext", h.level, level)
+	}
+	key, idx, err := ev.galoisKey(gal)
+	if err != nil {
+		return nil, err
+	}
+	d0, d1, err := ev.keySwitchHoisted(h, idx, &key.SwitchingKey)
+	if err != nil {
+		return nil, err
+	}
+	rQ := ev.params.RingQ()
+	out := &Ciphertext{Value: []*ring.Poly{rQ.GetPolyNoZero(level), d1}, Scale: ct.Scale}
+	rQ.AutomorphismNTT(ct.Value[0], idx, out.Value[0])
+	rQ.Add(out.Value[0], d0, out.Value[0])
+	rQ.PutPoly(d0)
 	return out, nil
 }

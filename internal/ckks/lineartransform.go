@@ -156,7 +156,7 @@ func (ev *Evaluator) EvaluateLinearTransform(ct *Ciphertext, lt *LinearTransform
 	getSum := func() *keySwitchSum {
 		return &keySwitchSum{q0: getQ(), q1: getQ(), p0: getP(), p1: getP(), empty: true}
 	}
-	var h *hoistedDecomp
+	var h *Decomposition
 	defer func() {
 		for _, p := range scratchQ {
 			rQ.PutPoly(p)
@@ -165,7 +165,7 @@ func (ev *Evaluator) EvaluateLinearTransform(ct *Ciphertext, lt *LinearTransform
 			rP.PutPoly(p)
 		}
 		if h != nil {
-			h.release(rQ, rP)
+			h.Release()
 		}
 	}()
 
@@ -197,10 +197,7 @@ func (ev *Evaluator) EvaluateLinearTransform(ct *Ciphertext, lt *LinearTransform
 			if err != nil {
 				return nil, err
 			}
-			hb := h.permute(rQ, rP, idx)
-			err = ev.addKeySwitch(baby, hb, &key.SwitchingKey)
-			hb.release(rQ, rP)
-			if err != nil {
+			if err := ev.addKeySwitch(baby, h, idx, &key.SwitchingKey); err != nil {
 				return nil, err
 			}
 			rQ.AutomorphismNTT(liftedC0, idx, phi)
@@ -208,7 +205,7 @@ func (ev *Evaluator) EvaluateLinearTransform(ct *Ciphertext, lt *LinearTransform
 		}
 	}
 	if h != nil {
-		h.release(rQ, rP)
+		h.Release()
 		h = nil
 	}
 
@@ -267,8 +264,8 @@ func (ev *Evaluator) EvaluateLinearTransform(ct *Ciphertext, lt *LinearTransform
 		ev.observe(opModDown, t0)
 		rQ.AutomorphismNTT(group.q1, idx, phi)
 		hg := ev.decomposeForKeySwitch(phi)
-		err = ev.addKeySwitch(sum, hg, &key.SwitchingKey)
-		hg.release(rQ, rP)
+		err = ev.addKeySwitch(sum, hg, nil, &key.SwitchingKey)
+		hg.Release()
 		if err != nil {
 			return nil, err
 		}

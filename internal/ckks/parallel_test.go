@@ -106,15 +106,23 @@ func TestParallelMatchesSerial(t *testing.T) {
 			return out
 		}},
 		{"RotateHoisted", func() *Ciphertext {
-			outs, err := tc.eval.RotateHoisted(cta.CopyNew(), []int{1, 2, 3})
+			in := cta.CopyNew()
+			h, err := tc.eval.Decompose(in)
 			if err != nil {
 				t.Fatal(err)
 			}
+			defer h.Release()
 			// Fold the rotations into one ciphertext so a single compare
 			// covers every hoisted output.
-			acc := outs[1]
-			for _, k := range []int{2, 3} {
-				if acc, err = tc.eval.Add(acc, outs[k]); err != nil {
+			var acc *Ciphertext
+			for _, k := range []int{1, 2, 3} {
+				rot, err := tc.eval.RotateHoisted(in, h, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if acc == nil {
+					acc = rot
+				} else if acc, err = tc.eval.Add(acc, rot); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"antace/internal/poly"
-	"antace/internal/ring"
 )
 
 // EvaluatePolynomial executes the evaluation plan of a polynomial on ct.
@@ -72,25 +71,19 @@ type planEval struct {
 // power returns X_i as seen from the given level: the limbs above it are
 // left out, nothing is copied (the evaluator never writes to an operand).
 func (pe *planEval) power(i, level int) *Ciphertext {
-	ct := pe.powers[i]
-	if ct.Level() == level {
-		return ct
-	}
-	view := &Ciphertext{Value: make([]*ring.Poly, len(ct.Value)), Scale: ct.Scale}
-	for j, p := range ct.Value {
-		view.Value[j] = &ring.Poly{Coeffs: p.Coeffs[:level+1]}
-	}
-	return view
+	return levelView(pe.powers[i], level)
 }
 
 // finish ends a sum: one relinearisation if it holds products, and the
 // rescale.
 func (pe *planEval) finish(ct *Ciphertext) (*Ciphertext, error) {
-	rl, err := pe.ev.Relinearize(ct)
-	if err != nil {
-		return nil, err
+	if ct.Degree() == 2 {
+		var err error
+		if ct, err = pe.ev.Relinearize(ct); err != nil {
+			return nil, err
+		}
 	}
-	return pe.ev.Rescale(rl)
+	return pe.ev.Rescale(ct)
 }
 
 // genPower forms X_Index = X_A·X_B, or T_Index = 2·T_A·T_B − T_{A−B}, at

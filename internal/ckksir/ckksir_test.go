@@ -1,6 +1,7 @@
 package ckksir
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -355,5 +356,30 @@ func TestRotationAnalysis(t *testing.T) {
 		if in.Op == OpRotate && !seen[in.AttrInt("k", 0)] {
 			t.Fatalf("rotation %d missing from analysis", in.AttrInt("k", 0))
 		}
+	}
+}
+
+// TestRotationGroups: rotations group by source value, in program
+// order; a rotation by 0 decomposes nothing and joins no group.
+func TestRotationGroups(t *testing.T) {
+	mod := ir.NewModule("groups")
+	f := mod.NewFunc("main")
+	ct := ir.CipherType(64)
+	x := f.NewParam("x", ct)
+	rot := func(src *ir.Value, k int) *ir.Value {
+		return f.Emit(OpRotate, ct, []*ir.Value{src}, map[string]any{"k": k})
+	}
+	a := rot(x, 1)     // 0
+	rot(a, 3)          // 1
+	rot(x, 0)          // 2
+	rot(x, 2)          // 3
+	rot(a, 5)          // 4
+	f.Ret = rot(x, -1) // 5
+	got := fmt.Sprint(RotationGroups(f))
+	if want := "[[0 3 5] [1 4]]"; got != want {
+		t.Fatalf("groups %s, want %s", got, want)
+	}
+	if got, want := fmt.Sprint(SharedDecompositions(f)), "[false false false true true true]"; got != want {
+		t.Fatalf("shared %s, want %s", got, want)
 	}
 }

@@ -98,3 +98,41 @@ func CountOps(f *ir.Func) (count map[string]int, levelWeight map[string]int) {
 	}
 	return count, levelWeight
 }
+
+// RotationGroups is the one rule that decides which rotations share a
+// key-switch decomposition: the rotations of f (nonzero offset) whose
+// source is the same SSA value. Each group lists their indices in f.Body
+// in program order; a group of one is a rotation that decomposes alone.
+// The VM keeps one decomposition alive from a group's first rotation to
+// its last, and the cost model and POLY IR charge one per group.
+func RotationGroups(f *ir.Func) [][]int {
+	bySource := map[*ir.Value]int{}
+	var groups [][]int
+	for i, in := range f.Body {
+		if in.Op != OpRotate || in.AttrInt("k", 0) == 0 {
+			continue
+		}
+		src := in.Args[0]
+		g, ok := bySource[src]
+		if !ok {
+			g = len(groups)
+			bySource[src] = g
+			groups = append(groups, nil)
+		}
+		groups[g] = append(groups[g], i)
+	}
+	return groups
+}
+
+// SharedDecompositions reports, per index of f.Body, whether that
+// instruction is a rotation reading the decomposition an earlier
+// rotation of its group made (RotationGroups).
+func SharedDecompositions(f *ir.Func) []bool {
+	shared := make([]bool, len(f.Body))
+	for _, g := range RotationGroups(f) {
+		for _, i := range g[1:] {
+			shared[i] = true
+		}
+	}
+	return shared
+}

@@ -54,9 +54,9 @@ type Calibration struct {
 	// closed by reductions worth macReduceWeight units apiece.
 	MulAddPerUnit float64 `json:"muladd_per_unit,omitempty"`
 	// ModDownPerUnit prices poly.mod_down: one unit is one element of
-	// 2·(K·N·logN + r·N·(2·logN + convWeight·K)) — per ciphertext half,
-	// the P rows are inverse-transformed, every Q row is inverse-
-	// transformed, base-converted from K terms and transformed back.
+	// 2·(K·N·logN + r·N·(logN + convWeight·K)) — per ciphertext half,
+	// the P rows are inverse-transformed and every Q row receives the P
+	// part base-converted from K terms and transformed forward.
 	ModDownPerUnit float64 `json:"moddown_per_unit,omitempty"`
 
 	// PolyScale and BootstrapScale are composite corrections applied to
@@ -184,8 +184,9 @@ func Calibrate() (Calibration, error) {
 	ipTime := bench(func() { rQ.InnerProduct(as, bs, ipOut) })
 	c.MulAddPerUnit = ipTime / (kswork.MAC(d) * rows * n)
 
-	// ... and poly.mod_down (INTT → conversion → P⁻¹ → NTT in one pass
-	// per row; one call covers one ciphertext half).
+	// ... and poly.mod_down (P rows inverse-transformed, then per Q row
+	// conversion → NTT → subtract → P⁻¹ in one pass; one call covers one
+	// ciphertext half).
 	mdQ := p.CopyNew()
 	mdP := rP.NewPoly(K - 1)
 	sP := ring.NewSampler(rP, ring.SeedFromInt(2))
@@ -261,12 +262,18 @@ func (m *Model) fusedSeconds(w kswork.Work) float64 {
 }
 
 // KeySwitch returns the cost of one hybrid key switch of a ciphertext
-// entering at the given level (level+1 Q residues): the input INTT, then
-// the three fused kernels — decompose every digit into Q∪P, take the
-// evaluation-key inner product, divide both halves by P.
+// entering at the given level (level+1 Q residues): the decomposition,
+// then the evaluation-key inner product and the division of both halves
+// by P.
 func (m *Model) KeySwitch(level int) float64 {
-	return m.ntt(level+1) + m.Cal.ModUpPerUnit*m.ModUp(level) +
-		m.Cal.MulAddPerUnit*m.MulAdd(level) + m.Cal.ModDownPerUnit*m.ModDown(level)
+	return m.decompose(level) + m.Cal.MulAddPerUnit*m.MulAdd(level) + m.Cal.ModDownPerUnit*m.ModDown(level)
+}
+
+// decompose returns the cost of the decomposition a key switch starts
+// from: the input INTT, then every digit decomposed into Q∪P and
+// transformed. Rotations of one value pay it once (ckksir.RotationGroups).
+func (m *Model) decompose(level int) float64 {
+	return m.ntt(level+1) + m.Cal.ModUpPerUnit*m.ModUp(level)
 }
 
 // Rescale returns the cost of rescaling a 2-polynomial ciphertext
@@ -346,9 +353,15 @@ func scaleOr(v, s float64) float64 {
 // explicitly), so it is passed straight into the level-in methods. A
 // rescale's Result.Level is the post-rescale level — the ciphertext
 // entered one level higher, hence Rescale(level+1).
+//
+// A rotation that shares its source's decomposition with an earlier one
+// (ckksir.RotationGroups, the rule the VM executes) is charged without
+// it.
 func (m *Model) InferenceCost(res *ckksir.Result) Breakdown {
 	var b Breakdown
-	for _, in := range res.Module.Main().Body {
+	f := res.Module.Main()
+	shared := ckksir.SharedDecompositions(f)
+	for i, in := range f.Body {
 		level := in.Result.Level
 		switch in.Op {
 		case ckksir.OpEncode:
@@ -362,6 +375,9 @@ func (m *Model) InferenceCost(res *ckksir.Result) Breakdown {
 				level++ // entered at level+1, dropped to level
 			}
 			if c, ok := m.opCost(in.Op, level); ok {
+				if shared[i] {
+					c -= m.decompose(level)
+				}
 				b.Add(CategoryOfOp(in.Op), c)
 			}
 		}

@@ -176,3 +176,31 @@ func TestPolyEvalCostFollowsThePlan(t *testing.T) {
 		t.Fatalf("degree-3 stage at level 5: got %.6g, want %.6g (rel diff %g)", got, want, diff)
 	}
 }
+
+// TestInferenceCostChargesOneDecompositionPerGroup: three rotations of
+// one value and one of another are four key switches but two
+// decompositions (ckksir.RotationGroups, the rule the VM executes).
+func TestInferenceCostChargesOneDecompositionPerGroup(t *testing.T) {
+	mod := ir.NewModule("hoist")
+	f := mod.NewFunc("main")
+	ct := ir.CipherType(64)
+	x := f.NewParam("x", ct)
+	x.Level = 3
+	rot := func(src *ir.Value, k int) *ir.Value {
+		v := f.Emit(ckksir.OpRotate, ct, []*ir.Value{src}, map[string]any{"k": k})
+		v.Level = 3
+		return v
+	}
+	r1 := rot(x, 1)
+	rot(x, 2)
+	rot(x, 4)
+	f.Ret = rot(r1, 1)
+
+	m := &Model{Cal: DefaultCalibration(), Geometry: kswork.Geometry{LogN: 12, K: 2}}
+	got := m.InferenceCost(&ckksir.Result{Module: mod}).Total()
+	rotate, _ := m.opCost(ckksir.OpRotate, 3)
+	want := 4*rotate - 2*m.decompose(3)
+	if diff := math.Abs(got-want) / want; diff > 1e-12 {
+		t.Fatalf("got %.6g, want %.6g (rel diff %g)", got, want, diff)
+	}
+}

@@ -71,12 +71,12 @@ func (g Geometry) MulAdd(level int) float64 {
 const ModDownConvWeight = 1.6
 
 // ModDown counts poly.mod_down's units for one division by P of both
-// ciphertext halves: per half, the P rows are inverse-transformed, every
-// Q row is inverse-transformed, base-converted from K terms and
-// transformed back.
+// ciphertext halves: per half, the P rows are inverse-transformed, and
+// every Q row receives the P part base-converted from K terms and
+// transformed forward — the Q rows stay in the NTT domain.
 func (g Geometry) ModDown(level int) float64 {
 	r, k, logN := float64(level+1), float64(g.K), float64(g.LogN)
-	return 2 * g.n() * (k*logN + r*(2*logN+ModDownConvWeight*k))
+	return 2 * g.n() * (k*logN + r*(logN+ModDownConvWeight*k))
 }
 
 // Work is a count per fused kernel.

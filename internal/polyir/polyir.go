@@ -69,7 +69,8 @@ func Lower(res *ckksir.Result) (*ir.Module, error) {
 		}
 	}}
 
-	for _, in := range src.Body {
+	shared := ckksir.SharedDecompositions(src)
+	for i, in := range src.Body {
 		l := in.Result.Level
 		r := l + 1
 		switch in.Op {
@@ -86,7 +87,7 @@ func Lower(res *ckksir.Result) (*ir.Module, error) {
 		case ckksir.OpRelin:
 			e.relin(l)
 		case ckksir.OpRotate:
-			e.rotate(l)
+			e.rotate(l, !shared[i])
 		case ckksir.OpRescale:
 			e.emit(OpRescale, r, 2)
 		case ckksir.OpModSwitch, ckksir.OpReinterpret:
@@ -146,12 +147,13 @@ func (e *expander) keyProduct(level, times int) {
 }
 
 // modDown emits the division by P of the given number of polynomials:
-// back to coefficients over Q∪P, divide, forward again.
+// the P rows back to coefficients, their base conversion into every Q
+// row transformed forward and subtracted there — the Q rows never leave
+// the NTT domain.
 func (e *expander) modDown(level, polys int) {
-	r := level + 1
-	e.emit(OpINTT, r+e.g.K, polys)
-	e.emit(OpModDown, r, polys)
-	e.emit(OpNTT, r, polys)
+	e.emit(OpINTT, e.g.K, polys)
+	e.emit(OpModDown, level+1, polys)
+	e.emit(OpNTT, level+1, polys)
 }
 
 func (e *expander) keySwitch(level int) {
@@ -171,10 +173,19 @@ func (e *expander) relin(level int) {
 	e.emit(OpModAdd, level+1, 2)
 }
 
-func (e *expander) rotate(level int) {
+// rotate emits one rotation as the runtime's one rotation path runs it:
+// decompose c1 unless an earlier rotation of the same value did
+// (ckksir.RotationGroups), permute c0 and the digits, take the key
+// product, divide by P, add the permuted c0.
+func (e *expander) rotate(level int, decompose bool) {
 	r := level + 1
-	e.emit(OpRotate, r, 2)
-	e.keySwitch(level)
+	if decompose {
+		e.decompose(level, 1)
+	}
+	e.emit(OpRotate, r, 1)
+	e.emit(OpRotate, r+e.g.K, e.g.Digits(level))
+	e.keyProduct(level, 1)
+	e.modDown(level, 2)
 	e.emit(OpModAdd, r, 1)
 }
 
@@ -233,7 +244,7 @@ func (e *expander) bootstrapStep(s bootstrap.Step) {
 	case bootstrap.StepC2S, bootstrap.StepS2C:
 		e.linearTransform(s.Diags, l)
 	case bootstrap.StepConjugate:
-		e.rotate(l)
+		e.rotate(l, true)
 		e.emit(OpModAdd, r, 4) // the halves' sum and difference
 	case bootstrap.StepEvalMod:
 		e.polyEval(s.Plan, l)

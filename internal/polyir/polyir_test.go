@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"antace/internal/bootstrap"
+	"antace/internal/ckks"
 	"antace/internal/ckksir"
 	"antace/internal/ir"
 	"antace/internal/kswork"
@@ -174,5 +175,35 @@ func TestBootstrapExpandsTheSchedule(t *testing.T) {
 		if got[OpDecomp] != digits || got[OpModDown] != halves {
 			t.Errorf("step %+v: %d digit decompositions and %d divided halves, want %d and %d", s, got[OpDecomp], got[OpModDown], digits, halves)
 		}
+	}
+}
+
+// TestRotationsOfOneValueDecomposeOnce: the POLY view charges the
+// decomposition of a rotation group once (ckksir.RotationGroups), and
+// every rotation its own key product and division.
+func TestRotationsOfOneValueDecomposeOnce(t *testing.T) {
+	mod := ir.NewModule("hoist")
+	f := mod.NewFunc("main")
+	ct := ir.CipherType(64)
+	x := f.NewParam("x", ct)
+	x.Level = 3
+	var last *ir.Value
+	for _, k := range []int{1, 2, 4} {
+		last = f.Emit(ckksir.OpRotate, ct, []*ir.Value{x}, map[string]any{"k": k})
+		last.Level = 3
+	}
+	f.Ret = last
+	lit := ckks.ParametersLiteral{LogN: 12, LogQ: []int{50, 40, 40, 40}, LogP: []int{50, 50}, LogScale: 40}
+	pm, err := Lower(&ckksir.Result{Module: mod, Literal: lit})
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts := map[string]int{}
+	for _, in := range pm.Main().Body {
+		counts[in.Op] += in.AttrInt("count", 1)
+	}
+	digits := lit.Geometry().Digits(3)
+	if counts[OpDecomp] != digits || counts[OpModDown] != 3*2 {
+		t.Fatalf("decomp %d (want %d, one decomposition), mod_down %d (want 6)", counts[OpDecomp], digits, counts[OpModDown])
 	}
 }

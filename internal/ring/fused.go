@@ -17,8 +17,10 @@ import (
 //   - InnerProduct accumulates the evaluation-key inner product in
 //     128-bit (hi, lo) pairs per coefficient, reducing once per digit
 //     sum instead of once per multiply;
-//   - ModDownNTT runs the whole INTT → base-conversion → P^-1 → NTT
-//     tail of key switching as one pass per RNS row.
+//   - ModDownNTT divides by P without taking the Q rows out of the NTT
+//     domain: only the K special-prime rows are inverse-transformed, and
+//     their base conversion into each Q row is transformed forward and
+//     subtracted there, one pass per RNS row.
 //
 // All three use the same lazy-reduction discipline as the Harvey NTT
 // (see ntt.go): with every modulus below 2^62 (enforced by NewRing),
@@ -49,9 +51,9 @@ const fusedDigitBatch = 8
 // the P basis, all in NTT domain. pQ is in coefficient domain and pQNTT
 // is the same polynomial in NTT domain: the digit's own rows are the
 // lift's identity rows, so they are copied from pQNTT instead of being
-// transformed again. The lift is the same approximate CRT conversion as
-// ModUpDigitQP (result off by u*D, |u| <= end-start), with the per-term
-// Barrett reduction of the inner product replaced by one lazy 128-bit
+// transformed again. The lift is the approximate (HPS) CRT conversion:
+// the result equals x + u*D for a small integer |u| <= end-start, which
+// hybrid key switching tolerates. Its inner product is one lazy 128-bit
 // accumulation per coefficient.
 func (be *BasisExtender) DecompModUpNTT(pQ, pQNTT *Poly, start, end, level int, outQ, outP *Poly) {
 	d := end - start
@@ -151,7 +153,7 @@ func convertRowLazy(ys [][]uint64, m nt.Modulus, over, dst []uint64) {
 // writes. as and bs must have equal length; an empty digit list zeroes
 // out (so pooled, non-zeroed accumulators are safe to pass).
 func (r *Ring) InnerProduct(as, bs []*Poly, out *Poly) {
-	r.innerProduct(as, bs, out, false)
+	r.innerProduct(as, nil, bs, out, false)
 }
 
 // InnerProductAdd is InnerProduct accumulating into out:
@@ -160,10 +162,21 @@ func (r *Ring) InnerProduct(as, bs []*Poly, out *Poly) {
 // — a linear transform's giant steps — stream through one accumulator
 // this way instead of keeping every list alive.
 func (r *Ring) InnerProductAdd(as, bs []*Poly, out *Poly) {
-	r.innerProduct(as, bs, out, true)
+	r.innerProduct(as, nil, bs, out, true)
 }
 
-func (r *Ring) innerProduct(as, bs []*Poly, out *Poly, acc bool) {
+// InnerProductPermuted is InnerProduct (acc false) or InnerProductAdd
+// (acc true) with every as[d] read through the NTT-domain automorphism
+// index table idx (see AutomorphismNTTIndex): out[k] (+)= sum_d
+// as[d][idx[k]] * bs[d][k]. It is the key product of a rotation whose
+// source was decomposed before the rotation, without writing the
+// permuted digits out first; the result is bit-identical to permuting
+// with AutomorphismNTT and taking the plain inner product.
+func (r *Ring) InnerProductPermuted(as []*Poly, idx []int, bs []*Poly, out *Poly, acc bool) {
+	r.innerProduct(as, idx, bs, out, acc)
+}
+
+func (r *Ring) innerProduct(as []*Poly, idx []int, bs []*Poly, out *Poly, acc bool) {
 	if len(as) != len(bs) {
 		panic("ring: InnerProduct digit count mismatch")
 	}
@@ -178,9 +191,9 @@ func (r *Ring) innerProduct(as, bs []*Poly, out *Poly, acc bool) {
 	}
 	grain := par.Grain(r.N * (len(as) + 1))
 	if par.Inline(l+1, grain) {
-		r.innerProductRows(as, bs, out, acc, 0, l+1)
+		r.innerProductRows(as, idx, bs, out, acc, 0, l+1)
 	} else {
-		par.For(l+1, grain, func(s, e int) { r.innerProductRows(as, bs, out, acc, s, e) })
+		par.For(l+1, grain, func(s, e int) { r.innerProductRows(as, idx, bs, out, acc, s, e) })
 	}
 }
 
@@ -189,7 +202,8 @@ func (r *Ring) innerProduct(as, bs []*Poly, out *Poly, acc bool) {
 // in batches of fusedDigitBatch; between batches the running sum is
 // carried through the reduced accumulator (exact, since reduction
 // preserves the residue); acc carries out's incoming value the same way.
-func (r *Ring) innerProductRows(as, bs []*Poly, out *Poly, acc bool, start, end int) {
+// A non-nil idx gathers the as rows through it.
+func (r *Ring) innerProductRows(as []*Poly, idx []int, bs []*Poly, out *Poly, acc bool, start, end int) {
 	n := r.N
 	D := len(as)
 	var ar, br [fusedDigitBatch][]uint64
@@ -214,6 +228,20 @@ func (r *Ring) innerProductRows(as, bs []*Poly, out *Poly, acc bool, start, end 
 				br[d] = bs[g+d].Coeffs[i]
 			}
 			carry := acc || g > 0
+			if idx != nil {
+				ix := idx[:n]
+				for k, j := range ix {
+					var hi, lo uint64
+					if carry {
+						lo = dst[k]
+					}
+					for d := 0; d < b; d++ {
+						hi, lo = nt.MulAdd128(ar[d][j], br[d][k], hi, lo)
+					}
+					dst[k] = nt.Red128(hi, lo, m)
+				}
+				continue
+			}
 			for k := 0; k < n; k++ {
 				var hi, lo uint64
 				if carry {
@@ -230,11 +258,14 @@ func (r *Ring) innerProductRows(as, bs []*Poly, out *Poly, acc bool, start, end 
 
 // ModDownNTT computes round((xQ, xP) / P) mod Q_l for polynomials in NTT
 // domain, writing the NTT-domain result into pQ (input and output at
-// level l). It fuses the whole key-switch tail that was previously four
-// full-polynomial passes (INTT Q, INTT P, ModDownQP, NTT Q): each P row
-// is inverse-transformed and scaled in one pass, then each Q row is
-// inverse-transformed, base-converted (lazy 128-bit accumulation),
-// corrected by P^-1 and forward-transformed while still cache-resident.
+// level l). It fuses the whole key-switch tail into two passes: each P
+// row is inverse-transformed and scaled, then each Q row receives the
+// base-converted P part (lazy 128-bit accumulation), transformed forward
+// while still cache-resident, and is corrected by P^-1 in the NTT
+// domain. The Q rows themselves never leave the NTT domain: the
+// transform is a ring isomorphism, so (x − NTT(conv))·P^-1 is
+// NTT((INTT(x) − conv)·P^-1) exactly, at K + (l+1) transforms per half
+// instead of K + 2(l+1).
 func (be *BasisExtender) ModDownNTT(pQ, pP *Poly) {
 	l := pQ.Level()
 	K := len(be.rP.Moduli)
@@ -245,7 +276,7 @@ func (be *BasisExtender) ModDownNTT(pQ, pP *Poly) {
 	} else {
 		par.For(K, be.rP.grainNTT, func(s, e int) { be.modDownPRows(pP, ys, s, e) })
 	}
-	grain := par.Grain(be.rQ.N * (K + 2*be.rQ.LogN))
+	grain := par.Grain(be.rQ.N * (K + be.rQ.LogN))
 	if par.Inline(l+1, grain) {
 		be.modDownQRowsNTT(pQ, ys, 0, l+1)
 	} else {
@@ -271,48 +302,22 @@ func (be *BasisExtender) modDownPRows(pP, ys *Poly, start, end int) {
 	}
 }
 
-// modDownQRowsNTT finishes Q rows [start, end): INTT, subtract the
-// base-converted P part, multiply by P^-1 and NTT back, all in one pass
-// over the row.
+// modDownQRowsNTT finishes Q rows [start, end): base-convert the P part
+// into a scratch row, transform it forward, then subtract it from the
+// NTT-domain row and multiply by P^-1, one pass over the row.
 func (be *BasisExtender) modDownQRowsNTT(pQ, ys *Poly, start, end int) {
-	n := be.rQ.N
-	K := len(be.rP.Moduli)
-	yrows := ys.Coeffs
-	var yr [fusedDigitBatch][]uint64
-	var ov [fusedDigitBatch]uint64
+	conv := be.rQ.getBuf()
+	defer be.rQ.putBuf(conv)
 	for i := start; i < end; i++ {
 		mq := be.rQ.Mods[i]
 		qi := mq.Q
-		dst := pQ.Coeffs[i]
-		be.rQ.inttRow(dst, i)
+		convertRowLazy(ys.Coeffs, mq, be.poverpjModQ[i], conv)
+		be.rQ.nttRow(conv, i)
 		pinv, pinvShoup := be.pInvModQ[i], be.pInvModQShoup[i]
-		if K <= fusedDigitBatch {
-			for j := 0; j < K; j++ {
-				yr[j] = yrows[j]
-				ov[j] = be.poverpjModQ[j][i]
-			}
-			for k := 0; k < n; k++ {
-				var hi, lo uint64
-				for j := 0; j < K; j++ {
-					hi, lo = nt.MulAdd128(yr[j][k], ov[j], hi, lo)
-				}
-				conv := nt.Red128(hi, lo, mq)
-				dst[k] = nt.MulModShoup(nt.Sub(dst[k], conv, qi), pinv, pinvShoup, qi)
-			}
-		} else {
-			for k := 0; k < n; k++ {
-				var hi, lo uint64
-				for j := 0; j < K; j++ {
-					hi, lo = nt.MulAdd128(yrows[j][k], be.poverpjModQ[j][i], hi, lo)
-					if hi >= nt.LazyThreshold {
-						lo = nt.Red128(hi, lo, mq)
-						hi = 0
-					}
-				}
-				conv := nt.Red128(hi, lo, mq)
-				dst[k] = nt.MulModShoup(nt.Sub(dst[k], conv, qi), pinv, pinvShoup, qi)
-			}
+		dst := pQ.Coeffs[i]
+		c := conv[:len(dst)]
+		for k := range dst {
+			dst[k] = nt.MulModShoup(nt.Sub(dst[k], c[k], qi), pinv, pinvShoup, qi)
 		}
-		be.rQ.nttRow(dst, i)
 	}
 }

@@ -264,6 +264,24 @@ func TestInnerProductMatchesUnfused(t *testing.T) {
 			if !fused.Equal(ref) {
 				t.Fatalf("%s: InnerProductAdd differs from MulCoeffsThenAdd loop", what)
 			}
+			// Read through an automorphism, it is the plain product of
+			// the permuted digits, fresh and accumulating.
+			idx := r.AutomorphismNTTIndex(r.GaloisElementForRotation(3))
+			perm := make([]*Poly, D)
+			for d := range as {
+				perm[d] = r.NewPoly(r.MaxLevel())
+				r.AutomorphismNTT(as[d], idx, perm[d])
+			}
+			r.InnerProductPermuted(as, idx, bs, fused, false)
+			r.InnerProduct(perm, bs, ref)
+			if !fused.Equal(ref) {
+				t.Fatalf("%s: InnerProductPermuted differs from AutomorphismNTT+InnerProduct", what)
+			}
+			r.InnerProductPermuted(as, idx, bs, fused, true)
+			r.InnerProductAdd(perm, bs, ref)
+			if !fused.Equal(ref) {
+				t.Fatalf("%s: accumulating InnerProductPermuted differs from AutomorphismNTT+InnerProductAdd", what)
+			}
 			r.PutPoly(fused)
 		}
 		// An empty digit list must zero the (pooled, dirty) output.
@@ -289,30 +307,34 @@ func TestInnerProductMatchesUnfused(t *testing.T) {
 
 // TestModDownNTTMatchesUnfused checks the fused NTT-domain ModDown
 // against the primitive sequence it replaces: INTT both bases, ModDownQP
-// in coefficient domain, NTT back.
+// in coefficient domain, NTT back. It runs at every level of the chain
+// for K = 2, 6 and 9 special primes; 9 is more base-conversion terms
+// than one unreduced accumulator batch holds (fusedDigitBatch).
 func TestModDownNTTMatchesUnfused(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 17))
-	for _, logQ := range []uint64{40, 61} {
-		rQ, rP, be := fusedTestQP(t, 6, logQ, 4, 2)
-		for level := 0; level <= rQ.MaxLevel(); level++ {
-			pQ := randomPolyRNG(rQ, rng, level)
-			pP := randomPolyRNG(rP, rng, rP.MaxLevel())
+	for _, K := range []int{2, 6, 9} {
+		for _, logQ := range []uint64{40, 61} {
+			rQ, rP, be := fusedTestQP(t, 6, logQ, 4, K)
+			for level := 0; level <= rQ.MaxLevel(); level++ {
+				pQ := randomPolyRNG(rQ, rng, level)
+				pP := randomPolyRNG(rP, rng, rP.MaxLevel())
 
-			fusedQ := pQ.CopyNew()
-			fusedP := pP.CopyNew()
-			be.ModDownNTT(fusedQ, fusedP)
+				fusedQ := pQ.CopyNew()
+				fusedP := pP.CopyNew()
+				be.ModDownNTT(fusedQ, fusedP)
 
-			refQ := pQ.CopyNew()
-			refP := pP.CopyNew()
-			rQ.INTT(refQ, refQ)
-			rP.INTT(refP, refP)
-			be.ModDownQP(refQ, refP)
-			rQ.NTT(refQ, refQ)
+				refQ := pQ.CopyNew()
+				refP := pP.CopyNew()
+				rQ.INTT(refQ, refQ)
+				rP.INTT(refP, refP)
+				be.ModDownQP(refQ, refP)
+				rQ.NTT(refQ, refQ)
 
-			what := fmt.Sprintf("logQ=%d level=%d", logQ, level)
-			assertReduced(t, rQ, fusedQ, what)
-			if !fusedQ.Equal(refQ) {
-				t.Fatalf("%s: fused ModDownNTT differs from INTT+ModDownQP+NTT", what)
+				what := fmt.Sprintf("K=%d logQ=%d level=%d", K, logQ, level)
+				assertReduced(t, rQ, fusedQ, what)
+				if !fusedQ.Equal(refQ) {
+					t.Fatalf("%s: fused ModDownNTT differs from INTT+ModDownQP+NTT", what)
+				}
 			}
 		}
 	}

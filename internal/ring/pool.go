@@ -15,8 +15,10 @@ import (
 //   - a row pool of bare []uint64 scratch rows of length N, used inside
 //     limb loops (automorphism permutation buffers, rescale deltas,
 //     basis-conversion intermediates);
-//   - a Poly pool of full-chain polynomials, handed out at any level via
-//     GetPoly/GetPolyNoZero and returned with PutPoly.
+//   - a Poly pool per level: a level-l polynomial holds exactly l+1
+//     contiguous rows, is handed out by GetPoly/GetPolyNoZero and comes
+//     back with PutPoly to the pool of the level it was made at (a
+//     polynomial truncated since still returns its full backing).
 //
 // Ownership contract: whoever calls GetPoly must either PutPoly it or
 // hand it to a caller that does. Returning a poly twice, or using it
@@ -57,7 +59,8 @@ func (r *Ring) putBuf(b []uint64) {
 // next to a recovered crash. Safe to call concurrently with Get/Put.
 func (r *Ring) DiscardPools() {
 	r.bufPool.Store(new(sync.Pool))
-	r.polyPool.Store(new(sync.Pool))
+	pools := make([]sync.Pool, len(r.Moduli))
+	r.polyPools.Store(&pools)
 }
 
 // GetPoly returns a zeroed polynomial at the given level from the pool.
@@ -88,26 +91,28 @@ func (r *Ring) GetPolyNoZero(level int) *Poly {
 		panic("ring: pooled poly level out of range")
 	}
 	var p *Poly
-	if v := r.polyPool.Load().Get(); v != nil {
+	if v := (*r.polyPools.Load())[level].Get(); v != nil {
 		p = v.(*Poly)
 	} else {
-		p = r.NewPoly(r.MaxLevel())
+		p = r.NewPoly(level)
 		p.pooled = p.Coeffs
 	}
-	p.Coeffs = p.pooled[:level+1]
+	p.Coeffs = p.pooled
 	return p
 }
 
 // PutPoly returns a polynomial obtained from GetPoly/GetPolyNoZero to the
-// pool. Polys not originating from this ring's pool are ignored, so
-// callers may unconditionally release what they were given.
+// pool of the level it was made at. Polys not originating from a ring
+// pool are ignored, so callers may unconditionally release what they
+// were given.
 func (r *Ring) PutPoly(p *Poly) {
 	if p == nil || p.pooled == nil {
 		return
 	}
-	if len(p.pooled) != len(r.Moduli) || len(p.pooled[0]) != r.N {
+	l := len(p.pooled) - 1
+	if l >= len(r.Moduli) || len(p.pooled[0]) != r.N {
 		return
 	}
 	p.Coeffs = p.pooled
-	r.polyPool.Load().Put(p)
+	(*r.polyPools.Load())[l].Put(p)
 }

@@ -23,9 +23,8 @@ import (
 type Poly struct {
 	Coeffs [][]uint64
 
-	// pooled, when non-nil, holds the full-chain backing rows of a
-	// pool-owned polynomial (see Ring.GetPoly); Coeffs is a level view
-	// into it.
+	// pooled, when non-nil, holds the backing rows of a pool-owned
+	// polynomial (see Ring.GetPoly): Coeffs is it, or a truncation of it.
 	pooled [][]uint64
 }
 
@@ -142,8 +141,8 @@ type Ring struct {
 	// swap them wholesale after a recovered panic: buffers already
 	// returned to the old pool are orphaned instead of recycled
 	// (see pool.go).
-	bufPool  atomic.Pointer[sync.Pool] // *[]uint64 scratch rows, length N
-	polyPool atomic.Pointer[sync.Pool] // *Poly at the full chain (see pool.go)
+	bufPool   atomic.Pointer[sync.Pool]   // *[]uint64 scratch rows, length N
+	polyPools atomic.Pointer[[]sync.Pool] // [level] *Poly with level+1 rows (see pool.go)
 }
 
 // NewRing constructs the ring of degree n (a power of two) with the given
@@ -162,8 +161,6 @@ func NewRing(n int, moduli []uint64) (*Ring, error) {
 		grainPW:  par.Grain(n),
 		grainNTT: par.Grain(n * (bits.Len(uint(n)) - 1)),
 	}
-	r.bufPool.Store(new(sync.Pool))
-	r.polyPool.Store(new(sync.Pool))
 	r.Mods = make([]nt.Modulus, len(moduli))
 	r.tables = make([]nttTables, len(moduli))
 	for i, q := range moduli {
@@ -185,6 +182,7 @@ func NewRing(n int, moduli []uint64) (*Ring, error) {
 		}
 		r.tables[i] = newNTTTables(n, psi, r.Mods[i])
 	}
+	r.DiscardPools()
 	// Rescaling constants.
 	L := len(moduli)
 	r.rescaleQlInv = make([][]uint64, L)

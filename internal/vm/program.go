@@ -15,8 +15,9 @@ import (
 // holding everything that depends on the model and the parameters but
 // not on a session's keys: instructions with their operands decoded,
 // every value assigned a dense register slot, the last-use table that
-// lets a run drop a register the moment it is dead, the snapshot
-// fingerprint, and the table of encoded weight plaintexts. A Program is
+// lets a run drop a register the moment it is dead, the rotations that
+// share a decomposition, the snapshot fingerprint, and the table of
+// encoded weight plaintexts. A Program is
 // read-only apart from that table, which fills on first use, so one
 // Program serves every machine, session and batch lane running the
 // module.
@@ -68,6 +69,10 @@ type instr struct {
 	// drop lists the slots whose last reader is this instruction; a result
 	// nothing reads is dropped by the instruction that made it.
 	drop []int
+	// keep marks a rotation whose source a later rotation also rotates
+	// (ckksir.RotationGroups): the run keeps the source's decomposition
+	// for it instead of releasing it.
+	keep bool
 
 	k    int
 	x, y float64
@@ -159,6 +164,11 @@ func prepare(f *ir.Func) (*Program, error) {
 	for s, idx := range lastUse {
 		if idx < len(p.code) {
 			p.code[idx].drop = append(p.code[idx].drop, s)
+		}
+	}
+	for _, g := range ckksir.RotationGroups(f) {
+		for _, idx := range g[:len(g)-1] {
+			p.code[idx].keep = true
 		}
 	}
 	return p, nil

@@ -6,15 +6,21 @@ import (
 	"encoding/binary"
 	"testing"
 
+	"antace/internal/ckksir"
 	"antace/internal/ring"
 )
 
 // TestSnapshotResumeBitIdentical is the durability layer's core
 // invariant: for every checkpoint taken during a run, restoring it on
 // a fresh machine and executing the remaining instructions yields a
-// result bit-identical to the uninterrupted run.
+// result bit-identical to the uninterrupted run. The model rotates one
+// value three times, so some snapshots fall inside a group of rotations
+// sharing a decomposition, which the resumed run must make again.
 func TestSnapshotResumeBitIdentical(t *testing.T) {
-	res, vres := compileLinear(t)
+	res, vres := compileLinearShape(t, 32, 8)
+	if !hasRotationGroup(res, 3) {
+		t.Fatal("model has no group of three rotations of one value")
+	}
 	machine, client, err := New(res, vres.InLayout.L, ring.SeedFromInt(51))
 	if err != nil {
 		t.Fatal(err)
@@ -47,9 +53,9 @@ func TestSnapshotResumeBitIdentical(t *testing.T) {
 		t.Fatalf("took %d snapshots over %d instructions", len(snaps), nInstr)
 	}
 
-	// Resume from a spread of checkpoints, including the very last one
+	// Resume from every checkpoint, including the very last one
 	// (pc == len(Body): no instructions left to run).
-	for _, i := range []int{0, len(snaps) / 2, len(snaps) - 1} {
+	for i := range snaps {
 		m2 := NewMachine(machine.Params, machine.Eval.Keys(), machine.Boot, nil)
 		if err := m2.Restore(res.Module, snaps[i]); err != nil {
 			t.Fatalf("restore snapshot %d: %v", i, err)
@@ -66,6 +72,17 @@ func TestSnapshotResumeBitIdentical(t *testing.T) {
 			t.Fatalf("resume from snapshot %d diverged from the uninterrupted run", i)
 		}
 	}
+}
+
+// hasRotationGroup reports whether the program rotates one value at
+// least n times (ckksir.RotationGroups).
+func hasRotationGroup(res *ckksir.Result, n int) bool {
+	for _, g := range ckksir.RotationGroups(res.Module.Main()) {
+		if len(g) >= n {
+			return true
+		}
+	}
+	return false
 }
 
 // TestRestoreRejectsWrongProgram: a snapshot is bound to its

@@ -202,6 +202,14 @@ func (m *Machine) Run(mod *ir.Module, input *ckks.Ciphertext) (*ckks.Ciphertext,
 // every CKKS operation is deterministic given the same keys and
 // registers. When m.Ckpt is set, RunCtx emits resumable snapshots on
 // the policy's cadence between instructions.
+//
+// Rotations of one value share one key-switch decomposition
+// (ckksir.RotationGroups): the run makes it at the group's first
+// rotation it executes and releases it after the last, or on whatever
+// path leaves the run. It is not part of a snapshot; a resumed run makes
+// it again, and the rotation's bytes are the same either way. A register
+// goes back to the ring pool when the instruction that reads it last is
+// done, except the input's and the result's: the caller owns those.
 func (m *Machine) RunCtx(ctx context.Context, mod *ir.Module, input *ckks.Ciphertext) (*ckks.Ciphertext, error) {
 	prog, err := Prepare(mod)
 	if err != nil {
@@ -246,6 +254,15 @@ func (m *Machine) run(ctx context.Context, prog *Program, input *ckks.Ciphertext
 	}
 	cts, pts := st.cts, st.pts
 	weights := prog.table(m.Params)
+	// decomps holds the live shared decompositions by source slot. This
+	// defer runs before the panic boundary's, so the scratch goes back to
+	// the pool before a recovered panic discards it.
+	decomps := map[int]*ckks.Decomposition{}
+	defer func() {
+		for _, h := range decomps {
+			h.Release()
+		}
+	}()
 
 	sinceCkpt := 0
 	lastCkpt := time.Now()
@@ -297,7 +314,7 @@ func (m *Machine) run(ctx context.Context, prog *Program, input *ckks.Ciphertext
 		case opRescale:
 			cts[in.dst], err = ev.Rescale(cts[in.a])
 		case opRotate:
-			cts[in.dst], err = ev.Rotate(cts[in.a], in.k)
+			cts[in.dst], err = m.rotate(decomps, cts[in.a], in)
 		case opModSwitch:
 			ct := cts[in.a].CopyNew()
 			err = ev.DropLevel(ct, in.k)
@@ -331,6 +348,9 @@ func (m *Machine) run(ctx context.Context, prog *Program, input *ckks.Ciphertext
 			}
 		}
 		for _, s := range in.drop {
+			if ct := cts[s]; ct != nil && s != prog.pslot {
+				ct.Release(m.Params)
+			}
 			cts[s], pts[s] = nil, nil
 		}
 		st.pc = idx + 1
@@ -354,6 +374,27 @@ func (m *Machine) run(ctx context.Context, prog *Program, input *ckks.Ciphertext
 		return nil, fmt.Errorf("vm: return value never computed")
 	}
 	return out, nil
+}
+
+// rotate runs rotation in on ct from the decomposition its group shares,
+// making it if no earlier rotation of the group did in this run, and
+// keeping it in decomps only while a later rotation of the group needs it.
+func (m *Machine) rotate(decomps map[int]*ckks.Decomposition, ct *ckks.Ciphertext, in *instr) (*ckks.Ciphertext, error) {
+	h := decomps[in.a]
+	if h == nil {
+		var err error
+		if h, err = m.Eval.Decompose(ct); err != nil {
+			return nil, err
+		}
+		decomps[in.a] = h
+	}
+	if !in.keep {
+		defer func() {
+			h.Release()
+			delete(decomps, in.a)
+		}()
+	}
+	return m.Eval.RotateHoisted(ct, h, in.k)
 }
 
 // encode produces the plaintext of encode instruction idx, from the

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"math"
@@ -13,6 +14,7 @@ import (
 	"antace/internal/nnir"
 	"antace/internal/obs"
 	"antace/internal/onnx"
+	"antace/internal/par"
 	"antace/internal/ring"
 	"antace/internal/sihe"
 	"antace/internal/vecir"
@@ -20,7 +22,13 @@ import (
 
 func compileLinear(t testing.TB) (*ckksir.Result, *vecir.Result) {
 	t.Helper()
-	m, err := onnx.BuildLinear(16, 4, 3)
+	return compileLinearShape(t, 16, 4)
+}
+
+// compileLinearShape compiles an in×out linear layer without bootstraps.
+func compileLinearShape(t testing.TB, in, out int) (*ckksir.Result, *vecir.Result) {
+	t.Helper()
+	m, err := onnx.BuildLinear(in, out, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,5 +296,97 @@ func TestRunProfileInstrumentation(t *testing.T) {
 		if st.Op == ckksir.OpEncode {
 			t.Fatalf("warm run recorded %d ckks.encode samples", st.Count)
 		}
+	}
+}
+
+// TestRunBitIdenticalAcrossWorkers: the output of a program whose
+// rotations share decompositions and whose registers go back to the
+// pool is the same bytes at 1, 2 and 8 workers.
+func TestRunBitIdenticalAcrossWorkers(t *testing.T) {
+	res, vres := compileLinearShape(t, 32, 8)
+	if !hasRotationGroup(res, 3) {
+		t.Fatal("model has no group of three rotations of one value")
+	}
+	machine, client, err := New(res, vres.InLayout.L, ring.SeedFromInt(54))
+	if err != nil {
+		t.Fatal(err)
+	}
+	input := make([]float64, vres.InLayout.L)
+	for i := range input {
+		input[i] = float64(i%5)/5 - 0.4
+	}
+	ct, err := client.Encrypt(input)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev := par.Workers()
+	defer par.SetWorkers(prev)
+	var want []byte
+	for _, w := range []int{1, 2, 8} {
+		par.SetWorkers(w)
+		out, err := machine.Run(res.Module, ct)
+		if err != nil {
+			t.Fatalf("%d workers: %v", w, err)
+		}
+		got, err := out.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			want = got
+		} else if !bytes.Equal(got, want) {
+			t.Fatalf("%d workers: output differs from the 1-worker run", w)
+		}
+	}
+}
+
+// TestRunLeavesCallerCiphertextsIntact: Run releases dead registers into
+// the ring pool, but never the input or the result, which the caller
+// owns. The input here is pooled itself (a rotation by 0 is a pooled
+// copy), so releasing it would hand its rows to a later instruction.
+// The first result must survive a second Run that recycles the pool.
+func TestRunLeavesCallerCiphertextsIntact(t *testing.T) {
+	res, vres := compileLinearShape(t, 32, 8)
+	machine, client, err := New(res, vres.InLayout.L, ring.SeedFromInt(55))
+	if err != nil {
+		t.Fatal(err)
+	}
+	encrypt := func(seed int) *ckks.Ciphertext {
+		input := make([]float64, vres.InLayout.L)
+		for i := range input {
+			input[i] = float64((i+seed)%9)/9 - 0.5
+		}
+		ct, err := client.Encrypt(input)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pooled, err := machine.Eval.Rotate(ct, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pooled
+	}
+	marshal := func(ct *ckks.Ciphertext) []byte {
+		b, err := ct.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	in := encrypt(0)
+	inBytes := marshal(in)
+	out, err := machine.Run(res.Module, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(marshal(in), inBytes) {
+		t.Fatal("Run changed its input ciphertext")
+	}
+	outBytes := marshal(out)
+	if _, err := machine.Run(res.Module, encrypt(1)); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(marshal(out), outBytes) {
+		t.Fatal("a second Run changed the first Run's result")
 	}
 }
