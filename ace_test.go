@@ -267,7 +267,7 @@ func TestPaperProfileSelectsSecureParameters(t *testing.T) {
 	}
 	// Figure 7's driver: the program's own rotation keys (bootstrapping
 	// adds its stage keys on top).
-	if keys := len(prog.CKKS.Rotations); keys > 120 {
+	if keys := len(ckksir.RotationKeys(prog.CKKS.Module.Main())); keys > 120 {
 		t.Fatalf("paper-scale ResNet-20 needs %d program rotation keys, want at most 120", keys)
 	}
 	// Folded linear layers: one mask per distinct offset mod each layer's

@@ -104,7 +104,7 @@ func runLoad(url string, clients int, window, reqDeadline time.Duration) error {
 			for ctx.Err() == nil {
 				t0 := time.Now()
 				rctx, rcancel := context.WithTimeout(ctx, reqDeadline)
-				out, lane, stride, err := cl.InferCipherLane(rctx, ct)
+				out, lane, err := cl.InferCipherLane(rctx, ct)
 				rcancel()
 				if err != nil {
 					if ctx.Err() != nil {
@@ -115,7 +115,7 @@ func runLoad(url string, clients int, window, reqDeadline time.Duration) error {
 					mu.Unlock()
 					continue
 				}
-				if _, err := cl.DecryptLane(out, lane, max(stride, 1)); err != nil {
+				if _, err := cl.DecryptLane(out, lane); err != nil {
 					mu.Lock()
 					errCount++
 					mu.Unlock()

@@ -31,7 +31,7 @@ func TestCompiledModelSimDifferential(t *testing.T) {
 	l := prog.VectorLen()
 	// A 64-wide gemv splits into at most 16 baby and giant rotations; 63
 	// would be the naive one-rotation-per-diagonal program.
-	if n := len(prog.CKKS.Rotations); n == 0 || n > 16 {
+	if n := len(ckksir.RotationKeys(mod.Main())); n == 0 || n > 16 {
 		t.Fatalf("gemv compiled to %d rotation amounts, want a baby/giant split of at most 16", n)
 	}
 	stride := 4

@@ -105,25 +105,3 @@ func transformFunc(out *ir.Module, f *ir.Func, stride int) error {
 	nf.Ret = ret
 	return nil
 }
-
-// Rotations walks a module and returns the distinct rotation amounts its
-// ckks.rotate instructions use, in ascending order of first appearance.
-// The serving layer derives the batched program's Galois-key demand from
-// the transformed module with this.
-func Rotations(mod *ir.Module) []int {
-	seen := map[int]bool{}
-	var out []int
-	for _, f := range mod.Funcs {
-		for _, in := range f.Body {
-			if in.Op != ckksir.OpRotate {
-				continue
-			}
-			k := in.AttrInt("k", 0)
-			if !seen[k] {
-				seen[k] = true
-				out = append(out, k)
-			}
-		}
-	}
-	return out
-}

@@ -100,8 +100,15 @@ func TestTransformStructure(t *testing.T) {
 	if k := sf.Body[3].AttrInt("k", 0); k != 1 {
 		t.Fatalf("transform mutated the source module: first rotation now %d", k)
 	}
-	if got := Rotations(bm); len(got) == 0 || got[0] != stride {
-		t.Fatalf("Rotations(batched) = %v, want first %d", got, stride)
+	// The batched key set is the solo one scaled by the stride.
+	solo, lanes := ckksir.RotationKeys(sf), ckksir.RotationKeys(bm.Main())
+	if len(lanes) == 0 || len(lanes) != len(solo) {
+		t.Fatalf("batched rotation keys %v, solo %v", lanes, solo)
+	}
+	for i, k := range lanes {
+		if k.K != solo[i].K*stride {
+			t.Fatalf("batched rotation keys %v, want solo %v times %d", lanes, solo, stride)
+		}
 	}
 }
 

@@ -10,7 +10,6 @@ package ckksir
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"antace/internal/bootstrap"
 	"antace/internal/ckks"
@@ -157,13 +156,11 @@ type Result struct {
 	InputLevel int
 	// InputScale is the scale at which the client must encode.
 	InputScale float64
-	// Rotations lists the distinct rotation amounts used by the program
-	// (bootstrapping adds its own on top; see the vm package).
+	// Rotations counts the rotation keys core.Compile's final module
+	// needs: the amounts of RotationKeys(Module.Main()), for reports.
+	// Lower leaves it empty, and nothing that generates, checks or prices
+	// keys reads it; they walk the module they run (RotationKeys).
 	Rotations []int
-	// RotationLevels maps each rotation amount to the highest level it is
-	// used at: the key generator only needs switching-key digits up to
-	// that level (the data-flow key analysis behind Figure 7).
-	RotationLevels map[int]int
 	// Bootstraps counts bootstrap operations.
 	Bootstraps int
 	// Depth statistics from planning.
@@ -468,16 +465,14 @@ func Lower(sm *ir.Module, opts Options) (*Result, error) {
 		return nil, err
 	}
 	res := &Result{
-		Module:         mod,
-		Literal:        lit,
-		Boot:           st.boot,
-		InputLevel:     segments[0],
-		InputScale:     st.scale,
-		Rotations:      st.rotationList(),
-		RotationLevels: st.rotationLevels,
-		Bootstraps:     st.bootstraps,
-		SegmentDepths:  segments,
-		TargetLevel:    target,
+		Module:        mod,
+		Literal:       lit,
+		Boot:          st.boot,
+		InputLevel:    segments[0],
+		InputScale:    st.scale,
+		Bootstraps:    st.bootstraps,
+		SegmentDepths: segments,
+		TargetLevel:   target,
 	}
 	mod.Attrs["ckks.input_level"] = res.InputLevel
 	mod.Attrs["ckks.input_scale"] = res.InputScale
@@ -492,24 +487,11 @@ type lowerState struct {
 	useBoot bool
 	boot    *bootstrap.Parameters
 
-	rotations      map[int]bool
-	rotationLevels map[int]int
-	bootstraps     int
-}
-
-func (st *lowerState) rotationList() []int {
-	out := make([]int, 0, len(st.rotations))
-	for k := range st.rotations {
-		out = append(out, k)
-	}
-	sort.Ints(out)
-	return out
+	bootstraps int
 }
 
 // emit walks the SIHE body and produces the CKKS function.
 func (st *lowerState) emit(sm *ir.Module, src *ir.Func) (*ir.Module, error) {
-	st.rotations = map[int]bool{}
-	st.rotationLevels = map[int]int{}
 	mod := ir.NewModule(sm.Name)
 	for k, v := range sm.Attrs {
 		mod.Attrs[k] = v
@@ -662,10 +644,6 @@ func (st *lowerState) emit(sm *ir.Module, src *ir.Func) (*ir.Module, error) {
 
 		case sihe.OpRotate:
 			k := in.AttrInt("k", 0)
-			st.rotations[k] = true
-			if a.Level > st.rotationLevels[k] {
-				st.rotationLevels[k] = a.Level
-			}
 			out := f.Emit(OpRotate, ct, []*ir.Value{a}, map[string]any{"k": k})
 			out.Level, out.Scale = a.Level, a.Scale
 			vals[in.Result] = out

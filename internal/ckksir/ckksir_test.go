@@ -334,31 +334,6 @@ func TestLazyRescaleReducesRescales(t *testing.T) {
 	}
 }
 
-func TestRotationAnalysis(t *testing.T) {
-	m, _ := onnx.BuildSmallCNN(onnx.SmallCNNConfig{InputSize: 8, Channels: 2, Classes: 3})
-	sm := lowerToSIHE(t, m)
-	res, err := Lower(sm, Options{Mode: BootstrapNever, IgnoreSecurity: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rotations) == 0 {
-		t.Fatal("no rotations recorded")
-	}
-	seen := map[int]bool{}
-	for _, k := range res.Rotations {
-		if seen[k] {
-			t.Fatal("duplicate rotation in analysis")
-		}
-		seen[k] = true
-	}
-	// Every rotate instruction must be covered.
-	for _, in := range res.Module.Main().Body {
-		if in.Op == OpRotate && !seen[in.AttrInt("k", 0)] {
-			t.Fatalf("rotation %d missing from analysis", in.AttrInt("k", 0))
-		}
-	}
-}
-
 // TestRotationGroups: rotations group by source value, in program
 // order; a rotation by 0 decomposes nothing and joins no group.
 func TestRotationGroups(t *testing.T) {

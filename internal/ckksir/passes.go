@@ -1,7 +1,9 @@
 package ckksir
 
 import (
+	"cmp"
 	"math"
+	"slices"
 
 	"antace/internal/ir"
 )
@@ -97,6 +99,34 @@ func CountOps(f *ir.Func) (count map[string]int, levelWeight map[string]int) {
 		levelWeight[in.Op] += in.Result.Level + 1
 	}
 	return count, levelWeight
+}
+
+// RotationKey is one Galois key a program's rotations need: the slot
+// offset K, and the highest level any rotation by K reads its source at.
+// A key needs switching-key digits only up to Level (the data-flow key
+// analysis behind Figure 7).
+type RotationKey struct {
+	K, Level int
+}
+
+// RotationKeys is the one rule that decides a program's rotation keys:
+// one per distinct ckks.rotate offset in f, in ascending order of offset.
+// Run it on the function that executes — after every pass, and after a
+// lane transform — since both change offsets and levels.
+func RotationKeys(f *ir.Func) []RotationKey {
+	level := map[int]int{}
+	for _, in := range f.Body {
+		if in.Op == OpRotate {
+			k := in.AttrInt("k", 0)
+			level[k] = max(level[k], in.Args[0].Level)
+		}
+	}
+	keys := make([]RotationKey, 0, len(level))
+	for k, l := range level {
+		keys = append(keys, RotationKey{K: k, Level: l})
+	}
+	slices.SortFunc(keys, func(a, b RotationKey) int { return cmp.Compare(a.K, b.K) })
+	return keys
 }
 
 // RotationGroups is the one rule that decides which rotations share a

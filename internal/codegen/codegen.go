@@ -115,7 +115,6 @@ package main
 	}
 	fmt.Fprintf(sb, "const (\n\tvecLen = %d\n\tinputLevel = %d\n)\n\n", c.VectorLen(), c.CKKS.InputLevel)
 	fmt.Fprintf(sb, "var inputScale = %g\n\n", c.CKKS.InputScale)
-	fmt.Fprintf(sb, "var rotations = %#v\n\n", c.CKKS.Rotations)
 
 	// Instructions: op, args (indices into the value table), attrs.
 	sb.WriteString("// step encodes one compiled instruction.\n")
@@ -214,7 +213,7 @@ const driverBody = `func rebuild(weights []byte) (*ir.Module, *ckksir.Result) {
 	fn.Ret = values[retIndex]
 	res := &ckksir.Result{
 		Module: mod, Literal: literal, Boot: bootParams,
-		InputLevel: inputLevel, InputScale: inputScale, Rotations: rotations,
+		InputLevel: inputLevel, InputScale: inputScale,
 	}
 	return mod, res
 }

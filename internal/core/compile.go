@@ -130,6 +130,9 @@ func Compile(model *onnx.Model, cfg Config) (*Compiled, error) {
 		return nil, err
 	}
 	record("CKKS", "lazy-rescale", start)
+	for _, k := range ckksir.RotationKeys(cres.Module.Main()) {
+		cres.Rotations = append(cres.Rotations, k.K)
+	}
 	out.CKKS = cres
 	return out, nil
 }
@@ -187,5 +190,5 @@ func (c *Compiled) Summary() string {
 	vecStats := vecir.Analyze(c.Vec.Module.Main())
 	return fmt.Sprintf("%s: vecLen=%d rotations=%d (distinct %d) mults=%d relus=%d | logN=%d chain=%d levels bootstraps=%d keys(rot)=%d",
 		c.Name, c.VectorLen(), vecStats.Rotations, vecStats.DistinctRotations, vecStats.Mults, vecStats.ReLUs,
-		c.CKKS.Literal.LogN, len(c.CKKS.Literal.LogQ), c.CKKS.Bootstraps, len(c.CKKS.Rotations))
+		c.CKKS.Literal.LogN, len(c.CKKS.Literal.LogQ), c.CKKS.Bootstraps, len(ckksir.RotationKeys(c.CKKS.Module.Main())))
 }

@@ -536,12 +536,10 @@ func (m *Model) MemoryCost(res *ckksir.Result, bootKeys int, truncateKeys bool) 
 	n := m.n()
 	maxLevel := len(res.Literal.LogQ) - 1
 	var mem Memory
-	for _, k := range res.Rotations {
+	for _, k := range ckksir.RotationKeys(res.Module.Main()) {
 		level := maxLevel
 		if truncateKeys {
-			if l, ok := res.RotationLevels[k]; ok {
-				level = l
-			}
+			level = k.Level
 		}
 		mem.GaloisKeys += m.keyBytes(level)
 	}

@@ -273,7 +273,7 @@ func Figure7(w io.Writer, scale Scale, cal costmodel.Calibration) ([]Fig7Row, er
 			// at (data-flow key analysis); the baseline generates every
 			// key over the full chain.
 			mems[i] = model.MemoryCost(c.CKKS, bootKeys, !expert)
-			keys[i] = len(c.CKKS.Rotations) + bootKeys + 1
+			keys[i] = len(ckksir.RotationKeys(c.CKKS.Module.Main())) + bootKeys + 1
 			runtime.GC()
 		}
 		row.ACE, row.Expert = mems[0], mems[1]

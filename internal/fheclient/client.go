@@ -1,10 +1,11 @@
 // Package fheclient is the client half of the serving layer's threat
 // model: it owns the secret key and never sends it anywhere. Dial
 // fetches the compiled program's spec from an aced daemon, Register
-// generates a fresh key pair plus exactly the evaluation keys the
-// program needs and uploads the public ones, and Infer encrypts a slot
+// draws a key holder (vm.Client) that generates the evaluation keys the
+// spec names and uploads the public ones, and Infer encrypts a slot
 // vector, streams the ciphertext through the server and decrypts the
-// reply locally.
+// reply locally. What this package adds to the key holder is transport:
+// dialing, retries, membership and idempotency.
 package fheclient
 
 import (
@@ -21,11 +22,11 @@ import (
 	"syscall"
 	"time"
 
-	"antace/internal/batch"
 	"antace/internal/ckks"
 	"antace/internal/fault"
 	"antace/internal/obs"
 	"antace/internal/serve/api"
+	"antace/internal/vm"
 )
 
 // APIError is a non-2xx reply from the daemon, with the decoded server
@@ -146,9 +147,9 @@ func (p RetryPolicy) Backoff(attempt int, retryAfter time.Duration) time.Duratio
 }
 
 // Client talks to one aced daemon. Infer is safe for concurrent use by
-// multiple goroutines sharing the registered session; the stateful
-// encryptor is serialized internally while HTTP round trips (the slow
-// part) proceed in parallel.
+// multiple goroutines sharing the registered session; the key holder
+// serializes its encryptor while HTTP round trips (the slow part)
+// proceed in parallel.
 type Client struct {
 	base string
 	hc   *http.Client
@@ -174,9 +175,8 @@ type Client struct {
 
 	retry RetryPolicy
 
-	mu        sync.Mutex // guards the sampler-bearing encryptor
-	encryptor *ckks.Encryptor
-	decryptor *ckks.Decryptor
+	mu        sync.Mutex // guards the session and its key holder
+	holder    *vm.Client
 	sessionID string
 }
 
@@ -354,22 +354,19 @@ func (c *Client) Params() *ckks.Parameters { return c.params }
 // SessionID returns the registered session, or "" before Register.
 func (c *Client) SessionID() string { return c.sessionID }
 
-// Register generates a key pair, derives the evaluation keys the program
-// spec demands (relinearization plus the exact rotation set, including
-// the bootstrap circuit's), uploads the public bundle and stores the
-// returned session ID. The secret key stays inside the Client. A nil
-// seed draws fresh randomness; pass one only in tests.
+// Register draws a key holder, has it generate the evaluation keys the
+// program spec names (relinearization, then the rotation and
+// conjugation keys, the bootstrap circuit's included), uploads the
+// public bundle and stores the returned session ID. The secret key stays
+// inside the holder. A nil seed draws fresh randomness; pass one only in
+// tests.
 func (c *Client) Register(ctx context.Context, seed *[32]byte) (string, error) {
-	kg := ckks.NewKeyGenerator(c.params, seed)
-	sk := kg.GenSecretKey()
-	pk := kg.GenPublicKey(sk)
-	keys := &ckks.EvaluationKeySet{
-		Galois: kg.GenGaloisKeys(c.spec.Rotations, c.spec.Conjugation, sk),
+	layout := vm.Layout{VecLen: c.spec.VecLen, Level: c.spec.InputLevel, Scale: c.spec.InputScale, Stride: c.spec.BatchStride}
+	holder, err := vm.NewClient(c.params, c.enc, layout, seed)
+	if err != nil {
+		return "", fmt.Errorf("fheclient: %w", err)
 	}
-	if c.spec.NeedRlk {
-		keys.Rlk = kg.GenRelinearizationKey(sk)
-	}
-	bundle, err := keys.MarshalBinary()
+	bundle, err := holder.Keys(vm.KeySet{Rotations: c.spec.Rotations, Conjugation: c.spec.Conjugation}).MarshalBinary()
 	if err != nil {
 		return "", fmt.Errorf("fheclient: encoding key bundle: %w", err)
 	}
@@ -394,10 +391,19 @@ func (c *Client) Register(ctx context.Context, seed *[32]byte) (string, error) {
 
 	c.mu.Lock()
 	c.sessionID = reply.SessionID
-	c.encryptor = ckks.NewEncryptor(c.params, pk)
-	c.decryptor = ckks.NewDecryptor(c.params, sk)
+	c.holder = holder
 	c.mu.Unlock()
 	return reply.SessionID, nil
+}
+
+// registered returns the registered session's key holder.
+func (c *Client) registered() (*vm.Client, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.holder == nil {
+		return nil, fmt.Errorf("fheclient: not registered (call Register first)")
+	}
+	return c.holder, nil
 }
 
 // Encrypt packs a slot vector at the program's input level and scale.
@@ -407,56 +413,31 @@ func (c *Client) Register(ctx context.Context, seed *[32]byte) (string, error) {
 // consumes; the server moves the ciphertext to its assigned lane with a
 // single rotation at pack time.
 func (c *Client) Encrypt(values []float64) (*ckks.Ciphertext, error) {
-	if len(values) != c.spec.VecLen {
-		return nil, fmt.Errorf("fheclient: input length %d, program compiled for %d", len(values), c.spec.VecLen)
-	}
-	if s := c.spec.BatchStride; s > 1 {
-		exp, err := batch.ExpandLane(values, 0, s)
-		if err != nil {
-			return nil, fmt.Errorf("fheclient: lane encoding: %w", err)
-		}
-		values = exp
-	}
-	pt, err := c.enc.EncodeReal(values, c.spec.InputLevel, c.spec.InputScale)
+	h, err := c.registered()
 	if err != nil {
 		return nil, err
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.encryptor == nil {
-		return nil, fmt.Errorf("fheclient: not registered (call Register first)")
-	}
-	return c.encryptor.Encrypt(pt), nil
+	return h.Encrypt(values)
 }
 
-// Decrypt recovers the slot vector from a solo result ciphertext. For
-// replies from a batched evaluation use DecryptLane with the lane and
-// stride the response headers carried.
+// Decrypt recovers the slot vector from a solo result ciphertext (lane
+// 0). For replies from a batched evaluation use DecryptLane with the
+// lane InferCipherLane returned.
 func (c *Client) Decrypt(ct *ckks.Ciphertext) ([]float64, error) {
-	return c.DecryptLane(ct, 0, c.spec.BatchStride)
+	return c.DecryptLane(ct, 0)
 }
 
 // DecryptLane recovers this caller's slot vector from a (possibly
-// shared) result ciphertext: decrypt, decode the strided layout and
-// keep the slots at i·stride+lane. stride <= 1 decodes a plain solo
-// reply. Extraction is pure client-side index math on decoded slots —
-// it costs no homomorphic operation.
-func (c *Client) DecryptLane(ct *ckks.Ciphertext, lane, stride int) ([]float64, error) {
-	c.mu.Lock()
-	dec := c.decryptor
-	c.mu.Unlock()
-	if dec == nil {
-		return nil, fmt.Errorf("fheclient: not registered (call Register first)")
-	}
-	if stride <= 1 {
-		return c.enc.DecodeReal(dec.Decrypt(ct), c.spec.VecLen), nil
-	}
-	wide := c.enc.DecodeReal(dec.Decrypt(ct), c.spec.VecLen*stride)
-	out, err := batch.ExtractLane(wide, lane, stride)
+// shared) result ciphertext laid out at the spec's BatchStride: decrypt,
+// decode and keep the slots at i·stride+lane. Extraction is pure
+// client-side index math on decoded slots — it costs no homomorphic
+// operation.
+func (c *Client) DecryptLane(ct *ckks.Ciphertext, lane int) ([]float64, error) {
+	h, err := c.registered()
 	if err != nil {
-		return nil, fmt.Errorf("fheclient: lane extraction: %w", err)
+		return nil, err
 	}
-	return out, nil
+	return h.DecryptLane(ct, lane)
 }
 
 // transientError marks a failure where the request may never have
@@ -484,24 +465,25 @@ func (e *transientError) Unwrap() error { return e.err }
 // otherwise — so one logical inference is a single greppable id across
 // the client's retries and the server's structured logs.
 func (c *Client) InferCipher(ctx context.Context, ct *ckks.Ciphertext) (*ckks.Ciphertext, error) {
-	out, _, _, err := c.InferCipherLane(ctx, ct)
+	out, _, err := c.InferCipherLane(ctx, ct)
 	return out, err
 }
 
-// InferCipherLane is InferCipher plus the reply's lane coordinates:
-// when the server evaluated the request inside a shared batched
-// ciphertext, stride > 1 and lane locate this caller's slots for
-// DecryptLane. A solo reply returns lane 0, stride 0.
-func (c *Client) InferCipherLane(ctx context.Context, ct *ckks.Ciphertext) (*ckks.Ciphertext, int, int, error) {
+// InferCipherLane is InferCipher plus the lane of the reply that holds
+// this caller's slots, for DecryptLane: when the server evaluated the
+// request inside a shared batched ciphertext its headers name the lane;
+// a solo reply is lane 0. A reply whose lane stride is not the spec's
+// BatchStride is refused, since no lane of it decodes correctly.
+func (c *Client) InferCipherLane(ctx context.Context, ct *ckks.Ciphertext) (*ckks.Ciphertext, int, error) {
 	c.mu.Lock()
 	id := c.sessionID
 	c.mu.Unlock()
 	if id == "" {
-		return nil, 0, 0, fmt.Errorf("fheclient: not registered (call Register first)")
+		return nil, 0, fmt.Errorf("fheclient: not registered (call Register first)")
 	}
 	body, err := ct.MarshalBinary()
 	if err != nil {
-		return nil, 0, 0, fmt.Errorf("fheclient: encoding ciphertext: %w", err)
+		return nil, 0, fmt.Errorf("fheclient: encoding ciphertext: %w", err)
 	}
 
 	trace := obs.TraceID(ctx)
@@ -515,9 +497,9 @@ func (c *Client) InferCipherLane(ctx context.Context, ct *ckks.Ciphertext) (*ckk
 	var refusedSince time.Time
 	refreshed := false
 	for attempt := 1; ; attempt++ {
-		out, lane, stride, err := c.inferOnce(ctx, id, idemKey, trace, body)
+		out, lane, err := c.inferOnce(ctx, id, idemKey, trace, body)
 		if err == nil {
-			return out, lane, stride, nil
+			return out, lane, nil
 		}
 		// Under DialMulti a failed endpoint is sidestepped, not waited out:
 		// rotate to the next candidate before any retry accounting, so the
@@ -539,7 +521,7 @@ func (c *Client) InferCipherLane(ctx context.Context, ct *ckks.Ciphertext) (*ckk
 			if time.Since(refusedSince) < pol.ReconnectWindow {
 				select {
 				case <-ctx.Done():
-					return nil, 0, 0, ctx.Err()
+					return nil, 0, ctx.Err()
 				case <-time.After(pol.ReconnectDelay):
 				}
 				attempt--
@@ -579,15 +561,15 @@ func (c *Client) InferCipherLane(ctx context.Context, ct *ckks.Ciphertext) (*ckk
 			if errors.As(err, &te) {
 				err = te.err
 			}
-			return nil, 0, 0, err
+			return nil, 0, err
 		}
 		d := pol.Backoff(attempt, retryAfter)
 		if slept+d > pol.Budget {
-			return nil, 0, 0, fmt.Errorf("fheclient: retry budget %v exhausted after %d attempts: %w", pol.Budget, attempt, err)
+			return nil, 0, fmt.Errorf("fheclient: retry budget %v exhausted after %d attempts: %w", pol.Budget, attempt, err)
 		}
 		select {
 		case <-ctx.Done():
-			return nil, 0, 0, ctx.Err()
+			return nil, 0, ctx.Err()
 		case <-time.After(d):
 			slept += d
 		}
@@ -612,12 +594,12 @@ func classify(err error) (retryAfter time.Duration, retryable bool) {
 }
 
 // inferOnce performs one HTTP round trip of InferCipher, returning the
-// reply's lane coordinates alongside the ciphertext (0, 0 on a solo
-// reply without lane headers).
-func (c *Client) inferOnce(ctx context.Context, id, idemKey, trace string, body []byte) (*ckks.Ciphertext, int, int, error) {
+// reply's lane alongside the ciphertext (0 on a solo reply without lane
+// headers).
+func (c *Client) inferOnce(ctx context.Context, id, idemKey, trace string, body []byte) (*ckks.Ciphertext, int, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.endpoint()+api.PathInfer, bytes.NewReader(body))
 	if err != nil {
-		return nil, 0, 0, err
+		return nil, 0, err
 	}
 	req.Header.Set("Content-Type", api.ContentTypeBinary)
 	req.Header.Set(api.HeaderSession, id)
@@ -639,43 +621,40 @@ func (c *Client) inferOnce(ctx context.Context, id, idemKey, trace string, body 
 	resp, err := c.hc.Do(req)
 	if err != nil {
 		if ctx.Err() != nil {
-			return nil, 0, 0, fmt.Errorf("fheclient: inference request: %w", err)
+			return nil, 0, fmt.Errorf("fheclient: inference request: %w", err)
 		}
-		return nil, 0, 0, &transientError{fmt.Errorf("fheclient: inference request: %w", err)}
+		return nil, 0, &transientError{fmt.Errorf("fheclient: inference request: %w", err)}
 	}
 	defer resp.Body.Close()
 	// Chaos hook: the server already answered, but the response is lost
 	// before we read it — exactly the window where only the idempotency
 	// key keeps a retry from executing the program twice.
 	if ferr := fault.Inject(fault.ClientConnReset); ferr != nil {
-		return nil, 0, 0, &transientError{fmt.Errorf("fheclient: inference request: connection reset: %w", ferr)}
+		return nil, 0, &transientError{fmt.Errorf("fheclient: inference request: connection reset: %w", ferr)}
 	}
 	if resp.StatusCode != http.StatusOK {
-		return nil, 0, 0, apiError(resp)
+		return nil, 0, apiError(resp)
 	}
-	var lane, stride int
+	lane := 0
 	if h := resp.Header.Get(api.HeaderLaneStride); h != "" {
-		if stride, err = strconv.Atoi(h); err != nil {
-			return nil, 0, 0, fmt.Errorf("fheclient: bad %s header %q", api.HeaderLaneStride, h)
+		if stride, err := strconv.Atoi(h); err != nil || stride != c.spec.BatchStride {
+			return nil, 0, fmt.Errorf("fheclient: reply %s %q, the program spec says %d", api.HeaderLaneStride, h, c.spec.BatchStride)
 		}
 		if h := resp.Header.Get(api.HeaderLane); h != "" {
 			if lane, err = strconv.Atoi(h); err != nil {
-				return nil, 0, 0, fmt.Errorf("fheclient: bad %s header %q", api.HeaderLane, h)
+				return nil, 0, fmt.Errorf("fheclient: bad %s header %q", api.HeaderLane, h)
 			}
-		}
-		if stride < 0 || lane < 0 || (stride > 1 && lane >= stride) {
-			return nil, 0, 0, fmt.Errorf("fheclient: lane %d out of range for stride %d", lane, stride)
 		}
 	}
 	data, err := io.ReadAll(resp.Body)
 	if err != nil {
-		return nil, 0, 0, &transientError{fmt.Errorf("fheclient: reading result: %w", err)}
+		return nil, 0, &transientError{fmt.Errorf("fheclient: reading result: %w", err)}
 	}
 	out := &ckks.Ciphertext{}
 	if err := out.UnmarshalBinary(data); err != nil {
-		return nil, 0, 0, fmt.Errorf("fheclient: decoding result: %w", err)
+		return nil, 0, fmt.Errorf("fheclient: decoding result: %w", err)
 	}
-	return out, lane, stride, nil
+	return out, lane, nil
 }
 
 // Infer runs one encrypted inference end to end: encrypt locally, stream
@@ -688,16 +667,11 @@ func (c *Client) Infer(ctx context.Context, values []float64) ([]float64, error)
 	if err != nil {
 		return nil, err
 	}
-	out, lane, stride, err := c.InferCipherLane(ctx, ct)
+	out, lane, err := c.InferCipherLane(ctx, ct)
 	if err != nil {
 		return nil, err
 	}
-	if stride <= 1 {
-		// No lane headers: a solo reply, still in the strided layout when
-		// the program spec says the server batches.
-		return c.Decrypt(out)
-	}
-	return c.DecryptLane(out, lane, stride)
+	return c.DecryptLane(out, lane)
 }
 
 // Drop deletes the registered session server-side.

@@ -137,7 +137,9 @@ const ContentTypeBinary = "application/octet-stream"
 // ProgramSpec is returned by GET /v1/program: everything a client needs
 // to generate compatible key material and encrypt inputs. Params holds a
 // serialized ckks.ParametersLiteral — prime generation is deterministic,
-// so decoding it yields the server's exact rings.
+// so decoding it yields the server's exact rings. Rotations (ascending)
+// and Conjugation name the Galois keys a session's bundle must hold; the
+// relinearization key is always required on top.
 type ProgramSpec struct {
 	Name        string  `json:"name"`
 	Params      []byte  `json:"params"`
@@ -147,7 +149,6 @@ type ProgramSpec struct {
 	InputScale  float64 `json:"input_scale"`
 	Rotations   []int   `json:"rotations"`
 	Conjugation bool    `json:"conjugation"`
-	NeedRlk     bool    `json:"need_rlk"`
 	Bootstraps  int     `json:"bootstraps"`
 	// BatchStride > 1 means the server runs a lane-transformed program:
 	// clients must encode their VecLen input strided — logical slot i at

@@ -342,7 +342,7 @@ func TestRestartResumesJournaledJobFromCheckpoint(t *testing.T) {
 	if !ok {
 		t.Fatal("registered session not found")
 	}
-	m := vm.NewMachine(sA.params, sess.keys, sA.boot, sA.enc)
+	m := vm.NewMachine(sA.sh, sess.keys)
 	var snaps [][]byte
 	m.Ckpt = &vm.CheckpointPolicy{EveryN: 1, Sink: func(b []byte) error {
 		snaps = append(snaps, append([]byte(nil), b...))

@@ -1,12 +1,14 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -21,6 +23,7 @@ import (
 	"antace/internal/serve/api"
 	"antace/internal/sihe"
 	"antace/internal/vecir"
+	"antace/internal/vm"
 )
 
 // compileLinear lowers the paper's running-example model to an
@@ -371,32 +374,69 @@ func TestDrainRefusesNewWork(t *testing.T) {
 	}
 }
 
-// TestRegisterRejectsIncompleteBundle: a key bundle missing required
-// rotation keys is refused at registration time with a message naming
-// the gap, not at evaluation time.
+// TestRegisterRejectsIncompleteBundle: a key bundle that lacks any key
+// the served program needs — every rotation key, the relinearization
+// key, or on a batching server one lane-packing rotation — is refused at
+// registration time with 400, not at evaluation time. The complete
+// bundle each case starts from is accepted.
 func TestRegisterRejectsIncompleteBundle(t *testing.T) {
-	s, ts, _ := startServer(t, Config{Workers: 1})
-	params, err := ckks.ParamsFromBytes(s.Spec().Params)
-	if err != nil {
-		t.Fatal(err)
+	solo, soloTS, _ := startServer(t, Config{Workers: 1})
+	wide, _ := compileLinearWide(t)
+	batched, batchedTS := serveProgram(t, wide, Config{Workers: 1, BatchMax: 4})
+	if batched.maxLanes < 2 {
+		t.Fatalf("batched server packs %d lanes, want at least 2", batched.maxLanes)
 	}
-	kg := ckks.NewKeyGenerator(params, ring.SeedFromInt(25))
-	sk := kg.GenSecretKey()
-	keys := &ckks.EvaluationKeySet{
-		Rlk:    kg.GenRelinearizationKey(sk),
-		Galois: map[uint64]*ckks.GaloisKey{}, // no rotation keys at all
+	noGalois := func(keys *ckks.EvaluationKeySet) { keys.Galois = map[uint64]*ckks.GaloisKey{} }
+	noRlk := func(keys *ckks.EvaluationKeySet) { keys.Rlk = nil }
+	cases := []struct {
+		name  string
+		s     *Server
+		url   string
+		omit  int                          // a rotation left out of the key set; 0 leaves none out
+		strip func(*ckks.EvaluationKeySet) // edits the generated bundle
+		want  int
+	}{
+		{"complete", solo, soloTS.URL, 0, nil, http.StatusCreated},
+		{"no rotation keys", solo, soloTS.URL, 0, noGalois, http.StatusBadRequest},
+		{"no relinearization key", solo, soloTS.URL, 0, noRlk, http.StatusBadRequest},
+		{"batched complete", batched, batchedTS.URL, 0, nil, http.StatusCreated},
+		{"batched without one packing rotation", batched, batchedTS.URL, -1, nil, http.StatusBadRequest},
 	}
-	bundle, err := keys.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(ts.URL+api.PathSessions, api.ContentTypeBinary, strings.NewReader(string(bundle)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("incomplete bundle accepted with %d", resp.StatusCode)
+	for i, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			spec := tc.s.Spec()
+			params, err := ckks.ParamsFromBytes(spec.Params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			holder, err := vm.NewClient(params, ckks.NewEncoder(params), vm.Layout{VecLen: spec.VecLen}, ring.SeedFromInt(uint64(25+i)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ks := vm.KeySet{Rotations: slices.Clone(spec.Rotations), Conjugation: spec.Conjugation}
+			if tc.omit != 0 {
+				if !slices.Contains(ks.Rotations, tc.omit) {
+					t.Fatalf("spec rotations %v lack %d", ks.Rotations, tc.omit)
+				}
+				ks.Rotations = slices.DeleteFunc(ks.Rotations, func(k int) bool { return k == tc.omit })
+			}
+			keys := holder.Keys(ks)
+			if tc.strip != nil {
+				tc.strip(keys)
+			}
+			bundle, err := keys.MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.Post(tc.url+api.PathSessions, api.ContentTypeBinary, bytes.NewReader(bundle))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			if resp.StatusCode != tc.want {
+				t.Fatalf("registration answered %d, want %d", resp.StatusCode, tc.want)
+			}
+		})
 	}
 }
 

@@ -102,7 +102,7 @@ func (s *Server) applyReplicaRecord(raw []byte) error {
 		if err := keys.UnmarshalBinary(rec.body); err != nil {
 			return err
 		}
-		if err := s.validateKeys(keys); err != nil {
+		if err := s.sh.Check(keys); err != nil {
 			return err
 		}
 		if _, err := s.sessions.putWithID(rec.key, keys, int64(len(rec.body))); err != nil {

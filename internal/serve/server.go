@@ -28,7 +28,6 @@ import (
 	"time"
 
 	"antace/internal/batch"
-	"antace/internal/bootstrap"
 	"antace/internal/ckks"
 	"antace/internal/ckksir"
 	"antace/internal/fault"
@@ -176,13 +175,11 @@ type Server struct {
 	// compile result with Module swapped for the (possibly
 	// batch-transformed) module this server actually executes, so
 	// /v1/costmodelz prices the schedule the profile measures.
-	ckks     *ckksir.Result
-	params   *ckks.Parameters
-	enc      *ckks.Encoder
-	boot     *bootstrap.Bootstrapper
-	spec     api.ProgramSpec
-	required []uint64 // Galois elements every session must provide
-	needRlk  bool
+	ckks *ckksir.Result
+	// sh is what every machine shares: parameters, encoder,
+	// bootstrapper and the key set a session's bundle must hold.
+	sh   *vm.Shared
+	spec api.ProgramSpec
 
 	// Cross-request batching: stride is the lane spacing the served
 	// module was transformed for (1 = batching off), maxLanes the most
@@ -246,10 +243,6 @@ func New(prog Program, cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("serve: program has no executable module")
 	}
 	cfg = cfg.withDefaults()
-	params, err := ckks.NewParameters(res.Literal)
-	if err != nil {
-		return nil, err
-	}
 
 	// Cross-request batching: when the ring has spare slot capacity
 	// (stride = slots/VecLen > 1), serve a lane-transformed clone of the
@@ -261,10 +254,9 @@ func New(prog Program, cfg Config) (*Server, error) {
 	module := res.Module
 	stride := 1
 	if cfg.BatchMax > 1 {
-		stride = batch.Stride(params.Slots(), prog.VecLen)
+		stride = batch.Stride(1<<(res.Literal.LogN-1), prog.VecLen)
 	}
 	maxLanes := 1
-	var rotations []int
 	if stride > 1 {
 		bmod, terr := batch.Transform(res.Module, stride)
 		if terr != nil {
@@ -272,27 +264,19 @@ func New(prog Program, cfg Config) (*Server, error) {
 		}
 		module = bmod
 		maxLanes = min(cfg.BatchMax, stride)
-		rotations = batch.Rotations(bmod)
-		// Packing rotates job b's lane-0 ciphertext by −b before the
-		// additive merge, so the session needs those Galois keys too.
-		for b := 1; b < maxLanes; b++ {
-			rotations = append(rotations, -b)
-		}
-	} else {
-		rotations = append([]int(nil), res.Rotations...)
 	}
-
-	var bt *bootstrap.Bootstrapper
-	conj := false
-	if res.Boot != nil {
-		if bt, err = bootstrap.NewBootstrapper(params, *res.Boot, res.InputScale); err != nil {
-			return nil, err
-		}
-		// Bootstrap rotations are over the full slot count and
-		// lane-oblivious; they are never stride-scaled.
-		rotations = append(rotations, bt.RequiredRotations()...)
-		conj = true
+	ckksView := *res
+	ckksView.Module = module
+	sh, err := vm.NewShared(&ckksView)
+	if err != nil {
+		return nil, err
 	}
+	// Packing rotates job b's lane-0 ciphertext by −b before the additive
+	// merge, so a session needs those Galois keys too.
+	for b := 1; b < maxLanes; b++ {
+		sh.Keys.Rotations = append(sh.Keys.Rotations, -b)
+	}
+	rotations := slices.Clone(sh.Keys.Rotations)
 	slices.Sort(rotations)
 	rotations = slices.Compact(rotations)
 
@@ -308,17 +292,13 @@ func New(prog Program, cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
-	ckksView := *res
-	ckksView.Module = module
 	s := &Server{
 		cfg:      cfg,
 		name:     prog.Name,
 		module:   module,
 		prog:     vmProg,
 		ckks:     &ckksView,
-		params:   params,
-		enc:      ckks.NewEncoder(params),
-		boot:     bt,
+		sh:       sh,
 		stride:   stride,
 		maxLanes: maxLanes,
 		spec: api.ProgramSpec{
@@ -329,12 +309,10 @@ func New(prog Program, cfg Config) (*Server, error) {
 			InputLevel:  res.InputLevel,
 			InputScale:  res.InputScale,
 			Rotations:   rotations,
-			Conjugation: conj,
-			NeedRlk:     true,
+			Conjugation: sh.Keys.Conjugation,
 			Bootstraps:  res.Bootstraps,
 			BatchStride: specStride,
 		},
-		needRlk:   true,
 		sessions:  newSessionCache(cfg.SessionBudget),
 		idem:      newIdemCache(idemEntries),
 		lat:       obs.NewWindow(obs.StatzWindow),
@@ -346,13 +324,6 @@ func New(prog Program, cfg Config) (*Server, error) {
 	}
 	if s.log == nil {
 		s.log = slog.New(slog.NewTextHandler(io.Discard, nil))
-	}
-	rQ := params.RingQ()
-	for _, k := range rotations {
-		s.required = append(s.required, rQ.GaloisElementForRotation(k))
-	}
-	if conj {
-		s.required = append(s.required, rQ.GaloisElementForConjugation())
 	}
 	s.sched = newScheduler(cfg.QueueDepth, cfg.Workers, s.run,
 		func(*job) { s.stats.queueExpired.Add(1) })
@@ -659,7 +630,7 @@ func (s *Server) run(g *batchGroup) {
 	var err error
 	defer func() {
 		if rec := recover(); rec != nil {
-			s.params.DiscardScratch()
+			s.sh.Params.DiscardScratch()
 			out, err = nil, fault.FromPanic("serve.worker", rec)
 		}
 		var re *fault.RuntimeError
@@ -689,7 +660,7 @@ func (s *Server) run(g *batchGroup) {
 		fault.InjectPanic(fault.BatchFlushPanic)
 	}
 
-	m := vm.NewMachine(s.params, jobs[0].sess.keys, s.boot, s.enc)
+	m := vm.NewMachine(s.sh, jobs[0].sess.keys)
 	m.StepDelay = s.cfg.InstrDelay
 	m.Prof = obs.NewRunProfile()
 	in := jobs[0].ct
@@ -795,28 +766,6 @@ func (s *Server) handleProgram(w http.ResponseWriter, r *http.Request) {
 	api.WriteJSON(w, http.StatusOK, s.spec)
 }
 
-// validateKeys rejects bundles that would fail mid-request: the server
-// checks key completeness at registration time, when the client can
-// still fix it, rather than at evaluation time.
-func (s *Server) validateKeys(keys *ckks.EvaluationKeySet) error {
-	if s.needRlk && keys.Rlk == nil {
-		return fmt.Errorf("bundle is missing the relinearization key")
-	}
-	var missing []uint64
-	for _, gal := range s.required {
-		if _, err := keys.GaloisKeyFor(gal); err != nil {
-			missing = append(missing, gal)
-		}
-	}
-	if len(missing) > 0 {
-		if len(missing) > 8 {
-			return fmt.Errorf("bundle is missing %d Galois keys (first: %v)", len(missing), missing[:8])
-		}
-		return fmt.Errorf("bundle is missing Galois keys for elements %v", missing)
-	}
-	return nil
-}
-
 func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	body, err := readBody(w, r, s.cfg.SessionBudget)
 	if err != nil {
@@ -828,7 +777,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		api.WriteError(w, http.StatusBadRequest, "decoding key bundle: %v", err)
 		return
 	}
-	if err := s.validateKeys(keys); err != nil {
+	if err := s.sh.Check(keys); err != nil {
 		api.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
@@ -1227,8 +1176,8 @@ func (s *Server) StatzSnapshot() api.Statz {
 		st.StoreErrs = s.dur.storeErrs.Load()
 	}
 	st.ProgramTable = api.TableStatz(s.prog.TableStats())
-	if s.boot != nil {
-		st.BootstrapTable = api.TableStatz(s.boot.TableStats())
+	if s.sh.Boot != nil {
+		st.BootstrapTable = api.TableStatz(s.sh.Boot.TableStats())
 	}
 	return st
 }

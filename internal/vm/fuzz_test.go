@@ -39,7 +39,7 @@ func FuzzSnapshotRestore(f *testing.F) {
 	f.Add(truncHeader)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m := NewMachine(machine.Params, machine.Eval.Keys(), machine.Boot, nil)
+		m := NewMachine(shared(machine), machine.Eval.Keys())
 		if err := m.Restore(res.Module, data); err != nil {
 			return
 		}

@@ -126,7 +126,7 @@ func TestEncodeOnceBitIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			lanes := *res
-			lanes.Module, lanes.Rotations = bmod, batch.Rotations(bmod)
+			lanes.Module = bmod
 			return &lanes, stride
 		}},
 	}
@@ -141,7 +141,13 @@ func TestEncodeOnceBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			client.Stride = stride
+			if stride > 1 {
+				// The same seed draws the same secret key, in the lane layout.
+				lay := Layout{VecLen: n, Level: res.InputLevel, Scale: res.InputScale, Stride: stride}
+				if client, err = NewClient(m.Params, m.enc, lay, ring.SeedFromInt(71)); err != nil {
+					t.Fatal(err)
+				}
+			}
 			ct, err := client.Encrypt(randomInput(n, 5))
 			if err != nil {
 				t.Fatal(err)
@@ -180,7 +186,7 @@ func TestEncodeOnceBitIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			every.tableCap = 0
-			m0 := NewMachine(m.Params, m.Eval.Keys(), nil, nil)
+			m0 := NewMachine(&Shared{Params: m.Params, Enc: m.enc}, m.Eval.Keys())
 			if m.Boot != nil {
 				m0.Boot = m.Boot.WithTableCap(0)
 			}
@@ -306,7 +312,7 @@ func TestSharedProgramAndBootstrapper(t *testing.T) {
 			t.Fatal(err)
 		}
 		p.want = wire(t, out)
-		p.m = NewMachine(lead.Params, own.Eval.Keys(), lead.Boot, nil)
+		p.m = NewMachine(shared(lead), own.Eval.Keys())
 	}
 
 	var wg sync.WaitGroup
@@ -387,7 +393,7 @@ func TestResumeUsesTable(t *testing.T) {
 	}
 	misses := prog.TableStats().Misses
 
-	m2 := NewMachine(m.Params, m.Eval.Keys(), m.Boot, nil)
+	m2 := NewMachine(shared(m), m.Eval.Keys())
 	if err := m2.Restore(res.Module, snaps[afterEncode]); err != nil {
 		t.Fatal(err)
 	}
@@ -409,7 +415,7 @@ func TestResumeUsesTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	fresh.tableCap = 0
-	m3 := NewMachine(m.Params, m.Eval.Keys(), m.Boot, nil)
+	m3 := NewMachine(shared(m), m.Eval.Keys())
 	if err := m3.Restore(res.Module, snaps[afterEncode]); err != nil {
 		t.Fatal(err)
 	}

@@ -56,7 +56,7 @@ func TestSnapshotResumeBitIdentical(t *testing.T) {
 	// Resume from every checkpoint, including the very last one
 	// (pc == len(Body): no instructions left to run).
 	for i := range snaps {
-		m2 := NewMachine(machine.Params, machine.Eval.Keys(), machine.Boot, nil)
+		m2 := NewMachine(shared(machine), machine.Eval.Keys())
 		if err := m2.Restore(res.Module, snaps[i]); err != nil {
 			t.Fatalf("restore snapshot %d: %v", i, err)
 		}
@@ -114,7 +114,7 @@ func TestRestoreRejectsWrongProgram(t *testing.T) {
 	res2, _ := compileLinear(t)
 	main := res2.Module.Main()
 	main.Body = main.Body[:len(main.Body)-1]
-	m2 := NewMachine(machine.Params, machine.Eval.Keys(), machine.Boot, nil)
+	m2 := NewMachine(shared(machine), machine.Eval.Keys())
 	if err := m2.Restore(res2.Module, snap); err == nil {
 		t.Fatal("snapshot restored against a different program")
 	}

@@ -16,7 +16,6 @@ import (
 	"math"
 	"time"
 
-	"antace/internal/batch"
 	"antace/internal/bootstrap"
 	"antace/internal/ckks"
 	"antace/internal/ckksir"
@@ -55,127 +54,102 @@ type Machine struct {
 	st *execState
 }
 
-// Client is the paper's ANT-ACE-generated encryptor/decryptor pair: it
-// owns the secret key and the packing configuration.
-type Client struct {
-	Params     *ckks.Parameters
-	Encoder    *ckks.Encoder
-	Encryptor  *ckks.Encryptor
-	Decryptor  *ckks.Decryptor
-	InputLevel int
-	InputScale float64
-	VecLen     int
-	// Stride > 1 targets a lane-transformed module (cross-request slot
-	// batching): Encrypt places the logical vector strided into lane 0
-	// and DecryptLane extracts one lane of a shared result. Zero or one
-	// is the plain solo layout.
-	Stride int
+// Shared is what every machine running one program shares: the
+// parameters, one encoder, the bootstrapper when the program bootstraps,
+// and the key set a session must supply. All of it is read-only.
+type Shared struct {
+	Params *ckks.Parameters
+	Enc    *ckks.Encoder
+	Boot   *bootstrap.Bootstrapper
+	Keys   KeySet
 }
 
-// New builds the machine and client for a compiled program. A nil seed
-// draws fresh randomness.
-func New(res *ckksir.Result, vecLen int, seed *[32]byte) (*Machine, *Client, error) {
+// KeySet names the Galois keys a program's evaluation needs; the
+// relinearisation key is always needed on top. Keys are generated in
+// Rotations order, then conjugation.
+type KeySet struct {
+	Rotations   []int
+	Conjugation bool
+}
+
+// NewShared builds the shared parts of res's machines. The key set is
+// derived from the module res carries, so a caller that runs a
+// transformed module passes a Result holding that module: the program's
+// rotation keys ascending (ckksir.RotationKeys), then the bootstrapper's,
+// then conjugation when the program bootstraps. Every key spans the
+// whole chain; RotationKeys' levels are not used yet.
+func NewShared(res *ckksir.Result) (*Shared, error) {
 	params, err := ckks.NewParameters(res.Literal)
-	if err != nil {
-		return nil, nil, err
-	}
-	kg := ckks.NewKeyGenerator(params, seed)
-	sk := kg.GenSecretKey()
-	pk := kg.GenPublicKey(sk)
-
-	var bt *bootstrap.Bootstrapper
-	rotations := append([]int(nil), res.Rotations...)
-	needConj := false
-	if res.Boot != nil {
-		bt, err = bootstrap.NewBootstrapper(params, *res.Boot, res.InputScale)
-		if err != nil {
-			return nil, nil, err
-		}
-		rotations = append(rotations, bt.RequiredRotations()...)
-		needConj = true
-	}
-	keys := &ckks.EvaluationKeySet{
-		Rlk:    kg.GenRelinearizationKey(sk),
-		Galois: kg.GenGaloisKeys(rotations, needConj, sk),
-	}
-	m := &Machine{
-		Params:   params,
-		Eval:     ckks.NewEvaluator(params, keys),
-		Boot:     bt,
-		enc:      ckks.NewEncoder(params),
-		KeyCount: len(keys.Galois),
-	}
-	c := &Client{
-		Params:     params,
-		Encoder:    ckks.NewEncoder(params),
-		Encryptor:  ckks.NewEncryptor(params, pk),
-		Decryptor:  ckks.NewDecryptor(params, sk),
-		InputLevel: res.InputLevel,
-		InputScale: res.InputScale,
-		VecLen:     vecLen,
-	}
-	return m, c, nil
-}
-
-// NewMachine assembles a server machine from shared, read-only parts and
-// one client's evaluation keys: the serving layer holds a single set of
-// parameters, one encoder and (when the program bootstraps) one
-// bootstrapper, all safe to share across machines, while the Evaluator is
-// created fresh here because it is per-goroutine. The keys typically
-// arrive over the wire (ckks.EvaluationKeySet.UnmarshalBinary) rather
-// than from a local KeyGenerator — the server never sees a secret key.
-func NewMachine(params *ckks.Parameters, keys *ckks.EvaluationKeySet, bt *bootstrap.Bootstrapper, enc *ckks.Encoder) *Machine {
-	if enc == nil {
-		enc = ckks.NewEncoder(params)
-	}
-	return &Machine{
-		Params:   params,
-		Eval:     ckks.NewEvaluator(params, keys),
-		Boot:     bt,
-		enc:      enc,
-		KeyCount: len(keys.Galois),
-	}
-}
-
-// Encrypt packs and encrypts a slot vector at the compiled input level
-// and scale.
-func (c *Client) Encrypt(values []float64) (*ckks.Ciphertext, error) {
-	if len(values) != c.VecLen {
-		return nil, fmt.Errorf("vm: input length %d, compiled for %d", len(values), c.VecLen)
-	}
-	if c.Stride > 1 {
-		exp, err := batch.ExpandLane(values, 0, c.Stride)
-		if err != nil {
-			return nil, err
-		}
-		values = exp
-	}
-	pt, err := c.Encoder.EncodeReal(values, c.InputLevel, c.InputScale)
 	if err != nil {
 		return nil, err
 	}
-	return c.Encryptor.Encrypt(pt), nil
-}
-
-// Decrypt decrypts and decodes back to the slot vector (lane 0 when the
-// client targets a lane-transformed module).
-func (c *Client) Decrypt(ct *ckks.Ciphertext) []float64 {
-	return c.DecryptLane(ct, 0)
-}
-
-// DecryptLane decrypts a shared batched result and returns the logical
-// vector riding the given lane. With Stride <= 1 only lane 0 exists and
-// the decode is the plain solo layout.
-func (c *Client) DecryptLane(ct *ckks.Ciphertext, lane int) []float64 {
-	if c.Stride <= 1 {
-		return c.Encoder.DecodeReal(c.Decryptor.Decrypt(ct), c.VecLen)
+	sh := &Shared{Params: params, Enc: ckks.NewEncoder(params)}
+	for _, k := range ckksir.RotationKeys(res.Module.Main()) {
+		sh.Keys.Rotations = append(sh.Keys.Rotations, k.K)
 	}
-	wide := c.Encoder.DecodeReal(c.Decryptor.Decrypt(ct), c.VecLen*c.Stride)
-	out, err := batch.ExtractLane(wide, lane, c.Stride)
+	if res.Boot != nil {
+		if sh.Boot, err = bootstrap.NewBootstrapper(params, *res.Boot, res.InputScale); err != nil {
+			return nil, err
+		}
+		sh.Keys.Rotations = append(sh.Keys.Rotations, sh.Boot.RequiredRotations()...)
+		sh.Keys.Conjugation = true
+	}
+	return sh, nil
+}
+
+// Check reports what an uploaded key bundle lacks of the key set, so a
+// server refuses it at registration rather than failing mid-request.
+func (sh *Shared) Check(keys *ckks.EvaluationKeySet) error {
+	if keys.Rlk == nil {
+		return fmt.Errorf("bundle is missing the relinearization key")
+	}
+	var missing []uint64
+	need := func(gal uint64) {
+		if _, err := keys.GaloisKeyFor(gal); err != nil {
+			missing = append(missing, gal)
+		}
+	}
+	rQ := sh.Params.RingQ()
+	for _, k := range sh.Keys.Rotations {
+		need(rQ.GaloisElementForRotation(k))
+	}
+	if sh.Keys.Conjugation {
+		need(rQ.GaloisElementForConjugation())
+	}
+	if len(missing) > 0 {
+		return fmt.Errorf("bundle is missing %d Galois keys, for elements %v", len(missing), missing[:min(len(missing), 8)])
+	}
+	return nil
+}
+
+// New builds the machine and client for a compiled program. A nil seed
+// draws fresh randomness. Keys are generated in the order sk, pk,
+// relinearisation, then the key set's (NewShared).
+func New(res *ckksir.Result, vecLen int, seed *[32]byte) (*Machine, *Client, error) {
+	sh, err := NewShared(res)
 	if err != nil {
-		panic(fmt.Sprintf("vm: lane %d out of range for stride %d", lane, c.Stride))
+		return nil, nil, err
 	}
-	return out
+	c, err := NewClient(sh.Params, sh.Enc, Layout{VecLen: vecLen, Level: res.InputLevel, Scale: res.InputScale}, seed)
+	if err != nil {
+		return nil, nil, err
+	}
+	return NewMachine(sh, c.Keys(sh.Keys)), c, nil
+}
+
+// NewMachine assembles a machine from a program's shared parts and one
+// session's evaluation keys. The Evaluator is created fresh here because
+// it is per-goroutine. On a server the keys arrive over the wire
+// (ckks.EvaluationKeySet.UnmarshalBinary) rather than from a Client: the
+// server never sees a secret key.
+func NewMachine(sh *Shared, keys *ckks.EvaluationKeySet) *Machine {
+	return &Machine{
+		Params:   sh.Params,
+		Eval:     ckks.NewEvaluator(sh.Params, keys),
+		Boot:     sh.Boot,
+		enc:      sh.Enc,
+		KeyCount: len(keys.Galois),
+	}
 }
 
 // Run executes the module's main function on an encrypted input.

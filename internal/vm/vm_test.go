@@ -81,9 +81,14 @@ func TestMachineRunsLinearModel(t *testing.T) {
 			t.Fatalf("class %d: vm %g vs vec %g", k, got[slot], want[slot])
 		}
 	}
-	if machine.KeyCount != len(res.Rotations) {
-		t.Fatalf("key count %d, analysis says %d", machine.KeyCount, len(res.Rotations))
+	if want := len(ckksir.RotationKeys(res.Module.Main())); machine.KeyCount != want {
+		t.Fatalf("key count %d, analysis says %d", machine.KeyCount, want)
 	}
+}
+
+// shared returns the parts m runs on, for a sibling machine.
+func shared(m *Machine) *Shared {
+	return &Shared{Params: m.Params, Enc: m.enc, Boot: m.Boot}
 }
 
 // TestRunCtxCancellation proves server deadlines reach the run loop: a
@@ -129,17 +134,16 @@ func TestNewMachineFromWireKeys(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	params, err := ckks.NewParameters(res.Literal)
+	sh, err := NewShared(res)
 	if err != nil {
 		t.Fatal(err)
 	}
-	kg := ckks.NewKeyGenerator(params, ring.SeedFromInt(12))
-	sk := kg.GenSecretKey()
-	keys := &ckks.EvaluationKeySet{
-		Rlk:    kg.GenRelinearizationKey(sk),
-		Galois: kg.GenGaloisKeys(res.Rotations, false, sk),
+	// The same seed draws the same secret key as client's.
+	holder, err := NewClient(sh.Params, sh.Enc, Layout{VecLen: vres.InLayout.L}, ring.SeedFromInt(12))
+	if err != nil {
+		t.Fatal(err)
 	}
-	wire, err := keys.MarshalBinary()
+	wire, err := holder.Keys(sh.Keys).MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +152,7 @@ func TestNewMachineFromWireKeys(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	remote := NewMachine(params, &got, nil, nil)
+	remote := NewMachine(sh, &got)
 	input := make([]float64, vres.InLayout.L)
 	for i := range input {
 		input[i] = float64(i%3)/3 - 0.3
