@@ -76,7 +76,7 @@ chaos:
 # and the replication stream to one codec (one result is the same bytes
 # in both journals and on the wire; old layouts are refused, never
 # reinterpreted); the VM resumes from every checkpoint of a run whose
-# rotations share a decomposition and gets the uninterrupted run's bytes;
+# linear layer is one BSGS kernel and gets the uninterrupted run's bytes;
 # the fuzz smokes feed corrupt record, journal and snapshot bytes to the
 # decode/replay/restore paths. All raced.
 durability:

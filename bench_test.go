@@ -313,8 +313,9 @@ func BenchmarkAblationBootstrapLevel(b *testing.B) {
 // The deep case is the sweep behind ckksir's special-prime rule: the
 // 30-prime chain of the bootstrapped reduced ResNets (q0, 16 compute
 // levels, 13 bootstrap levels) at the benchmark workload's ring degree,
-// K special primes, timed on one relinearisation and on one hoisted
-// batch of 15 rotations (the baby steps of a bootstrap DFT).
+// K special primes, timed on one relinearisation and on one
+// baby-step/giant-step group of 15 hoisted baby steps and 16 masks (the
+// baby steps of a bootstrap DFT, EvaluateBSGS).
 func BenchmarkAblationKeySwitchDigits(b *testing.B) {
 	mulRelin := func(lit ckks.ParametersLiteral) func(*testing.B) {
 		return func(b *testing.B) {
@@ -351,9 +352,13 @@ func BenchmarkAblationKeySwitchDigits(b *testing.B) {
 		b.Run(fmt.Sprintf("deep30/K%d/MulRelin", k), mulRelin(lit))
 		b.Run(fmt.Sprintf("deep30/K%d/Hoisted15", k), func(b *testing.B) {
 			eval, ct := keySwitchBenchSetup(b, lit, babies)
+			terms, err := bsgsBenchTerms(lit, ct.Level(), append([]int{0}, babies...), []int{0})
+			if err != nil {
+				b.Fatal(err)
+			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := rotateHoisted(eval, ct, babies); err != nil {
+				if _, err := eval.EvaluateBSGS(ct, terms); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -604,35 +609,54 @@ func BenchmarkKeySwitch(b *testing.B) {
 	}
 }
 
-// BenchmarkHoistedRotations measures a batch of rotations sharing one
-// hoisted digit decomposition (the baby-step pattern of BSGS linear
-// transforms and the bootstrapping DFTs).
+// BenchmarkHoistedRotations measures one baby-step/giant-step transform
+// as linear layers and the bootstrapping DFTs run it (EvaluateBSGS):
+// four baby steps sharing one hoisted decomposition and kept over Q∪P,
+// two groups, one giant step.
 func BenchmarkHoistedRotations(b *testing.B) {
-	ks := []int{1, 2, 4, 8}
-	eval, ct := keySwitchBenchSetup(b, keySwitchLiteral, ks)
+	eval, ct := keySwitchBenchSetup(b, keySwitchLiteral, []int{1, 2, 3, 4})
+	terms, err := bsgsBenchTerms(keySwitchLiteral, ct.Level(), []int{0, 1, 2, 3}, []int{0, 4})
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := rotateHoisted(eval, ct, ks); err != nil {
+		if _, err := eval.EvaluateBSGS(ct, terms); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// rotateHoisted rotates ct by every offset in ks from one shared
-// decomposition.
-func rotateHoisted(eval *ckks.Evaluator, ct *ckks.Ciphertext, ks []int) error {
-	h, err := eval.Decompose(ct)
+// bsgsBenchTerms encodes one mask per (giant, baby) at level, each over
+// Q∪P unless its baby is 0, at the scale a rescale by the level's prime
+// takes back to the default.
+func bsgsBenchTerms(lit ckks.ParametersLiteral, level int, babies, giants []int) ([]ckks.BSGSTerm, error) {
+	params, err := ckks.NewParameters(lit)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	defer h.Release()
-	for _, k := range ks {
-		if _, err := eval.RotateHoisted(ct, h, k); err != nil {
-			return err
+	enc := ckks.NewEncoder(params)
+	mask := make([]float64, params.Slots())
+	for i := range mask {
+		mask[i] = float64(i%7)/7 - 0.5
+	}
+	scale := float64(params.RingQ().Moduli[level])
+	var terms []ckks.BSGSTerm
+	for _, g := range giants {
+		for _, bb := range babies {
+			encode := enc.EncodeRealQP
+			if bb == 0 {
+				encode = enc.EncodeReal
+			}
+			pt, err := encode(mask, level, scale)
+			if err != nil {
+				return nil, err
+			}
+			terms = append(terms, ckks.BSGSTerm{Baby: bb, Giant: g, Mask: pt})
 		}
 	}
-	return nil
+	return terms, nil
 }
 
 // ReLU polynomial evaluation (the dominant compute outside bootstrap).

@@ -153,7 +153,7 @@ func runAutotune(w io.Writer, outPath string, cal costmodel.Calibration) error {
 	if err != nil {
 		return err
 	}
-	live, _, err := costmodel.FromProfile(defSnap, geom, cal)
+	live, _, err := costmodel.FromProfile(defSnap, def.CKKS.Module.Main(), geom, cal)
 	if err != nil {
 		return err
 	}

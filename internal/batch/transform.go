@@ -8,8 +8,9 @@ import (
 )
 
 // Transform clones a compiled CKKS module into its batched counterpart
-// for the given stride: every ckks.rotate amount k becomes k·stride and
-// every ckks.encode constant is lane-replicated. All other instructions
+// for the given stride: every ckks.rotate amount k, and every baby and
+// giant of a ckks.linear, becomes k·stride, and every ckks.encode
+// constant is lane-replicated. All other instructions
 // are slotwise, so they are copied unchanged (levels, scales and
 // attributes included — the vm's per-instruction level/scale check
 // passes on the batched module exactly as on the solo one).
@@ -90,8 +91,17 @@ func transformFunc(out *ir.Module, f *ir.Func, stride int) error {
 		for k, v := range in.Attrs {
 			attrs[k] = v
 		}
-		if in.Op == ckksir.OpRotate {
+		switch in.Op {
+		case ckksir.OpRotate:
 			attrs["k"] = in.AttrInt("k", 0) * stride
+		case ckksir.OpLinear:
+			for _, name := range []string{"b", "g"} {
+				ks := make([]int, len(in.AttrInts(name)))
+				for i, k := range in.AttrInts(name) {
+					ks[i] = k * stride
+				}
+				attrs[name] = ks
+			}
 		}
 		res := nf.Emit(in.Op, scaleType(in.Result.Type, stride), args, attrs)
 		copyMeta(res, in.Result)

@@ -9,14 +9,15 @@ import (
 )
 
 // buildTestModule emits a small but representative CKKS program over L
-// logical slots: an encoded mask multiply, a rotate-and-add reduction,
-// a scalar multiply, a polynomial and a reinterpret — every lane-relevant
-// op class the compiler produces.
+// logical slots: an encoded mask multiply, a rotate-and-add reduction, a
+// linear layer with babies and giants, a scalar multiply, a
+// polynomial and a reinterpret — every lane-relevant op class the
+// compiler produces.
 func buildTestModule(l int) *ir.Module {
 	mod := ir.NewModule("batchtest")
 	f := mod.NewFunc("main")
 	x := f.NewParam("x", ir.CipherType(l))
-	x.Level, x.Scale = 3, 1 << 40
+	x.Level, x.Scale = 3, 1<<40
 
 	mask := make([]float64, l)
 	for i := range mask {
@@ -40,6 +41,26 @@ func buildTestModule(l int) *ir.Module {
 		sum.Level, sum.Scale = acc.Level, acc.Scale
 		acc = sum
 	}
+	args := []*ir.Value{x}
+	babies := []int{0, 1, 7, 1, 7}
+	for i, b := range babies {
+		w := make([]float64, l)
+		for j := range w {
+			w[j] = float64((i+j)%7)*0.125 - 0.375
+		}
+		attrs := map[string]any{"level": 3, "scale": float64(1 << 40)}
+		if b != 0 {
+			attrs["qp"] = true
+		}
+		m := f.Emit(ckksir.OpEncode, ir.PlainType(l), []*ir.Value{f.NewConst("w", ir.VectorType(l), w)}, attrs)
+		m.Level, m.Scale = 3, 1<<40
+		args = append(args, m)
+	}
+	lin := f.Emit(ckksir.OpLinear, ir.CipherType(l), args,
+		map[string]any{"b": babies, "g": []int{0, 0, 0, 2, 2}})
+	lin.Level, lin.Scale = 2, 1<<40
+	acc = f.Emit(ckksir.OpAdd, ir.CipherType(l), []*ir.Value{acc, lin}, nil)
+	acc.Level, acc.Scale = 2, 1<<40
 	mc := f.Emit(ckksir.OpMulConst, ir.CipherType(l), []*ir.Value{acc},
 		map[string]any{"c": 0.5, "const_scale": 1.0})
 	mc.Level, mc.Scale = acc.Level, acc.Scale
@@ -76,6 +97,15 @@ func TestTransformStructure(t *testing.T) {
 		case ckksir.OpRotate:
 			if got, want := bin.AttrInt("k", 0), in.AttrInt("k", 0)*stride; got != want {
 				t.Fatalf("instr %d: rotation %d, want %d", i, got, want)
+			}
+		case ckksir.OpLinear:
+			for _, name := range []string{"b", "g"} {
+				solo, lanes := in.AttrInts(name), bin.AttrInts(name)
+				for j := range solo {
+					if len(lanes) != len(solo) || lanes[j] != solo[j]*stride {
+						t.Fatalf("instr %d: %s %v, want %v times %d", i, name, lanes, solo, stride)
+					}
+				}
 			}
 		case ckksir.OpEncode:
 			solo := in.Args[0].Const.([]float64)

@@ -240,7 +240,7 @@ func NewBootstrapper(params *ckks.Parameters, bp Parameters, inputScale float64)
 		return nil, fmt.Errorf("bootstrap: SlotsToCoeffs: %w", err)
 	}
 	for _, lt := range bt.stages() {
-		lt.Memo = ckks.NewPlaintextMemoQP(params, ckks.PlaintextMemoCap)
+		lt.Memo = ckks.NewPlaintextMemo(params, ckks.PlaintextMemoCap)
 	}
 	return bt, nil
 }
@@ -254,7 +254,7 @@ func (bt *Bootstrapper) WithTableCap(capBytes int64) *Bootstrapper {
 		out := make([]*ckks.LinearTransform, len(stages))
 		for i, lt := range stages {
 			cp := *lt
-			cp.Memo = ckks.NewPlaintextMemoQP(bt.params, capBytes)
+			cp.Memo = ckks.NewPlaintextMemo(bt.params, capBytes)
 			out[i] = &cp
 		}
 		return out

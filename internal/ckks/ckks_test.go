@@ -518,13 +518,10 @@ func TestRotateHoistedMatchesRotate(t *testing.T) {
 	pt, _ := tc.enc.Encode(values, tc.params.MaxLevel(), tc.params.DefaultScale())
 	ct := tc.encPk.Encrypt(pt)
 
-	h, err := tc.eval.Decompose(ct)
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := tc.eval.decomposeForKeySwitch(ct.Value[1])
 	defer h.Release()
-	for _, k := range append(append([]int{0}, rots...), rots[0]) {
-		hoisted, err := tc.eval.RotateHoisted(ct, h, k)
+	for _, k := range append(append([]int{}, rots...), rots[0]) {
+		hoisted, err := tc.eval.automorphismHoisted(ct, h, tc.params.RingQ().GaloisElementForRotation(k))
 		if err != nil {
 			t.Fatal(err)
 		}

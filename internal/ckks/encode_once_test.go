@@ -119,8 +119,8 @@ func TestEncodeQP(t *testing.T) {
 			}
 		}
 	}
-	memo := NewPlaintextMemoQP(tc.params, PlaintextMemoCap)
-	if _, _, err := memo.Get(PlaintextKey{Level: level, Scale: 1}, func() (*Plaintext, error) { return tc.enc.EncodeQP(vals, level, 1) }); err != nil {
+	memo := NewPlaintextMemo(tc.params, PlaintextMemoCap)
+	if _, _, err := memo.Get(PlaintextKey{Level: level, Scale: 1, QP: true}, func() (*Plaintext, error) { return tc.enc.EncodeQP(vals, level, 1) }); err != nil {
 		t.Fatal(err)
 	}
 	if want := int64(level+1+len(rP.Moduli)) * int64(tc.params.N()) * 8; memo.Stats().Bytes != want {
@@ -243,7 +243,7 @@ func TestLinearTransformMemo(t *testing.T) {
 	plain := NewLinearTransformFromMatrix(m)
 	memoised := NewLinearTransformFromMatrix(m)
 	tc := newTestContext(t, plain.Rotations())
-	memoised.Memo = NewPlaintextMemoQP(tc.params, PlaintextMemoCap)
+	memoised.Memo = NewPlaintextMemo(tc.params, PlaintextMemoCap)
 
 	pt, err := tc.enc.Encode(randomComplexVector(slots, 1, 4), tc.params.MaxLevel(), tc.params.DefaultScale())
 	if err != nil {

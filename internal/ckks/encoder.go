@@ -200,11 +200,20 @@ func (e *Encoder) fromScaledCoeffs(scaled []float64, level int, scale float64, w
 
 // EncodeReal is Encode for real-valued vectors.
 func (e *Encoder) EncodeReal(values []float64, level int, scale float64) (*Plaintext, error) {
+	return e.encode(complexOf(values), level, scale, false)
+}
+
+// EncodeRealQP is EncodeQP for real-valued vectors.
+func (e *Encoder) EncodeRealQP(values []float64, level int, scale float64) (*Plaintext, error) {
+	return e.encode(complexOf(values), level, scale, true)
+}
+
+func complexOf(values []float64) []complex128 {
 	cv := make([]complex128, len(values))
 	for i, v := range values {
 		cv[i] = complex(v, 0)
 	}
-	return e.Encode(cv, level, scale)
+	return cv
 }
 
 // EncodeCoeffs encodes raw polynomial coefficients (no embedding): value i

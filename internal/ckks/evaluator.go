@@ -362,29 +362,18 @@ func (ev *Evaluator) SetScale(ct *Ciphertext, target float64) (*Ciphertext, erro
 }
 
 // Rotate cyclically rotates the slot vector by k positions (positive k
-// rotates towards lower indices, matching the VECTOR IR roll semantics):
-// the one-offset case of the hoisted rotation path.
+// rotates towards lower indices, matching the VECTOR IR roll semantics).
 func (ev *Evaluator) Rotate(ct *Ciphertext, k int) (*Ciphertext, error) {
 	if k == 0 {
 		return ev.copyAt(ct, ct.Level()), nil
 	}
-	h, err := ev.Decompose(ct)
-	if err != nil {
-		return nil, err
-	}
-	defer h.Release()
-	return ev.RotateHoisted(ct, h, k)
+	return ev.automorphism(ct, ev.params.RingQ().GaloisElementForRotation(k))
 }
 
 // Conjugate applies complex conjugation to the slots, on the same path
 // as a rotation.
 func (ev *Evaluator) Conjugate(ct *Ciphertext) (*Ciphertext, error) {
-	h, err := ev.Decompose(ct)
-	if err != nil {
-		return nil, err
-	}
-	defer h.Release()
-	return ev.automorphismHoisted(ct, h, ev.params.RingQ().GaloisElementForConjugation())
+	return ev.automorphism(ct, ev.params.RingQ().GaloisElementForConjugation())
 }
 
 // galoisKey returns the key for the Galois element gal and the element's

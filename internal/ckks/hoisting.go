@@ -34,9 +34,8 @@ func (ev *Evaluator) observe(op string, start time.Time) {
 // share its decomposition: each then only permutes, multiplies by its key
 // and mod-downs. A rotation's bytes do not depend on whether its
 // decomposition was shared, because the decomposition is a deterministic
-// function of c1. Linear transforms (and the bootstrapping DFTs built on
-// them) share it across their baby steps; the VM across the rotations of
-// one program value.
+// function of c1. The baby-step/giant-step kernel (EvaluateBSGS: linear
+// layers and the bootstrapping DFTs) shares it across its baby steps.
 
 // Decomposition holds the NTT-domain digit decomposition of one
 // ciphertext's c1 over the basis Q∪P. Its polynomials are pooled
@@ -58,15 +57,6 @@ func (h *Decomposition) Release() {
 		h.rP.PutPoly(p)
 	}
 	h.tQ, h.tP = nil, nil
-}
-
-// Decompose computes the digit decomposition every rotation of ct starts
-// from. Pass it to RotateHoisted for each rotation of ct, then Release it.
-func (ev *Evaluator) Decompose(ct *Ciphertext) (*Decomposition, error) {
-	if ct.Degree() != 1 {
-		return nil, fmt.Errorf("ckks: rotation requires a degree-1 ciphertext")
-	}
-	return ev.decomposeForKeySwitch(ct.Value[1]), nil
 }
 
 // decomposeForKeySwitch computes the shared digit decomposition of c1
@@ -186,24 +176,23 @@ func (ev *Evaluator) keySwitchHoisted(h *Decomposition, idx []int, swk *Switchin
 	return d0, d1, err
 }
 
-// RotateHoisted rotates ct by k slots from h, the decomposition of ct
-// (Decompose). An offset of 0 returns a copy. The result is
-// bit-identical to Rotate(ct, k).
-func (ev *Evaluator) RotateHoisted(ct *Ciphertext, h *Decomposition, k int) (*Ciphertext, error) {
-	if k == 0 {
-		return ev.copyAt(ct, ct.Level()), nil
-	}
-	return ev.automorphismHoisted(ct, h, ev.params.RingQ().GaloisElementForRotation(k))
-}
-
-// automorphismHoisted is the one rotation path: ct mapped by the Galois
-// element gal, from h, the decomposition of ct's c1. φ(ct) decrypts
-// under φ(s); the key switch of φ(c1) — the permuted digits' key
-// product, divided by P — takes it back to s: (φ(c0) + d0, d1).
-func (ev *Evaluator) automorphismHoisted(ct *Ciphertext, h *Decomposition, gal uint64) (*Ciphertext, error) {
+// automorphism is the one rotation path: ct mapped by the Galois element
+// gal. φ(ct) decrypts under φ(s); the key switch of φ(c1) — the permuted
+// digits of c1's decomposition times the key, divided by P — takes it
+// back to s: (φ(c0) + d0, d1).
+func (ev *Evaluator) automorphism(ct *Ciphertext, gal uint64) (*Ciphertext, error) {
 	if ct.Degree() != 1 {
 		return nil, fmt.Errorf("ckks: rotation requires a degree-1 ciphertext")
 	}
+	h := ev.decomposeForKeySwitch(ct.Value[1])
+	defer h.Release()
+	return ev.automorphismHoisted(ct, h, gal)
+}
+
+// automorphismHoisted is automorphism from h, the decomposition of ct's
+// c1, which it may share with other automorphisms of ct: the bytes are
+// the same either way.
+func (ev *Evaluator) automorphismHoisted(ct *Ciphertext, h *Decomposition, gal uint64) (*Ciphertext, error) {
 	level := ct.Level()
 	if len(h.tQ) == 0 {
 		return nil, fmt.Errorf("ckks: rotation from a released decomposition")

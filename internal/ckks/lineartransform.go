@@ -15,11 +15,10 @@ import (
 type LinearTransform struct {
 	Slots int
 	Diags map[int][]complex128
-	// Memo, when set, keeps each pre-rotated diagonal, encoded over Q∪P,
-	// per (level, plaintext scale), so evaluators sharing the transform
-	// encode a diagonal once instead of on every evaluation. Make it with
-	// NewPlaintextMemoQP, which counts the rows over P against the budget.
-	// Diags must not change once it holds entries.
+	// Memo, when set, keeps each pre-rotated diagonal, encoded as the
+	// kernel needs it, per (level, plaintext scale), so evaluators sharing the transform
+	// encode a diagonal once instead of on every evaluation. Diags must
+	// not change once it holds entries.
 	Memo *PlaintextMemo
 }
 
@@ -94,21 +93,11 @@ func (lt *LinearTransform) Rotations() []int {
 // single rescale this operation consumes. The ciphertext must use the
 // full N/2 slots.
 //
-// The evaluation is one fused baby-step/giant-step kernel that stays over
-// the extended basis Q∪P for as long as it can. The baby rotations of the
-// input share one hoisted decomposition and are kept as they leave the
-// evaluation-key inner product, before its division by P. Each giant
-// group's inner sum Σ_b pt_{g+b} ⊙ rot_b(x) is one lazily reduced inner
-// product per ciphertext half, against diagonals encoded over Q∪P. A
-// giant rotation then splits in two: the permuted c0 half joins a running
-// sum over Q∪P as it is, and the c1 half is divided by P, permuted,
-// decomposed, and its evaluation-key inner product joins the same sum,
-// which is divided by P once, after the last group. Division by P is
-// linear up to rounding, so dividing late differs from dividing every
-// rotation only by less rounding noise: one half-division per giant step
-// and one whole one, none per baby step. Decompositions are released as
-// soon as their key product is taken, so the working set is the baby
-// steps and two decompositions whatever the giant count.
+// It splits the diagonals into baby and giant steps (babyGiant), encodes
+// diagonal g+b pre-rotated by −g (over Q∪P unless b = 0, BSGSTerm), so
+// that the giant rotation aligns it — rot_g(rot_{−g}(diag) ⊙ rot_b(x)) =
+// diag ⊙ rot_{g+b}(x) — and runs the one baby-step/giant-step kernel,
+// EvaluateBSGS.
 func (ev *Evaluator) EvaluateLinearTransform(ct *Ciphertext, lt *LinearTransform, enc *Encoder, targetScale float64) (*Ciphertext, error) {
 	if lt.Slots != ev.params.Slots() {
 		return nil, fmt.Errorf("ckks: linear transform over %d slots, parameters have %d", lt.Slots, ev.params.Slots())
@@ -116,19 +105,11 @@ func (ev *Evaluator) EvaluateLinearTransform(ct *Ciphertext, lt *LinearTransform
 	if len(lt.Diags) == 0 {
 		return nil, fmt.Errorf("ckks: linear transform has no diagonals")
 	}
-	if ct.Degree() != 1 {
-		return nil, fmt.Errorf("ckks: linear transform requires a degree-1 ciphertext")
-	}
 	if targetScale == 0 {
 		targetScale = ev.params.DefaultScale()
 	}
 	level := ct.Level()
-	if level < 1 {
-		return nil, fmt.Errorf("ckks: linear transform needs at least one level")
-	}
-	rQ, rP := ev.params.RingQ(), ev.params.RingP()
-	be := ev.params.BasisExtender()
-	ptScale := targetScale * float64(rQ.Moduli[level]) / ct.Scale
+	ptScale := targetScale * float64(ev.params.RingQ().Moduli[level]) / ct.Scale
 	if ptScale < 2 {
 		return nil, fmt.Errorf("ckks: linear transform plaintext scale %g collapses (target %g from ciphertext scale %g)", ptScale, targetScale, ct.Scale)
 	}
@@ -140,6 +121,87 @@ func (ev *Evaluator) EvaluateLinearTransform(ct *Ciphertext, lt *LinearTransform
 		giants = append(giants, g)
 	}
 	sort.Ints(giants)
+	var terms []BSGSTerm
+	for _, g := range giants {
+		for _, b := range index[g] {
+			qp := b != 0
+			pt, _, err := lt.Memo.Get(PlaintextKey{Const: g + b, Level: level, Scale: ptScale, QP: qp}, func() (*Plaintext, error) {
+				diag := lt.Diags[g+b]
+				rotated := make([]complex128, slots)
+				for i := 0; i < slots; i++ {
+					rotated[i] = diag[((i-g)%slots+slots)%slots]
+				}
+				if qp {
+					return enc.EncodeQP(rotated, level, ptScale)
+				}
+				return enc.Encode(rotated, level, ptScale)
+			})
+			if err != nil {
+				return nil, err
+			}
+			terms = append(terms, BSGSTerm{Baby: b, Giant: g, Mask: pt})
+		}
+	}
+	out, err := ev.EvaluateBSGS(ct, terms)
+	if err != nil {
+		return nil, err
+	}
+	out.Scale = targetScale
+	return out, nil
+}
+
+// A BSGSTerm is one mask of a baby-step/giant-step transform: the
+// kernel multiplies Mask into the input rotated by Baby and adds the
+// product into the sum it rotates by Giant.
+type BSGSTerm struct {
+	Baby, Giant int
+	// Mask is encoded at the input's level, over Q∪P (EncodeQP) unless
+	// Baby is 0: the b = 0 baby is zero over P, so its rows there are
+	// never read.
+	Mask *Plaintext
+}
+
+// EvaluateBSGS computes Σ_g rot_g(Σ_b mask ⊙ rot_b(x)): terms sharing a
+// giant step are consecutive and form one group, and the sum is rescaled
+// once. Every mask has the same scale; the result's is the input's times
+// that, over the level's prime.
+// A program's linear layer (ckks.linear) and a bootstrap's DFT stage
+// (EvaluateLinearTransform) both run here.
+//
+// The kernel stays over the extended basis Q∪P for as long as it can.
+// The baby rotations of the input share one hoisted decomposition and are
+// kept as they leave the evaluation-key inner product, before its
+// division by P. Each giant group's inner sum Σ_b pt_{g,b} ⊙ rot_b(x) is
+// one lazily reduced inner product per ciphertext half. The b = 0 baby is
+// (P·c0, P·c1), zero over P, so its products are taken over Q only. A
+// giant rotation then splits in two: the permuted c0 half joins a running
+// sum over Q∪P as it is, and the c1 half is divided by P, permuted,
+// decomposed, and its evaluation-key inner product joins the same sum,
+// which is divided by P once, after the last group. Division by P is
+// linear up to rounding, so dividing late differs from dividing every
+// rotation only by less rounding noise: one half-division per giant step
+// and one whole one, none per baby step. Decompositions are released as
+// soon as their key product is taken, so the working set is the baby
+// steps and two decompositions whatever the giant count.
+func (ev *Evaluator) EvaluateBSGS(ct *Ciphertext, terms []BSGSTerm) (*Ciphertext, error) {
+	if len(terms) == 0 {
+		return nil, fmt.Errorf("ckks: linear transform has no masks")
+	}
+	if ct.Degree() != 1 {
+		return nil, fmt.Errorf("ckks: linear transform requires a degree-1 ciphertext")
+	}
+	level := ct.Level()
+	if level < 1 {
+		return nil, fmt.Errorf("ckks: linear transform needs at least one level")
+	}
+	ptScale := terms[0].Mask.Scale
+	for _, t := range terms {
+		if m := t.Mask; m.ValueP == nil && t.Baby != 0 || m.Level() != level || m.Scale != ptScale {
+			return nil, fmt.Errorf("ckks: linear transform mask of baby %d is not at level %d and scale %g over the basis it needs", t.Baby, level, ptScale)
+		}
+	}
+	rQ, rP := ev.params.RingQ(), ev.params.RingP()
+	be := ev.params.BasisExtender()
 
 	// Everything below is pooled scratch, handed back on every path.
 	var scratchQ, scratchP []*ring.Poly
@@ -171,38 +233,36 @@ func (ev *Evaluator) EvaluateLinearTransform(ct *Ciphertext, lt *LinearTransform
 
 	// Baby steps over Q∪P: rot_b(x)·P = (P·φ_b(c0) + d0, d1) with (d0, d1)
 	// the undivided key switch of φ_b(c1); the input itself is (P·c0, P·c1)
-	// over Q and zero over P.
+	// over Q and zero over P, which is never stored.
 	liftedC0 := getQ()
 	be.MulByP(ct.Value[0], liftedC0)
 	phi := getQ()
 	babies := map[int]*keySwitchSum{}
-	for _, g := range giants {
-		for _, b := range index[g] {
-			if babies[b] != nil {
-				continue
-			}
-			baby := getSum()
-			babies[b] = baby
-			if b == 0 {
-				liftedC0.Copy(baby.q0)
-				be.MulByP(ct.Value[1], baby.q1)
-				baby.p0.Zero()
-				baby.p1.Zero()
-				continue
-			}
-			if h == nil {
-				h = ev.decomposeForKeySwitch(ct.Value[1])
-			}
-			key, idx, err := ev.galoisKey(rQ.GaloisElementForRotation(b))
-			if err != nil {
-				return nil, err
-			}
-			if err := ev.addKeySwitch(baby, h, idx, &key.SwitchingKey); err != nil {
-				return nil, err
-			}
-			rQ.AutomorphismNTT(liftedC0, idx, phi)
-			rQ.Add(baby.q0, phi, baby.q0)
+	for _, t := range terms {
+		b := t.Baby
+		if babies[b] != nil {
+			continue
 		}
+		if b == 0 {
+			baby := &keySwitchSum{q0: liftedC0, q1: getQ()}
+			be.MulByP(ct.Value[1], baby.q1)
+			babies[b] = baby
+			continue
+		}
+		baby := getSum()
+		babies[b] = baby
+		if h == nil {
+			h = ev.decomposeForKeySwitch(ct.Value[1])
+		}
+		key, idx, err := ev.galoisKey(rQ.GaloisElementForRotation(b))
+		if err != nil {
+			return nil, err
+		}
+		if err := ev.addKeySwitch(baby, h, idx, &key.SwitchingKey); err != nil {
+			return nil, err
+		}
+		rQ.AutomorphismNTT(liftedC0, idx, phi)
+		rQ.Add(baby.q0, phi, baby.q0)
 	}
 	if h != nil {
 		h.Release()
@@ -216,27 +276,18 @@ func (ev *Evaluator) EvaluateLinearTransform(ct *Ciphertext, lt *LinearTransform
 	sum.empty = false
 	group, phiP := getSum(), getP()
 	var ptsQ, ptsP, b0q, b0p, b1q, b1p []*ring.Poly
-	for _, g := range giants {
+	for start := 0; start < len(terms); {
+		g := terms[start].Giant
 		ptsQ, ptsP, b0q, b0p, b1q, b1p = ptsQ[:0], ptsP[:0], b0q[:0], b0p[:0], b1q[:0], b1p[:0]
-		for _, b := range index[g] {
-			pt, _, err := lt.Memo.Get(PlaintextKey{Const: g + b, Level: level, Scale: ptScale}, func() (*Plaintext, error) {
-				diag := lt.Diags[g+b]
-				// Pre-rotate the diagonal by -g so the outer giant rotation
-				// aligns it: rot_g(rot_{-g}(diag) ⊙ rot_b(x)) = diag ⊙ rot_{g+b}(x).
-				rotated := make([]complex128, slots)
-				for i := 0; i < slots; i++ {
-					rotated[i] = diag[((i-g)%slots+slots)%slots]
-				}
-				return enc.EncodeQP(rotated, level, ptScale)
-			})
-			if err != nil {
-				return nil, err
+		end := start
+		for ; end < len(terms) && terms[end].Giant == g; end++ {
+			t, baby := terms[end], babies[terms[end].Baby]
+			ptsQ, b0q, b1q = append(ptsQ, t.Mask.Value), append(b0q, baby.q0), append(b1q, baby.q1)
+			if t.Baby != 0 {
+				ptsP, b0p, b1p = append(ptsP, t.Mask.ValueP), append(b0p, baby.p0), append(b1p, baby.p1)
 			}
-			baby := babies[b]
-			ptsQ, ptsP = append(ptsQ, pt.Value), append(ptsP, pt.ValueP)
-			b0q, b0p = append(b0q, baby.q0), append(b0p, baby.p0)
-			b1q, b1p = append(b1q, baby.q1), append(b1p, baby.p1)
 		}
+		start = end
 		if g == 0 {
 			rQ.InnerProductAdd(ptsQ, b0q, sum.q0)
 			rP.InnerProductAdd(ptsP, b0p, sum.p0)
@@ -271,10 +322,5 @@ func (ev *Evaluator) EvaluateLinearTransform(ct *Ciphertext, lt *LinearTransform
 		}
 	}
 	ev.modDown(sum)
-	out, err := ev.Rescale(&Ciphertext{Value: []*ring.Poly{sum.q0, sum.q1}, Scale: ct.Scale * ptScale})
-	if err != nil {
-		return nil, err
-	}
-	out.Scale = targetScale
-	return out, nil
+	return ev.Rescale(&Ciphertext{Value: []*ring.Poly{sum.q0, sum.q1}, Scale: ct.Scale * ptScale})
 }

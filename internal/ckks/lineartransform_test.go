@@ -1,6 +1,7 @@
 package ckks
 
 import (
+	"math"
 	"math/rand/v2"
 	"testing"
 )
@@ -76,7 +77,10 @@ func plainLinearTransform(t *testing.T, tc *testContext, ct *Ciphertext, lt *Lin
 // TestHoistedVsPlainLinearTransform evaluates one matrix (every diagonal
 // populated) and one DFT stage (strided diagonals, on both sides of zero)
 // through the fused kernel and through plain rotations, and holds both to
-// the cleartext product.
+// the cleartext product; and one program-shaped layer (real masks,
+// negative babies, a fold tail, a vector of a quarter of the slots)
+// through EvaluateBSGS and through the rotate/mul/add sequence a program
+// ran it as before, both held to the cleartext layer.
 func TestHoistedVsPlainLinearTransform(t *testing.T) {
 	tc := newTestContext(t, nil)
 	slots := tc.params.Slots()
@@ -95,6 +99,110 @@ func TestHoistedVsPlainLinearTransform(t *testing.T) {
 	}
 	for name, lt := range map[string]*LinearTransform{"dense": NewLinearTransformFromMatrix(m), "dft-stage": stages[1]} {
 		t.Run(name, func(t *testing.T) { hoistedVsPlain(t, tc, lt) })
+	}
+	t.Run("program-layer", func(t *testing.T) { programLayerVsPlain(t, tc) })
+}
+
+// programLayerVsPlain runs a linear layer the way a program's ckks.linear
+// has it: babies −2…1 in giant groups 0, 4 and 12 of a 32-slot vector,
+// real masks, over Q alone against the b = 0 baby.
+func programLayerVsPlain(t *testing.T, tc *testContext) {
+	const l = 32
+	babies, giants := []int{-2, -1, 0, 1}, []int{0, 4, 12}
+	var rots []int
+	rots = append(append(rots, babies...), giants...)
+	tc.eval.keys.Galois = tc.kg.GenGaloisKeys(rots, false, tc.sk)
+	rng := rand.New(rand.NewPCG(5, 9))
+	random := func() []float64 {
+		v := make([]float64, l)
+		for i := range v {
+			v[i] = rng.Float64() - 0.5
+		}
+		return v
+	}
+	level := tc.params.MaxLevel()
+	x := random()
+	pt, err := tc.enc.EncodeReal(x, level, tc.params.DefaultScale())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ct := tc.encSk.Encrypt(pt)
+	roll := func(v []float64, k int) []float64 {
+		out := make([]float64, l)
+		for i := range out {
+			out[i] = v[((i+k)%l+l)%l]
+		}
+		return out
+	}
+	ptScale := float64(tc.params.RingQ().Moduli[level])
+	want := make([]float64, l)
+	var terms []BSGSTerm
+	var plain *Ciphertext // the old program: rotate, mul_plain, add; rescale
+	add := func(acc, term *Ciphertext) *Ciphertext {
+		if acc == nil {
+			return term
+		}
+		out, err := tc.eval.Add(acc, term)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	rotate := func(c *Ciphertext, k int) *Ciphertext {
+		out, err := tc.eval.Rotate(c, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	for _, g := range giants {
+		sum, group := make([]float64, l), (*Ciphertext)(nil)
+		for _, b := range babies {
+			mask := random()
+			encode := tc.enc.EncodeRealQP
+			if b == 0 {
+				encode = tc.enc.EncodeReal
+			}
+			m, err := encode(mask, level, ptScale)
+			if err != nil {
+				t.Fatal(err)
+			}
+			terms = append(terms, BSGSTerm{Baby: b, Giant: g, Mask: m})
+			for i, v := range roll(x, b) {
+				sum[i] += mask[i] * v
+			}
+			q, _ := tc.enc.EncodeReal(mask, level, ptScale)
+			group = add(group, tc.eval.MulPlain(rotate(ct, b), q))
+		}
+		for i, v := range roll(sum, g) {
+			want[i] += v
+		}
+		plain = add(plain, rotate(group, g))
+	}
+	plain, err = tc.eval.Rescale(plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, _ := tc.enc.EncodeReal(random(), level, ptScale)
+	if _, err := tc.eval.EvaluateBSGS(ct, []BSGSTerm{{Baby: 1, Mask: q}}); err == nil {
+		t.Fatal("a mask over Q alone against a non-zero baby was accepted")
+	}
+	fused, err := tc.eval.EvaluateBSGS(ct, terms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fused.Level() != level-1 || fused.Scale != plain.Scale {
+		t.Fatalf("fused output at level %d scale %g, plain at level %d scale %g", fused.Level(), fused.Scale, plain.Level(), plain.Scale)
+	}
+	for name, out := range map[string]*Ciphertext{"fused": fused, "plain": plain} {
+		got := tc.enc.DecodeReal(tc.dec.Decrypt(out), l)
+		e := 0.0
+		for i := range want {
+			e = math.Max(e, math.Abs(got[i]-want[i]))
+		}
+		if e > 1e-3 {
+			t.Errorf("%s: max error %.3e", name, e)
+		}
 	}
 }
 

@@ -107,16 +107,13 @@ func TestParallelMatchesSerial(t *testing.T) {
 		}},
 		{"RotateHoisted", func() *Ciphertext {
 			in := cta.CopyNew()
-			h, err := tc.eval.Decompose(in)
-			if err != nil {
-				t.Fatal(err)
-			}
+			h := tc.eval.decomposeForKeySwitch(in.Value[1])
 			defer h.Release()
 			// Fold the rotations into one ciphertext so a single compare
 			// covers every hoisted output.
 			var acc *Ciphertext
 			for _, k := range []int{1, 2, 3} {
-				rot, err := tc.eval.RotateHoisted(in, h, k)
+				rot, err := tc.eval.automorphismHoisted(in, h, tc.params.RingQ().GaloisElementForRotation(k))
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -15,11 +15,14 @@ import (
 const PlaintextMemoCap = 256 << 20
 
 // PlaintextKey names one encoding of one constant: which constant (an
-// index the memo's owner assigns), at which level, at which scale.
+// index the memo's owner assigns), at which level, at which scale, and
+// whether it carries rows over the special primes as well (EncodeQP: the
+// masks of a linear transform, which the memo charges for those rows).
 type PlaintextKey struct {
 	Const int
 	Level int
 	Scale float64
+	QP    bool
 }
 
 // PlaintextMemo keeps encoded plaintexts so that a constant is encoded
@@ -32,7 +35,7 @@ type PlaintextKey struct {
 type PlaintextMemo struct {
 	n        int      // ring degree the plaintexts live in
 	moduli   []uint64 // its modulus chain
-	special  []uint64 // the special primes, when entries carry rows over them
+	special  []uint64 // the special primes, which QP entries carry rows over
 	capBytes int64
 
 	mu      sync.Mutex
@@ -65,26 +68,17 @@ func NewPlaintextMemo(params *Parameters, capBytes int64) *PlaintextMemo {
 	return &PlaintextMemo{
 		n:        params.N(),
 		moduli:   params.Q(),
+		special:  params.P(),
 		capBytes: capBytes,
 		entries:  map[PlaintextKey]*memoEntry{},
 	}
-}
-
-// NewPlaintextMemoQP is NewPlaintextMemo for plaintexts encoded over Q∪P
-// (Encoder.EncodeQP, a linear transform's diagonals): every entry is
-// charged its rows over the special primes as well.
-func NewPlaintextMemoQP(params *Parameters, capBytes int64) *PlaintextMemo {
-	m := NewPlaintextMemo(params, capBytes)
-	m.special = params.P()
-	return m
 }
 
 // Fits reports whether plaintexts in this memo are valid under params:
 // an encoding depends on the ring degree and the moduli only, never on
 // keys.
 func (m *PlaintextMemo) Fits(params *Parameters) bool {
-	return m.n == params.N() && slices.Equal(m.moduli, params.Q()) &&
-		(m.special == nil || slices.Equal(m.special, params.P()))
+	return m.n == params.N() && slices.Equal(m.moduli, params.Q()) && slices.Equal(m.special, params.P())
 }
 
 var errEncodeAborted = errors.New("ckks: plaintext encode did not complete")
@@ -96,7 +90,11 @@ func (m *PlaintextMemo) Get(k PlaintextKey, encode func() (*Plaintext, error)) (
 		pt, err = encode()
 		return pt, false, err
 	}
-	size := int64(k.Level+1+len(m.special)) * int64(m.n) * 8
+	rows := k.Level + 1
+	if k.QP {
+		rows += len(m.special)
+	}
+	size := int64(rows) * int64(m.n) * 8
 	m.mu.Lock()
 	e := m.entries[k]
 	if e == nil {

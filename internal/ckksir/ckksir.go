@@ -21,13 +21,19 @@ import (
 
 // Op names.
 const (
-	OpAdd       = "ckks.add"
-	OpAddPlain  = "ckks.add_plain"
-	OpMulPlain  = "ckks.mul_plain"
-	OpMul       = "ckks.mul"
-	OpRelin     = "ckks.relin"
-	OpRescale   = "ckks.rescale"
-	OpRotate    = "ckks.rotate"
+	OpAdd      = "ckks.add"
+	OpAddPlain = "ckks.add_plain"
+	OpMulPlain = "ckks.mul_plain"
+	OpMul      = "ckks.mul"
+	OpRelin    = "ckks.relin"
+	OpRescale  = "ckks.rescale"
+	OpRotate   = "ckks.rotate"
+	// OpLinear is a linear layer's masked sums (ir.SlotLinear) run as one
+	// baby-step/giant-step kernel (ckks.Evaluator.EvaluateBSGS): the
+	// input, then one mask per residue, each a ckks.encode at the input's
+	// level, over Q∪P unless its baby is 0. It consumes one level and
+	// rescales inside; the layer's fold rotations follow it.
+	OpLinear    = "ckks.linear"
 	OpModSwitch = "ckks.modswitch"
 	OpEncode    = "ckks.encode"
 	OpMulConst  = "ckks.mul_const"
@@ -51,6 +57,7 @@ func init() {
 	ir.RegisterOp(ir.OpSpec{Name: OpRelin, Args: [][]ir.Kind{C3}, Result: ir.KindCipher})
 	ir.RegisterOp(ir.OpSpec{Name: OpRescale, Args: [][]ir.Kind{{ir.KindCipher, ir.KindCipher3}}, Result: ir.KindInvalid})
 	ir.RegisterOp(ir.OpSpec{Name: OpRotate, Args: [][]ir.Kind{C}, Result: ir.KindCipher, RequiredAttrs: []string{"k"}})
+	ir.RegisterOp(ir.OpSpec{Name: OpLinear, Args: [][]ir.Kind{C}, MinArgs: 2, Variadic: P, Result: ir.KindCipher, RequiredAttrs: []string{"b", "g"}})
 	ir.RegisterOp(ir.OpSpec{Name: OpModSwitch, Args: [][]ir.Kind{C}, Result: ir.KindCipher, RequiredAttrs: []string{"down"}})
 	ir.RegisterOp(ir.OpSpec{Name: OpEncode, Args: [][]ir.Kind{V}, Result: ir.KindPlain, RequiredAttrs: []string{"level", "scale"}})
 	ir.RegisterOp(ir.OpSpec{Name: OpMulConst, Args: [][]ir.Kind{C}, Result: ir.KindCipher, RequiredAttrs: []string{"c", "const_scale"}})
@@ -70,6 +77,7 @@ var Kernels = map[string]ir.SlotKernel{
 	OpMul:         ir.SlotMul,
 	OpMulPlain:    ir.SlotMul,
 	OpRotate:      ir.SlotRotate,
+	OpLinear:      ir.SlotLinear,
 	OpEncode:      ir.SlotIdentity,
 	OpMulConst:    ir.SlotScale("c"),
 	OpReinterpret: ir.SlotScale("factor"),
@@ -207,6 +215,8 @@ func plan(f *ir.Func, boot bool) ([]int, error) {
 				return nil, err
 			}
 			depth[in.Result] = cur(in.Args[0]) + sihe.StageDepth(p)
+		case sihe.OpLinear:
+			depth[in.Result] = cur(in.Args[0]) + 1
 		case sihe.OpMul:
 			d := cur(in.Args[0])
 			if in.Args[1].Type.Kind == ir.KindCipher {
@@ -299,7 +309,7 @@ func bootstrapWork(g kswork.Geometry, target int, bp bootstrap.Parameters) float
 func stepWork(g kswork.Geometry, s bootstrap.Step) kswork.Work {
 	switch s.Kind {
 	case bootstrap.StepC2S, bootstrap.StepS2C:
-		return g.LinearTransform(s.Diags, s.Level)
+		return g.LinearTransform(kswork.DFTSplit(s.Diags), s.Level)
 	case bootstrap.StepEvalMod:
 		var w kswork.Work
 		s.Plan.Walk(func(st poly.Step, depth int) {
@@ -530,9 +540,16 @@ func (st *lowerState) emit(sm *ir.Module, src *ir.Func) (*ir.Module, error) {
 		}
 		return c, nil
 	}
-	encodeAt := func(vec []float64, name string, level int, scale float64) *ir.Value {
+	// encodeAt encodes a constant; a linear layer's masks against a
+	// non-zero baby are encoded over Q∪P (attribute "qp"), the basis its
+	// kernel multiplies them in.
+	encodeAt := func(vec []float64, name string, level int, scale float64, qp bool) *ir.Value {
 		cv := f.NewConst(name, vt, vec)
-		p := f.Emit(OpEncode, pt, []*ir.Value{cv}, map[string]any{"level": level, "scale": scale})
+		attrs := map[string]any{"level": level, "scale": scale}
+		if qp {
+			attrs["qp"] = true
+		}
+		p := f.Emit(OpEncode, pt, []*ir.Value{cv}, attrs)
 		p.Level = level
 		p.Scale = scale
 		return p
@@ -578,7 +595,7 @@ func (st *lowerState) emit(sm *ir.Module, src *ir.Func) (*ir.Module, error) {
 				if err != nil {
 					return nil, err
 				}
-				p := encodeAt(vec, b.Name, a.Level, a.Scale)
+				p := encodeAt(vec, b.Name, a.Level, a.Scale, false)
 				out := f.Emit(OpAddPlain, ct, []*ir.Value{a, p}, nil)
 				out.Level, out.Scale = a.Level, a.Scale
 				vals[in.Result] = out
@@ -608,7 +625,7 @@ func (st *lowerState) emit(sm *ir.Module, src *ir.Func) (*ir.Module, error) {
 					return nil, err
 				}
 				ptScale := st.scale * qAt(a.Level) / a.Scale
-				p := encodeAt(vec, b.Name, a.Level, ptScale)
+				p := encodeAt(vec, b.Name, a.Level, ptScale, false)
 				prod := f.Emit(OpMulPlain, ct, []*ir.Value{a, p}, nil)
 				prod.Level, prod.Scale = a.Level, a.Scale*ptScale
 				vals[in.Result] = rescale(prod, st.scale)
@@ -635,6 +652,29 @@ func (st *lowerState) emit(sm *ir.Module, src *ir.Func) (*ir.Module, error) {
 				}
 				out.Scale = st.scale
 			}
+			vals[in.Result] = out
+
+		case sihe.OpLinear:
+			// Masks are encoded so that the kernel's rescale lands exactly
+			// on the waterline scale, as a ckks.mul_plain's plaintext is.
+			if a.Level < 1 {
+				return nil, fmt.Errorf("ckksir: linear layer at level %d has no level to consume", a.Level)
+			}
+			ptScale := st.scale * qAt(a.Level) / a.Scale
+			args := []*ir.Value{a}
+			babies := in.AttrInts("b")
+			if len(babies) != len(in.Args)-1 {
+				return nil, fmt.Errorf("ckksir: linear layer with %d masks and %d babies", len(in.Args)-1, len(babies))
+			}
+			for i, m := range in.Args[1:] {
+				vec, err := vectorConst(m)
+				if err != nil {
+					return nil, err
+				}
+				args = append(args, encodeAt(vec, m.Name, a.Level, ptScale, babies[i] != 0))
+			}
+			out := f.Emit(OpLinear, ct, args, in.Attrs)
+			out.Level, out.Scale = a.Level-1, st.scale
 			vals[in.Result] = out
 
 		case sihe.OpNeg:

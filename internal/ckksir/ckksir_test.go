@@ -308,53 +308,60 @@ func TestExpertSlackRaisesChain(t *testing.T) {
 	}
 }
 
+// TestLazyRescaleReducesRescales: two rescaled products, one rotated,
+// summed — the shape a sum of masked rotations has outside a linear
+// layer's kernel — keep one rescale, after the sum, at unchanged levels
+// and scales.
 func TestLazyRescaleReducesRescales(t *testing.T) {
-	m, _ := onnx.BuildLinear(32, 8, 5)
-	sm := lowerToSIHE(t, m)
-	res, err := Lower(sm, Options{Mode: BootstrapNever, IgnoreSecurity: true})
+	mod := ir.NewModule("lazy")
+	f := mod.NewFunc("main")
+	ct, pt := ir.CipherType(8), ir.PlainType(8)
+	x := f.NewParam("x", ct)
+	x.Level, x.Scale = 2, 1<<40
+	rescaled := func() *ir.Value {
+		c := f.NewConst("mask", ir.VectorType(8), []float64{1, 2})
+		p := f.Emit(OpEncode, pt, []*ir.Value{c}, map[string]any{"level": 2, "scale": float64(1 << 40)})
+		p.Level, p.Scale = 2, 1<<40
+		prod := f.Emit(OpMulPlain, ct, []*ir.Value{x, p}, nil)
+		prod.Level, prod.Scale = 2, 1<<80
+		out := f.Emit(OpRescale, ct, []*ir.Value{prod}, nil)
+		out.Level, out.Scale = 1, 1<<40
+		return out
+	}
+	a := rescaled()
+	rot := f.Emit(OpRotate, ct, []*ir.Value{rescaled()}, map[string]any{"k": 1})
+	rot.Level, rot.Scale = 1, 1<<40
+	f.Ret = f.Emit(OpAdd, ct, []*ir.Value{a, rot}, nil)
+	f.Ret.Level, f.Ret.Scale = 1, 1<<40
+	if err := ir.VerifyFunc(f); err != nil {
+		t.Fatal(err)
+	}
+	input := []float64{1, -2, 3, -4, 5, -6, 7, -8}
+	want, err := Run(f, input)
 	if err != nil {
 		t.Fatal(err)
 	}
-	before, _ := CountOps(res.Module.Main())
+	before, _ := CountOps(f)
 	pm := &ir.PassManager{}
 	pm.Add(LazyRescale(), ir.DCE())
-	if err := pm.Run(res.Module); err != nil {
+	if err := pm.Run(mod); err != nil {
 		t.Fatal(err)
 	}
-	after, _ := CountOps(res.Module.Main())
-	if after[OpRescale] >= before[OpRescale] {
-		t.Fatalf("lazy rescale did not reduce rescales: %d -> %d", before[OpRescale], after[OpRescale])
+	after, _ := CountOps(f)
+	if before[OpRescale] != 2 || after[OpRescale] != 1 {
+		t.Fatalf("lazy rescale took rescales %d -> %d, want 2 -> 1", before[OpRescale], after[OpRescale])
 	}
-	if err := ir.VerifyFunc(res.Module.Main()); err != nil {
+	if err := ir.VerifyFunc(f); err != nil {
 		t.Fatal(err)
 	}
-	// Levels and scales of the output are unchanged.
-	if res.Module.Main().Ret.Level < 0 {
-		t.Fatal("broken output level")
+	if r := f.Ret; r.Level != 1 || r.Scale != 1<<40 || r.Def.Op != OpRescale {
+		t.Fatalf("output %s at level %d scale %g", r.Def.Op, r.Level, r.Scale)
 	}
-}
-
-// TestRotationGroups: rotations group by source value, in program
-// order; a rotation by 0 decomposes nothing and joins no group.
-func TestRotationGroups(t *testing.T) {
-	mod := ir.NewModule("groups")
-	f := mod.NewFunc("main")
-	ct := ir.CipherType(64)
-	x := f.NewParam("x", ct)
-	rot := func(src *ir.Value, k int) *ir.Value {
-		return f.Emit(OpRotate, ct, []*ir.Value{src}, map[string]any{"k": k})
+	got, err := Run(f, input)
+	if err != nil {
+		t.Fatal(err)
 	}
-	a := rot(x, 1)     // 0
-	rot(a, 3)          // 1
-	rot(x, 0)          // 2
-	rot(x, 2)          // 3
-	rot(a, 5)          // 4
-	f.Ret = rot(x, -1) // 5
-	got := fmt.Sprint(RotationGroups(f))
-	if want := "[[0 3 5] [1 4]]"; got != want {
-		t.Fatalf("groups %s, want %s", got, want)
-	}
-	if got, want := fmt.Sprint(SharedDecompositions(f)), "[false false false true true true]"; got != want {
-		t.Fatalf("shared %s, want %s", got, want)
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("lazy rescale changed the result: %v, want %v", got, want)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"slices"
 
 	"antace/internal/ir"
+	"antace/internal/kswork"
 )
 
 // LazyRescale hoists rescales out of addition trees: add(rescale(u),
@@ -110,15 +111,26 @@ type RotationKey struct {
 }
 
 // RotationKeys is the one rule that decides a program's rotation keys:
-// one per distinct ckks.rotate offset in f, in ascending order of offset.
-// Run it on the function that executes — after every pass, and after a
-// lane transform — since both change offsets and levels.
+// one per distinct offset a ckks.rotate or ckks.linear rotates by in f,
+// in ascending order of offset, at the highest level it rotates at (a
+// linear layer's babies and giants rotate at its input's). Run it on the
+// function that executes — after every pass, and after a lane transform
+// — since both change offsets and levels.
 func RotationKeys(f *ir.Func) []RotationKey {
 	level := map[int]int{}
+	use := func(k, l int) { level[k] = max(level[k], l) }
 	for _, in := range f.Body {
-		if in.Op == OpRotate {
-			k := in.AttrInt("k", 0)
-			level[k] = max(level[k], in.Args[0].Level)
+		switch in.Op {
+		case OpRotate:
+			use(in.AttrInt("k", 0), in.Args[0].Level)
+		case OpLinear:
+			for _, ks := range [][]int{in.AttrInts("b"), in.AttrInts("g")} {
+				for _, k := range ks {
+					if k != 0 {
+						use(k, in.Args[0].Level)
+					}
+				}
+			}
 		}
 	}
 	keys := make([]RotationKey, 0, len(level))
@@ -129,40 +141,19 @@ func RotationKeys(f *ir.Func) []RotationKey {
 	return keys
 }
 
-// RotationGroups is the one rule that decides which rotations share a
-// key-switch decomposition: the rotations of f (nonzero offset) whose
-// source is the same SSA value. Each group lists their indices in f.Body
-// in program order; a group of one is a rotation that decomposes alone.
-// The VM keeps one decomposition alive from a group's first rotation to
-// its last, and the cost model and POLY IR charge one per group.
-func RotationGroups(f *ir.Func) [][]int {
-	bySource := map[*ir.Value]int{}
-	var groups [][]int
-	for i, in := range f.Body {
-		if in.Op != OpRotate || in.AttrInt("k", 0) == 0 {
-			continue
+// LinearSplit is the shape of a ckks.linear's kernel, for pricing: its
+// distinct non-zero babies and giants and its masks (and those against
+// the b = 0 baby).
+func LinearSplit(in *ir.Instr) kswork.Split {
+	b, g := in.AttrInts("b"), in.AttrInts("g")
+	s := kswork.Split{Masks: len(b)}
+	babies, giants := map[int]bool{0: true}, map[int]bool{0: true}
+	for i := range b {
+		if b[i] == 0 {
+			s.ZeroMasks++
 		}
-		src := in.Args[0]
-		g, ok := bySource[src]
-		if !ok {
-			g = len(groups)
-			bySource[src] = g
-			groups = append(groups, nil)
-		}
-		groups[g] = append(groups[g], i)
+		babies[b[i]], giants[g[i]] = true, true
 	}
-	return groups
-}
-
-// SharedDecompositions reports, per index of f.Body, whether that
-// instruction is a rotation reading the decomposition an earlier
-// rotation of its group made (RotationGroups).
-func SharedDecompositions(f *ir.Func) []bool {
-	shared := make([]bool, len(f.Body))
-	for _, g := range RotationGroups(f) {
-		for _, i := range g[1:] {
-			shared[i] = true
-		}
-	}
-	return shared
+	s.Babies, s.Giants = len(babies)-1, len(giants)-1
+	return s
 }

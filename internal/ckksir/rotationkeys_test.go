@@ -6,12 +6,14 @@ import (
 	ace "antace"
 	"antace/internal/ckksir"
 	"antace/internal/core"
+	"antace/internal/ir"
 	"antace/internal/onnx"
 )
 
 // TestRotationAnalysis: the key set of a compiled program covers every
 // rotation of the module that runs, each at exactly the highest level a
-// rotation by that amount reads its source at. The models go through
+// rotation by that amount reads its source at: a ckks.rotate's source,
+// a ckks.linear's input for its babies and giants. The models go through
 // core.Compile, whose LazyRescale moves rescales past rotations after
 // lowering, so the levels lowering saw are not the ones that run.
 func TestRotationAnalysis(t *testing.T) {
@@ -61,11 +63,8 @@ func TestRotationAnalysis(t *testing.T) {
 				level[k.K] = k.Level
 			}
 			tight := map[int]bool{}
-			for _, in := range f.Body {
-				if in.Op != ckksir.OpRotate {
-					continue
-				}
-				k, l := in.AttrInt("k", 0), in.Args[0].Level
+			for _, r := range rotations(f) {
+				k, l := r.K, r.Level
 				want, ok := level[k]
 				if !ok {
 					t.Fatalf("rotation by %d has no key", k)
@@ -82,4 +81,27 @@ func TestRotationAnalysis(t *testing.T) {
 			}
 		})
 	}
+}
+
+// rotations lists every non-zero rotation f runs with the level it reads
+// its source at.
+func rotations(f *ir.Func) []ckksir.RotationKey {
+	var out []ckksir.RotationKey
+	add := func(ks []int, level int) {
+		for _, k := range ks {
+			if k != 0 {
+				out = append(out, ckksir.RotationKey{K: k, Level: level})
+			}
+		}
+	}
+	for _, in := range f.Body {
+		switch in.Op {
+		case ckksir.OpRotate:
+			add([]int{in.AttrInt("k", 0)}, in.Args[0].Level)
+		case ckksir.OpLinear:
+			add(in.AttrInts("b"), in.Args[0].Level)
+			add(in.AttrInts("g"), in.Args[0].Level)
+		}
+	}
+	return out
 }

@@ -173,7 +173,7 @@ func attrsLiteral(attrs map[string]any) (string, error) {
 		switch v := attrs[k].(type) {
 		case float64: // spelt out: a bare 1 in a map[string]any is an int
 			fmt.Fprintf(&sb, "%q: float64(%g), ", k, v)
-		case int, string, []float64:
+		case int, bool, string, []int, []float64:
 			fmt.Fprintf(&sb, "%q: %#v, ", k, v)
 		default:
 			return "", fmt.Errorf("attribute %q has unsupported type %T", k, v)

@@ -271,7 +271,7 @@ func (m *Model) KeySwitch(level int) float64 {
 
 // decompose returns the cost of the decomposition a key switch starts
 // from: the input INTT, then every digit decomposed into Q∪P and
-// transformed. Rotations of one value pay it once (ckksir.RotationGroups).
+// transformed.
 func (m *Model) decompose(level int) float64 {
 	return m.ntt(level+1) + m.Cal.ModUpPerUnit*m.ModUp(level)
 }
@@ -352,20 +352,17 @@ func scaleOr(v, s float64) float64 {
 // ckksir lowering keeps the level across add/mul/rotate and rescales
 // explicitly), so it is passed straight into the level-in methods. A
 // rescale's Result.Level is the post-rescale level — the ciphertext
-// entered one level higher, hence Rescale(level+1).
-//
-// A rotation that shares its source's decomposition with an earlier one
-// (ckksir.RotationGroups, the rule the VM executes) is charged without
-// it.
+// entered one level higher, hence Rescale(level+1). A linear layer is
+// priced at its input's level, the fused kernel it runs as.
 func (m *Model) InferenceCost(res *ckksir.Result) Breakdown {
 	var b Breakdown
-	f := res.Module.Main()
-	shared := ckksir.SharedDecompositions(f)
-	for i, in := range f.Body {
+	for _, in := range res.Module.Main().Body {
 		level := in.Result.Level
 		switch in.Op {
 		case ckksir.OpEncode:
-			b.Setup += m.ntt(level + 1)
+			b.Setup += m.ntt(m.plainRows(in))
+		case ckksir.OpLinear:
+			b.Add(CatConv, m.linearTransformCost(ckksir.LinearSplit(in), in.Args[0].Level))
 		case ckksir.OpPoly:
 			b.Add(CatReLU, scaleOr(m.polyInstrCost(in), m.Cal.PolyScale))
 		case ckksir.OpBootstrap:
@@ -375,9 +372,6 @@ func (m *Model) InferenceCost(res *ckksir.Result) Breakdown {
 				level++ // entered at level+1, dropped to level
 			}
 			if c, ok := m.opCost(in.Op, level); ok {
-				if shared[i] {
-					c -= m.decompose(level)
-				}
 				b.Add(CategoryOfOp(in.Op), c)
 			}
 		}
@@ -455,16 +449,37 @@ var planOps = [...]string{
 }
 
 // linearTransformCost prices the fused baby-step/giant-step evaluation
-// of a transform with diags diagonals entering at level, as
-// ckks.EvaluateLinearTransform runs it (kswork.LinearTransform counts the
-// kernels: one hoisted decomposition, a key product per baby step kept
-// over Q∪P, the inner sums over Q∪P, and per giant step half a division,
-// a decomposition and a key product into the one accumulator that is
-// divided at the end). On top of the kernels come the input transforms of
-// the decompositions and one rescale. Slot permutations are gathers, an
-// order below the rest, and are not counted.
-func (m *Model) linearTransformCost(diags, level int) float64 {
-	return m.fusedSeconds(m.LinearTransform(diags, level)) + float64(kswork.GiantSteps(diags))*m.ntt(level+1) + m.Rescale(level)
+// of split s entering at level, as ckks.EvaluateBSGS runs a DFT stage or
+// a ckks.linear (kswork.LinearTransform counts the kernels: one hoisted
+// decomposition, a key product per baby step kept over Q∪P, the inner
+// sums, per giant step half a division, a decomposition and a key product
+// into the one accumulator that is divided at the end). On top of the
+// kernels come the input transforms of the decompositions, one rescale,
+// and the pointwise passes around the key products, priced as a
+// rotation's slot permutation is (opCost): the input's halves lifted by
+// P, each baby's permuted c0 added in, and each giant's c0 half permuted
+// and added over Q∪P and its c1 half permuted over Q.
+func (m *Model) linearTransformCost(s kswork.Split, level int) float64 {
+	decomps := s.Giants
+	if s.Babies > 0 {
+		decomps++
+	}
+	r := level + 1
+	passes := float64(1+2*s.Babies+3*s.Giants)*m.pw(r) + float64(2*s.Giants)*m.pw(m.K)
+	if s.ZeroMasks > 0 {
+		passes += m.pw(r)
+	}
+	return m.fusedSeconds(m.LinearTransform(s, level)) + float64(decomps)*m.ntt(r) + m.Rescale(level) + passes
+}
+
+// plainRows returns the rows an encode instruction's plaintext has: its
+// level's, and the special primes' for a linear layer's mask against a
+// non-zero baby.
+func (m *Model) plainRows(in *ir.Instr) int {
+	if in.Attr("qp") == true {
+		return in.AttrInt("level", 0) + 1 + m.K
+	}
+	return in.AttrInt("level", 0) + 1
 }
 
 // bootstrapCost prices the circuit the runtime executes, with the DFT
@@ -484,7 +499,7 @@ func (m *Model) stepCost(s bootstrap.Step) float64 {
 	l := s.Level
 	switch s.Kind {
 	case bootstrap.StepC2S, bootstrap.StepS2C:
-		return m.linearTransformCost(s.Diags, l)
+		return m.linearTransformCost(kswork.DFTSplit(s.Diags), l)
 	case bootstrap.StepConjugate:
 		return m.KeySwitch(l) + 6*m.pw(l+1) // the rotation, then the halves' sum and difference
 	case bootstrap.StepEvalMod:
@@ -545,11 +560,11 @@ func (m *Model) MemoryCost(res *ckksir.Result, bootKeys int, truncateKeys bool) 
 	}
 	mem.GaloisKeys += float64(bootKeys+1) * m.keyBytes(maxLevel) // + conjugation
 	mem.RelinKey = m.keyBytes(maxLevel)
-	// Encoded plaintext masks: every encode op stores level+1 residues.
-	f := res.Module.Main()
-	for _, in := range f.Body {
+	// Encoded plaintexts: every encode op stores level+1 residues, a
+	// linear layer's masks the special primes' as well.
+	for _, in := range res.Module.Main().Body {
 		if in.Op == ckksir.OpEncode {
-			mem.Weights += float64(in.AttrInt("level", 0)+1) * n * 8
+			mem.Weights += float64(m.plainRows(in)) * n * 8
 		}
 	}
 	// Working set: a handful of live ciphertexts at the input level.

@@ -177,30 +177,39 @@ func TestPolyEvalCostFollowsThePlan(t *testing.T) {
 	}
 }
 
-// TestInferenceCostChargesOneDecompositionPerGroup: three rotations of
-// one value and one of another are four key switches but two
-// decompositions (ckksir.RotationGroups, the rule the VM executes).
-func TestInferenceCostChargesOneDecompositionPerGroup(t *testing.T) {
-	mod := ir.NewModule("hoist")
+// TestInferenceCostPricesLinearBelowItsExpansion: a ckks.linear is
+// priced as the fused kernel it runs as, which undercuts the same layer
+// as separate rotations, products, sums and one rescale.
+func TestInferenceCostPricesLinearBelowItsExpansion(t *testing.T) {
+	mod := ir.NewModule("linear")
 	f := mod.NewFunc("main")
 	ct := ir.CipherType(64)
 	x := f.NewParam("x", ct)
 	x.Level = 3
-	rot := func(src *ir.Value, k int) *ir.Value {
-		v := f.Emit(ckksir.OpRotate, ct, []*ir.Value{src}, map[string]any{"k": k})
-		v.Level = 3
-		return v
+	args := []*ir.Value{x}
+	babies := []int{0, 1, 2, 0, 1, 2}
+	for _, b := range babies {
+		m := f.NewConst("mask", ir.VectorType(64), []float64{1})
+		pt := f.Emit(ckksir.OpEncode, ir.PlainType(64), []*ir.Value{m}, map[string]any{"level": 3, "scale": 1.0, "qp": b != 0})
+		pt.Level = 3
+		args = append(args, pt)
 	}
-	r1 := rot(x, 1)
-	rot(x, 2)
-	rot(x, 4)
-	f.Ret = rot(r1, 1)
+	lin := f.Emit(ckksir.OpLinear, ct, args, map[string]any{"b": babies, "g": []int{0, 0, 0, 4, 4, 4}})
+	lin.Level = 2
+	f.Ret = lin
 
 	m := &Model{Cal: DefaultCalibration(), Geometry: kswork.Geometry{LogN: 12, K: 2}}
-	got := m.InferenceCost(&ckksir.Result{Module: mod}).Total()
-	rotate, _ := m.opCost(ckksir.OpRotate, 3)
-	want := 4*rotate - 2*m.decompose(3)
-	if diff := math.Abs(got-want) / want; diff > 1e-12 {
-		t.Fatalf("got %.6g, want %.6g (rel diff %g)", got, want, diff)
+	cost := m.InferenceCost(&ckksir.Result{Module: mod})
+	if want := m.linearTransformCost(ckksir.LinearSplit(lin.Def), 3); cost.Conv != want || cost.Total() != want {
+		t.Fatalf("priced %+v, want %g of Conv", cost, want)
+	}
+	if want := 4*m.ntt(4+2) + 2*m.ntt(4); math.Abs(cost.Setup/want-1) > 1e-12 {
+		t.Errorf("masks encode for %g, want %g (rows over Q∪P, over Q against b = 0)", cost.Setup, want)
+	}
+	rotate3, _ := m.opCost(ckksir.OpRotate, 3)
+	mulAdd, _ := m.opCost(ckksir.OpMulPlain, 3)
+	expansion := 3*rotate3 + 11*mulAdd + m.Rescale(3)
+	if cost.Conv >= expansion {
+		t.Errorf("linear layer priced %g, its expansion %g", cost.Conv, expansion)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"antace/internal/ckksir"
+	"antace/internal/ir"
 	"antace/internal/kswork"
 	"antace/internal/obs"
 )
@@ -72,6 +73,28 @@ func meanOpCost(m *Model, op string, levels []int) (float64, bool) {
 // observations of PointwisePerCoeff.
 var pwOps = []string{ckksir.OpAdd, ckksir.OpAddPlain, ckksir.OpMulPlain, ckksir.OpMulConst, ckksir.OpMul}
 
+// linearRun is one ckks.linear the trajectory recorded: its split and
+// its input level, read from the program that ran.
+type linearRun struct {
+	split kswork.Split
+	level int
+}
+
+// linearRuns returns the ckks.linear instructions of prog the trajectory
+// passed through, in its order; none without a program.
+func linearRuns(prog *ir.Func, traj []obs.TrajPoint) []linearRun {
+	var out []linearRun
+	for _, pt := range traj {
+		if prog == nil || pt.Op != ckksir.OpLinear || pt.PC < 0 || pt.PC >= len(prog.Body) {
+			continue
+		}
+		if in := prog.Body[pt.PC]; in.Op == ckksir.OpLinear {
+			out = append(out, linearRun{ckksir.LinearSplit(in), in.Args[0].Level})
+		}
+	}
+	return out
+}
+
 // kernelWork returns the model's work count (in the kernel's calibration
 // units) for one fused-kernel observation at input level l.
 func kernelWork(m *Model, kernel string, l int) float64 {
@@ -90,7 +113,9 @@ func kernelWork(m *Model, kernel string, l int) float64 {
 // snapshot: the aggregated per-opcode (and per-fused-kernel) mean times
 // measured on *this* machine under *this* geometry are inverted back
 // into the per-element constants, starting from base. The last run's
-// level/scale trajectory supplies the level each opcode executed at.
+// level/scale trajectory supplies the level each opcode executed at, and
+// prog, the function that ran (nil: unknown), the split of each
+// ckks.linear it passed through.
 //
 // The fit is a ratio scaling, op family by op family:
 //   - PointwisePerCoeff from the purely pointwise ops (add, add_plain,
@@ -101,12 +126,12 @@ func kernelWork(m *Model, kernel string, l int) float64 {
 //     ciphertexts, never says at which level a cold one ran);
 //   - the three fused-kernel constants from the Kernels table, priced at
 //     the key-switch levels the trajectory observed, then anchored
-//     together on the measured rotate/relin totals.
+//     together on the measured rotate/relin/linear totals.
 //
 // Macro ops (ckks.poly, ckks.bootstrap) need the compiled schedule's
 // attributes; FitSchedule refines their correction scales separately.
 // Every ratio is clamped to [0.1, 10] of base.
-func FromProfile(snap obs.ProfileSnapshot, geom kswork.Geometry, base Calibration) (Calibration, []OpFit, error) {
+func FromProfile(snap obs.ProfileSnapshot, prog *ir.Func, geom kswork.Geometry, base Calibration) (Calibration, []OpFit, error) {
 	if snap.Runs == 0 || len(snap.Ops) == 0 {
 		return base, nil, fmt.Errorf("costmodel: profile snapshot has no runs")
 	}
@@ -114,6 +139,7 @@ func FromProfile(snap obs.ProfileSnapshot, geom kswork.Geometry, base Calibratio
 		return base, nil, fmt.Errorf("costmodel: profile snapshot has no trajectory (levels unknown)")
 	}
 	levels := trajLevels(snap)
+	linears := linearRuns(prog, snap.LastTrajectory)
 	stats := map[string]obs.OpStat{}
 	for _, st := range snap.Ops {
 		stats[st.Op] = st
@@ -155,9 +181,13 @@ func FromProfile(snap obs.ProfileSnapshot, geom kswork.Geometry, base Calibratio
 
 	// Fused kernels: the Kernels table times the three key-switch
 	// kernels directly. Price each observation at the key-switch levels
-	// the trajectory saw (rotate + relin); bootstrap-internal switches
-	// run at nearby levels, and the clamp bounds the residual error.
+	// the trajectory saw (rotate, relin, a linear layer's input);
+	// bootstrap-internal switches run at nearby levels, and the clamp
+	// bounds the residual error.
 	ksLevels := append(append([]int{}, levels[ckksir.OpRotate]...), levels[ckksir.OpRelin]...)
+	for _, r := range linears {
+		ksLevels = append(ksLevels, r.level)
+	}
 	if len(ksLevels) > 0 && len(snap.Kernels) > 0 {
 		for _, st := range snap.Kernels {
 			var unit *float64
@@ -185,9 +215,10 @@ func FromProfile(snap obs.ProfileSnapshot, geom kswork.Geometry, base Calibratio
 	// The kernel table aggregates every key switch in the program —
 	// bootstrap-internal switches run at other levels than the module's
 	// own rotations, so the table-fitted units carry a level-mix bias.
-	// Anchor them on the measured rotate/relin op means: one uniform
-	// rescale of the three units makes the model reproduce the measured
-	// key-switch totals at the levels the trajectory recorded.
+	// Anchor them on the measured rotate/relin/linear op means: one
+	// uniform rescale of the three units makes the model reproduce the
+	// measured key-switch totals at the levels the trajectory recorded.
+	// A linear layer's kernels are its split's (linearTransformCost).
 	mc := &Model{Cal: c, Geometry: geom}
 	var measKs, fixedKs, kernKs float64
 	for _, op := range []string{ckksir.OpRotate, ckksir.OpRelin} {
@@ -204,6 +235,15 @@ func FromProfile(snap obs.ProfileSnapshot, geom kswork.Geometry, base Calibratio
 		}
 		measKs += st.TotalMs / 1e3
 	}
+	if st, ok := stats[ckksir.OpLinear]; ok && len(linears) > 0 {
+		w := float64(st.Count) / float64(len(linears))
+		for _, r := range linears {
+			kern := mc.fusedSeconds(mc.LinearTransform(r.split, r.level))
+			kernKs += w * kern
+			fixedKs += w * (mc.linearTransformCost(r.split, r.level) - kern)
+		}
+		measKs += st.TotalMs / 1e3
+	}
 	if kernKs > 0 && measKs > fixedKs {
 		x := clampRatio((measKs - fixedKs) / kernKs)
 		c.ModUpPerUnit *= x
@@ -216,6 +256,12 @@ func FromProfile(snap obs.ProfileSnapshot, geom kswork.Geometry, base Calibratio
 	var fits []OpFit
 	for _, st := range snap.Ops {
 		pm, ok := meanOpCost(fitted, st.Op, levels[st.Op])
+		if st.Op == ckksir.OpLinear && len(linears) > 0 {
+			pm, ok = 0, true
+			for _, r := range linears {
+				pm += fitted.linearTransformCost(r.split, r.level) / float64(len(linears))
+			}
+		}
 		if !ok {
 			continue
 		}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"antace/internal/ckksir"
+	"antace/internal/ir"
 	"antace/internal/kswork"
 	"antace/internal/obs"
 )
@@ -77,7 +78,7 @@ func TestFromProfileRecoversConstants(t *testing.T) {
 	truth.ModDownPerUnit *= 1.4
 	snap := synthSnapshot(truth, geom)
 
-	got, fits, err := FromProfile(snap, geom, DefaultCalibration())
+	got, fits, err := FromProfile(snap, nil, geom, DefaultCalibration())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,11 +127,11 @@ func TestFromProfileWithoutEncode(t *testing.T) {
 	if len(warm.Ops) != len(cold.Ops)-1 {
 		t.Fatal("synthetic snapshot has no encode row to drop")
 	}
-	fromCold, _, err := FromProfile(cold, geom, DefaultCalibration())
+	fromCold, _, err := FromProfile(cold, nil, geom, DefaultCalibration())
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromWarm, _, err := FromProfile(warm, geom, DefaultCalibration())
+	fromWarm, _, err := FromProfile(warm, nil, geom, DefaultCalibration())
 	if err != nil {
 		t.Fatalf("profile without encode samples: %v", err)
 	}
@@ -150,7 +151,7 @@ func TestFromProfileClamps(t *testing.T) {
 		snap.Ops[i].TotalMs *= 1000
 		snap.Ops[i].MeanMs *= 1000
 	}
-	got, _, err := FromProfile(snap, geom, base)
+	got, _, err := FromProfile(snap, nil, geom, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,10 +160,65 @@ func TestFromProfileClamps(t *testing.T) {
 	}
 }
 
+// TestFromProfileAnchorsOnLinear: a program made of linear layers runs
+// no ckks.rotate or ckks.relin; the key-switch anchor reads each
+// ckks.linear's measured time against its split's price instead, and
+// recovers kernel units that are off by one factor.
+func TestFromProfileAnchorsOnLinear(t *testing.T) {
+	mod := ir.NewModule("linear")
+	f := mod.NewFunc("main")
+	x := f.NewParam("x", ir.CipherType(64))
+	x.Level = 3
+	args := []*ir.Value{x}
+	babies := []int{0, 1, 2, 0, 1, 2}
+	for _, b := range babies {
+		pt := f.Emit(ckksir.OpEncode, ir.PlainType(64), []*ir.Value{f.NewConst("m", ir.VectorType(64), []float64{1})},
+			map[string]any{"level": 3, "scale": 1.0, "qp": b != 0})
+		pt.Level = 3
+		args = append(args, pt)
+	}
+	lin := f.Emit(ckksir.OpLinear, ir.CipherType(64), args, map[string]any{"b": babies, "g": []int{0, 0, 0, 4, 4, 4}})
+	lin.Level = 2
+	f.Ret = lin
+	pc := len(f.Body) - 1
+
+	geom := kswork.Geometry{LogN: 12, K: 2}
+	truth := DefaultCalibration()
+	truth.ModUpPerUnit *= 1.6
+	truth.MulAddPerUnit *= 1.6
+	truth.ModDownPerUnit *= 1.6
+	const runs = 3
+	ms := (&Model{Cal: truth, Geometry: geom}).linearTransformCost(ckksir.LinearSplit(lin.Def), 3) * 1e3
+	snap := obs.ProfileSnapshot{
+		Runs:           runs,
+		Ops:            []obs.OpStat{{Op: ckksir.OpLinear, Count: runs, MeanMs: ms, TotalMs: ms * runs}},
+		LastTrajectory: []obs.TrajPoint{{PC: pc, Op: ckksir.OpLinear, Level: 2, Scale: 1}},
+	}
+	got, fits, err := FromProfile(snap, f, geom, DefaultCalibration())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, pair := range map[string][2]float64{
+		"ModUpPerUnit":   {got.ModUpPerUnit, truth.ModUpPerUnit},
+		"MulAddPerUnit":  {got.MulAddPerUnit, truth.MulAddPerUnit},
+		"ModDownPerUnit": {got.ModDownPerUnit, truth.ModDownPerUnit},
+	} {
+		if math.Abs(pair[0]/pair[1]-1) > 1e-9 {
+			t.Errorf("%s: fitted %g, true %g", name, pair[0], pair[1])
+		}
+	}
+	if len(fits) != 1 || math.Abs(fits[0].Ratio-1) > 1e-9 {
+		t.Errorf("agreement rows %+v, want one ckks.linear row at ratio 1", fits)
+	}
+	if blind, _, _ := FromProfile(snap, nil, geom, DefaultCalibration()); blind.ModUpPerUnit != DefaultCalibration().ModUpPerUnit {
+		t.Errorf("without the program the fit moved ModUpPerUnit to %g", blind.ModUpPerUnit)
+	}
+}
+
 // TestFromProfileEmpty: an idle server's snapshot is a calibration
 // no-op, reported as an error rather than garbage constants.
 func TestFromProfileEmpty(t *testing.T) {
-	if _, _, err := FromProfile(obs.ProfileSnapshot{}, kswork.Geometry{LogN: 12, K: 2}, DefaultCalibration()); err == nil {
+	if _, _, err := FromProfile(obs.ProfileSnapshot{}, nil, kswork.Geometry{LogN: 12, K: 2}, DefaultCalibration()); err == nil {
 		t.Fatal("empty snapshot did not error")
 	}
 }

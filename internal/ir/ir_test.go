@@ -10,6 +10,7 @@ func init() {
 	RegisterOp(OpSpec{Name: "test.binary", Args: [][]Kind{{KindVector}, {KindVector}}, Result: KindVector})
 	RegisterOp(OpSpec{Name: "test.attr", Args: [][]Kind{{KindVector}}, Result: KindVector, RequiredAttrs: []string{"k"}})
 	RegisterOp(OpSpec{Name: "test.opt", Args: [][]Kind{{KindVector}, {KindVector}}, MinArgs: 1, Result: KindVector})
+	RegisterOp(OpSpec{Name: "test.variadic", Args: [][]Kind{{KindCipher}}, MinArgs: 2, Variadic: []Kind{KindPlain}, Result: KindCipher})
 }
 
 func TestTypeString(t *testing.T) {
@@ -81,6 +82,26 @@ func TestVerifyCatchesArityAndKind(t *testing.T) {
 	f4.Ret = f4.Emit("test.opt", VectorType(8), []*Value{p4}, nil)
 	if err := VerifyFunc(f4); err != nil {
 		t.Fatalf("optional arg rejected: %v", err)
+	}
+
+	// A variadic tail takes any number of arguments of its kinds, at least
+	// MinArgs in all.
+	for n, want := range map[int]bool{0: false, 1: true, 3: true} {
+		f := m.NewFunc("variadic")
+		args := []*Value{f.NewParam("x", CipherType(8))}
+		for range n {
+			args = append(args, f.NewConst("p", PlainType(8), []float64{1}))
+		}
+		f.Ret = f.Emit("test.variadic", CipherType(8), args, nil)
+		if err := VerifyFunc(f); (err == nil) != want {
+			t.Errorf("%d tail arguments: error %v", n, err)
+		}
+	}
+	f5 := m.NewFunc("variadic-kind")
+	p5 := f5.NewParam("x", CipherType(8))
+	f5.Ret = f5.Emit("test.variadic", CipherType(8), []*Value{p5, f5.NewConst("v", VectorType(8), []float64{1})}, nil)
+	if err := VerifyFunc(f5); err == nil {
+		t.Fatal("a tail argument of the wrong kind was accepted")
 	}
 }
 

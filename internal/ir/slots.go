@@ -15,12 +15,14 @@ import (
 type SlotKernel = func(in *Instr, args [][]float64) ([]float64, error)
 
 // SlotAdd is the elementwise sum of two vectors.
-func SlotAdd(_ *Instr, a [][]float64) ([]float64, error) {
-	out := make([]float64, len(a[0]))
+func SlotAdd(_ *Instr, a [][]float64) ([]float64, error) { return add(a[0], a[1]), nil }
+
+func add(x, y []float64) []float64 {
+	out := make([]float64, len(x))
 	for i := range out {
-		out[i] = a[0][i] + a[1][i]
+		out[i] = x[i] + y[i]
 	}
-	return out, nil
+	return out
 }
 
 // SlotSub is the elementwise difference of two vectors.
@@ -33,12 +35,14 @@ func SlotSub(_ *Instr, a [][]float64) ([]float64, error) {
 }
 
 // SlotMul is the elementwise product of two vectors.
-func SlotMul(_ *Instr, a [][]float64) ([]float64, error) {
-	out := make([]float64, len(a[0]))
+func SlotMul(_ *Instr, a [][]float64) ([]float64, error) { return mul(a[0], a[1]), nil }
+
+func mul(x, y []float64) []float64 {
+	out := make([]float64, len(x))
 	for i := range out {
-		out[i] = a[0][i] * a[1][i]
+		out[i] = x[i] * y[i]
 	}
-	return out, nil
+	return out
 }
 
 // SlotNeg negates every slot.
@@ -54,15 +58,50 @@ func SlotIdentity(_ *Instr, a [][]float64) ([]float64, error) { return a[0], nil
 // SlotRotate is the cyclic left rotation by attribute "k": out[i] =
 // in[(i+k) mod n], for any sign and size of k.
 func SlotRotate(in *Instr, a [][]float64) ([]float64, error) {
-	n := len(a[0])
-	k := in.AttrInt("k", 0) % n
-	if k < 0 {
+	return rotate(a[0], in.AttrInt("k", 0)), nil
+}
+
+func rotate(x []float64, k int) []float64 {
+	n := len(x)
+	if k %= n; k < 0 {
 		k += n
 	}
 	out := make([]float64, n)
-	copy(out, a[0][k:])
-	copy(out[n-k:], a[0][:k])
-	return out, nil
+	copy(out, x[k:])
+	copy(out[n-k:], x[:k])
+	return out
+}
+
+// SlotLinear is a linear layer's baby-step/giant-step sum (vec.linear,
+// sihe.linear, ckks.linear): Σ_g roll(Σ_b mask ⊙ roll(x, b), g).
+// Argument 0 is x and argument i+1 mask i; the int-slice attributes "b"
+// and "g" give mask i's baby and giant rotation. Masks sharing a giant
+// are consecutive and form one group. The sums run in the order of the
+// masks, each group's left to right, the groups' likewise: the order the
+// lowering fixes, so every level computes the same floats.
+func SlotLinear(in *Instr, a [][]float64) ([]float64, error) {
+	b, g := in.AttrInts("b"), in.AttrInts("g")
+	if len(a) < 2 || len(b) != len(a)-1 || len(g) != len(b) {
+		return nil, fmt.Errorf("%d masks with %d babies and %d giants", len(a)-1, len(b), len(g))
+	}
+	var acc, sum []float64
+	for i, mask := range a[1:] {
+		if term := mul(rotate(a[0], b[i]), mask); sum == nil {
+			sum = term
+		} else {
+			sum = add(sum, term)
+		}
+		if i+1 < len(b) && g[i+1] == g[i] {
+			continue
+		}
+		if acc == nil {
+			acc = rotate(sum, g[i])
+		} else {
+			acc = add(acc, rotate(sum, g[i]))
+		}
+		sum = nil
+	}
+	return acc, nil
 }
 
 // SlotScale returns the kernel multiplying every slot by the float

@@ -1,6 +1,7 @@
 package ir
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -16,6 +17,7 @@ var testKernels = map[string]SlotKernel{
 	"t.rotate": SlotRotate,
 	"t.scale":  SlotScale("c"),
 	"t.poly":   SlotPoly,
+	"t.linear": SlotLinear,
 }
 
 // TestSlotKernels runs each shared kernel as a one-instruction function
@@ -80,6 +82,30 @@ func TestSlotKernels(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestSlotLinear works one layer by hand: group g = 0 holds masks m0
+// (baby 0) and m1 (baby 1), group g = 2 mask m2 (baby 0).
+func TestSlotLinear(t *testing.T) {
+	f := NewModule("m").NewFunc("main")
+	args := []*Value{f.NewParam("x", VectorType(4))}
+	for _, m := range [][]float64{{1, 1, 1, 1}, {2, 0, 1, 0}, {0, 1, 0, 1}} {
+		args = append(args, f.NewConst("m", VectorType(4), m))
+	}
+	f.Ret = f.Emit("t.linear", VectorType(4), args, map[string]any{"b": []int{0, 1, 0}, "g": []int{0, 0, 2}})
+	// m0⊙x + m1⊙roll(x,1) = (−3, −2, 3.5, 0.5); roll(m2⊙x, 2) = (0, 0.5,
+	// 0, −2); their sum.
+	got, err := RunSlots(f, []float64{1, -2, 3, 0.5}, testKernels, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []float64{-3, -1.5, 3.5, -1.5}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("got %v, want %v", got, want)
+	}
+	f.Body[0].Attrs["g"] = []int{0, 0}
+	if _, err := RunSlots(f, []float64{1, -2, 3, 0.5}, testKernels, nil); err == nil {
+		t.Fatal("a giant list shorter than the masks was accepted")
 	}
 }
 

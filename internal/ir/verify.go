@@ -15,6 +15,9 @@ type OpSpec struct {
 	// MinArgs permits optional trailing arguments (e.g. bias); when 0,
 	// len(Args) is required exactly.
 	MinArgs int
+	// Variadic, when non-nil, accepts any number of further arguments
+	// after Args, each of one of these kinds (a linear layer's masks).
+	Variadic []Kind
 	// Result is the required result kind (KindInvalid accepts any).
 	Result Kind
 	// RequiredAttrs must be present.
@@ -60,7 +63,7 @@ func VerifyFunc(f *Func) error {
 		if min == 0 {
 			min = len(spec.Args)
 		}
-		if len(in.Args) < min || len(in.Args) > len(spec.Args) {
+		if len(in.Args) < min || len(in.Args) > len(spec.Args) && spec.Variadic == nil {
 			return fmt.Errorf("instr %d (%s): %d args, want %d..%d", idx, in.Op, len(in.Args), min, len(spec.Args))
 		}
 		for i, a := range in.Args {
@@ -73,7 +76,11 @@ func VerifyFunc(f *Func) error {
 			if !a.IsConst() && a.Def != nil && !defined[a] {
 				return fmt.Errorf("instr %d (%s): argument %s used before definition", idx, in.Op, a)
 			}
-			if set := spec.Args[i]; set != nil {
+			set := spec.Variadic
+			if i < len(spec.Args) {
+				set = spec.Args[i]
+			}
+			if set != nil {
 				okKind := false
 				for _, k := range set {
 					if a.Type.Kind == k {

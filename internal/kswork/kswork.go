@@ -132,24 +132,47 @@ func GiantSteps(diags int) int {
 	return (diags + n1 - 1) / n1
 }
 
-// LinearTransform counts the fused baby-step/giant-step evaluation of a
-// transform with diags diagonals entering at level, as
-// ckks.EvaluateLinearTransform runs it. The n1−1 baby rotations share
-// one decomposition and pay a key product each, staying over Q∪P. Every
-// diagonal is one multiply-accumulate per half and Q∪P row in its
-// group's inner sum. Each of the n2−1 giant rotations divides the c1
-// half of its group's sum by P, decomposes it and adds a key product
-// into the one Q∪P accumulator, which is divided once at the end.
-func (g Geometry) LinearTransform(diags, level int) Work {
+// Split is the shape of one baby-step/giant-step transform as
+// ckks.EvaluateBSGS runs it: a bootstrap's DFT stage or a program's
+// ckks.linear.
+type Split struct {
+	// Babies and Giants count the distinct non-zero baby and giant
+	// rotations; the g = 0 group is one more group than Giants.
+	Babies, Giants int
+	// Masks counts the plaintext products, ZeroMasks those against the
+	// b = 0 baby, whose rows over P are zero and skipped.
+	Masks, ZeroMasks int
+}
+
+// DFTSplit is the split of a DFT stage with diags diagonals: BabySteps
+// baby steps (b = 0 among them) in GiantSteps groups, each holding its
+// b = 0 diagonal.
+func DFTSplit(diags int) Split {
 	n1, n2 := BabySteps(diags), GiantSteps(diags)
-	babies, giants := float64(n1-1), float64(n2-1)
-	sums := g.n() * float64(2*n2*(level+1+g.K)) * MAC(n1)
+	return Split{Babies: n1 - 1, Giants: n2 - 1, Masks: diags, ZeroMasks: n2}
+}
+
+// LinearTransform counts the fused baby-step/giant-step evaluation of
+// split s entering at level. The baby rotations share one decomposition
+// and pay a key product each, staying over Q∪P. Every mask is one
+// multiply-accumulate per half and row in its group's inner sum: over
+// Q∪P, or over Q alone against the b = 0 baby. Each giant rotation
+// divides the c1 half of its group's sum by P, decomposes it and adds a
+// key product into the one Q∪P accumulator, which is divided once at the
+// end.
+func (g Geometry) LinearTransform(s Split, level int) Work {
+	groups := s.Giants + 1
+	perGroup := func(masks int) float64 {
+		return float64(groups) * MAC((masks+groups-1)/groups)
+	}
+	rows := float64(level+1)*perGroup(s.Masks) + float64(g.K)*perGroup(s.Masks-s.ZeroMasks)
+	giants := float64(s.Giants)
 	w := Work{
 		ModUp:   giants * g.ModUp(level),
-		MulAdd:  (babies+giants)*g.MulAdd(level) + sums,
+		MulAdd:  float64(s.Babies+s.Giants)*g.MulAdd(level) + 2*g.n()*rows,
 		ModDown: (1 + giants/2) * g.ModDown(level),
 	}
-	if n1 > 1 {
+	if s.Babies > 0 {
 		w.ModUp += g.ModUp(level)
 	}
 	return w

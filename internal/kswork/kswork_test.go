@@ -37,18 +37,18 @@ func TestStageShapes(t *testing.T) {
 func TestLinearTransformWork(t *testing.T) {
 	g := Geometry{LogN: 9, K: 6}
 	const level = 29
-	if w := g.LinearTransform(1, level); w.ModUp != 0 || w.ModDown != g.ModDown(level) {
+	if w := g.LinearTransform(DFTSplit(1), level); w.ModUp != 0 || w.ModDown != g.ModDown(level) {
 		t.Errorf("one diagonal: %+v, want no decomposition and one division", w)
 	}
 	// 31 diagonals: 8 baby steps, 4 groups.
-	w := g.LinearTransform(31, level)
+	w := g.LinearTransform(DFTSplit(31), level)
 	if want := 4 * g.ModUp(level); w.ModUp != want {
 		t.Errorf("31 diagonals decompose %g units, want 1 + 3 decompositions (%g)", w.ModUp, want)
 	}
 	if want := 2.5 * g.ModDown(level); w.ModDown != want {
 		t.Errorf("31 diagonals divide %g units, want 1 + 3 halves (%g)", w.ModDown, want)
 	}
-	if dense := g.LinearTransform(256, level); 2*w.Units() >= dense.Units() {
+	if dense := g.LinearTransform(DFTSplit(256), level); 2*w.Units() >= dense.Units() {
 		t.Errorf("two 31-diagonal stages (%g units) do not undercut 256 dense diagonals (%g)", 2*w.Units(), dense.Units())
 	}
 }

@@ -69,12 +69,14 @@ func Lower(res *ckksir.Result) (*ir.Module, error) {
 		}
 	}}
 
-	shared := ckksir.SharedDecompositions(src)
-	for i, in := range src.Body {
+	for _, in := range src.Body {
 		l := in.Result.Level
 		r := l + 1
 		switch in.Op {
 		case ckksir.OpEncode:
+			if in.Attr("qp") == true {
+				r += g.K
+			}
 			e.emit(OpNTT, r, 1)
 		case ckksir.OpAdd:
 			e.emit(OpModAdd, r, 2)
@@ -87,7 +89,9 @@ func Lower(res *ckksir.Result) (*ir.Module, error) {
 		case ckksir.OpRelin:
 			e.relin(l)
 		case ckksir.OpRotate:
-			e.rotate(l, !shared[i])
+			e.rotate(l)
+		case ckksir.OpLinear:
+			e.linearTransform(ckksir.LinearSplit(in), in.Args[0].Level)
 		case ckksir.OpRescale:
 			e.emit(OpRescale, r, 2)
 		case ckksir.OpModSwitch, ckksir.OpReinterpret:
@@ -174,14 +178,11 @@ func (e *expander) relin(level int) {
 }
 
 // rotate emits one rotation as the runtime's one rotation path runs it:
-// decompose c1 unless an earlier rotation of the same value did
-// (ckksir.RotationGroups), permute c0 and the digits, take the key
-// product, divide by P, add the permuted c0.
-func (e *expander) rotate(level int, decompose bool) {
+// decompose c1, permute c0 and the digits, take the key product, divide
+// by P, add the permuted c0.
+func (e *expander) rotate(level int) {
 	r := level + 1
-	if decompose {
-		e.decompose(level, 1)
-	}
+	e.decompose(level, 1)
 	e.emit(OpRotate, r, 1)
 	e.emit(OpRotate, r+e.g.K, e.g.Digits(level))
 	e.keyProduct(level, 1)
@@ -210,28 +211,29 @@ func (e *expander) polyEval(pl *poly.Plan, level int) {
 	})
 }
 
-// linearTransform expands one stage matrix of diags diagonals entering
-// at level as ckks.EvaluateLinearTransform runs it (kswork.LinearTransform
-// counts the same kernels): the n1−1 baby rotations share one
-// decomposition and stay over Q∪P, every diagonal is a multiply-
-// accumulate per half in its group's inner sum, each of the n2−1 giant
-// rotations divides its group's c1 half by P, decomposes it and adds a
-// key product into the one accumulator, which is divided once at the end
-// and rescaled.
-func (e *expander) linearTransform(diags, level int) {
-	n1, n2 := kswork.BabySteps(diags), kswork.GiantSteps(diags)
+// linearTransform expands one baby-step/giant-step transform of split s
+// entering at level — a DFT stage or a ckks.linear — as
+// ckks.EvaluateBSGS runs it (kswork.LinearTransform counts the same
+// kernels): the baby rotations share one decomposition and stay over
+// Q∪P, every mask is a multiply-accumulate per half in its group's inner
+// sum (over Q alone against the b = 0 baby), each giant rotation divides
+// its group's c1 half by P, decomposes it and adds a key product into
+// the one accumulator, which is divided once at the end and rescaled.
+func (e *expander) linearTransform(s kswork.Split, level int) {
 	r, rk := level+1, level+1+e.g.K
-	if n1 > 1 {
+	if s.Babies > 0 {
 		e.decompose(level, 1)
 	}
-	e.emit(OpRotate, rk, 2*(n1-1))
-	e.keyProduct(level, n1-1)
-	e.emit(OpModMul, rk, 2*diags)
-	e.emit(OpModAdd, rk, 2*diags)
-	e.modDown(level, n2-1)
-	e.emit(OpRotate, rk, 2*(n2-1))
-	e.decompose(level, n2-1)
-	e.keyProduct(level, n2-1)
+	e.emit(OpRotate, rk, 2*s.Babies)
+	e.keyProduct(level, s.Babies)
+	e.emit(OpModMul, r, 2*s.ZeroMasks)
+	e.emit(OpModAdd, r, 2*s.ZeroMasks)
+	e.emit(OpModMul, rk, 2*(s.Masks-s.ZeroMasks))
+	e.emit(OpModAdd, rk, 2*(s.Masks-s.ZeroMasks))
+	e.modDown(level, s.Giants)
+	e.emit(OpRotate, rk, 2*s.Giants)
+	e.decompose(level, s.Giants)
+	e.keyProduct(level, s.Giants)
 	e.modDown(level, 2)
 	e.emit(OpRescale, r, 2)
 }
@@ -242,9 +244,9 @@ func (e *expander) bootstrapStep(s bootstrap.Step) {
 	l, r := s.Level, s.Level+1
 	switch s.Kind {
 	case bootstrap.StepC2S, bootstrap.StepS2C:
-		e.linearTransform(s.Diags, l)
+		e.linearTransform(kswork.DFTSplit(s.Diags), l)
 	case bootstrap.StepConjugate:
-		e.rotate(l, true)
+		e.rotate(l)
 		e.emit(OpModAdd, r, 4) // the halves' sum and difference
 	case bootstrap.StepEvalMod:
 		e.polyEval(s.Plan, l)

@@ -178,21 +178,28 @@ func TestBootstrapExpandsTheSchedule(t *testing.T) {
 	}
 }
 
-// TestRotationsOfOneValueDecomposeOnce: the POLY view charges the
-// decomposition of a rotation group once (ckksir.RotationGroups), and
-// every rotation its own key product and division.
-func TestRotationsOfOneValueDecomposeOnce(t *testing.T) {
-	mod := ir.NewModule("hoist")
+// TestLinearExpandsItsKernel: a ckks.linear expands as the fused kernel
+// runs it — one decomposition for its babies and one per giant, a
+// divided half per giant and one whole division for the group sum:
+// three halves where the same three rotations as ckks.rotate
+// instructions divide six.
+func TestLinearExpandsItsKernel(t *testing.T) {
+	mod := ir.NewModule("linear")
 	f := mod.NewFunc("main")
 	ct := ir.CipherType(64)
 	x := f.NewParam("x", ct)
 	x.Level = 3
-	var last *ir.Value
-	for _, k := range []int{1, 2, 4} {
-		last = f.Emit(ckksir.OpRotate, ct, []*ir.Value{x}, map[string]any{"k": k})
-		last.Level = 3
+	args := []*ir.Value{x}
+	babies := []int{0, 1, 2, 0, 1, 2}
+	for _, b := range babies {
+		m := f.NewConst("mask", ir.VectorType(64), []float64{1})
+		pt := f.Emit(ckksir.OpEncode, ir.PlainType(64), []*ir.Value{m}, map[string]any{"level": 3, "scale": 1.0, "qp": b != 0})
+		pt.Level = 3
+		args = append(args, pt)
 	}
-	f.Ret = last
+	lin := f.Emit(ckksir.OpLinear, ct, args, map[string]any{"b": babies, "g": []int{0, 0, 0, 4, 4, 4}})
+	lin.Level = 2
+	f.Ret = lin
 	lit := ckks.ParametersLiteral{LogN: 12, LogQ: []int{50, 40, 40, 40}, LogP: []int{50, 50}, LogScale: 40}
 	pm, err := Lower(&ckksir.Result{Module: mod, Literal: lit})
 	if err != nil {
@@ -202,8 +209,9 @@ func TestRotationsOfOneValueDecomposeOnce(t *testing.T) {
 	for _, in := range pm.Main().Body {
 		counts[in.Op] += in.AttrInt("count", 1)
 	}
-	digits := lit.Geometry().Digits(3)
-	if counts[OpDecomp] != digits || counts[OpModDown] != 3*2 {
-		t.Fatalf("decomp %d (want %d, one decomposition), mod_down %d (want 6)", counts[OpDecomp], digits, counts[OpModDown])
+	g := lit.Geometry()
+	digits := 2 * g.Digits(3) // babies, one giant
+	if halves := 1 + 2; counts[OpDecomp] != digits || counts[OpModDown] != halves {
+		t.Fatalf("decomp %d (want %d), mod_down %d (want %d)", counts[OpDecomp], digits, counts[OpModDown], halves)
 	}
 }

@@ -52,7 +52,7 @@ func (s *Server) handleCostmodelz(w http.ResponseWriter, r *http.Request) {
 	if meas, err := costmodel.MeasuredBreakdown(snap); err == nil {
 		resp.MeasuredSec = &meas
 	}
-	live, fits, err := costmodel.FromProfile(snap, geom, resp.Default)
+	live, fits, err := costmodel.FromProfile(snap, s.ckks.Module.Main(), geom, resp.Default)
 	if err != nil {
 		resp.LiveErr = err.Error()
 		api.WriteJSON(w, http.StatusOK, resp)

@@ -22,6 +22,8 @@ const (
 	OpNeg    = "sihe.neg"
 	OpRotate = "sihe.rotate"
 	OpEncode = "sihe.encode"
+	// OpLinear is vec.linear over a ciphertext and encoded masks.
+	OpLinear = "sihe.linear"
 	// OpPoly evaluates one polynomial stage on a ciphertext. Its
 	// attributes carry the polynomial (poly.FromAttrs / Attrs).
 	OpPoly = "sihe.poly"
@@ -38,6 +40,7 @@ func init() {
 	ir.RegisterOp(ir.OpSpec{Name: OpMul, Args: [][]ir.Kind{C, CP}, Result: ir.KindCipher})
 	ir.RegisterOp(ir.OpSpec{Name: OpNeg, Args: [][]ir.Kind{C}, Result: ir.KindCipher})
 	ir.RegisterOp(ir.OpSpec{Name: OpRotate, Args: [][]ir.Kind{C}, Result: ir.KindCipher, RequiredAttrs: []string{"k"}})
+	ir.RegisterOp(ir.OpSpec{Name: OpLinear, Args: [][]ir.Kind{C}, MinArgs: 2, Variadic: []ir.Kind{ir.KindPlain}, Result: ir.KindCipher, RequiredAttrs: []string{"b", "g"}})
 	ir.RegisterOp(ir.OpSpec{Name: OpEncode, Args: [][]ir.Kind{V}, Result: ir.KindPlain})
 	ir.RegisterOp(ir.OpSpec{Name: OpPoly, Args: [][]ir.Kind{C}, Result: ir.KindCipher, RequiredAttrs: []string{"coeffs"}})
 	ir.RegisterOp(ir.OpSpec{Name: OpMulConst, Args: [][]ir.Kind{C}, Result: ir.KindCipher, RequiredAttrs: []string{"c"}})
@@ -181,6 +184,18 @@ func Lower(vm *ir.Module, opts Options) (*ir.Module, error) {
 				return nil, err
 			}
 			vals[in.Result] = f.Emit(OpRotate, ct, []*ir.Value{a}, map[string]any{"k": in.AttrInt("k", 0)})
+		case vecir.OpLinear:
+			args := make([]*ir.Value, len(in.Args))
+			for i, v := range in.Args {
+				var err error
+				if args[i], err = arg(v); err != nil {
+					return nil, err
+				}
+			}
+			if args[0].Type.Kind != ir.KindCipher {
+				return nil, fmt.Errorf("sihe: %s of a cleartext value should have been folded", in.Op)
+			}
+			vals[in.Result] = f.Emit(OpLinear, ct, args, in.Attrs)
 		case vecir.OpRelu:
 			a, err := arg(in.Args[0])
 			if err != nil {
@@ -245,6 +260,7 @@ var Kernels = map[string]ir.SlotKernel{
 	OpMul:      ir.SlotMul,
 	OpNeg:      ir.SlotNeg,
 	OpRotate:   ir.SlotRotate,
+	OpLinear:   ir.SlotLinear,
 	OpEncode:   ir.SlotIdentity,
 	OpMulConst: ir.SlotScale("c"),
 	OpPoly:     ir.SlotPoly,

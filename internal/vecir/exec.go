@@ -11,9 +11,10 @@ import (
 // vec.relu and vec.nonlinear are still exact here: their polynomial
 // approximations only appear at the SIHE level.
 var Kernels = map[string]ir.SlotKernel{
-	OpAdd:  ir.SlotAdd,
-	OpMul:  ir.SlotMul,
-	OpRoll: ir.SlotRotate,
+	OpAdd:    ir.SlotAdd,
+	OpMul:    ir.SlotMul,
+	OpRoll:   ir.SlotRotate,
+	OpLinear: ir.SlotLinear,
 	OpRelu: func(_ *ir.Instr, a [][]float64) ([]float64, error) {
 		return ir.SlotMap(a[0], func(x float64) float64 {
 			if x > 0 {
@@ -56,7 +57,10 @@ type Stats struct {
 	DistinctRotations int
 }
 
-// Analyze computes Stats for a function.
+// Analyze computes Stats for a function. A vec.linear counts as the
+// rotations, products and sums it stands for: its distinct non-zero
+// babies and giants, one product per mask and one sum per mask after the
+// first.
 func Analyze(f *ir.Func) Stats {
 	s := Stats{}
 	rot := map[int]bool{}
@@ -65,6 +69,20 @@ func Analyze(f *ir.Func) Stats {
 		case OpRoll:
 			s.Rotations++
 			rot[in.AttrInt("k", 0)] = true
+		case OpLinear:
+			for _, attr := range []string{"b", "g"} {
+				seen := map[int]bool{0: true}
+				for _, k := range in.AttrInts(attr) {
+					if !seen[k] {
+						seen[k] = true
+						s.Rotations++
+						rot[k] = true
+					}
+				}
+			}
+			masks := len(in.Args) - 1
+			s.Mults += masks
+			s.Adds += masks - 1
 		case OpMul:
 			s.Mults++
 		case OpAdd:

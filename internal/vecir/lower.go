@@ -14,7 +14,11 @@ const (
 	OpAdd  = "vec.add"
 	OpMul  = "vec.mul"
 	OpRoll = "vec.roll"
-	OpRelu = "vec.relu"
+	// OpLinear is a linear layer's baby-step/giant-step sum
+	// (ir.SlotLinear): the input, then one mask per residue, int-slice
+	// attributes "b" and "g".
+	OpLinear = "vec.linear"
+	OpRelu   = "vec.relu"
 	// OpNonlinear is a pointwise nonlinearity approximated at the SIHE
 	// level: attrs "kind" (sigmoid|tanh) and "bound" (input range).
 	OpNonlinear = "vec.nonlinear"
@@ -25,6 +29,7 @@ func init() {
 	ir.RegisterOp(ir.OpSpec{Name: OpAdd, Args: [][]ir.Kind{V, V}, Result: ir.KindVector})
 	ir.RegisterOp(ir.OpSpec{Name: OpMul, Args: [][]ir.Kind{V, V}, Result: ir.KindVector})
 	ir.RegisterOp(ir.OpSpec{Name: OpRoll, Args: [][]ir.Kind{V}, Result: ir.KindVector, RequiredAttrs: []string{"k"}})
+	ir.RegisterOp(ir.OpSpec{Name: OpLinear, Args: [][]ir.Kind{V}, MinArgs: 2, Variadic: V, Result: ir.KindVector, RequiredAttrs: []string{"b", "g"}})
 	ir.RegisterOp(ir.OpSpec{Name: OpRelu, Args: [][]ir.Kind{V}, Result: ir.KindVector, RequiredAttrs: []string{"bound"}})
 	ir.RegisterOp(ir.OpSpec{Name: OpNonlinear, Args: [][]ir.Kind{V}, Result: ir.KindVector, RequiredAttrs: []string{"kind", "bound"}})
 }
@@ -361,10 +366,6 @@ func (lw *lowering) add(a, b *ir.Value) *ir.Value {
 	return lw.f.Emit(OpAdd, lw.vt, []*ir.Value{a, b}, nil)
 }
 
-func (lw *lowering) mul(a, b *ir.Value) *ir.Value {
-	return lw.f.Emit(OpMul, lw.vt, []*ir.Value{a, b}, nil)
-}
-
 // emitConv lowers a convolution (stride s, pad p) from layout li to lo.
 // Weights are OIHW; the input's pending gain is divided out.
 //
@@ -377,7 +378,9 @@ func (lw *lowering) mul(a, b *ir.Value) *ir.Value {
 // residue class. Each r is
 // evaluated as a baby rotation b of the input and a giant rotation g of
 // the masked sum, b + g ≡ r (mod P). P and the baby/giant modulus are
-// derived from the offset set by foldSplit. The result holds every
+// derived from the offset set by foldSplit. The masked sums are one
+// vec.linear instruction, the fold vec.roll/vec.add pairs after it, a
+// bias one vec.add after those. The result holds every
 // output at all its replicas (slots congruent to it mod P) and 0 in
 // every other slot; the returned period says which.
 func (lw *lowering) emitConv(x *ir.Value, li, lo *Layout, w, bias *tensor.Tensor, stride, pad int) (*ir.Value, int, error) {
@@ -430,32 +433,26 @@ func (lw *lowering) emitConv(x *ir.Value, li, lo *Layout, w, bias *tensor.Tensor
 		byResidue[tp.t%p] = append(byResidue[tp.t%p], tp)
 	}
 
-	// Emit: baby rotations shared by every giant group, then one masked
-	// inner sum and one giant rotation per group, then the fold.
+	// One vec.linear: per giant group, ascending, its residues' masks,
+	// ascending, each with its baby rotation. Then the fold.
 	residues := sortedKeys(byResidue)
 	groups := map[int][]int{} // g -> its residues, ascending
-	babies := map[int]*ir.Value{}
 	for _, r := range residues {
-		b, g := bsgsSplit(r, m, p, lw.l)
+		_, g := bsgsSplit(r, m, p, lw.l)
 		groups[g] = append(groups[g], r)
-		babies[b] = nil
 	}
-	for _, b := range sortedKeys(babies) {
-		babies[b] = lw.roll(x, b)
-	}
-	var acc *ir.Value
+	args := []*ir.Value{x}
+	var babies, giants []int
 	for _, g := range sortedKeys(groups) {
-		var sum *ir.Value
 		for _, r := range groups[g] {
 			b, _ := bsgsSplit(r, m, p, lw.l)
-			mask := lw.constVec(fmt.Sprintf("mask_r%d_s%d", g, b), func(v []float64, reset bool) {
+			args = append(args, lw.constVec(fmt.Sprintf("mask_r%d_s%d", g, b), func(v []float64, reset bool) {
 				fillMask(v, byResidue[r], b, lo, reset)
-			})
-			sum = lw.add(sum, lw.mul(babies[b], mask))
+			}))
+			babies, giants = append(babies, b), append(giants, g)
 		}
-		acc = lw.add(acc, lw.roll(sum, g))
 	}
-	acc = lw.fold(acc, lw.l, p)
+	acc := lw.fold(lw.f.Emit(OpLinear, lw.vt, args, map[string]any{"b": babies, "g": giants}), lw.l, p)
 	if bias != nil {
 		// At every replica, so that no slot holds a partial sum.
 		acc = lw.add(acc, lw.constVec("bias", func(v []float64, reset bool) {

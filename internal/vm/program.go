@@ -15,9 +15,8 @@ import (
 // holding everything that depends on the model and the parameters but
 // not on a session's keys: instructions with their operands decoded,
 // every value assigned a dense register slot, the last-use table that
-// lets a run drop a register the moment it is dead, the rotations that
-// share a decomposition, the snapshot fingerprint, and the table of
-// encoded weight plaintexts. A Program is
+// lets a run drop a register the moment it is dead, the snapshot
+// fingerprint, and the table of encoded weight plaintexts. A Program is
 // read-only apart from that table, which fills on first use, so one
 // Program serves every machine, session and batch lane running the
 // module.
@@ -50,6 +49,7 @@ const (
 	opRelin
 	opRescale
 	opRotate
+	opLinear
 	opModSwitch
 	opMulConst
 	opPoly
@@ -59,7 +59,8 @@ const (
 
 // instr is one decoded instruction. k, x and y hold the integer and
 // float attributes of whichever op it is (see decode); for the two ops
-// with a plaintext operand, k is the index of the encode that makes it.
+// with a plaintext operand, k is the index of the encode that makes it,
+// and for a ckks.linear, masks holds those of its masks.
 type instr struct {
 	op   opcode
 	name string    // IR opcode, for profiles and messages
@@ -69,15 +70,14 @@ type instr struct {
 	// drop lists the slots whose last reader is this instruction; a result
 	// nothing reads is dropped by the instruction that made it.
 	drop []int
-	// keep marks a rotation whose source a later rotation also rotates
-	// (ckksir.RotationGroups): the run keeps the source's decomposition
-	// for it instead of releasing it.
-	keep bool
 
 	k    int
 	x, y float64
 	vec  []float64
+	qp   bool       // an encode over Q∪P (a linear layer's mask, baby ≠ 0)
 	plan *poly.Plan // how a ckks.poly is evaluated, worked out once here
+
+	babies, giants, masks []int // a ckks.linear's attributes and mask encodes
 }
 
 // Prepare returns the module's Program, building it on the first call.
@@ -136,14 +136,30 @@ func prepare(f *ir.Func) (*Program, error) {
 	// instruction 0); the return value never dies.
 	lastUse := make([]int, len(p.ids))
 	encodedAt := map[int]int{} // plaintext slot → index of the encode defining it
+	// madeBy returns the index of the encode that made plaintext operand
+	// v: over Q∪P for a linear layer's mask against a non-zero baby (qp),
+	// over Q for the rest.
+	madeBy := func(v *ir.Value, qp bool) (int, error) {
+		s, err := slot(v)
+		if err != nil {
+			return 0, err
+		}
+		e, ok := encodedAt[s]
+		if !ok || p.code[e].qp != qp {
+			return 0, fmt.Errorf("plaintext operand %s is not the result of an earlier encode over the right basis", v)
+		}
+		return e, nil
+	}
 	p.code = make([]instr, len(f.Body))
 	for idx, in := range f.Body {
 		d, err := decode(in, slot)
 		if err == nil && (d.op == opAddPlain || d.op == opMulPlain) {
-			var ok bool
-			if d.k, ok = encodedAt[d.b]; !ok {
-				err = fmt.Errorf("plaintext operand %s is not the result of an earlier encode", in.Args[1])
-			}
+			d.k, err = madeBy(in.Args[1], false)
+		}
+		for i := 1; err == nil && d.op == opLinear && i < len(in.Args); i++ {
+			var e int
+			e, err = madeBy(in.Args[i], d.babies[i-1] != 0)
+			d.masks = append(d.masks, e)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("vm: instr %d (%s): %w", idx, in.Op, err)
@@ -164,11 +180,6 @@ func prepare(f *ir.Func) (*Program, error) {
 	for s, idx := range lastUse {
 		if idx < len(p.code) {
 			p.code[idx].drop = append(p.code[idx].drop, s)
-		}
-	}
-	for _, g := range ckksir.RotationGroups(f) {
-		for _, idx := range g[:len(g)-1] {
-			p.code[idx].keep = true
 		}
 	}
 	return p, nil
@@ -202,6 +213,7 @@ func decode(in *ir.Instr, slot func(*ir.Value) (int, error)) (instr, error) {
 			return d, fmt.Errorf("encode argument is not a vector constant")
 		}
 		d.vec, d.k, d.x = vec, in.AttrInt("level", 0), in.AttrFloat("scale", 0)
+		d.qp = in.Attr("qp") == true
 		return d, nil
 	case ckksir.OpAdd:
 		d.op = opAdd
@@ -221,6 +233,14 @@ func decode(in *ir.Instr, slot func(*ir.Value) (int, error)) (instr, error) {
 		d.op = opRescale
 	case ckksir.OpRotate:
 		d.op, d.k = opRotate, in.AttrInt("k", 0)
+	case ckksir.OpLinear:
+		d.op = opLinear
+		d.babies, d.giants = in.AttrInts("b"), in.AttrInts("g")
+		if len(in.Args) < 2 || len(d.babies) != len(in.Args)-1 || len(d.giants) != len(d.babies) {
+			return d, fmt.Errorf("%d masks with %d babies and %d giants", len(in.Args)-1, len(d.babies), len(d.giants))
+		}
+		d.a, err = slot(in.Args[0])
+		return d, err
 	case ckksir.OpModSwitch:
 		d.op, d.k = opModSwitch, in.AttrInt("down", 0)
 	case ckksir.OpMulConst:

@@ -7,19 +7,21 @@ import (
 	"testing"
 
 	"antace/internal/ckksir"
+	"antace/internal/ir"
 	"antace/internal/ring"
 )
 
 // TestSnapshotResumeBitIdentical is the durability layer's core
 // invariant: for every checkpoint taken during a run, restoring it on
 // a fresh machine and executing the remaining instructions yields a
-// result bit-identical to the uninterrupted run. The model rotates one
-// value three times, so some snapshots fall inside a group of rotations
-// sharing a decomposition, which the resumed run must make again.
+// result bit-identical to the uninterrupted run. The model is one
+// ckks.linear with baby and giant steps, then its fold, so a snapshot
+// taken between its mask encodes and the layer leaves the resumed run
+// to encode the masks again.
 func TestSnapshotResumeBitIdentical(t *testing.T) {
 	res, vres := compileLinearShape(t, 32, 8)
-	if !hasRotationGroup(res, 3) {
-		t.Fatal("model has no group of three rotations of one value")
+	if !hasLinearKernel(res) {
+		t.Fatal("model has no ckks.linear with three babies, a giant and a fold after it")
 	}
 	machine, client, err := New(res, vres.InLayout.L, ring.SeedFromInt(51))
 	if err != nil {
@@ -74,12 +76,21 @@ func TestSnapshotResumeBitIdentical(t *testing.T) {
 	}
 }
 
-// hasRotationGroup reports whether the program rotates one value at
-// least n times (ckksir.RotationGroups).
-func hasRotationGroup(res *ckksir.Result, n int) bool {
-	for _, g := range ckksir.RotationGroups(res.Module.Main()) {
-		if len(g) >= n {
-			return true
+// hasLinearKernel reports whether the program holds a ckks.linear with
+// at least three non-zero babies and a non-zero giant whose result a
+// fold rotation reads: every branch of the kernel, and the layer's tail.
+func hasLinearKernel(res *ckksir.Result) bool {
+	kernels := map[*ir.Value]bool{}
+	for _, in := range res.Module.Main().Body {
+		switch in.Op {
+		case ckksir.OpLinear:
+			if s := ckksir.LinearSplit(in); s.Babies >= 3 && s.Giants >= 1 {
+				kernels[in.Result] = true
+			}
+		case ckksir.OpRotate:
+			if kernels[in.Args[0]] {
+				return true
+			}
 		}
 	}
 	return false
@@ -173,14 +184,15 @@ func TestSnapshotLiveSetShrinks(t *testing.T) {
 
 // TestSnapshotBytesDeterministic: equal states serialize to equal bytes.
 // Two runs of one program on one input pass through the same states, so
-// their checkpoint streams must match byte for byte.
+// their checkpoint streams must match byte for byte. The program holds a
+// ReLU and a global pool, so several registers are live at once.
 func TestSnapshotBytesDeterministic(t *testing.T) {
-	res, vres := compileLinear(t)
-	machine, client, err := New(res, vres.InLayout.L, ring.SeedFromInt(55))
+	res := tinyBootstrapping(t)
+	machine, client, err := New(res, vecLen(res), ring.SeedFromInt(55))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ct, err := client.Encrypt(make([]float64, vres.InLayout.L))
+	ct, err := client.Encrypt(make([]float64, vecLen(res)))
 	if err != nil {
 		t.Fatal(err)
 	}

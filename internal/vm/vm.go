@@ -175,15 +175,9 @@ func (m *Machine) Run(mod *ir.Module, input *ckks.Ciphertext) (*ckks.Ciphertext,
 // produces bit-identical output to one that never paused, because
 // every CKKS operation is deterministic given the same keys and
 // registers. When m.Ckpt is set, RunCtx emits resumable snapshots on
-// the policy's cadence between instructions.
-//
-// Rotations of one value share one key-switch decomposition
-// (ckksir.RotationGroups): the run makes it at the group's first
-// rotation it executes and releases it after the last, or on whatever
-// path leaves the run. It is not part of a snapshot; a resumed run makes
-// it again, and the rotation's bytes are the same either way. A register
-// goes back to the ring pool when the instruction that reads it last is
-// done, except the input's and the result's: the caller owns those.
+// the policy's cadence between instructions. A register goes back to the
+// ring pool when the instruction that reads it last is done, except the
+// input's and the result's: the caller owns those.
 func (m *Machine) RunCtx(ctx context.Context, mod *ir.Module, input *ckks.Ciphertext) (*ckks.Ciphertext, error) {
 	prog, err := Prepare(mod)
 	if err != nil {
@@ -228,15 +222,15 @@ func (m *Machine) run(ctx context.Context, prog *Program, input *ckks.Ciphertext
 	}
 	cts, pts := st.cts, st.pts
 	weights := prog.table(m.Params)
-	// decomps holds the live shared decompositions by source slot. This
-	// defer runs before the panic boundary's, so the scratch goes back to
-	// the pool before a recovered panic discards it.
-	decomps := map[int]*ckks.Decomposition{}
-	defer func() {
-		for _, h := range decomps {
-			h.Release()
+	// plain returns the plaintext encode instruction e made, encoding it
+	// again from the table when a resumed run starts past that encode.
+	plain := func(e int) (*ckks.Plaintext, error) {
+		if pt := pts[prog.code[e].dst]; pt != nil {
+			return pt, nil
 		}
-	}()
+		pt, _, err := m.encode(weights, e, &prog.code[e])
+		return pt, err
+	}
 
 	sinceCkpt := 0
 	lastCkpt := time.Now()
@@ -269,12 +263,9 @@ func (m *Machine) run(ctx context.Context, prog *Program, input *ckks.Ciphertext
 		case opAdd:
 			cts[in.dst], err = ev.Add(cts[in.a], cts[in.b])
 		case opAddPlain, opMulPlain:
-			pt := pts[in.b]
-			if pt == nil {
-				// A resumed run starts past the encode that made this operand.
-				if pt, _, err = m.encode(weights, in.k, &prog.code[in.k]); err != nil {
-					break
-				}
+			var pt *ckks.Plaintext
+			if pt, err = plain(in.k); err != nil {
+				break
 			}
 			if in.op == opMulPlain {
 				cts[in.dst] = ev.MulPlain(cts[in.a], pt)
@@ -288,7 +279,18 @@ func (m *Machine) run(ctx context.Context, prog *Program, input *ckks.Ciphertext
 		case opRescale:
 			cts[in.dst], err = ev.Rescale(cts[in.a])
 		case opRotate:
-			cts[in.dst], err = m.rotate(decomps, cts[in.a], in)
+			cts[in.dst], err = ev.Rotate(cts[in.a], in.k)
+		case opLinear:
+			terms := make([]ckks.BSGSTerm, len(in.masks))
+			for i, e := range in.masks {
+				terms[i] = ckks.BSGSTerm{Baby: in.babies[i], Giant: in.giants[i]}
+				if terms[i].Mask, err = plain(e); err != nil {
+					break
+				}
+			}
+			if err == nil {
+				cts[in.dst], err = ev.EvaluateBSGS(cts[in.a], terms)
+			}
 		case opModSwitch:
 			ct := cts[in.a].CopyNew()
 			err = ev.DropLevel(ct, in.k)
@@ -350,31 +352,13 @@ func (m *Machine) run(ctx context.Context, prog *Program, input *ckks.Ciphertext
 	return out, nil
 }
 
-// rotate runs rotation in on ct from the decomposition its group shares,
-// making it if no earlier rotation of the group did in this run, and
-// keeping it in decomps only while a later rotation of the group needs it.
-func (m *Machine) rotate(decomps map[int]*ckks.Decomposition, ct *ckks.Ciphertext, in *instr) (*ckks.Ciphertext, error) {
-	h := decomps[in.a]
-	if h == nil {
-		var err error
-		if h, err = m.Eval.Decompose(ct); err != nil {
-			return nil, err
-		}
-		decomps[in.a] = h
-	}
-	if !in.keep {
-		defer func() {
-			h.Release()
-			delete(decomps, in.a)
-		}()
-	}
-	return m.Eval.RotateHoisted(ct, h, in.k)
-}
-
 // encode produces the plaintext of encode instruction idx, from the
 // program's weight table when it is there.
 func (m *Machine) encode(weights *ckks.PlaintextMemo, idx int, in *instr) (*ckks.Plaintext, bool, error) {
-	return weights.Get(ckks.PlaintextKey{Const: idx, Level: in.k, Scale: in.x}, func() (*ckks.Plaintext, error) {
+	return weights.Get(ckks.PlaintextKey{Const: idx, Level: in.k, Scale: in.x, QP: in.qp}, func() (*ckks.Plaintext, error) {
+		if in.qp {
+			return m.enc.EncodeRealQP(in.vec, in.k, in.x)
+		}
 		return m.enc.EncodeReal(in.vec, in.k, in.x)
 	})
 }

@@ -304,12 +304,13 @@ func TestRunProfileInstrumentation(t *testing.T) {
 }
 
 // TestRunBitIdenticalAcrossWorkers: the output of a program whose
-// rotations share decompositions and whose registers go back to the
-// pool is the same bytes at 1, 2 and 8 workers.
+// linear layer runs the whole kernel — three or more babies, a giant —
+// then its fold rotations, and whose registers go back to the pool is the same bytes
+// at 1, 2 and 8 workers.
 func TestRunBitIdenticalAcrossWorkers(t *testing.T) {
 	res, vres := compileLinearShape(t, 32, 8)
-	if !hasRotationGroup(res, 3) {
-		t.Fatal("model has no group of three rotations of one value")
+	if !hasLinearKernel(res) {
+		t.Fatal("model has no ckks.linear with three babies, a giant and a fold after it")
 	}
 	machine, client, err := New(res, vres.InLayout.L, ring.SeedFromInt(54))
 	if err != nil {
