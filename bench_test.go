@@ -416,8 +416,8 @@ type bootstrapBench struct {
 	eval       *ckks.Evaluator
 	target     int
 	ct, raised *ckks.Ciphertext // exhausted input; after Raise
-	ct0, ct1   *ckks.Ciphertext // after CoeffsToSlots
-	y0, y1     *ckks.Ciphertext // after EvalMod
+	half       *ckks.Ciphertext // after CoeffsToSlots
+	y          *ckks.Ciphertext // after EvalMod
 	keys       int              // Galois keys the circuit needs
 	tableMiB   float64          // encoded diagonals after one bootstrap
 }
@@ -463,13 +463,11 @@ func newBootstrapBench(b *testing.B, c2sStages, s2cStages int) *bootstrapBench {
 	must(s.eval.DropLevel(s.ct, s.ct.Level()))
 	s.raised, _, err = bt.Raise(s.eval, s.ct, target)
 	must(err)
-	s.ct0, s.ct1, err = bt.CoeffsToSlots(s.eval, s.raised)
+	s.half, err = bt.CoeffsToSlots(s.eval, s.raised)
 	must(err)
-	s.y0, err = bt.EvalMod(s.eval, s.ct0)
+	s.y, err = bt.EvalMod(s.eval, s.half)
 	must(err)
-	s.y1, err = bt.EvalMod(s.eval, s.ct1)
-	must(err)
-	_, err = bt.SlotsToCoeffs(s.eval, s.y0, s.y1)
+	_, err = bt.SlotsToCoeffs(s.eval, s.y)
 	must(err)
 	s.tableMiB = float64(bt.TableStats().Bytes) / (1 << 20)
 	return s
@@ -482,8 +480,9 @@ func (s *bootstrapBench) bootstrap() error {
 
 // BenchmarkRuntimeBootstrap times one bootstrap and its three phases on
 // the chain and stage counts the compiler selects, refreshing to the
-// level the program refreshes to. The phase split is what ROADMAP and
-// DESIGN quote.
+// level the program refreshes to: C2S with the conjugation that keeps
+// the real half, EvalMod on that half, S2C with the conjugation that
+// mirrors it. The phase split is what ROADMAP and DESIGN quote.
 func BenchmarkRuntimeBootstrap(b *testing.B) {
 	s := newBootstrapBench(b, 0, 0)
 	b.Logf("%d primes, %d special, C2S/S2C stages %d/%d, %d Galois keys, %.1f MiB of diagonals",
@@ -493,15 +492,9 @@ func BenchmarkRuntimeBootstrap(b *testing.B) {
 		run  func() error
 	}{
 		{"Bootstrap", s.bootstrap},
-		{"C2S", func() error { _, _, err := s.bt.CoeffsToSlots(s.eval, s.raised); return err }},
-		{"EvalMod", func() error { // both halves, as one bootstrap runs it
-			if _, err := s.bt.EvalMod(s.eval, s.ct0); err != nil {
-				return err
-			}
-			_, err := s.bt.EvalMod(s.eval, s.ct1)
-			return err
-		}},
-		{"S2C", func() error { _, err := s.bt.SlotsToCoeffs(s.eval, s.y0, s.y1); return err }},
+		{"C2S", func() error { _, err := s.bt.CoeffsToSlots(s.eval, s.raised); return err }},
+		{"EvalMod", func() error { _, err := s.bt.EvalMod(s.eval, s.half); return err }},
+		{"S2C", func() error { _, err := s.bt.SlotsToCoeffs(s.eval, s.y); return err }},
 	} {
 		b.Run(phase.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {

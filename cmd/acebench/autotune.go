@@ -5,8 +5,11 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
+	"sort"
 	"time"
 
+	"antace/internal/ckks"
 	"antace/internal/core"
 	"antace/internal/costmodel"
 	"antace/internal/experiments"
@@ -49,16 +52,29 @@ type autotuneReport struct {
 	Within2x   bool                  `json:"per_category_within_2x"`
 }
 
-// measurePlan runs one warmup and one measured encrypted inference of a
-// compiled plan and returns the measured wall-clock plus its profile
-// aggregate (runs = 1). The warmup matters for the same reason it does
-// in Calibrate: the first run builds NTT twiddle tables and faults in
-// every pooled polynomial, which would otherwise be charged to the
-// measured ops.
-func measurePlan(c *core.Compiled) (float64, obs.ProfileSnapshot, error) {
+// measureRuns is how many measured inferences of each plan
+// measurePlans takes the median of: the default plan beats ConvNaive by
+// a few per cent, less than one inference spreads by.
+const measureRuns = 7
+
+// planRun is one compiled plan ready to run: its machine, and an
+// encrypted input it has already run once. The warmup matters for the
+// same reason it does in Calibrate: the first run builds NTT twiddle
+// tables and faults in every pooled polynomial, which would otherwise be
+// charged to the measured ops.
+type planRun struct {
+	c       *core.Compiled
+	machine *vm.Machine
+	client  *vm.Client
+	ct      *ckks.Ciphertext
+	agg     *obs.Aggregate
+	walls   []float64
+}
+
+func newPlanRun(c *core.Compiled) (*planRun, error) {
 	machine, client, err := vm.New(c.CKKS, c.VectorLen(), ring.SeedFromInt(42))
 	if err != nil {
-		return 0, obs.ProfileSnapshot{}, err
+		return nil, err
 	}
 	input := make([]float64, c.VectorLen())
 	for i := range input {
@@ -66,22 +82,63 @@ func measurePlan(c *core.Compiled) (float64, obs.ProfileSnapshot, error) {
 	}
 	ct, err := client.Encrypt(input)
 	if err != nil {
-		return 0, obs.ProfileSnapshot{}, err
+		return nil, err
 	}
 	if _, err := machine.Run(c.CKKS.Module, ct); err != nil {
-		return 0, obs.ProfileSnapshot{}, err
+		return nil, err
 	}
-	machine.Prof = obs.NewRunProfile()
+	return &planRun{c: c, machine: machine, client: client, ct: ct, agg: obs.NewAggregate()}, nil
+}
+
+// run times one profiled inference, starting from a collected heap so
+// that no run pays for the garbage of the one before it, which belongs
+// to the other plan every other time.
+func (r *planRun) run() error {
+	r.machine.Prof = obs.NewRunProfile()
+	runtime.GC()
 	start := time.Now()
-	out, err := machine.Run(c.CKKS.Module, ct)
+	out, err := r.machine.Run(r.c.CKKS.Module, r.ct)
 	if err != nil {
-		return 0, obs.ProfileSnapshot{}, err
+		return err
 	}
 	wall := time.Since(start)
-	_ = client.Decrypt(out)
-	agg := obs.NewAggregate()
-	agg.Merge(machine.Prof, wall)
-	return wall.Seconds(), agg.Snapshot(), nil
+	_ = r.client.Decrypt(out)
+	r.agg.Merge(r.machine.Prof, wall)
+	r.walls = append(r.walls, wall.Seconds())
+	return nil
+}
+
+func (r *planRun) median() float64 {
+	sort.Float64s(r.walls)
+	return r.walls[len(r.walls)/2]
+}
+
+// measurePlans runs measureRuns inferences of each plan, alternating
+// between them and which goes first, so that a machine whose speed
+// drifts while it measures charges the drift to both. It returns each
+// plan's median wall-clock and the profile aggregate of the first plan's
+// runs (runs = measureRuns).
+func measurePlans(first, second *core.Compiled) (firstWall, secondWall float64, firstSnap obs.ProfileSnapshot, err error) {
+	a, err := newPlanRun(first)
+	if err != nil {
+		return 0, 0, firstSnap, err
+	}
+	b, err := newPlanRun(second)
+	if err != nil {
+		return 0, 0, firstSnap, err
+	}
+	for i := 0; i < measureRuns; i++ {
+		order := []*planRun{a, b}
+		if i%2 == 1 {
+			order[0], order[1] = b, a
+		}
+		for _, r := range order {
+			if err := r.run(); err != nil {
+				return 0, 0, firstSnap, err
+			}
+		}
+	}
+	return a.median(), b.median(), a.agg.Snapshot(), nil
 }
 
 // runAutotune is the calibrate → enumerate → measure loop behind `make
@@ -130,20 +187,14 @@ func runAutotune(w io.Writer, outPath string, cal costmodel.Calibration) error {
 	fmt.Fprintf(w, "\nchosen %s over default %s: predicted speedup %.2fx\n",
 		report.ChosenPlan, report.DefaultPlan, report.PredictedSpeedup)
 
-	// Measure the baseline with the profiler attached: its run exercises
-	// every category (it bootstraps), so it is the run the per-category
-	// model agreement is judged on.
+	// The baseline's runs exercise every category (it bootstraps), so
+	// they are the runs the per-category model agreement is judged on.
 	def, err := core.Compile(m, naive)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "\nmeasuring baseline %s ...\n", baseline)
-	defWall, defSnap, err := measurePlan(def)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "measuring chosen plan %s ...\n", report.ChosenPlan)
-	chosenWall, _, err := measurePlan(chosen)
+	fmt.Fprintf(w, "\nmeasuring baseline %s and chosen plan %s, %d runs each, alternating ...\n", baseline, report.ChosenPlan, measureRuns)
+	defWall, chosenWall, defSnap, err := measurePlans(def, chosen)
 	if err != nil {
 		return err
 	}

@@ -6,16 +6,28 @@
 // Approximate Homomorphic Encryption", with the Han–Ki cosine/double-
 // angle EvalMod):
 //
-//  1. ScaleUp — multiply the message up to q0/MessageRatio.
+//  1. ScaleUp — keep the real part of the slots, ct + conj(ct), and
+//     multiply the message up to q0/MessageRatio.
 //  2. ModRaise — re-interpret the level-0 ciphertext modulo Q_l, yielding
 //     t = m + q0·I with a small integer polynomial I.
 //  3. CoeffsToSlots — a homomorphic inverse embedding moving the
-//     coefficients of t into slots (two ciphertexts: real and imaginary
-//     coefficient halves).
+//     coefficients of t into slots, followed by the conjugation that keeps
+//     the first coefficient half, t_0 … t_{N/2−1}.
 //  4. EvalMod — approximate t mod q0 on each slot with a Chebyshev
 //     interpolation of a scaled cosine followed by double-angle steps.
-//  5. SlotsToCoeffs — the forward embedding moving the refreshed slots
-//     back into coefficients.
+//  5. SlotsToCoeffs — the forward embedding moving the refreshed half
+//     back into coefficients, followed by the conjugation that mirrors it
+//     into the other half.
+//
+// One EvalMod suffices because the slots are real. A real slot vector's
+// plaintext satisfies m(X) = m(X⁻¹), so m_{N−j} = −m_j and m_{N/2} = 0:
+// the first coefficient half determines the rest, and the second half of
+// t, whose integer part differs, is never refreshed. If p is the
+// polynomial SlotsToCoeffs makes from the refreshed half, p + τ(p), τ the
+// conjugation X ↦ X⁻¹, is m with its constant coefficient doubled; the
+// first SlotsToCoeffs stage halves its slot-0 column to match. Bootstrap
+// therefore refreshes the real part of the slots and drops the imaginary
+// part.
 //
 // The two embeddings are the encoder's special FFT, factorised into a few
 // sparse stage matrices (ckks.Encoder.DFTStages). How many stages each
@@ -76,7 +88,7 @@ type StepKind int
 
 const (
 	StepC2S         StepKind = iota // one CoeffsToSlots stage matrix
-	StepConjugate                   // the conjugation that splits the coefficient halves
+	StepConjugate                   // ct + conj(ct): before Raise, after C2S and after S2C
 	StepEvalMod                     // EvalMod's polynomial
 	StepDoubleAngle                 // one double angle: square, relinearise, rescale
 	StepS2C                         // one SlotsToCoeffs stage matrix
@@ -91,43 +103,42 @@ type Step struct {
 	Diags int
 	// Plan is the polynomial's evaluation plan (StepEvalMod).
 	Plan *poly.Plan
-	// Count is how many ciphertexts run the step: 2 for EvalMod's steps,
-	// which run on both coefficient halves at the same levels, else 1.
-	Count int
 }
 
 // Schedule returns the key-switching steps of one bootstrap to the
 // target level in a ring of degree 2^logN, in the order Bootstrap runs
-// them and each with the level it enters at: the CoeffsToSlots stages
-// down from target + CircuitDepth, the conjugation, EvalMod's polynomial
-// and double angles (each listed once for both halves), the
-// SlotsToCoeffs stages down to the target. The transforms act on all
-// 2^(logN-1) slots of the ring. The compiler, the cost model, the POLY
-// IR and the memory figures all fold over this one list.
+// them and each with the level it enters at: the conjugation that keeps
+// the real part at level 0, the CoeffsToSlots stages down from target +
+// CircuitDepth, the conjugation, EvalMod's polynomial and double angles,
+// the SlotsToCoeffs stages down to the target and the conjugation there.
+// The transforms act on all 2^(logN-1) slots of the ring. The compiler,
+// the cost model, the POLY IR and the memory figures all fold over this
+// one list.
 func Schedule(p Parameters, logN, target int) []Step {
 	p = p.withDefaults()
 	c2s := kswork.StageDiagonals(logN-1, p.C2SStages, true)
 	s2c := kswork.StageDiagonals(logN-1, p.S2CStages, false)
 	evalMod := evalModPlan(p)
 	level := target + CircuitDepth(p)
-	steps := make([]Step, 0, len(c2s)+2+p.DoubleAngle+len(s2c))
+	steps := make([]Step, 1, len(c2s)+4+p.DoubleAngle+len(s2c))
+	steps[0] = Step{Kind: StepConjugate, Level: 0}
 	for _, d := range c2s {
-		steps = append(steps, Step{Kind: StepC2S, Level: level, Diags: d, Count: 1})
+		steps = append(steps, Step{Kind: StepC2S, Level: level, Diags: d})
 		level--
 	}
 	steps = append(steps,
-		Step{Kind: StepConjugate, Level: level, Count: 1},
-		Step{Kind: StepEvalMod, Level: level, Plan: evalMod, Count: 2})
+		Step{Kind: StepConjugate, Level: level},
+		Step{Kind: StepEvalMod, Level: level, Plan: evalMod})
 	level -= evalMod.Depth()
 	for i := 0; i < p.DoubleAngle; i++ {
-		steps = append(steps, Step{Kind: StepDoubleAngle, Level: level, Count: 2})
+		steps = append(steps, Step{Kind: StepDoubleAngle, Level: level})
 		level--
 	}
 	for _, d := range s2c {
-		steps = append(steps, Step{Kind: StepS2C, Level: level, Diags: d, Count: 1})
+		steps = append(steps, Step{Kind: StepS2C, Level: level, Diags: d})
 		level--
 	}
-	return steps
+	return append(steps, Step{Kind: StepConjugate, Level: level})
 }
 
 // evalModPlan returns the evaluation plan of EvalMod's polynomial: the
@@ -189,7 +200,7 @@ type Bootstrapper struct {
 	bp      Parameters
 	enc     *ckks.Encoder
 	c2s     []*ckks.LinearTransform // stages of (1/(2B)) * SFinv
-	s2c     []*ckks.LinearTransform // stages of (q0/(2*pi*D)) * SF
+	s2c     []*ckks.LinearTransform // stages of (q0/(2*pi*D)) * SF, slot-0 column halved
 	evalMod *poly.Plan              // cos interpolation before double-angle
 
 	q0 float64
@@ -212,8 +223,10 @@ func NewBootstrapper(params *ckks.Parameters, bp Parameters, inputScale float64)
 		inputScale = params.DefaultScale()
 	}
 	q0 := float64(params.Q()[0])
-	k := math.Round(q0 / (bp.MessageRatio * inputScale))
-	if k < 1 {
+	// k is even: Raise doubles the declared scale when it keeps the real
+	// part, and then scales up by k/2.
+	k := 2 * math.Round(q0/(2*bp.MessageRatio*inputScale))
+	if k < 2 {
 		return nil, fmt.Errorf("bootstrap: input scale %g too close to q0 %g for message ratio %g", inputScale, q0, bp.MessageRatio)
 	}
 	d := k * inputScale // declared scale after ScaleUp (message now m = v*d)
@@ -235,9 +248,14 @@ func NewBootstrapper(params *ckks.Parameters, bp Parameters, inputScale float64)
 	if bt.c2s, err = bt.enc.DFTStages(true, bp.C2SStages, 1/(2*b)); err != nil {
 		return nil, fmt.Errorf("bootstrap: CoeffsToSlots: %w", err)
 	}
-	// SlotsToCoeffs: out = (q0/(2 pi D)) SF * y.
+	// SlotsToCoeffs: out = (q0/(2 pi D)) SF * y, with y's slot 0 (the
+	// constant coefficient, which the closing conjugation doubles) halved.
 	if bt.s2c, err = bt.enc.DFTStages(false, bp.S2CStages, q0/(2*math.Pi*d)); err != nil {
 		return nil, fmt.Errorf("bootstrap: SlotsToCoeffs: %w", err)
+	}
+	first := bt.s2c[0]
+	for d, diag := range first.Diags {
+		diag[(first.Slots-d)%first.Slots] /= 2
 	}
 	for _, lt := range bt.stages() {
 		lt.Memo = ckks.NewPlaintextMemo(params, ckks.PlaintextMemoCap)
@@ -306,11 +324,12 @@ func (bt *Bootstrapper) MaxOutputLevel() int {
 	return bt.params.MaxLevel() - bt.Depth()
 }
 
-// Raise is steps 1 and 2: it scales ct (which must be at level 0 with
-// |values| <= 1) up to D and re-interprets it modulo the chain up to the
-// level a refresh to targetLevel starts at. drift is how far the scale
-// ct declared was from the one the circuit was built for; the output of
-// SlotsToCoeffs carries that factor in its values.
+// Raise is steps 1 and 2: it keeps the real part of ct's slots (ct must
+// be at level 0 with |values| <= 1), scales it up to D and re-interprets
+// it modulo the chain up to the level a refresh to targetLevel starts at.
+// drift is how far the scale ct declared was from the one the circuit was
+// built for; the output of SlotsToCoeffs carries that factor in its
+// values.
 func (bt *Bootstrapper) Raise(ev *ckks.Evaluator, ct *ckks.Ciphertext, targetLevel int) (raised *ckks.Ciphertext, drift float64, err error) {
 	if ct.Level() != 0 {
 		return nil, 0, fmt.Errorf("bootstrap: ciphertext at level %d, expected 0 (drop first)", ct.Level())
@@ -318,12 +337,18 @@ func (bt *Bootstrapper) Raise(ev *ckks.Evaluator, ct *ckks.Ciphertext, targetLev
 	if targetLevel < 1 || targetLevel > bt.MaxOutputLevel() {
 		return nil, 0, fmt.Errorf("bootstrap: target level %d out of [1, %d]", targetLevel, bt.MaxOutputLevel())
 	}
-	// 1. ScaleUp to D.
-	k := uint64(math.Round(bt.d / ct.Scale))
+	// 1. The real part, ct + conj(ct) declared at twice the scale, so that
+	// the plaintext mirrors its first coefficient half; then ScaleUp to D.
+	re, err := addConjugate(ev, ct)
+	if err != nil {
+		return nil, 0, err
+	}
+	re.Scale *= 2
+	k := uint64(math.Round(bt.d / re.Scale))
 	if k == 0 {
 		return nil, 0, fmt.Errorf("bootstrap: ciphertext scale %g above the configured input scale", ct.Scale)
 	}
-	up := ev.ScaleUp(ct, k)
+	up := ev.ScaleUp(re, k)
 	// The declared scale is now k*ct.Scale; the circuit was built for D.
 	// Any tiny mismatch shows up as a proportional output error, so we
 	// fold it in exactly by re-declaring (difference is < 1 part in 2^40
@@ -338,28 +363,25 @@ func (bt *Bootstrapper) Raise(ev *ckks.Evaluator, ct *ckks.Ciphertext, targetLev
 	return raised, drift, nil
 }
 
-// Bootstrap refreshes ct (which must be at level 0 with |values| <= 1) to
-// the given target level. Following the paper's minimal-level strategy,
-// pass the smallest level your remaining computation needs; pass
-// MaxOutputLevel() to refresh as high as possible.
+// Bootstrap refreshes the real part of ct's slots (ct must be at level 0
+// with |values| <= 1) to the given target level; the output's slots are
+// real. Following the paper's minimal-level strategy, pass the smallest
+// level your remaining computation needs; pass MaxOutputLevel() to
+// refresh as high as possible.
 func (bt *Bootstrapper) Bootstrap(ev *ckks.Evaluator, ct *ckks.Ciphertext, targetLevel int) (*ckks.Ciphertext, error) {
 	raised, drift, err := bt.Raise(ev, ct, targetLevel)
 	if err != nil {
 		return nil, err
 	}
-	ct0, ct1, err := bt.CoeffsToSlots(ev, raised)
+	half, err := bt.CoeffsToSlots(ev, raised)
 	if err != nil {
 		return nil, fmt.Errorf("bootstrap: CoeffsToSlots: %w", err)
 	}
-	y0, err := bt.EvalMod(ev, ct0)
+	y, err := bt.EvalMod(ev, half)
 	if err != nil {
 		return nil, fmt.Errorf("bootstrap: EvalMod: %w", err)
 	}
-	y1, err := bt.EvalMod(ev, ct1)
-	if err != nil {
-		return nil, fmt.Errorf("bootstrap: EvalMod: %w", err)
-	}
-	out, err := bt.SlotsToCoeffs(ev, y0, y1)
+	out, err := bt.SlotsToCoeffs(ev, y)
 	if err != nil {
 		return nil, fmt.Errorf("bootstrap: SlotsToCoeffs: %w", err)
 	}
@@ -392,42 +414,41 @@ func (bt *Bootstrapper) evalStages(ev *ckks.Evaluator, ct *ckks.Ciphertext, stag
 }
 
 // CoeffsToSlots is step 3: it moves the coefficients of the raised
-// ciphertext into the slots of two ciphertexts, the real and the
-// imaginary coefficient half, normalised for EvalMod. The stages carry
-// the declared scale from D to the circuit scale between them, so the
-// halves need no scale correction of their own.
-func (bt *Bootstrapper) CoeffsToSlots(ev *ckks.Evaluator, raised *ckks.Ciphertext) (ct0, ct1 *ckks.Ciphertext, err error) {
+// ciphertext into slots, u_j = t_j + i·t_{j+N/2} up to the normalisation
+// for EvalMod, and keeps the real coefficient half u + conj(u). The stages
+// carry the declared scale from D to the circuit scale between them, so
+// the half needs no scale correction of its own.
+func (bt *Bootstrapper) CoeffsToSlots(ev *ckks.Evaluator, raised *ckks.Ciphertext) (*ckks.Ciphertext, error) {
 	u, err := bt.evalStages(ev, raised, bt.c2s, bt.circuitScale)
-	if err != nil {
-		return nil, nil, err
-	}
-	uc, err := ev.Conjugate(u)
-	if err != nil {
-		return nil, nil, err
-	}
-	if ct0, err = ev.Add(u, uc); err != nil { // real coefficient half
-		return nil, nil, err
-	}
-	diff, err := ev.Sub(u, uc)
-	if err != nil {
-		return nil, nil, err
-	}
-	return ct0, ev.Neg(ev.MulByI(diff)), nil // imaginary coefficient half
-}
-
-// SlotsToCoeffs is step 5: it recombines the two refreshed halves and
-// moves their slots back into coefficients at the default scale.
-func (bt *Bootstrapper) SlotsToCoeffs(ev *ckks.Evaluator, y0, y1 *ckks.Ciphertext) (*ckks.Ciphertext, error) {
-	yc, err := ev.Add(y0, ev.MulByI(y1))
 	if err != nil {
 		return nil, err
 	}
-	return bt.evalStages(ev, yc, bt.s2c, bt.params.DefaultScale())
+	return addConjugate(ev, u)
 }
 
-// EvalMod is step 4 on one half: the cosine interpolation followed by the
-// double-angle iterations, producing sin(2*pi*t/q0) (up to the folded
-// constants).
+// SlotsToCoeffs is step 5: it moves the refreshed half's slots back into
+// the first coefficient half at the default scale, as w, and mirrors them
+// into the second half with w + conj(w).
+func (bt *Bootstrapper) SlotsToCoeffs(ev *ckks.Evaluator, y *ckks.Ciphertext) (*ckks.Ciphertext, error) {
+	w, err := bt.evalStages(ev, y, bt.s2c, bt.params.DefaultScale())
+	if err != nil {
+		return nil, err
+	}
+	return addConjugate(ev, w)
+}
+
+// addConjugate returns ct + conj(ct), twice the real part of its slots.
+func addConjugate(ev *ckks.Evaluator, ct *ckks.Ciphertext) (*ckks.Ciphertext, error) {
+	c, err := ev.Conjugate(ct)
+	if err != nil {
+		return nil, err
+	}
+	return ev.Add(ct, c)
+}
+
+// EvalMod is step 4 on the first coefficient half: the cosine
+// interpolation followed by the double-angle iterations, producing
+// sin(2*pi*t/q0) (up to the folded constants).
 func (bt *Bootstrapper) EvalMod(ev *ckks.Evaluator, ct *ckks.Ciphertext) (*ckks.Ciphertext, error) {
 	y, err := ev.EvaluatePolynomial(ct, bt.evalMod, bt.circuitScale)
 	if err != nil {

@@ -1,6 +1,7 @@
 package bootstrap
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -69,25 +70,18 @@ func TestBootstrapDepthBudget(t *testing.T) {
 	}
 }
 
-func TestBootstrapRefreshesCiphertext(t *testing.T) {
-	tc := newBtContext(t)
-	slots := tc.params.Slots()
-	rng := rand.New(rand.NewPCG(5, 11))
-	values := make([]complex128, slots)
-	for i := range values {
-		values[i] = complex(rng.Float64()*2-1, rng.Float64()*2-1)
-	}
+// refresh encrypts values, exhausts the ciphertext, bootstraps it to the
+// highest level it can and decodes as many slots as there are values.
+func (tc *btContext) refresh(t *testing.T, values []complex128) []complex128 {
+	t.Helper()
 	pt, err := tc.enc.Encode(values, tc.params.MaxLevel(), tc.params.DefaultScale())
 	if err != nil {
 		t.Fatal(err)
 	}
 	ct := tc.encPk.Encrypt(pt)
-	// Exhaust the ciphertext.
-	tc.eval.DropLevel(ct, ct.Level())
-	if ct.Level() != 0 {
-		t.Fatal("setup: ciphertext not at level 0")
+	if err := tc.eval.DropLevel(ct, ct.Level()); err != nil {
+		t.Fatal(err)
 	}
-
 	target := tc.bt.MaxOutputLevel()
 	out, err := tc.bt.Bootstrap(tc.eval, ct, target)
 	if err != nil {
@@ -96,21 +90,57 @@ func TestBootstrapRefreshesCiphertext(t *testing.T) {
 	if out.Level() != target {
 		t.Fatalf("bootstrap output level %d, want %d", out.Level(), target)
 	}
-	got := tc.enc.Decode(tc.dec.Decrypt(out), slots)
-	worst := 0.0
+	return tc.enc.Decode(tc.dec.Decrypt(out), len(values))
+}
+
+// realPartError returns the worst distance of got's real parts from
+// want's and the largest imaginary part got has.
+func realPartError(got, want []complex128) (re, im float64) {
 	for i := range got {
-		re := math.Abs(real(got[i]) - real(values[i]))
-		im := math.Abs(imag(got[i]) - imag(values[i]))
-		if re > worst {
-			worst = re
-		}
-		if im > worst {
-			worst = im
-		}
+		re = math.Max(re, math.Abs(real(got[i])-real(want[i])))
+		im = math.Max(im, math.Abs(imag(got[i])))
 	}
-	t.Logf("bootstrap max error: %.3e (~%.1f bits)", worst, -math.Log2(worst))
-	if worst > 5e-4 {
-		t.Fatalf("bootstrap error %g too large", worst)
+	return re, im
+}
+
+// randomValues draws n slot values with real and imaginary parts uniform
+// in [-1, 1), the imaginary parts scaled by imScale.
+func randomValues(rng *rand.Rand, n int, imScale float64) []complex128 {
+	values := make([]complex128, n)
+	for i := range values {
+		values[i] = complex(rng.Float64()*2-1, imScale*(rng.Float64()*2-1))
+	}
+	return values
+}
+
+// TestBootstrapRefreshesCiphertext refreshes real vectors of 1, 2, …
+// N/2 values, each encoded with the gap that spreads it over the whole
+// ring (a single value is the constant coefficient alone, which the
+// closing conjugation doubles and the halved slot-0 column must give
+// back), and a complex vector, which must come back as its refreshed
+// real part. Only the closing conjugation's key-switching noise may put
+// anything in the imaginary part.
+func TestBootstrapRefreshesCiphertext(t *testing.T) {
+	tc := newBtContext(t)
+	rng := rand.New(rand.NewPCG(5, 11))
+	type input struct {
+		n       int
+		imScale float64
+	}
+	var inputs []input
+	for n := 1; n <= tc.params.Slots(); n *= 2 {
+		inputs = append(inputs, input{n, 0})
+	}
+	inputs = append(inputs, input{tc.params.Slots(), 1})
+	for _, in := range inputs {
+		t.Run(fmt.Sprintf("n%d-im%g", in.n, in.imScale), func(t *testing.T) {
+			values := randomValues(rng, in.n, in.imScale)
+			worst, im := realPartError(tc.refresh(t, values), values)
+			t.Logf("real-part error %.3e (~%.1f bits), imaginary %.1e", worst, -math.Log2(worst), im)
+			if worst > 5e-4 || im > 1e-6 {
+				t.Fatalf("real-part error %g, imaginary part %g: too large", worst, im)
+			}
+		})
 	}
 }
 
@@ -175,17 +205,18 @@ func TestBootstrapRejectsBadInputs(t *testing.T) {
 
 func TestLinearTransformRoundTrip(t *testing.T) {
 	// The product SF * SFinv must be the identity on slot vectors (the
-	// bit-reversals both sides leave out cancel); this validates the stage
-	// matrices independently of the full pipeline.
+	// bit-reversals both sides leave out cancel) once the halved slot-0
+	// column of SlotsToCoeffs' first stage is doubled back; this validates
+	// the stage matrices independently of the full pipeline.
 	tc := newBtContext(t)
 	slots := tc.params.Slots()
-	rng := rand.New(rand.NewPCG(17, 3))
-	in := make([]complex128, slots)
-	for i := range in {
-		in[i] = complex(rng.Float64()*2-1, rng.Float64()*2-1)
-	}
+	in := randomValues(rand.New(rand.NewPCG(17, 3)), slots, 1)
 	out := in
-	for _, lt := range tc.bt.stages() {
+	for _, lt := range tc.bt.c2s {
+		out = lt.MulVec(out)
+	}
+	out[0] *= 2
+	for _, lt := range tc.bt.s2c {
 		out = lt.MulVec(out)
 	}
 	// c2s folds 1/(2B), s2c folds q0/(2*pi*D): combined gain is

@@ -19,11 +19,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 
 	tc := newBtContext(t)
 	slots := tc.params.Slots()
-	rng := rand.New(rand.NewPCG(17, 29))
-	values := make([]complex128, slots)
-	for i := range values {
-		values[i] = complex(rng.Float64()*2-1, rng.Float64()*2-1)
-	}
+	values := randomValues(rand.New(rand.NewPCG(17, 29)), slots, 0)
 	pt, err := tc.enc.Encode(values, tc.params.MaxLevel(), tc.params.DefaultScale())
 	if err != nil {
 		t.Fatal(err)

@@ -297,7 +297,7 @@ func dftStages(bp bootstrap.Parameters, logN, target int, special func(extra int
 func bootstrapWork(g kswork.Geometry, target int, bp bootstrap.Parameters) float64 {
 	var work kswork.Work
 	for _, s := range bootstrap.Schedule(bp, g.LogN, target) {
-		work = work.Plus(stepWork(g, s).Times(float64(s.Count)))
+		work = work.Plus(stepWork(g, s))
 	}
 	return work.Units()
 }

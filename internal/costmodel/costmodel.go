@@ -488,7 +488,7 @@ func (m *Model) plainRows(in *ir.Instr) int {
 func (m *Model) bootstrapCost(target int, bp bootstrap.Parameters) float64 {
 	cost := 0.0
 	for _, s := range bootstrap.Schedule(bp, m.LogN, target) {
-		cost += float64(s.Count) * m.stepCost(s)
+		cost += m.stepCost(s)
 	}
 	return cost
 }
@@ -501,7 +501,7 @@ func (m *Model) stepCost(s bootstrap.Step) float64 {
 	case bootstrap.StepC2S, bootstrap.StepS2C:
 		return m.linearTransformCost(kswork.DFTSplit(s.Diags), l)
 	case bootstrap.StepConjugate:
-		return m.KeySwitch(l) + 6*m.pw(l+1) // the rotation, then the halves' sum and difference
+		return m.KeySwitch(l) + 4*m.pw(l+1) // the rotation with its slot permutation, then ct + conj(ct)
 	case bootstrap.StepEvalMod:
 		return m.polyEvalCost(s.Plan, l)
 	}

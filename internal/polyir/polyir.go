@@ -107,9 +107,7 @@ func Lower(res *ckksir.Result) (*ir.Module, error) {
 				return nil, fmt.Errorf("polyir: %s in a program compiled without a bootstrap circuit", in.Op)
 			}
 			for _, st := range bootstrap.Schedule(*res.Boot, g.LogN, in.AttrInt("target", 1)) {
-				for i := 0; i < st.Count; i++ {
-					e.bootstrapStep(st)
-				}
+				e.bootstrapStep(st)
 			}
 		default:
 			return nil, fmt.Errorf("polyir: cannot lower %q", in.Op)
@@ -247,7 +245,7 @@ func (e *expander) bootstrapStep(s bootstrap.Step) {
 		e.linearTransform(kswork.DFTSplit(s.Diags), l)
 	case bootstrap.StepConjugate:
 		e.rotate(l)
-		e.emit(OpModAdd, r, 4) // the halves' sum and difference
+		e.emit(OpModAdd, r, 2) // ct + conj(ct)
 	case bootstrap.StepEvalMod:
 		e.polyEval(s.Plan, l)
 	case bootstrap.StepDoubleAngle: // 2y² − 1: square, double, relinearise, rescale
