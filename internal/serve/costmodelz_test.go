@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -44,10 +45,18 @@ func startResNetServer(t *testing.T) (*Server, *httptest.Server, int) {
 // TestCostmodelDifferential is the end-to-end check on the calibrated
 // cost model: after real encrypted traffic through the loopback server,
 // the model's per-category predictions (Conv / Bootstrap / ReLU) must
-// track what /v1/profilez measured within 2x — under the shipped
-// default constants AND under constants recalibrated live from that
-// same profile. The comparison crosses /v1/costmodelz so the debug
-// endpoint is exercised with its real payload.
+// track what /v1/profilez measured. It holds two things:
+//   - constants recalibrated live from that same profile predict every
+//     category within 2x of its measured seconds;
+//   - the shipped default constants price the categories in the measured
+//     proportion: the three predicted/measured ratios agree within 2x of
+//     each other. Their absolute level is the reference machine's speed
+//     against the running machine's speed and load, which no constant
+//     can follow (Calibrate and FromProfile exist for that), so it is
+//     logged, not held.
+//
+// The comparison crosses /v1/costmodelz so the debug endpoint is
+// exercised with its real payload.
 func TestCostmodelDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full reduced-model inference")
@@ -111,8 +120,13 @@ func TestCostmodelDifferential(t *testing.T) {
 		t.Error("costmodelz has no per-op fit rows")
 	}
 
-	check := func(name string, pred costmodel.Breakdown) {
+	type catRatio struct {
+		label string
+		r     float64 // predicted / measured
+	}
+	ratios := func(name string, pred costmodel.Breakdown) []catRatio {
 		t.Helper()
+		var out []catRatio
 		for _, cat := range []struct {
 			label      string
 			meas, pred float64
@@ -127,19 +141,36 @@ func TestCostmodelDifferential(t *testing.T) {
 			}
 			r := cat.pred / cat.meas
 			t.Logf("%s: %s predicted %.3fs, measured %.3fs (ratio %.2f)", name, cat.label, cat.pred, cat.meas, r)
-			if r < 0.5 || r > 2 {
-				t.Errorf("%s: %s predicted %.3fs vs measured %.3fs (ratio %.2f, want within 2x)",
-					name, cat.label, cat.pred, cat.meas, r)
-			}
+			out = append(out, catRatio{cat.label, r})
 		}
+		return out
 	}
+
 	// The shipped constants describe an uninstrumented build; the race
 	// detector slows the arithmetic tenfold, so only the live fit can be
 	// held to the measurement there.
 	if !raceDetector {
-		check("default-calibration", cm.PredictedDefaultSec)
+		lo, hi := catRatio{r: math.Inf(1)}, catRatio{}
+		for _, c := range ratios("default-calibration", cm.PredictedDefaultSec) {
+			if c.r < lo.r {
+				lo = c
+			}
+			if c.r > hi.r {
+				hi = c
+			}
+		}
+		spread := hi.r / lo.r
+		t.Logf("default-calibration: category spread %.2f (%s %.2f / %s %.2f)", spread, hi.label, hi.r, lo.label, lo.r)
+		if spread > 2 {
+			t.Errorf("default-calibration: %s ratio %.2f vs %s ratio %.2f (spread %.2f, want within 2x): the shipped constants misprice one category relative to the others",
+				hi.label, hi.r, lo.label, lo.r, spread)
+		}
 	}
-	check("live-calibration", *cm.PredictedLiveSec)
+	for _, c := range ratios("live-calibration", *cm.PredictedLiveSec) {
+		if c.r < 0.5 || c.r > 2 {
+			t.Errorf("live-calibration: %s ratio %.2f, want within 2x of measurement", c.label, c.r)
+		}
+	}
 
 	// The live fit must not be worse than the default overall: it was
 	// fitted to exactly this machine's measurements.
