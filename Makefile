@@ -77,14 +77,15 @@ chaos:
 # in both journals and on the wire; old layouts are refused, never
 # reinterpreted); the VM resumes from every checkpoint of a run whose
 # linear layer is one BSGS kernel and gets the uninterrupted run's bytes;
-# the fuzz smokes feed corrupt record, journal and snapshot bytes to the
-# decode/replay/restore paths. All raced.
+# the fuzz smokes feed corrupt record, journal, snapshot and compiled-
+# program bytes to the decode/replay/restore/load paths. All raced.
 durability:
 	$(call gotest,-count=1 -race -v -timeout 600s,-run,TestCrashRestart|TestRestart|TestRecovery|TestRecord,./internal/serve/)
 	$(call gotest,-count=1 -race -v,-run,TestSnapshotResumeBitIdentical,./internal/vm/)
 	$(call gotest,-count=1 -race -run '^$$' -fuzztime 10s,-fuzz,FuzzRecord,./internal/serve/)
 	$(call gotest,-count=1 -race -run '^$$' -fuzztime 10s,-fuzz,FuzzStoreReplay,./internal/store/)
 	$(call gotest,-count=1 -race -run '^$$' -fuzztime 10s,-fuzz,FuzzSnapshotRestore,./internal/vm/)
+	$(call gotest,-count=1 -race -run '^$$' -fuzztime 10s,-fuzz,FuzzResultUnmarshal,./internal/ckksir/)
 
 # Cluster chaos suite: the sharded-serving proofs, all raced. The
 # subprocess e2e boots three real aced shards plus an acerouter,

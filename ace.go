@@ -19,12 +19,13 @@ package ace
 import (
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 
-	"antace/internal/bootstrap"
 	"antace/internal/ckks"
 	"antace/internal/ckksir"
-	"antace/internal/codegen"
 	"antace/internal/core"
+	"antace/internal/experiments"
 	"antace/internal/onnx"
 	"antace/internal/sihe"
 	"antace/internal/tensor"
@@ -55,17 +56,7 @@ func SaveONNX(m *Model, path string) error { return onnx.Save(m, path) }
 // family: log2 N = 16). Compilation takes seconds per model; actual
 // encrypted execution at this scale takes hours per image, exactly as
 // the paper reports.
-func PaperProfile() Profile {
-	return core.Config{
-		SIHE: sihe.Options{ReLUAlpha: 9, ReLUEps: 1.0 / 8},
-		CKKS: ckksir.Options{
-			LogQ0:    60,
-			LogScale: 56,
-			Mode:     ckksir.BootstrapAlways,
-			Boot:     bootstrap.Parameters{EvalModDegree: 24, DoubleAngle: 2},
-		},
-	}
-}
+func PaperProfile() Profile { return experiments.PaperConfig() }
 
 // TestProfile compiles at reduced scale for functional runs: the ring
 // degree follows the slot demand rather than the 128-bit security floor,
@@ -81,10 +72,21 @@ func TestProfile() Profile {
 // Compile runs the full pipeline on a model.
 func Compile(m *Model, p Profile) (*Program, error) { return core.Compile(m, p) }
 
-// EmitGo generates a standalone Go program (plus external weights file)
-// for a compiled model, the analogue of the paper's C/C++ code
-// generation.
-func EmitGo(prog *Program, dir string) error { return codegen.Generate(prog, dir) }
+// WriteArtifact writes a compiled program to dir/program.ace: the CKKS
+// program, its parameters and its constants as one binary artifact
+// (ckksir.Result.MarshalBinary) that cmd/acerun loads and runs. It is
+// the analogue of the paper's code generation (§3.4): a fixed runtime
+// driven by the compiled schedule, the bulky constants kept in a file.
+func WriteArtifact(prog *Program, dir string) error {
+	data, err := prog.CKKS.MarshalBinary()
+	if err != nil {
+		return err
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	return os.WriteFile(filepath.Join(dir, "program.ace"), data, 0o644)
+}
 
 // Runtime executes a compiled program on encrypted data. It bundles the
 // server side (parameters, evaluation keys, evaluator, bootstrapper) and

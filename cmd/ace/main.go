@@ -1,8 +1,8 @@
 // ace is the compiler command-line driver: it compiles an ONNX model for
-// encrypted inference, optionally emits a standalone Go program (the
-// paper's code-generation step), runs encrypted inference on a random or
-// provided input, or just reports the compilation (parameters, key
-// analysis, per-IR timings).
+// encrypted inference, optionally writes the compiled program as an
+// artifact that cmd/acerun runs (the paper's code-generation step), runs
+// encrypted inference on a random or provided input, or just reports the
+// compilation (parameters, key analysis, per-IR timings).
 //
 // Usage:
 //
@@ -37,7 +37,7 @@ func main() {
 	cmd := os.Args[1]
 	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
 	profile := fs.String("profile", "test", "compilation profile: paper (128-bit security) or test (reduced scale)")
-	outDir := fs.String("o", "ace_out", "output directory for generated code (compile)")
+	outDir := fs.String("o", "ace_out", "output directory for the compiled program (compile)")
 	depth := fs.Int("depth", 8, "ResNet depth for demo")
 	if err := fs.Parse(os.Args[2:]); err != nil {
 		usage()
@@ -77,10 +77,10 @@ func main() {
 	case "info":
 		return
 	case "compile":
-		if err := ace.EmitGo(prog, *outDir); err != nil {
+		if err := ace.WriteArtifact(prog, *outDir); err != nil {
 			fatal(err)
 		}
-		fmt.Fprintf(os.Stderr, "generated %s/main.go and %s/weights.bin\n", *outDir, *outDir)
+		fmt.Fprintf(os.Stderr, "wrote %s/program.ace; run it with acerun %s/program.ace\n", *outDir, *outDir)
 	case "run", "demo":
 		if *profile == "paper" {
 			fmt.Fprintln(os.Stderr, "note: paper-profile execution at N=2^16 takes hours per image")

@@ -7,7 +7,6 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -15,7 +14,7 @@ import (
 	"math"
 	"net/http"
 	"os"
-	"strconv"
+	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -210,8 +209,9 @@ var loadScrapeSeries = []string{
 	`ace_latency_ms{quantile="0.99"}`,
 }
 
-// scrapeMetrics pulls /metrics and extracts the series in
-// loadScrapeSeries from the Prometheus text format.
+// scrapeMetrics pulls /metrics, parses it with obs.ParseExposition and
+// extracts the series in loadScrapeSeries, each keyed by its name and,
+// when it has labels, its sorted label set as the page writes it.
 func scrapeMetrics(url string) (map[string]float64, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -231,24 +231,26 @@ func scrapeMetrics(url string) (map[string]float64, error) {
 	for _, s := range loadScrapeSeries {
 		want[s] = true
 	}
+	fams, err := obs.ParseExposition(io.LimitReader(resp.Body, 4<<20))
+	if err != nil {
+		return nil, err
+	}
 	out := make(map[string]float64)
-	sc := bufio.NewScanner(io.LimitReader(resp.Body, 4<<20))
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		sp := strings.LastIndexByte(line, ' ')
-		if sp <= 0 {
-			continue
-		}
-		name := strings.TrimSpace(line[:sp])
-		if !want[name] {
-			continue
-		}
-		if v, err := strconv.ParseFloat(strings.TrimSpace(line[sp+1:]), 64); err == nil {
-			out[name] = v
+	for _, f := range fams {
+		for _, s := range f.Samples {
+			key := s.Name
+			if len(s.Labels) > 0 {
+				labels := make([]string, 0, len(s.Labels))
+				for k, v := range s.Labels {
+					labels = append(labels, fmt.Sprintf(`%s="%s"`, k, v))
+				}
+				sort.Strings(labels)
+				key += "{" + strings.Join(labels, ",") + "}"
+			}
+			if want[key] {
+				out[key] = s.Value
+			}
 		}
 	}
-	return out, sc.Err()
+	return out, nil
 }

@@ -119,7 +119,7 @@ func main() {
 // Table 8 presentation.
 func table8() error {
 	groups := map[string][]string{
-		"Infrastructure":    {"internal/ir", "internal/onnx", "internal/core", "internal/codegen", "internal/vm", "internal/experiments", "internal/costmodel", "cmd", "internal/tensor", "internal/dataset", "internal/train"},
+		"Infrastructure":    {"internal/ir", "internal/onnx", "internal/core", "internal/vm", "internal/experiments", "internal/costmodel", "cmd", "internal/tensor", "internal/dataset", "internal/train"},
 		"NN IR":             {"internal/nnir"},
 		"VECTOR IR":         {"internal/vecir"},
 		"SIHE IR":           {"internal/sihe", "internal/poly"},

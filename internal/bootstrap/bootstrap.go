@@ -7,7 +7,7 @@
 // angle EvalMod):
 //
 //  1. ScaleUp — keep the real part of the slots, ct + conj(ct), and
-//     multiply the message up to q0/MessageRatio.
+//     multiply the message up to q0/messageRatio.
 //  2. ModRaise — re-interpret the level-0 ciphertext modulo Q_l, yielding
 //     t = m + q0·I with a small integer polynomial I.
 //  3. CoeffsToSlots — a homomorphic inverse embedding moving the
@@ -56,9 +56,6 @@ type Parameters struct {
 	// of the secret key density); the EvalMod interpolation covers
 	// [-(K+1), K+1] in q0 units. Default 16.
 	K int
-	// MessageRatio is q0 / (message scale) headroom kept so that
-	// sin(2*pi*m/q0) ~ 2*pi*m/q0. Default 256.
-	MessageRatio float64
 	// EvalModDegree is the Chebyshev degree of the cosine interpolation.
 	// Default 30.
 	EvalModDegree int
@@ -162,6 +159,10 @@ func evalModPlan(p Parameters) *poly.Plan {
 	return pl.(*poly.Plan)
 }
 
+// messageRatio is the q0 / (message scale) headroom kept so that
+// sin(2*pi*m/q0) ~ 2*pi*m/q0.
+const messageRatio = 256
+
 // evalModPlans memoises evalModPlan by (K, degree, double angles): the
 // compiler asks for the plan of one configuration some fifty times while
 // it prices stage counts, and a plan is read-only once built.
@@ -170,9 +171,6 @@ var evalModPlans sync.Map
 func (p Parameters) withDefaults() Parameters {
 	if p.K == 0 {
 		p.K = 16
-	}
-	if p.MessageRatio == 0 {
-		p.MessageRatio = 256
 	}
 	if p.EvalModDegree == 0 {
 		p.EvalModDegree = 30
@@ -225,9 +223,9 @@ func NewBootstrapper(params *ckks.Parameters, bp Parameters, inputScale float64)
 	q0 := float64(params.Q()[0])
 	// k is even: Raise doubles the declared scale when it keeps the real
 	// part, and then scales up by k/2.
-	k := 2 * math.Round(q0/(2*bp.MessageRatio*inputScale))
+	k := 2 * math.Round(q0/(2*messageRatio*inputScale))
 	if k < 2 {
-		return nil, fmt.Errorf("bootstrap: input scale %g too close to q0 %g for message ratio %g", inputScale, q0, bp.MessageRatio)
+		return nil, fmt.Errorf("bootstrap: input scale %g too close to q0 %g for message ratio %d", inputScale, q0, messageRatio)
 	}
 	d := k * inputScale // declared scale after ScaleUp (message now m = v*d)
 	// EvalMod input bound: |t|/d <= (q0*(K+1))/d; normalised by B so the

@@ -114,12 +114,6 @@ func (e *Encryptor) Encrypt(pt *Plaintext) *Ciphertext {
 	return ct
 }
 
-// EncryptZero returns a fresh encryption of zero at the given level.
-func (e *Encryptor) EncryptZero(level int, scale float64) *Ciphertext {
-	pt := &Plaintext{Value: e.params.RingQ().NewPoly(level), Scale: scale}
-	return e.Encrypt(pt)
-}
-
 // Decryptor recovers plaintexts with the secret key.
 type Decryptor struct {
 	params *Parameters

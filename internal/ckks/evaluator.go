@@ -144,16 +144,6 @@ func (ev *Evaluator) AddPlain(a *Ciphertext, pt *Plaintext) (*Ciphertext, error)
 	return out, nil
 }
 
-// SubPlain returns a - pt.
-func (ev *Evaluator) SubPlain(a *Ciphertext, pt *Plaintext) (*Ciphertext, error) {
-	if !scaleClose(a.Scale, pt.Scale) {
-		return nil, fmt.Errorf("ckks: plaintext subtraction scale mismatch: %g vs %g", a.Scale, pt.Scale)
-	}
-	out := ev.copyAt(a, min(a.Level(), pt.Level()))
-	ev.params.RingQ().Sub(out.Value[0], pt.Value, out.Value[0])
-	return out, nil
-}
-
 // MulPlain returns a * pt; the output scale is the product of scales.
 func (ev *Evaluator) MulPlain(a *Ciphertext, pt *Plaintext) *Ciphertext {
 	rQ := ev.params.RingQ()
@@ -343,22 +333,6 @@ func (ev *Evaluator) AddConst(ct *Ciphertext, c float64) *Ciphertext {
 		}
 	})
 	return out
-}
-
-// SetScale re-targets the ciphertext to exactly the given scale at the
-// cost of one level (a constant multiplication by ~1 plus a rescale).
-func (ev *Evaluator) SetScale(ct *Ciphertext, target float64) (*Ciphertext, error) {
-	ql := ev.params.RingQ().Moduli[ct.Level()]
-	cs := target * float64(ql) / ct.Scale
-	if cs < 1 {
-		return nil, fmt.Errorf("ckks: SetScale ratio %g below 1 (target %g from %g)", cs, target, ct.Scale)
-	}
-	out, err := ev.Rescale(ev.MulByConst(ct, 1, cs))
-	if err != nil {
-		return nil, err
-	}
-	out.Scale = target
-	return out, nil
 }
 
 // Rotate cyclically rotates the slot vector by k positions (positive k

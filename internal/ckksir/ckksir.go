@@ -778,6 +778,3 @@ func min(a, b int) int {
 	}
 	return b
 }
-
-// PlanDebug exposes the segment planner for diagnostics and tests.
-func PlanDebug(f *ir.Func, boot bool) ([]int, error) { return plan(f, boot) }

@@ -1,9 +1,12 @@
 package ckksir
 
 import (
+	"bytes"
+	"encoding/gob"
 	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"antace/internal/bootstrap"
@@ -363,5 +366,18 @@ func TestLazyRescaleReducesRescales(t *testing.T) {
 	}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("lazy rescale changed the result: %v, want %v", got, want)
+	}
+}
+
+// TestArtifactRefusesOtherVersions: an artifact of another format
+// version is refused before anything in it is rebuilt.
+func TestArtifactRefusesOtherVersions(t *testing.T) {
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(artifact{Version: artifactVersion + 1, Main: &ir.Table{}}); err != nil {
+		t.Fatal(err)
+	}
+	var r Result
+	if err := r.UnmarshalBinary(buf.Bytes()); err == nil || !strings.Contains(err.Error(), "version") {
+		t.Fatalf("got %v, want a version error", err)
 	}
 }

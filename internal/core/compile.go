@@ -25,11 +25,6 @@ type Config struct {
 	Vec  vecir.Options
 	SIHE sihe.Options
 	CKKS ckksir.Options
-	// CalibrationSamples drives ReLU bound calibration (0 = 4 samples).
-	CalibrationSamples int
-	// CalibrationHeadroom multiplies the observed ReLU input maxima
-	// (0 = 1.5).
-	CalibrationHeadroom float64
 	// Expert compiles the hand-tuned baseline configuration (used for
 	// the paper's Figures 6 and 7 comparisons): the same multiplexed
 	// convolutions as Lee et al. [35], but with a hand-provisioned level
@@ -39,6 +34,13 @@ type Config struct {
 	Expert bool
 	Seed   uint64
 }
+
+// ReLU bound calibration runs the network on calibrationSamples random
+// inputs and multiplies the observed maxima by calibrationHeadroom.
+const (
+	calibrationSamples  = 4
+	calibrationHeadroom = 1.5
+)
 
 // Compiled is the result of a full compilation.
 type Compiled struct {
@@ -85,7 +87,7 @@ func Compile(model *onnx.Model, cfg Config) (*Compiled, error) {
 	}
 	record("NN", "fuse+dce", start)
 	start = time.Now()
-	if err := nnir.CalibrateReLUBounds(nn.Main(), cfg.CalibrationSamples, cfg.CalibrationHeadroom, cfg.Seed); err != nil {
+	if err := nnir.CalibrateReLUBounds(nn.Main(), calibrationSamples, calibrationHeadroom, cfg.Seed); err != nil {
 		return nil, err
 	}
 	record("NN", "calibrate-relu", start)

@@ -26,7 +26,6 @@ import (
 	"antace/internal/sihe"
 	"antace/internal/tensor"
 	"antace/internal/train"
-	"antace/internal/vecir"
 )
 
 // ModelSpec names one evaluated model.
@@ -81,14 +80,12 @@ func BuildModel(spec ModelSpec, scale Scale) (*onnx.Model, error) {
 }
 
 // PaperConfig is the compilation profile reproducing Table 10:
-// q0 = 2^60, Delta = 2^56, bootstrap circuit of depth 11, ReLU composite
+// q0 = 2^60 (the default), Delta = 2^56, bootstrap circuit of depth 11, ReLU composite
 // with alpha=9, eps=1/8.
 func PaperConfig() core.Config {
 	return core.Config{
-		Vec:  vecir.Options{},
 		SIHE: sihe.Options{ReLUAlpha: 9, ReLUEps: 1.0 / 8},
 		CKKS: ckksir.Options{
-			LogQ0:    60,
 			LogScale: 56,
 			Mode:     ckksir.BootstrapAlways,
 			Boot:     bootstrap.Parameters{EvalModDegree: 24, DoubleAngle: 2},

@@ -77,12 +77,6 @@ const (
 	RouterHedgeFire = "router.hedge.fire"
 )
 
-// Points lists the injection points compiled into the runtime, for the
-// registry section of /v1/statz-style introspection and docs.
-func Points() []string {
-	return []string{ServeWorkerPanic, VMInstrPanic, VMInstrErr, CKKSRescaleErr, ClientConnReset, StoreWriteTorn, ServeRecoverErr, BatchFlushPanic, RouterForwardErr, ReplicaShipTorn, RouterHedgeFire}
-}
-
 // InjectedError is the error produced by a firing injection point.
 type InjectedError struct {
 	Point string // which point fired

@@ -168,14 +168,6 @@ func (in *Instr) AttrInts(name string) []int {
 	return v
 }
 
-// Dialect returns the op's dialect prefix ("nn", "vec", ...).
-func (in *Instr) Dialect() string {
-	if i := strings.IndexByte(in.Op, '.'); i >= 0 {
-		return in.Op[:i]
-	}
-	return ""
-}
-
 // Func is a function: parameters, a straight-line body (the compiler
 // fully unrolls NN inference), and a single return value.
 type Func struct {

@@ -176,13 +176,6 @@ func attrKeyString(v any) string {
 	}
 }
 
-// VerifyPass runs the registered op verifiers over the module.
-func VerifyPass(level string) Pass {
-	return FuncPass{PassName: "verify-" + strings.ToLower(level), PassLevel: "Others", Fn: func(f *Func) error {
-		return VerifyFunc(f)
-	}}
-}
-
 // Print renders a function as text.
 func (f *Func) String() string {
 	var sb strings.Builder

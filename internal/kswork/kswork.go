@@ -89,11 +89,6 @@ func (w Work) Plus(o Work) Work {
 	return Work{w.ModUp + o.ModUp, w.MulAdd + o.MulAdd, w.ModDown + o.ModDown}
 }
 
-// Times returns w scaled by f.
-func (w Work) Times(f float64) Work {
-	return Work{w.ModUp * f, w.MulAdd * f, w.ModDown * f}
-}
-
 // Units sums the three counts. Their units — a converted-and-transformed
 // coefficient, a multiply-accumulate, a divided coefficient — cost within
 // a factor of 1.6 of each other on the reference machine (costmodel's

@@ -15,12 +15,6 @@ import (
 // bootstrap normalisation relies on it to keep values within the
 // refreshable range.
 func CalibrateReLUBounds(f *ir.Func, samples int, headroom float64, seed uint64) error {
-	if headroom <= 1 {
-		headroom = 1.5
-	}
-	if samples <= 0 {
-		samples = 4
-	}
 	maxes := map[*ir.Instr]float64{}
 	rng := rand.New(rand.NewPCG(seed, 0xCA11B))
 	inShape := f.Params[0].Type.Shape

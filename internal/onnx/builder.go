@@ -62,18 +62,6 @@ func (b *Builder) Node(opType string, inputs []string, attrs ...*Attribute) stri
 	return out
 }
 
-// NodeNamed appends a node with an explicit output name.
-func (b *Builder) NodeNamed(opType, output string, inputs []string, attrs ...*Attribute) string {
-	b.g.Nodes = append(b.g.Nodes, &Node{
-		Name:    b.fresh("node"),
-		OpType:  opType,
-		Inputs:  inputs,
-		Outputs: []string{output},
-		Attrs:   attrs,
-	})
-	return output
-}
-
 // AttrIntVal builds an integer attribute.
 func AttrIntVal(name string, v int64) *Attribute {
 	return &Attribute{Name: name, Type: AttrInt, I: v}

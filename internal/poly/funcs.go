@@ -47,15 +47,3 @@ func InvSqrt(a, b float64, degree int) (*Polynomial, error) {
 	}
 	return ChebyshevInterpolate(func(x float64) float64 { return 1 / math.Sqrt(x) }, a, b, degree), nil
 }
-
-// SoftplusSmoothReLU approximates ln(1+e^x), a smooth stand-in for ReLU
-// usable when a shallow circuit matters more than exactness.
-func SoftplusSmoothReLU(a, b float64, degree int) *Polynomial {
-	return ChebyshevInterpolate(func(x float64) float64 {
-		// Numerically stable softplus.
-		if x > 30 {
-			return x
-		}
-		return math.Log1p(math.Exp(x))
-	}, a, b, degree)
-}

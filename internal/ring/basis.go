@@ -213,9 +213,6 @@ func NewBasisExtender(rQ, rP *Ring) *BasisExtender {
 	return be
 }
 
-// PModQ returns P mod q_i, used to pre-multiply before key switching.
-func (be *BasisExtender) PModQ(i int) uint64 { return be.pModQ[i] }
-
 // MulByP sets out = P·pQ over their common Q rows. With zero P rows
 // beside it, that is pQ written over the basis Q∪P the way a key switch
 // leaves its result before the division by P, so the two can be summed.
