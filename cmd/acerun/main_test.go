@@ -14,6 +14,7 @@ import (
 	ace "antace"
 	"antace/internal/ckksir"
 	"antace/internal/core"
+	"antace/internal/nnir"
 	"antace/internal/onnx"
 	"antace/internal/sihe"
 	"antace/internal/tensor"
@@ -39,8 +40,10 @@ func gemmTanh(t *testing.T) *onnx.Model {
 }
 
 // TestRunnerMatchesSim writes the artifact `ace compile` writes, runs it
-// (real keygen and encrypted inference) and checks the slots it prints
-// against the simulator of the same compiled model.
+// on an unpacked input tensor (real keygen and encrypted inference) and
+// checks the outputs it prints against the cleartext model (nnir.Run).
+// Without an input file it prints as many outputs from its default
+// tensor.
 func TestRunnerMatchesSim(t *testing.T) {
 	linear, err := onnx.BuildLinear(16, 4, 3)
 	if err != nil {
@@ -50,9 +53,10 @@ func TestRunnerMatchesSim(t *testing.T) {
 		name  string
 		model *onnx.Model
 		sihe  sihe.Options
+		tol   float64 // CKKS noise, plus the degree-15 Tanh approximation
 	}{
-		{"linear", linear, sihe.Options{ReLUAlpha: 5, ReLUEps: 0.125}},
-		{"gemm_tanh", gemmTanh(t), sihe.Options{SmoothDegree: 15}},
+		{"linear", linear, sihe.Options{ReLUAlpha: 5, ReLUEps: 0.125}, 1e-3},
+		{"gemm_tanh", gemmTanh(t), sihe.Options{SmoothDegree: 15}, 5e-2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c, err := core.Compile(tc.model, core.Config{
@@ -66,18 +70,15 @@ func TestRunnerMatchesSim(t *testing.T) {
 			if err := ace.WriteArtifact(c, dir); err != nil {
 				t.Fatal(err)
 			}
+			program := filepath.Join(dir, "program.ace")
 
 			in := c.Vec.InLayout
 			img := tensor.New(in.C, in.H, in.W)
 			for i := range img.Data {
 				img.Data[i] = math.Sin(float64(i+1)) * 0.5
 			}
-			packed, err := in.Pack(img.Data)
-			if err != nil {
-				t.Fatal(err)
-			}
-			raw := make([]byte, 8*len(packed))
-			for i, v := range packed {
+			raw := make([]byte, 8*len(img.Data))
+			for i, v := range img.Data {
 				binary.LittleEndian.PutUint64(raw[8*i:], math.Float64bits(v))
 			}
 			inputFile := filepath.Join(dir, "input.bin")
@@ -85,35 +86,44 @@ func TestRunnerMatchesSim(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			var out bytes.Buffer
-			if err := run([]string{filepath.Join(dir, "program.ace"), inputFile}, &out); err != nil {
-				t.Fatal(err)
-			}
-			printed := strings.Fields(out.String())
-			slots := make([]float64, c.VectorLen())
-			for i, f := range printed {
-				if slots[i], err = strconv.ParseFloat(f, 64); err != nil {
-					t.Fatalf("unexpected output: %s", out.String())
-				}
-			}
-			got, err := c.Vec.OutLayout.Unpack(slots)
+			got := runOutputs(t, program, inputFile)
+			nn := c.NN.Main()
+			x := tensor.FromData(img.Data, nn.Params[0].Type.Shape...)
+			want, err := nnir.Run(nn, map[string]*tensor.Tensor{nn.Params[0].Name: x})
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := c.RunSim(img)
-			if err != nil {
-				t.Fatal(err)
+			if len(got) != len(want.Data) {
+				t.Fatalf("runner printed %d outputs, the model has %d", len(got), len(want.Data))
 			}
 			for i := range want.Data {
-				if s := c.Vec.OutLayout.Slot(i, 0, 0); s >= len(printed) {
-					t.Fatalf("output %d lives in slot %d, beyond the %d printed", i, s, len(printed))
+				if math.Abs(got[i]-want.Data[i]) > tc.tol {
+					t.Fatalf("output %d: runner %g vs cleartext model %g", i, got[i], want.Data[i])
 				}
-				if math.Abs(got[i]-want.Data[i]) > 1e-2 {
-					t.Fatalf("output %d: runner %g vs simulator %g", i, got[i], want.Data[i])
-				}
+			}
+			if def := runOutputs(t, program); len(def) != len(want.Data) {
+				t.Fatalf("with its default input the runner printed %d outputs, want %d", len(def), len(want.Data))
 			}
 		})
 	}
+}
+
+// runOutputs runs the runner and parses the values it prints.
+func runOutputs(t *testing.T, args ...string) []float64 {
+	t.Helper()
+	var out bytes.Buffer
+	if err := run(args, &out); err != nil {
+		t.Fatal(err)
+	}
+	var vals []float64
+	for _, f := range strings.Fields(out.String()) {
+		v, err := strconv.ParseFloat(f, 64)
+		if err != nil {
+			t.Fatalf("unexpected output: %s", out.String())
+		}
+		vals = append(vals, v)
+	}
+	return vals
 }
 
 // TestRunnerRefusesBadInput: a wrong-sized input file and a file that is

@@ -318,21 +318,26 @@ func (ev *Evaluator) MulByConst(ct *Ciphertext, c float64, constScale float64) *
 // scale or level: adding c*scale to every NTT evaluation point adds the
 // constant polynomial, i.e. c to every slot.
 func (ev *Evaluator) AddConst(ct *Ciphertext, c float64) *Ciphertext {
+	out := ev.copyAt(ct, ct.Level())
+	ev.addConstTo(out, c)
+	return out
+}
+
+// addConstTo is AddConst in place.
+func (ev *Evaluator) addConstTo(ct *Ciphertext, c float64) {
 	rQ := ev.params.RingQ()
 	level := ct.Level()
-	out := ev.copyAt(ct, level)
 	res := ev.constResidues(c*ct.Scale, level)
 	par.For(level+1, par.Grain(rQ.N), func(start, end int) {
 		for i := start; i < end; i++ {
 			q := rQ.Moduli[i]
 			u := res[i]
-			row := out.Value[0].Coeffs[i]
+			row := ct.Value[0].Coeffs[i]
 			for j := range row {
 				row[j] = nt.Add(row[j], u, q)
 			}
 		}
 	})
-	return out
 }
 
 // Rotate cyclically rotates the slot vector by k positions (positive k

@@ -15,6 +15,11 @@ import (
 // must carry before its rescale, and asks each quotient for the scale that
 // makes the product with its giant step land there, so no sum ever adds
 // operands whose scales differ.
+//
+// Every intermediate goes back to the ring pool once dead: a node's
+// summands are folded into its accumulator in place, an input of a
+// relinearisation or rescale is released after it, and a power after its
+// last reader. ct itself is never written or released.
 func (ev *Evaluator) EvaluatePolynomial(ct *Ciphertext, pl *poly.Plan, targetScale float64) (*Ciphertext, error) {
 	if targetScale == 0 {
 		targetScale = ev.params.DefaultScale()
@@ -26,22 +31,25 @@ func (ev *Evaluator) EvaluatePolynomial(ct *Ciphertext, pl *poly.Plan, targetSca
 		// A constant: c0 on a zeroed copy of ct at the right scale.
 		out := ev.MulByConst(ct, 0, 1)
 		out.Scale = targetScale
-		return ev.AddConst(out, pl.Poly.Coeffs[0]), nil
+		ev.addConstTo(out, pl.Poly.Coeffs[0])
+		return out, nil
 	}
 	moduli := ev.params.RingQ().Moduli
-	x := ct
+	pe := &planEval{ev: ev, moduli: moduli, chebyshev: pl.Poly.Basis == poly.Chebyshev, powers: map[int]*Ciphertext{1: ct}}
 	if pl.Affine {
 		// u = (2x - (A+B)) / (B-A), landing exactly on the default scale.
 		p := pl.Poly
 		cs := ev.params.DefaultScale() * float64(moduli[ct.Level()]) / ct.Scale
-		rs, err := ev.Rescale(ev.MulByConst(ct, 2/(p.B-p.A), cs))
+		rs, err := pe.finish(ev.MulByConst(ct, 2/(p.B-p.A), cs))
 		if err != nil {
 			return nil, err
 		}
 		rs.Scale = ev.params.DefaultScale()
-		x = ev.AddConst(rs, -(p.A+p.B)/(p.B-p.A))
+		ev.addConstTo(rs, -(p.A+p.B)/(p.B-p.A))
+		pe.powers[1], pe.ownsX = rs, true
 	}
-	pe := &planEval{ev: ev, moduli: moduli, chebyshev: pl.Poly.Basis == poly.Chebyshev, level: x.Level(), powers: map[int]*Ciphertext{1: x}}
+	pe.level = pe.powers[1].Level()
+	pe.countUses(pl)
 	for _, pw := range pl.Powers {
 		if err := pe.genPower(pw); err != nil {
 			return nil, err
@@ -58,15 +66,56 @@ func (ev *Evaluator) EvaluatePolynomial(ct *Ciphertext, pl *poly.Plan, targetSca
 	return res, nil
 }
 
-// planEval is one execution of a plan: the level of the (mapped) input
-// and the powers formed so far.
+// planEval is one execution of a plan: the level of the (mapped) input,
+// the powers formed so far and how many reads each has left.
 type planEval struct {
 	ev        *Evaluator
 	moduli    []uint64 // the chain's primes, by level
 	chebyshev bool
 	level     int
 	powers    map[int]*Ciphertext
+	uses      map[int]int
+	ownsX     bool // powers[1] is the affine map's output, not the caller's input
 }
+
+// countUses records every read of every power the plan makes: the
+// operands of the power products (and T_{A−B} in the Chebyshev basis),
+// the giant steps and the coefficient terms of the nodes.
+func (pe *planEval) countUses(pl *poly.Plan) {
+	pe.uses = map[int]int{}
+	for _, pw := range pl.Powers {
+		pe.uses[pw.A]++
+		pe.uses[pw.B]++
+		if pe.chebyshev && pw.A != pw.B {
+			pe.uses[pw.A-pw.B]++
+		}
+	}
+	var walk func(n *poly.Node)
+	walk = func(n *poly.Node) {
+		for _, pr := range n.Products {
+			pe.uses[pr.Giant]++
+			walk(pr.Quotient)
+		}
+		for i, c := range n.Coeffs {
+			if i > 0 && c != 0 {
+				pe.uses[i]++
+			}
+		}
+	}
+	walk(pl.Root)
+}
+
+// read retires one read of power i; after its last, the power goes back
+// to the pool. The caller's input is never released.
+func (pe *planEval) read(i int) {
+	if pe.uses[i]--; pe.uses[i] > 0 || (i == 1 && !pe.ownsX) {
+		return
+	}
+	pe.release(pe.powers[i])
+	delete(pe.powers, i)
+}
+
+func (pe *planEval) release(ct *Ciphertext) { ct.Release(pe.ev.params) }
 
 // power returns X_i as seen from the given level: the limbs above it are
 // left out, nothing is copied (the evaluator never writes to an operand).
@@ -74,16 +123,41 @@ func (pe *planEval) power(i, level int) *Ciphertext {
 	return levelView(pe.powers[i], level)
 }
 
-// finish ends a sum: one relinearisation if it holds products, and the
-// rescale.
+// finish ends a sum it owns: one relinearisation if it holds products,
+// and the rescale; the sum and the relinearised sum are released.
 func (pe *planEval) finish(ct *Ciphertext) (*Ciphertext, error) {
 	if ct.Degree() == 2 {
-		var err error
-		if ct, err = pe.ev.Relinearize(ct); err != nil {
+		rl, err := pe.ev.Relinearize(ct)
+		if err != nil {
 			return nil, err
 		}
+		pe.release(ct)
+		ct = rl
 	}
-	return pe.ev.Rescale(ct)
+	out, err := pe.ev.Rescale(ct)
+	pe.release(ct)
+	return out, err
+}
+
+// fold adds term into acc (or subtracts it, with sub), both owned and
+// at one level and scale, in acc's polynomials, and releases term.
+func (pe *planEval) fold(acc, term *Ciphertext, sub bool) (*Ciphertext, error) {
+	if !sub && acc.Degree() < term.Degree() {
+		acc, term = term, acc
+	}
+	if acc.Level() != term.Level() || acc.Degree() < term.Degree() || acc.Scale != term.Scale {
+		return nil, fmt.Errorf("ckks: polynomial plan sums unlike operands (levels %d, %d; scales %g, %g)", acc.Level(), term.Level(), acc.Scale, term.Scale)
+	}
+	rQ := pe.ev.params.RingQ()
+	for i, p := range term.Value {
+		if sub {
+			rQ.Sub(acc.Value[i], p, acc.Value[i])
+		} else {
+			rQ.Add(acc.Value[i], p, acc.Value[i])
+		}
+	}
+	pe.release(term)
+	return acc, nil
 }
 
 // genPower forms X_Index = X_A·X_B, or T_Index = 2·T_A·T_B − T_{A−B}, at
@@ -96,22 +170,26 @@ func (pe *planEval) genPower(pw poly.Power) error {
 		return err
 	}
 	if pe.chebyshev {
-		if prod, err = ev.Add(prod, prod); err != nil {
-			return err
+		rQ := ev.params.RingQ()
+		for _, p := range prod.Value {
+			rQ.Add(p, p, p)
 		}
 		if pw.A == pw.B {
-			prod = ev.AddConst(prod, -1)
+			ev.addConstTo(prod, -1)
 		} else {
 			// T_{A−B} comes up to the product's scale by a constant
 			// multiplication that costs no level.
 			tc := pe.power(pw.A-pw.B, level)
 			adj := ev.MulByConst(tc, 1, prod.Scale/tc.Scale)
 			adj.Scale = prod.Scale
-			if prod, err = ev.Sub(prod, adj); err != nil {
+			if prod, err = pe.fold(prod, adj, true); err != nil {
 				return err
 			}
+			pe.read(pw.A - pw.B)
 		}
 	}
+	pe.read(pw.A)
+	pe.read(pw.B)
 	pe.powers[pw.Index], err = pe.finish(prod)
 	return err
 }
@@ -128,7 +206,7 @@ func (pe *planEval) node(n *poly.Node, scale float64) (*Ciphertext, error) {
 			acc = term
 			return nil
 		}
-		acc, err = ev.Add(acc, term)
+		acc, err = pe.fold(acc, term, false)
 		return err
 	}
 	for _, pr := range n.Products {
@@ -145,6 +223,8 @@ func (pe *planEval) node(n *poly.Node, scale float64) (*Ciphertext, error) {
 		if err != nil {
 			return nil, err
 		}
+		pe.release(q)
+		pe.read(pr.Giant)
 		if err := add(prod); err != nil {
 			return nil, err
 		}
@@ -154,7 +234,9 @@ func (pe *planEval) node(n *poly.Node, scale float64) (*Ciphertext, error) {
 			continue
 		}
 		x := pe.power(i, level)
-		if err := add(ev.MulByConst(x, c, scale/x.Scale)); err != nil {
+		term := ev.MulByConst(x, c, scale/x.Scale)
+		pe.read(i)
+		if err := add(term); err != nil {
 			return nil, err
 		}
 	}
@@ -162,7 +244,7 @@ func (pe *planEval) node(n *poly.Node, scale float64) (*Ciphertext, error) {
 		return nil, fmt.Errorf("ckks: polynomial plan holds a sum without terms")
 	}
 	if n.Coeffs[0] != 0 {
-		acc = ev.AddConst(acc, n.Coeffs[0])
+		ev.addConstTo(acc, n.Coeffs[0])
 	}
 	return acc, nil
 }

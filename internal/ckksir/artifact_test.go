@@ -2,9 +2,11 @@ package ckksir_test
 
 import (
 	"bytes"
+	"encoding/gob"
 	"math"
 	"math/rand/v2"
 	"reflect"
+	"strings"
 	"testing"
 
 	"antace/internal/ckksir"
@@ -13,6 +15,7 @@ import (
 	"antace/internal/onnx"
 	"antace/internal/sihe"
 	"antace/internal/tensor"
+	"antace/internal/vecir"
 	"antace/internal/vm"
 )
 
@@ -87,6 +90,13 @@ func TestResultRoundTrip(t *testing.T) {
 			if !reflect.DeepEqual(gh, wh) {
 				t.Fatalf("header %+v, want %+v", gh, wh)
 			}
+			in, out, err := vecir.Layouts(got.Module)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !in.Equal(tc.prog.Vec.InLayout) || !out.Equal(tc.prog.Vec.OutLayout) {
+				t.Fatalf("layouts %s, %s; want %s, %s", in, out, tc.prog.Vec.InLayout, tc.prog.Vec.OutLayout)
+			}
 			if tc.name == "small_cnn" && got.Boot == nil {
 				t.Fatal("program does not bootstrap")
 			}
@@ -133,6 +143,29 @@ func TestResultRoundTrip(t *testing.T) {
 	}
 }
 
+// version1 is an artifact of the first format, which carried no packing
+// layouts.
+func version1(t testing.TB) []byte {
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(struct {
+		Version int
+		Module  string
+	}{1, "old"}); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestResultRefusesVersion1: a version-1 artifact is refused with an
+// error that names its version.
+func TestResultRefusesVersion1(t *testing.T) {
+	var r ckksir.Result
+	err := r.UnmarshalBinary(version1(t))
+	if err == nil || !strings.Contains(err.Error(), "version 1") {
+		t.Fatalf("version-1 artifact: err = %v", err)
+	}
+}
+
 // FuzzResultUnmarshal: whatever the bytes, UnmarshalBinary returns an
 // error or a module whose main function passes ir.VerifyFunc.
 func FuzzResultUnmarshal(f *testing.F) {
@@ -143,6 +176,7 @@ func FuzzResultUnmarshal(f *testing.F) {
 		}
 		f.Add(data)
 	}
+	f.Add(version1(f))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var r ckksir.Result
 		if err := r.UnmarshalBinary(data); err != nil {

@@ -25,20 +25,27 @@ import (
 // All three use the same lazy-reduction discipline as the Harvey NTT
 // (see ntt.go): with every modulus below 2^62 (enforced by NewRing),
 // partial products of reduced operands are below 2^124, so each adds
-// less than 2^60 to the accumulator's high word; folding with Red128
-// whenever hi >= nt.LazyThreshold (2^63) leaves headroom for the next
-// addition, and Red128 is exact for arbitrary 128-bit inputs at these
-// moduli. Deferred reduction is exact modular arithmetic, so every
-// kernel's fully-reduced output is bit-identical to the unfused
-// primitive sequence it replaces — the differential and replay suites
-// rely on that.
+// less than 2^60 to the accumulator's high word, and a batch of
+// fusedDigitBatch products needs no overflow check; one exact reduction
+// per coefficient per batch finishes the sum. Deferred reduction is
+// exact modular arithmetic, so every kernel's fully-reduced output is
+// bit-identical to the unfused primitive sequence it replaces — the
+// differential and replay suites rely on that.
+//
+// The loops are straight-line (rows.go, ntt.go). The inner product and
+// the base conversions dispatch on the digit count: each pass is a loop
+// over the coefficients with one fixed-width body of 1 to 4 terms, its
+// digit rows hoisted once per RNS row and resliced to N, so the (hi, lo)
+// accumulator stays in registers with no inner loop and no bounds check,
+// and the reduction is a row-local helper the compiler inlines. The
+// transforms run their short-stride stages (t = 4, 2, 1) as fixed 8-word
+// butterfly blocks and the rest two stages per pass.
 
-// fusedDigitBatch bounds both the digit-row pointers hoisted onto the
-// stack per inner-product row and the number of unreduced products one
-// (hi, lo) accumulator absorbs without an overflow check: 8 products of
-// operands below 2^62 sum to less than 8 * 2^124 = 2^127, plus a carried
-// reduced residue (< 2^62), which never overflows 128 bits — so inner
-// loops over at most fusedDigitBatch terms need no fold branch at all.
+// fusedDigitBatch bounds the number of unreduced products one (hi, lo)
+// accumulator absorbs without an overflow check: 8 products of operands
+// below 2^62 sum to less than 8 * 2^124 = 2^127, plus a carried reduced
+// residue (< 2^62), which never overflows 128 bits — so a sum of at most
+// fusedDigitBatch terms needs no fold branch at all.
 // Longer digit lists are processed in batches, carrying the running sum
 // through the reduced accumulator between them (exact, since reduction
 // preserves the residue).
@@ -102,46 +109,19 @@ func (be *BasisExtender) scaleDigitRows(pQ, ys *Poly, dt *digitTable, start, rs,
 // index space (Q rows first, then P rows); the digit's own rows are
 // copied from the NTT-domain source.
 func (be *BasisExtender) modUpNTTRows(pQNTT, ys *Poly, dt *digitTable, start, end, level int, outQ, outP *Poly, rs, re int) {
+	hi, lo := be.rQ.getScratch(end - start)
+	defer be.rQ.putScratch(hi, lo)
 	for i := rs; i < re; i++ {
 		switch {
 		case i > level:
 			j := i - level - 1
-			convertRowLazy(ys.Coeffs, be.rP.Mods[j], dt.overP[j], outP.Coeffs[j])
+			be.rQ.convertRow(ys.Coeffs, be.rP.Mods[j], dt.overP[j], outP.Coeffs[j], hi, lo)
 			be.rP.nttRow(outP.Coeffs[j], j)
 		case i >= start && i < end:
 			copy(outQ.Coeffs[i], pQNTT.Coeffs[i])
 		default:
-			convertRowLazy(ys.Coeffs, be.rQ.Mods[i], dt.overQ[i], outQ.Coeffs[i])
+			be.rQ.convertRow(ys.Coeffs, be.rQ.Mods[i], dt.overQ[i], outQ.Coeffs[i], hi, lo)
 			be.rQ.nttRow(outQ.Coeffs[i], i)
-		}
-	}
-}
-
-// convertRowLazy writes dst[k] = sum_i ys[i][k] * over[i] mod m with one
-// lazy 128-bit accumulator per coefficient, batching fusedDigitBatch
-// digits per accumulator so the inner loop carries no overflow branch.
-func convertRowLazy(ys [][]uint64, m nt.Modulus, over, dst []uint64) {
-	D := len(over)
-	var yr [fusedDigitBatch][]uint64
-	var ov [fusedDigitBatch]uint64
-	for g := 0; g < D; g += fusedDigitBatch {
-		b := D - g
-		if b > fusedDigitBatch {
-			b = fusedDigitBatch
-		}
-		for i := 0; i < b; i++ {
-			yr[i] = ys[g+i]
-			ov[i] = over[g+i]
-		}
-		for k := range dst {
-			var hi, lo uint64
-			if g > 0 {
-				lo = dst[k]
-			}
-			for i := 0; i < b; i++ {
-				hi, lo = nt.MulAdd128(yr[i][k], ov[i], hi, lo)
-			}
-			dst[k] = nt.Red128(hi, lo, m)
 		}
 	}
 }
@@ -197,65 +177,6 @@ func (r *Ring) innerProduct(as []*Poly, idx []int, bs []*Poly, out *Poly, acc bo
 	}
 }
 
-// innerProductRows computes the digit inner product for rows
-// [start, end). Digit row pointers are hoisted into fixed stack arrays
-// in batches of fusedDigitBatch; between batches the running sum is
-// carried through the reduced accumulator (exact, since reduction
-// preserves the residue); acc carries out's incoming value the same way.
-// A non-nil idx gathers the as rows through it.
-func (r *Ring) innerProductRows(as []*Poly, idx []int, bs []*Poly, out *Poly, acc bool, start, end int) {
-	n := r.N
-	D := len(as)
-	var ar, br [fusedDigitBatch][]uint64
-	for i := start; i < end; i++ {
-		m := r.Mods[i]
-		dst := out.Coeffs[i]
-		if D == 0 {
-			if !acc {
-				for k := 0; k < n; k++ {
-					dst[k] = 0
-				}
-			}
-			continue
-		}
-		for g := 0; g < D; g += fusedDigitBatch {
-			b := D - g
-			if b > fusedDigitBatch {
-				b = fusedDigitBatch
-			}
-			for d := 0; d < b; d++ {
-				ar[d] = as[g+d].Coeffs[i]
-				br[d] = bs[g+d].Coeffs[i]
-			}
-			carry := acc || g > 0
-			if idx != nil {
-				ix := idx[:n]
-				for k, j := range ix {
-					var hi, lo uint64
-					if carry {
-						lo = dst[k]
-					}
-					for d := 0; d < b; d++ {
-						hi, lo = nt.MulAdd128(ar[d][j], br[d][k], hi, lo)
-					}
-					dst[k] = nt.Red128(hi, lo, m)
-				}
-				continue
-			}
-			for k := 0; k < n; k++ {
-				var hi, lo uint64
-				if carry {
-					lo = dst[k]
-				}
-				for d := 0; d < b; d++ {
-					hi, lo = nt.MulAdd128(ar[d][k], br[d][k], hi, lo)
-				}
-				dst[k] = nt.Red128(hi, lo, m)
-			}
-		}
-	}
-}
-
 // ModDownNTT computes round((xQ, xP) / P) mod Q_l for polynomials in NTT
 // domain, writing the NTT-domain result into pQ (input and output at
 // level l). It fuses the whole key-switch tail into two passes: each P
@@ -308,10 +229,12 @@ func (be *BasisExtender) modDownPRows(pP, ys *Poly, start, end int) {
 func (be *BasisExtender) modDownQRowsNTT(pQ, ys *Poly, start, end int) {
 	conv := be.rQ.getBuf()
 	defer be.rQ.putBuf(conv)
+	hi, lo := be.rQ.getScratch(len(ys.Coeffs))
+	defer be.rQ.putScratch(hi, lo)
 	for i := start; i < end; i++ {
 		mq := be.rQ.Mods[i]
 		qi := mq.Q
-		convertRowLazy(ys.Coeffs, mq, be.poverpjModQ[i], conv)
+		be.rQ.convertRow(ys.Coeffs, mq, be.poverpjModQ[i], conv, hi, lo)
 		be.rQ.nttRow(conv, i)
 		pinv, pinvShoup := be.pInvModQ[i], be.pInvModQShoup[i]
 		dst := pQ.Coeffs[i]

@@ -98,63 +98,127 @@ func (r *Ring) inttRows(p, pOut *Poly, start, end int) {
 // holds for every stage. The outputs are fully reduced (< q) and — since
 // lazy reduction is exact modular arithmetic with deferred carries —
 // bit-identical to the eager butterfly's.
+//
+// The stages run in their usual order, but not one pass per stage. The
+// stages with half-width t >= 8 go two at a time: one pass over four
+// quarter-slices per block applies both stages' butterflies in
+// registers (a leading single stage when their number is odd). The last
+// three stages (t = 4, 2, 1) go together as straight-line butterflies
+// over fixed 8-word blocks, seven twiddles per block. Rings below N = 8
+// run every stage through the single-stage loop.
 func (r *Ring) nttRow(a []uint64, row int) {
 	n := r.N
+	a = a[:n]
 	q := r.Moduli[row]
 	twoQ := q << 1
 	tab := &r.tables[row]
-	t := n
-	for m := 1; m < n>>1; m <<= 1 {
+	psi, psiShoup := tab.psiRev[:n], tab.psiRevShoup[:n]
+	if n < 8 {
+		for m, t := 1, n>>1; m < n; m, t = m<<1, t>>1 {
+			ctStage(a, psi, psiShoup, m, t, q, twoQ)
+		}
+		for j := range a {
+			a[j] = reduce4q(a[j], q, twoQ)
+		}
+		return
+	}
+	m, t := 1, n
+	if (r.LogN-3)%2 == 1 {
 		t >>= 1
+		ctStage(a, psi, psiShoup, 1, t, q, twoQ)
+		m = 2
+	}
+	// Block i of t words: stage m splits it in halves (twiddle m+i),
+	// stage 2m each half in quarters (twiddles 2(m+i), 2(m+i)+1).
+	for ; m < n>>3; m, t = m<<2, t>>2 {
+		h := t >> 2
 		for i := 0; i < m; i++ {
-			w := tab.psiRev[m+i]
-			wp := tab.psiRevShoup[m+i]
-			j1 := 2 * i * t
-			// Slicing the two butterfly halves to equal length lets the
-			// compiler drop the bounds checks from the inner loop.
-			x := a[j1 : j1+t : j1+t]
-			y := a[j1+t : j1+2*t : j1+2*t]
-			y = y[:len(x)]
-			for j := range x {
-				u := x[j]
-				if u >= twoQ {
-					u -= twoQ
-				}
-				v := nt.MulModShoupLazy(y[j], w, wp, q)
-				x[j] = u + v
-				y[j] = u + twoQ - v
+			w, wp := psi[m+i], psiShoup[m+i]
+			wa, wap := psi[2*(m+i)], psiShoup[2*(m+i)]
+			wb, wbp := psi[2*(m+i)+1], psiShoup[2*(m+i)+1]
+			x0 := a[i*t : i*t+h]
+			x1 := a[i*t+h : i*t+2*h][:len(x0)]
+			x2 := a[i*t+2*h : i*t+3*h][:len(x0)]
+			x3 := a[i*t+3*h : i*t+4*h][:len(x0)]
+			for j := range x0 {
+				u0, u2 := ctButterfly(x0[j], x2[j], w, wp, q, twoQ)
+				u1, u3 := ctButterfly(x1[j], x3[j], w, wp, q, twoQ)
+				x0[j], x1[j] = ctButterfly(u0, u1, wa, wap, q, twoQ)
+				x2[j], x3[j] = ctButterfly(u2, u3, wb, wbp, q, twoQ)
 			}
 		}
 	}
-	// Final stage (t == 1): same butterfly with the batch reduction from
-	// [0, 4q) to [0, q) folded in, so no separate correction pass over the
-	// row is needed.
-	for i, m := 0, n>>1; i < m; i++ {
-		w := tab.psiRev[m+i]
-		wp := tab.psiRevShoup[m+i]
-		j := 2 * i
-		u := a[j]
-		if u >= twoQ {
-			u -= twoQ
-		}
-		v := nt.MulModShoupLazy(a[j+1], w, wp, q)
-		x := u + v
-		if x >= twoQ {
-			x -= twoQ
-		}
-		if x >= q {
-			x -= q
-		}
-		a[j] = x
-		y := u + twoQ - v
-		if y >= twoQ {
-			y -= twoQ
-		}
-		if y >= q {
-			y -= q
-		}
-		a[j+1] = y
+	// t = 4, 2, 1, the last with the batch reduction from [0, 4q) to
+	// [0, q) folded in, so no separate correction pass over the row is
+	// needed.
+	w4s, w4ps := twiddleSpan(psi, psiShoup, n>>3)
+	w2s, w2ps := twiddleSpan(psi, psiShoup, n>>2)
+	w1s, w1ps := twiddleSpan(psi, psiShoup, n>>1)
+	for i, w := range w4s {
+		wp := w4ps[i]
+		x := (*[8]uint64)(a[8*i:])
+		x0, x4 := ctButterfly(x[0], x[4], w, wp, q, twoQ)
+		x1, x5 := ctButterfly(x[1], x[5], w, wp, q, twoQ)
+		x2, x6 := ctButterfly(x[2], x[6], w, wp, q, twoQ)
+		x3, x7 := ctButterfly(x[3], x[7], w, wp, q, twoQ)
+		w2, w2p := (*[2]uint64)(w2s[2*i:]), (*[2]uint64)(w2ps[2*i:])
+		x0, x2 = ctButterfly(x0, x2, w2[0], w2p[0], q, twoQ)
+		x1, x3 = ctButterfly(x1, x3, w2[0], w2p[0], q, twoQ)
+		x4, x6 = ctButterfly(x4, x6, w2[1], w2p[1], q, twoQ)
+		x5, x7 = ctButterfly(x5, x7, w2[1], w2p[1], q, twoQ)
+		w1, w1p := (*[4]uint64)(w1s[4*i:]), (*[4]uint64)(w1ps[4*i:])
+		x0, x1 = ctButterfly(x0, x1, w1[0], w1p[0], q, twoQ)
+		x2, x3 = ctButterfly(x2, x3, w1[1], w1p[1], q, twoQ)
+		x4, x5 = ctButterfly(x4, x5, w1[2], w1p[2], q, twoQ)
+		x6, x7 = ctButterfly(x6, x7, w1[3], w1p[3], q, twoQ)
+		x[0], x[1] = reduce4q(x0, q, twoQ), reduce4q(x1, q, twoQ)
+		x[2], x[3] = reduce4q(x2, q, twoQ), reduce4q(x3, q, twoQ)
+		x[4], x[5] = reduce4q(x4, q, twoQ), reduce4q(x5, q, twoQ)
+		x[6], x[7] = reduce4q(x6, q, twoQ), reduce4q(x7, q, twoQ)
 	}
+}
+
+// ctStage runs one forward stage on its own: m blocks of 2t words, block
+// i with twiddle m+i.
+func ctStage(a, psi, psiShoup []uint64, m, t int, q, twoQ uint64) {
+	for i := 0; i < m; i++ {
+		w, wp := psi[m+i], psiShoup[m+i]
+		// Slicing the two butterfly halves to equal length lets the
+		// compiler drop the bounds checks from the inner loop.
+		x := a[2*i*t : 2*i*t+t]
+		y := a[2*i*t+t : 2*i*t+2*t][:len(x)]
+		for j := range x {
+			x[j], y[j] = ctButterfly(x[j], y[j], w, wp, q, twoQ)
+		}
+	}
+}
+
+// ctButterfly is the lazy Cooley–Tukey butterfly: u, v in [0, 4q) map
+// to u + w·v and u − w·v, both in [0, 4q).
+func ctButterfly(u, v, w, wp, q, twoQ uint64) (uint64, uint64) {
+	if u >= twoQ {
+		u -= twoQ
+	}
+	v = nt.MulModShoupLazy(v, w, wp, q)
+	return u + v, u + twoQ - v
+}
+
+// reduce4q maps [0, 4q) to [0, q).
+func reduce4q(x, q, twoQ uint64) uint64 {
+	if x >= twoQ {
+		x -= twoQ
+	}
+	if x >= q {
+		x -= q
+	}
+	return x
+}
+
+// twiddleSpan returns the m twiddles (and their Shoup constants) of the
+// stage with m blocks, entries [m, 2m) of the bit-reversed tables.
+func twiddleSpan(w, wp []uint64, m int) ([]uint64, []uint64) {
+	ws := w[m : 2*m]
+	return ws, wp[m : m+len(ws)]
 }
 
 // inttRow applies the inverse negacyclic NTT in place on one RNS row.
@@ -162,39 +226,89 @@ func (r *Ring) nttRow(a []uint64, row int) {
 // conditional subtraction, the difference u + 2q - v (< 4q) feeds the
 // lazy Shoup multiply which lands back in [0, 2q). The n^-1 fold performs
 // the only strict reduction — MulModShoup's single conditional
-// subtraction fully reduces any input in [0, 2^64).
+// subtraction fully reduces any input in [0, 2^64). The passes mirror
+// nttRow's: the first three stages (t = 1, 2, 4) per 8-word block, the
+// rest two at a time (a trailing single stage when their number is odd).
 func (r *Ring) inttRow(a []uint64, row int) {
 	n := r.N
+	a = a[:n]
 	q := r.Moduli[row]
 	twoQ := q << 1
 	tab := &r.tables[row]
-	t := 1
-	for m := n; m > 1; m >>= 1 {
-		h := m >> 1
-		j1 := 0
-		for i := 0; i < h; i++ {
-			w := tab.psiInvRev[h+i]
-			wp := tab.psiInvRevShoup[h+i]
-			lox := a[j1 : j1+t : j1+t]
-			hix := a[j1+t : j1+2*t : j1+2*t]
-			hix = hix[:len(lox)]
-			for j := range lox {
-				u := lox[j]
-				v := hix[j]
-				x := u + v
-				if x >= twoQ {
-					x -= twoQ
-				}
-				lox[j] = x
-				hix[j] = nt.MulModShoupLazy(u+twoQ-v, w, wp, q)
-			}
-			j1 += 2 * t
+	psi, psiShoup := tab.psiInvRev[:n], tab.psiInvRevShoup[:n]
+	h, t := n>>1, 1
+	if n >= 8 {
+		w1s, w1ps := twiddleSpan(psi, psiShoup, n>>1)
+		w2s, w2ps := twiddleSpan(psi, psiShoup, n>>2)
+		w4s, w4ps := twiddleSpan(psi, psiShoup, n>>3)
+		for i, w := range w4s {
+			x := (*[8]uint64)(a[8*i:])
+			w1, w1p := (*[4]uint64)(w1s[4*i:]), (*[4]uint64)(w1ps[4*i:])
+			x0, x1 := gsButterfly(x[0], x[1], w1[0], w1p[0], q, twoQ)
+			x2, x3 := gsButterfly(x[2], x[3], w1[1], w1p[1], q, twoQ)
+			x4, x5 := gsButterfly(x[4], x[5], w1[2], w1p[2], q, twoQ)
+			x6, x7 := gsButterfly(x[6], x[7], w1[3], w1p[3], q, twoQ)
+			w2, w2p := (*[2]uint64)(w2s[2*i:]), (*[2]uint64)(w2ps[2*i:])
+			x0, x2 = gsButterfly(x0, x2, w2[0], w2p[0], q, twoQ)
+			x1, x3 = gsButterfly(x1, x3, w2[0], w2p[0], q, twoQ)
+			x4, x6 = gsButterfly(x4, x6, w2[1], w2p[1], q, twoQ)
+			x5, x7 = gsButterfly(x5, x7, w2[1], w2p[1], q, twoQ)
+			wp := w4ps[i]
+			x[0], x[4] = gsButterfly(x0, x4, w, wp, q, twoQ)
+			x[1], x[5] = gsButterfly(x1, x5, w, wp, q, twoQ)
+			x[2], x[6] = gsButterfly(x2, x6, w, wp, q, twoQ)
+			x[3], x[7] = gsButterfly(x3, x7, w, wp, q, twoQ)
 		}
-		t <<= 1
+		// Block i of 4t words: stage h butterflies its two halves
+		// (twiddles h+2i, h+2i+1), stage h/2 the whole (twiddle h/2+i).
+		h, t = n>>4, 8
+		for ; h > 1; h, t = h>>2, t<<2 {
+			for i := 0; i < h>>1; i++ {
+				wa, wap := psi[h+2*i], psiShoup[h+2*i]
+				wb, wbp := psi[h+2*i+1], psiShoup[h+2*i+1]
+				w, wp := psi[h>>1+i], psiShoup[h>>1+i]
+				x0 := a[4*i*t : 4*i*t+t]
+				x1 := a[4*i*t+t : 4*i*t+2*t][:len(x0)]
+				x2 := a[4*i*t+2*t : 4*i*t+3*t][:len(x0)]
+				x3 := a[4*i*t+3*t : 4*i*t+4*t][:len(x0)]
+				for j := range x0 {
+					u0, u1 := gsButterfly(x0[j], x1[j], wa, wap, q, twoQ)
+					u2, u3 := gsButterfly(x2[j], x3[j], wb, wbp, q, twoQ)
+					x0[j], x2[j] = gsButterfly(u0, u2, w, wp, q, twoQ)
+					x1[j], x3[j] = gsButterfly(u1, u3, w, wp, q, twoQ)
+				}
+			}
+		}
+	}
+	for ; h >= 1; h, t = h>>1, t<<1 {
+		gsStage(a, psi, psiShoup, h, t, q, twoQ)
 	}
 	for j := range a {
 		a[j] = nt.MulModShoup(a[j], tab.nInv, tab.nInvShoup, q)
 	}
+}
+
+// gsStage runs one inverse stage on its own: h blocks of 2t words, block
+// i with twiddle h+i.
+func gsStage(a, psi, psiShoup []uint64, h, t int, q, twoQ uint64) {
+	for i := 0; i < h; i++ {
+		w, wp := psi[h+i], psiShoup[h+i]
+		x := a[2*i*t : 2*i*t+t]
+		y := a[2*i*t+t : 2*i*t+2*t][:len(x)]
+		for j := range x {
+			x[j], y[j] = gsButterfly(x[j], y[j], w, wp, q, twoQ)
+		}
+	}
+}
+
+// gsButterfly is the lazy Gentleman–Sande butterfly: u, v in [0, 2q)
+// map to u + v and (u − v)·w, both in [0, 2q).
+func gsButterfly(u, v, w, wp, q, twoQ uint64) (uint64, uint64) {
+	x := u + v
+	if x >= twoQ {
+		x -= twoQ
+	}
+	return x, nt.MulModShoupLazy(u+twoQ-v, w, wp, q)
 }
 
 // MulPolyNaive computes p3 = p1 * p2 by schoolbook negacyclic convolution

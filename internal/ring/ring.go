@@ -126,6 +126,10 @@ type Ring struct {
 
 	tables []nttTables
 
+	// zero is a read-only row of N zeros, the empty starting sum of the
+	// row kernels (rows.go).
+	zero []uint64
+
 	// rescaleQlInv[l][i] = q_l^-1 mod q_i (Shoup pair), used by
 	// DivRoundByLastModulus at level l for row i < l.
 	rescaleQlInv      [][]uint64
@@ -160,6 +164,7 @@ func NewRing(n int, moduli []uint64) (*Ring, error) {
 		Moduli:   append([]uint64(nil), moduli...),
 		grainPW:  par.Grain(n),
 		grainNTT: par.Grain(n * (bits.Len(uint(n)) - 1)),
+		zero:     make([]uint64, n),
 	}
 	r.Mods = make([]nt.Modulus, len(moduli))
 	r.tables = make([]nttTables, len(moduli))

@@ -486,13 +486,20 @@ func TestPolyHelpers(t *testing.T) {
 	}
 }
 
+// BenchmarkNTT times one forward and one inverse row transform from the
+// workloads' ring degrees (2^9, 2^10) up to 2^14.
 func BenchmarkNTT(b *testing.B) {
-	for _, logN := range []int{12, 13, 14} {
+	for _, logN := range []int{9, 10, 12, 13, 14} {
 		r := testRing(b, logN, 1)
 		p := randomPoly(r, 0, 1)
 		b.Run(sizeName(logN), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				r.nttRow(p.Coeffs[0], 0)
+			}
+		})
+		b.Run("INTT/"+sizeName(logN), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				r.inttRow(p.Coeffs[0], 0)
 			}
 		})
 	}

@@ -17,7 +17,27 @@ package vecir
 
 import (
 	"fmt"
+
+	"antace/internal/ir"
 )
+
+// The module attributes holding the packing layouts of a lowered
+// program's input and output vectors (*Layout each). Lowering further
+// copies them onto the SIHE and CKKS modules.
+const (
+	AttrInLayout  = "vec.in_layout"
+	AttrOutLayout = "vec.out_layout"
+)
+
+// Layouts returns a lowered module's input and output packing layouts.
+func Layouts(mod *ir.Module) (in, out *Layout, err error) {
+	in, _ = mod.Attrs[AttrInLayout].(*Layout)
+	out, _ = mod.Attrs[AttrOutLayout].(*Layout)
+	if in == nil || out == nil {
+		return nil, nil, fmt.Errorf("vecir: module %s has no packing layouts", mod.Name)
+	}
+	return in, out, nil
+}
 
 // Layout describes how a (C,H,W) tensor is packed into a slot vector of
 // length L: the spatial base grid is H0 x W0 (constant across the whole

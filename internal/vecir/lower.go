@@ -315,8 +315,8 @@ func Lower(nn *ir.Module, opts Options) (*Result, error) {
 		return nil, fmt.Errorf("vecir: return value not lowered")
 	}
 	mod.Attrs["vec.len"] = l
-	mod.Attrs["vec.in_layout"] = inLay
-	mod.Attrs["vec.out_layout"] = outLay
+	mod.Attrs[AttrInLayout] = inLay
+	mod.Attrs[AttrOutLayout] = outLay
 	if err := ir.VerifyFunc(f); err != nil {
 		return nil, err
 	}
