@@ -10,7 +10,7 @@ define gotest
 	$(GO) test $(1) $(2) '$(3)' $(4)
 endef
 
-.PHONY: build test verify vet race bootstrap-large bench bench-check bench-parallel bench-fusion bench-batch serve-smoke obs-smoke chaos durability cluster-chaos cluster-membership-chaos autotune
+.PHONY: build test verify vet race bootstrap-large bench bench-check bench-batch serve-smoke obs-smoke chaos durability cluster-chaos cluster-membership-chaos autotune
 
 build:
 	$(GO) build ./...
@@ -146,18 +146,6 @@ verify:
 # e.g. BENCH_ARGS='--workload infer_gemv --trace 1'.
 bench:
 	bash bench/run.sh $(BENCH_ARGS)
-
-# Microbenchmarks for the limb-parallel engine and buffer pooling
-# (BENCH_parallel.json records reference numbers).
-bench-parallel:
-	$(call gotest,-run '^$$' -benchmem,-bench,BenchmarkNTT$$|BenchmarkKeySwitch$$|BenchmarkHoistedRotations$$,.)
-
-# Fused-kernel benchmarks (BENCH_fusion.json records reference numbers):
-# the four benchmarks the fused key-switch path and lazy-reduction NTT
-# move. -count=3 because single runs on shared machines are ±10% noisy;
-# take the best run per benchmark when comparing.
-bench-fusion:
-	$(call gotest,-run '^$$' -count=3 -timeout 1800s -benchmem,-bench,BenchmarkNTT$$|BenchmarkKeySwitch$$|BenchmarkHoistedRotations$$|BenchmarkRuntimeBootstrap$$,.)
 
 # Cross-request batching benchmark (BENCH_batch.json records reference
 # numbers): boot a real aced serving the 64x10 linear demo at logN 12

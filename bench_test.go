@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"io"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -410,16 +411,23 @@ func BenchmarkRuntimeRotate(b *testing.B) {
 // program compiles to, with every phase's input at hand and the diagonal
 // tables warm.
 type bootstrapBench struct {
-	lit        ckks.ParametersLiteral
-	boot       bootstrap.Parameters
-	bt         *bootstrap.Bootstrapper
-	eval       *ckks.Evaluator
-	target     int
-	ct, raised *ckks.Ciphertext // exhausted input; after Raise
-	half       *ckks.Ciphertext // after CoeffsToSlots
-	y          *ckks.Ciphertext // after EvalMod
-	keys       int              // Galois keys the circuit needs
-	tableMiB   float64          // encoded diagonals after one bootstrap
+	lit      ckks.ParametersLiteral
+	boot     bootstrap.Parameters
+	bt       *bootstrap.Bootstrapper
+	eval     *ckks.Evaluator
+	target   int
+	ct       *ckks.Ciphertext // exhausted input
+	phases   []bootstrapPhase
+	keys     int     // Galois keys the circuit needs
+	tableMiB float64 // encoded diagonals after one bootstrap
+}
+
+// bootstrapPhase is a stretch of the bootstrap's schedule and the
+// ciphertext it starts from.
+type bootstrapPhase struct {
+	name string
+	ops  []bootstrap.Op
+	in   *ckks.Ciphertext
 }
 
 // newBootstrapBench compiles the model bench/infer.go runs, under its
@@ -461,14 +469,23 @@ func newBootstrapBench(b *testing.B, c2sStages, s2cStages int) *bootstrapBench {
 		keys: len(keys.Galois),
 	}
 	must(s.eval.DropLevel(s.ct, s.ct.Level()))
-	s.raised, _, err = bt.Raise(s.eval, s.ct, target)
+	// The phases cut the schedule after the raise at the first stage
+	// matrix, at the polynomial, and at the first stage matrix after it.
+	ops := bootstrap.Schedule(*boot, lit.LogN, target)
+	from := func(i int, name string) int {
+		return i + slices.IndexFunc(ops[i:], func(op bootstrap.Op) bool { return op.Name == name })
+	}
+	c2s := from(0, bootstrap.OpLinear)
+	evalMod := from(c2s, bootstrap.OpPoly)
+	s2c := from(evalMod, bootstrap.OpLinear)
+	s.phases = []bootstrapPhase{{name: "C2S", ops: ops[c2s:evalMod]}, {name: "EvalMod", ops: ops[evalMod:s2c]}, {name: "S2C", ops: ops[s2c:]}}
+	x, _, err := bt.Raise(s.eval, s.ct, target)
 	must(err)
-	s.half, err = bt.CoeffsToSlots(s.eval, s.raised)
-	must(err)
-	s.y, err = bt.EvalMod(s.eval, s.half)
-	must(err)
-	_, err = bt.SlotsToCoeffs(s.eval, s.y)
-	must(err)
+	for i := range s.phases {
+		s.phases[i].in = x
+		x, err = bt.Run(s.eval, x, s.phases[i].ops)
+		must(err)
+	}
 	s.tableMiB = float64(bt.TableStats().Bytes) / (1 << 20)
 	return s
 }
@@ -487,18 +504,17 @@ func BenchmarkRuntimeBootstrap(b *testing.B) {
 	s := newBootstrapBench(b, 0, 0)
 	b.Logf("%d primes, %d special, C2S/S2C stages %d/%d, %d Galois keys, %.1f MiB of diagonals",
 		len(s.lit.LogQ), len(s.lit.LogP), s.boot.C2SStages, s.boot.S2CStages, s.keys, s.tableMiB)
-	for _, phase := range []struct {
-		name string
-		run  func() error
-	}{
-		{"Bootstrap", s.bootstrap},
-		{"C2S", func() error { _, err := s.bt.CoeffsToSlots(s.eval, s.raised); return err }},
-		{"EvalMod", func() error { _, err := s.bt.EvalMod(s.eval, s.half); return err }},
-		{"S2C", func() error { _, err := s.bt.SlotsToCoeffs(s.eval, s.y); return err }},
-	} {
+	b.Run("Bootstrap", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if err := s.bootstrap(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	for _, phase := range s.phases {
 		b.Run(phase.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if err := phase.run(); err != nil {
+				if _, err := s.bt.Run(s.eval, phase.in, phase.ops); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -22,8 +22,11 @@ import (
 // categoryRow is one Figure-6 category's measured-vs-predicted line in
 // the autotune report.
 type categoryRow struct {
-	Category     string  `json:"category"`
-	MeasuredSec  float64 `json:"measured_sec"`
+	Category    string  `json:"category"`
+	MeasuredSec float64 `json:"measured_sec"`
+	// PredDefault and RatioDefault are under the calibration the search
+	// ran with (autotuneReport.Calibration: the microbenchmarked one unless
+	// -calibrate=false), not necessarily costmodel.DefaultCalibration.
 	PredDefault  float64 `json:"predicted_default_sec"`
 	PredLive     float64 `json:"predicted_live_sec"`
 	RatioDefault float64 `json:"ratio_default"`
@@ -232,7 +235,7 @@ func runAutotune(w io.Writer, outPath string, cal costmodel.Calibration) error {
 		baseline, rep.BaselineRotations, rep.BaselinePredictedSec, defWall, report.ChosenPlan, chosenWall, rep.MeasuredSpeedup)
 
 	fmt.Fprintf(w, "\nper-category agreement on the baseline's run (measured vs model, s/run):\n")
-	fmt.Fprintf(w, "%-10s %10s %12s %12s %9s %9s\n", "category", "measured", "pred(def)", "pred(live)", "ratio(d)", "ratio(l)")
+	fmt.Fprintf(w, "%-10s %10s %12s %12s %9s %9s\n", "category", "measured", "pred(cal)", "pred(live)", "ratio(c)", "ratio(l)")
 	ratio := func(pred, meas float64) float64 {
 		if meas <= 0 {
 			return 0

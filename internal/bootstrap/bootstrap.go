@@ -80,62 +80,106 @@ func CircuitDepth(p Parameters) int {
 	return p.C2SStages + evalModPlan(p).Depth() + p.DoubleAngle + p.S2CStages
 }
 
-// StepKind names what one step of the circuit's schedule does.
-type StepKind int
-
+// The instructions of the circuit, named as the compiled program's
+// instructions are (ckksir's opcodes; a test holds the strings equal,
+// since ckksir imports this package).
 const (
-	StepC2S         StepKind = iota // one CoeffsToSlots stage matrix
-	StepConjugate                   // ct + conj(ct): before Raise, after C2S and after S2C
-	StepEvalMod                     // EvalMod's polynomial
-	StepDoubleAngle                 // one double angle: square, relinearise, rescale
-	StepS2C                         // one SlotsToCoeffs stage matrix
+	OpAdd     = "ckks.add"
+	OpMul     = "ckks.mul"
+	OpRelin   = "ckks.relin"
+	OpRescale = "ckks.rescale"
+	OpLinear  = "ckks.linear" // one DFT stage matrix
+	OpPoly    = "ckks.poly"   // EvalMod's polynomial
+
+	// No program instruction conjugates or adds a constant. A conjugation
+	// is a rotation by the conjugation's Galois element, and adding the
+	// double angle's −1 is one pass over c0, as adding a plaintext is:
+	// Priced names the instruction each is priced as.
+	OpConjugate = "ckks.conjugate"
+	OpAddConst  = "ckks.add_const"
+
+	opRotate   = "ckks.rotate"
+	opAddPlain = "ckks.add_plain"
 )
 
-// Step is one key-switching step of the bootstrap circuit.
-type Step struct {
-	Kind StepKind
-	// Level is the level the ciphertext enters the step at.
+// Op is one instruction of the bootstrap circuit. The circuit runs on one
+// ciphertext x: every op replaces x by its result. An add right after a
+// conjugation adds the conjugation's input, ct + conj(ct); any other add
+// doubles x.
+type Op struct {
+	// Name is the instruction (one of the Op constants).
+	Name string
+	// Level is the level x enters the op at.
 	Level int
-	// Diags is the stage matrix's diagonal count (StepC2S, StepS2C).
-	Diags int
-	// Plan is the polynomial's evaluation plan (StepEvalMod).
+	// Split is a stage matrix's baby-step/giant-step split, and Stage its
+	// index among the bootstrapper's stage matrices, CoeffsToSlots' first
+	// (OpLinear).
+	Split kswork.Split
+	Stage int
+	// Plan is EvalMod's evaluation plan (OpPoly).
 	Plan *poly.Plan
 }
 
-// Schedule returns the key-switching steps of one bootstrap to the
-// target level in a ring of degree 2^logN, in the order Bootstrap runs
-// them and each with the level it enters at: the conjugation that keeps
-// the real part at level 0, the CoeffsToSlots stages down from target +
-// CircuitDepth, the conjugation, EvalMod's polynomial and double angles,
-// the SlotsToCoeffs stages down to the target and the conjugation there.
-// The transforms act on all 2^(logN-1) slots of the ring. The compiler,
-// the cost model, the POLY IR and the memory figures all fold over this
-// one list.
-func Schedule(p Parameters, logN, target int) []Step {
+// Priced returns the program instruction op is priced as: its own name,
+// a rotation for a conjugation and a plaintext addition for the constant.
+func (op Op) Priced() string {
+	switch op.Name {
+	case OpConjugate:
+		return opRotate
+	case OpAddConst:
+		return opAddPlain
+	}
+	return op.Name
+}
+
+// realPart is the head of every schedule: ct + conj(ct) at level 0, which
+// Raise runs before it raises the modulus.
+var realPart = []Op{{Name: OpConjugate}, {Name: OpAdd}}
+
+// Schedule returns the instructions of one bootstrap to the target level
+// in a ring of degree 2^logN, in the order Bootstrap runs them and each
+// with the level it enters at: the real part at level 0, the
+// CoeffsToSlots stages down from target + CircuitDepth, the real half,
+// EvalMod's polynomial and double angles, the SlotsToCoeffs stages down
+// to the target and the real part there. The transforms act on all
+// 2^(logN-1) slots of the ring. The Bootstrapper runs this list; the
+// compiler, the cost model, the POLY IR and the memory figures fold over
+// it.
+func Schedule(p Parameters, logN, target int) []Op {
 	p = p.withDefaults()
 	c2s := kswork.StageDiagonals(logN-1, p.C2SStages, true)
 	s2c := kswork.StageDiagonals(logN-1, p.S2CStages, false)
 	evalMod := evalModPlan(p)
+	// Seven ops besides the stages and the double angles: three real
+	// parts of two ops and the polynomial.
+	ops := append(make([]Op, 0, len(c2s)+len(s2c)+5*p.DoubleAngle+7), realPart...)
 	level := target + CircuitDepth(p)
-	steps := make([]Step, 1, len(c2s)+4+p.DoubleAngle+len(s2c))
-	steps[0] = Step{Kind: StepConjugate, Level: 0}
-	for _, d := range c2s {
-		steps = append(steps, Step{Kind: StepC2S, Level: level, Diags: d})
-		level--
+	// emit appends op at the current level and then drops the levels it
+	// consumes.
+	emit := func(op Op, consumes int) {
+		op.Level = level
+		ops = append(ops, op)
+		level -= consumes
 	}
-	steps = append(steps,
-		Step{Kind: StepConjugate, Level: level},
-		Step{Kind: StepEvalMod, Level: level, Plan: evalMod})
-	level -= evalMod.Depth()
-	for i := 0; i < p.DoubleAngle; i++ {
-		steps = append(steps, Step{Kind: StepDoubleAngle, Level: level})
-		level--
+	for i, d := range c2s {
+		emit(Op{Name: OpLinear, Split: kswork.DFTSplit(d), Stage: i}, 1)
 	}
-	for _, d := range s2c {
-		steps = append(steps, Step{Kind: StepS2C, Level: level, Diags: d})
-		level--
+	emit(Op{Name: OpConjugate}, 0)
+	emit(Op{Name: OpAdd}, 0)
+	emit(Op{Name: OpPoly, Plan: evalMod}, evalMod.Depth())
+	for range p.DoubleAngle { // y ↦ 2y² − 1
+		emit(Op{Name: OpMul}, 0)
+		emit(Op{Name: OpAdd}, 0)
+		emit(Op{Name: OpAddConst}, 0)
+		emit(Op{Name: OpRelin}, 0)
+		emit(Op{Name: OpRescale}, 1)
 	}
-	return append(steps, Step{Kind: StepConjugate, Level: level})
+	for i, d := range s2c {
+		emit(Op{Name: OpLinear, Split: kswork.DFTSplit(d), Stage: len(c2s) + i}, 1)
+	}
+	emit(Op{Name: OpConjugate}, 0)
+	emit(Op{Name: OpAdd}, 0)
+	return ops
 }
 
 // evalModPlan returns the evaluation plan of EvalMod's polynomial: the
@@ -187,19 +231,17 @@ func (p Parameters) withDefaults() Parameters {
 	return p
 }
 
-// Bootstrapper holds the precomputed stage matrices and polynomials. It
-// is safe for concurrent use by evaluators with distinct key sets: the
-// matrices are read-only, and every stage keeps its encoded diagonals in
-// a memo that fills on first use, so every machine sharing a bootstrapper
-// encodes each diagonal once per (level, scale) rather than on every
-// bootstrap.
+// Bootstrapper holds the precomputed stage matrices. It is safe for
+// concurrent use by evaluators with distinct key sets: the matrices are
+// read-only, and every stage keeps its encoded diagonals in a memo that
+// fills on first use, so every machine sharing a bootstrapper encodes
+// each diagonal once per (level, scale) rather than on every bootstrap.
 type Bootstrapper struct {
-	params  *ckks.Parameters
-	bp      Parameters
-	enc     *ckks.Encoder
-	c2s     []*ckks.LinearTransform // stages of (1/(2B)) * SFinv
-	s2c     []*ckks.LinearTransform // stages of (q0/(2*pi*D)) * SF, slot-0 column halved
-	evalMod *poly.Plan              // cos interpolation before double-angle
+	params *ckks.Parameters
+	bp     Parameters
+	enc    *ckks.Encoder
+	c2s    []*ckks.LinearTransform // stages of (1/(2B)) * SFinv
+	s2c    []*ckks.LinearTransform // stages of (q0/(2*pi*D)) * SF, slot-0 column halved
 
 	q0 float64
 	d  float64 // declared scale after ScaleUp+ModRaise
@@ -239,7 +281,6 @@ func NewBootstrapper(params *ckks.Parameters, bp Parameters, inputScale float64)
 		q0:           q0,
 		d:            d,
 		circuitScale: float64(params.Q()[params.MaxLevel()]),
-		evalMod:      evalModPlan(bp),
 	}
 	var err error
 	// CoeffsToSlots: u = (1/(2B)) SFinv * v.
@@ -337,7 +378,7 @@ func (bt *Bootstrapper) Raise(ev *ckks.Evaluator, ct *ckks.Ciphertext, targetLev
 	}
 	// 1. The real part, ct + conj(ct) declared at twice the scale, so that
 	// the plaintext mirrors its first coefficient half; then ScaleUp to D.
-	re, err := addConjugate(ev, ct)
+	re, err := bt.Run(ev, ct, realPart)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -371,17 +412,9 @@ func (bt *Bootstrapper) Bootstrap(ev *ckks.Evaluator, ct *ckks.Ciphertext, targe
 	if err != nil {
 		return nil, err
 	}
-	half, err := bt.CoeffsToSlots(ev, raised)
+	out, err := bt.Run(ev, raised, Schedule(bt.bp, bt.params.LogN(), targetLevel)[len(realPart):])
 	if err != nil {
-		return nil, fmt.Errorf("bootstrap: CoeffsToSlots: %w", err)
-	}
-	y, err := bt.EvalMod(ev, half)
-	if err != nil {
-		return nil, fmt.Errorf("bootstrap: EvalMod: %w", err)
-	}
-	out, err := bt.SlotsToCoeffs(ev, y)
-	if err != nil {
-		return nil, fmt.Errorf("bootstrap: SlotsToCoeffs: %w", err)
+		return nil, err
 	}
 	// Absorb the ScaleUp drift exactly: the circuit divides by the D it
 	// was built with, so the output values carry a factor D'/D.
@@ -392,84 +425,59 @@ func (bt *Bootstrapper) Bootstrap(ev *ckks.Evaluator, ct *ckks.Ciphertext, targe
 	return out, nil
 }
 
-// evalStages runs ct through the stage matrices of one transform, landing
-// on the target scale after the last. The scale moves there in equal
-// ratios, so every stage encodes its diagonals at the same plaintext
-// scale (rescaling prime times that ratio): no stage is left with the
-// whole jump and entries too coarse or too large for it.
-func (bt *Bootstrapper) evalStages(ev *ckks.Evaluator, ct *ckks.Ciphertext, stages []*ckks.LinearTransform, target float64) (*ckks.Ciphertext, error) {
-	for i, lt := range stages {
-		next := target
-		if left := len(stages) - i; left > 1 {
-			next = ct.Scale * math.Pow(target/ct.Scale, 1/float64(left))
+// Run runs ops, a stretch of the bootstrapper's schedule, on ct and
+// returns the result. Every op must find the ciphertext at its level.
+// The stage matrices of a transform carry the declared scale to the
+// transform's target in equal ratios — D to the circuit scale over
+// CoeffsToSlots, the circuit scale to the default one over SlotsToCoeffs
+// — so every stage encodes its diagonals at the same plaintext scale
+// (rescaling prime times that ratio): no stage is left with the whole
+// jump and entries too coarse or too large for it. EvalMod's polynomial
+// lands on the circuit scale.
+func (bt *Bootstrapper) Run(ev *ckks.Evaluator, ct *ckks.Ciphertext, ops []Op) (*ckks.Ciphertext, error) {
+	x := ct
+	var conjIn *ckks.Ciphertext // the input of the conjugation just run
+	for _, op := range ops {
+		if x.Level() != op.Level {
+			return nil, fmt.Errorf("bootstrap: %s entered at level %d, scheduled at %d", op.Name, x.Level(), op.Level)
 		}
 		var err error
-		if ct, err = ev.EvaluateLinearTransform(ct, lt, bt.enc, next); err != nil {
-			return nil, err
+		switch op.Name {
+		case OpConjugate:
+			conjIn = x
+			x, err = ev.Conjugate(x)
+		case OpAdd:
+			other := x // 2y²: the square doubled
+			if conjIn != nil {
+				other, conjIn = conjIn, nil // ct + conj(ct)
+			}
+			x, err = ev.Add(other, x)
+		case OpAddConst:
+			x = ev.AddConst(x, -1)
+		case OpMul:
+			x, err = ev.Mul(x, x)
+		case OpRelin:
+			x, err = ev.Relinearize(x)
+		case OpRescale:
+			x, err = ev.Rescale(x)
+		case OpPoly:
+			x, err = ev.EvaluatePolynomial(x, op.Plan, bt.circuitScale)
+		case OpLinear:
+			stages, i, target := bt.c2s, op.Stage, bt.circuitScale
+			if i >= len(bt.c2s) {
+				stages, i, target = bt.s2c, i-len(bt.c2s), bt.params.DefaultScale()
+			}
+			next := target
+			if left := len(stages) - i; left > 1 {
+				next = x.Scale * math.Pow(target/x.Scale, 1/float64(left))
+			}
+			x, err = ev.EvaluateLinearTransform(x, stages[i], bt.enc, next)
+		default:
+			err = fmt.Errorf("unknown instruction")
 		}
-	}
-	return ct, nil
-}
-
-// CoeffsToSlots is step 3: it moves the coefficients of the raised
-// ciphertext into slots, u_j = t_j + i·t_{j+N/2} up to the normalisation
-// for EvalMod, and keeps the real coefficient half u + conj(u). The stages
-// carry the declared scale from D to the circuit scale between them, so
-// the half needs no scale correction of its own.
-func (bt *Bootstrapper) CoeffsToSlots(ev *ckks.Evaluator, raised *ckks.Ciphertext) (*ckks.Ciphertext, error) {
-	u, err := bt.evalStages(ev, raised, bt.c2s, bt.circuitScale)
-	if err != nil {
-		return nil, err
-	}
-	return addConjugate(ev, u)
-}
-
-// SlotsToCoeffs is step 5: it moves the refreshed half's slots back into
-// the first coefficient half at the default scale, as w, and mirrors them
-// into the second half with w + conj(w).
-func (bt *Bootstrapper) SlotsToCoeffs(ev *ckks.Evaluator, y *ckks.Ciphertext) (*ckks.Ciphertext, error) {
-	w, err := bt.evalStages(ev, y, bt.s2c, bt.params.DefaultScale())
-	if err != nil {
-		return nil, err
-	}
-	return addConjugate(ev, w)
-}
-
-// addConjugate returns ct + conj(ct), twice the real part of its slots.
-func addConjugate(ev *ckks.Evaluator, ct *ckks.Ciphertext) (*ckks.Ciphertext, error) {
-	c, err := ev.Conjugate(ct)
-	if err != nil {
-		return nil, err
-	}
-	return ev.Add(ct, c)
-}
-
-// EvalMod is step 4 on the first coefficient half: the cosine
-// interpolation followed by the double-angle iterations, producing
-// sin(2*pi*t/q0) (up to the folded constants).
-func (bt *Bootstrapper) EvalMod(ev *ckks.Evaluator, ct *ckks.Ciphertext) (*ckks.Ciphertext, error) {
-	y, err := ev.EvaluatePolynomial(ct, bt.evalMod, bt.circuitScale)
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < bt.bp.DoubleAngle; i++ {
-		sq, err := ev.Mul(y, y)
 		if err != nil {
-			return nil, err
-		}
-		dbl, err := ev.Add(sq, sq)
-		if err != nil {
-			return nil, err
-		}
-		dbl = ev.AddConst(dbl, -1)
-		rl, err := ev.Relinearize(dbl)
-		if err != nil {
-			return nil, err
-		}
-		y, err = ev.Rescale(rl)
-		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("bootstrap: %s at level %d: %w", op.Name, op.Level, err)
 		}
 	}
-	return y, nil
+	return x, nil
 }

@@ -27,7 +27,7 @@ import (
 // under the default K = 16 the integer part of one coefficient in a few
 // hundred thousand falls outside the interpolated range, which a ring of
 // 8192 coefficients meets every few dozen bootstraps.
-func refreshError(t *testing.T, slots, c2sStages, s2cStages int, observe func(string, time.Duration)) (worst float64, used bootstrap.Parameters, schedule []bootstrap.Step) {
+func refreshError(t *testing.T, slots, c2sStages, s2cStages int, observe func(string, time.Duration)) (worst float64, used bootstrap.Parameters, schedule []bootstrap.Op) {
 	t.Helper()
 	bp := bootstrap.Parameters{K: 24, DoubleAngle: 4, C2SStages: c2sStages, S2CStages: s2cStages}
 	lit, target, boot, err := ckksir.SelectParameters([]int{2, 2}, slots, ckksir.Options{LogScale: 40, IgnoreSecurity: true, Boot: bp})
@@ -81,20 +81,56 @@ func refreshError(t *testing.T, slots, c2sStages, s2cStages int, observe func(st
 	for i := range got {
 		worst = math.Max(worst, math.Max(math.Abs(real(got[i]-values[i])), math.Abs(imag(got[i]))))
 	}
+	schedule = bootstrap.Schedule(*boot, params.LogN(), target)
+	checkSchedule(t, schedule, *boot, target, bt.StageDiagonals())
 	// One bootstrap encodes every stage's diagonals once, and a staged
 	// transform has few: nothing slots × slots exists anywhere.
-	schedule = bootstrap.Schedule(*boot, params.LogN(), target)
-	if top := schedule[1].Level; schedule[0].Level != 0 || top-target != bootstrap.CircuitDepth(*boot) {
-		t.Errorf("schedule starts at level %d and raises to level %d, %d above the target; the circuit is %d deep", schedule[0].Level, top, top-target, bootstrap.CircuitDepth(*boot))
-	}
 	diags := 0
-	for _, s := range schedule {
-		diags += s.Diags
+	for _, op := range schedule {
+		diags += op.Split.Masks
 	}
 	if st := bt.TableStats(); st.Entries != diags || st.Misses != uint64(diags) || st.Hits != 0 {
 		t.Errorf("%d slots in %d/%d stages: diagonal tables at %+v after one bootstrap, want %d entries", slots, boot.C2SStages, boot.S2CStages, st, diags)
 	}
 	return worst, *boot, schedule
+}
+
+// checkSchedule holds the op list of a bootstrap to the target level to
+// the circuit: the level falls only at an op that consumes one (a stage
+// matrix or rescale one, the polynomial its plan's depth), and between
+// the real part at level 0 and the first stage matrix, where the raise
+// lifts it to target + CircuitDepth; the list ends on the target; the
+// stage matrices come in order and have the diagonals of the
+// bootstrapper's.
+func checkSchedule(t *testing.T, ops []bootstrap.Op, bp bootstrap.Parameters, target int, stageDiags []int) {
+	t.Helper()
+	level, stage := 0, 0
+	for i, op := range ops {
+		if op.Name == bootstrap.OpLinear && stage == 0 {
+			if top := op.Level; top-target != bootstrap.CircuitDepth(bp) {
+				t.Errorf("op %d: raised to level %d, %d above the target; the circuit is %d deep", i, top, top-target, bootstrap.CircuitDepth(bp))
+			}
+			level = op.Level
+		}
+		if op.Level != level {
+			t.Errorf("op %d (%s) enters at level %d, the op before left level %d", i, op.Name, op.Level, level)
+		}
+		switch op.Name {
+		case bootstrap.OpLinear:
+			if op.Stage != stage || stage >= len(stageDiags) || op.Split.Masks != stageDiags[stage] {
+				t.Errorf("op %d: stage %d of %d diagonals; the bootstrapper's stage %d has %v", i, op.Stage, op.Split.Masks, stage, stageDiags)
+			}
+			stage++
+			level--
+		case bootstrap.OpRescale:
+			level--
+		case bootstrap.OpPoly:
+			level -= op.Plan.Depth()
+		}
+	}
+	if level != target || stage != len(stageDiags) {
+		t.Errorf("schedule ends at level %d after %d stage matrices; target %d, %d stages", level, stage, target, len(stageDiags))
+	}
 }
 
 // refreshBudget is TestBootstrapRefreshesCiphertext's threshold: staging
@@ -135,7 +171,7 @@ func refreshAtCompilerStages(t *testing.T, slots int) {
 // TestScheduleMatchesRuntime holds the schedule every model folds over to
 // the bootstrap the runtime executes: counting the fused kernels of one
 // real bootstrap, each key switch outside the transforms (the three
-// conjugations, EvalMod's relinearisations and double angles) is one
+// conjugations, EvalMod's and the double angles' relinearisations) is one
 // decomposition, one key product and one division, and a
 // stage matrix of n1 baby and n2 giant steps adds [n1 > 1] + n2 − 1
 // decompositions, n1 − 1 + n2 − 1 key products and n2 divisions.
@@ -145,29 +181,28 @@ func TestScheduleMatchesRuntime(t *testing.T) {
 			got := map[string]int{}
 			_, _, schedule := refreshError(t, c.slots, c.c2s, c.s2c, func(op string, _ time.Duration) { got[op]++ })
 			want := map[string]int{}
-			for _, s := range schedule {
-				switch s.Kind {
-				case bootstrap.StepC2S, bootstrap.StepS2C:
-					n1, n2 := kswork.BabySteps(s.Diags), kswork.GiantSteps(s.Diags)
+			for _, op := range schedule {
+				switches := 0
+				switch op.Name {
+				case bootstrap.OpLinear:
+					n1, n2 := kswork.BabySteps(op.Split.Masks), kswork.GiantSteps(op.Split.Masks)
 					if n1 > 1 {
 						want["poly.decomp_modup"]++
 					}
 					want["poly.decomp_modup"] += n2 - 1
 					want["poly.hw_modmuladd"] += n1 - 1 + n2 - 1
 					want["poly.mod_down"] += n2
-				default:
-					switches := 1
-					if s.Kind == bootstrap.StepEvalMod {
-						switches = 0
-						s.Plan.Walk(func(st poly.Step, _ int) {
-							if st == poly.StepRelin {
-								switches++
-							}
-						})
-					}
-					for _, k := range []string{"poly.decomp_modup", "poly.hw_modmuladd", "poly.mod_down"} {
-						want[k] += switches
-					}
+				case bootstrap.OpConjugate, bootstrap.OpRelin:
+					switches = 1
+				case bootstrap.OpPoly:
+					op.Plan.Walk(func(st poly.Step, _ int) {
+						if st == poly.StepRelin {
+							switches++
+						}
+					})
+				}
+				for _, k := range []string{"poly.decomp_modup", "poly.hw_modmuladd", "poly.mod_down"} {
+					want[k] += switches
 				}
 			}
 			if !maps.Equal(got, want) {

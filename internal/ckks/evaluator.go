@@ -384,17 +384,3 @@ func (ev *Evaluator) keySwitch(c1 *ring.Poly, swk *SwitchingKey) (d0, d1 *ring.P
 	defer h.Release()
 	return ev.keySwitchHoisted(h, nil, swk)
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

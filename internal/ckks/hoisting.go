@@ -37,10 +37,10 @@ func (ev *Evaluator) observe(op string, start time.Time) {
 // function of c1. The baby-step/giant-step kernel (EvaluateBSGS: linear
 // layers and the bootstrapping DFTs) shares it across its baby steps.
 
-// Decomposition holds the NTT-domain digit decomposition of one
+// decomposition holds the NTT-domain digit decomposition of one
 // ciphertext's c1 over the basis Q∪P. Its polynomials are pooled
 // scratch: whoever ends up holding the decomposition must call Release.
-type Decomposition struct {
+type decomposition struct {
 	level  int
 	rQ, rP *ring.Ring
 	tQ     []*ring.Poly // per digit, rows 0..level
@@ -49,7 +49,7 @@ type Decomposition struct {
 
 // Release returns the decomposition's polynomials to the ring pools. It
 // is idempotent.
-func (h *Decomposition) Release() {
+func (h *decomposition) Release() {
 	for _, p := range h.tQ {
 		h.rQ.PutPoly(p)
 	}
@@ -63,7 +63,7 @@ func (h *Decomposition) Release() {
 // (NTT domain, at its level) with the fused decomp_modup kernel: each
 // digit is decomposed, base-extended and forward-NTT'd row by row
 // without materialising a coefficient-domain intermediate.
-func (ev *Evaluator) decomposeForKeySwitch(c1 *ring.Poly) *Decomposition {
+func (ev *Evaluator) decomposeForKeySwitch(c1 *ring.Poly) *decomposition {
 	t0 := time.Now()
 	params := ev.params
 	rQ, rP := params.RingQ(), params.RingP()
@@ -76,7 +76,7 @@ func (ev *Evaluator) decomposeForKeySwitch(c1 *ring.Poly) *Decomposition {
 	c1.Copy(c1c)
 	rQ.INTT(c1c, c1c)
 
-	h := &Decomposition{level: level, rQ: rQ, rP: rP}
+	h := &decomposition{level: level, rQ: rQ, rP: rP}
 	for d := 0; d < digits; d++ {
 		start := d * alpha
 		end := start + alpha
@@ -131,7 +131,7 @@ func (s *keySwitchSum) release(rQ, rP *ring.Ring) {
 // one reduction per digit sum, the running sum entering the same
 // accumulator. Permuting the digits inside the product is what makes a
 // decomposition shareable between rotations.
-func (ev *Evaluator) addKeySwitch(sum *keySwitchSum, h *Decomposition, idx []int, swk *SwitchingKey) error {
+func (ev *Evaluator) addKeySwitch(sum *keySwitchSum, h *decomposition, idx []int, swk *SwitchingKey) error {
 	rQ, rP := ev.params.RingQ(), ev.params.RingP()
 	nd := len(h.tQ)
 	if nd > len(swk.BQ) {
@@ -166,7 +166,7 @@ func (ev *Evaluator) modDown(sum *keySwitchSum) {
 // through idx (nil for none): inner product, then the divide-by-P tail.
 // The returned polynomials are pooled scratch at the decomposition's
 // level, owned by the caller.
-func (ev *Evaluator) keySwitchHoisted(h *Decomposition, idx []int, swk *SwitchingKey) (d0, d1 *ring.Poly, err error) {
+func (ev *Evaluator) keySwitchHoisted(h *decomposition, idx []int, swk *SwitchingKey) (d0, d1 *ring.Poly, err error) {
 	sum := ev.newKeySwitchSum(h.level)
 	if err = ev.addKeySwitch(sum, h, idx, swk); err == nil {
 		ev.modDown(sum)
@@ -192,7 +192,7 @@ func (ev *Evaluator) automorphism(ct *Ciphertext, gal uint64) (*Ciphertext, erro
 // automorphismHoisted is automorphism from h, the decomposition of ct's
 // c1, which it may share with other automorphisms of ct: the bytes are
 // the same either way.
-func (ev *Evaluator) automorphismHoisted(ct *Ciphertext, h *Decomposition, gal uint64) (*Ciphertext, error) {
+func (ev *Evaluator) automorphismHoisted(ct *Ciphertext, h *decomposition, gal uint64) (*Ciphertext, error) {
 	level := ct.Level()
 	if len(h.tQ) == 0 {
 		return nil, fmt.Errorf("ckks: rotation from a released decomposition")

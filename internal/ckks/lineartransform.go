@@ -218,7 +218,7 @@ func (ev *Evaluator) EvaluateBSGS(ct *Ciphertext, terms []BSGSTerm) (*Ciphertext
 	getSum := func() *keySwitchSum {
 		return &keySwitchSum{q0: getQ(), q1: getQ(), p0: getP(), p1: getP(), empty: true}
 	}
-	var h *Decomposition
+	var h *decomposition
 	defer func() {
 		for _, p := range scratchQ {
 			rQ.PutPoly(p)

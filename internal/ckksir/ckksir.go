@@ -45,6 +45,16 @@ const (
 	OpReinterpret = "ckks.reinterpret"
 )
 
+// PlanOps names the instruction each step of a polynomial's evaluation
+// plan runs as.
+var PlanOps = [...]string{
+	poly.StepMul:      OpMul,
+	poly.StepRelin:    OpRelin,
+	poly.StepRescale:  OpRescale,
+	poly.StepMulConst: OpMulConst,
+	poly.StepAdd:      OpAdd,
+}
+
 func init() {
 	C := []ir.Kind{ir.KindCipher}
 	C3 := []ir.Kind{ir.KindCipher3}
@@ -293,33 +303,36 @@ func dftStages(bp bootstrap.Parameters, logN, target int, special func(extra int
 }
 
 // bootstrapWork counts the key-switching work of one bootstrap to the
-// target level, step by step of its schedule.
+// target level, instruction by instruction of its schedule.
 func bootstrapWork(g kswork.Geometry, target int, bp bootstrap.Parameters) float64 {
 	var work kswork.Work
-	for _, s := range bootstrap.Schedule(bp, g.LogN, target) {
-		work = work.Plus(stepWork(g, s))
+	for _, op := range bootstrap.Schedule(bp, g.LogN, target) {
+		work = work.Plus(instrWork(g, op.Priced(), op.Level, op.Split, op.Plan))
 	}
 	return work.Units()
 }
 
-// stepWork counts one step of the bootstrap schedule: a stage matrix as
-// the fused transform runs it, EvalMod's relinearisations each at the
-// level its evaluation plan puts it, and one key switch for the
-// conjugation or a double angle.
-func stepWork(g kswork.Geometry, s bootstrap.Step) kswork.Work {
-	switch s.Kind {
-	case bootstrap.StepC2S, bootstrap.StepS2C:
-		return g.LinearTransform(kswork.DFTSplit(s.Diags), s.Level)
-	case bootstrap.StepEvalMod:
+// instrWork counts the key switching of one instruction entering at the
+// given level: a linear transform of split s as the fused kernel runs it,
+// a polynomial's relinearisations each at the level its evaluation plan
+// puts it, one key switch for a rotation or relinearisation, none for the
+// rest.
+func instrWork(g kswork.Geometry, op string, level int, s kswork.Split, pl *poly.Plan) kswork.Work {
+	switch op {
+	case OpLinear:
+		return g.LinearTransform(s, level)
+	case OpPoly:
 		var w kswork.Work
-		s.Plan.Walk(func(st poly.Step, depth int) {
+		pl.Walk(func(st poly.Step, depth int) {
 			if st == poly.StepRelin {
-				w = w.Plus(g.KeySwitch(s.Level - depth))
+				w = w.Plus(g.KeySwitch(level - depth))
 			}
 		})
 		return w
+	case OpRotate, OpRelin:
+		return g.KeySwitch(level)
 	}
-	return g.KeySwitch(s.Level)
+	return kswork.Work{}
 }
 
 // SelectParameters derives the parameter literal from the planned
@@ -770,11 +783,4 @@ func (st *lowerState) findReluInput(src *ir.Func, stage *ir.Instr, vals map[*ir.
 		}
 	}
 	return nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -381,3 +381,42 @@ func TestArtifactRefusesOtherVersions(t *testing.T) {
 		t.Fatalf("got %v, want a version error", err)
 	}
 }
+
+// TestBootstrapOpsAreProgramOps pins the bootstrap circuit's instruction
+// names, which package bootstrap declares as strings because it cannot
+// import this one, to the opcodes of compiled programs: every reader
+// that prices a program instruction prices the circuit's the same way.
+// The conjugation and the constant addition are no IR op and are priced
+// as the rotation and the plaintext addition they run as.
+func TestBootstrapOpsAreProgramOps(t *testing.T) {
+	for got, want := range map[string]string{
+		bootstrap.OpAdd:     OpAdd,
+		bootstrap.OpMul:     OpMul,
+		bootstrap.OpRelin:   OpRelin,
+		bootstrap.OpRescale: OpRescale,
+		bootstrap.OpLinear:  OpLinear,
+		bootstrap.OpPoly:    OpPoly,
+	} {
+		if got != want {
+			t.Errorf("bootstrap names %q, the program opcode is %q", got, want)
+		}
+	}
+	for name, priced := range map[string]string{bootstrap.OpConjugate: OpRotate, bootstrap.OpAddConst: OpAddPlain} {
+		if _, ok := ir.LookupOp(name); ok {
+			t.Errorf("%s is a registered IR op", name)
+		}
+		if got := (bootstrap.Op{Name: name}).Priced(); got != priced {
+			t.Errorf("%s priced as %q, want %q", name, got, priced)
+		}
+	}
+	seen := map[string]bool{}
+	for _, op := range bootstrap.Schedule(bootstrap.Parameters{}, 12, 3) {
+		seen[op.Name] = true
+		if _, ok := ir.LookupOp(op.Priced()); !ok {
+			t.Errorf("%s is priced as %q, which is no IR op", op.Name, op.Priced())
+		}
+	}
+	if len(seen) != 8 {
+		t.Errorf("schedule uses %d instruction names, want all 8: %v", len(seen), seen)
+	}
+}

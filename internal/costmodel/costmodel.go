@@ -60,7 +60,7 @@ type Calibration struct {
 	ModDownPerUnit float64 `json:"moddown_per_unit,omitempty"`
 
 	// PolyScale and BootstrapScale are composite corrections applied to
-	// the structural polyEvalCost / bootstrapCost estimates; 0 (or 1)
+	// the structural ckks.poly (opCost) / bootstrapCost estimates; 0 (or 1)
 	// means no correction. FromProfile's schedule fit sets them so the
 	// macro-op predictions track the live measurements.
 	PolyScale      float64 `json:"poly_scale,omitempty"`
@@ -100,27 +100,36 @@ func DefaultCalibration() Calibration {
 	}
 }
 
-// calIters/calWarmup are the timed and discarded iteration counts of
-// every microbenchmark loop in Calibrate. The warmup iterations matter:
-// the first NTT call on a fresh ring builds twiddle tables, and the
-// first pass over any pooled polynomial faults its pages in — timing
-// those inside the mean used to inflate the constants.
+// calWarmup, calRounds and calIters shape every microbenchmark loop in
+// Calibrate: calWarmup discarded iterations, then calRounds timed rounds
+// of calIters iterations, of which the fastest counts. The warmup
+// matters: the first NTT call on a fresh ring builds twiddle tables, and
+// the first pass over any pooled polynomial faults its pages in. The
+// fastest round matters on a shared machine: a loop of a few
+// milliseconds that the scheduler preempts once reads up to several
+// times its time, and one such window in a mean had inflated a constant
+// enough to put a whole Figure 6 category past twice its measurement.
 const (
-	calIters  = 50
 	calWarmup = 8
+	calRounds = 7
+	calIters  = 10
 )
 
-// bench times fn over calIters iterations after calWarmup discarded
-// warmup iterations, returning seconds per iteration.
+// bench times fn after calWarmup discarded iterations and returns the
+// seconds per iteration of the fastest of calRounds rounds.
 func bench(fn func()) float64 {
 	for i := 0; i < calWarmup; i++ {
 		fn()
 	}
-	start := time.Now()
-	for i := 0; i < calIters; i++ {
-		fn()
+	best := math.Inf(1)
+	for r := 0; r < calRounds; r++ {
+		start := time.Now()
+		for i := 0; i < calIters; i++ {
+			fn()
+		}
+		best = math.Min(best, time.Since(start).Seconds())
 	}
-	return time.Since(start).Seconds() / float64(calIters)
+	return best / calIters
 }
 
 // Calibrate microbenchmarks the runtime at a small ring degree and
@@ -223,7 +232,7 @@ func Calibrate() (Calibration, error) {
 	}
 	geom.Cal = c
 	c.KeySwitchMeasuredSec = rotTime
-	c.KeySwitchPredictedSec, _ = geom.opCost(ckksir.OpRotate, level)
+	c.KeySwitchPredictedSec, _ = geom.opCost(ckksir.OpRotate, level, kswork.Split{}, nil)
 	return c, nil
 }
 
@@ -354,49 +363,83 @@ func scaleOr(v, s float64) float64 {
 // ckksir lowering keeps the level across add/mul/rotate and rescales
 // explicitly), so it is passed straight into the level-in methods. A
 // rescale's Result.Level is the post-rescale level — the ciphertext
-// entered one level higher, hence Rescale(level+1). A linear layer is
-// priced at its input's level, the fused kernel it runs as.
+// entered one level higher, hence level+1. A linear layer and a
+// polynomial are priced at their input's level, the fused kernel and the
+// evaluation plan they run as.
 func (m *Model) InferenceCost(res *ckksir.Result) Breakdown {
 	var b Breakdown
 	for _, in := range res.Module.Main().Body {
-		level := in.Result.Level
+		level, split, plan, scale := in.Result.Level, kswork.Split{}, (*poly.Plan)(nil), 0.0
 		switch in.Op {
 		case ckksir.OpEncode:
 			b.Setup += m.ntt(m.plainRows(in))
-		case ckksir.OpLinear:
-			b.Add(CatConv, m.linearTransformCost(ckksir.LinearSplit(in), in.Args[0].Level))
-		case ckksir.OpPoly:
-			b.Add(CatReLU, scaleOr(m.polyInstrCost(in), m.Cal.PolyScale))
+			continue
 		case ckksir.OpBootstrap:
 			b.Add(CatBootstrap, scaleOr(m.bootstrapCost(in.AttrInt("target", 1), bootParams(res)), m.Cal.BootstrapScale))
-		default:
-			if in.Op == ckksir.OpRescale {
-				level++ // entered at level+1, dropped to level
-			}
-			if c, ok := m.opCost(in.Op, level); ok {
-				b.Add(CategoryOfOp(in.Op), c)
-			}
+			continue
+		case ckksir.OpRescale:
+			level++ // entered at level+1, dropped to level
+		case ckksir.OpLinear:
+			level, split = in.Args[0].Level, ckksir.LinearSplit(in)
+		case ckksir.OpPoly:
+			level, plan, scale = in.Args[0].Level, polyPlan(in), m.Cal.PolyScale
+		}
+		if c, ok := m.opCost(in.Op, level, split, plan); ok {
+			b.Add(CategoryOfOp(in.Op), scaleOr(c, scale))
 		}
 	}
 	return b
 }
 
-// opCost prices one primitive instruction entering at the given level —
-// InferenceCost's price per op, and the one FromProfile fits constants
-// against. ok is false for the ops priced otherwise (encode, poly,
-// bootstrap) or free (level and scale bookkeeping).
-func (m *Model) opCost(op string, level int) (cost float64, ok bool) {
+// opCost prices one instruction entering at the given level — every
+// program instruction InferenceCost prices and every instruction of the
+// bootstrap circuit, and the price FromProfile fits constants against: a
+// linear transform by its split s, a polynomial by its evaluation plan
+// pl, every other instruction by its opcode alone. ok is false for the
+// ops priced otherwise (encode, bootstrap) or free (level and scale
+// bookkeeping).
+//
+// A linear transform is the fused baby-step/giant-step evaluation of s,
+// as ckks.EvaluateBSGS runs a DFT stage or a ckks.linear
+// (kswork.LinearTransform counts the kernels: one hoisted decomposition,
+// a key product per baby step kept over Q∪P, the inner sums, per giant
+// step half a division, a decomposition and a key product into the one
+// accumulator that is divided at the end). On top of the kernels come
+// the input transforms of the decompositions, one rescale, and the
+// pointwise passes around the key products, priced as a rotation's slot
+// permutation is: the input's halves lifted by P, each baby's permuted
+// c0 added in, and each giant's c0 half permuted and added over Q∪P and
+// its c1 half permuted over Q. A polynomial is every operation of its
+// plan as the instruction it runs as, at the level the plan puts it.
+func (m *Model) opCost(op string, level int, s kswork.Split, pl *poly.Plan) (cost float64, ok bool) {
+	r := level + 1
 	switch op {
 	case ckksir.OpAdd, ckksir.OpAddPlain, ckksir.OpMulPlain, ckksir.OpMulConst:
-		return 2 * m.pw(level+1), true
+		return 2 * m.pw(r), true
 	case ckksir.OpMul:
-		return 5 * m.pw(level+1), true
+		return 5 * m.pw(r), true
 	case ckksir.OpRelin:
 		return m.KeySwitch(level), true
 	case ckksir.OpRotate:
-		return m.KeySwitch(level) + 2*m.pw(level+1), true // plus the slot permutation
+		return m.KeySwitch(level) + 2*m.pw(r), true // plus the slot permutation
 	case ckksir.OpRescale:
 		return m.Rescale(level), true
+	case ckksir.OpLinear:
+		decomps := s.Giants
+		if s.Babies > 0 {
+			decomps++
+		}
+		passes := float64(1+2*s.Babies+3*s.Giants)*m.pw(r) + float64(2*s.Giants)*m.pw(m.K)
+		if s.ZeroMasks > 0 {
+			passes += m.pw(r)
+		}
+		return m.fusedSeconds(m.LinearTransform(s, level)) + float64(decomps)*m.ntt(r) + m.Rescale(level) + passes, true
+	case ckksir.OpPoly:
+		pl.Walk(func(st poly.Step, depth int) {
+			c, _ := m.opCost(ckksir.PlanOps[st], level-depth, kswork.Split{}, nil)
+			cost += c
+		})
+		return cost, true
 	}
 	return 0, false
 }
@@ -418,60 +461,15 @@ func CategoryOfOp(op string) Category {
 	return CatConv
 }
 
-// polyInstrCost prices one ckks.poly instruction. A module that reached
-// the cost model has been lowered and verified, so only a compiler bug
-// leaves the polynomial undecodable.
-func (m *Model) polyInstrCost(in *ir.Instr) float64 {
+// polyPlan returns the evaluation plan of one ckks.poly instruction. A
+// module that reached the cost model has been lowered and verified, so
+// only a compiler bug leaves the polynomial undecodable.
+func polyPlan(in *ir.Instr) *poly.Plan {
 	p, err := poly.FromAttrs(in.Attrs)
 	if err != nil {
 		panic(fmt.Sprintf("costmodel: %s: %v", in.Op, err))
 	}
-	return m.polyEvalCost(poly.NewPlan(p), in.Args[0].Level)
-}
-
-// polyEvalCost prices the evaluation plan of one polynomial stage whose
-// input sits at the given level: every operation as the instruction it
-// runs as, at the level the plan puts it.
-func (m *Model) polyEvalCost(pl *poly.Plan, level int) float64 {
-	cost := 0.0
-	pl.Walk(func(s poly.Step, depth int) {
-		c, _ := m.opCost(planOps[s], level-depth)
-		cost += c
-	})
-	return cost
-}
-
-// planOps names the instruction each step of a polynomial plan runs as.
-var planOps = [...]string{
-	poly.StepMul:      ckksir.OpMul,
-	poly.StepRelin:    ckksir.OpRelin,
-	poly.StepRescale:  ckksir.OpRescale,
-	poly.StepMulConst: ckksir.OpMulConst,
-	poly.StepAdd:      ckksir.OpAdd,
-}
-
-// linearTransformCost prices the fused baby-step/giant-step evaluation
-// of split s entering at level, as ckks.EvaluateBSGS runs a DFT stage or
-// a ckks.linear (kswork.LinearTransform counts the kernels: one hoisted
-// decomposition, a key product per baby step kept over Q∪P, the inner
-// sums, per giant step half a division, a decomposition and a key product
-// into the one accumulator that is divided at the end). On top of the
-// kernels come the input transforms of the decompositions, one rescale,
-// and the pointwise passes around the key products, priced as a
-// rotation's slot permutation is (opCost): the input's halves lifted by
-// P, each baby's permuted c0 added in, and each giant's c0 half permuted
-// and added over Q∪P and its c1 half permuted over Q.
-func (m *Model) linearTransformCost(s kswork.Split, level int) float64 {
-	decomps := s.Giants
-	if s.Babies > 0 {
-		decomps++
-	}
-	r := level + 1
-	passes := float64(1+2*s.Babies+3*s.Giants)*m.pw(r) + float64(2*s.Giants)*m.pw(m.K)
-	if s.ZeroMasks > 0 {
-		passes += m.pw(r)
-	}
-	return m.fusedSeconds(m.LinearTransform(s, level)) + float64(decomps)*m.ntt(r) + m.Rescale(level) + passes
+	return poly.NewPlan(p)
 }
 
 // plainRows returns the rows an encode instruction's plaintext has: its
@@ -485,29 +483,15 @@ func (m *Model) plainRows(in *ir.Instr) int {
 }
 
 // bootstrapCost prices the circuit the runtime executes, with the DFT
-// stage counts the program was compiled with, step by step of its
-// schedule (bootstrap.Schedule).
+// stage counts the program was compiled with, instruction by instruction
+// of its schedule (bootstrap.Schedule).
 func (m *Model) bootstrapCost(target int, bp bootstrap.Parameters) float64 {
 	cost := 0.0
-	for _, s := range bootstrap.Schedule(bp, m.LogN, target) {
-		cost += m.stepCost(s)
+	for _, op := range bootstrap.Schedule(bp, m.LogN, target) {
+		c, _ := m.opCost(op.Priced(), op.Level, op.Split, op.Plan)
+		cost += c
 	}
 	return cost
-}
-
-// stepCost prices one step of the bootstrap schedule at the level it
-// enters at, every Rescale at the level the ciphertext enters it with.
-func (m *Model) stepCost(s bootstrap.Step) float64 {
-	l := s.Level
-	switch s.Kind {
-	case bootstrap.StepC2S, bootstrap.StepS2C:
-		return m.linearTransformCost(kswork.DFTSplit(s.Diags), l)
-	case bootstrap.StepConjugate:
-		return m.KeySwitch(l) + 4*m.pw(l+1) // the rotation with its slot permutation, then ct + conj(ct)
-	case bootstrap.StepEvalMod:
-		return m.polyEvalCost(s.Plan, l)
-	}
-	return 5*m.pw(l+1) + m.KeySwitch(l) + m.Rescale(l) // a double angle
 }
 
 // bootParams returns the bootstrap configuration a program was compiled

@@ -168,7 +168,7 @@ func TestInferenceCostLevelAccounting(t *testing.T) {
 // Nothing is priced at a guessed level.
 func TestPolyEvalCostFollowsThePlan(t *testing.T) {
 	m := &Model{Cal: DefaultCalibration(), Geometry: kswork.Geometry{LogN: 12, K: 2}}
-	got := m.polyEvalCost(poly.NewPlan(poly.NewMonomial(0, 0.5, 0, -0.25)), 5)
+	got, _ := m.opCost(ckksir.OpPoly, 5, kswork.Split{}, poly.NewPlan(poly.NewMonomial(0, 0.5, 0, -0.25)))
 	want := 5*m.pw(6) + m.KeySwitch(5) + m.Rescale(5) + // x²
 		2*m.pw(6) + m.Rescale(5) + // c3·x
 		5*m.pw(5) + 2*m.pw(5) + 2*m.pw(5) + m.KeySwitch(4) + m.Rescale(4) // root
@@ -200,14 +200,14 @@ func TestInferenceCostPricesLinearBelowItsExpansion(t *testing.T) {
 
 	m := &Model{Cal: DefaultCalibration(), Geometry: kswork.Geometry{LogN: 12, K: 2}}
 	cost := m.InferenceCost(&ckksir.Result{Module: mod})
-	if want := m.linearTransformCost(ckksir.LinearSplit(lin.Def), 3); cost.Conv != want || cost.Total() != want {
+	if want, _ := m.opCost(ckksir.OpLinear, 3, ckksir.LinearSplit(lin.Def), nil); cost.Conv != want || cost.Total() != want {
 		t.Fatalf("priced %+v, want %g of Conv", cost, want)
 	}
 	if want := 4*m.ntt(4+2) + 2*m.ntt(4); math.Abs(cost.Setup/want-1) > 1e-12 {
 		t.Errorf("masks encode for %g, want %g (rows over Q∪P, over Q against b = 0)", cost.Setup, want)
 	}
-	rotate3, _ := m.opCost(ckksir.OpRotate, 3)
-	mulAdd, _ := m.opCost(ckksir.OpMulPlain, 3)
+	rotate3, _ := m.opCost(ckksir.OpRotate, 3, kswork.Split{}, nil)
+	mulAdd, _ := m.opCost(ckksir.OpMulPlain, 3, kswork.Split{}, nil)
 	expansion := 3*rotate3 + 11*mulAdd + m.Rescale(3)
 	if cost.Conv >= expansion {
 		t.Errorf("linear layer priced %g, its expansion %g", cost.Conv, expansion)

@@ -53,14 +53,15 @@ func trajLevels(snap obs.ProfileSnapshot) map[string][]int {
 
 // meanOpCost returns the model's mean price of one opcode over its
 // trajectory levels (Model.opCost, InferenceCost's price), and whether
-// the op is a primitive the fit understands.
+// the op is a primitive the fit understands: a linear layer and a
+// polynomial are priced from attributes a profile row does not carry.
 func meanOpCost(m *Model, op string, levels []int) (float64, bool) {
-	if len(levels) == 0 {
+	if len(levels) == 0 || op == ckksir.OpLinear || op == ckksir.OpPoly {
 		return 0, false
 	}
 	sum := 0.0
 	for _, l := range levels {
-		c, ok := m.opCost(op, l)
+		c, ok := m.opCost(op, l, kswork.Split{}, nil)
 		if !ok {
 			return 0, false
 		}
@@ -218,7 +219,7 @@ func FromProfile(snap obs.ProfileSnapshot, prog *ir.Func, geom kswork.Geometry, 
 	// Anchor them on the measured rotate/relin/linear op means: one
 	// uniform rescale of the three units makes the model reproduce the
 	// measured key-switch totals at the levels the trajectory recorded.
-	// A linear layer's kernels are its split's (linearTransformCost).
+	// A linear layer's kernels are its split's (opCost).
 	mc := &Model{Cal: c, Geometry: geom}
 	var measKs, fixedKs, kernKs float64
 	for _, op := range []string{ckksir.OpRotate, ckksir.OpRelin} {
@@ -229,7 +230,7 @@ func FromProfile(snap obs.ProfileSnapshot, prog *ir.Func, geom kswork.Geometry, 
 		w := float64(st.Count) / float64(len(levels[op]))
 		for _, l := range levels[op] {
 			kern := mc.fusedSeconds(mc.Geometry.KeySwitch(l))
-			price, _ := mc.opCost(op, l)
+			price, _ := mc.opCost(op, l, kswork.Split{}, nil)
 			kernKs += w * kern
 			fixedKs += w * (price - kern) // the input transform, a rotation's slot permutation
 		}
@@ -240,7 +241,8 @@ func FromProfile(snap obs.ProfileSnapshot, prog *ir.Func, geom kswork.Geometry, 
 		for _, r := range linears {
 			kern := mc.fusedSeconds(mc.LinearTransform(r.split, r.level))
 			kernKs += w * kern
-			fixedKs += w * (mc.linearTransformCost(r.split, r.level) - kern)
+			price, _ := mc.opCost(ckksir.OpLinear, r.level, r.split, nil)
+			fixedKs += w * (price - kern)
 		}
 		measKs += st.TotalMs / 1e3
 	}
@@ -259,7 +261,8 @@ func FromProfile(snap obs.ProfileSnapshot, prog *ir.Func, geom kswork.Geometry, 
 		if st.Op == ckksir.OpLinear && len(linears) > 0 {
 			pm, ok = 0, true
 			for _, r := range linears {
-				pm += fitted.linearTransformCost(r.split, r.level) / float64(len(linears))
+				price, _ := fitted.opCost(ckksir.OpLinear, r.level, r.split, nil)
+				pm += price / float64(len(linears))
 			}
 		}
 		if !ok {
@@ -290,7 +293,8 @@ func FitSchedule(cal Calibration, geom kswork.Geometry, res *ckksir.Result, snap
 	for _, in := range res.Module.Main().Body {
 		switch in.Op {
 		case ckksir.OpPoly:
-			predPoly += m.polyInstrCost(in)
+			price, _ := m.opCost(in.Op, in.Args[0].Level, kswork.Split{}, polyPlan(in))
+			predPoly += price
 		case ckksir.OpBootstrap:
 			predBoot += m.bootstrapCost(in.AttrInt("target", 1), bootParams(res))
 		}

@@ -188,7 +188,8 @@ func TestFromProfileAnchorsOnLinear(t *testing.T) {
 	truth.MulAddPerUnit *= 1.6
 	truth.ModDownPerUnit *= 1.6
 	const runs = 3
-	ms := (&Model{Cal: truth, Geometry: geom}).linearTransformCost(ckksir.LinearSplit(lin.Def), 3) * 1e3
+	price, _ := (&Model{Cal: truth, Geometry: geom}).opCost(ckksir.OpLinear, 3, ckksir.LinearSplit(lin.Def), nil)
+	ms := price * 1e3
 	snap := obs.ProfileSnapshot{
 		Runs:           runs,
 		Ops:            []obs.OpStat{{Op: ckksir.OpLinear, Count: runs, MeanMs: ms, TotalMs: ms * runs}},

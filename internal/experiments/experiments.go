@@ -21,7 +21,6 @@ import (
 	"antace/internal/core"
 	"antace/internal/costmodel"
 	"antace/internal/dataset"
-	"antace/internal/kswork"
 	"antace/internal/onnx"
 	"antace/internal/sihe"
 	"antace/internal/tensor"
@@ -234,9 +233,9 @@ type Fig7Row struct {
 // Stages that share a rotation make it an upper bound.
 func bootstrapRotationCount(res *ckksir.Result) int {
 	keys := 0
-	for _, s := range bootstrap.Schedule(*res.Boot, res.Literal.LogN, res.TargetLevel) {
-		if s.Kind == bootstrap.StepC2S || s.Kind == bootstrap.StepS2C {
-			keys += kswork.BabySteps(s.Diags) - 1 + kswork.GiantSteps(s.Diags) - 1
+	for _, op := range bootstrap.Schedule(*res.Boot, res.Literal.LogN, res.TargetLevel) {
+		if op.Name == bootstrap.OpLinear {
+			keys += op.Split.Babies + op.Split.Giants
 		}
 	}
 	return keys

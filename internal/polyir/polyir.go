@@ -3,8 +3,8 @@
 // a future hardware accelerator) executes — NTTs, per-modulus
 // element-wise loops, digit decomposition/base extension, and modulus
 // reduction — annotated with their residue counts. A bootstrap expands
-// into the steps of its schedule (bootstrap.Schedule), each stage matrix
-// as the fused baby-step/giant-step kernel runs it. Two optimisation
+// instruction by instruction of its schedule (bootstrap.Schedule), with
+// the code that expands the program's own instructions. Two optimisation
 // passes mirror the paper's POLY-level techniques: operator fusion
 // (decomp+mod_up, modmul+modadd) and RNS loop fusion, which merges
 // adjacent element-wise loops with identical trip counts to cut memory
@@ -70,46 +70,35 @@ func Lower(res *ckksir.Result) (*ir.Module, error) {
 	}}
 
 	for _, in := range src.Body {
-		l := in.Result.Level
-		r := l + 1
+		level, split, plan := in.Result.Level, kswork.Split{}, (*poly.Plan)(nil)
 		switch in.Op {
 		case ckksir.OpEncode:
+			r := level + 1
 			if in.Attr("qp") == true {
 				r += g.K
 			}
 			e.emit(OpNTT, r, 1)
-		case ckksir.OpAdd:
-			e.emit(OpModAdd, r, 2)
-		case ckksir.OpAddPlain:
-			e.emit(OpModAdd, r, 1)
-		case ckksir.OpMulPlain, ckksir.OpMulConst:
-			e.emit(OpModMul, r, 2)
-		case ckksir.OpMul:
-			e.mul(l)
-		case ckksir.OpRelin:
-			e.relin(l)
-		case ckksir.OpRotate:
-			e.rotate(l)
-		case ckksir.OpLinear:
-			e.linearTransform(ckksir.LinearSplit(in), in.Args[0].Level)
+			continue
+		case ckksir.OpBootstrap:
+			if res.Boot == nil {
+				return nil, fmt.Errorf("polyir: %s in a program compiled without a bootstrap circuit", in.Op)
+			}
+			for _, op := range bootstrap.Schedule(*res.Boot, g.LogN, in.AttrInt("target", 1)) {
+				e.instr(op.Priced(), op.Level, op.Split, op.Plan)
+			}
+			continue
 		case ckksir.OpRescale:
-			e.emit(OpRescale, r, 2)
-		case ckksir.OpModSwitch, ckksir.OpReinterpret:
-			// Dropping RNS rows / re-declaring scale is free.
+			level++ // entered at level+1, dropped to level
+		case ckksir.OpLinear:
+			level, split = in.Args[0].Level, ckksir.LinearSplit(in)
 		case ckksir.OpPoly:
 			p, err := poly.FromAttrs(in.Attrs)
 			if err != nil {
 				return nil, fmt.Errorf("polyir: %s: %w", in.Op, err)
 			}
-			e.polyEval(poly.NewPlan(p), in.Args[0].Level)
-		case ckksir.OpBootstrap:
-			if res.Boot == nil {
-				return nil, fmt.Errorf("polyir: %s in a program compiled without a bootstrap circuit", in.Op)
-			}
-			for _, st := range bootstrap.Schedule(*res.Boot, g.LogN, in.AttrInt("target", 1)) {
-				e.bootstrapStep(st)
-			}
-		default:
+			level, plan = in.Args[0].Level, poly.NewPlan(p)
+		}
+		if !e.instr(in.Op, level, split, plan) {
 			return nil, fmt.Errorf("polyir: cannot lower %q", in.Op)
 		}
 	}
@@ -188,25 +177,39 @@ func (e *expander) rotate(level int) {
 	e.emit(OpModAdd, r, 1)
 }
 
-// polyEval expands the evaluation plan of a polynomial whose input sits
-// at the given level, every operation at the level the plan puts it.
-func (e *expander) polyEval(pl *poly.Plan, level int) {
-	pl.Walk(func(s poly.Step, depth int) {
-		l := level - depth
-		r := l + 1
-		switch s {
-		case poly.StepMul:
-			e.mul(l)
-		case poly.StepRelin:
-			e.relin(l)
-		case poly.StepRescale:
-			e.emit(OpRescale, r, 2)
-		case poly.StepMulConst:
-			e.emit(OpModMul, r, 2)
-		case poly.StepAdd:
-			e.emit(OpModAdd, r, 2)
-		}
-	})
+// instr expands one instruction entering at the given level — every
+// program instruction Lower meets and every instruction of the bootstrap
+// circuit: a linear transform by its split s, a polynomial by its
+// evaluation plan pl, the rest by opcode alone. It reports whether it
+// knows the opcode.
+func (e *expander) instr(op string, level int, s kswork.Split, pl *poly.Plan) bool {
+	r := level + 1
+	switch op {
+	case ckksir.OpAdd:
+		e.emit(OpModAdd, r, 2)
+	case ckksir.OpAddPlain:
+		e.emit(OpModAdd, r, 1)
+	case ckksir.OpMulPlain, ckksir.OpMulConst:
+		e.emit(OpModMul, r, 2)
+	case ckksir.OpMul:
+		e.mul(level)
+	case ckksir.OpRelin:
+		e.relin(level)
+	case ckksir.OpRotate:
+		e.rotate(level)
+	case ckksir.OpLinear:
+		e.linearTransform(s, level)
+	case ckksir.OpRescale:
+		e.emit(OpRescale, r, 2)
+	case ckksir.OpModSwitch, ckksir.OpReinterpret:
+		// Dropping RNS rows / re-declaring scale is free.
+	case ckksir.OpPoly:
+		// Every operation at the level the plan puts it.
+		pl.Walk(func(st poly.Step, depth int) { e.instr(ckksir.PlanOps[st], level-depth, kswork.Split{}, nil) })
+	default:
+		return false
+	}
+	return true
 }
 
 // linearTransform expands one baby-step/giant-step transform of split s
@@ -234,26 +237,6 @@ func (e *expander) linearTransform(s kswork.Split, level int) {
 	e.keyProduct(level, s.Giants)
 	e.modDown(level, 2)
 	e.emit(OpRescale, r, 2)
-}
-
-// bootstrapStep expands one step of the bootstrap schedule on one
-// ciphertext.
-func (e *expander) bootstrapStep(s bootstrap.Step) {
-	l, r := s.Level, s.Level+1
-	switch s.Kind {
-	case bootstrap.StepC2S, bootstrap.StepS2C:
-		e.linearTransform(kswork.DFTSplit(s.Diags), l)
-	case bootstrap.StepConjugate:
-		e.rotate(l)
-		e.emit(OpModAdd, r, 2) // ct + conj(ct)
-	case bootstrap.StepEvalMod:
-		e.polyEval(s.Plan, l)
-	case bootstrap.StepDoubleAngle: // 2y² − 1: square, double, relinearise, rescale
-		e.mul(l)
-		e.emit(OpModAdd, r, 2)
-		e.relin(l)
-		e.emit(OpRescale, r, 2)
-	}
 }
 
 // Stats summarises a POLY module.

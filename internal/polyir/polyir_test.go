@@ -142,38 +142,42 @@ func TestLowerWithBootstrapExpands(t *testing.T) {
 	}
 }
 
-// TestBootstrapExpandsTheSchedule: a bootstrap lowers step by step of
-// its schedule, with the decompositions and divisions by P the runtime
-// runs there (bootstrap's TestScheduleMatchesRuntime counts the same on
-// a real bootstrap): one of each per key switch outside the transforms,
-// and for a stage matrix of n1 baby and n2 giant steps [n1 > 1] + n2 − 1
-// decompositions and n2 − 1 divided halves before one whole division.
+// TestBootstrapExpandsTheSchedule: a bootstrap lowers instruction by
+// instruction of its schedule, with the decompositions and divisions by
+// P the runtime runs there (bootstrap's TestScheduleMatchesRuntime counts
+// the same on a real bootstrap): one of each per key switch outside the
+// transforms, and for a stage matrix of n1 baby and n2 giant steps
+// [n1 > 1] + n2 − 1 decompositions and n2 − 1 divided halves before one
+// whole division.
 func TestBootstrapExpandsTheSchedule(t *testing.T) {
 	g := kswork.Geometry{LogN: 12, K: 3}
-	for _, s := range bootstrap.Schedule(bootstrap.Parameters{C2SStages: 3, S2CStages: 2}, g.LogN, 4) {
+	for _, op := range bootstrap.Schedule(bootstrap.Parameters{C2SStages: 3, S2CStages: 2}, g.LogN, 4) {
 		got := map[string]int{}
 		e := &expander{g: g, emit: func(op string, _, count int) { got[op] += count }}
-		e.bootstrapStep(s)
-		digits, halves := g.Digits(s.Level), 2 // one key switch
-		switch s.Kind {
-		case bootstrap.StepC2S, bootstrap.StepS2C:
-			n1, n2 := kswork.BabySteps(s.Diags), kswork.GiantSteps(s.Diags)
+		if !e.instr(op.Priced(), op.Level, op.Split, op.Plan) {
+			t.Fatalf("%s (priced as %s) does not lower", op.Name, op.Priced())
+		}
+		digits, halves := 0, 0
+		switch op.Name {
+		case bootstrap.OpLinear:
+			n1, n2 := kswork.BabySteps(op.Split.Masks), kswork.GiantSteps(op.Split.Masks)
 			decomps := n2 - 1
 			if n1 > 1 {
 				decomps++
 			}
-			digits, halves = decomps*g.Digits(s.Level), n2+1
-		case bootstrap.StepEvalMod:
-			digits, halves = 0, 0
-			s.Plan.Walk(func(st poly.Step, depth int) {
+			digits, halves = decomps*g.Digits(op.Level), n2+1
+		case bootstrap.OpConjugate, bootstrap.OpRelin: // one key switch
+			digits, halves = g.Digits(op.Level), 2
+		case bootstrap.OpPoly:
+			op.Plan.Walk(func(st poly.Step, depth int) {
 				if st == poly.StepRelin {
-					digits += g.Digits(s.Level - depth)
+					digits += g.Digits(op.Level - depth)
 					halves += 2
 				}
 			})
 		}
 		if got[OpDecomp] != digits || got[OpModDown] != halves {
-			t.Errorf("step %+v: %d digit decompositions and %d divided halves, want %d and %d", s, got[OpDecomp], got[OpModDown], digits, halves)
+			t.Errorf("op %+v: %d digit decompositions and %d divided halves, want %d and %d", op, got[OpDecomp], got[OpModDown], digits, halves)
 		}
 	}
 }

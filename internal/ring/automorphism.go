@@ -14,8 +14,9 @@ func (r *Ring) Automorphism(p1 *Poly, gal uint64, p2 *Poly) {
 	par.For(l+1, r.grainPW, func(start, end int) {
 		// j -> (j*gal)&mask is a bijection for odd gal, so the scratch row
 		// is fully overwritten per limb and needs no zeroing.
-		tmp := r.getBuf()
-		defer r.putBuf(tmp)
+		tmpP := r.getBuf()
+		defer r.putBuf(tmpP)
+		tmp := *tmpP
 		for i := start; i < end; i++ {
 			q := r.Moduli[i]
 			a := p1.Coeffs[i]
@@ -62,8 +63,9 @@ func (r *Ring) AutomorphismNTT(p1 *Poly, index []int, p2 *Poly) {
 			a, b := p1.Coeffs[i], p2.Coeffs[i]
 			if &a[0] == &b[0] {
 				if tmp == nil {
-					tmp = r.getBuf()
-					defer r.putBuf(tmp)
+					tmpP := r.getBuf()
+					defer r.putBuf(tmpP)
+					tmp = *tmpP
 				}
 				copy(tmp, a)
 				a = tmp

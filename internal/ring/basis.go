@@ -23,13 +23,15 @@ func (r *Ring) DivRoundByLastModulusNTT(p, pOut *Poly) error {
 	n := r.N
 	ql := r.Moduli[l]
 	half := ql >> 1
-	last := r.getBuf()
-	defer r.putBuf(last)
+	lastP := r.getBuf()
+	defer r.putBuf(lastP)
+	last := *lastP
 	copy(last, p.Coeffs[l])
 	r.inttRow(last, l)
 	par.For(l, r.grainNTT, func(start, end int) {
-		delta := r.getBuf()
-		defer r.putBuf(delta)
+		deltaP := r.getBuf()
+		defer r.putBuf(deltaP)
+		delta := *deltaP
 		for i := start; i < end; i++ {
 			qi := r.Moduli[i]
 			mi := r.Mods[i]

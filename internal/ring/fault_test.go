@@ -47,8 +47,18 @@ func TestDiscardPools(t *testing.T) {
 	r.putBuf(b)
 	r.DiscardPools()
 	b2 := r.getBuf()
-	if len(b2) != r.N {
-		t.Fatalf("getBuf after discard returned %d-len row", len(b2))
+	if len(*b2) != r.N {
+		t.Fatalf("getBuf after discard returned %d-len row", len(*b2))
 	}
 	r.putBuf(b2)
+}
+
+// TestPutBufAllocatesNothing: a scratch row goes back to the pool with
+// the slice header it came out with, so a get/put round trip allocates
+// nothing once the pool holds a row.
+func TestPutBufAllocatesNothing(t *testing.T) {
+	r := testRing(t, 5, 3)
+	if n := testing.AllocsPerRun(100, func() { r.putBuf(r.getBuf()) }); n != 0 {
+		t.Fatalf("putBuf(getBuf()) allocates %v times per call", n)
+	}
 }

@@ -109,8 +109,9 @@ func (be *BasisExtender) scaleDigitRows(pQ, ys *Poly, dt *digitTable, start, rs,
 // index space (Q rows first, then P rows); the digit's own rows are
 // copied from the NTT-domain source.
 func (be *BasisExtender) modUpNTTRows(pQNTT, ys *Poly, dt *digitTable, start, end, level int, outQ, outP *Poly, rs, re int) {
-	hi, lo := be.rQ.getScratch(end - start)
-	defer be.rQ.putScratch(hi, lo)
+	hiP, loP := be.rQ.getScratch(end - start)
+	defer be.rQ.putScratch(hiP, loP)
+	hi, lo := *hiP, *loP
 	for i := rs; i < re; i++ {
 		switch {
 		case i > level:
@@ -227,10 +228,12 @@ func (be *BasisExtender) modDownPRows(pP, ys *Poly, start, end int) {
 // into a scratch row, transform it forward, then subtract it from the
 // NTT-domain row and multiply by P^-1, one pass over the row.
 func (be *BasisExtender) modDownQRowsNTT(pQ, ys *Poly, start, end int) {
-	conv := be.rQ.getBuf()
-	defer be.rQ.putBuf(conv)
-	hi, lo := be.rQ.getScratch(len(ys.Coeffs))
-	defer be.rQ.putScratch(hi, lo)
+	convP := be.rQ.getBuf()
+	defer be.rQ.putBuf(convP)
+	conv := *convP
+	hiP, loP := be.rQ.getScratch(len(ys.Coeffs))
+	defer be.rQ.putScratch(hiP, loP)
+	hi, lo := *hiP, *loP
 	for i := start; i < end; i++ {
 		mq := be.rQ.Mods[i]
 		qi := mq.Q

@@ -90,7 +90,7 @@ func TestConvertRowWidthSweep(t *testing.T) {
 				dst[k] = q - 1 // dirty: the kernel must overwrite it
 			}
 			hi, lo := r.getScratch(D)
-			r.convertRow(ys, m, over, dst, hi, lo)
+			r.convertRow(ys, m, over, dst, *hi, *lo)
 			r.putScratch(hi, lo)
 			for k := range dst {
 				var want uint64

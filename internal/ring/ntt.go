@@ -320,8 +320,9 @@ func (r *Ring) MulPolyNaive(p1, p2, p3 *Poly) {
 	l := minLevel(p1, p2, p3)
 	n := r.N
 	par.For(l+1, par.Grain(n*n), func(start, end int) {
-		c := r.getBuf()
-		defer r.putBuf(c)
+		cP := r.getBuf()
+		defer r.putBuf(cP)
+		c := *cP
 		for i := start; i < end; i++ {
 			m := r.Mods[i]
 			q := r.Moduli[i]

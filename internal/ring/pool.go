@@ -32,20 +32,23 @@ import (
 // methods are either read-only on the receiver or write only to
 // caller-provided outputs.
 
-// getBuf returns a scratch row of length N with undefined contents.
-func (r *Ring) getBuf() []uint64 {
+// getBuf returns a scratch row of length N with undefined contents. The
+// pool holds the row's slice header as well, so that handing the same
+// pointer back to putBuf allocates nothing.
+func (r *Ring) getBuf() *[]uint64 {
 	if v := r.bufPool.Load().Get(); v != nil {
-		return *(v.(*[]uint64))
+		return v.(*[]uint64)
 	}
-	return make([]uint64, r.N)
+	b := make([]uint64, r.N)
+	return &b
 }
 
 // putBuf returns a scratch row obtained from getBuf.
-func (r *Ring) putBuf(b []uint64) {
-	if len(b) != r.N {
+func (r *Ring) putBuf(b *[]uint64) {
+	if len(*b) != r.N {
 		return
 	}
-	r.bufPool.Load().Put(&b)
+	r.bufPool.Load().Put(b)
 }
 
 // DiscardPools replaces both scratch pools with fresh empty ones. It is

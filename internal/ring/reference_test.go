@@ -63,13 +63,8 @@ func (be *BasisExtender) ModUpDigitQP(pQ *Poly, start, end, level int, outQ, out
 	dt := be.digitTableFor(start, end)
 	// y_i = x_i * (D/d_i)^-1 mod d_i, then x mod m ~= sum_i y_i*(D/d_i) mod m.
 	ys := make([][]uint64, d)
-	defer func() {
-		for _, y := range ys {
-			be.rQ.putBuf(y)
-		}
-	}()
 	for i := range ys {
-		ys[i] = be.rQ.getBuf()
+		ys[i] = make([]uint64, be.rQ.N)
 	}
 	par.For(d, be.rQ.grainPW, func(dStart, dEnd int) {
 		for i := dStart; i < dEnd; i++ {
@@ -118,13 +113,8 @@ func (be *BasisExtender) ModDownQP(pQ, pP *Poly) {
 	K := len(be.rP.Moduli)
 	// y_j = x_j * (P/p_j)^-1 mod p_j.
 	ys := make([][]uint64, K)
-	defer func() {
-		for _, y := range ys {
-			be.rQ.putBuf(y)
-		}
-	}()
-	for j := 0; j < K; j++ {
-		ys[j] = be.rQ.getBuf()
+	for j := range ys {
+		ys[j] = make([]uint64, be.rQ.N)
 	}
 	par.For(K, be.rQ.grainPW, func(start, end int) {
 		for j := start; j < end; j++ {

@@ -353,8 +353,9 @@ func (r *Ring) Shift(p1 *Poly, k int, p2 *Poly) {
 	par.For(l+1, r.grainPW, func(start, end int) {
 		// One scratch row per chunk: the shift writes every index of b
 		// (j -> idx is a bijection), so it needs no zeroing between limbs.
-		b := r.getBuf()
-		defer r.putBuf(b)
+		bP := r.getBuf()
+		defer r.putBuf(bP)
+		b := *bP
 		for i := start; i < end; i++ {
 			q := r.Moduli[i]
 			a := p1.Coeffs[i]

@@ -32,8 +32,9 @@ type rowTerms [fusedWidth][]uint64
 func (r *Ring) innerProductRows(as []*Poly, idx []int, bs []*Poly, out *Poly, acc bool, start, end int) {
 	n := r.N
 	D := len(as)
-	hiS, loS := r.getScratch(D)
-	defer r.putScratch(hiS, loS)
+	hiP, loP := r.getScratch(D)
+	defer r.putScratch(hiP, loP)
+	hiS, loS := *hiP, *loP
 	var a, b rowTerms
 	for i := start; i < end; i++ {
 		m := r.Mods[i]
@@ -70,20 +71,21 @@ func (r *Ring) innerProductRows(as []*Poly, idx []int, bs []*Poly, out *Poly, ac
 	}
 }
 
-// getScratch returns the two scratch rows a sum of D terms needs (none
-// when one pass holds it); putScratch hands them back.
-func (r *Ring) getScratch(D int) (hi, lo []uint64) {
+// getScratch returns the two scratch rows a sum of D terms needs (nil
+// rows when one pass holds it); putScratch hands them back.
+func (r *Ring) getScratch(D int) (hi, lo *[]uint64) {
 	if D <= fusedWidth {
-		return nil, nil
+		return &noScratch, &noScratch
 	}
 	return r.getBuf(), r.getBuf()
 }
 
-func (r *Ring) putScratch(hi, lo []uint64) {
-	if hi != nil {
-		r.putBuf(hi)
-		r.putBuf(lo)
-	}
+// noScratch is the nil row getScratch hands out when a sum needs none.
+var noScratch []uint64
+
+func (r *Ring) putScratch(hi, lo *[]uint64) {
+	r.putBuf(hi)
+	r.putBuf(lo)
 }
 
 // convertRow writes dst[k] = sum_i ys[i][k] * over[i] mod m, the lazy

@@ -84,11 +84,12 @@ func wire(t testing.TB, ct *ckks.Ciphertext) []byte {
 func vecLen(res *ckksir.Result) int { return res.Module.Main().Params[0].Type.Len() }
 
 // stageDiagonals counts the diagonals of every DFT stage matrix the
-// program's bootstrapper holds.
+// program's bootstrapper holds: the masks of its schedule's stage
+// matrices (bootstrap's checkSchedule holds them to the bootstrapper's).
 func stageDiagonals(res *ckksir.Result) int {
 	total := 0
-	for _, s := range bootstrap.Schedule(*res.Boot, res.Literal.LogN, res.TargetLevel) {
-		total += s.Diags
+	for _, op := range bootstrap.Schedule(*res.Boot, res.Literal.LogN, res.TargetLevel) {
+		total += op.Split.Masks
 	}
 	return total
 }
