@@ -278,8 +278,12 @@ func TestPaperProfileSelectsSecureParameters(t *testing.T) {
 }
 
 // TestPaperCompileAllocation bounds what one AnalysisOnly compile of
-// paper-scale ResNet-20 allocates: its masks are built one at a time into
-// a reused buffer (≈ 150 MB in all), not all held at once (≈ 1.16 GB).
+// paper-scale ResNet-20 allocates, in bytes and in allocations, at about
+// 1.25× what it measured (58.3 MB in 185 300 allocations): its masks are
+// built one at a time into a reused buffer (≈ 1.16 GB if all were held
+// at once), a linear layer's taps are grouped in one array and its
+// rotation counts reuse one pair of arrays. An allocation regression
+// fails here without a clock.
 func TestPaperCompileAllocation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles at paper scale")
@@ -296,8 +300,9 @@ func TestPaperCompileAllocation(t *testing.T) {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)
-	if mb := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20); mb > 400 {
-		t.Fatalf("paper-scale ResNet-20 AnalysisOnly compile allocated %.0f MB, want at most 400", mb)
+	mb, allocs := float64(after.TotalAlloc-before.TotalAlloc)/(1<<20), after.Mallocs-before.Mallocs
+	if mb > 73 || allocs > 232_000 {
+		t.Fatalf("paper-scale ResNet-20 AnalysisOnly compile allocated %.1f MB in %d allocations, want at most 73 MB in 232 000", mb, allocs)
 	}
 }
 

@@ -68,10 +68,12 @@ type PlanReport struct {
 	CalibrationSrc   string  `json:"calibration_source"`
 }
 
-// CompileAuto runs the plan search: it compiles every candidate plan,
-// prices each distinct schedule under the calibrated cost model, and
-// commits to the cheapest. cfg supplies every non-searched option;
-// cfg.CKKS.Mode gives the default plan the search is measured against.
+// CompileAuto runs the plan search: it runs the front end (NN, VECTOR
+// and SIHE IR, which no plan changes) once, lowers it to CKKS under
+// every candidate plan, prices each distinct schedule under the
+// calibrated cost model, and commits to the cheapest. cfg supplies
+// every non-searched option; cfg.CKKS.Mode gives the default plan the
+// search is measured against.
 // Plans that compile to the same schedule (boot-auto is always one of
 // the other two) are priced once and share one row, named after all of
 // them. Same schedule means equal ir.Fingerprint and equal bootstrap
@@ -83,6 +85,11 @@ type PlanReport struct {
 // aborting the search.
 func CompileAuto(model *onnx.Model, cfg Config, cal costmodel.Calibration) (*Compiled, *PlanReport, error) {
 	report := &PlanReport{CalibrationSrc: cal.Source}
+	cfg = cfg.withDefaults()
+	fe, err := frontEnd(model, cfg)
+	if err != nil {
+		return nil, report, err
+	}
 	var best *Compiled
 	chosen := -1
 	type schedule struct {
@@ -91,10 +98,10 @@ func CompileAuto(model *onnx.Model, cfg Config, cal costmodel.Calibration) (*Com
 	}
 	rowOf := map[schedule]int{} // index in report.Candidates
 	for i, p := range EnumeratePlans(cfg.CKKS.Mode) {
-		pcfg := cfg
-		pcfg.CKKS.Mode = p.Boot
+		opts := cfg.CKKS
+		opts.Mode = p.Boot
 		pc := PlanCost{Plan: p.Name(), Default: i == 0}
-		c, err := Compile(model, pcfg)
+		c, err := fe.backEnd(opts)
 		if err != nil {
 			pc.Err = err.Error()
 			report.Candidates = append(report.Candidates, pc)

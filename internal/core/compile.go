@@ -8,6 +8,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"antace/internal/ckksir"
@@ -57,20 +58,36 @@ func (c *Compiled) VectorLen() int { return c.Vec.InLayout.L }
 
 // Compile runs the whole pipeline on an ONNX model.
 func Compile(model *onnx.Model, cfg Config) (*Compiled, error) {
+	cfg = cfg.withDefaults()
+	fe, err := frontEnd(model, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return fe.backEnd(cfg.CKKS)
+}
+
+func (cfg Config) withDefaults() Config {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	if cfg.Expert {
-		if cfg.CKKS.ExpertSlack == 0 {
-			// A hand-provisioned chain keeps a generic level budget
-			// rather than the compiler's tight per-segment minimum.
-			cfg.CKKS.ExpertSlack = 1
-		}
+	if cfg.Expert && cfg.CKKS.ExpertSlack == 0 {
+		// A hand-provisioned chain keeps a generic level budget rather
+		// than the compiler's tight per-segment minimum.
+		cfg.CKKS.ExpertSlack = 1
 	}
+	return cfg
+}
+
+// record appends one pass's time since start.
+func (c *Compiled) record(level, pass string, start time.Time) {
+	c.Timings = append(c.Timings, ir.PassTiming{Pass: pass, Level: level, Duration: time.Since(start)})
+}
+
+// frontEnd runs the passes that no CKKS option reaches: NN IR (import,
+// fuse, calibrate), VECTOR IR and SIHE IR. The result has no CKKS
+// program; backEnd lowers it under one set of CKKS options.
+func frontEnd(model *onnx.Model, cfg Config) (*Compiled, error) {
 	out := &Compiled{Name: model.Graph.Name}
-	record := func(level, pass string, start time.Time) {
-		out.Timings = append(out.Timings, ir.PassTiming{Pass: pass, Level: level, Duration: time.Since(start)})
-	}
 
 	// NN IR: import, fuse, calibrate.
 	start := time.Now()
@@ -78,19 +95,19 @@ func Compile(model *onnx.Model, cfg Config) (*Compiled, error) {
 	if err != nil {
 		return nil, err
 	}
-	record("NN", "import", start)
+	out.record("NN", "import", start)
 	start = time.Now()
 	pm := &ir.PassManager{}
 	pm.Add(nnir.FuseConvBatchNorm(), ir.DCE())
 	if err := pm.Run(nn); err != nil {
 		return nil, err
 	}
-	record("NN", "fuse+dce", start)
+	out.record("NN", "fuse+dce", start)
 	start = time.Now()
 	if err := nnir.CalibrateReLUBounds(nn.Main(), calibrationSamples, calibrationHeadroom, cfg.Seed); err != nil {
 		return nil, err
 	}
-	record("NN", "calibrate-relu", start)
+	out.record("NN", "calibrate-relu", start)
 	out.NN = nn
 
 	// VECTOR IR.
@@ -99,14 +116,14 @@ func Compile(model *onnx.Model, cfg Config) (*Compiled, error) {
 	if err != nil {
 		return nil, err
 	}
-	record("VECTOR", "lower", start)
+	out.record("VECTOR", "lower", start)
 	start = time.Now()
 	pmv := &ir.PassManager{}
 	pmv.Add(ir.CSE(), ir.DCE())
 	if err := pmv.Run(vres.Module); err != nil {
 		return nil, err
 	}
-	record("VECTOR", "cse+dce", start)
+	out.record("VECTOR", "cse+dce", start)
 	out.Vec = vres
 
 	// SIHE IR.
@@ -115,23 +132,30 @@ func Compile(model *onnx.Model, cfg Config) (*Compiled, error) {
 	if err != nil {
 		return nil, err
 	}
-	record("SIHE", "lower", start)
+	out.record("SIHE", "lower", start)
 	out.SIHE = sm
+	return out, nil
+}
 
-	// CKKS IR.
-	start = time.Now()
-	cres, err := ckksir.Lower(sm, cfg.CKKS)
+// backEnd lowers a front end's SIHE program to CKKS IR under opts. It
+// reads the front end's modules without changing them, so one front end
+// serves every plan of a search; the result shares them and carries the
+// front end's timings followed by its own.
+func (fe *Compiled) backEnd(opts ckksir.Options) (*Compiled, error) {
+	out := &Compiled{Name: fe.Name, NN: fe.NN, Vec: fe.Vec, SIHE: fe.SIHE, Timings: slices.Clip(fe.Timings)}
+	start := time.Now()
+	cres, err := ckksir.Lower(fe.SIHE, opts)
 	if err != nil {
 		return nil, err
 	}
-	record("CKKS", "lower", start)
+	out.record("CKKS", "lower", start)
 	start = time.Now()
 	pmc := &ir.PassManager{}
 	pmc.Add(ckksir.LazyRescale(), ir.DCE())
 	if err := pmc.Run(cres.Module); err != nil {
 		return nil, err
 	}
-	record("CKKS", "lazy-rescale", start)
+	out.record("CKKS", "lazy-rescale", start)
 	for _, k := range ckksir.RotationKeys(cres.Module.Main()) {
 		cres.Rotations = append(cres.Rotations, k.K)
 	}

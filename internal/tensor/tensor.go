@@ -257,8 +257,10 @@ func ValidRange(k, stride, pad, nOut, nIn int) (from, to int) {
 //
 // Taps are the outer loop: each (co, ci, ky, kx) adds its weight times
 // the input row it reads into every output row its valid range covers.
-// Every output still starts from its bias and gains its taps in (ci, ky,
-// kx) order, so the result is the per-output sum bit for bit.
+// Output channels go in blocks of four, so each input row read serves
+// four output rows; the channels left over go one at a time. Every
+// output still starts from its bias and gains its taps in (ci, ky, kx)
+// order, so the result is the per-output sum bit for bit.
 func Conv2D(x, w, bias *Tensor, stride, pad int) (*Tensor, error) {
 	if x.Rank() != 4 || w.Rank() != 4 {
 		return nil, fmt.Errorf("tensor: conv2d requires NCHW input and OIHW weights, got %v, %v", x.Shape, w.Shape)
@@ -274,20 +276,74 @@ func Conv2D(x, w, bias *Tensor, stride, pad int) (*Tensor, error) {
 	oh := (h+2*pad-kh)/stride + 1
 	ow := (wd+2*pad-kw)/stride + 1
 	out := New(n, cOut, oh, ow)
+	// A kernel row's or column's valid output range depends on its index
+	// alone.
+	ys, xs := make([][2]int, kh), make([][2]int, kw)
+	for ky := range ys {
+		ys[ky][0], ys[ky][1] = ValidRange(ky, stride, pad, oh, h)
+	}
+	for kx := range xs {
+		xs[kx][0], xs[kx][1] = ValidRange(kx, stride, pad, ow, wd)
+	}
+	wStep := cIn * kh * kw // between output channels' weights
 	for b := 0; b < n; b++ {
-		for co := 0; co < cOut; co++ {
+		plane := func(co int) []float64 {
 			dst := out.Data[(b*cOut+co)*oh*ow : (b*cOut+co+1)*oh*ow]
 			if bias != nil {
 				for i := range dst {
 					dst[i] = bias.Data[co]
 				}
 			}
+			return dst
+		}
+		co := 0
+		for ; co+4 <= cOut; co += 4 {
+			d0, d1, d2, d3 := plane(co), plane(co+1), plane(co+2), plane(co+3)
 			for ci := 0; ci < cIn; ci++ {
 				src := x.Data[(b*cIn+ci)*h*wd : (b*cIn+ci+1)*h*wd]
 				for ky := 0; ky < kh; ky++ {
-					y0, y1 := ValidRange(ky, stride, pad, oh, h)
+					y0, y1 := ys[ky][0], ys[ky][1]
 					for kx := 0; kx < kw; kx++ {
-						x0, x1 := ValidRange(kx, stride, pad, ow, wd)
+						x0, x1 := xs[kx][0], xs[kx][1]
+						if x0 == x1 {
+							continue
+						}
+						wi := ((co*cIn+ci)*kh+ky)*kw + kx
+						w0, w1, w2, w3 := w.Data[wi], w.Data[wi+wStep], w.Data[wi+2*wStep], w.Data[wi+3*wStep]
+						for oy := y0; oy < y1; oy++ {
+							lo, hi := oy*ow+x0, oy*ow+x1
+							r0, r1, r2, r3 := d0[lo:hi], d1[lo:hi], d2[lo:hi], d3[lo:hi]
+							in := src[(oy*stride+ky-pad)*wd+x0*stride+kx-pad:]
+							if stride == 1 {
+								in = in[:len(r0)]
+								for i, v := range in {
+									r0[i] += v * w0
+									r1[i] += v * w1
+									r2[i] += v * w2
+									r3[i] += v * w3
+								}
+								continue
+							}
+							for i := range r0 {
+								v := in[i*stride]
+								r0[i] += v * w0
+								r1[i] += v * w1
+								r2[i] += v * w2
+								r3[i] += v * w3
+							}
+						}
+					}
+				}
+			}
+		}
+		for ; co < cOut; co++ {
+			dst := plane(co)
+			for ci := 0; ci < cIn; ci++ {
+				src := x.Data[(b*cIn+ci)*h*wd : (b*cIn+ci+1)*h*wd]
+				for ky := 0; ky < kh; ky++ {
+					y0, y1 := ys[ky][0], ys[ky][1]
+					for kx := 0; kx < kw; kx++ {
+						x0, x1 := xs[kx][0], xs[kx][1]
 						if x0 == x1 {
 							continue
 						}

@@ -220,11 +220,13 @@ func conv2DPerOutput(x, w, bias *Tensor, stride, pad int) *Tensor {
 
 // TestConv2DMatchesPerOutput checks the row-wise Conv2D against the
 // per-output loop bit for bit, and ValidRange against a scan, over random
-// shapes, strides and paddings.
+// shapes, strides and paddings. Output channel counts run from 1 to 9,
+// so blocks of four, a remainder after them and a remainder alone all
+// occur.
 func TestConv2DMatchesPerOutput(t *testing.T) {
 	rng := rand.New(rand.NewPCG(24, 1))
 	for trial := 0; trial < 2000; trial++ {
-		n, cIn, cOut := 1+rng.IntN(2), 1+rng.IntN(5), 1+rng.IntN(5)
+		n, cIn, cOut := 1+rng.IntN(2), 1+rng.IntN(5), 1+rng.IntN(9)
 		h, wd, kh, kw := 1+rng.IntN(9), 1+rng.IntN(9), 1+rng.IntN(4), 1+rng.IntN(4)
 		stride, pad := 1+rng.IntN(3), rng.IntN(3)
 		if h+2*pad < kh || wd+2*pad < kw {

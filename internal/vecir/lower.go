@@ -1,8 +1,9 @@
 package vecir
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"antace/internal/ir"
 	"antace/internal/nnir"
@@ -329,7 +330,8 @@ type lowering struct {
 	vt      ir.Type
 	opts    Options
 	stubSeq int
-	scratch []float64 // AnalysisOnly's one mask buffer, all zeros between constants
+	scratch []float64        // AnalysisOnly's one mask buffer, all zeros between constants
+	split   *rotationCounter // foldSplit's counting arrays, made on first use
 }
 
 // constVec emits a constant vector that fill writes into zeros; fill with
@@ -388,29 +390,47 @@ func (lw *lowering) emitConv(x *ir.Value, li, lo *Layout, w, bias *tensor.Tensor
 	if cIn > li.C {
 		return nil, 0, fmt.Errorf("vecir: conv consumes %d channels, layout has %d", cIn, li.C)
 	}
-	// A tap with an empty output range reads only padding: no diagonal.
-	var taps []tap
-	seen := map[int]bool{}
-	for co := 0; co < cOut; co++ {
-		base := lo.Slot(co, 0, 0)
-		for ci := 0; ci < cIn; ci++ {
-			for ky := 0; ky < kh; ky++ {
-				y0, y1 := tensor.ValidRange(ky, stride, pad, lo.H, li.H)
-				for kx := 0; kx < kw && y0 < y1; kx++ {
-					x0, x1 := tensor.ValidRange(kx, stride, pad, lo.W, li.W)
-					wv := w.At(co, ci, ky, kx) / li.Gain
-					if wv == 0 || x0 == x1 {
-						continue
+	// A kernel row's or column's valid output range depends on its index
+	// alone. A tap with an empty range reads only padding: no diagonal.
+	type span struct{ from, to int }
+	ys, xs := make([]span, kh), make([]span, kw)
+	for ky := range ys {
+		ys[ky].from, ys[ky].to = tensor.ValidRange(ky, stride, pad, lo.H, li.H)
+	}
+	for kx := range xs {
+		xs[kx].from, xs[kx].to = tensor.ValidRange(kx, stride, pad, lo.W, li.W)
+	}
+	eachTap := func(visit func(co, ci, ky, kx int, wv float64)) {
+		for co := 0; co < cOut; co++ {
+			for ci := 0; ci < cIn; ci++ {
+				for ky := 0; ky < kh; ky++ {
+					for kx := 0; kx < kw && ys[ky].from < ys[ky].to; kx++ {
+						if wv := w.At(co, ci, ky, kx) / li.Gain; wv != 0 && xs[kx].from < xs[kx].to {
+							visit(co, ci, ky, kx, wv)
+						}
 					}
-					t := offset(li, ci, ky-pad, kx-pad, lo, co)
-					taps = append(taps, tap{t, base, y0, y1, x0, x1, wv})
-					seen[t] = true
 				}
 			}
 		}
 	}
-	if len(taps) == 0 {
+	// Each tap's total offset, in tap order.
+	ts := make([]int, 0, w.Size())
+	seen, distinct := make([]bool, lw.l), 0
+	eachTap(func(co, ci, ky, kx int, _ float64) {
+		t := offset(li, ci, ky-pad, kx-pad, lo, co)
+		ts = append(ts, t)
+		if !seen[t] {
+			seen[t], distinct = true, distinct+1
+		}
+	})
+	if len(ts) == 0 {
 		return nil, 0, fmt.Errorf("vecir: convolution with all-zero weights")
+	}
+	offsets := make([]int, 0, distinct)
+	for t, hit := range seen {
+		if hit {
+			offsets = append(offsets, t)
+		}
 	}
 	outs := make([]int, 0, cOut*lo.H*lo.W)
 	for co := 0; co < cOut; co++ {
@@ -424,33 +444,45 @@ func (lw *lowering) emitConv(x *ir.Value, li, lo *Layout, w, bias *tensor.Tensor
 	// split; masks exist only for the residues of the chosen period.
 	p, m := lw.l, lw.l
 	if lw.opts.Conv != ConvNaive {
-		p, m = foldSplit(sortedKeys(seen), outs, lw.l)
+		if lw.split == nil {
+			lw.split = newRotationCounter(lw.l)
+		}
+		p, m = foldSplit(lw.split, offsets, outs)
 	}
-	// Each residue's taps, in tap order: a mask is filled just before it
-	// is emitted, so one is live at a time.
-	byResidue := map[int][]tap{}
-	for _, tp := range taps {
-		byResidue[tp.t%p] = append(byResidue[tp.t%p], tp)
+	// Each residue's taps, in tap order: a stable counting sort by t mod p
+	// into one array. A mask is filled just before it is emitted, so one
+	// is live at a time.
+	at := make([]int, p) // taps per residue, then where the next one goes
+	for _, t := range ts {
+		at[t%p]++
 	}
+	var masks []residueMask // ascending residue
+	for r, next := 0, 0; r < p; r++ {
+		if c := at[r]; c > 0 {
+			b, g := bsgsSplit(r, m, p, lw.l)
+			masks = append(masks, residueMask{b, g, next, next + c})
+			at[r], next = next, next+c
+		}
+	}
+	byResidue, k := make([]tap, len(ts)), 0
+	eachTap(func(co, ci, ky, kx int, wv float64) {
+		t := ts[k]
+		byResidue[at[t%p]] = tap{t, lo.Slot(co, 0, 0), ys[ky].from, ys[ky].to, xs[kx].from, xs[kx].to, wv}
+		at[t%p]++
+		k++
+	})
 
 	// One vec.linear: per giant group, ascending, its residues' masks,
 	// ascending, each with its baby rotation. Then the fold.
-	residues := sortedKeys(byResidue)
-	groups := map[int][]int{} // g -> its residues, ascending
-	for _, r := range residues {
-		_, g := bsgsSplit(r, m, p, lw.l)
-		groups[g] = append(groups[g], r)
-	}
-	args := []*ir.Value{x}
-	var babies, giants []int
-	for _, g := range sortedKeys(groups) {
-		for _, r := range groups[g] {
-			b, _ := bsgsSplit(r, m, p, lw.l)
-			args = append(args, lw.constVec(fmt.Sprintf("mask_r%d_s%d", g, b), func(v []float64, reset bool) {
-				fillMask(v, byResidue[r], b, lo, reset)
-			}))
-			babies, giants = append(babies, b), append(giants, g)
-		}
+	slices.SortStableFunc(masks, func(a, b residueMask) int { return cmp.Compare(a.g, b.g) })
+	args := make([]*ir.Value, 1, 1+len(masks))
+	args[0] = x
+	babies, giants := make([]int, len(masks)), make([]int, len(masks))
+	for i, mk := range masks {
+		args = append(args, lw.constVec(fmt.Sprintf("mask_r%d_s%d", mk.g, mk.b), func(v []float64, reset bool) {
+			fillMask(v, byResidue[mk.from:mk.to], mk.b, lo, reset)
+		}))
+		babies[i], giants[i] = mk.b, mk.g
 	}
 	acc := lw.fold(lw.f.Emit(OpLinear, lw.vt, args, map[string]any{"b": babies, "g": giants}), lw.l, p)
 	if bias != nil {
@@ -470,6 +502,10 @@ func (lw *lowering) emitConv(x *ir.Value, li, lo *Layout, w, bias *tensor.Tensor
 	return acc, p, nil
 }
 
+// residueMask is one mask of a linear layer: residue r = b + g mod the
+// fold period, and its taps, byResidue[from:to].
+type residueMask struct{ b, g, from, to int }
+
 // A tap is one non-zero weight of a linear layer: its total offset,
 // weight and output pixel range depend on (co, ci, ky, kx) only, never on
 // the pixel.
@@ -482,22 +518,36 @@ type tap struct {
 // fillMask adds one residue's taps, in order, into v where the giant
 // rotation picks them up: at the replica of the output slot that the
 // input rotated by baby b reaches, output slot + t − b (roll(v, k)[s] =
-// v[s+k]). With reset it zeroes those slots instead.
+// v[s+k]). With reset it zeroes those slots instead. Each output row is
+// one run at stride Sx; a row spans fewer than len(v) slots, so it wraps
+// past the end of v at most once.
 func fillMask(v []float64, taps []tap, b int, lo *Layout, reset bool) {
-	l := len(v)
+	l, sx, rowStep := len(v), lo.Sx, lo.Sy*lo.W0
+	run := func(i, n int, w float64) {
+		seg := v[i : i+(n-1)*sx+1]
+		if reset {
+			for j := 0; j < len(seg); j += sx {
+				seg[j] = 0
+			}
+			return
+		}
+		for j := 0; j < len(seg); j += sx {
+			seg[j] += w
+		}
+	}
 	for _, tp := range taps {
-		start := tp.base + (tp.t-b+l)%l + tp.x0*lo.Sx
+		n := tp.x1 - tp.x0
+		i := (tp.base + (tp.t-b+l)%l + tp.x0*sx + tp.y0*rowStep) % l
 		for yo := tp.y0; yo < tp.y1; yo++ {
-			i := (start + yo*lo.Sy*lo.W0) % l
-			for xo := tp.x0; xo < tp.x1; xo++ {
-				if reset {
-					v[i] = 0
-				} else {
-					v[i] += tp.w
-				}
-				if i += lo.Sx; i >= l {
-					i -= l
-				}
+			if i+(n-1)*sx < l {
+				run(i, n, tp.w)
+			} else {
+				k := (l - i + sx - 1) / sx // slots before the end of v
+				run(i, k, tp.w)
+				run(i+k*sx-l, n-k, tp.w)
+			}
+			if i += rowStep; i >= l {
+				i -= l
 			}
 		}
 	}
@@ -523,17 +573,40 @@ func bsgsSplit(t, m, p, l int) (b, g int) {
 	return ((b % l) + l) % l, (((t - b) % p) + p) % p
 }
 
-// bsgsRotations counts the non-zero rotations modulus m issues for an
-// offset set under fold period p: distinct babies plus distinct giants.
-func bsgsRotations(offsets []int, m, p, l int) int {
-	babies, giants := map[int]bool{}, map[int]bool{}
-	for _, t := range offsets {
-		b, g := bsgsSplit(t, m, p, l)
-		babies[b], giants[g] = true, true
+// rotationCounter counts the distinct non-zero babies and giants of a
+// split. Each count stamps the slots it sees with a new generation, so
+// one pair of arrays serves every candidate modulus and period.
+type rotationCounter struct {
+	l              int
+	babies, giants []uint32 // generation that last saw each rotation
+	gen            uint32
+}
+
+func newRotationCounter(l int) *rotationCounter {
+	return &rotationCounter{l: l, babies: make([]uint32, l), giants: make([]uint32, l)}
+}
+
+// rotations counts the non-zero rotations modulus m issues for an offset
+// set under fold period p: distinct babies plus distinct giants.
+func (c *rotationCounter) rotations(offsets []int, m, p int) int {
+	if c.gen++; c.gen == 0 { // wrapped: no stamp may look current
+		clear(c.babies)
+		clear(c.giants)
+		c.gen = 1
 	}
-	delete(babies, 0)
-	delete(giants, 0)
-	return len(babies) + len(giants)
+	n := 0
+	for _, t := range offsets {
+		b, g := bsgsSplit(t, m, p, c.l)
+		if b != 0 && c.babies[b] != c.gen {
+			c.babies[b] = c.gen
+			n++
+		}
+		if g != 0 && c.giants[g] != c.gen {
+			c.giants[g] = c.gen
+			n++
+		}
+	}
+	return n
 }
 
 // bsgsModulus derives a layer's baby/giant split from its offset set
@@ -544,10 +617,10 @@ func bsgsRotations(offsets []int, m, p, l int) int {
 // giants, M = p all babies — what ConvNaive forces at p = l. Rotation
 // count is the price at this level: the ring is not chosen yet and the
 // runtime executes a baby and a giant as the same key switch.
-func bsgsModulus(offsets []int, p, l int) (m, rotations int) {
-	m, rotations = 1, bsgsRotations(offsets, 1, p, l)
+func bsgsModulus(c *rotationCounter, offsets []int, p int) (m, rotations int) {
+	m, rotations = 1, c.rotations(offsets, 1, p)
 	for mm := 2; mm <= p; mm <<= 1 {
-		if r := bsgsRotations(offsets, mm, p, l); r <= rotations {
+		if r := c.rotations(offsets, mm, p); r <= rotations {
 			m, rotations = mm, r
 		}
 	}
@@ -571,37 +644,32 @@ func distinctMod(slots []int, p int) bool {
 // over the powers of two p ≤ l under which the outputs stay distinct,
 // the fewest rotations (the log₂(l/p) fold rotations included), then
 // the fewest masks (distinct offsets mod p), the larger p on a tie.
-// p = l is the unfolded lowering.
-func foldSplit(offsets, outs []int, l int) (p, m int) {
+// p = l is the unfolded lowering. c counts rotations in vectors of
+// length l.
+func foldSplit(c *rotationCounter, offsets, outs []int) (p, m int) {
+	l := c.l
 	p = l
-	m, bestRot := bsgsModulus(offsets, l, l)
+	m, bestRot := bsgsModulus(c, offsets, l)
 	bestMasks := len(offsets)
+	hit, reduced := make([]bool, l/2), make([]int, 0, len(offsets))
 	for q, folds := l/2, 1; q >= len(outs) && distinctMod(outs, q); q, folds = q/2, folds+1 {
-		hit := make([]bool, q)
+		hit := hit[:q]
+		clear(hit)
 		for _, t := range offsets {
 			hit[t%q] = true
 		}
-		var reduced []int
+		reduced = reduced[:0]
 		for r, h := range hit {
 			if h {
 				reduced = append(reduced, r)
 			}
 		}
-		mq, rot := bsgsModulus(reduced, q, l)
+		mq, rot := bsgsModulus(c, reduced, q)
 		if rot += folds; rot < bestRot || rot == bestRot && len(reduced) < bestMasks {
 			p, m, bestRot, bestMasks = q, mq, rot, len(reduced)
 		}
 	}
 	return p, m
-}
-
-func sortedKeys[V any](m map[int]V) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Ints(out)
-	return out
 }
 
 // emitGlobalSum reduces every channel's spatial extent to position (0,0)

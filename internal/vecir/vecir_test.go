@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"sort"
 	"testing"
 
 	"antace/internal/ir"
@@ -224,16 +225,16 @@ func TestBSGSModulus(t *testing.T) {
 		for i, v := range tc.offsets {
 			offsets[i] = ((v % tc.l) + tc.l) % tc.l
 		}
-		m, _ := bsgsModulus(offsets, tc.l, tc.l)
+		m, _ := bsgsModulus(newRotationCounter(tc.l), offsets, tc.l)
 		if m < 1 || m > tc.l || m&(m-1) != 0 {
 			t.Fatalf("%s: modulus %d is not a power of two in [1, %d]", tc.name, m, tc.l)
 		}
-		if got := bsgsRotations(offsets, m, tc.l, tc.l); got > tc.most {
+		if got := newRotationCounter(tc.l).rotations(offsets, m, tc.l); got > tc.most {
 			t.Errorf("%s: %d rotations at M=%d, want at most %d", tc.name, got, m, tc.most)
 		}
 		rng := rand.New(rand.NewPCG(7, uint64(len(offsets))))
 		rng.Shuffle(len(offsets), func(i, j int) { offsets[i], offsets[j] = offsets[j], offsets[i] })
-		if again, _ := bsgsModulus(offsets, tc.l, tc.l); again != m {
+		if again, _ := bsgsModulus(newRotationCounter(tc.l), offsets, tc.l); again != m {
 			t.Errorf("%s: modulus %d, then %d on the same set reordered", tc.name, m, again)
 		}
 		for _, off := range offsets {
@@ -378,6 +379,55 @@ func TestDerivedSplitProperty(t *testing.T) {
 	}
 }
 
+// TestConvPaddingOnlyKernelRows lowers 3x3 convolutions (pad 1) over a
+// single image row: the kernel's first and last rows read only padding
+// and have no diagonal, the middle row follows them in tap order and
+// has.
+func TestConvPaddingOnlyKernelRows(t *testing.T) {
+	rng := rand.New(rand.NewPCG(31, 4))
+	for _, ch := range [][2]int{{1, 1}, {3, 5}, {4, 4}} {
+		cIn, cOut := ch[0], ch[1]
+		name := fmt.Sprintf("%d->%d channels over one row", cIn, cOut)
+		w, bias := tensor.New(cOut, cIn, 3, 3), tensor.New(cOut)
+		for i := range w.Data {
+			w.Data[i] = rng.Float64()*2 - 1
+		}
+		for i := range bias.Data {
+			bias.Data[i] = rng.Float64() + 0.5
+		}
+		b := onnx.NewBuilder("conv")
+		y := b.Conv(b.Input("x", 1, int64(cIn), 1, 8), b.Weight("w", w), b.Weight("b", bias), 1, 1)
+		b.Output(y, 1, int64(cOut), 1, 8)
+		nn, err := nnir.Import(b.Model())
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		w = nn.Main().Body[0].Args[1].Const.(*tensor.Tensor)
+		bias = nn.Main().Body[0].Args[2].Const.(*tensor.Tensor)
+		x := tensor.New(1, cIn, 1, 8)
+		for i := range x.Data {
+			x.Data[i] = rng.Float64()*2 - 1
+		}
+		want, err := nnir.Run(nn.Main(), map[string]*tensor.Tensor{"x": x})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		l := nextPow2(max(cIn, cOut) * 8)
+		li := &Layout{C: cIn, H: 1, W: 8, H0: 1, W0: 8, Sy: 1, Sx: 1, L: l, Gain: 1}
+		lo := &Layout{C: cOut, H: 1, W: 8, H0: 1, W0: 8, Sy: 1, Sx: 1, L: l, Gain: 1}
+		totals := map[int]bool{}
+		for co := 0; co < cOut; co++ {
+			for ci := 0; ci < cIn; ci++ {
+				for kx := 0; kx < 3; kx++ {
+					totals[offset(li, ci, 0, kx-1, lo, co)] = true
+				}
+			}
+		}
+		packed, _ := li.Pack(x.Data)
+		checkFolded(t, name, li, lo, w, bias, 1, 1, packed, want.Data, totals)
+	}
+}
+
 // checkFolded lowers one linear layer, runs it on packed and checks the
 // vector against the reference outputs want at every slot (checkReplicas),
 // one mask per distinct total offset mod the chosen period, and no more
@@ -424,11 +474,21 @@ func checkFolded(t *testing.T, name string, li, lo *Layout, w, bias *tensor.Tens
 	if stats.Mults != len(residues) {
 		t.Errorf("%s: %d masks for %d distinct total offsets mod the period %d", name, stats.Mults, len(residues), p)
 	}
-	_, unfolded := bsgsModulus(sortedKeys(totals), l, l)
+	_, unfolded := bsgsModulus(newRotationCounter(l), sortedKeys(totals), l)
 	if stats.Rotations > unfolded {
 		t.Errorf("%s: %d rotations at period %d, the unfolded split issues %d", name, stats.Rotations, p, unfolded)
 	}
 	return unfolded
+}
+
+// sortedKeys lists a set's members in ascending order.
+func sortedKeys(set map[int]bool) []int {
+	out := make([]int, 0, len(set))
+	for k := range set {
+		out = append(out, k)
+	}
+	sort.Ints(out)
+	return out
 }
 
 // checkReplicas reports the first slot of v that breaks period p: every
@@ -494,7 +554,7 @@ func masksPerTap(li, lo *Layout, w, bias *tensor.Tensor, stride, pad int) map[st
 			}
 		}
 	}
-	p, m := foldSplit(sortedKeys(seen), outs, l)
+	p, m := foldSplit(newRotationCounter(l), sortedKeys(seen), outs)
 	masks, byName := map[int][]float64{}, map[string][]float64{}
 	for _, tp := range taps {
 		r := tp.t % p
@@ -523,12 +583,36 @@ func masksPerTap(li, lo *Layout, w, bias *tensor.Tensor, stride, pad int) map[st
 	return byName
 }
 
-// TestFillMaskWraps checks fillMask against the per-element % placement
-// on random taps, offsets and babies: rows that run past the end of the
-// vector, which no generated layer or zoo model produces, wrap to its
-// start, and reset clears every slot the fill wrote.
+// fillMaskPerElement is the mask fill fillMask replaced, kept as the
+// reference: a % per row and a wrap test per element.
+func fillMaskPerElement(v []float64, taps []tap, b int, lo *Layout, reset bool) {
+	l := len(v)
+	for _, tp := range taps {
+		start := tp.base + (tp.t-b+l)%l + tp.x0*lo.Sx
+		for yo := tp.y0; yo < tp.y1; yo++ {
+			i := (start + yo*lo.Sy*lo.W0) % l
+			for xo := tp.x0; xo < tp.x1; xo++ {
+				if reset {
+					v[i] = 0
+				} else {
+					v[i] += tp.w
+				}
+				if i += lo.Sx; i >= l {
+					i -= l
+				}
+			}
+		}
+	}
+}
+
+// TestFillMaskWraps checks fillMask against the element-wise loop it
+// replaced and against the per-element % placement, bit for bit, on
+// random taps, offsets, babies and strides Sx of 1, 2 and 4: rows that
+// run past the end of the vector, which no generated layer or zoo model
+// produces, wrap to its start, and reset leaves every slot zero.
 func TestFillMaskWraps(t *testing.T) {
 	rng := rand.New(rand.NewPCG(24, 2))
+	wrapped := map[int]int{} // rows that wrap, per Sx
 	for trial := 0; trial < 500; trial++ {
 		s := 1 << rng.IntN(3)
 		lo := &Layout{C: 1 + rng.IntN(16), H: 8 / s, W: 8 / s, H0: 8, W0: 8, Sy: s, Sx: s, Gain: 1}
@@ -543,16 +627,20 @@ func TestFillMaskWraps(t *testing.T) {
 			taps[i] = tp
 			for yo := tp.y0; yo < tp.y1; yo++ {
 				row := tp.base + (tp.t-b+l)%l + yo*lo.Sy*lo.W0
+				if (row+tp.x0*lo.Sx)%l > (row+(tp.x1-1)*lo.Sx)%l {
+					wrapped[lo.Sx]++
+				}
 				for xo := tp.x0; xo < tp.x1; xo++ {
 					want[(row+xo*lo.Sx)%l] += tp.w
 				}
 			}
 		}
-		got := make([]float64, l)
+		got, ref := make([]float64, l), make([]float64, l)
 		fillMask(got, taps, b, lo, false)
+		fillMaskPerElement(ref, taps, b, lo, false)
 		for i := range want {
-			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("trial %d: slot %d holds %v, the %% placement %v", trial, i, got[i], want[i])
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) || math.Float64bits(got[i]) != math.Float64bits(ref[i]) {
+				t.Fatalf("trial %d: slot %d holds %v, the element-wise loop %v, the %% placement %v", trial, i, got[i], ref[i], want[i])
 			}
 		}
 		fillMask(got, taps, b, lo, true)
@@ -560,6 +648,11 @@ func TestFillMaskWraps(t *testing.T) {
 			if v != 0 {
 				t.Fatalf("trial %d: reset left %v in slot %d", trial, v, i)
 			}
+		}
+	}
+	for _, sx := range []int{1, 2, 4} {
+		if wrapped[sx] == 0 {
+			t.Errorf("no row wrapped at Sx = %d", sx)
 		}
 	}
 }
