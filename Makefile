@@ -29,15 +29,18 @@ vet:
 # Race-test the concurrency-bearing packages: the ring engine, the CKKS
 # evaluator and the bootstrapper fan limb work out across the internal/par
 # worker pool, and the serving layer runs a worker pool of evaluators over
-# a shared session cache. ACE_WORKERS=8 forces parallel scheduling even on
-# single-core CI machines. The packages that nest par.For run again at
+# a shared session cache. The compiler packages run too: a plan search
+# and concurrent compiles must share none of the per-lowering scratch
+# arrays and value tables (core's TestConcurrentCompilesMatchSerial).
+# ACE_WORKERS=8 forces parallel scheduling even on single-core CI
+# machines. The packages that nest par.For run again at
 # ACE_WORKERS=2: the worker count at which a nested loop's helper used
 # to queue behind the only pool worker and deadlock. Serve's one
 # executor (and the batch lanes it packs) nests par the same way.
 # -count=1: par reads ACE_WORKERS in init, which the test cache does not
 # key on, so a cached result may come from another worker count.
 race:
-	ACE_WORKERS=8 $(GO) test -count=1 -race ./internal/ring/... ./internal/ckks/... ./internal/bootstrap/... ./internal/par/... ./internal/nt/... ./internal/polyir/... ./internal/serve/... ./internal/fheclient/... ./internal/vm/... ./internal/obs/... ./internal/batch/... ./internal/cluster/...
+	ACE_WORKERS=8 $(GO) test -count=1 -race ./internal/ring/... ./internal/ckks/... ./internal/bootstrap/... ./internal/par/... ./internal/nt/... ./internal/polyir/... ./internal/serve/... ./internal/fheclient/... ./internal/vm/... ./internal/obs/... ./internal/batch/... ./internal/cluster/... ./internal/ir/... ./internal/nnir/... ./internal/vecir/... ./internal/sihe/... ./internal/ckksir/... ./internal/core/...
 	ACE_WORKERS=2 $(GO) test -count=1 -race ./internal/ring/... ./internal/ckks/... ./internal/bootstrap/... ./internal/par/... ./internal/vm/... ./internal/serve/... ./internal/batch/...
 
 # A real encrypted bootstrap at logN 13, in the stage counts the compiler

@@ -279,11 +279,14 @@ func TestPaperProfileSelectsSecureParameters(t *testing.T) {
 
 // TestPaperCompileAllocation bounds what one AnalysisOnly compile of
 // paper-scale ResNet-20 allocates, in bytes and in allocations, at about
-// 1.25× what it measured (58.3 MB in 185 300 allocations): its masks are
+// 1.25× what it measured (20.5 MB in 48 900 allocations): its masks are
 // built one at a time into a reused buffer (≈ 1.16 GB if all were held
-// at once), a linear layer's taps are grouped in one array and its
-// rotation counts reuse one pair of arrays. An allocation regression
-// fails here without a clock.
+// at once), a linear layer's taps are grouped in arrays the lowering
+// reuses for every layer, its rotation counts reuse one pair of arrays,
+// passes keep their per-value tables in slices indexed by value ID,
+// values and instructions are carved from chunks, no plan is built to
+// read a polynomial's depth, and calibration reuses its tensors'
+// buffers. An allocation regression fails here without a clock.
 func TestPaperCompileAllocation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles at paper scale")
@@ -301,8 +304,8 @@ func TestPaperCompileAllocation(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	mb, allocs := float64(after.TotalAlloc-before.TotalAlloc)/(1<<20), after.Mallocs-before.Mallocs
-	if mb > 73 || allocs > 232_000 {
-		t.Fatalf("paper-scale ResNet-20 AnalysisOnly compile allocated %.1f MB in %d allocations, want at most 73 MB in 232 000", mb, allocs)
+	if mb > 26 || allocs > 61_000 {
+		t.Fatalf("paper-scale ResNet-20 AnalysisOnly compile allocated %.1f MB in %d allocations, want at most 26 MB in 61 000", mb, allocs)
 	}
 }
 

@@ -48,7 +48,7 @@ func scaleType(t ir.Type, stride int) ir.Type {
 
 func transformFunc(out *ir.Module, f *ir.Func, stride int) error {
 	nf := out.NewFunc(f.Name)
-	vmap := make(map[*ir.Value]*ir.Value, len(f.Body)+len(f.Params))
+	vmap := ir.NewValues[*ir.Value](f)
 	copyMeta := func(dst, src *ir.Value) {
 		dst.Level = src.Level
 		dst.Scale = src.Scale
@@ -56,10 +56,10 @@ func transformFunc(out *ir.Module, f *ir.Func, stride int) error {
 	for _, p := range f.Params {
 		np := nf.NewParam(p.Name, scaleType(p.Type, stride))
 		copyMeta(np, p)
-		vmap[p] = np
+		vmap.Set(p, np)
 	}
 	mapArg := func(a *ir.Value, replicate bool) (*ir.Value, error) {
-		if na, ok := vmap[a]; ok {
+		if na := vmap.Get(a); na != nil {
 			return na, nil
 		}
 		if !a.IsConst() {
@@ -75,7 +75,7 @@ func transformFunc(out *ir.Module, f *ir.Func, stride int) error {
 		}
 		na := nf.NewConst(a.Name, scaleType(a.Type, stride), payload)
 		copyMeta(na, a)
-		vmap[a] = na
+		vmap.Set(a, na)
 		return na, nil
 	}
 	for _, in := range f.Body {
@@ -106,10 +106,10 @@ func transformFunc(out *ir.Module, f *ir.Func, stride int) error {
 		res := nf.Emit(in.Op, scaleType(in.Result.Type, stride), args, attrs)
 		copyMeta(res, in.Result)
 		res.Name = in.Result.Name
-		vmap[in.Result] = res
+		vmap.Set(in.Result, res)
 	}
-	ret, ok := vmap[f.Ret]
-	if !ok {
+	ret := vmap.Get(f.Ret)
+	if ret == nil {
 		return fmt.Errorf("return value never computed")
 	}
 	nf.Ret = ret

@@ -191,12 +191,9 @@ type Result struct {
 // normalisation (inclusive), segment i>0 from bootstrap i's output
 // through the next normalisation (or the function end).
 func plan(f *ir.Func, boot bool) ([]int, error) {
-	depth := map[*ir.Value]int{}
-	for _, p := range f.Params {
-		depth[p] = 0
-	}
+	depth := ir.NewValues[int](f)
 	var segments []int
-	cur := func(v *ir.Value) int { return depth[v] }
+	cur := func(v *ir.Value) int { return depth.Get(v) }
 	for _, in := range f.Body {
 		switch in.Op {
 		case sihe.OpAdd, sihe.OpSub:
@@ -206,9 +203,9 @@ func plan(f *ir.Func, boot bool) ([]int, error) {
 					d = d2
 				}
 			}
-			depth[in.Result] = d
+			depth.Set(in.Result, d)
 		case sihe.OpRotate, sihe.OpNeg, sihe.OpEncode:
-			depth[in.Result] = cur(in.Args[0])
+			depth.Set(in.Result, cur(in.Args[0]))
 		case sihe.OpMulConst:
 			d := cur(in.Args[0]) + 1
 			if in.Attr("relu_norm") != nil && boot {
@@ -216,17 +213,17 @@ func plan(f *ir.Func, boot bool) ([]int, error) {
 				d = 0
 				// The emission redirects the pre-bootstrap ReLU input to
 				// the refreshed ciphertext; its depth resets too.
-				depth[in.Args[0]] = 0
+				depth.Set(in.Args[0], 0)
 			}
-			depth[in.Result] = d
+			depth.Set(in.Result, d)
 		case sihe.OpPoly:
 			p, err := poly.FromAttrs(in.Attrs)
 			if err != nil {
 				return nil, err
 			}
-			depth[in.Result] = cur(in.Args[0]) + sihe.StageDepth(p)
+			depth.Set(in.Result, cur(in.Args[0])+sihe.StageDepth(p))
 		case sihe.OpLinear:
-			depth[in.Result] = cur(in.Args[0]) + 1
+			depth.Set(in.Result, cur(in.Args[0])+1)
 		case sihe.OpMul:
 			d := cur(in.Args[0])
 			if in.Args[1].Type.Kind == ir.KindCipher {
@@ -234,12 +231,12 @@ func plan(f *ir.Func, boot bool) ([]int, error) {
 					d = d2
 				}
 			}
-			depth[in.Result] = d + 1
+			depth.Set(in.Result, d+1)
 		default:
 			return nil, fmt.Errorf("ckksir: cannot plan op %q", in.Op)
 		}
 	}
-	segments = append(segments, depth[f.Ret])
+	segments = append(segments, depth.Get(f.Ret))
 	return segments, nil
 }
 
@@ -480,6 +477,7 @@ func Lower(sm *ir.Module, opts Options) (*Result, error) {
 		q:       qPrimes,
 		scale:   math.Exp2(float64(lit.LogScale)),
 		target:  target,
+		inLevel: segments[0],
 		useBoot: useBoot,
 		boot:    boot,
 	}
@@ -507,6 +505,7 @@ type lowerState struct {
 	q       []uint64
 	scale   float64
 	target  int
+	inLevel int // the first segment's depth
 	useBoot bool
 	boot    *bootstrap.Parameters
 
@@ -526,13 +525,7 @@ func (st *lowerState) emit(sm *ir.Module, src *ir.Func) (*ir.Module, error) {
 	pt := ir.PlainType(n)
 	vt := ir.VectorType(n)
 
-	inLevel := 0
-	// The input level is the first segment's depth; recompute.
-	segs, err := plan(src, st.useBoot)
-	if err != nil {
-		return nil, err
-	}
-	inLevel = segs[0]
+	inLevel := st.inLevel
 	if st.opts.ExpertSlack > 0 {
 		inLevel = st.target // experts encrypt at the top of the chain
 	}
@@ -540,29 +533,60 @@ func (st *lowerState) emit(sm *ir.Module, src *ir.Func) (*ir.Module, error) {
 	param := f.NewParam(src.Params[0].Name, ct)
 	param.Level = inLevel
 	param.Scale = st.scale
-	vals := map[*ir.Value]*ir.Value{src.Params[0]: param}
+	vals := ir.NewValues[*ir.Value](src)
+	vals.Set(src.Params[0], param)
+	// reluInput maps the last polynomial stage of each ReLU to the x of
+	// the relu_final product that consumes it.
+	reluInput := ir.NewValues[*ir.Value](src)
+	for _, in := range src.Body {
+		if in.Attr("relu_final") != nil && !reluInput.Has(in.Args[1]) {
+			reluInput.Set(in.Args[1], in.Args[0])
+		}
+	}
 
-	// vectorConst resolves a SIHE plain value back to its vector payload.
-	vectorConst := func(v *ir.Value) ([]float64, error) {
+	// vectorConst resolves a SIHE plain value back to its vector payload,
+	// a []float64 held as the constant holds it, so that the CKKS
+	// constant shares it without boxing it again.
+	vectorConst := func(v *ir.Value) (any, error) {
 		if v.Def == nil || v.Def.Op != sihe.OpEncode {
 			return nil, fmt.Errorf("ckksir: plain value %s is not an encode result", v)
 		}
-		c, ok := v.Def.Args[0].Const.([]float64)
-		if !ok {
+		c := v.Def.Args[0].Const
+		if _, ok := c.([]float64); !ok {
 			return nil, fmt.Errorf("ckksir: encode argument is not a vector constant")
 		}
 		return c, nil
 	}
 	// encodeAt encodes a constant; a linear layer's masks against a
 	// non-zero baby are encoded over Q∪P (attribute "qp"), the basis its
-	// kernel multiplies them in.
-	encodeAt := func(vec []float64, name string, level int, scale float64, qp bool) *ir.Value {
+	// kernel multiplies them in. Encodes with the same level, scale and
+	// basis share one attribute map (no pass rewrites an instruction's
+	// attributes in place), and their one-element argument lists are cut
+	// from one array.
+	type encodeKey struct {
+		level int
+		scale float64
+		qp    bool
+	}
+	encodeAttrs := map[encodeKey]map[string]any{}
+	var argBuf []*ir.Value
+	encodeAt := func(vec any, name string, level int, scale float64, qp bool) *ir.Value {
 		cv := f.NewConst(name, vt, vec)
-		attrs := map[string]any{"level": level, "scale": scale}
-		if qp {
-			attrs["qp"] = true
+		attrs := encodeAttrs[encodeKey{level, scale, qp}]
+		if attrs == nil {
+			attrs = map[string]any{"level": level, "scale": scale}
+			if qp {
+				attrs["qp"] = true
+			}
+			encodeAttrs[encodeKey{level, scale, qp}] = attrs
 		}
-		p := f.Emit(OpEncode, pt, []*ir.Value{cv}, attrs)
+		if len(argBuf) == 0 {
+			argBuf = make([]*ir.Value, 256)
+		}
+		args := argBuf[:1:1]
+		argBuf = argBuf[1:]
+		args[0] = cv
+		p := f.Emit(OpEncode, pt, args, attrs)
 		p.Level = level
 		p.Scale = scale
 		return p
@@ -593,7 +617,7 @@ func (st *lowerState) emit(sm *ir.Module, src *ir.Func) (*ir.Module, error) {
 	}
 
 	for _, in := range src.Body {
-		a := vals[in.Args[0]]
+		a := vals.Get(in.Args[0])
 		if in.Args[0].Type.Kind == ir.KindCipher && a == nil {
 			return nil, fmt.Errorf("ckksir: %s input not lowered", in.Op)
 		}
@@ -611,10 +635,10 @@ func (st *lowerState) emit(sm *ir.Module, src *ir.Func) (*ir.Module, error) {
 				p := encodeAt(vec, b.Name, a.Level, a.Scale, false)
 				out := f.Emit(OpAddPlain, ct, []*ir.Value{a, p}, nil)
 				out.Level, out.Scale = a.Level, a.Scale
-				vals[in.Result] = out
+				vals.Set(in.Result, out)
 				continue
 			}
-			bb := vals[b]
+			bb := vals.Get(b)
 			if bb == nil {
 				return nil, fmt.Errorf("ckksir: add operand not lowered")
 			}
@@ -626,7 +650,7 @@ func (st *lowerState) emit(sm *ir.Module, src *ir.Func) (*ir.Module, error) {
 			}
 			out := f.Emit(OpAdd, ct, []*ir.Value{aa, bb}, nil)
 			out.Level, out.Scale = level, aa.Scale
-			vals[in.Result] = out
+			vals.Set(in.Result, out)
 
 		case sihe.OpMul:
 			b := in.Args[1]
@@ -641,11 +665,11 @@ func (st *lowerState) emit(sm *ir.Module, src *ir.Func) (*ir.Module, error) {
 				p := encodeAt(vec, b.Name, a.Level, ptScale, false)
 				prod := f.Emit(OpMulPlain, ct, []*ir.Value{a, p}, nil)
 				prod.Level, prod.Scale = a.Level, a.Scale*ptScale
-				vals[in.Result] = rescale(prod, st.scale)
+				vals.Set(in.Result, rescale(prod, st.scale))
 				continue
 			}
 			// Ciphertext x ciphertext (the ReLU final product).
-			h := vals[b]
+			h := vals.Get(b)
 			if h == nil {
 				return nil, fmt.Errorf("ckksir: mul operand not lowered")
 			}
@@ -665,7 +689,7 @@ func (st *lowerState) emit(sm *ir.Module, src *ir.Func) (*ir.Module, error) {
 				}
 				out.Scale = st.scale
 			}
-			vals[in.Result] = out
+			vals.Set(in.Result, out)
 
 		case sihe.OpLinear:
 			// Masks are encoded so that the kernel's rescale lands exactly
@@ -674,7 +698,8 @@ func (st *lowerState) emit(sm *ir.Module, src *ir.Func) (*ir.Module, error) {
 				return nil, fmt.Errorf("ckksir: linear layer at level %d has no level to consume", a.Level)
 			}
 			ptScale := st.scale * qAt(a.Level) / a.Scale
-			args := []*ir.Value{a}
+			args := make([]*ir.Value, 1, len(in.Args))
+			args[0] = a
 			babies := in.AttrInts("b")
 			if len(babies) != len(in.Args)-1 {
 				return nil, fmt.Errorf("ckksir: linear layer with %d masks and %d babies", len(in.Args)-1, len(babies))
@@ -688,22 +713,21 @@ func (st *lowerState) emit(sm *ir.Module, src *ir.Func) (*ir.Module, error) {
 			}
 			out := f.Emit(OpLinear, ct, args, in.Attrs)
 			out.Level, out.Scale = a.Level-1, st.scale
-			vals[in.Result] = out
+			vals.Set(in.Result, out)
 
 		case sihe.OpNeg:
 			out := f.Emit(OpMulConst, ct, []*ir.Value{a}, map[string]any{"c": -1.0, "const_scale": 1.0})
 			out.Level, out.Scale = a.Level, a.Scale
-			vals[in.Result] = out
+			vals.Set(in.Result, out)
 
 		case sihe.OpRotate:
 			k := in.AttrInt("k", 0)
 			out := f.Emit(OpRotate, ct, []*ir.Value{a}, map[string]any{"k": k})
 			out.Level, out.Scale = a.Level, a.Scale
-			vals[in.Result] = out
+			vals.Set(in.Result, out)
 
 		case sihe.OpEncode:
 			// Encodes are materialised at their use sites.
-			vals[in.Result] = nil
 
 		case sihe.OpMulConst:
 			c := in.AttrFloat("c", 1)
@@ -723,11 +747,11 @@ func (st *lowerState) emit(sm *ir.Module, src *ir.Func) (*ir.Module, error) {
 					xr := f.Emit(OpReinterpret, ct, []*ir.Value{bt}, map[string]any{"factor": bound})
 					xr.Level, xr.Scale = bt.Level, bt.Scale/bound
 					// Redirect later uses of the pre-bootstrap x.
-					vals[in.Args[0]] = xr
+					vals.Set(in.Args[0], xr)
 				}
 				out = bt
 			}
-			vals[in.Result] = out
+			vals.Set(in.Result, out)
 
 		case sihe.OpPoly:
 			p, err := poly.FromAttrs(in.Attrs)
@@ -744,8 +768,7 @@ func (st *lowerState) emit(sm *ir.Module, src *ir.Func) (*ir.Module, error) {
 				// Coordinate with the final product: after the product at
 				// outLevel rescales, it must land exactly on the
 				// waterline.
-				xVal := st.findReluInput(src, in, vals)
-				if xVal != nil {
+				if xVal := vals.Get(reluInput.Get(in.Result)); xVal != nil {
 					target = st.scale * qAt(outLevel) / xVal.Scale
 				}
 			}
@@ -753,13 +776,13 @@ func (st *lowerState) emit(sm *ir.Module, src *ir.Func) (*ir.Module, error) {
 			attrs["target"] = target
 			out := f.Emit(OpPoly, ct, []*ir.Value{a}, attrs)
 			out.Level, out.Scale = outLevel, target
-			vals[in.Result] = out
+			vals.Set(in.Result, out)
 
 		default:
 			return nil, fmt.Errorf("ckksir: cannot lower %q", in.Op)
 		}
 	}
-	ret := vals[src.Ret]
+	ret := vals.Get(src.Ret)
 	if ret == nil {
 		return nil, fmt.Errorf("ckksir: return value not lowered")
 	}
@@ -768,19 +791,4 @@ func (st *lowerState) emit(sm *ir.Module, src *ir.Func) (*ir.Module, error) {
 		return nil, err
 	}
 	return mod, nil
-}
-
-// findReluInput locates the x operand of the relu_final product that
-// consumes this last polynomial stage, returning its lowered value (the
-// post-bootstrap reinterpretation when present).
-func (st *lowerState) findReluInput(src *ir.Func, stage *ir.Instr, vals map[*ir.Value]*ir.Value) *ir.Value {
-	for _, in := range src.Body {
-		if in.Attr("relu_final") == nil {
-			continue
-		}
-		if in.Args[1] == stage.Result {
-			return vals[in.Args[0]]
-		}
-	}
-	return nil
 }

@@ -27,23 +27,15 @@ func LazyRescale() ir.Pass {
 }
 
 func lazyRescaleOnce(f *ir.Func) bool {
-	uses := map[*ir.Value]int{}
-	for _, in := range f.Body {
-		for _, a := range in.Args {
-			uses[a]++
-		}
-	}
-	if f.Ret != nil {
-		uses[f.Ret]++
-	}
+	uses := ir.Uses(f)
 	changed := false
-	var body []*ir.Instr
+	body := make([]*ir.Instr, 0, len(f.Body))
 	for _, in := range f.Body {
 		// rotate(rescale(u)) -> rescale(rotate(u)): rotation commutes
 		// with rescaling, exposing the add-level merge below.
 		if in.Op == OpRotate {
 			a := in.Args[0]
-			if a.Def != nil && a.Def.Op == OpRescale && uses[a] == 1 && a.Type.Kind == ir.KindCipher {
+			if a.Def != nil && a.Def.Op == OpRescale && uses.Get(a) == 1 && a.Type.Kind == ir.KindCipher {
 				u := a.Def.Args[0]
 				tmp := f.NewValue("", in.Result.Type)
 				tmp.Level, tmp.Scale = u.Level, u.Scale
@@ -62,7 +54,7 @@ func lazyRescaleOnce(f *ir.Func) bool {
 		}
 		a, b := in.Args[0], in.Args[1]
 		if a.Def == nil || b.Def == nil || a.Def.Op != OpRescale || b.Def.Op != OpRescale ||
-			uses[a] != 1 || uses[b] != 1 {
+			uses.Get(a) != 1 || uses.Get(b) != 1 {
 			body = append(body, in)
 			continue
 		}

@@ -16,9 +16,9 @@ func Eval[T any](f *Func, params []T, konst func(*Value) (T, error),
 	if len(params) != len(f.Params) {
 		return zero, fmt.Errorf("%s: %d inputs for %d parameters", f.Name, len(params), len(f.Params))
 	}
-	env := make(map[*Value]T, len(f.Params)+len(f.Body))
+	env := NewValues[T](f)
 	for i, p := range f.Params {
-		env[p] = params[i]
+		env.Set(p, params[i])
 	}
 	get := func(v *Value) (T, error) {
 		if v == nil {
@@ -27,7 +27,7 @@ func Eval[T any](f *Func, params []T, konst func(*Value) (T, error),
 		if v.IsConst() {
 			return konst(v)
 		}
-		if x, ok := env[v]; ok {
+		if x, ok := env.Lookup(v); ok {
 			return x, nil
 		}
 		return zero, fmt.Errorf("value %s not computed", v)
@@ -47,7 +47,7 @@ func Eval[T any](f *Func, params []T, konst func(*Value) (T, error),
 		if observe != nil {
 			observe(in, args, out)
 		}
-		env[in.Result] = out
+		env.Set(in.Result, out)
 	}
 	return get(f.Ret)
 }

@@ -118,6 +118,8 @@ type Value struct {
 	// management pass (meaningful for cipher/plain kinds only).
 	Level int
 	Scale float64
+
+	fn *Func // the function whose numbering ID belongs to
 }
 
 // IsConst reports whether the value is a compile-time constant.
@@ -176,6 +178,23 @@ type Func struct {
 	Body   []*Instr
 	Ret    *Value
 	nextID int
+
+	// Values and instructions are carved from chunks (see chunk): a
+	// lowering makes tens of thousands of each.
+	values []Value
+	instrs []Instr
+}
+
+// chunk returns the next element of *free. An empty *free is refilled
+// with as many elements as were made before (at least 16, at most
+// 1024), so chunks double while a function is small.
+func chunk[T any](free *[]T, made int) *T {
+	if len(*free) == 0 {
+		*free = make([]T, min(max(made, 16), 1024))
+	}
+	x := &(*free)[0]
+	*free = (*free)[1:]
+	return x
 }
 
 // Module is a compilation unit.
@@ -228,10 +247,23 @@ func (m *Module) Main() *Func {
 	return m.Funcs[0]
 }
 
+// NumValues bounds the value IDs of f: every value f has made has an ID
+// in 1..NumValues, and no two share one.
+func (f *Func) NumValues() int { return f.nextID }
+
+func (f *Func) name() string {
+	if f == nil {
+		return "no function"
+	}
+	return f.Name
+}
+
 // NewValue creates a fresh unbound value.
 func (f *Func) NewValue(name string, t Type) *Value {
 	f.nextID++
-	return &Value{ID: f.nextID, Name: name, Type: t}
+	v := chunk(&f.values, f.nextID)
+	*v = Value{ID: f.nextID, Name: name, Type: t, fn: f}
+	return v
 }
 
 // NewParam appends a parameter.
@@ -251,7 +283,8 @@ func (f *Func) NewConst(name string, t Type, payload any) *Value {
 // Emit appends an instruction producing a fresh result of type t.
 func (f *Func) Emit(op string, t Type, args []*Value, attrs map[string]any) *Value {
 	res := f.NewValue("", t)
-	in := &Instr{Op: op, Args: args, Attrs: attrs, Result: res}
+	in := chunk(&f.instrs, len(f.Body))
+	*in = Instr{Op: op, Args: args, Attrs: attrs, Result: res}
 	res.Def = in
 	f.Body = append(f.Body, in)
 	return res

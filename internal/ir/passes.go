@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 )
@@ -89,20 +90,20 @@ func (pm *PassManager) LevelBreakdown() map[string]time.Duration {
 // DCE removes instructions whose results are never used (transitively).
 func DCE() Pass {
 	return FuncPass{PassName: "dce", PassLevel: "Others", Fn: func(f *Func) error {
-		live := map[*Value]bool{}
+		live := NewValues[bool](f)
 		if f.Ret != nil {
-			live[f.Ret] = true
+			live.Set(f.Ret, true)
 		}
 		// Walk backwards: an instruction is live if its result is.
 		kept := make([]*Instr, 0, len(f.Body))
 		for i := len(f.Body) - 1; i >= 0; i-- {
 			in := f.Body[i]
-			if !live[in.Result] && !hasSideEffects(in.Op) {
+			if !live.Get(in.Result) && !hasSideEffects(in.Op) {
 				continue
 			}
 			kept = append(kept, in)
 			for _, a := range in.Args {
-				live[a] = true
+				live.Set(a, true)
 			}
 		}
 		// Reverse back into program order.
@@ -122,58 +123,75 @@ func hasSideEffects(op string) bool {
 func CSE() Pass {
 	return FuncPass{PassName: "cse", PassLevel: "Others", Fn: func(f *Func) error {
 		seen := map[string]*Value{}
-		replace := map[*Value]*Value{}
+		replace := NewValues[*Value](f)
 		kept := f.Body[:0]
+		var key []byte
 		for _, in := range f.Body {
 			for i, a := range in.Args {
-				if r, ok := replace[a]; ok {
+				if r := replace.Get(a); r != nil {
 					in.Args[i] = r
 				}
 			}
-			key := instrKey(in)
-			if prev, ok := seen[key]; ok {
-				replace[in.Result] = prev
+			key = appendInstrKey(key[:0], in)
+			if prev, ok := seen[string(key)]; ok {
+				replace.Set(in.Result, prev)
 				continue
 			}
-			seen[key] = in.Result
+			seen[string(key)] = in.Result
 			kept = append(kept, in)
 		}
 		f.Body = kept
-		if r, ok := replace[f.Ret]; ok {
+		if r := replace.Get(f.Ret); r != nil {
 			f.Ret = r
 		}
 		return nil
 	}}
 }
 
-// instrKey builds a structural hash key for CSE. Constant values are
-// keyed by identity (the lowering interns shared constants).
-func instrKey(in *Instr) string {
-	var sb strings.Builder
-	sb.WriteString(in.Op)
+// appendInstrKey appends a structural key of in for CSE to b: op,
+// argument IDs, then the attributes in sorted key order. Constant values
+// are keyed by identity (the lowering interns shared constants).
+func appendInstrKey(b []byte, in *Instr) []byte {
+	b = append(b, in.Op...)
 	for _, a := range in.Args {
-		fmt.Fprintf(&sb, "|%d", a.ID)
+		b = strconv.AppendInt(append(b, '|'), int64(a.ID), 10)
 	}
 	for _, k := range SortedAttrKeys(in.Attrs) {
-		fmt.Fprintf(&sb, "|%s=%v", k, attrKeyString(in.Attrs[k]))
+		b = append(append(append(b, '|'), k...), '=')
+		b = appendAttrKey(b, in.Attrs[k])
 	}
-	return sb.String()
+	return b
 }
 
-func attrKeyString(v any) string {
+// appendAttrKey appends an attribute value's key text to b, without fmt
+// for the attribute types the lowerings emit.
+func appendAttrKey(b []byte, v any) []byte {
 	switch t := v.(type) {
+	case int:
+		return strconv.AppendInt(b, int64(t), 10)
+	case float64:
+		return strconv.AppendFloat(b, t, 'g', -1, 64)
+	case string:
+		return append(b, t...)
+	case bool:
+		return strconv.AppendBool(b, t)
 	case []int:
-		return fmt.Sprint(t)
+		b = append(b, '[')
+		for i, x := range t {
+			if i > 0 {
+				b = append(b, ' ')
+			}
+			b = strconv.AppendInt(b, int64(x), 10)
+		}
+		return append(b, ']')
 	case []float64:
 		if len(t) > 8 {
 			// Long payloads: identity is cheaper and safe (they are
 			// interned by the lowerings).
-			return fmt.Sprintf("f64@%p", t)
+			return fmt.Appendf(b, "f64@%p", t)
 		}
-		return fmt.Sprint(t)
-	default:
-		return fmt.Sprint(v)
 	}
+	return fmt.Append(b, v)
 }
 
 // Print renders a function as text.
@@ -200,7 +218,7 @@ func (f *Func) String() string {
 		if len(in.Attrs) > 0 {
 			parts := []string{}
 			for _, k := range SortedAttrKeys(in.Attrs) {
-				parts = append(parts, fmt.Sprintf("%s=%s", k, attrKeyString(in.Attrs[k])))
+				parts = append(parts, fmt.Sprintf("%s=%s", k, appendAttrKey(nil, in.Attrs[k])))
 			}
 			fmt.Fprintf(&sb, " {%s}", strings.Join(parts, ", "))
 		}

@@ -49,9 +49,9 @@ type TableAttr struct {
 // is not a non-empty []float64.
 func Flatten(f *Func) (*Table, error) {
 	t := &Table{Name: f.Name, Fingerprint: Fingerprint(f)}
-	index := map[*Value]int{}
+	index := NewValues[int](f)
 	add := func(v *Value) (int, error) {
-		if i, ok := index[v]; ok {
+		if i, ok := index.Lookup(v); ok {
 			return i, nil
 		}
 		tv := TableValue{ID: v.ID, Name: v.Name, Type: v.Type, Level: v.Level, Scale: v.Scale}
@@ -62,9 +62,9 @@ func Flatten(f *Func) (*Table, error) {
 			}
 			tv.Const = vec
 		}
-		index[v] = len(t.Values)
+		index.Set(v, len(t.Values))
 		t.Values = append(t.Values, tv)
-		return index[v], nil
+		return len(t.Values) - 1, nil
 	}
 	for _, p := range f.Params {
 		i, err := add(p)
@@ -103,16 +103,30 @@ func Flatten(f *Func) (*Table, error) {
 	return t, nil
 }
 
+// maxIDsPerValue bounds the value IDs Build accepts: at most this many
+// per value of the table.
+const maxIDsPerValue = 16
+
 // Build rebuilds the function a Table was flattened from. Every index is
-// checked against its bounds, every value may have one role (parameter,
+// checked against its bounds, value IDs must be distinct and at most
+// maxIDsPerValue per value, every value may have one role (parameter,
 // constant or the result of one instruction), the rebuilt function must
 // pass VerifyFunc, and its Fingerprint must be the recorded one.
 func (t *Table) Build() (*Func, error) {
 	f := &Func{Name: t.Name}
 	values := make([]*Value, len(t.Values))
 	claimed := make([]bool, len(values)) // constant, parameter or result
+	// IDs index the passes' value tables (Values), so each must be one of
+	// its own, and a corrupt table must not size those tables: a function
+	// made by the compiler numbers about one ID per value it keeps.
+	maxID := maxIDsPerValue * len(t.Values)
+	taken := make([]bool, maxID+1)
 	for i, tv := range t.Values {
-		v := &Value{ID: tv.ID, Name: tv.Name, Type: tv.Type, Level: tv.Level, Scale: tv.Scale}
+		if tv.ID < 1 || tv.ID > maxID || taken[tv.ID] {
+			return nil, fmt.Errorf("ir: value %d: ID %d repeated or outside [1,%d]", i, tv.ID, maxID)
+		}
+		taken[tv.ID] = true
+		v := &Value{ID: tv.ID, Name: tv.Name, Type: tv.Type, Level: tv.Level, Scale: tv.Scale, fn: f}
 		if tv.Const != nil { // a nil slice would still be a non-nil any
 			v.Const = tv.Const
 			claimed[i] = true

@@ -43,6 +43,9 @@ func TestTableRoundTrip(t *testing.T) {
 		"use before def":      func(t *Table) { t.Body[0].Args[0] = t.Body[1].Result },
 		"fingerprint":         func(t *Table) { t.Fingerprint++ },
 		"missing attr":        func(t *Table) { t.Body[1].Attrs = nil },
+		"repeated id":         func(t *Table) { t.Values[1].ID = t.Values[0].ID },
+		"id zero":             func(t *Table) { t.Values[0].ID = 0 },
+		"id past the bound":   func(t *Table) { t.Values[0].ID = maxIDsPerValue*len(t.Values) + 1 },
 	} {
 		bad, err := Flatten(f)
 		if err != nil {

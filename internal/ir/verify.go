@@ -50,9 +50,12 @@ func LookupOp(name string) (OpSpec, bool) {
 // VerifyFunc checks every instruction against the registry plus SSA
 // structural invariants (arguments defined before use).
 func VerifyFunc(f *Func) error {
-	defined := map[*Value]bool{}
+	defined := NewValues[bool](f)
 	for _, p := range f.Params {
-		defined[p] = true
+		if p.fn != f {
+			return fmt.Errorf("parameter %s is a value of %s", p, p.fn.name())
+		}
+		defined.Set(p, true)
 	}
 	for idx, in := range f.Body {
 		spec, ok := LookupOp(in.Op)
@@ -70,10 +73,13 @@ func VerifyFunc(f *Func) error {
 			if a == nil {
 				return fmt.Errorf("instr %d (%s): nil argument %d", idx, in.Op, i)
 			}
+			if a.fn != f {
+				return fmt.Errorf("instr %d (%s): argument %d is a value of %s", idx, in.Op, i, a.fn.name())
+			}
 			if !a.IsConst() && a.Def == nil && !isParam(f, a) {
 				return fmt.Errorf("instr %d (%s): argument %d has no definition", idx, in.Op, i)
 			}
-			if !a.IsConst() && a.Def != nil && !defined[a] {
+			if !a.IsConst() && a.Def != nil && !defined.Get(a) {
 				return fmt.Errorf("instr %d (%s): argument %s used before definition", idx, in.Op, a)
 			}
 			set := spec.Variadic
@@ -101,9 +107,15 @@ func VerifyFunc(f *Func) error {
 		if spec.Result != KindInvalid && in.Result.Type.Kind != spec.Result {
 			return fmt.Errorf("instr %d (%s): result kind %s, want %s", idx, in.Op, in.Result.Type.Kind, spec.Result)
 		}
-		defined[in.Result] = true
+		if in.Result.fn != f {
+			return fmt.Errorf("instr %d (%s): result is a value of %s", idx, in.Op, in.Result.fn.name())
+		}
+		defined.Set(in.Result, true)
 	}
-	if f.Ret != nil && !defined[f.Ret] && !f.Ret.IsConst() && !isParam(f, f.Ret) {
+	if f.Ret != nil && f.Ret.fn != f {
+		return fmt.Errorf("return value %s is a value of %s", f.Ret, f.Ret.fn.name())
+	}
+	if f.Ret != nil && !defined.Get(f.Ret) && !f.Ret.IsConst() && !isParam(f, f.Ret) {
 		return fmt.Errorf("return value %s never defined", f.Ret)
 	}
 	return nil

@@ -16,8 +16,8 @@ func Run(f *ir.Func, inputs map[string]*tensor.Tensor) (*tensor.Tensor, error) {
 }
 
 // RunWithHook is Run with an observer: hook sees every instruction once,
-// in body order, with its argument tensors and its result (calibration
-// reads the arguments of the nonlinear ops this way).
+// in body order, with its argument tensors and its result (the
+// cross-level tests compare every layer's output this way).
 func RunWithHook(f *ir.Func, inputs map[string]*tensor.Tensor, hook func(*ir.Instr, []*tensor.Tensor, *tensor.Tensor)) (*tensor.Tensor, error) {
 	params := make([]*tensor.Tensor, len(f.Params))
 	for i, p := range f.Params {
@@ -92,12 +92,12 @@ func step(in *ir.Instr, args []*tensor.Tensor) (*tensor.Tensor, error) {
 // exports of the supported model families always place BN after conv.
 func FuseConvBatchNorm() ir.Pass {
 	return ir.FuncPass{PassName: "nn-fuse-conv-bn", PassLevel: "NN", Fn: func(f *ir.Func) error {
-		uses := countUses(f)
-		replaced := map[*ir.Value]*ir.Value{}
+		uses := ir.Uses(f)
+		replaced := ir.NewValues[*ir.Value](f)
 		var kept []*ir.Instr
 		for _, in := range f.Body {
 			for i, a := range in.Args {
-				if r, ok := replaced[a]; ok {
+				if r := replaced.Get(a); r != nil {
 					in.Args[i] = r
 				}
 			}
@@ -106,7 +106,7 @@ func FuseConvBatchNorm() ir.Pass {
 				continue
 			}
 			src := in.Args[0]
-			if src.Def == nil || src.Def.Op != OpConv || uses[src] != 1 {
+			if src.Def == nil || src.Def.Op != OpConv || uses.Get(src) != 1 {
 				kept = append(kept, in)
 				continue
 			}
@@ -155,23 +155,9 @@ func FuseConvBatchNorm() ir.Pass {
 				}
 			}
 			kept = append(kept, fused)
-			replaced[src] = in.Result
-			_ = replaced
+			replaced.Set(src, in.Result)
 		}
 		f.Body = kept
 		return nil
 	}}
-}
-
-func countUses(f *ir.Func) map[*ir.Value]int {
-	uses := map[*ir.Value]int{}
-	for _, in := range f.Body {
-		for _, a := range in.Args {
-			uses[a]++
-		}
-	}
-	if f.Ret != nil {
-		uses[f.Ret]++
-	}
-	return uses
 }

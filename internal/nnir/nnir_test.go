@@ -182,3 +182,103 @@ func TestPassManagerTimings(t *testing.T) {
 		t.Fatal("NN level missing from breakdown")
 	}
 }
+
+// calibrationMaxima is the calibration run CalibrateReLUBounds replaced,
+// kept as the reference: every sample through RunWithHook, which holds
+// every intermediate tensor, the hook keeping each nonlinear op's
+// largest |input|. It returns those maxima by body index and each
+// sample's output.
+func calibrationMaxima(t *testing.T, f *ir.Func, samples []*tensor.Tensor) ([]float64, []*tensor.Tensor) {
+	t.Helper()
+	index := map[*ir.Instr]int{}
+	for i, in := range f.Body {
+		index[in] = i
+	}
+	maxes := make([]float64, len(f.Body))
+	var outs []*tensor.Tensor
+	for _, x := range samples {
+		out, err := RunWithHook(f, map[string]*tensor.Tensor{f.Params[0].Name: x}, func(in *ir.Instr, args []*tensor.Tensor, _ *tensor.Tensor) {
+			if in.Op != OpRelu && in.Op != OpSigmoid && in.Op != OpTanh {
+				return
+			}
+			for _, v := range args[0].Data {
+				if a := math.Abs(v); a > maxes[index[in]] {
+					maxes[index[in]] = a
+				}
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		outs = append(outs, out)
+	}
+	return maxes, outs
+}
+
+// TestCalibrationMatchesHookRun holds the calibration's evaluator, which
+// releases tensors after their last reader and reuses their buffers, to
+// the hook run it replaced, bit for bit: every maximum and every sample's
+// output. The aliasing model reads a ReLU through flatten and reshape
+// views while its input lives on and a convolution of the same size is
+// computed, adds a value to itself and sends a sum through a sigmoid; a
+// buffer reused while a view of it lives, or written in place while
+// another reader waits, changes a maximum here.
+func TestCalibrationMatchesHookRun(t *testing.T) {
+	rng := rand.New(rand.NewPCG(45, 1))
+	uniform := func(shape ...int) *tensor.Tensor {
+		w := tensor.New(shape...)
+		for i := range w.Data {
+			w.Data[i] = rng.Float64()*2 - 1
+		}
+		return w
+	}
+	b := onnx.NewBuilder("aliasing")
+	x := b.Input("image", 1, 2, 4, 4)
+	c1 := b.Conv(x, b.Weight("c1.w", uniform(2, 2, 3, 3)), b.Weight("c1.b", uniform(2)), 1, 1)
+	view := b.Reshape(b.Flatten(b.Relu(c1)), []int64{1, 2, 4, 4})
+	c3 := b.Conv(x, b.Weight("c3.w", uniform(2, 2, 3, 3)), b.Weight("c3.b", uniform(2)), 1, 1)
+	r2 := b.Relu(b.Add(b.Add(view, c3), c1))
+	s := b.Node("Sigmoid", []string{b.Add(r2, r2)})
+	c2 := b.Conv(s, b.Weight("c2.w", uniform(2, 2, 1, 1)), "", 1, 0)
+	y := b.Gemm(b.Flatten(b.GlobalAveragePool(b.Relu(c2))), b.Weight("fc.w", uniform(3, 2)), b.Weight("fc.b", uniform(3)))
+	b.Output(y, 1, 3)
+	aliasing := b.Model()
+	resnet, _ := onnx.BuildResNet(onnx.ResNetConfig{Depth: 8, BaseChannels: 4, InputSize: 8, Classes: 10, Seed: 9})
+	small, _ := onnx.BuildSmallCNN(onnx.SmallCNNConfig{InputSize: 8, Channels: 4, Classes: 4})
+	for _, m := range []*onnx.Model{aliasing, resnet, small} {
+		mod, err := Import(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := mod.Main()
+		var samples []*tensor.Tensor
+		for s := uint64(0); s < 3; s++ {
+			samples = append(samples, randImage(f.Params[0].Type.Shape, s))
+		}
+		want, wantOuts := calibrationMaxima(t, f, samples)
+		c := newCalibration(f)
+		nonzero := 0
+		for s, x := range samples {
+			if err := c.run(x); err != nil {
+				t.Fatal(err)
+			}
+			got := c.env.Get(f.Ret)
+			for i := range got.Data {
+				if math.Float64bits(got.Data[i]) != math.Float64bits(wantOuts[s].Data[i]) {
+					t.Fatalf("%s sample %d: output %d is %v, the hook run %v", m.Graph.Name, s, i, got.Data[i], wantOuts[s].Data[i])
+				}
+			}
+		}
+		for i := range want {
+			if math.Float64bits(c.maxes[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s: instr %d (%s) max %v, the hook run %v", m.Graph.Name, i, f.Body[i].Op, c.maxes[i], want[i])
+			}
+			if want[i] != 0 {
+				nonzero++
+			}
+		}
+		if nonzero == 0 {
+			t.Fatalf("%s: no nonlinear op calibrated", m.Graph.Name)
+		}
+	}
+}

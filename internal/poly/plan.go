@@ -83,7 +83,7 @@ func NewPlan(p *Polynomial) *Plan {
 		b := &planBuilder{chebyshev: p.Basis == Chebyshev, m: m, used: make([]bool, deg+1)}
 		pl := &Plan{
 			Poly:   p,
-			Affine: p.Basis == Chebyshev && (p.A != -1 || p.B != 1),
+			Affine: p.Affine(),
 			Root:   b.node(p.Coeffs[:deg+1], p.Depth()-1),
 		}
 		pl.Powers = b.powers()

@@ -51,6 +51,10 @@ func (p *Polynomial) Depth() int {
 	return depth
 }
 
+// Affine reports whether evaluating p first maps its input onto [-1,1]:
+// a Chebyshev polynomial over another interval, which takes one level.
+func (p *Polynomial) Affine() bool { return p.Basis == Chebyshev && (p.A != -1 || p.B != 1) }
+
 // Eval evaluates p at x in plaintext (reference implementation).
 func (p *Polynomial) Eval(x float64) float64 {
 	switch p.Basis {

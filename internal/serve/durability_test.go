@@ -515,3 +515,69 @@ func TestRecoveryWithoutSessionFailsOpen(t *testing.T) {
 		t.Fatalf("ghost job counted as work: %+v", st)
 	}
 }
+
+// TestCheckpointRemovedOnSettle: settling a job deletes its checkpoint
+// file and returns its bytes, on complete, on forget and after a restart
+// that found the file on disk; settling a job that never checkpointed
+// leaves every other checkpoint in place.
+func TestCheckpointRemovedOnSettle(t *testing.T) {
+	dir := t.TempDir()
+	dur, _, err := openDurable(dir, 1<<30, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exists := func(key string) bool {
+		_, err := os.Stat(dur.ckptPath(key))
+		return err == nil
+	}
+	settle := func(key string, complete bool) {
+		t.Helper()
+		if complete {
+			r, err := (record{kind: recComplete, key: key, body: []byte("result")}).encode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			dur.complete(r)
+		} else {
+			dur.forget(key)
+		}
+	}
+	for _, complete := range []bool{true, false} {
+		key := "sess/idem-live"
+		if err := dur.writeCheckpoint(key, []byte("first checkpoint")); err != nil {
+			t.Fatal(err)
+		}
+		if err := dur.writeCheckpoint(key, []byte("second, longer checkpoint")); err != nil {
+			t.Fatal(err)
+		}
+		if got := dur.ckptBytes.Load(); got <= int64(len("second, longer checkpoint")) || !exists(key) {
+			t.Fatalf("after two checkpoints: %d bytes, file present %v", got, exists(key))
+		}
+		settle("sess/idem-never-checkpointed", complete)
+		if !exists(key) || dur.ckptBytes.Load() == 0 {
+			t.Fatal("settling another job touched this job's checkpoint")
+		}
+		settle(key, complete)
+		if exists(key) || dur.ckptBytes.Load() != 0 {
+			t.Fatalf("complete=%v: file present %v, %d checkpoint bytes left", complete, exists(key), dur.ckptBytes.Load())
+		}
+	}
+
+	key := "sess/idem-crash"
+	if err := dur.writeCheckpoint(key, []byte("checkpoint before the crash")); err != nil {
+		t.Fatal(err)
+	}
+	want := dur.ckptBytes.Load()
+	dur.close()
+	if dur, _, err = openDurable(dir, 1<<30, 16); err != nil {
+		t.Fatal(err)
+	}
+	defer dur.close()
+	if got := dur.ckptBytes.Load(); got != want || !exists(key) {
+		t.Fatalf("after restart: %d checkpoint bytes (want %d), file present %v", got, want, exists(key))
+	}
+	settle(key, true)
+	if exists(key) || dur.ckptBytes.Load() != 0 {
+		t.Fatalf("after restart: file present %v, %d checkpoint bytes left", exists(key), dur.ckptBytes.Load())
+	}
+}

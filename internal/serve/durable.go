@@ -46,6 +46,12 @@ type durable struct {
 	budget    int64 // session spill budget in bytes
 	sessBytes int64 // current bytes under sessDir
 
+	// ckptMu guards ckpts, the size of every checkpoint file under
+	// jobDir by file name: most jobs finish before their first
+	// checkpoint, and settling one touches the disk only if it has a
+	// file.
+	ckptMu      sync.Mutex
+	ckpts       map[string]int64
 	ckptBytes   atomic.Int64  // live checkpoint file bytes
 	ckptWritten atomic.Uint64 // cumulative checkpoint bytes (statz)
 	storeErrs   atomic.Uint64 // persistence failures (serving continued)
@@ -89,22 +95,31 @@ func openDurable(dir string, diskBudget int64, idemCap int) (*durable, *journalS
 		return nil, nil, err
 	}
 	d.sessBytes = dirBytes(d.sessDir)
-	d.ckptBytes.Store(dirBytes(d.jobDir))
+	d.loadCheckpoints()
 	return d, st, nil
 }
 
 func dirBytes(dir string) int64 {
 	var total int64
+	for _, size := range dirFiles(dir) {
+		total += size
+	}
+	return total
+}
+
+// dirFiles returns the size of every regular file in dir, by name.
+func dirFiles(dir string) map[string]int64 {
+	files := map[string]int64{}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return 0
+		return files
 	}
 	for _, e := range entries {
 		if info, err := e.Info(); err == nil && info.Mode().IsRegular() {
-			total += info.Size()
+			files[e.Name()] = info.Size()
 		}
 	}
-	return total
+	return files
 }
 
 // bumpRestarts increments the start counter and returns how many
@@ -266,28 +281,33 @@ func (d *durable) rewrite(st *journalState) error {
 
 // --- checkpoints --------------------------------------------------------
 
-// ckptPath names a job's checkpoint file. Idempotency keys are
-// client-chosen strings, so they are hashed into fixed-width
+// ckptName names a job's checkpoint file in jobDir. Idempotency keys
+// are client-chosen strings, so they are hashed into fixed-width
 // filesystem-safe names.
-func (d *durable) ckptPath(key string) string {
+func ckptName(key string) string {
 	sum := sha256.Sum256([]byte(key))
-	return filepath.Join(d.jobDir, hex.EncodeToString(sum[:16])+".ckpt")
+	return hex.EncodeToString(sum[:16]) + ".ckpt"
 }
+
+func (d *durable) ckptPath(key string) string { return filepath.Join(d.jobDir, ckptName(key)) }
 
 // writeCheckpoint atomically replaces the job's checkpoint file.
 func (d *durable) writeCheckpoint(key string, snap []byte) error {
-	path := d.ckptPath(key)
-	var prev int64
-	if info, err := os.Stat(path); err == nil {
-		prev = info.Size()
-	}
+	name := ckptName(key)
+	path := filepath.Join(d.jobDir, name)
 	if err := store.WriteFile(path, snap); err != nil {
 		d.storeErrs.Add(1)
 		return err
 	}
+	d.ckptMu.Lock()
+	prev := d.ckpts[name]
+	size := prev // kept if the new size cannot be read
 	if info, err := os.Stat(path); err == nil {
-		d.ckptBytes.Add(info.Size() - prev)
+		size = info.Size()
 	}
+	d.ckpts[name] = size
+	d.ckptBytes.Add(size - prev)
+	d.ckptMu.Unlock()
 	d.ckptWritten.Add(uint64(len(snap)))
 	return nil
 }
@@ -302,12 +322,18 @@ func (d *durable) readCheckpoint(key string) []byte {
 	return snap
 }
 
+// removeCheckpoint deletes the job's checkpoint file, if it has one.
 func (d *durable) removeCheckpoint(key string) {
-	path := d.ckptPath(key)
-	if info, err := os.Stat(path); err == nil {
-		if os.Remove(path) == nil {
-			d.ckptBytes.Add(-info.Size())
-		}
+	name := ckptName(key)
+	d.ckptMu.Lock()
+	defer d.ckptMu.Unlock()
+	size, ok := d.ckpts[name]
+	if !ok {
+		return
+	}
+	if err := os.Remove(filepath.Join(d.jobDir, name)); err == nil || os.IsNotExist(err) {
+		delete(d.ckpts, name)
+		d.ckptBytes.Add(-size)
 	}
 }
 
@@ -317,7 +343,7 @@ func (d *durable) removeCheckpoint(key string) {
 func (d *durable) pruneCheckpoints(st *journalState) {
 	keep := make(map[string]bool, len(st.pending))
 	for key := range st.pending {
-		keep[filepath.Base(d.ckptPath(key))] = true
+		keep[ckptName(key)] = true
 	}
 	entries, err := os.ReadDir(d.jobDir)
 	if err != nil {
@@ -328,7 +354,19 @@ func (d *durable) pruneCheckpoints(st *journalState) {
 			_ = os.Remove(filepath.Join(d.jobDir, e.Name()))
 		}
 	}
-	d.ckptBytes.Store(dirBytes(d.jobDir))
+	d.loadCheckpoints()
+}
+
+// loadCheckpoints takes the checkpoint files and their sizes from jobDir.
+func (d *durable) loadCheckpoints() {
+	d.ckptMu.Lock()
+	defer d.ckptMu.Unlock()
+	d.ckpts = dirFiles(d.jobDir)
+	var total int64
+	for _, size := range d.ckpts {
+		total += size
+	}
+	d.ckptBytes.Store(total)
 }
 
 // --- session spill ------------------------------------------------------

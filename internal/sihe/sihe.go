@@ -108,8 +108,19 @@ func ReLUDepth(stages [][]float64) int {
 }
 
 // StageDepth returns the level consumption of a sihe.poly/ckks.poly
-// instruction: the depth of the plan the runtime evaluates it by.
-func StageDepth(p *poly.Polynomial) int { return poly.NewPlan(p).Depth() }
+// instruction: the depth of the plan the runtime evaluates it by, which
+// poly.NewPlan meets by construction — ceil(log2(degree+1)), plus one
+// for a Chebyshev interval's affine map, and 0 for a constant — so no
+// plan is built to read it.
+func StageDepth(p *poly.Polynomial) int {
+	if p.Degree() == 0 {
+		return 0
+	}
+	if p.Affine() {
+		return p.Depth() + 1
+	}
+	return p.Depth()
+}
 
 // Lower re-types a VECTOR IR module into SIHE, inserting encode ops and
 // expanding vec.relu into its polynomial program.
@@ -129,17 +140,17 @@ func Lower(vm *ir.Module, opts Options) (*ir.Module, error) {
 		mod.Attrs[k] = v
 	}
 	f := mod.NewFunc(src.Name)
-	vals := map[*ir.Value]*ir.Value{src.Params[0]: f.NewParam(src.Params[0].Name, ct)}
-
-	// encodeCache interns the Plain version of each Vector constant.
-	encodeCache := map[*ir.Value]*ir.Value{}
+	// vals maps each VECTOR value to its SIHE counterpart: the result of
+	// its instruction, or for a constant its interned encode.
+	vals := ir.NewValues[*ir.Value](src)
+	vals.Set(src.Params[0], f.NewParam(src.Params[0].Name, ct))
 	asPlain := func(v *ir.Value) *ir.Value {
-		if p, ok := encodeCache[v]; ok {
+		if p := vals.Get(v); p != nil {
 			return p
 		}
 		cv := f.NewConst(v.Name, vt, v.Const)
 		p := f.Emit(OpEncode, pt, []*ir.Value{cv}, nil)
-		encodeCache[v] = p
+		vals.Set(v, p)
 		return p
 	}
 	// arg maps a VECTOR value to its SIHE counterpart; constants become
@@ -148,8 +159,8 @@ func Lower(vm *ir.Module, opts Options) (*ir.Module, error) {
 		if v.IsConst() {
 			return asPlain(v), nil
 		}
-		s, ok := vals[v]
-		if !ok {
+		s := vals.Get(v)
+		if s == nil {
 			return nil, fmt.Errorf("sihe: value %s not lowered", v)
 		}
 		return s, nil
@@ -177,13 +188,13 @@ func Lower(vm *ir.Module, opts Options) (*ir.Module, error) {
 			if a.Type.Kind != ir.KindCipher {
 				return nil, fmt.Errorf("sihe: %s between two cleartext values should have been folded", in.Op)
 			}
-			vals[in.Result] = f.Emit(op, ct, []*ir.Value{a, b}, nil)
+			vals.Set(in.Result, f.Emit(op, ct, []*ir.Value{a, b}, nil))
 		case vecir.OpRoll:
 			a, err := arg(in.Args[0])
 			if err != nil {
 				return nil, err
 			}
-			vals[in.Result] = f.Emit(OpRotate, ct, []*ir.Value{a}, map[string]any{"k": in.AttrInt("k", 0)})
+			vals.Set(in.Result, f.Emit(OpRotate, ct, []*ir.Value{a}, map[string]any{"k": in.AttrInt("k", 0)}))
 		case vecir.OpLinear:
 			args := make([]*ir.Value, len(in.Args))
 			for i, v := range in.Args {
@@ -195,7 +206,7 @@ func Lower(vm *ir.Module, opts Options) (*ir.Module, error) {
 			if args[0].Type.Kind != ir.KindCipher {
 				return nil, fmt.Errorf("sihe: %s of a cleartext value should have been folded", in.Op)
 			}
-			vals[in.Result] = f.Emit(OpLinear, ct, args, in.Attrs)
+			vals.Set(in.Result, f.Emit(OpLinear, ct, args, in.Attrs))
 		case vecir.OpRelu:
 			a, err := arg(in.Args[0])
 			if err != nil {
@@ -219,7 +230,7 @@ func Lower(vm *ir.Module, opts Options) (*ir.Module, error) {
 				}
 				h = f.Emit(OpPoly, ct, []*ir.Value{h}, attrs)
 			}
-			vals[in.Result] = f.Emit(OpMul, ct, []*ir.Value{a, h}, map[string]any{"relu_final": true})
+			vals.Set(in.Result, f.Emit(OpMul, ct, []*ir.Value{a, h}, map[string]any{"relu_final": true}))
 		case vecir.OpNonlinear:
 			a, err := arg(in.Args[0])
 			if err != nil {
@@ -236,13 +247,13 @@ func Lower(vm *ir.Module, opts Options) (*ir.Module, error) {
 			default:
 				return nil, fmt.Errorf("sihe: unknown nonlinearity %q", kind)
 			}
-			vals[in.Result] = f.Emit(OpPoly, ct, []*ir.Value{a}, p.Attrs())
+			vals.Set(in.Result, f.Emit(OpPoly, ct, []*ir.Value{a}, p.Attrs()))
 		default:
 			return nil, fmt.Errorf("sihe: cannot lower %q", in.Op)
 		}
 	}
-	ret, ok := vals[src.Ret]
-	if !ok {
+	ret := vals.Get(src.Ret)
+	if ret == nil {
 		return nil, fmt.Errorf("sihe: return value not lowered")
 	}
 	f.Ret = ret

@@ -149,3 +149,29 @@ func TestStageDepth(t *testing.T) {
 		}
 	}
 }
+
+// TestStageDepthMatchesPlan holds StageDepth, which reads the depth rule
+// instead of building a plan, to the plan the runtime evaluates: every
+// degree 0–64, in the monomial and the Chebyshev basis, the latter over
+// [-1,1] and over an interval that needs the affine map, with and
+// without trailing zero coefficients.
+func TestStageDepthMatchesPlan(t *testing.T) {
+	rng := rand.New(rand.NewPCG(45, 3))
+	for deg := 0; deg <= 64; deg++ {
+		for _, shape := range []struct {
+			basis poly.Basis
+			a, b  float64
+		}{{poly.Monomial, 0, 0}, {poly.Chebyshev, -1, 1}, {poly.Chebyshev, -8, 8}, {poly.Chebyshev, -1, 3}} {
+			for _, zeros := range []int{0, 2} {
+				coeffs := make([]float64, deg+1+zeros)
+				for i := 0; i <= deg; i++ {
+					coeffs[i] = rng.NormFloat64()
+				}
+				p := &poly.Polynomial{Coeffs: coeffs, Basis: shape.basis, A: shape.a, B: shape.b}
+				if got, want := StageDepth(p), poly.NewPlan(p).Depth(); got != want {
+					t.Fatalf("degree %d, basis %d over [%g,%g], %d trailing zeros: StageDepth %d, plan depth %d", deg, shape.basis, shape.a, shape.b, zeros, got, want)
+				}
+			}
+		}
+	}
+}

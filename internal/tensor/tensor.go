@@ -262,6 +262,12 @@ func ValidRange(k, stride, pad, nOut, nIn int) (from, to int) {
 // output still starts from its bias and gains its taps in (ci, ky, kx)
 // order, so the result is the per-output sum bit for bit.
 func Conv2D(x, w, bias *Tensor, stride, pad int) (*Tensor, error) {
+	return Conv2DInto(nil, x, w, bias, stride, pad)
+}
+
+// Conv2DInto is Conv2D writing its output into the buffer buf(n) returns
+// for the output's n elements, whatever they held; a nil buf allocates.
+func Conv2DInto(buf func(n int) []float64, x, w, bias *Tensor, stride, pad int) (*Tensor, error) {
 	if x.Rank() != 4 || w.Rank() != 4 {
 		return nil, fmt.Errorf("tensor: conv2d requires NCHW input and OIHW weights, got %v, %v", x.Shape, w.Shape)
 	}
@@ -275,7 +281,12 @@ func Conv2D(x, w, bias *Tensor, stride, pad int) (*Tensor, error) {
 	}
 	oh := (h+2*pad-kh)/stride + 1
 	ow := (wd+2*pad-kw)/stride + 1
-	out := New(n, cOut, oh, ow)
+	var out *Tensor
+	if buf == nil {
+		out = New(n, cOut, oh, ow)
+	} else {
+		out = FromData(buf(n*cOut*oh*ow), n, cOut, oh, ow)
+	}
 	// A kernel row's or column's valid output range depends on its index
 	// alone.
 	ys, xs := make([][2]int, kh), make([][2]int, kw)
@@ -293,6 +304,8 @@ func Conv2D(x, w, bias *Tensor, stride, pad int) (*Tensor, error) {
 				for i := range dst {
 					dst[i] = bias.Data[co]
 				}
+			} else if buf != nil {
+				clear(dst)
 			}
 			return dst
 		}

@@ -218,8 +218,9 @@ func conv2DPerOutput(x, w, bias *Tensor, stride, pad int) *Tensor {
 	return out
 }
 
-// TestConv2DMatchesPerOutput checks the row-wise Conv2D against the
-// per-output loop bit for bit, and ValidRange against a scan, over random
+// TestConv2DMatchesPerOutput checks the row-wise Conv2D, and Conv2DInto
+// a buffer holding stale values, against the per-output loop bit for
+// bit, and ValidRange against a scan, over random
 // shapes, strides and paddings. Output channel counts run from 1 to 9,
 // so blocks of four, a remainder after them and a remainder alone all
 // occur.
@@ -249,11 +250,22 @@ func TestConv2DMatchesPerOutput(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// Into a reused buffer that still holds an earlier output.
+		dirty, err := Conv2DInto(func(n int) []float64 {
+			b := make([]float64, n)
+			for i := range b {
+				b[i] = rng.NormFloat64()
+			}
+			return b
+		}, x, w, bias, stride, pad)
+		if err != nil {
+			t.Fatal(err)
+		}
 		want := conv2DPerOutput(x, w, bias, stride, pad)
 		for i := range want.Data {
-			if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
-				t.Fatalf("trial %d (x %v, w %v, stride %d, pad %d, bias %t): output %d is %v, per-output loop %v",
-					trial, x.Shape, w.Shape, stride, pad, bias != nil, i, got.Data[i], want.Data[i])
+			if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) || math.Float64bits(dirty.Data[i]) != math.Float64bits(want.Data[i]) {
+				t.Fatalf("trial %d (x %v, w %v, stride %d, pad %d, bias %t): output %d is %v (into a reused buffer %v), per-output loop %v",
+					trial, x.Shape, w.Shape, stride, pad, bias != nil, i, got.Data[i], dirty.Data[i], want.Data[i])
 			}
 		}
 		for k := 0; k < kh; k++ {

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"strconv"
 
 	"antace/internal/ir"
 	"antace/internal/nnir"
@@ -86,22 +87,22 @@ func VectorLen(f *ir.Func) (int, error) {
 			need = n
 		}
 	}
-	layouts := map[*ir.Value]*Layout{}
+	layouts := ir.NewValues[*Layout](f)
 	in, err := inputLayout(f)
 	if err != nil {
 		return 0, err
 	}
-	layouts[f.Params[0]] = in
+	layouts.Set(f.Params[0], in)
 	update(in)
 	big := 1 << 30
 	in.L = big // temporarily unconstrained
 	for _, instr := range f.Body {
-		lay, err := resultLayout(instr, layouts)
+		lay, err := resultLayout(instr, layouts.Get(instr.Args[0]))
 		if err != nil {
 			return 0, err
 		}
 		if lay != nil {
-			layouts[instr.Result] = lay
+			layouts.Set(instr.Result, lay)
 			update(lay)
 		}
 	}
@@ -131,10 +132,10 @@ func inputLayout(f *ir.Func) (*Layout, error) {
 	return nil, fmt.Errorf("vecir: unsupported input shape %v", sh)
 }
 
-// resultLayout computes the layout an op produces (shape analysis only;
-// shared by VectorLen and the real lowering).
-func resultLayout(in *ir.Instr, layouts map[*ir.Value]*Layout) (*Layout, error) {
-	li := layouts[in.Args[0]]
+// resultLayout computes the layout an op produces from its first
+// argument's, li (shape analysis only; shared by VectorLen and the real
+// lowering).
+func resultLayout(in *ir.Instr, li *Layout) (*Layout, error) {
 	switch in.Op {
 	case nnir.OpConv:
 		w := in.Args[1].Const.(*tensor.Tensor)
@@ -185,7 +186,10 @@ func resultLayout(in *ir.Instr, layouts map[*ir.Value]*Layout) (*Layout, error) 
 }
 
 // Lower converts an NN IR module into a VECTOR IR module.
-func Lower(nn *ir.Module, opts Options) (*Result, error) {
+func Lower(nn *ir.Module, opts Options) (*Result, error) { return lower(nn, opts, nil) }
+
+// lower is Lower with the lowering's onConst seam (see lowering).
+func lower(nn *ir.Module, opts Options, onConst func(scratch []float64)) (*Result, error) {
 	src := nn.Main()
 	if src == nil {
 		return nil, fmt.Errorf("vecir: empty module")
@@ -201,6 +205,9 @@ func Lower(nn *ir.Module, opts Options) (*Result, error) {
 			return nil, err
 		}
 	}
+	if l <= 0 || l&(l-1) != 0 {
+		return nil, fmt.Errorf("vecir: vector length %d is not a power of two", l)
+	}
 
 	mod := ir.NewModule(nn.Name)
 	f := mod.NewFunc(src.Name)
@@ -214,25 +221,30 @@ func Lower(nn *ir.Module, opts Options) (*Result, error) {
 		return nil, fmt.Errorf("vecir: vector length %d below input need %d", l, need)
 	}
 
-	lw := &lowering{f: f, l: l, vt: vt, opts: opts}
-	vals := map[*ir.Value]*ir.Value{src.Params[0]: f.NewParam(src.Params[0].Name, vt)}
-	lays := map[*ir.Value]*Layout{src.Params[0]: inLay}
-	// The fold period of each value's replicas (see emitConv); l is none.
-	periods := map[*ir.Value]int{src.Params[0]: l}
+	lw := &lowering{f: f, l: l, vt: vt, opts: opts, onConst: onConst}
+	// Each lowered value, its layout and the fold period of its replicas
+	// (see emitConv; l is none).
+	type lowered struct {
+		v      *ir.Value
+		lay    *Layout
+		period int
+	}
+	vals := ir.NewValues[lowered](src)
+	vals.Set(src.Params[0], lowered{f.NewParam(src.Params[0].Name, vt), inLay, l})
 
 	for _, in := range src.Body {
-		li := lays[in.Args[0]]
-		x := vals[in.Args[0]]
+		xin := vals.Get(in.Args[0])
+		x, li := xin.v, xin.lay
 		if li == nil || x == nil {
 			return nil, fmt.Errorf("vecir: %s input not lowered", in.Op)
 		}
-		lo, err := resultLayout(in, lays)
+		lo, err := resultLayout(in, li)
 		if err != nil {
 			return nil, err
 		}
 		lo.L = l
 		var out *ir.Value
-		period := periods[in.Args[0]] // pointwise ops keep their input's
+		period := xin.period // pointwise ops keep their input's
 		switch in.Op {
 		case nnir.OpConv:
 			w := in.Args[1].Const.(*tensor.Tensor)
@@ -280,16 +292,15 @@ func Lower(nn *ir.Module, opts Options) (*Result, error) {
 			bound := in.AttrFloat("bound", opts.DefaultReLUBound)
 			out = f.Emit(OpNonlinear, vt, []*ir.Value{x}, map[string]any{"kind": kind, "bound": bound})
 		case nnir.OpAdd:
-			ly := lays[in.Args[1]]
-			if !li.Equal(ly) {
-				return nil, fmt.Errorf("vecir: add with mismatched layouts %s vs %s", li, ly)
+			yin := vals.Get(in.Args[1])
+			if !li.Equal(yin.lay) {
+				return nil, fmt.Errorf("vecir: add with mismatched layouts %s vs %s", li, yin.lay)
 			}
 			// Operands folded onto different periods are brought to the
 			// shorter one first; otherwise a slot could hold one
 			// operand's replica without the other's.
-			py := periods[in.Args[1]]
-			to := min(period, py)
-			x, y := lw.fold(x, period, to), lw.fold(vals[in.Args[1]], py, to)
+			to := min(period, yin.period)
+			x, y := lw.fold(x, period, to), lw.fold(yin.v, yin.period, to)
 			out, period = f.Emit(OpAdd, vt, []*ir.Value{x, y}, nil), to
 		case nnir.OpFlatten, nnir.OpReshape:
 			if in.Result.Type.Len() != li.C*li.H*li.W {
@@ -306,12 +317,11 @@ func Lower(nn *ir.Module, opts Options) (*Result, error) {
 			// emitConv folds the input gain into its weights.
 			lo.Gain = 1
 		}
-		vals[in.Result] = out
-		periods[in.Result] = period
-		lays[in.Result] = lo
+		vals.Set(in.Result, lowered{out, lo, period})
 	}
-	f.Ret = vals[src.Ret]
-	outLay := lays[src.Ret]
+	ret := vals.Get(src.Ret)
+	outLay := ret.lay
+	f.Ret = ret.v
 	if f.Ret == nil || outLay == nil {
 		return nil, fmt.Errorf("vecir: return value not lowered")
 	}
@@ -324,6 +334,8 @@ func Lower(nn *ir.Module, opts Options) (*Result, error) {
 	return &Result{Module: mod, InLayout: inLay, OutLayout: outLay}, nil
 }
 
+// lowering is the state of one Lower call. Its scratch arrays belong to
+// that call alone, so concurrent lowerings share nothing.
 type lowering struct {
 	f       *ir.Func
 	l       int
@@ -332,25 +344,55 @@ type lowering struct {
 	stubSeq int
 	scratch []float64        // AnalysisOnly's one mask buffer, all zeros between constants
 	split   *rotationCounter // foldSplit's counting arrays, made on first use
+	conv    convScratch
+	// onConst, if set, sees the scratch buffer after each AnalysisOnly
+	// constant has cleared it (tests check that it is all zeros).
+	onConst func(scratch []float64)
 }
 
-// constVec emits a constant vector that fill writes into zeros; fill with
-// reset must zero exactly the slots it wrote. Under AnalysisOnly fill runs
-// into one reused scratch vector, which reset then clears, and the
-// payload is a unique one-element stub: CSE keys on content, so every
-// mask must stay distinct.
-func (lw *lowering) constVec(name string, fill func(v []float64, reset bool)) *ir.Value {
+// convScratch holds emitConv's working arrays. Each grows to the largest
+// layer of the lowering and is reused by every later one.
+type convScratch struct {
+	ts        []int         // each tap's total offset, in tap order
+	seen      []bool        // offsets hit, over [0, l); all false between layers
+	offsets   []int         // the distinct offsets, ascending
+	outs      []int         // output slots
+	at        []int         // per residue: taps, then where the next one goes
+	byResidue []tap         // the taps grouped by residue
+	masks     []residueMask // one per residue
+}
+
+// resized returns s with length n, reallocated only if its capacity is
+// short; the elements are not cleared.
+func resized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// constVec emits a constant vector that fill writes into zeros; fill
+// returns a span [from, to) of the vector that holds every slot it wrote.
+// Under AnalysisOnly fill runs into one reused scratch vector, which is
+// then cleared over that span, and the payload is a unique one-element
+// stub: CSE keys on content, so every mask must stay distinct.
+func (lw *lowering) constVec(name string, fill func(v []float64) (from, to int)) *ir.Value {
 	if lw.opts.AnalysisOnly {
 		if lw.scratch == nil {
 			lw.scratch = make([]float64, lw.l)
 		}
-		fill(lw.scratch, false)
-		fill(lw.scratch, true)
+		from, to := fill(lw.scratch)
+		if from < to {
+			clear(lw.scratch[from:to])
+		}
+		if lw.onConst != nil {
+			lw.onConst(lw.scratch)
+		}
 		lw.stubSeq++
 		return lw.f.NewConst(name, lw.vt, []float64{float64(lw.stubSeq)})
 	}
 	v := make([]float64, lw.l)
-	fill(v, false)
+	fill(v)
 	return lw.f.NewConst(name, lw.vt, v)
 }
 
@@ -405,7 +447,7 @@ func (lw *lowering) emitConv(x *ir.Value, li, lo *Layout, w, bias *tensor.Tensor
 			for ci := 0; ci < cIn; ci++ {
 				for ky := 0; ky < kh; ky++ {
 					for kx := 0; kx < kw && ys[ky].from < ys[ky].to; kx++ {
-						if wv := w.At(co, ci, ky, kx) / li.Gain; wv != 0 && xs[kx].from < xs[kx].to {
+						if wv := w.Data[((co*cIn+ci)*kh+ky)*kw+kx] / li.Gain; wv != 0 && xs[kx].from < xs[kx].to {
 							visit(co, ci, ky, kx, wv)
 						}
 					}
@@ -414,25 +456,26 @@ func (lw *lowering) emitConv(x *ir.Value, li, lo *Layout, w, bias *tensor.Tensor
 		}
 	}
 	// Each tap's total offset, in tap order.
-	ts := make([]int, 0, w.Size())
-	seen, distinct := make([]bool, lw.l), 0
+	sc := &lw.conv
+	ts, seen := sc.ts[:0], resized(sc.seen, lw.l)
 	eachTap(func(co, ci, ky, kx int, _ float64) {
 		t := offset(li, ci, ky-pad, kx-pad, lo, co)
 		ts = append(ts, t)
-		if !seen[t] {
-			seen[t], distinct = true, distinct+1
-		}
+		seen[t] = true
 	})
+	sc.ts, sc.seen = ts, seen
 	if len(ts) == 0 {
 		return nil, 0, fmt.Errorf("vecir: convolution with all-zero weights")
 	}
-	offsets := make([]int, 0, distinct)
+	offsets := sc.offsets[:0]
 	for t, hit := range seen {
 		if hit {
 			offsets = append(offsets, t)
+			seen[t] = false
 		}
 	}
-	outs := make([]int, 0, cOut*lo.H*lo.W)
+	sc.offsets = offsets
+	outs := sc.outs[:0]
 	for co := 0; co < cOut; co++ {
 		for yo := 0; yo < lo.H; yo++ {
 			for xo := 0; xo < lo.W; xo++ {
@@ -440,6 +483,7 @@ func (lw *lowering) emitConv(x *ir.Value, li, lo *Layout, w, bias *tensor.Tensor
 			}
 		}
 	}
+	sc.outs = outs
 	// The offset set and the output slots alone decide the fold and the
 	// split; masks exist only for the residues of the chosen period.
 	p, m := lw.l, lw.l
@@ -452,11 +496,12 @@ func (lw *lowering) emitConv(x *ir.Value, li, lo *Layout, w, bias *tensor.Tensor
 	// Each residue's taps, in tap order: a stable counting sort by t mod p
 	// into one array. A mask is filled just before it is emitted, so one
 	// is live at a time.
-	at := make([]int, p) // taps per residue, then where the next one goes
+	at := resized(sc.at, p) // taps per residue, then where the next one goes
+	clear(at)
 	for _, t := range ts {
-		at[t%p]++
+		at[t&(p-1)]++ // p is a power of two
 	}
-	var masks []residueMask // ascending residue
+	masks := sc.masks[:0] // ascending residue
 	for r, next := 0, 0; r < p; r++ {
 		if c := at[r]; c > 0 {
 			b, g := bsgsSplit(r, m, p, lw.l)
@@ -464,11 +509,13 @@ func (lw *lowering) emitConv(x *ir.Value, li, lo *Layout, w, bias *tensor.Tensor
 			at[r], next = next, next+c
 		}
 	}
-	byResidue, k := make([]tap, len(ts)), 0
+	byResidue, k := resized(sc.byResidue, len(ts)), 0
+	sc.at, sc.masks, sc.byResidue = at, masks, byResidue
 	eachTap(func(co, ci, ky, kx int, wv float64) {
 		t := ts[k]
-		byResidue[at[t%p]] = tap{t, lo.Slot(co, 0, 0), ys[ky].from, ys[ky].to, xs[kx].from, xs[kx].to, wv}
-		at[t%p]++
+		r := t & (p - 1)
+		byResidue[at[r]] = tap{t, lo.Slot(co, 0, 0), ys[ky].from, ys[ky].to, xs[kx].from, xs[kx].to, wv}
+		at[r]++
 		k++
 	})
 
@@ -479,24 +526,23 @@ func (lw *lowering) emitConv(x *ir.Value, li, lo *Layout, w, bias *tensor.Tensor
 	args[0] = x
 	babies, giants := make([]int, len(masks)), make([]int, len(masks))
 	for i, mk := range masks {
-		args = append(args, lw.constVec(fmt.Sprintf("mask_r%d_s%d", mk.g, mk.b), func(v []float64, reset bool) {
-			fillMask(v, byResidue[mk.from:mk.to], mk.b, lo, reset)
+		name := "mask_r" + strconv.Itoa(mk.g) + "_s" + strconv.Itoa(mk.b)
+		args = append(args, lw.constVec(name, func(v []float64) (int, int) {
+			return fillMask(v, byResidue[mk.from:mk.to], mk.b, lo)
 		}))
 		babies[i], giants[i] = mk.b, mk.g
 	}
 	acc := lw.fold(lw.f.Emit(OpLinear, lw.vt, args, map[string]any{"b": babies, "g": giants}), lw.l, p)
 	if bias != nil {
-		// At every replica, so that no slot holds a partial sum.
-		acc = lw.add(acc, lw.constVec("bias", func(v []float64, reset bool) {
+		// At every replica, so that no slot holds a partial sum; the
+		// replicas run to the end of the vector.
+		acc = lw.add(acc, lw.constVec("bias", func(v []float64) (int, int) {
 			for i, s := range outs {
-				for ; s < lw.l; s += p {
-					if reset {
-						v[s] = 0
-					} else {
-						v[s] += bias.Data[i/(lo.H*lo.W)]
-					}
+				for ; s < len(v); s += p {
+					v[s] += bias.Data[i/(lo.H*lo.W)]
 				}
 			}
+			return 0, len(v)
 		}))
 	}
 	return acc, p, nil
@@ -518,22 +564,18 @@ type tap struct {
 // fillMask adds one residue's taps, in order, into v where the giant
 // rotation picks them up: at the replica of the output slot that the
 // input rotated by baby b reaches, output slot + t − b (roll(v, k)[s] =
-// v[s+k]). With reset it zeroes those slots instead. Each output row is
-// one run at stride Sx; a row spans fewer than len(v) slots, so it wraps
-// past the end of v at most once.
-func fillMask(v []float64, taps []tap, b int, lo *Layout, reset bool) {
+// v[s+k]). Each output row is one run at stride Sx; a row spans fewer
+// than len(v) slots, so it wraps past the end of v at most once. It
+// returns the span [from, to) of v its runs cover.
+func fillMask(v []float64, taps []tap, b int, lo *Layout) (from, to int) {
 	l, sx, rowStep := len(v), lo.Sx, lo.Sy*lo.W0
+	from = l
 	run := func(i, n int, w float64) {
 		seg := v[i : i+(n-1)*sx+1]
-		if reset {
-			for j := 0; j < len(seg); j += sx {
-				seg[j] = 0
-			}
-			return
-		}
 		for j := 0; j < len(seg); j += sx {
 			seg[j] += w
 		}
+		from, to = min(from, i), max(to, i+len(seg))
 	}
 	for _, tp := range taps {
 		n := tp.x1 - tp.x0
@@ -551,6 +593,7 @@ func fillMask(v []float64, taps []tap, b int, lo *Layout, reset bool) {
 			}
 		}
 	}
+	return from, to
 }
 
 // fold takes a vector holding period-from replicas to period to (both
@@ -564,26 +607,31 @@ func (lw *lowering) fold(v *ir.Value, from, to int) *ir.Value {
 	return v
 }
 
-// bsgsSplit decomposes offset t under baby/giant modulus m and fold
+// bsgsSplit decomposes offset t ≥ 0 under baby/giant modulus m and fold
 // period p into the baby b = centred residue of t mod m, reduced mod l,
 // and the giant g = t − b reduced mod p. The fold sums every residue
-// class mod p, so the roll identity only needs b + g ≡ t (mod p).
+// class mod p, so the roll identity only needs b + g ≡ t (mod p). m, p
+// and l are powers of two, so each reduction is a mask (two's
+// complement makes it the non-negative residue of a negative b too).
 func bsgsSplit(t, m, p, l int) (b, g int) {
-	b = (t+m/2)%m - m/2
-	return ((b % l) + l) % l, (((t - b) % p) + p) % p
+	b = (t+m/2)&(m-1) - m/2
+	return b & (l - 1), (t - b) & (p - 1)
 }
 
 // rotationCounter counts the distinct non-zero babies and giants of a
 // split. Each count stamps the slots it sees with a new generation, so
 // one pair of arrays serves every candidate modulus and period.
+// foldSplit keeps its working arrays here too.
 type rotationCounter struct {
 	l              int
 	babies, giants []uint32 // generation that last saw each rotation
 	gen            uint32
+	hit            []bool // residues hit, over [0, l/2)
+	reduced        []int  // the offsets reduced mod a candidate period
 }
 
 func newRotationCounter(l int) *rotationCounter {
-	return &rotationCounter{l: l, babies: make([]uint32, l), giants: make([]uint32, l)}
+	return &rotationCounter{l: l, babies: make([]uint32, l), giants: make([]uint32, l), hit: make([]bool, l/2)}
 }
 
 // rotations counts the non-zero rotations modulus m issues for an offset
@@ -627,9 +675,11 @@ func bsgsModulus(c *rotationCounter, offsets []int, p int) (m, rotations int) {
 	return m, rotations
 }
 
-// distinctMod reports whether the slots are pairwise distinct mod p.
-func distinctMod(slots []int, p int) bool {
-	seen := make([]bool, p)
+// distinctMod reports whether the slots are pairwise distinct mod p,
+// using seen (at least p long, all false) and leaving it all false.
+func distinctMod(seen []bool, slots []int, p int) bool {
+	seen = seen[:p]
+	defer clear(seen)
 	for _, s := range slots {
 		if seen[s%p] {
 			return false
@@ -651,10 +701,9 @@ func foldSplit(c *rotationCounter, offsets, outs []int) (p, m int) {
 	p = l
 	m, bestRot := bsgsModulus(c, offsets, l)
 	bestMasks := len(offsets)
-	hit, reduced := make([]bool, l/2), make([]int, 0, len(offsets))
-	for q, folds := l/2, 1; q >= len(outs) && distinctMod(outs, q); q, folds = q/2, folds+1 {
-		hit := hit[:q]
-		clear(hit)
+	reduced := c.reduced[:0]
+	for q, folds := l/2, 1; q >= len(outs) && distinctMod(c.hit, outs, q); q, folds = q/2, folds+1 {
+		hit := c.hit[:q]
 		for _, t := range offsets {
 			hit[t%q] = true
 		}
@@ -662,6 +711,7 @@ func foldSplit(c *rotationCounter, offsets, outs []int) (p, m int) {
 		for r, h := range hit {
 			if h {
 				reduced = append(reduced, r)
+				hit[r] = false
 			}
 		}
 		mq, rot := bsgsModulus(c, reduced, q)
@@ -669,6 +719,7 @@ func foldSplit(c *rotationCounter, offsets, outs []int) (p, m int) {
 			p, m, bestRot, bestMasks = q, mq, rot, len(reduced)
 		}
 	}
+	c.reduced = reduced
 	return p, m
 }
 

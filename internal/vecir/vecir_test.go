@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"sort"
+	"strings"
 	"testing"
 
 	"antace/internal/ir"
@@ -585,18 +586,14 @@ func masksPerTap(li, lo *Layout, w, bias *tensor.Tensor, stride, pad int) map[st
 
 // fillMaskPerElement is the mask fill fillMask replaced, kept as the
 // reference: a % per row and a wrap test per element.
-func fillMaskPerElement(v []float64, taps []tap, b int, lo *Layout, reset bool) {
+func fillMaskPerElement(v []float64, taps []tap, b int, lo *Layout) {
 	l := len(v)
 	for _, tp := range taps {
 		start := tp.base + (tp.t-b+l)%l + tp.x0*lo.Sx
 		for yo := tp.y0; yo < tp.y1; yo++ {
 			i := (start + yo*lo.Sy*lo.W0) % l
 			for xo := tp.x0; xo < tp.x1; xo++ {
-				if reset {
-					v[i] = 0
-				} else {
-					v[i] += tp.w
-				}
+				v[i] += tp.w
 				if i += lo.Sx; i >= l {
 					i -= l
 				}
@@ -609,7 +606,8 @@ func fillMaskPerElement(v []float64, taps []tap, b int, lo *Layout, reset bool) 
 // replaced and against the per-element % placement, bit for bit, on
 // random taps, offsets, babies and strides Sx of 1, 2 and 4: rows that
 // run past the end of the vector, which no generated layer or zoo model
-// produces, wrap to its start, and reset leaves every slot zero.
+// produces, wrap to its start, and the span it returns holds every slot
+// it wrote.
 func TestFillMaskWraps(t *testing.T) {
 	rng := rand.New(rand.NewPCG(24, 2))
 	wrapped := map[int]int{} // rows that wrap, per Sx
@@ -636,17 +634,17 @@ func TestFillMaskWraps(t *testing.T) {
 			}
 		}
 		got, ref := make([]float64, l), make([]float64, l)
-		fillMask(got, taps, b, lo, false)
-		fillMaskPerElement(ref, taps, b, lo, false)
+		from, to := fillMask(got, taps, b, lo)
+		fillMaskPerElement(ref, taps, b, lo)
 		for i := range want {
 			if math.Float64bits(got[i]) != math.Float64bits(want[i]) || math.Float64bits(got[i]) != math.Float64bits(ref[i]) {
 				t.Fatalf("trial %d: slot %d holds %v, the element-wise loop %v, the %% placement %v", trial, i, got[i], ref[i], want[i])
 			}
 		}
-		fillMask(got, taps, b, lo, true)
+		clear(got[from:to])
 		for i, v := range got {
 			if v != 0 {
-				t.Fatalf("trial %d: reset left %v in slot %d", trial, v, i)
+				t.Fatalf("trial %d: slot %d holds %v outside the span [%d,%d) fillMask returned", trial, i, v, from, to)
 			}
 		}
 	}
@@ -731,6 +729,44 @@ func TestAnalysisOnlySameStream(t *testing.T) {
 	}
 }
 
+// TestAnalysisOnlyScratchClears lowers paper-scale ResNet-20 under
+// AnalysisOnly and checks that every constant leaves the one scratch
+// buffer all zeros: each fill is undone by one clear over the span it
+// reports, so a fill writing outside its span shows here.
+func TestAnalysisOnlyScratchClears(t *testing.T) {
+	if testing.Short() {
+		t.Skip("lowers at paper scale")
+	}
+	m, err := onnx.BuildResNet(onnx.ResNetConfig{Depth: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nn, err := nnir.Import(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pm := &ir.PassManager{}
+	pm.Add(nnir.FuseConvBatchNorm(), ir.DCE())
+	if err := pm.Run(nn); err != nil {
+		t.Fatal(err)
+	}
+	consts := 0
+	_, err = lower(nn, Options{AnalysisOnly: true}, func(scratch []float64) {
+		consts++
+		for s, v := range scratch {
+			if v != 0 {
+				t.Fatalf("constant %d left %g in scratch slot %d", consts, v, s)
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if consts < 1000 {
+		t.Fatalf("%d constants checked, want the paper model's thousands", consts)
+	}
+}
+
 // TestFoldedAddOperands adds a convolution folded onto a short period to
 // the network input, which has none: the lowering must bring both to the
 // shorter period, so that every slot of the sum, and of the ReLU after
@@ -798,6 +834,14 @@ func TestVectorLenAuto(t *testing.T) {
 	}
 	if l&(l-1) != 0 || l < 4*64 {
 		t.Fatalf("vector length %d implausible", l)
+	}
+	// Residues are taken as masks, so a forced length must be a power
+	// of two as well.
+	if _, err := Lower(nn, Options{VectorLen: 3 * l}); err == nil || !strings.Contains(err.Error(), "not a power of two") {
+		t.Fatalf("vector length %d lowered: %v", 3*l, err)
+	}
+	if _, err := Lower(nn, Options{VectorLen: 2 * l}); err != nil {
+		t.Fatalf("vector length %d: %v", 2*l, err)
 	}
 }
 
