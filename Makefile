@@ -37,6 +37,9 @@ vet:
 # ACE_WORKERS=2: the worker count at which a nested loop's helper used
 # to queue behind the only pool worker and deadlock. Serve's one
 # executor (and the batch lanes it packs) nests par the same way.
+# vm's TestKernelCallsMatchExpansion runs at both counts: the fused-kernel
+# calls of an opcode, a bootstrap and a gemv and ResNet-8 inference must
+# equal the expansion's (kswork) whatever the worker count.
 # -count=1: par reads ACE_WORKERS in init, which the test cache does not
 # key on, so a cached result may come from another worker count.
 race:

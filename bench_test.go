@@ -475,9 +475,9 @@ func newBootstrapBench(b *testing.B, c2sStages, s2cStages int) *bootstrapBench {
 	from := func(i int, name string) int {
 		return i + slices.IndexFunc(ops[i:], func(op bootstrap.Op) bool { return op.Name == name })
 	}
-	c2s := from(0, bootstrap.OpLinear)
-	evalMod := from(c2s, bootstrap.OpPoly)
-	s2c := from(evalMod, bootstrap.OpLinear)
+	c2s := from(0, kswork.OpLinear)
+	evalMod := from(c2s, kswork.OpPoly)
+	s2c := from(evalMod, kswork.OpLinear)
 	s.phases = []bootstrapPhase{{name: "C2S", ops: ops[c2s:evalMod]}, {name: "EvalMod", ops: ops[evalMod:s2c]}, {name: "S2C", ops: ops[s2c:]}}
 	x, _, err := bt.Raise(s.eval, s.ct, target)
 	must(err)

@@ -80,26 +80,15 @@ func CircuitDepth(p Parameters) int {
 	return p.C2SStages + evalModPlan(p).Depth() + p.DoubleAngle + p.S2CStages
 }
 
-// The instructions of the circuit, named as the compiled program's
-// instructions are (ckksir's opcodes; a test holds the strings equal,
-// since ckksir imports this package).
+// The circuit runs program instructions, named by kswork (OpAdd, OpMul,
+// OpRelin, OpRescale, OpLinear for a DFT stage matrix, OpPoly for
+// EvalMod's polynomial), and two that no program runs. A conjugation is
+// a rotation by the conjugation's Galois element, and adding the double
+// angle's −1 is one pass over c0, as adding a plaintext is: Priced names
+// the instruction each runs as.
 const (
-	OpAdd     = "ckks.add"
-	OpMul     = "ckks.mul"
-	OpRelin   = "ckks.relin"
-	OpRescale = "ckks.rescale"
-	OpLinear  = "ckks.linear" // one DFT stage matrix
-	OpPoly    = "ckks.poly"   // EvalMod's polynomial
-
-	// No program instruction conjugates or adds a constant. A conjugation
-	// is a rotation by the conjugation's Galois element, and adding the
-	// double angle's −1 is one pass over c0, as adding a plaintext is:
-	// Priced names the instruction each is priced as.
 	OpConjugate = "ckks.conjugate"
 	OpAddConst  = "ckks.add_const"
-
-	opRotate   = "ckks.rotate"
-	opAddPlain = "ckks.add_plain"
 )
 
 // Op is one instruction of the bootstrap circuit. The circuit runs on one
@@ -107,16 +96,17 @@ const (
 // conjugation adds the conjugation's input, ct + conj(ct); any other add
 // doubles x.
 type Op struct {
-	// Name is the instruction (one of the Op constants).
+	// Name is the instruction (a kswork instruction name, OpConjugate or
+	// OpAddConst).
 	Name string
 	// Level is the level x enters the op at.
 	Level int
 	// Split is a stage matrix's baby-step/giant-step split, and Stage its
 	// index among the bootstrapper's stage matrices, CoeffsToSlots' first
-	// (OpLinear).
+	// (kswork.OpLinear).
 	Split kswork.Split
 	Stage int
-	// Plan is EvalMod's evaluation plan (OpPoly).
+	// Plan is EvalMod's evaluation plan (kswork.OpPoly).
 	Plan *poly.Plan
 }
 
@@ -125,16 +115,16 @@ type Op struct {
 func (op Op) Priced() string {
 	switch op.Name {
 	case OpConjugate:
-		return opRotate
+		return kswork.OpRotate
 	case OpAddConst:
-		return opAddPlain
+		return kswork.OpAddPlain
 	}
 	return op.Name
 }
 
 // realPart is the head of every schedule: ct + conj(ct) at level 0, which
 // Raise runs before it raises the modulus.
-var realPart = []Op{{Name: OpConjugate}, {Name: OpAdd}}
+var realPart = []Op{{Name: OpConjugate}, {Name: kswork.OpAdd}}
 
 // Schedule returns the instructions of one bootstrap to the target level
 // in a ring of degree 2^logN, in the order Bootstrap runs them and each
@@ -162,23 +152,23 @@ func Schedule(p Parameters, logN, target int) []Op {
 		level -= consumes
 	}
 	for i, d := range c2s {
-		emit(Op{Name: OpLinear, Split: kswork.DFTSplit(d), Stage: i}, 1)
+		emit(Op{Name: kswork.OpLinear, Split: kswork.DFTSplit(d), Stage: i}, 1)
 	}
 	emit(Op{Name: OpConjugate}, 0)
-	emit(Op{Name: OpAdd}, 0)
-	emit(Op{Name: OpPoly, Plan: evalMod}, evalMod.Depth())
+	emit(Op{Name: kswork.OpAdd}, 0)
+	emit(Op{Name: kswork.OpPoly, Plan: evalMod}, evalMod.Depth())
 	for range p.DoubleAngle { // y ↦ 2y² − 1
-		emit(Op{Name: OpMul}, 0)
-		emit(Op{Name: OpAdd}, 0)
+		emit(Op{Name: kswork.OpMul}, 0)
+		emit(Op{Name: kswork.OpAdd}, 0)
 		emit(Op{Name: OpAddConst}, 0)
-		emit(Op{Name: OpRelin}, 0)
-		emit(Op{Name: OpRescale}, 1)
+		emit(Op{Name: kswork.OpRelin}, 0)
+		emit(Op{Name: kswork.OpRescale}, 1)
 	}
 	for i, d := range s2c {
-		emit(Op{Name: OpLinear, Split: kswork.DFTSplit(d), Stage: len(c2s) + i}, 1)
+		emit(Op{Name: kswork.OpLinear, Split: kswork.DFTSplit(d), Stage: len(c2s) + i}, 1)
 	}
 	emit(Op{Name: OpConjugate}, 0)
-	emit(Op{Name: OpAdd}, 0)
+	emit(Op{Name: kswork.OpAdd}, 0)
 	return ops
 }
 
@@ -446,7 +436,7 @@ func (bt *Bootstrapper) Run(ev *ckks.Evaluator, ct *ckks.Ciphertext, ops []Op) (
 		case OpConjugate:
 			conjIn = x
 			x, err = ev.Conjugate(x)
-		case OpAdd:
+		case kswork.OpAdd:
 			other := x // 2y²: the square doubled
 			if conjIn != nil {
 				other, conjIn = conjIn, nil // ct + conj(ct)
@@ -454,15 +444,15 @@ func (bt *Bootstrapper) Run(ev *ckks.Evaluator, ct *ckks.Ciphertext, ops []Op) (
 			x, err = ev.Add(other, x)
 		case OpAddConst:
 			x = ev.AddConst(x, -1)
-		case OpMul:
+		case kswork.OpMul:
 			x, err = ev.Mul(x, x)
-		case OpRelin:
+		case kswork.OpRelin:
 			x, err = ev.Relinearize(x)
-		case OpRescale:
+		case kswork.OpRescale:
 			x, err = ev.Rescale(x)
-		case OpPoly:
+		case kswork.OpPoly:
 			x, err = ev.EvaluatePolynomial(x, op.Plan, bt.circuitScale)
-		case OpLinear:
+		case kswork.OpLinear:
 			stages, i, target := bt.c2s, op.Stage, bt.circuitScale
 			if i >= len(bt.c2s) {
 				stages, i, target = bt.s2c, i-len(bt.c2s), bt.params.DefaultScale()

@@ -12,7 +12,7 @@ import (
 	"antace/internal/ckks"
 	"antace/internal/ckksir"
 	"antace/internal/kswork"
-	"antace/internal/poly"
+	"antace/internal/obs"
 	"antace/internal/ring"
 )
 
@@ -21,13 +21,14 @@ import (
 // compiler picks), bootstraps one random exhausted ciphertext of real
 // slots for real and returns the worst slot error (real part, or the
 // imaginary part the output should not have) with the stage counts
-// used. observe, when set, watches the bootstrap's fused kernels; it
-// returns the schedule the compiler prices the same bootstrap by. EvalMod
+// used. observe, when set, watches the bootstrap's fused kernels; calls
+// counts the fused-kernel calls of the expansion the compiler prices the
+// same bootstrap by, its schedule op by op. EvalMod
 // covers K = 24 with four double angles, as the benchmark's ResNet does:
 // under the default K = 16 the integer part of one coefficient in a few
 // hundred thousand falls outside the interpolated range, which a ring of
 // 8192 coefficients meets every few dozen bootstraps.
-func refreshError(t *testing.T, slots, c2sStages, s2cStages int, observe func(string, time.Duration)) (worst float64, used bootstrap.Parameters, schedule []bootstrap.Op) {
+func refreshError(t *testing.T, slots, c2sStages, s2cStages int, observe func(string, time.Duration)) (worst float64, used bootstrap.Parameters, calls map[string]int) {
 	t.Helper()
 	bp := bootstrap.Parameters{K: 24, DoubleAngle: 4, C2SStages: c2sStages, S2CStages: s2cStages}
 	lit, target, boot, err := ckksir.SelectParameters([]int{2, 2}, slots, ckksir.Options{LogScale: 40, IgnoreSecurity: true, Boot: bp})
@@ -81,7 +82,7 @@ func refreshError(t *testing.T, slots, c2sStages, s2cStages int, observe func(st
 	for i := range got {
 		worst = math.Max(worst, math.Max(math.Abs(real(got[i]-values[i])), math.Abs(imag(got[i]))))
 	}
-	schedule = bootstrap.Schedule(*boot, params.LogN(), target)
+	schedule := bootstrap.Schedule(*boot, params.LogN(), target)
 	checkSchedule(t, schedule, *boot, target, bt.StageDiagonals())
 	// One bootstrap encodes every stage's diagonals once, and a staged
 	// transform has few: nothing slots × slots exists anywhere.
@@ -92,7 +93,15 @@ func refreshError(t *testing.T, slots, c2sStages, s2cStages int, observe func(st
 	if st := bt.TableStats(); st.Entries != diags || st.Misses != uint64(diags) || st.Hits != 0 {
 		t.Errorf("%d slots in %d/%d stages: diagonal tables at %+v after one bootstrap, want %d entries", slots, boot.C2SStages, boot.S2CStages, st, diags)
 	}
-	return worst, *boot, schedule
+	calls = map[string]int{}
+	for _, op := range schedule {
+		lit.Geometry().Expand(op.Priced(), op.Level, op.Split, op.Plan, func(p kswork.Prim) {
+			if _, kernel := obs.FusedConstituents[p.Op]; kernel {
+				calls[p.Op] += p.Count
+			}
+		})
+	}
+	return worst, *boot, calls
 }
 
 // checkSchedule holds the op list of a bootstrap to the target level to
@@ -106,7 +115,7 @@ func checkSchedule(t *testing.T, ops []bootstrap.Op, bp bootstrap.Parameters, ta
 	t.Helper()
 	level, stage := 0, 0
 	for i, op := range ops {
-		if op.Name == bootstrap.OpLinear && stage == 0 {
+		if op.Name == kswork.OpLinear && stage == 0 {
 			if top := op.Level; top-target != bootstrap.CircuitDepth(bp) {
 				t.Errorf("op %d: raised to level %d, %d above the target; the circuit is %d deep", i, top, top-target, bootstrap.CircuitDepth(bp))
 			}
@@ -116,15 +125,15 @@ func checkSchedule(t *testing.T, ops []bootstrap.Op, bp bootstrap.Parameters, ta
 			t.Errorf("op %d (%s) enters at level %d, the op before left level %d", i, op.Name, op.Level, level)
 		}
 		switch op.Name {
-		case bootstrap.OpLinear:
+		case kswork.OpLinear:
 			if op.Stage != stage || stage >= len(stageDiags) || op.Split.Masks != stageDiags[stage] {
 				t.Errorf("op %d: stage %d of %d diagonals; the bootstrapper's stage %d has %v", i, op.Stage, op.Split.Masks, stage, stageDiags)
 			}
 			stage++
 			level--
-		case bootstrap.OpRescale:
+		case kswork.OpRescale:
 			level--
-		case bootstrap.OpPoly:
+		case kswork.OpPoly:
 			level -= op.Plan.Depth()
 		}
 	}
@@ -169,44 +178,15 @@ func refreshAtCompilerStages(t *testing.T, slots int) {
 }
 
 // TestScheduleMatchesRuntime holds the schedule every model folds over to
-// the bootstrap the runtime executes: counting the fused kernels of one
-// real bootstrap, each key switch outside the transforms (the three
-// conjugations, EvalMod's and the double angles' relinearisations) is one
-// decomposition, one key product and one division, and a
-// stage matrix of n1 baby and n2 giant steps adds [n1 > 1] + n2 − 1
-// decompositions, n1 − 1 + n2 − 1 key products and n2 divisions.
+// the bootstrap the runtime executes: the fused-kernel events of one real
+// bootstrap are exactly the kernel calls of the schedule's expansion.
 func TestScheduleMatchesRuntime(t *testing.T) {
 	for _, c := range []struct{ slots, c2s, s2c int }{{128, 2, 1}, {2048, 2, 2}} {
 		t.Run(fmt.Sprintf("%d-slots-%d-%d", c.slots, c.c2s, c.s2c), func(t *testing.T) {
 			got := map[string]int{}
-			_, _, schedule := refreshError(t, c.slots, c.c2s, c.s2c, func(op string, _ time.Duration) { got[op]++ })
-			want := map[string]int{}
-			for _, op := range schedule {
-				switches := 0
-				switch op.Name {
-				case bootstrap.OpLinear:
-					n1, n2 := kswork.BabySteps(op.Split.Masks), kswork.GiantSteps(op.Split.Masks)
-					if n1 > 1 {
-						want["poly.decomp_modup"]++
-					}
-					want["poly.decomp_modup"] += n2 - 1
-					want["poly.hw_modmuladd"] += n1 - 1 + n2 - 1
-					want["poly.mod_down"] += n2
-				case bootstrap.OpConjugate, bootstrap.OpRelin:
-					switches = 1
-				case bootstrap.OpPoly:
-					op.Plan.Walk(func(st poly.Step, _ int) {
-						if st == poly.StepRelin {
-							switches++
-						}
-					})
-				}
-				for _, k := range []string{"poly.decomp_modup", "poly.hw_modmuladd", "poly.mod_down"} {
-					want[k] += switches
-				}
-			}
+			_, _, want := refreshError(t, c.slots, c.c2s, c.s2c, func(op string, _ time.Duration) { got[op]++ })
 			if !maps.Equal(got, want) {
-				t.Errorf("kernel events %v, schedule counts %v", got, want)
+				t.Errorf("kernel events %v, schedule expands to %v", got, want)
 			}
 			t.Logf("kernel events %v", got)
 		})

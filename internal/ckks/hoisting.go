@@ -4,22 +4,13 @@ import (
 	"fmt"
 	"time"
 
+	"antace/internal/kswork"
 	"antace/internal/par"
 	"antace/internal/ring"
 )
 
-// Fused-kernel op names, as attributed by the KernelObserver. These are
-// string-equal to the internal/polyir opcode constants (OpDecompModUp,
-// OpModMulAdd, OpModDown) — importing polyir here would cycle through
-// ckksir, so the equality is asserted by a test in polyir instead.
-const (
-	opDecompModUp = "poly.decomp_modup"
-	opModMulAdd   = "poly.hw_modmuladd"
-	opModDown     = "poly.mod_down"
-)
-
-// observe reports one fused-kernel execution to the evaluator's
-// KernelObserver, if any.
+// observe reports one fused-kernel execution, named by its kswork
+// primitive, to the evaluator's KernelObserver, if any.
 func (ev *Evaluator) observe(op string, start time.Time) {
 	if ev.KernelObserver != nil {
 		ev.KernelObserver(op, time.Since(start))
@@ -90,7 +81,7 @@ func (ev *Evaluator) decomposeForKeySwitch(c1 *ring.Poly) *decomposition {
 		h.tP = append(h.tP, tP)
 	}
 	rQ.PutPoly(c1c)
-	ev.observe(opDecompModUp, t0)
+	ev.observe(kswork.PolyDecompModUp, t0)
 	return h
 }
 
@@ -144,7 +135,7 @@ func (ev *Evaluator) addKeySwitch(sum *keySwitchSum, h *decomposition, idx []int
 	rP.InnerProductPermuted(h.tP, idx, swk.BP[:nd], sum.p0, acc)
 	rQ.InnerProductPermuted(h.tQ, idx, swk.AQ[:nd], sum.q1, acc)
 	rP.InnerProductPermuted(h.tP, idx, swk.AP[:nd], sum.p1, acc)
-	ev.observe(opModMulAdd, t0)
+	ev.observe(kswork.PolyModMulAdd, t0)
 	return nil
 }
 
@@ -159,7 +150,7 @@ func (ev *Evaluator) modDown(sum *keySwitchSum) {
 		func() { be.ModDownNTT(sum.q0, sum.p0) },
 		func() { be.ModDownNTT(sum.q1, sum.p1) },
 	)
-	ev.observe(opModDown, t0)
+	ev.observe(kswork.PolyModDown, t0)
 }
 
 // keySwitchHoisted finishes one key switch from a decomposition read

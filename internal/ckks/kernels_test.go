@@ -4,24 +4,9 @@ import (
 	"testing"
 	"time"
 
+	"antace/internal/kswork"
 	"antace/internal/obs"
 )
-
-// TestKernelOpNamesMatchObs pins the kernel name constants to the obs
-// fused-constituent registry: ckks cannot import polyir (cycle through
-// ckksir), so the names are duplicated as string literals and this test
-// is what keeps them from drifting. The polyir side of the same contract
-// lives in internal/polyir.
-func TestKernelOpNamesMatchObs(t *testing.T) {
-	for _, op := range []string{opDecompModUp, opModMulAdd, opModDown} {
-		if _, ok := obs.FusedConstituents[op]; !ok {
-			t.Errorf("kernel op %q has no entry in obs.FusedConstituents", op)
-		}
-	}
-	if len(obs.FusedConstituents) != 3 {
-		t.Errorf("obs.FusedConstituents has %d entries, ckks emits 3 — registries drifted", len(obs.FusedConstituents))
-	}
-}
 
 // TestKernelObserverCoversKeySwitch runs relinearization and a rotation
 // with the observer attached and checks every fused kernel fires with a
@@ -53,7 +38,7 @@ func TestKernelObserverCoversKeySwitch(t *testing.T) {
 	if _, err := tc.eval.Rotate(ct, 1); err != nil {
 		t.Fatal(err)
 	}
-	for _, op := range []string{opDecompModUp, opModMulAdd, opModDown} {
+	for _, op := range []string{kswork.PolyDecompModUp, kswork.PolyModMulAdd, kswork.PolyModDown} {
 		if seen[op] < 2 {
 			t.Errorf("kernel %q observed %d times, want >= 2 (relinearization and rotation)", op, seen[op])
 		}

@@ -312,7 +312,7 @@ func (ev *Evaluator) EvaluateBSGS(ct *Ciphertext, terms []BSGSTerm) (*Ciphertext
 		rP.Add(sum.p0, phiP, sum.p0)
 		t0 := time.Now()
 		be.ModDownNTT(group.q1, group.p1)
-		ev.observe(opModDown, t0)
+		ev.observe(kswork.PolyModDown, t0)
 		rQ.AutomorphismNTT(group.q1, idx, phi)
 		hg := ev.decomposeForKeySwitch(phi)
 		err = ev.addKeySwitch(sum, hg, nil, &key.SwitchingKey)

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"antace/internal/kswork"
 	"antace/internal/poly"
 	"antace/internal/poly/polytest"
 	"antace/internal/ring"
@@ -89,7 +90,7 @@ func TestEvaluatePolynomialExecutesThePlan(t *testing.T) {
 	encSk := NewEncryptorFromSecretKey(tc.params, tc.sk)
 	keySwitches := 0
 	tc.eval.KernelObserver = func(op string, _ time.Duration) {
-		if op == opDecompModUp {
+		if op == kswork.PolyDecompModUp {
 			keySwitches++
 		}
 	}

@@ -19,41 +19,32 @@ import (
 	"antace/internal/sihe"
 )
 
-// Op names.
+// Op names (kswork declares the strings, which the expansion, the
+// bootstrap circuit and the cost model share).
 const (
-	OpAdd      = "ckks.add"
-	OpAddPlain = "ckks.add_plain"
-	OpMulPlain = "ckks.mul_plain"
-	OpMul      = "ckks.mul"
-	OpRelin    = "ckks.relin"
-	OpRescale  = "ckks.rescale"
-	OpRotate   = "ckks.rotate"
+	OpAdd      = kswork.OpAdd
+	OpAddPlain = kswork.OpAddPlain
+	OpMulPlain = kswork.OpMulPlain
+	OpMul      = kswork.OpMul
+	OpRelin    = kswork.OpRelin
+	OpRescale  = kswork.OpRescale
+	OpRotate   = kswork.OpRotate
 	// OpLinear is a linear layer's masked sums (ir.SlotLinear) run as one
 	// baby-step/giant-step kernel (ckks.Evaluator.EvaluateBSGS): the
 	// input, then one mask per residue, each a ckks.encode at the input's
 	// level, over Q∪P unless its baby is 0. It consumes one level and
 	// rescales inside; the layer's fold rotations follow it.
-	OpLinear    = "ckks.linear"
-	OpModSwitch = "ckks.modswitch"
-	OpEncode    = "ckks.encode"
-	OpMulConst  = "ckks.mul_const"
-	OpPoly      = "ckks.poly"
-	OpBootstrap = "ckks.bootstrap"
+	OpLinear    = kswork.OpLinear
+	OpModSwitch = kswork.OpModSwitch
+	OpEncode    = kswork.OpEncode
+	OpMulConst  = kswork.OpMulConst
+	OpPoly      = kswork.OpPoly
+	OpBootstrap = kswork.OpBootstrap
 	// OpReinterpret divides the declared scale by attribute "factor"
 	// without touching the data: the plaintext values are multiplied by
 	// factor. Free and exact.
-	OpReinterpret = "ckks.reinterpret"
+	OpReinterpret = kswork.OpReinterpret
 )
-
-// PlanOps names the instruction each step of a polynomial's evaluation
-// plan runs as.
-var PlanOps = [...]string{
-	poly.StepMul:      OpMul,
-	poly.StepRelin:    OpRelin,
-	poly.StepRescale:  OpRescale,
-	poly.StepMulConst: OpMulConst,
-	poly.StepAdd:      OpAdd,
-}
 
 func init() {
 	C := []ir.Kind{ir.KindCipher}
@@ -300,36 +291,13 @@ func dftStages(bp bootstrap.Parameters, logN, target int, special func(extra int
 }
 
 // bootstrapWork counts the key-switching work of one bootstrap to the
-// target level, instruction by instruction of its schedule.
+// target level: the kernel units of its schedule's expansion.
 func bootstrapWork(g kswork.Geometry, target int, bp bootstrap.Parameters) float64 {
-	var work kswork.Work
+	work := 0.0
 	for _, op := range bootstrap.Schedule(bp, g.LogN, target) {
-		work = work.Plus(instrWork(g, op.Priced(), op.Level, op.Split, op.Plan))
+		g.Expand(op.Priced(), op.Level, op.Split, op.Plan, func(p kswork.Prim) { work += p.Units })
 	}
-	return work.Units()
-}
-
-// instrWork counts the key switching of one instruction entering at the
-// given level: a linear transform of split s as the fused kernel runs it,
-// a polynomial's relinearisations each at the level its evaluation plan
-// puts it, one key switch for a rotation or relinearisation, none for the
-// rest.
-func instrWork(g kswork.Geometry, op string, level int, s kswork.Split, pl *poly.Plan) kswork.Work {
-	switch op {
-	case OpLinear:
-		return g.LinearTransform(s, level)
-	case OpPoly:
-		var w kswork.Work
-		pl.Walk(func(st poly.Step, depth int) {
-			if st == poly.StepRelin {
-				w = w.Plus(g.KeySwitch(level - depth))
-			}
-		})
-		return w
-	case OpRotate, OpRelin:
-		return g.KeySwitch(level)
-	}
-	return kswork.Work{}
+	return work
 }
 
 // SelectParameters derives the parameter literal from the planned

@@ -1,20 +1,16 @@
 // Package costmodel turns a compiled CKKS module into per-image
-// inference time and memory estimates at arbitrary ring degree. Per-
-// operation costs follow the textbook complexities (NTT: N log N per
-// residue, pointwise: N per residue, key switching: digit count times
-// basis size), with the leading constants calibrated by microbenchmarks
-// of the actual runtime at a reduced ring degree, or recalibrated from
-// the live per-opcode aggregates a running aced exports at /v1/profilez
-// (see fromprofile.go). Figures 6 and 7 of the paper are regenerated by
-// evaluating the model over the exact compiled instruction schedules of
-// ANT-ACE and the Expert baseline, and the plan enumerator in
-// internal/core ranks candidate compilations under the same model.
-//
-// Level convention: every Model method takes the level of the ciphertext
-// *entering* the operation — a ciphertext at level L carries L+1
-// Q-basis residues. InferenceCost translates from the schedule's
-// Result.Level (which for rescale is the post-rescale level) at its call
-// sites; see the comments there.
+// inference time and memory estimates at arbitrary ring degree. It
+// prices the expansion every reader shares (kswork.Geometry.Expand,
+// walked over a program by ckksir.Walk): an NTT row at N·logN
+// butterflies, a pointwise pass at N coefficients per row, a fused
+// key-switching kernel by the units kswork counts. Its five constants are
+// calibrated by microbenchmarks of the actual runtime at a reduced ring
+// degree, or recalibrated from the live per-opcode aggregates a running
+// aced exports at /v1/profilez (see fromprofile.go). Figures 6 and 7 of
+// the paper are regenerated by evaluating the model over the exact
+// compiled instruction schedules of ANT-ACE and the Expert baseline, and
+// the plan enumerator in internal/core ranks candidate compilations
+// under the same model.
 package costmodel
 
 import (
@@ -22,7 +18,6 @@ import (
 	"math"
 	"time"
 
-	"antace/internal/bootstrap"
 	"antace/internal/ckks"
 	"antace/internal/ckksir"
 	"antace/internal/ir"
@@ -60,7 +55,7 @@ type Calibration struct {
 	ModDownPerUnit float64 `json:"moddown_per_unit,omitempty"`
 
 	// PolyScale and BootstrapScale are composite corrections applied to
-	// the structural ckks.poly (opCost) / bootstrapCost estimates; 0 (or 1)
+	// the structural ckks.poly / ckks.bootstrap estimates; 0 (or 1)
 	// means no correction. FromProfile's schedule fit sets them so the
 	// macro-op predictions track the live measurements.
 	PolyScale      float64 `json:"poly_scale,omitempty"`
@@ -232,7 +227,7 @@ func Calibrate() (Calibration, error) {
 	}
 	geom.Cal = c
 	c.KeySwitchMeasuredSec = rotTime
-	c.KeySwitchPredictedSec, _ = geom.opCost(ckksir.OpRotate, level, kswork.Split{}, nil)
+	c.KeySwitchPredictedSec = geom.price(ckksir.OpRotate, level, kswork.Split{}, nil).total()
 	return c, nil
 }
 
@@ -247,9 +242,9 @@ func (c Calibration) CrossCheckErr() (float64, error) {
 	return math.Abs(math.Log2(c.KeySwitchMeasuredSec / c.KeySwitchPredictedSec)), nil
 }
 
-// Model evaluates op costs at a given ring configuration. The embedded
-// geometry's methods count fused-kernel work; the Model's own price it
-// in seconds.
+// Model prices a program's primitives in seconds at a given ring
+// configuration: the embedded geometry expands instructions, the
+// calibration prices what they expand into.
 type Model struct {
 	Cal Calibration
 	kswork.Geometry
@@ -257,41 +252,36 @@ type Model struct {
 
 func (m *Model) n() float64 { return math.Exp2(float64(m.LogN)) }
 
-// ntt returns the cost of one NTT over r residues.
-func (m *Model) ntt(r int) float64 {
-	return m.Cal.NTTPerButterfly * m.n() * float64(m.LogN) * float64(r)
+// cost is a price split by what calibrates it: the transforms, the
+// pointwise passes, and the fused kernels with the mask sums.
+type cost struct{ ntt, pw, kern float64 }
+
+func (c cost) total() float64 { return c.ntt + c.pw + c.kern }
+
+func (c cost) plus(o cost) cost { return cost{c.ntt + o.ntt, c.pw + o.pw, c.kern + o.kern} }
+
+// prim prices one primitive of an expansion.
+func (m *Model) prim(p kswork.Prim) cost {
+	coeffs := m.n() * float64(p.Rows*p.Count)
+	switch p.Op {
+	case kswork.PolyNTT, kswork.PolyINTT:
+		return cost{ntt: m.Cal.NTTPerButterfly * coeffs * float64(m.LogN)}
+	case kswork.PolyDecompModUp:
+		return cost{kern: m.Cal.ModUpPerUnit * p.Units}
+	case kswork.PolyModMulAdd, kswork.PolyMaskSum:
+		return cost{kern: m.Cal.MulAddPerUnit * p.Units}
+	case kswork.PolyModDown:
+		return cost{kern: m.Cal.ModDownPerUnit * p.Units}
+	}
+	return cost{pw: m.Cal.PointwisePerCoeff * coeffs}
 }
 
-// pw returns the cost of one pointwise pass over r residues.
-func (m *Model) pw(r int) float64 {
-	return m.Cal.PointwisePerCoeff * m.n() * float64(r)
-}
-
-// fusedSeconds prices a count of fused-kernel work.
-func (m *Model) fusedSeconds(w kswork.Work) float64 {
-	return m.Cal.ModUpPerUnit*w.ModUp + m.Cal.MulAddPerUnit*w.MulAdd + m.Cal.ModDownPerUnit*w.ModDown
-}
-
-// KeySwitch returns the cost of one hybrid key switch of a ciphertext
-// entering at the given level (level+1 Q residues): the decomposition,
-// then the evaluation-key inner product and the division of both halves
-// by P.
-func (m *Model) KeySwitch(level int) float64 {
-	return m.decompose(level) + m.Cal.MulAddPerUnit*m.MulAdd(level) + m.Cal.ModDownPerUnit*m.ModDown(level)
-}
-
-// decompose returns the cost of the decomposition a key switch starts
-// from: the input INTT, then every digit decomposed into Q∪P and
-// transformed.
-func (m *Model) decompose(level int) float64 {
-	return m.ntt(level+1) + m.Cal.ModUpPerUnit*m.ModUp(level)
-}
-
-// Rescale returns the cost of rescaling a 2-polynomial ciphertext
-// entering at the given level (level+1 residues, dropping to level).
-func (m *Model) Rescale(level int) float64 {
-	r := level + 1
-	return 2 * (m.ntt(1) + m.ntt(r-1) + 2*m.pw(r-1))
+// price prices one instruction entering at the given level (a linear
+// transform by its split s, a polynomial by its plan pl): the sum of its
+// expansion's primitives.
+func (m *Model) price(op string, level int, s kswork.Split, pl *poly.Plan) (c cost) {
+	m.Expand(op, level, s, pl, func(p kswork.Prim) { c = c.plus(m.prim(p)) })
+	return c
 }
 
 // Category buckets for Figure 6.
@@ -355,93 +345,30 @@ func scaleOr(v, s float64) float64 {
 	return v
 }
 
-// InferenceCost walks a compiled CKKS module and returns the per-image
-// inference time breakdown at the model's ring degree.
-//
-// Level translation: in.Result.Level is the level of each instruction's
-// *result*. For every op except rescale that equals the input level (the
-// ckksir lowering keeps the level across add/mul/rotate and rescales
-// explicitly), so it is passed straight into the level-in methods. A
-// rescale's Result.Level is the post-rescale level — the ciphertext
-// entered one level higher, hence level+1. A linear layer and a
-// polynomial are priced at their input's level, the fused kernel and the
-// evaluation plan they run as.
+// InferenceCost walks a compiled CKKS module (ckksir.Walk) and returns
+// the per-image inference time breakdown at the model's ring degree,
+// with the one-time encoding of the weights apart.
 func (m *Model) InferenceCost(res *ckksir.Result) Breakdown {
 	var b Breakdown
-	for _, in := range res.Module.Main().Body {
-		level, split, plan, scale := in.Result.Level, kswork.Split{}, (*poly.Plan)(nil), 0.0
+	err := ckksir.Walk(res, m.Geometry, func(in *ir.Instr, p kswork.Prim) {
+		c := m.prim(p).total()
 		switch in.Op {
 		case ckksir.OpEncode:
-			b.Setup += m.ntt(m.plainRows(in))
-			continue
+			b.Setup += c
+			return
 		case ckksir.OpBootstrap:
-			b.Add(CatBootstrap, scaleOr(m.bootstrapCost(in.AttrInt("target", 1), bootParams(res)), m.Cal.BootstrapScale))
-			continue
-		case ckksir.OpRescale:
-			level++ // entered at level+1, dropped to level
-		case ckksir.OpLinear:
-			level, split = in.Args[0].Level, ckksir.LinearSplit(in)
+			c = scaleOr(c, m.Cal.BootstrapScale)
 		case ckksir.OpPoly:
-			level, plan, scale = in.Args[0].Level, polyPlan(in), m.Cal.PolyScale
+			c = scaleOr(c, m.Cal.PolyScale)
 		}
-		if c, ok := m.opCost(in.Op, level, split, plan); ok {
-			b.Add(CategoryOfOp(in.Op), scaleOr(c, scale))
-		}
+		b.Add(CategoryOfOp(in.Op), c)
+	})
+	if err != nil {
+		// A module that reached the cost model has been lowered and
+		// verified, so only a compiler bug leaves it unexpandable.
+		panic(fmt.Sprintf("costmodel: %v", err))
 	}
 	return b
-}
-
-// opCost prices one instruction entering at the given level — every
-// program instruction InferenceCost prices and every instruction of the
-// bootstrap circuit, and the price FromProfile fits constants against: a
-// linear transform by its split s, a polynomial by its evaluation plan
-// pl, every other instruction by its opcode alone. ok is false for the
-// ops priced otherwise (encode, bootstrap) or free (level and scale
-// bookkeeping).
-//
-// A linear transform is the fused baby-step/giant-step evaluation of s,
-// as ckks.EvaluateBSGS runs a DFT stage or a ckks.linear
-// (kswork.LinearTransform counts the kernels: one hoisted decomposition,
-// a key product per baby step kept over Q∪P, the inner sums, per giant
-// step half a division, a decomposition and a key product into the one
-// accumulator that is divided at the end). On top of the kernels come
-// the input transforms of the decompositions, one rescale, and the
-// pointwise passes around the key products, priced as a rotation's slot
-// permutation is: the input's halves lifted by P, each baby's permuted
-// c0 added in, and each giant's c0 half permuted and added over Q∪P and
-// its c1 half permuted over Q. A polynomial is every operation of its
-// plan as the instruction it runs as, at the level the plan puts it.
-func (m *Model) opCost(op string, level int, s kswork.Split, pl *poly.Plan) (cost float64, ok bool) {
-	r := level + 1
-	switch op {
-	case ckksir.OpAdd, ckksir.OpAddPlain, ckksir.OpMulPlain, ckksir.OpMulConst:
-		return 2 * m.pw(r), true
-	case ckksir.OpMul:
-		return 5 * m.pw(r), true
-	case ckksir.OpRelin:
-		return m.KeySwitch(level), true
-	case ckksir.OpRotate:
-		return m.KeySwitch(level) + 2*m.pw(r), true // plus the slot permutation
-	case ckksir.OpRescale:
-		return m.Rescale(level), true
-	case ckksir.OpLinear:
-		decomps := s.Giants
-		if s.Babies > 0 {
-			decomps++
-		}
-		passes := float64(1+2*s.Babies+3*s.Giants)*m.pw(r) + float64(2*s.Giants)*m.pw(m.K)
-		if s.ZeroMasks > 0 {
-			passes += m.pw(r)
-		}
-		return m.fusedSeconds(m.LinearTransform(s, level)) + float64(decomps)*m.ntt(r) + m.Rescale(level) + passes, true
-	case ckksir.OpPoly:
-		pl.Walk(func(st poly.Step, depth int) {
-			c, _ := m.opCost(ckksir.PlanOps[st], level-depth, kswork.Split{}, nil)
-			cost += c
-		})
-		return cost, true
-	}
-	return 0, false
 }
 
 // CategoryOfOp assigns the Figure-6 bucket for a ckksir opcode string —
@@ -459,48 +386,6 @@ func CategoryOfOp(op string) Category {
 		return CatReLU // ct-ct products only occur in the ReLU combine
 	}
 	return CatConv
-}
-
-// polyPlan returns the evaluation plan of one ckks.poly instruction. A
-// module that reached the cost model has been lowered and verified, so
-// only a compiler bug leaves the polynomial undecodable.
-func polyPlan(in *ir.Instr) *poly.Plan {
-	p, err := poly.FromAttrs(in.Attrs)
-	if err != nil {
-		panic(fmt.Sprintf("costmodel: %s: %v", in.Op, err))
-	}
-	return poly.NewPlan(p)
-}
-
-// plainRows returns the rows an encode instruction's plaintext has: its
-// level's, and the special primes' for a linear layer's mask against a
-// non-zero baby.
-func (m *Model) plainRows(in *ir.Instr) int {
-	if in.Attr("qp") == true {
-		return in.AttrInt("level", 0) + 1 + m.K
-	}
-	return in.AttrInt("level", 0) + 1
-}
-
-// bootstrapCost prices the circuit the runtime executes, with the DFT
-// stage counts the program was compiled with, instruction by instruction
-// of its schedule (bootstrap.Schedule).
-func (m *Model) bootstrapCost(target int, bp bootstrap.Parameters) float64 {
-	cost := 0.0
-	for _, op := range bootstrap.Schedule(bp, m.LogN, target) {
-		c, _ := m.opCost(op.Priced(), op.Level, op.Split, op.Plan)
-		cost += c
-	}
-	return cost
-}
-
-// bootParams returns the bootstrap configuration a program was compiled
-// with (the defaults for a program without bootstraps).
-func bootParams(res *ckksir.Result) bootstrap.Parameters {
-	if res.Boot != nil {
-		return *res.Boot
-	}
-	return bootstrap.Parameters{}
 }
 
 // Memory estimates (Figure 7), in bytes.
@@ -550,7 +435,7 @@ func (m *Model) MemoryCost(res *ckksir.Result, bootKeys int, truncateKeys bool) 
 	// linear layer's masks the special primes' as well.
 	for _, in := range res.Module.Main().Body {
 		if in.Op == ckksir.OpEncode {
-			mem.Weights += float64(m.plainRows(in)) * n * 8
+			mem.Weights += float64(ckksir.PlainRows(in, m.K)) * n * 8
 		}
 	}
 	// Working set: a handful of live ciphertexts at the input level.

@@ -23,18 +23,37 @@ func TestCalibrateSane(t *testing.T) {
 	}
 }
 
+// pw and ntt price one pointwise pass and one NTT over r rows.
+func pw(m *Model, r int) float64 { return m.Cal.PointwisePerCoeff * m.n() * float64(r) }
+
+func ntt(m *Model, r int) float64 {
+	return m.Cal.NTTPerButterfly * m.n() * float64(m.LogN) * float64(r)
+}
+
+// keySwitch prices one hybrid key switch entering at level: a
+// relinearisation without its two additions.
+func keySwitch(m *Model, level int) float64 {
+	c := m.price(ckksir.OpRelin, level, kswork.Split{}, nil)
+	return c.ntt + c.kern
+}
+
+// rescale prices the rescale of a ciphertext entering at level.
+func rescale(m *Model, level int) float64 {
+	return m.price(ckksir.OpRescale, level, kswork.Split{}, nil).total()
+}
+
 func TestKeySwitchScaling(t *testing.T) {
 	m := &Model{Cal: DefaultCalibration(), Geometry: kswork.Geometry{LogN: 16, K: 2}}
 	// Key switching cost must grow superlinearly with level (the r^2
 	// behaviour the paper cites for rotations/multiplications).
-	low := m.KeySwitch(4)
-	high := m.KeySwitch(20)
+	low := keySwitch(m, 4)
+	high := keySwitch(m, 20)
 	if high < 4*low {
 		t.Fatalf("keyswitch cost not superlinear: %g vs %g", low, high)
 	}
 	// And with ring degree: doubling N slightly more than doubles cost.
 	m2 := &Model{Cal: DefaultCalibration(), Geometry: kswork.Geometry{LogN: 17, K: 2}}
-	if m2.KeySwitch(10) <= m.KeySwitch(10) {
+	if keySwitch(m2, 10) <= keySwitch(m, 10) {
 		t.Fatal("keyswitch cost not increasing in N")
 	}
 }
@@ -50,7 +69,7 @@ func TestKeySwitchModelRanksDigits(t *testing.T) {
 		m := &Model{Cal: DefaultCalibration(), Geometry: kswork.Geometry{LogN: 9, K: k}}
 		sum := 0.0
 		for l := 1; l < 30; l++ {
-			sum += m.KeySwitch(l)
+			sum += keySwitch(m, l)
 		}
 		return sum / 29
 	}
@@ -70,7 +89,7 @@ func TestKeySwitchModelRanksDigits(t *testing.T) {
 	// (fewest digits); it is the low levels, where the K special rows are
 	// most of the basis, that pull the optimum back.
 	top := func(k int) float64 {
-		return (&Model{Cal: DefaultCalibration(), Geometry: kswork.Geometry{LogN: 9, K: k}}).KeySwitch(29)
+		return keySwitch(&Model{Cal: DefaultCalibration(), Geometry: kswork.Geometry{LogN: 9, K: k}}, 29)
 	}
 	if top(10) >= top(6) {
 		t.Errorf("top-level switch: K=10 %.3g not below K=6 %.3g", top(10), top(6))
@@ -142,22 +161,22 @@ func TestInferenceCostLevelAccounting(t *testing.T) {
 	got := m.InferenceCost(&ckksir.Result{Module: mod}).Total()
 
 	// Hand count. mul_plain at level 3: two pointwise passes over 4
-	// residues. rescale entered at level 3 (4 residues): one INTT pair
-	// over the dropped row and the remaining 3 rows, two pointwise
-	// passes over 3 rows, per ciphertext half. rotate at level 2: one
-	// key switch of a 3-residue ciphertext plus the slot permutation.
-	want := 2*m.pw(4) +
-		2*(m.ntt(1)+m.ntt(3)+2*m.pw(3)) +
-		m.KeySwitch(2) + 2*m.pw(3)
+	// residues. rescale entered at level 3 (4 residues): one INTT of the
+	// dropped row, NTTs of the remaining 3 rows and two pointwise passes
+	// over them, per ciphertext half. rotate at level 2: one key switch
+	// of a 3-residue ciphertext, the permutation of c0 and one addition.
+	want := 2*pw(m, 4) +
+		2*(ntt(m, 1)+ntt(m, 3)+2*pw(m, 3)) +
+		keySwitch(m, 2) + 2*pw(m, 3)
 	if diff := math.Abs(got-want) / want; diff > 1e-12 {
 		t.Fatalf("hand-counted schedule: got %.6g, want %.6g (rel diff %g)", got, want, diff)
 	}
 
-	// The rescale term must be Rescale(input level), i.e. Rescale(3) —
-	// passing the already-incremented result level back into a method
-	// that increments again would price a 5-residue rescale.
-	if m.Rescale(3) == m.Rescale(4) {
-		t.Fatal("Rescale(3) == Rescale(4); the convention test is vacuous")
+	// The rescale term must be the rescale at its input level, 3 —
+	// passing the already-incremented result level back into an
+	// expansion that increments again would price a 5-residue rescale.
+	if rescale(m, 3) == rescale(m, 4) {
+		t.Fatal("rescale(3) == rescale(4); the convention test is vacuous")
 	}
 }
 
@@ -165,13 +184,14 @@ func TestInferenceCostLevelAccounting(t *testing.T) {
 // c1·x entering at level 5 is planned as x² (a product at level 5), the
 // quotient c3·x (a constant multiply and its rescale at level 5), and the
 // root (c3·x)·x² + c1·x one level down, relinearised once and rescaled.
-// Nothing is priced at a guessed level.
+// Nothing is priced at a guessed level. A product is three passes, a
+// relinearisation a key switch and two additions.
 func TestPolyEvalCostFollowsThePlan(t *testing.T) {
 	m := &Model{Cal: DefaultCalibration(), Geometry: kswork.Geometry{LogN: 12, K: 2}}
-	got, _ := m.opCost(ckksir.OpPoly, 5, kswork.Split{}, poly.NewPlan(poly.NewMonomial(0, 0.5, 0, -0.25)))
-	want := 5*m.pw(6) + m.KeySwitch(5) + m.Rescale(5) + // x²
-		2*m.pw(6) + m.Rescale(5) + // c3·x
-		5*m.pw(5) + 2*m.pw(5) + 2*m.pw(5) + m.KeySwitch(4) + m.Rescale(4) // root
+	got := m.price(ckksir.OpPoly, 5, kswork.Split{}, poly.NewPlan(poly.NewMonomial(0, 0.5, 0, -0.25))).total()
+	want := 3*pw(m, 6) + keySwitch(m, 5) + 2*pw(m, 6) + rescale(m, 5) + // x²
+		2*pw(m, 6) + rescale(m, 5) + // c3·x
+		3*pw(m, 5) + 2*pw(m, 5) + 2*pw(m, 5) + keySwitch(m, 4) + 2*pw(m, 5) + rescale(m, 4) // root
 	if diff := math.Abs(got-want) / want; diff > 1e-12 {
 		t.Fatalf("degree-3 stage at level 5: got %.6g, want %.6g (rel diff %g)", got, want, diff)
 	}
@@ -200,15 +220,15 @@ func TestInferenceCostPricesLinearBelowItsExpansion(t *testing.T) {
 
 	m := &Model{Cal: DefaultCalibration(), Geometry: kswork.Geometry{LogN: 12, K: 2}}
 	cost := m.InferenceCost(&ckksir.Result{Module: mod})
-	if want, _ := m.opCost(ckksir.OpLinear, 3, ckksir.LinearSplit(lin.Def), nil); cost.Conv != want || cost.Total() != want {
+	if want := m.price(ckksir.OpLinear, 3, ckksir.LinearSplit(lin.Def), nil).total(); math.Abs(cost.Conv/want-1) > 1e-12 || cost.Total() != cost.Conv {
 		t.Fatalf("priced %+v, want %g of Conv", cost, want)
 	}
-	if want := 4*m.ntt(4+2) + 2*m.ntt(4); math.Abs(cost.Setup/want-1) > 1e-12 {
+	if want := 4*ntt(m, 4+2) + 2*ntt(m, 4); math.Abs(cost.Setup/want-1) > 1e-12 {
 		t.Errorf("masks encode for %g, want %g (rows over Q∪P, over Q against b = 0)", cost.Setup, want)
 	}
-	rotate3, _ := m.opCost(ckksir.OpRotate, 3, kswork.Split{}, nil)
-	mulAdd, _ := m.opCost(ckksir.OpMulPlain, 3, kswork.Split{}, nil)
-	expansion := 3*rotate3 + 11*mulAdd + m.Rescale(3)
+	rotate3 := m.price(ckksir.OpRotate, 3, kswork.Split{}, nil).total()
+	mulAdd := m.price(ckksir.OpMulPlain, 3, kswork.Split{}, nil).total()
+	expansion := 3*rotate3 + 11*mulAdd + rescale(m, 3)
 	if cost.Conv >= expansion {
 		t.Errorf("linear layer priced %g, its expansion %g", cost.Conv, expansion)
 	}

@@ -52,22 +52,19 @@ func trajLevels(snap obs.ProfileSnapshot) map[string][]int {
 }
 
 // meanOpCost returns the model's mean price of one opcode over its
-// trajectory levels (Model.opCost, InferenceCost's price), and whether
-// the op is a primitive the fit understands: a linear layer and a
-// polynomial are priced from attributes a profile row does not carry.
+// trajectory levels, and whether the op is a primitive the fit
+// understands: a linear layer and a polynomial are priced from
+// attributes a profile row does not carry, and an encode, a bootstrap
+// and the free level and scale bookkeeping expand to nothing here.
 func meanOpCost(m *Model, op string, levels []int) (float64, bool) {
 	if len(levels) == 0 || op == ckksir.OpLinear || op == ckksir.OpPoly {
 		return 0, false
 	}
 	sum := 0.0
 	for _, l := range levels {
-		c, ok := m.opCost(op, l, kswork.Split{}, nil)
-		if !ok {
-			return 0, false
-		}
-		sum += c
+		sum += m.price(op, l, kswork.Split{}, nil).total()
 	}
-	return sum / float64(len(levels)), true
+	return sum / float64(len(levels)), sum > 0
 }
 
 // pwOps are the opcodes whose cost is purely pointwise — the cleanest
@@ -96,20 +93,6 @@ func linearRuns(prog *ir.Func, traj []obs.TrajPoint) []linearRun {
 	return out
 }
 
-// kernelWork returns the model's work count (in the kernel's calibration
-// units) for one fused-kernel observation at input level l.
-func kernelWork(m *Model, kernel string, l int) float64 {
-	switch kernel {
-	case "poly.decomp_modup":
-		return m.ModUp(l)
-	case "poly.hw_modmuladd":
-		return m.MulAdd(l)
-	case "poly.mod_down":
-		return m.ModDown(l)
-	}
-	return 0
-}
-
 // FromProfile recalibrates the cost model from a live /v1/profilez
 // snapshot: the aggregated per-opcode (and per-fused-kernel) mean times
 // measured on *this* machine under *this* geometry are inverted back
@@ -125,9 +108,10 @@ func kernelWork(m *Model, kernel string, l int) float64 {
 //     pointwise share (ckks.encode is no evidence: a steady-state profile
 //     has no encode samples, and the trajectory, which follows
 //     ciphertexts, never says at which level a cold one ran);
-//   - the three fused-kernel constants from the Kernels table, priced at
-//     the key-switch levels the trajectory observed, then anchored
-//     together on the measured rotate/relin/linear totals.
+//   - the three fused-kernel constants from the Kernels table, a call
+//     priced as the expansion of the key switches the trajectory
+//     observed makes it, then anchored together on the measured
+//     rotate/relin/linear totals.
 //
 // Macro ops (ckks.poly, ckks.bootstrap) need the compiled schedule's
 // attributes; FitSchedule refines their correction scales separately.
@@ -168,48 +152,71 @@ func FromProfile(snap obs.ProfileSnapshot, prog *ir.Func, geom kswork.Geometry, 
 	xPw := clampRatio(measPw / predPw)
 	c.PointwisePerCoeff = base.PointwisePerCoeff * xPw
 
-	// NTT family from rescale: subtract the fitted pointwise share,
-	// attribute the rest to the butterflies.
+	// NTT family from rescale: subtract its pointwise share at the
+	// fitted constant, attribute the rest to the transforms.
 	if st, ok := stats[ckksir.OpRescale]; ok && len(levels[ckksir.OpRescale]) > 0 {
-		var predNtt, predPwShare float64
-		w := float64(st.Count) / float64(len(levels[ckksir.OpRescale]))
+		var pred cost
 		for _, l := range levels[ckksir.OpRescale] {
-			predNtt += 2 * (m.ntt(1) + m.ntt(l)) * w // r-1 = l residues after the drop
-			predPwShare += 4 * m.pw(l) * w * xPw     // 2 halves × 2 passes
+			pred = pred.plus(m.price(ckksir.OpRescale, l, kswork.Split{}, nil))
 		}
-		c.NTTPerButterfly = base.NTTPerButterfly * clampRatio((st.TotalMs/1e3-predPwShare)/predNtt)
+		w := float64(st.Count) / float64(len(levels[ckksir.OpRescale]))
+		c.NTTPerButterfly = base.NTTPerButterfly * clampRatio((st.TotalMs/1e3-w*pred.pw*xPw)/(w*pred.ntt))
 	}
 
-	// Fused kernels: the Kernels table times the three key-switch
-	// kernels directly. Price each observation at the key-switch levels
-	// the trajectory saw (rotate, relin, a linear layer's input);
-	// bootstrap-internal switches run at nearby levels, and the clamp
-	// bounds the residual error.
-	ksLevels := append(append([]int{}, levels[ckksir.OpRotate]...), levels[ckksir.OpRelin]...)
-	for _, r := range linears {
-		ksLevels = append(ksLevels, r.level)
+	// The key switches the trajectory saw: every rotate and relin at its
+	// level and every ckks.linear by its split, each weighted by its
+	// opcode's measured count per trajectory point.
+	type ksRun struct {
+		op    string
+		level int
+		split kswork.Split
+		w     float64
 	}
-	if len(ksLevels) > 0 && len(snap.Kernels) > 0 {
-		for _, st := range snap.Kernels {
-			var unit *float64
-			switch st.Op {
-			case "poly.decomp_modup":
-				unit = &c.ModUpPerUnit
-			case "poly.hw_modmuladd":
-				unit = &c.MulAddPerUnit
-			case "poly.mod_down":
-				unit = &c.ModDownPerUnit
-			default:
-				continue
-			}
-			work := 0.0
-			for _, l := range ksLevels {
-				work += kernelWork(m, st.Op, l)
-			}
-			work /= float64(len(ksLevels))
-			pred := *unit * work
-			meas := st.MeanMs / 1e3
-			*unit *= clampRatio(meas / pred)
+	var runs []ksRun
+	var measKs float64
+	for _, op := range []string{ckksir.OpRotate, ckksir.OpRelin} {
+		st, ok := stats[op]
+		if !ok || len(levels[op]) == 0 {
+			continue
+		}
+		for _, l := range levels[op] {
+			runs = append(runs, ksRun{op, l, kswork.Split{}, float64(st.Count) / float64(len(levels[op]))})
+		}
+		measKs += st.TotalMs / 1e3
+	}
+	if st, ok := stats[ckksir.OpLinear]; ok && len(linears) > 0 {
+		for _, r := range linears {
+			runs = append(runs, ksRun{ckksir.OpLinear, r.level, r.split, float64(st.Count) / float64(len(linears))})
+		}
+		measKs += st.TotalMs / 1e3
+	}
+
+	// Fused kernels: the Kernels table times every call of the three
+	// key-switching kernels. Price one call as the mean of those the
+	// expansion of the observed key switches makes; bootstrap-internal
+	// switches run at nearby levels, and the clamp bounds the residual
+	// error.
+	units, calls := map[string]float64{}, map[string]float64{}
+	for _, r := range runs {
+		m.Expand(r.op, r.level, r.split, nil, func(p kswork.Prim) {
+			units[p.Op] += r.w * p.Units
+			calls[p.Op] += r.w * float64(p.Count)
+		})
+	}
+	for _, st := range snap.Kernels {
+		var unit *float64
+		switch st.Op {
+		case kswork.PolyDecompModUp:
+			unit = &c.ModUpPerUnit
+		case kswork.PolyModMulAdd:
+			unit = &c.MulAddPerUnit
+		case kswork.PolyModDown:
+			unit = &c.ModDownPerUnit
+		default:
+			continue
+		}
+		if calls[st.Op] > 0 {
+			*unit *= clampRatio(st.MeanMs / 1e3 / (*unit * units[st.Op] / calls[st.Op]))
 		}
 	}
 
@@ -219,32 +226,12 @@ func FromProfile(snap obs.ProfileSnapshot, prog *ir.Func, geom kswork.Geometry, 
 	// Anchor them on the measured rotate/relin/linear op means: one
 	// uniform rescale of the three units makes the model reproduce the
 	// measured key-switch totals at the levels the trajectory recorded.
-	// A linear layer's kernels are its split's (opCost).
 	mc := &Model{Cal: c, Geometry: geom}
-	var measKs, fixedKs, kernKs float64
-	for _, op := range []string{ckksir.OpRotate, ckksir.OpRelin} {
-		st, ok := stats[op]
-		if !ok || len(levels[op]) == 0 {
-			continue
-		}
-		w := float64(st.Count) / float64(len(levels[op]))
-		for _, l := range levels[op] {
-			kern := mc.fusedSeconds(mc.Geometry.KeySwitch(l))
-			price, _ := mc.opCost(op, l, kswork.Split{}, nil)
-			kernKs += w * kern
-			fixedKs += w * (price - kern) // the input transform, a rotation's slot permutation
-		}
-		measKs += st.TotalMs / 1e3
-	}
-	if st, ok := stats[ckksir.OpLinear]; ok && len(linears) > 0 {
-		w := float64(st.Count) / float64(len(linears))
-		for _, r := range linears {
-			kern := mc.fusedSeconds(mc.LinearTransform(r.split, r.level))
-			kernKs += w * kern
-			price, _ := mc.opCost(ckksir.OpLinear, r.level, r.split, nil)
-			fixedKs += w * (price - kern)
-		}
-		measKs += st.TotalMs / 1e3
+	var fixedKs, kernKs float64
+	for _, r := range runs {
+		price := mc.price(r.op, r.level, r.split, nil)
+		kernKs += r.w * price.kern
+		fixedKs += r.w * (price.ntt + price.pw) // the input transforms, the permutations and sums
 	}
 	if kernKs > 0 && measKs > fixedKs {
 		x := clampRatio((measKs - fixedKs) / kernKs)
@@ -261,8 +248,7 @@ func FromProfile(snap obs.ProfileSnapshot, prog *ir.Func, geom kswork.Geometry, 
 		if st.Op == ckksir.OpLinear && len(linears) > 0 {
 			pm, ok = 0, true
 			for _, r := range linears {
-				price, _ := fitted.opCost(ckksir.OpLinear, r.level, r.split, nil)
-				pm += price / float64(len(linears))
+				pm += fitted.price(ckksir.OpLinear, r.level, r.split, nil).total() / float64(len(linears))
 			}
 		}
 		if !ok {
@@ -286,18 +272,18 @@ func FitSchedule(cal Calibration, geom kswork.Geometry, res *ckksir.Result, snap
 	if snap.Runs == 0 {
 		return cal
 	}
-	probe := cal
-	probe.PolyScale, probe.BootstrapScale = 0, 0 // structural estimates
-	m := &Model{Cal: probe, Geometry: geom}
+	m := &Model{Cal: cal, Geometry: geom}
 	var predPoly, predBoot float64
-	for _, in := range res.Module.Main().Body {
+	err := ckksir.Walk(res, geom, func(in *ir.Instr, p kswork.Prim) {
 		switch in.Op {
 		case ckksir.OpPoly:
-			price, _ := m.opCost(in.Op, in.Args[0].Level, kswork.Split{}, polyPlan(in))
-			predPoly += price
+			predPoly += m.prim(p).total()
 		case ckksir.OpBootstrap:
-			predBoot += m.bootstrapCost(in.AttrInt("target", 1), bootParams(res))
+			predBoot += m.prim(p).total()
 		}
+	})
+	if err != nil {
+		return cal
 	}
 	if meas := snap.OpSecPerRun(ckksir.OpPoly); meas > 0 && predPoly > 0 {
 		cal.PolyScale = clampRatio(meas / predPoly)

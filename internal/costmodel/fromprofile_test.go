@@ -21,14 +21,15 @@ func synthSnapshot(truth Calibration, geom kswork.Geometry) obs.ProfileSnapshot 
 		level int // result level, as the trajectory records it
 		cost  float64
 	}
+	price := func(op string, level int) float64 { return m.price(op, level, kswork.Split{}, nil).total() }
 	instrs := []inst{
-		{ckksir.OpAddPlain, 5, 2 * m.pw(6)},
-		{ckksir.OpMulPlain, 5, 2 * m.pw(6)},
-		{ckksir.OpMulPlain, 4, 2 * m.pw(5)},
-		{ckksir.OpRescale, 4, m.Rescale(5)}, // entered at 5
-		{ckksir.OpRotate, 4, m.KeySwitch(4) + 2*m.pw(5)},
-		{ckksir.OpRotate, 4, m.KeySwitch(4) + 2*m.pw(5)},
-		{ckksir.OpEncode, 4, m.ntt(5)},
+		{ckksir.OpAddPlain, 5, price(ckksir.OpAddPlain, 5)},
+		{ckksir.OpMulPlain, 5, price(ckksir.OpMulPlain, 5)},
+		{ckksir.OpMulPlain, 4, price(ckksir.OpMulPlain, 4)},
+		{ckksir.OpRescale, 4, price(ckksir.OpRescale, 5)}, // entered at 5
+		{ckksir.OpRotate, 4, price(ckksir.OpRotate, 4)},
+		{ckksir.OpRotate, 4, price(ckksir.OpRotate, 4)},
+		{ckksir.OpEncode, 4, ntt(m, 5)},
 	}
 	snap := obs.ProfileSnapshot{Runs: runs}
 	totals := map[string]*obs.OpStat{}
@@ -49,15 +50,16 @@ func synthSnapshot(truth Calibration, geom kswork.Geometry) obs.ProfileSnapshot 
 		st.MeanMs = st.TotalMs / float64(st.Count)
 		snap.Ops = append(snap.Ops, *st)
 	}
-	// Fused kernels: one observation per key switch (the two rotates),
+	// Fused kernels: one call of each per key switch (the two rotates),
 	// priced by the true constants at level 4.
-	ksWork := func(op string) float64 { return kernelWork(m, op, 4) }
+	ksWork := map[string]float64{}
+	m.Expand(ckksir.OpRotate, 4, kswork.Split{}, nil, func(p kswork.Prim) { ksWork[p.Op] += p.Units })
 	for op, unit := range map[string]float64{
-		"poly.decomp_modup": truth.ModUpPerUnit,
-		"poly.hw_modmuladd": truth.MulAddPerUnit,
-		"poly.mod_down":     truth.ModDownPerUnit,
+		kswork.PolyDecompModUp: truth.ModUpPerUnit,
+		kswork.PolyModMulAdd:   truth.MulAddPerUnit,
+		kswork.PolyModDown:     truth.ModDownPerUnit,
 	} {
-		mean := unit * ksWork(op)
+		mean := unit * ksWork[op]
 		snap.Kernels = append(snap.Kernels, obs.OpStat{
 			Op: op, Count: 2 * runs, MeanMs: mean * 1e3, TotalMs: mean * 1e3 * 2 * runs,
 		})
@@ -188,7 +190,7 @@ func TestFromProfileAnchorsOnLinear(t *testing.T) {
 	truth.MulAddPerUnit *= 1.6
 	truth.ModDownPerUnit *= 1.6
 	const runs = 3
-	price, _ := (&Model{Cal: truth, Geometry: geom}).opCost(ckksir.OpLinear, 3, ckksir.LinearSplit(lin.Def), nil)
+	price := (&Model{Cal: truth, Geometry: geom}).price(ckksir.OpLinear, 3, ckksir.LinearSplit(lin.Def), nil).total()
 	ms := price * 1e3
 	snap := obs.ProfileSnapshot{
 		Runs:           runs,

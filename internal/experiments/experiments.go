@@ -21,6 +21,7 @@ import (
 	"antace/internal/core"
 	"antace/internal/costmodel"
 	"antace/internal/dataset"
+	"antace/internal/kswork"
 	"antace/internal/onnx"
 	"antace/internal/sihe"
 	"antace/internal/tensor"
@@ -234,7 +235,7 @@ type Fig7Row struct {
 func bootstrapRotationCount(res *ckksir.Result) int {
 	keys := 0
 	for _, op := range bootstrap.Schedule(*res.Boot, res.Literal.LogN, res.TargetLevel) {
-		if op.Name == bootstrap.OpLinear {
+		if op.Name == kswork.OpLinear {
 			keys += op.Split.Babies + op.Split.Giants
 		}
 	}

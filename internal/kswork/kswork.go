@@ -1,11 +1,15 @@
-// Package kswork counts the work of hybrid key switching and of the
-// kernels built on it, in the units of the three fused ring kernels
-// (poly.decomp_modup, poly.hw_modmuladd, poly.mod_down). The counts are
-// pure functions of the ring shape and the level, so two readers share
-// them: the cost model multiplies them by calibrated seconds per unit,
-// and the compiler compares them as they are when it sizes the
-// bootstrapping DFTs. The package is a leaf so that both can import it
-// (costmodel imports ckksir).
+// Package kswork expands every CKKS instruction into the primitives the
+// runtime runs it as (Geometry.Expand): NTT and INTT rows, pointwise
+// passes, and the calls of the three fused key-switching kernels
+// (poly.decomp_modup, poly.hw_modmuladd, poly.mod_down), each carrying
+// its work in that kernel's units. The expansion is a pure function of
+// the ring shape, the level and the instruction, and every reader folds
+// it: the cost model prices it in calibrated seconds, the POLY IR emits
+// it, the compiler's DFT stage rule sums its kernel units, and a test
+// holds its kernel calls to the ones the runtime makes. The package also
+// declares the names those readers share, the CKKS instructions and the
+// POLY primitives. It imports nothing of the module but poly, so the
+// runtime, the compiler and the observability layer can all import it.
 package kswork
 
 import "math"
@@ -79,34 +83,11 @@ func (g Geometry) ModDown(level int) float64 {
 	return 2 * g.n() * (k*logN + r*(logN+ModDownConvWeight*k))
 }
 
-// Work is a count per fused kernel.
-type Work struct {
-	ModUp, MulAdd, ModDown float64
-}
-
-// Plus returns w + o.
-func (w Work) Plus(o Work) Work {
-	return Work{w.ModUp + o.ModUp, w.MulAdd + o.MulAdd, w.ModDown + o.ModDown}
-}
-
-// Units sums the three counts. Their units — a converted-and-transformed
-// coefficient, a multiply-accumulate, a divided coefficient — cost within
-// a factor of 1.6 of each other on the reference machine (costmodel's
-// default calibration), which is close enough to rank circuit shapes
-// without a calibration.
-func (w Work) Units() float64 { return w.ModUp + w.MulAdd + w.ModDown }
-
 // KeyCoeffs returns the size, in coefficients, of one switching key whose
 // digits cover the chain up to level: per digit, two polynomials over
 // Q∪P.
 func (g Geometry) KeyCoeffs(level int) float64 {
 	return float64(g.Digits(level)*2*(level+1+g.K)) * g.n()
-}
-
-// KeySwitch counts one hybrid key switch entering at level: decompose,
-// evaluation-key inner product, division by P.
-func (g Geometry) KeySwitch(level int) Work {
-	return Work{g.ModUp(level), g.MulAdd(level), g.ModDown(level)}
 }
 
 // BabySteps returns the baby-step count of a baby-step/giant-step
@@ -145,32 +126,6 @@ type Split struct {
 func DFTSplit(diags int) Split {
 	n1, n2 := BabySteps(diags), GiantSteps(diags)
 	return Split{Babies: n1 - 1, Giants: n2 - 1, Masks: diags, ZeroMasks: n2}
-}
-
-// LinearTransform counts the fused baby-step/giant-step evaluation of
-// split s entering at level. The baby rotations share one decomposition
-// and pay a key product each, staying over Q∪P. Every mask is one
-// multiply-accumulate per half and row in its group's inner sum: over
-// Q∪P, or over Q alone against the b = 0 baby. Each giant rotation
-// divides the c1 half of its group's sum by P, decomposes it and adds a
-// key product into the one Q∪P accumulator, which is divided once at the
-// end.
-func (g Geometry) LinearTransform(s Split, level int) Work {
-	groups := s.Giants + 1
-	perGroup := func(masks int) float64 {
-		return float64(groups) * MAC((masks+groups-1)/groups)
-	}
-	rows := float64(level+1)*perGroup(s.Masks) + float64(g.K)*perGroup(s.Masks-s.ZeroMasks)
-	giants := float64(s.Giants)
-	w := Work{
-		ModUp:   giants * g.ModUp(level),
-		MulAdd:  float64(s.Babies+s.Giants)*g.MulAdd(level) + 2*g.n()*rows,
-		ModDown: (1 + giants/2) * g.ModDown(level),
-	}
-	if s.Babies > 0 {
-		w.ModUp += g.ModUp(level)
-	}
-	return w
 }
 
 // MaxStages is the largest stage count a DFT is factorised into.

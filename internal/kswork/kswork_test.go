@@ -1,6 +1,9 @@
 package kswork
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func TestStageShapes(t *testing.T) {
 	for logSlots := 1; logSlots <= 15; logSlots++ {
@@ -30,25 +33,44 @@ func TestStageShapes(t *testing.T) {
 	}
 }
 
-// TestLinearTransformWork pins the kernel shape the count stands for:
-// nothing to decompose without a rotation, one division for the whole
-// transform plus half of one per giant step, and less work for a stage
-// than for the dense transform it replaces.
+// units sums the kernel units and counts the calls of one linear
+// transform's expansion, by primitive.
+func units(g Geometry, s Split, level int) (map[string]float64, map[string]int) {
+	work, calls := map[string]float64{}, map[string]int{}
+	g.Expand(OpLinear, level, s, nil, func(p Prim) {
+		work[p.Op] += p.Units
+		calls[p.Op] += p.Count
+	})
+	return work, calls
+}
+
+func total(work map[string]float64) float64 {
+	return work[PolyDecompModUp] + work[PolyModMulAdd] + work[PolyMaskSum] + work[PolyModDown]
+}
+
+// TestLinearTransformWork pins the kernel shape the expansion stands
+// for: nothing to decompose without a rotation, one division for the
+// whole transform plus half of one per giant step, and less work for a
+// stage than for the dense transform it replaces.
 func TestLinearTransformWork(t *testing.T) {
 	g := Geometry{LogN: 9, K: 6}
 	const level = 29
-	if w := g.LinearTransform(DFTSplit(1), level); w.ModUp != 0 || w.ModDown != g.ModDown(level) {
-		t.Errorf("one diagonal: %+v, want no decomposition and one division", w)
+	close := func(a, b float64) bool { return math.Abs(a-b) <= 1e-12*b }
+	if w, calls := units(g, DFTSplit(1), level); calls[PolyDecompModUp] != 0 || calls[PolyModDown] != 1 || !close(w[PolyModDown], g.ModDown(level)) {
+		t.Errorf("one diagonal: %v in %v calls, want no decomposition and one division", w, calls)
 	}
 	// 31 diagonals: 8 baby steps, 4 groups.
-	w := g.LinearTransform(DFTSplit(31), level)
-	if want := 4 * g.ModUp(level); w.ModUp != want {
-		t.Errorf("31 diagonals decompose %g units, want 1 + 3 decompositions (%g)", w.ModUp, want)
+	w, calls := units(g, DFTSplit(31), level)
+	if want := 4 * g.ModUp(level); calls[PolyDecompModUp] != 4 || !close(w[PolyDecompModUp], want) {
+		t.Errorf("31 diagonals decompose %g units in %d calls, want 1 + 3 decompositions (%g)", w[PolyDecompModUp], calls[PolyDecompModUp], want)
 	}
-	if want := 2.5 * g.ModDown(level); w.ModDown != want {
-		t.Errorf("31 diagonals divide %g units, want 1 + 3 halves (%g)", w.ModDown, want)
+	if want := 2.5 * g.ModDown(level); calls[PolyModDown] != 4 || !close(w[PolyModDown], want) {
+		t.Errorf("31 diagonals divide %g units in %d calls, want 1 + 3 halves (%g)", w[PolyModDown], calls[PolyModDown], want)
 	}
-	if dense := g.LinearTransform(DFTSplit(256), level); 2*w.Units() >= dense.Units() {
-		t.Errorf("two 31-diagonal stages (%g units) do not undercut 256 dense diagonals (%g)", 2*w.Units(), dense.Units())
+	if calls[PolyModMulAdd] != 7+3 {
+		t.Errorf("31 diagonals take %d key products, want 7 babies + 3 giants", calls[PolyModMulAdd])
+	}
+	if dense, _ := units(g, DFTSplit(256), level); 2*total(w) >= total(dense) {
+		t.Errorf("two 31-diagonal stages (%g units) do not undercut 256 dense diagonals (%g)", 2*total(w), total(dense))
 	}
 }

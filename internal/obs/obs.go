@@ -1,9 +1,9 @@
 // Package obs is the serving stack's observability layer: request trace
 // ids carried through context, per-instruction FHE profiling, and
-// Prometheus text-format metric exposition. It is deliberately
-// stdlib-only (crypto/rand, log/slog, sync/atomic) and sits below every
-// other serving package — vm, serve, fheclient and the cmd binaries all
-// import it, it imports none of them.
+// Prometheus text-format metric exposition. Of the module it imports
+// only the leaf kswork, for the fused kernels' names, and it sits below
+// every other serving package — vm, serve, fheclient and the cmd
+// binaries all import it, it imports none of them.
 //
 // The three concerns mirror the paper's evaluation methodology (§6):
 // Figures 5–7 rest on knowing where time goes per operation and how the

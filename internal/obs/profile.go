@@ -5,6 +5,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"antace/internal/kswork"
 )
 
 // DurationBuckets are the histogram upper bounds, in seconds, used for
@@ -59,22 +61,19 @@ func newOpRec() *opRec {
 }
 
 // FusedConstituents maps each fused kernel opcode — as reported by the
-// runtime's KernelObserver and named by internal/polyir's FuseOperators
-// pass — to the primitive opcodes whose work it subsumes. Live Figure 6
-// comparisons against pre-fusion profiles read this to know which
-// primitive rows a fused row replaced: poly.decomp_modup folds the digit
-// decomposition, the RNS mod-up and the surrounding inverse/forward
-// transforms into one pass; poly.hw_modmuladd folds the evaluation-key
-// multiply and accumulate; the fused poly.mod_down kernel additionally
-// absorbs the INTT/NTT pair that used to bracket the primitive mod_down.
-//
-// The strings are literals rather than polyir constants because obs is a
-// stdlib-only leaf package; a test in polyir asserts they stay equal to
-// the IR opcode names.
+// runtime's KernelObserver and emitted by the CKKS expansion
+// (kswork.Expand) — to the primitive opcodes whose work it subsumes. Live
+// Figure 6 comparisons against pre-fusion profiles read this to know
+// which primitive rows a fused row replaced: poly.decomp_modup folds the
+// digit decomposition, the RNS mod-up and the surrounding
+// inverse/forward transforms into one pass; poly.hw_modmuladd folds the
+// evaluation-key multiply and accumulate; the fused poly.mod_down kernel
+// additionally absorbs the INTT/NTT pair that used to bracket the
+// primitive mod_down.
 var FusedConstituents = map[string][]string{
-	"poly.decomp_modup": {"poly.decomp", "poly.mod_up", "poly.hw_intt", "poly.hw_ntt"},
-	"poly.hw_modmuladd": {"poly.hw_modmul", "poly.hw_modadd"},
-	"poly.mod_down":     {"poly.mod_down", "poly.hw_intt", "poly.hw_ntt"},
+	kswork.PolyDecompModUp: {kswork.PolyDecomp, kswork.PolyModUp, kswork.PolyINTT, kswork.PolyNTT},
+	kswork.PolyModMulAdd:   {kswork.PolyModMul, kswork.PolyModAdd},
+	kswork.PolyModDown:     {kswork.PolyModDown, kswork.PolyINTT, kswork.PolyNTT},
 }
 
 // RunProfile records one execution's per-opcode costs and trajectory.

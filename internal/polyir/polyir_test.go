@@ -1,6 +1,7 @@
 package polyir
 
 import (
+	"math"
 	"testing"
 
 	"antace/internal/bootstrap"
@@ -10,7 +11,6 @@ import (
 	"antace/internal/kswork"
 	"antace/internal/nnir"
 	"antace/internal/onnx"
-	"antace/internal/poly"
 	"antace/internal/sihe"
 	"antace/internal/vecir"
 )
@@ -69,9 +69,6 @@ func TestLowerProducesPolyOps(t *testing.T) {
 	if s.NTTs == 0 || s.ModMuls == 0 {
 		t.Fatalf("implausible stats %+v", s)
 	}
-	if s.KeySwitches == 0 {
-		t.Fatal("no key switches counted")
-	}
 }
 
 func TestOperatorFusion(t *testing.T) {
@@ -81,20 +78,20 @@ func TestOperatorFusion(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := mod.Main().OpHistogram()
-	if before[OpDecomp] == 0 {
+	if before[kswork.PolyDecomp] == 0 {
 		t.Fatal("no decomp ops to fuse")
 	}
 	if err := FuseOperators().Run(mod); err != nil {
 		t.Fatal(err)
 	}
 	after := mod.Main().OpHistogram()
-	if after[OpDecompModUp] == 0 {
+	if after[kswork.PolyDecompModUp] == 0 {
 		t.Fatal("no fused decomp_modup produced")
 	}
-	if after[OpDecomp] >= before[OpDecomp] {
+	if after[kswork.PolyDecomp] >= before[kswork.PolyDecomp] {
 		t.Fatal("decomp count did not drop")
 	}
-	if after[OpModMulAdd] == 0 {
+	if after[kswork.PolyModMulAdd] == 0 {
 		t.Fatal("no fused modmuladd produced")
 	}
 	if err := ir.VerifyFunc(mod.Main()); err != nil {
@@ -142,51 +139,56 @@ func TestLowerWithBootstrapExpands(t *testing.T) {
 	}
 }
 
+// fused lowers a hand-built program and joins its decompositions back
+// into kernels, which leaves the expansion of the program as it is.
+func fused(t *testing.T, res *ckksir.Result) *ir.Func {
+	t.Helper()
+	mod, err := Lower(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := FuseOperators().Run(mod); err != nil {
+		t.Fatal(err)
+	}
+	return mod.Main()
+}
+
 // TestBootstrapExpandsTheSchedule: a bootstrap lowers instruction by
-// instruction of its schedule, with the decompositions and divisions by
-// P the runtime runs there (bootstrap's TestScheduleMatchesRuntime counts
-// the same on a real bootstrap): one of each per key switch outside the
-// transforms, and for a stage matrix of n1 baby and n2 giant steps
-// [n1 > 1] + n2 − 1 decompositions and n2 − 1 divided halves before one
-// whole division.
+// instruction of its schedule, each at the level the schedule puts it:
+// after operator fusion the POLY module is the schedule's expansion,
+// primitive for primitive (bootstrap's TestScheduleMatchesRuntime holds
+// that expansion's kernel calls to a real bootstrap's).
 func TestBootstrapExpandsTheSchedule(t *testing.T) {
-	g := kswork.Geometry{LogN: 12, K: 3}
-	for _, op := range bootstrap.Schedule(bootstrap.Parameters{C2SStages: 3, S2CStages: 2}, g.LogN, 4) {
-		got := map[string]int{}
-		e := &expander{g: g, emit: func(op string, _, count int) { got[op] += count }}
-		if !e.instr(op.Priced(), op.Level, op.Split, op.Plan) {
-			t.Fatalf("%s (priced as %s) does not lower", op.Name, op.Priced())
+	mod := ir.NewModule("bootstrap")
+	f := mod.NewFunc("main")
+	x := f.NewParam("x", ir.CipherType(64))
+	const target = 4
+	out := f.Emit(ckksir.OpBootstrap, ir.CipherType(64), []*ir.Value{x}, map[string]any{"target": target})
+	out.Level = target
+	f.Ret = out
+	boot := bootstrap.Parameters{C2SStages: 3, S2CStages: 2}
+	lit := ckks.ParametersLiteral{LogN: 12, LogP: []int{50, 50, 50}}
+	g := lit.Geometry()
+	var want []kswork.Prim
+	for _, op := range bootstrap.Schedule(boot, g.LogN, target) {
+		if !g.Expand(op.Priced(), op.Level, op.Split, op.Plan, func(p kswork.Prim) { want = append(want, p) }) {
+			t.Fatalf("%s (run as %s) does not expand", op.Name, op.Priced())
 		}
-		digits, halves := 0, 0
-		switch op.Name {
-		case bootstrap.OpLinear:
-			n1, n2 := kswork.BabySteps(op.Split.Masks), kswork.GiantSteps(op.Split.Masks)
-			decomps := n2 - 1
-			if n1 > 1 {
-				decomps++
-			}
-			digits, halves = decomps*g.Digits(op.Level), n2+1
-		case bootstrap.OpConjugate, bootstrap.OpRelin: // one key switch
-			digits, halves = g.Digits(op.Level), 2
-		case bootstrap.OpPoly:
-			op.Plan.Walk(func(st poly.Step, depth int) {
-				if st == poly.StepRelin {
-					digits += g.Digits(op.Level - depth)
-					halves += 2
-				}
-			})
-		}
-		if got[OpDecomp] != digits || got[OpModDown] != halves {
-			t.Errorf("op %+v: %d digit decompositions and %d divided halves, want %d and %d", op, got[OpDecomp], got[OpModDown], digits, halves)
+	}
+	body := fused(t, &ckksir.Result{Module: mod, Literal: lit, Boot: &boot}).Body
+	if len(body) != len(want) {
+		t.Fatalf("%d POLY instructions, the schedule expands to %d primitives", len(body), len(want))
+	}
+	for i, in := range body {
+		if p := want[i]; in.Op != p.Op || in.AttrInt("rns", 0) != p.Rows || in.AttrInt("count", 0) != p.Count {
+			t.Fatalf("instr %d: %s over %d rows ×%d, the expansion has %s over %d ×%d", i, in.Op, in.AttrInt("rns", 0), in.AttrInt("count", 0), p.Op, p.Rows, p.Count)
 		}
 	}
 }
 
-// TestLinearExpandsItsKernel: a ckks.linear expands as the fused kernel
-// runs it — one decomposition for its babies and one per giant, a
-// divided half per giant and one whole division for the group sum:
-// three halves where the same three rotations as ckks.rotate
-// instructions divide six.
+// TestLinearExpandsItsKernel: a ckks.linear lowers at its input's level
+// to the fused kernel's expansion, whose divisions by P are worth half of
+// what the same three rotations as ckks.rotate instructions divide.
 func TestLinearExpandsItsKernel(t *testing.T) {
 	mod := ir.NewModule("linear")
 	f := mod.NewFunc("main")
@@ -205,17 +207,36 @@ func TestLinearExpandsItsKernel(t *testing.T) {
 	lin.Level = 2
 	f.Ret = lin
 	lit := ckks.ParametersLiteral{LogN: 12, LogQ: []int{50, 40, 40, 40}, LogP: []int{50, 50}, LogScale: 40}
-	pm, err := Lower(&ckksir.Result{Module: mod, Literal: lit})
-	if err != nil {
-		t.Fatal(err)
-	}
-	counts := map[string]int{}
-	for _, in := range pm.Main().Body {
-		counts[in.Op] += in.AttrInt("count", 1)
-	}
 	g := lit.Geometry()
-	digits := 2 * g.Digits(3) // babies, one giant
-	if halves := 1 + 2; counts[OpDecomp] != digits || counts[OpModDown] != halves {
-		t.Fatalf("decomp %d (want %d), mod_down %d (want %d)", counts[OpDecomp], digits, counts[OpModDown], halves)
+	kernels := func(emit func(func(kswork.Prim))) map[string]kswork.Prim {
+		out := map[string]kswork.Prim{}
+		emit(func(p kswork.Prim) {
+			if p.Units > 0 {
+				q := out[p.Op]
+				out[p.Op] = kswork.Prim{Op: p.Op, Rows: p.Rows, Count: q.Count + p.Count, Units: q.Units + p.Units}
+			}
+		})
+		return out
+	}
+	want := kernels(func(emit func(kswork.Prim)) { g.Expand(ckksir.OpLinear, 3, ckksir.LinearSplit(lin.Def), nil, emit) })
+	got := map[string]int{}
+	for _, in := range fused(t, &ckksir.Result{Module: mod, Literal: lit}).Body {
+		got[in.Op] += in.AttrInt("count", 0)
+		if p, ok := want[in.Op]; ok && in.AttrInt("rns", 0) != p.Rows {
+			t.Errorf("%s over %d rows, the expansion at level 3 has %d", in.Op, in.AttrInt("rns", 0), p.Rows)
+		}
+	}
+	for op, p := range want {
+		if got[op] != p.Count {
+			t.Errorf("%s called %d times, the expansion calls it %d times", op, got[op], p.Count)
+		}
+	}
+	rotations := kernels(func(emit func(kswork.Prim)) {
+		for range 3 {
+			g.Expand(ckksir.OpRotate, 3, kswork.Split{}, nil, emit)
+		}
+	})
+	if lw, rw := want[kswork.PolyModDown].Units, rotations[kswork.PolyModDown].Units; math.Abs(2*lw-rw) > 1e-9*rw {
+		t.Errorf("the linear layer divides %g units by P, three rotations %g", lw, rw)
 	}
 }
