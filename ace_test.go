@@ -154,8 +154,20 @@ func TestCompilerAndRuntimeAgreeOnLevels(t *testing.T) {
 		if want := []int{2, 13, 13, 13, 13, 13, 13, 12}; !reflect.DeepEqual(res.SegmentDepths, want) {
 			t.Errorf("%s: segment depths %v, want %v", name, res.SegmentDepths, want)
 		}
-		if len(res.Literal.LogQ) > 27 || len(res.Literal.LogQ) != 1+res.TargetLevel+bootstrap.CircuitDepth(*res.Boot) {
+		top := len(res.Literal.LogQ) - 1
+		if top > 26 || top != bootstrap.RaiseLevel(*res.Boot, res.TargetLevel) {
 			t.Errorf("%s: %d chain primes for target %d and a bootstrap of %d", name, len(res.Literal.LogQ), res.TargetLevel, bootstrap.CircuitDepth(*res.Boot))
+		}
+		// One bootstrap per ReLU but the leading ones a fresh ciphertext
+		// has the levels for: the input is encrypted at the target plus the
+		// segments run before the last one without a refresh, under the top.
+		segs, elided, input := res.SegmentDepths, 0, res.TargetLevel
+		for elided < len(segs)-2 && input+segs[elided] <= top {
+			input += segs[elided]
+			elided++
+		}
+		if wantBoots := len(segs) - 1 - elided; res.Bootstraps != wantBoots || res.InputLevel != input {
+			t.Errorf("%s: %d bootstraps from input level %d, want %d from %d", name, res.Bootstraps, res.InputLevel, wantBoots, input)
 		}
 		machine, client, err := vm.New(res, prog.VectorLen(), ring.SeedFromInt(20))
 		if err != nil {
@@ -180,8 +192,8 @@ func TestCompilerAndRuntimeAgreeOnLevels(t *testing.T) {
 				t.Errorf("%s: instr %d (%s): runtime level %d, compiler %d", name, pt.PC, pt.Op, pt.Level, compiled)
 			}
 		}
-		if seen[ckksir.OpPoly] != 21 || seen[ckksir.OpBootstrap] != 7 {
-			t.Errorf("%s: ran %d polynomial stages and %d bootstraps, want 21 and 7", name, seen[ckksir.OpPoly], seen[ckksir.OpBootstrap])
+		if seen[ckksir.OpPoly] != 21 || seen[ckksir.OpBootstrap] != res.Bootstraps {
+			t.Errorf("%s: ran %d polynomial stages and %d bootstraps, want 21 and %d", name, seen[ckksir.OpPoly], seen[ckksir.OpBootstrap], res.Bootstraps)
 		}
 	}
 }

@@ -1,33 +1,36 @@
 // Package bootstrap implements CKKS bootstrapping: the noise-refreshing
-// procedure that raises an exhausted (level-0) ciphertext back to a
-// usable level so that homomorphic evaluation can continue indefinitely.
+// procedure that takes an exhausted ciphertext at the bottom of the chain
+// back to a usable level so that homomorphic evaluation can continue
+// indefinitely.
 //
-// The pipeline is the standard one (Cheon et al. "Bootstrapping for
-// Approximate Homomorphic Encryption", with the Han–Ki cosine/double-
-// angle EvalMod):
+// The circuit runs SlotsToCoeffs first, as Chen, Chillotti and Song do
+// ("Improved Bootstrapping for Approximate Homomorphic Encryption",
+// EUROCRYPT 2019), so that the transform's key switches run on the two or
+// three primes at the bottom of the chain instead of just above the
+// refresh target; the Han–Ki cosine/double-angle EvalMod removes the
+// modular overflow:
 //
-//  1. ScaleUp — keep the real part of the slots, ct + conj(ct), and
-//     multiply the message up to q0/messageRatio.
-//  2. ModRaise — re-interpret the level-0 ciphertext modulo Q_l, yielding
-//     t = m + q0·I with a small integer polynomial I.
-//  3. CoeffsToSlots — a homomorphic inverse embedding moving the
-//     coefficients of t into slots, followed by the conjugation that keeps
-//     the first coefficient half, t_0 … t_{N/2−1}.
+//  1. SlotsToCoeffs — the forward embedding, entering at level S2CStages
+//     and ending at level 0. It writes slot j's real and imaginary parts
+//     into coefficients j and N/2+j, at the scale D = q0/messageRatio: a
+//     real slot vector z becomes the message m with m_j = z_j·D and a zero
+//     second half.
+//  2. ModRaise — re-interpret the level-0 ciphertext modulo the chain up
+//     to the top, yielding t = m + q0·I with a small integer polynomial I.
+//  3. CoeffsToSlots — the inverse embedding moves the coefficient pair
+//     (t_j, t_{N/2+j}) into slot j, and ct + conj(ct) keeps its real
+//     part, t_j = z_j·D + q0·I_j.
 //  4. EvalMod — approximate t mod q0 on each slot with a Chebyshev
-//     interpolation of a scaled cosine followed by double-angle steps.
-//  5. SlotsToCoeffs — the forward embedding moving the refreshed half
-//     back into coefficients, followed by the conjugation that mirrors it
-//     into the other half.
+//     interpolation of a scaled cosine followed by double-angle steps. Its
+//     output is sin(2π·t_j/q0) ≈ 2π·z_j·D/q0, already in the slots; the
+//     factor 2π·D/q0 is absorbed into the declared scale, which costs no
+//     level.
 //
-// One EvalMod suffices because the slots are real. A real slot vector's
-// plaintext satisfies m(X) = m(X⁻¹), so m_{N−j} = −m_j and m_{N/2} = 0:
-// the first coefficient half determines the rest, and the second half of
-// t, whose integer part differs, is never refreshed. If p is the
-// polynomial SlotsToCoeffs makes from the refreshed half, p + τ(p), τ the
-// conjugation X ↦ X⁻¹, is m with its constant coefficient doubled; the
-// first SlotsToCoeffs stage halves its slot-0 column to match. Bootstrap
-// therefore refreshes the real part of the slots and drops the imaginary
-// part.
+// One EvalMod suffices because the slots are real: their values sit in
+// the first coefficient half alone, and the real part after
+// CoeffsToSlots drops the second half, whose integer part is never
+// refreshed. Bootstrap therefore refreshes the real part of the slots and
+// drops the imaginary part.
 //
 // The two embeddings are the encoder's special FFT, factorised into a few
 // sparse stage matrices (ckks.Encoder.DFTStages). How many stages each
@@ -72,18 +75,27 @@ type Parameters struct {
 func (p Parameters) WithDefaults() Parameters { return p.withDefaults() }
 
 // CircuitDepth returns the number of levels the bootstrap circuit for
-// this configuration consumes, without instantiating it: the C2S stages,
-// EvalMod's polynomial as its evaluation plan runs it, the double angles
-// and the S2C stages.
+// this configuration consumes, without instantiating it: the S2C stages
+// below the mod raise, and above it the C2S stages, EvalMod's polynomial
+// as its evaluation plan runs it and the double angles.
 func CircuitDepth(p Parameters) int {
 	p = p.withDefaults()
-	return p.C2SStages + evalModPlan(p).Depth() + p.DoubleAngle + p.S2CStages
+	return p.S2CStages + p.C2SStages + evalModPlan(p).Depth() + p.DoubleAngle
+}
+
+// RaiseLevel returns the level the mod raise lifts to in a refresh to the
+// target level: the top of the chain the circuit needs. Everything but
+// SlotsToCoeffs, which runs below the raise, runs between the two.
+func RaiseLevel(p Parameters, target int) int {
+	p = p.withDefaults()
+	return target + CircuitDepth(p) - p.S2CStages
 }
 
 // The circuit runs program instructions, named by kswork (OpAdd, OpMul,
 // OpRelin, OpRescale, OpLinear for a DFT stage matrix, OpPoly for
-// EvalMod's polynomial), and two that no program runs. A conjugation is
-// a rotation by the conjugation's Galois element, and adding the double
+// EvalMod's polynomial), and three that no program runs: the mod raise,
+// which kswork expands as itself, and the two below. A conjugation is a
+// rotation by the conjugation's Galois element, and adding the double
 // angle's −1 is one pass over c0, as adding a plaintext is: Priced names
 // the instruction each runs as.
 const (
@@ -99,11 +111,12 @@ type Op struct {
 	// Name is the instruction (a kswork instruction name, OpConjugate or
 	// OpAddConst).
 	Name string
-	// Level is the level x enters the op at.
-	Level int
+	// Level is the level x enters the op at, and To the level the mod
+	// raise (kswork.OpModRaise) lifts it to.
+	Level, To int
 	// Split is a stage matrix's baby-step/giant-step split, and Stage its
-	// index among the bootstrapper's stage matrices, CoeffsToSlots' first
-	// (kswork.OpLinear).
+	// index among the bootstrapper's stage matrices, in the order the
+	// circuit runs them: SlotsToCoeffs' first (kswork.OpLinear).
 	Split kswork.Split
 	Stage int
 	// Plan is EvalMod's evaluation plan (kswork.OpPoly).
@@ -122,28 +135,36 @@ func (op Op) Priced() string {
 	return op.Name
 }
 
-// realPart is the head of every schedule: ct + conj(ct) at level 0, which
-// Raise runs before it raises the modulus.
-var realPart = []Op{{Name: OpConjugate}, {Name: kswork.OpAdd}}
+// Expand emits the primitives op runs as in geometry g: the expansion
+// (kswork.Geometry.Expand) of the instruction it is priced as, at the
+// level it enters at, or for the mod raise at the level it lifts to. It
+// reports whether kswork knows the instruction.
+func (op Op) Expand(g kswork.Geometry, emit func(kswork.Prim)) bool {
+	level := op.Level
+	if op.Name == kswork.OpModRaise {
+		level = op.To
+	}
+	return g.Expand(op.Priced(), level, op.Split, op.Plan, emit)
+}
 
 // Schedule returns the instructions of one bootstrap to the target level
 // in a ring of degree 2^logN, in the order Bootstrap runs them and each
-// with the level it enters at: the real part at level 0, the
-// CoeffsToSlots stages down from target + CircuitDepth, the real half,
-// EvalMod's polynomial and double angles, the SlotsToCoeffs stages down
-// to the target and the real part there. The transforms act on all
+// with the level it enters at: the SlotsToCoeffs stages down from level
+// S2CStages, the mod raise at level 0 to RaiseLevel, the CoeffsToSlots
+// stages down from there, the real part, EvalMod's polynomial and the
+// double angles down to the target. The transforms act on all
 // 2^(logN-1) slots of the ring. The Bootstrapper runs this list; the
 // compiler, the cost model, the POLY IR and the memory figures fold over
 // it.
 func Schedule(p Parameters, logN, target int) []Op {
 	p = p.withDefaults()
-	c2s := kswork.StageDiagonals(logN-1, p.C2SStages, true)
 	s2c := kswork.StageDiagonals(logN-1, p.S2CStages, false)
+	c2s := kswork.StageDiagonals(logN-1, p.C2SStages, true)
 	evalMod := evalModPlan(p)
-	// Seven ops besides the stages and the double angles: three real
-	// parts of two ops and the polynomial.
-	ops := append(make([]Op, 0, len(c2s)+len(s2c)+5*p.DoubleAngle+7), realPart...)
-	level := target + CircuitDepth(p)
+	// Four ops besides the stages and the double angles: the raise, the
+	// real part's two and the polynomial.
+	ops := make([]Op, 0, len(s2c)+len(c2s)+5*p.DoubleAngle+4)
+	level := p.S2CStages
 	// emit appends op at the current level and then drops the levels it
 	// consumes.
 	emit := func(op Op, consumes int) {
@@ -151,8 +172,13 @@ func Schedule(p Parameters, logN, target int) []Op {
 		ops = append(ops, op)
 		level -= consumes
 	}
-	for i, d := range c2s {
+	for i, d := range s2c {
 		emit(Op{Name: kswork.OpLinear, Split: kswork.DFTSplit(d), Stage: i}, 1)
+	}
+	top := RaiseLevel(p, target)
+	emit(Op{Name: kswork.OpModRaise, To: top}, -top) // from level 0 to the top
+	for i, d := range c2s {
+		emit(Op{Name: kswork.OpLinear, Split: kswork.DFTSplit(d), Stage: len(s2c) + i}, 1)
 	}
 	emit(Op{Name: OpConjugate}, 0)
 	emit(Op{Name: kswork.OpAdd}, 0)
@@ -164,11 +190,6 @@ func Schedule(p Parameters, logN, target int) []Op {
 		emit(Op{Name: kswork.OpRelin}, 0)
 		emit(Op{Name: kswork.OpRescale}, 1)
 	}
-	for i, d := range s2c {
-		emit(Op{Name: kswork.OpLinear, Split: kswork.DFTSplit(d), Stage: len(c2s) + i}, 1)
-	}
-	emit(Op{Name: OpConjugate}, 0)
-	emit(Op{Name: kswork.OpAdd}, 0)
 	return ops
 }
 
@@ -193,9 +214,29 @@ func evalModPlan(p Parameters) *poly.Plan {
 	return pl.(*poly.Plan)
 }
 
-// messageRatio is the q0 / (message scale) headroom kept so that
-// sin(2*pi*m/q0) ~ 2*pi*m/q0.
-const messageRatio = 256
+// messageRatio returns q0/D, the headroom the message keeps below q0.
+// SlotsToCoeffs writes every slot value into a coefficient as it is, so
+// a coefficient is as large as the largest slot, |z| <= 1, and the sine
+// EvalMod computes, sin(2π·t/q0) ≈ 2π·z·D/q0, is off by its cubic term:
+// a relative (2π/R)²/6 at ratio R. EvalMod's own error ε, read with the
+// factor R/(2π), grows with the ratio instead. Their sum is least at
+// R = 2π/∛(3ε), where ε is the plan's largest error after the double
+// angles at the points where t is a multiple of q0, evaluated in
+// cleartext. The ratio is the power of two nearest that, and never below
+// 256.
+func messageRatio(p Parameters) float64 {
+	pl := evalModPlan(p)
+	eps := 0.0
+	for i := -p.K; i <= p.K; i++ {
+		y := pl.Poly.Eval(float64(i) / float64(p.K+1))
+		for range p.DoubleAngle {
+			y = 2*y*y - 1
+		}
+		eps = math.Max(eps, math.Abs(y)) // sin(2π·i) = 0
+	}
+	r := 2 * math.Pi / math.Cbrt(3*eps)
+	return math.Max(256, math.Exp2(math.Round(math.Log2(r))))
+}
 
 // evalModPlans memoises evalModPlan by (K, degree, double angles): the
 // compiler asks for the plan of one configuration some fifty times while
@@ -230,36 +271,33 @@ type Bootstrapper struct {
 	params *ckks.Parameters
 	bp     Parameters
 	enc    *ckks.Encoder
+	s2c    []*ckks.LinearTransform // stages of SF
 	c2s    []*ckks.LinearTransform // stages of (1/(2B)) * SFinv
-	s2c    []*ckks.LinearTransform // stages of (q0/(2*pi*D)) * SF, slot-0 column halved
 
 	q0 float64
-	d  float64 // declared scale after ScaleUp+ModRaise
+	d  float64 // the message scale SlotsToCoeffs ends on, q0/messageRatio
+	// scale is the scale ciphertexts are bootstrapped at and come back at.
+	scale float64
 
-	// circuitScale is the working scale inside the bootstrap circuit.
-	// The circuit's levels should carry primes of about this size (the
-	// top of the chain, typically ~2^60): large primes keep the encoded
-	// DFT matrices and EvalMod constants precise, and matching the scale
-	// to the prime size keeps rescaling scale-stable.
+	// circuitScale is the working scale of CoeffsToSlots. The circuit's
+	// levels should carry primes of about this size (the top of the chain,
+	// typically ~2^60): large primes keep the encoded DFT matrices and
+	// EvalMod constants precise, and matching the scale to the prime size
+	// keeps rescaling scale-stable.
 	circuitScale float64
 }
 
 // NewBootstrapper precomputes the bootstrapping circuit for the given
-// parameters. The input scale is the scale ciphertexts will carry when
-// Bootstrap is called (typically params.DefaultScale()).
-func NewBootstrapper(params *ckks.Parameters, bp Parameters, inputScale float64) (*Bootstrapper, error) {
+// parameters. The scale is the one ciphertexts carry when Bootstrap is
+// called and the one it returns them at (typically params.DefaultScale(),
+// the program's waterline).
+func NewBootstrapper(params *ckks.Parameters, bp Parameters, scale float64) (*Bootstrapper, error) {
 	bp = bp.withDefaults()
-	if inputScale == 0 {
-		inputScale = params.DefaultScale()
+	if scale == 0 {
+		scale = params.DefaultScale()
 	}
 	q0 := float64(params.Q()[0])
-	// k is even: Raise doubles the declared scale when it keeps the real
-	// part, and then scales up by k/2.
-	k := 2 * math.Round(q0/(2*messageRatio*inputScale))
-	if k < 2 {
-		return nil, fmt.Errorf("bootstrap: input scale %g too close to q0 %g for message ratio %d", inputScale, q0, messageRatio)
-	}
-	d := k * inputScale // declared scale after ScaleUp (message now m = v*d)
+	d := q0 / messageRatio(bp)
 	// EvalMod input bound: |t|/d <= (q0*(K+1))/d; normalised by B so the
 	// Chebyshev domain is [-1,1].
 	b := float64(bp.K+1) * q0 / d
@@ -270,21 +308,16 @@ func NewBootstrapper(params *ckks.Parameters, bp Parameters, inputScale float64)
 		enc:          ckks.NewEncoder(params),
 		q0:           q0,
 		d:            d,
+		scale:        scale,
 		circuitScale: float64(params.Q()[params.MaxLevel()]),
 	}
 	var err error
+	if bt.s2c, err = bt.enc.DFTStages(false, bp.S2CStages, 1); err != nil {
+		return nil, fmt.Errorf("bootstrap: SlotsToCoeffs: %w", err)
+	}
 	// CoeffsToSlots: u = (1/(2B)) SFinv * v.
 	if bt.c2s, err = bt.enc.DFTStages(true, bp.C2SStages, 1/(2*b)); err != nil {
 		return nil, fmt.Errorf("bootstrap: CoeffsToSlots: %w", err)
-	}
-	// SlotsToCoeffs: out = (q0/(2 pi D)) SF * y, with y's slot 0 (the
-	// constant coefficient, which the closing conjugation doubles) halved.
-	if bt.s2c, err = bt.enc.DFTStages(false, bp.S2CStages, q0/(2*math.Pi*d)); err != nil {
-		return nil, fmt.Errorf("bootstrap: SlotsToCoeffs: %w", err)
-	}
-	first := bt.s2c[0]
-	for d, diag := range first.Diags {
-		diag[(first.Slots-d)%first.Slots] /= 2
 	}
 	for _, lt := range bt.stages() {
 		lt.Memo = ckks.NewPlaintextMemo(params, ckks.PlaintextMemoCap)
@@ -307,7 +340,7 @@ func (bt *Bootstrapper) WithTableCap(capBytes int64) *Bootstrapper {
 		return out
 	}
 	out := *bt
-	out.c2s, out.s2c = fresh(bt.c2s), fresh(bt.s2c)
+	out.s2c, out.c2s = fresh(bt.s2c), fresh(bt.c2s)
 	return &out
 }
 
@@ -320,9 +353,10 @@ func (bt *Bootstrapper) TableStats() ckks.MemoStats {
 	return st
 }
 
-// stages lists every stage matrix, CoeffsToSlots first.
+// stages lists every stage matrix in the order the circuit runs them,
+// SlotsToCoeffs first.
 func (bt *Bootstrapper) stages() []*ckks.LinearTransform {
-	return append(append([]*ckks.LinearTransform(nil), bt.c2s...), bt.s2c...)
+	return append(append([]*ckks.LinearTransform(nil), bt.s2c...), bt.c2s...)
 }
 
 // RequiredRotations returns the slot rotations the evaluator's key set
@@ -344,86 +378,65 @@ func (bt *Bootstrapper) RequiredRotations() []int {
 	return out
 }
 
-// Depth returns the number of levels the bootstrap circuit consumes
-// above its output level.
+// Depth returns the number of levels the bootstrap circuit consumes.
 func (bt *Bootstrapper) Depth() int { return CircuitDepth(bt.bp) }
+
+// InputLevel is the level Bootstrap takes ciphertexts at: SlotsToCoeffs
+// consumes the levels down to 0.
+func (bt *Bootstrapper) InputLevel() int { return bt.bp.S2CStages }
 
 // MaxOutputLevel is the highest level Bootstrap can refresh to.
 func (bt *Bootstrapper) MaxOutputLevel() int {
-	return bt.params.MaxLevel() - bt.Depth()
+	return bt.params.MaxLevel() - RaiseLevel(bt.bp, 0)
 }
 
-// Raise is steps 1 and 2: it keeps the real part of ct's slots (ct must
-// be at level 0 with |values| <= 1), scales it up to D and re-interprets
-// it modulo the chain up to the level a refresh to targetLevel starts at.
-// drift is how far the scale ct declared was from the one the circuit was
-// built for; the output of SlotsToCoeffs carries that factor in its
-// values.
-func (bt *Bootstrapper) Raise(ev *ckks.Evaluator, ct *ckks.Ciphertext, targetLevel int) (raised *ckks.Ciphertext, drift float64, err error) {
-	if ct.Level() != 0 {
-		return nil, 0, fmt.Errorf("bootstrap: ciphertext at level %d, expected 0 (drop first)", ct.Level())
+// Bootstrap refreshes the real part of ct's slots (ct must be at the
+// input level with |values| <= 1) to the given target level; the
+// output's slots are real. Following the paper's minimal-level strategy,
+// pass the smallest level your remaining computation needs; pass
+// MaxOutputLevel() to refresh as high as possible.
+func (bt *Bootstrapper) Bootstrap(ev *ckks.Evaluator, ct *ckks.Ciphertext, targetLevel int) (*ckks.Ciphertext, error) {
+	if ct.Level() != bt.InputLevel() {
+		return nil, fmt.Errorf("bootstrap: ciphertext at level %d, expected %d (drop first)", ct.Level(), bt.InputLevel())
 	}
 	if targetLevel < 1 || targetLevel > bt.MaxOutputLevel() {
-		return nil, 0, fmt.Errorf("bootstrap: target level %d out of [1, %d]", targetLevel, bt.MaxOutputLevel())
+		return nil, fmt.Errorf("bootstrap: target level %d out of [1, %d]", targetLevel, bt.MaxOutputLevel())
 	}
-	// 1. The real part, ct + conj(ct) declared at twice the scale, so that
-	// the plaintext mirrors its first coefficient half; then ScaleUp to D.
-	re, err := bt.Run(ev, ct, realPart)
-	if err != nil {
-		return nil, 0, err
-	}
-	re.Scale *= 2
-	k := uint64(math.Round(bt.d / re.Scale))
-	if k == 0 {
-		return nil, 0, fmt.Errorf("bootstrap: ciphertext scale %g above the configured input scale", ct.Scale)
-	}
-	up := ev.ScaleUp(re, k)
-	// The declared scale is now k*ct.Scale; the circuit was built for D.
-	// Any tiny mismatch shows up as a proportional output error, so we
-	// fold it in exactly by re-declaring (difference is < 1 part in 2^40
-	// when ct.Scale matches the scale the bootstrapper was built for).
-	drift = up.Scale / bt.d
-	if drift < 0.5 || drift > 2 {
-		return nil, 0, fmt.Errorf("bootstrap: scale drift too large (declared %g, circuit expects %g)", up.Scale, bt.d)
-	}
-	// 2. ModRaise, then drop to the level budget needed.
-	raised = ev.ModRaise(up, targetLevel+bt.Depth())
-	raised.Scale = bt.d
-	return raised, drift, nil
-}
-
-// Bootstrap refreshes the real part of ct's slots (ct must be at level 0
-// with |values| <= 1) to the given target level; the output's slots are
-// real. Following the paper's minimal-level strategy, pass the smallest
-// level your remaining computation needs; pass MaxOutputLevel() to
-// refresh as high as possible.
-func (bt *Bootstrapper) Bootstrap(ev *ckks.Evaluator, ct *ckks.Ciphertext, targetLevel int) (*ckks.Ciphertext, error) {
-	raised, drift, err := bt.Raise(ev, ct, targetLevel)
+	out, err := bt.Run(ev, ct, Schedule(bt.bp, bt.params.LogN(), targetLevel))
 	if err != nil {
 		return nil, err
 	}
-	out, err := bt.Run(ev, raised, Schedule(bt.bp, bt.params.LogN(), targetLevel)[len(realPart):])
-	if err != nil {
-		return nil, err
-	}
-	// Absorb the ScaleUp drift exactly: the circuit divides by the D it
-	// was built with, so the output values carry a factor D'/D.
-	out.Scale = out.Scale * drift
 	if out.Level() != targetLevel {
 		return nil, fmt.Errorf("bootstrap: circuit of depth %d ended at level %d, not the target %d", bt.Depth(), out.Level(), targetLevel)
 	}
+	// The double angles end on the scale at which EvalMod's output,
+	// 2π·D/q0 times the slots, reads as the slots at bt.scale.
+	out.Scale = bt.scale
 	return out, nil
+}
+
+// evalModScale returns the scale EvalMod's polynomial must land on when
+// it ends at the given level. Each double angle squares the scale and
+// divides it by the prime of the level it enters at, and the last must
+// end on bt.scale·q0/(2π·D), the scale at which sin(2π·t/q0) ≈ 2π·z·D/q0
+// reads as z at bt.scale; so the scales are solved backwards from there.
+func (bt *Bootstrapper) evalModScale(level int) float64 {
+	q := bt.params.Q()
+	s := bt.scale * bt.q0 / (2 * math.Pi * bt.d)
+	for l := level - bt.bp.DoubleAngle + 1; l <= level; l++ {
+		s = math.Sqrt(s * float64(q[l]))
+	}
+	return s
 }
 
 // Run runs ops, a stretch of the bootstrapper's schedule, on ct and
 // returns the result. Every op must find the ciphertext at its level.
 // The stage matrices of a transform carry the declared scale to the
-// transform's target in equal ratios — D to the circuit scale over
-// CoeffsToSlots, the circuit scale to the default one over SlotsToCoeffs
-// — so every stage encodes its diagonals at the same plaintext scale
-// (rescaling prime times that ratio): no stage is left with the whole
-// jump and entries too coarse or too large for it. EvalMod's polynomial
-// lands on the circuit scale.
+// transform's target in equal ratios — the input's to D over
+// SlotsToCoeffs, D to the circuit scale over CoeffsToSlots — so every
+// stage encodes its diagonals at the same plaintext scale (rescaling
+// prime times that ratio): no stage is left with the whole jump and
+// entries too coarse or too large for it.
 func (bt *Bootstrapper) Run(ev *ckks.Evaluator, ct *ckks.Ciphertext, ops []Op) (*ckks.Ciphertext, error) {
 	x := ct
 	var conjIn *ckks.Ciphertext // the input of the conjugation just run
@@ -450,12 +463,14 @@ func (bt *Bootstrapper) Run(ev *ckks.Evaluator, ct *ckks.Ciphertext, ops []Op) (
 			x, err = ev.Relinearize(x)
 		case kswork.OpRescale:
 			x, err = ev.Rescale(x)
+		case kswork.OpModRaise:
+			x = ev.ModRaise(x, op.To)
 		case kswork.OpPoly:
-			x, err = ev.EvaluatePolynomial(x, op.Plan, bt.circuitScale)
+			x, err = ev.EvaluatePolynomial(x, op.Plan, bt.evalModScale(op.Level-op.Plan.Depth()))
 		case kswork.OpLinear:
-			stages, i, target := bt.c2s, op.Stage, bt.circuitScale
-			if i >= len(bt.c2s) {
-				stages, i, target = bt.s2c, i-len(bt.c2s), bt.params.DefaultScale()
+			stages, i, target := bt.s2c, op.Stage, bt.d
+			if i >= len(bt.s2c) {
+				stages, i, target = bt.c2s, i-len(bt.s2c), bt.circuitScale
 			}
 			next := target
 			if left := len(stages) - i; left > 1 {

@@ -22,11 +22,12 @@ type btContext struct {
 
 func newBtContext(t testing.TB) *btContext {
 	t.Helper()
-	// Chain layout: q0 (60 bits), two 40-bit compute levels, then the
-	// 60-bit levels of the bootstrap circuit itself; four special primes,
-	// the count the compiler picks for a 14-prime chain.
-	logQ := []int{60, 40, 40}
-	for i := 0; i < CircuitDepth(Parameters{}); i++ {
+	// Chain layout: q0 (60 bits), the 60-bit level of SlotsToCoeffs, two
+	// 40-bit compute levels, then the 60-bit levels of the rest of the
+	// bootstrap circuit; four special primes, the count the compiler picks
+	// for a 14-prime chain.
+	logQ := []int{60, 60, 40, 40}
+	for i := 1; i < CircuitDepth(Parameters{}); i++ {
 		logQ = append(logQ, 60)
 	}
 	params, err := ckks.NewParameters(ckks.ParametersLiteral{
@@ -70,8 +71,9 @@ func TestBootstrapDepthBudget(t *testing.T) {
 	}
 }
 
-// refresh encrypts values, exhausts the ciphertext, bootstraps it to the
-// highest level it can and decodes as many slots as there are values.
+// refresh encrypts values, exhausts the ciphertext down to the
+// bootstrap's input level, bootstraps it to the highest level it can and
+// decodes as many slots as there are values.
 func (tc *btContext) refresh(t *testing.T, values []complex128) []complex128 {
 	t.Helper()
 	pt, err := tc.enc.Encode(values, tc.params.MaxLevel(), tc.params.DefaultScale())
@@ -79,7 +81,7 @@ func (tc *btContext) refresh(t *testing.T, values []complex128) []complex128 {
 		t.Fatal(err)
 	}
 	ct := tc.encPk.Encrypt(pt)
-	if err := tc.eval.DropLevel(ct, ct.Level()); err != nil {
+	if err := tc.eval.DropLevel(ct, ct.Level()-tc.bt.InputLevel()); err != nil {
 		t.Fatal(err)
 	}
 	target := tc.bt.MaxOutputLevel()
@@ -115,11 +117,11 @@ func randomValues(rng *rand.Rand, n int, imScale float64) []complex128 {
 
 // TestBootstrapRefreshesCiphertext refreshes real vectors of 1, 2, …
 // N/2 values, each encoded with the gap that spreads it over the whole
-// ring (a single value is the constant coefficient alone, which the
-// closing conjugation doubles and the halved slot-0 column must give
-// back), and a complex vector, which must come back as its refreshed
-// real part. Only the closing conjugation's key-switching noise may put
-// anything in the imaginary part.
+// ring (a single value is the constant coefficient alone), and a complex
+// vector, which must come back as its refreshed real part: SlotsToCoeffs
+// writes the imaginary parts into the second coefficient half, which the
+// real part after CoeffsToSlots drops. Only the conjugation's
+// key-switching noise may put anything in the imaginary part.
 func TestBootstrapRefreshesCiphertext(t *testing.T) {
 	tc := newBtContext(t)
 	rng := rand.New(rand.NewPCG(5, 11))
@@ -153,17 +155,18 @@ func TestBootstrapMinimalLevel(t *testing.T) {
 	}
 	pt, _ := tc.enc.Encode(values, tc.params.MaxLevel(), tc.params.DefaultScale())
 	ct := tc.encPk.Encrypt(pt)
-	tc.eval.DropLevel(ct, ct.Level())
+	tc.eval.DropLevel(ct, ct.Level()-tc.bt.InputLevel())
 
-	// Refresh to level 2 only (the paper's minimal-level strategy): the
-	// circuit must sit entirely on the large-prime levels above the
-	// compute region, so 2 is the lowest target this chain supports.
-	out, err := tc.bt.Bootstrap(tc.eval, ct, 2)
+	// Refresh to level 3 only (the paper's minimal-level strategy): the
+	// circuit above the raise must sit entirely on the large-prime levels
+	// above the compute region, so 3 is the lowest target this chain
+	// supports.
+	out, err := tc.bt.Bootstrap(tc.eval, ct, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Level() != 2 {
-		t.Fatalf("bootstrap output level %d, want 2", out.Level())
+	if out.Level() != 3 {
+		t.Fatalf("bootstrap output level %d, want 3", out.Level())
 	}
 	// The refreshed ciphertext must support a further multiplication.
 	sq, err := tc.eval.MulRelin(out, out)
@@ -189,11 +192,11 @@ func TestBootstrapRejectsBadInputs(t *testing.T) {
 	pt, _ := tc.enc.Encode(values, tc.params.MaxLevel(), tc.params.DefaultScale())
 	ct := tc.encPk.Encrypt(pt)
 
-	// Not at level 0.
+	// Not at the input level.
 	if _, err := tc.bt.Bootstrap(tc.eval, ct, 1); err == nil {
 		t.Fatal("expected error for non-exhausted ciphertext")
 	}
-	tc.eval.DropLevel(ct, ct.Level())
+	tc.eval.DropLevel(ct, ct.Level()-tc.bt.InputLevel())
 	// Target level out of range.
 	if _, err := tc.bt.Bootstrap(tc.eval, ct, tc.bt.MaxOutputLevel()+1); err == nil {
 		t.Fatal("expected error for excessive target level")
@@ -204,24 +207,20 @@ func TestBootstrapRejectsBadInputs(t *testing.T) {
 }
 
 func TestLinearTransformRoundTrip(t *testing.T) {
-	// The product SF * SFinv must be the identity on slot vectors (the
-	// bit-reversals both sides leave out cancel) once the halved slot-0
-	// column of SlotsToCoeffs' first stage is doubled back; this validates
-	// the stage matrices independently of the full pipeline.
+	// The product SFinv * SF must be the identity on slot vectors (the
+	// bit-reversals both sides leave out cancel): SlotsToCoeffs followed
+	// by CoeffsToSlots gives every slot back, in the order the circuit
+	// runs them; this validates the stage matrices independently of the
+	// full pipeline.
 	tc := newBtContext(t)
 	slots := tc.params.Slots()
 	in := randomValues(rand.New(rand.NewPCG(17, 3)), slots, 1)
 	out := in
-	for _, lt := range tc.bt.c2s {
+	for _, lt := range tc.bt.stages() {
 		out = lt.MulVec(out)
 	}
-	out[0] *= 2
-	for _, lt := range tc.bt.s2c {
-		out = lt.MulVec(out)
-	}
-	// c2s folds 1/(2B), s2c folds q0/(2*pi*D): combined gain is
-	// q0/(4*pi*B*D), and B*D = (K+1)*q0.
-	gain := 1 / (4 * math.Pi * float64(tc.bt.bp.K+1))
+	// s2c is SF itself, c2s folds 1/(2B), and B*D = (K+1)*q0.
+	gain := tc.bt.d / (2 * float64(tc.bt.bp.K+1) * tc.bt.q0)
 	for i := range out {
 		want := in[i] * complex(gain, 0)
 		if e := out[i] - want; math.Hypot(real(e), imag(e)) > 1e-9*math.Abs(gain) {

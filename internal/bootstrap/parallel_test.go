@@ -9,7 +9,7 @@ import (
 
 // TestParallelMatchesSerial bootstraps the same exhausted ciphertext with
 // 1, 2 and 8 workers and asserts bit-identical output coefficients: the whole
-// pipeline (ModRaise, CoeffsToSlots, EvalMod, SlotsToCoeffs) is exact
+// pipeline (SlotsToCoeffs, ModRaise, CoeffsToSlots, EvalMod) is exact
 // modular arithmetic once the input bytes are fixed, so limb scheduling
 // must not change a single coefficient. par.SetMinWork(1) precedes
 // newBtContext so its rings capture a grain that parallelises at LogN 8.
@@ -25,7 +25,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	ct := tc.encPk.Encrypt(pt)
-	tc.eval.DropLevel(ct, ct.Level())
+	tc.eval.DropLevel(ct, ct.Level()-tc.bt.InputLevel())
 	target := tc.bt.MaxOutputLevel()
 
 	prev := par.Workers()

@@ -31,7 +31,7 @@ import (
 func refreshError(t *testing.T, slots, c2sStages, s2cStages int, observe func(string, time.Duration)) (worst float64, used bootstrap.Parameters, calls map[string]int) {
 	t.Helper()
 	bp := bootstrap.Parameters{K: 24, DoubleAngle: 4, C2SStages: c2sStages, S2CStages: s2cStages}
-	lit, target, boot, err := ckksir.SelectParameters([]int{2, 2}, slots, ckksir.Options{LogScale: 40, IgnoreSecurity: true, Boot: bp})
+	lit, target, boot, err := ckksir.SelectParameters([]int{2, 2}, slots, 0, ckksir.Options{LogScale: 40, IgnoreSecurity: true, Boot: bp})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func refreshError(t *testing.T, slots, c2sStages, s2cStages int, observe func(st
 		t.Fatal(err)
 	}
 	ct := ckks.NewEncryptorFromSecretKey(params, sk).Encrypt(pt)
-	if err := eval.DropLevel(ct, ct.Level()); err != nil {
+	if err := eval.DropLevel(ct, ct.Level()-bt.InputLevel()); err != nil {
 		t.Fatal(err)
 	}
 	eval.KernelObserver = observe
@@ -71,12 +71,14 @@ func refreshError(t *testing.T, slots, c2sStages, s2cStages int, observe func(st
 		t.Fatal(err)
 	}
 	// One depth everywhere: the chain the compiler laid out has exactly the
-	// levels the plan-derived CircuitDepth names, the bootstrapper built
+	// levels the plan-derived CircuitDepth names, SlotsToCoeffs' below the
+	// two compute levels and the rest above them, the bootstrapper built
 	// from the same configuration agrees, and the circuit consumed them all
 	// (Bootstrap refuses to end anywhere but on the target).
-	if d := bootstrap.CircuitDepth(*boot); d != bt.Depth() || params.MaxLevel()-target != d || out.Level() != target {
-		t.Fatalf("CircuitDepth %d, Bootstrapper.Depth %d, chain has %d levels above the target, output at level %d (target %d)",
-			d, bt.Depth(), params.MaxLevel()-target, out.Level(), target)
+	d := bootstrap.CircuitDepth(*boot)
+	if d != bt.Depth() || params.MaxLevel() != bootstrap.RaiseLevel(*boot, target) || target-boot.S2CStages != 2 || out.Level() != target {
+		t.Fatalf("CircuitDepth %d, Bootstrapper.Depth %d, chain has %d levels above the target, output at level %d (target %d, %d S2C stages)",
+			d, bt.Depth(), params.MaxLevel()-target, out.Level(), target, boot.S2CStages)
 	}
 	got := enc.Decode(ckks.NewDecryptor(params, sk).Decrypt(out), params.Slots())
 	for i := range got {
@@ -95,7 +97,7 @@ func refreshError(t *testing.T, slots, c2sStages, s2cStages int, observe func(st
 	}
 	calls = map[string]int{}
 	for _, op := range schedule {
-		lit.Geometry().Expand(op.Priced(), op.Level, op.Split, op.Plan, func(p kswork.Prim) {
+		op.Expand(lit.Geometry(), func(p kswork.Prim) {
 			if _, kernel := obs.FusedConstituents[p.Op]; kernel {
 				calls[p.Op] += p.Count
 			}
@@ -105,22 +107,16 @@ func refreshError(t *testing.T, slots, c2sStages, s2cStages int, observe func(st
 }
 
 // checkSchedule holds the op list of a bootstrap to the target level to
-// the circuit: the level falls only at an op that consumes one (a stage
-// matrix or rescale one, the polynomial its plan's depth), and between
-// the real part at level 0 and the first stage matrix, where the raise
-// lifts it to target + CircuitDepth; the list ends on the target; the
-// stage matrices come in order and have the diagonals of the
-// bootstrapper's.
+// the circuit: it starts at level S2CStages; the level falls only at an
+// op that consumes one (a stage matrix or rescale one, the polynomial its
+// plan's depth); the one mod raise finds level 0 after the SlotsToCoeffs
+// stages and lifts it to target + CircuitDepth − S2CStages; the list
+// ends on the target; the stage matrices come in order, SlotsToCoeffs'
+// first, and have the diagonals of the bootstrapper's.
 func checkSchedule(t *testing.T, ops []bootstrap.Op, bp bootstrap.Parameters, target int, stageDiags []int) {
 	t.Helper()
-	level, stage := 0, 0
+	level, stage, raises := bp.S2CStages, 0, 0
 	for i, op := range ops {
-		if op.Name == kswork.OpLinear && stage == 0 {
-			if top := op.Level; top-target != bootstrap.CircuitDepth(bp) {
-				t.Errorf("op %d: raised to level %d, %d above the target; the circuit is %d deep", i, top, top-target, bootstrap.CircuitDepth(bp))
-			}
-			level = op.Level
-		}
 		if op.Level != level {
 			t.Errorf("op %d (%s) enters at level %d, the op before left level %d", i, op.Name, op.Level, level)
 		}
@@ -135,10 +131,16 @@ func checkSchedule(t *testing.T, ops []bootstrap.Op, bp bootstrap.Parameters, ta
 			level--
 		case kswork.OpPoly:
 			level -= op.Plan.Depth()
+		case kswork.OpModRaise:
+			if raises++; op.Level != 0 || stage != bp.S2CStages || op.To-target != bootstrap.CircuitDepth(bp)-bp.S2CStages {
+				t.Errorf("op %d: raise from level %d to %d after %d stages; want from 0 after %d, %d above the target %d",
+					i, op.Level, op.To, stage, bp.S2CStages, bootstrap.CircuitDepth(bp)-bp.S2CStages, target)
+			}
+			level = op.To
 		}
 	}
-	if level != target || stage != len(stageDiags) {
-		t.Errorf("schedule ends at level %d after %d stage matrices; target %d, %d stages", level, stage, target, len(stageDiags))
+	if level != target || stage != len(stageDiags) || raises != 1 {
+		t.Errorf("schedule ends at level %d after %d stage matrices and %d raises; target %d, %d stages", level, stage, raises, target, len(stageDiags))
 	}
 }
 

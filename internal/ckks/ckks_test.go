@@ -349,11 +349,6 @@ func TestConstOps(t *testing.T) {
 	}
 	requireClose(t, tc.enc.Decode(tc.dec.Decrypt(res), slots), want, 1e-5, "mul const")
 
-	up := tc.eval.ScaleUp(ct, 1<<10)
-	requireClose(t, tc.enc.Decode(tc.dec.Decrypt(up), slots), values, 1e-5, "scale up preserves message")
-	if up.Scale != ct.Scale*float64(1<<10) {
-		t.Fatal("ScaleUp did not adjust the scale")
-	}
 }
 
 func TestDropLevelAndModSwitch(t *testing.T) {

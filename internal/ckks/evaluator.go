@@ -248,18 +248,6 @@ func (ev *Evaluator) DropLevel(ct *Ciphertext, n int) error {
 	return nil
 }
 
-// ScaleUp multiplies the ciphertext by the integer u and declares the
-// scale multiplied by u: the underlying message is unchanged. This is the
-// paper's "upscale" operation, used to align scales before additions.
-func (ev *Evaluator) ScaleUp(ct *Ciphertext, u uint64) *Ciphertext {
-	rQ := ev.params.RingQ()
-	out := ev.newCiphertext(ct.Degree(), ct.Level(), ct.Scale*float64(u))
-	for i := range ct.Value {
-		rQ.MulScalar(ct.Value[i], u, out.Value[i])
-	}
-	return out
-}
-
 // constResidues rounds v to the nearest integer (via big.Int when |v|
 // exceeds the exact float64 integer range) and returns its residues
 // modulo the first level+1 primes.

@@ -11,8 +11,10 @@ import (
 )
 
 // artifactVersion is the format MarshalBinary writes; UnmarshalBinary
-// refuses any other. Version 1 had no packing layouts.
-const artifactVersion = 2
+// refuses any other. Version 1 had no packing layouts; version 2 planned
+// its segments down to level 0 for a bootstrap that ran SlotsToCoeffs
+// last, which today's bootstrap cannot run.
+const artifactVersion = 3
 
 // artifact is the compiled program as MarshalBinary writes it: the
 // Result itself with its module left out, and the module's main function
@@ -71,7 +73,7 @@ func (r *Result) UnmarshalBinary(data []byte) error {
 		return fmt.Errorf("ckksir: decoding artifact: %w", err)
 	}
 	if a.Version != artifactVersion {
-		return fmt.Errorf("ckksir: artifact version %d, want %d (version 1 carries no packing layouts: recompile the model)", a.Version, artifactVersion)
+		return fmt.Errorf("ckksir: artifact version %d, want %d: recompile the model", a.Version, artifactVersion)
 	}
 	if a.Header.Module != nil || a.Main == nil || a.In == nil || a.Out == nil {
 		return fmt.Errorf("ckksir: malformed artifact")

@@ -2,9 +2,9 @@
 // SIHE operations are committed to RNS-CKKS: the pass assigns exact
 // levels and scales to every value, inserts rescaling and modulus
 // switching, plans minimal-level bootstrapping at the paper's positions
-// (before each ReLU), selects the security parameters automatically
-// (Table 10), and performs the rotation-key analysis behind the paper's
-// memory savings (Figure 7).
+// (before each ReLU, once the levels of a fresh ciphertext run out),
+// selects the security parameters automatically (Table 10), and performs
+// the rotation-key analysis behind the paper's memory savings (Figure 7).
 package ckksir
 
 import (
@@ -110,11 +110,12 @@ type BootstrapMode int
 
 const (
 	// BootstrapAuto bootstraps when the circuit is deeper than
-	// MaxNoBootstrapDepth.
+	// MaxNoBootstrapDepth and than the chain a bootstrap needs holds.
 	BootstrapAuto BootstrapMode = iota
 	// BootstrapNever sizes the chain for the whole circuit.
 	BootstrapNever
-	// BootstrapAlways bootstraps before every ReLU.
+	// BootstrapAlways bootstraps before every ReLU that a fresh
+	// ciphertext has no levels for, and before the last one.
 	BootstrapAlways
 )
 
@@ -133,7 +134,8 @@ type Options struct {
 	Boot bootstrap.Parameters
 	// ExpertSlack adds spare levels to the chain and refreshes to the
 	// chain top instead of the minimal level — the Expert baseline's
-	// bootstrapping behaviour.
+	// bootstrapping behaviour. Experts also encrypt at that level and
+	// bootstrap before every ReLU.
 	ExpertSlack int
 	// IgnoreSecurity skips the 128-bit security floor on LogN (reduced-
 	// scale functional tests only; production compiles must not set it).
@@ -172,7 +174,10 @@ type Result struct {
 	Rotations []int
 	// Bootstraps counts bootstrap operations.
 	Bootstraps int
-	// Depth statistics from planning.
+	// SegmentDepths are the planned depths of the bootstrap segments
+	// (plan), and TargetLevel is the level every bootstrap refreshes to:
+	// SlotsToCoeffs' levels below the deepest segment's. A program without
+	// bootstraps has one segment and its input level as its target.
 	SegmentDepths []int
 	TargetLevel   int
 }
@@ -257,18 +262,23 @@ func specialPrimes(chainLen, most int) int {
 // factorised into. A stage more cuts a transform's diagonals from about
 // 2·r to about 2·√r per stage and adds a 60-bit prime to the chain, which
 // every part of the circuit above it then carries and every evaluation
-// key grows by. So the rule prices one bootstrap to the given target
-// level under every pair of stage counts — the chain each pair needs, the
-// special modulus that chain gets — in the key-switching work units the
-// cost model calibrates (kswork), times the size of an evaluation key
-// over that chain: a prime is bought only where the bootstrap gets
-// cheaper by more than the keys a client uploads and a server holds get
-// larger. The smallest product wins, fewer stages on a tie. Stage counts
-// bp already fixes are kept. special reports, for a chain `extra` primes
-// longer than the shortest (one stage each), the special-prime count it
-// gets and whether the ring degree has room for it at all: like the
-// special modulus, stages fill spare room and never buy a larger ring.
-func dftStages(bp bootstrap.Parameters, logN, target int, special func(extra int) (k int, fits bool)) bootstrap.Parameters {
+// key grows by, while a stage fewer needs more rotation keys. So the rule
+// prices one bootstrap refreshing to the given compute levels under every
+// pair of stage counts — the chain each pair needs, the special modulus
+// that chain gets — in the key-switching work units the cost model
+// calibrates (kswork), times the evaluation keys over that chain: the
+// program's `keys` rotation keys, the circuit's (bootstrapWork) and the
+// relinearisation key, each of one key's size. A prime is bought only
+// where the bootstrap gets cheaper by more than the keys a client uploads
+// and a server holds get larger. The smallest product wins, fewer stages
+// on a tie. The work includes the diagonals a stage's table has no room
+// for, which a large ring's dense stages would otherwise get for free.
+// Stage counts bp already fixes are kept. special reports, for a
+// chain `extra` primes longer than the shortest (one stage each), the
+// special-prime count it gets and whether the ring degree has room for
+// it at all: like the special modulus, stages fill spare room and never
+// buy a larger ring.
+func dftStages(bp bootstrap.Parameters, logN, target, keys int, special func(extra int) (k int, fits bool)) bootstrap.Parameters {
 	pick := func(fixed, stages int) bool { return fixed == 0 || fixed == stages }
 	best, bestWork := bp.WithDefaults(), math.Inf(1)
 	for c2s := 1; c2s <= kswork.MaxStages && c2s < logN; c2s++ {
@@ -281,8 +291,11 @@ func dftStages(bp bootstrap.Parameters, logN, target int, special func(extra int
 			cand.C2SStages, cand.S2CStages = c2s, s2c
 			cand = cand.WithDefaults()
 			g := kswork.Geometry{LogN: logN, K: k}
-			top := target + bootstrap.CircuitDepth(cand)
-			if w := bootstrapWork(g, target, cand) * g.KeyCoeffs(top); w < bestWork {
+			// A bootstrap refreshes to the compute levels above its
+			// SlotsToCoeffs levels.
+			refresh := cand.S2CStages + target
+			work, rotations := bootstrapWork(g, refresh, cand)
+			if w := work * float64(keys+1+rotations) * g.KeyCoeffs(bootstrap.RaiseLevel(cand, refresh)); w < bestWork {
 				best, bestWork = cand, w
 			}
 		}
@@ -291,21 +304,41 @@ func dftStages(bp bootstrap.Parameters, logN, target int, special func(extra int
 }
 
 // bootstrapWork counts the key-switching work of one bootstrap to the
-// target level: the kernel units of its schedule's expansion.
-func bootstrapWork(g kswork.Geometry, target int, bp bootstrap.Parameters) float64 {
-	work := 0.0
-	for _, op := range bootstrap.Schedule(bp, g.LogN, target) {
-		g.Expand(op.Priced(), op.Level, op.Split, op.Plan, func(p kswork.Prim) { work += p.Units })
+// refresh level and the rotation keys it needs. The work is the kernel
+// units of its schedule's expansion and the re-encoding of every
+// diagonal its stage tables have no room for: a stage's table holds
+// ckks.PlaintextMemoCap bytes of diagonals, each encoded at the stage's
+// level, over Q∪P unless its baby step is 0, and the runtime encodes the
+// rest on every bootstrap, a forward transform per row, which is a row's
+// share of a decomp_modup unit: logN per coefficient. The keys are the
+// conjugation's and every stage's babies and giants (stages that share a
+// rotation make it an upper bound).
+func bootstrapWork(g kswork.Geometry, refresh int, bp bootstrap.Parameters) (work float64, keys int) {
+	keys = 1
+	for _, op := range bootstrap.Schedule(bp, g.LogN, refresh) {
+		op.Expand(g, func(p kswork.Prim) { work += p.Units })
+		if op.Name == kswork.OpLinear {
+			keys += op.Split.Babies + op.Split.Giants
+			rows := op.Split.Masks*(op.Level+1) + (op.Split.Masks-op.Split.ZeroMasks)*g.K
+			if spill := rows - ckks.PlaintextMemoCap/(8<<g.LogN); spill > 0 {
+				work += float64(spill<<g.LogN) * float64(g.LogN)
+			}
+		}
 	}
-	return work
+	return work, keys
 }
 
 // SelectParameters derives the parameter literal from the planned
 // segment depths (the paper's automatic security parameter selection):
 // the chain, the ring degree, the special modulus and, for a program
 // that bootstraps, the bootstrapping circuit with its DFT stage counts
-// (nil otherwise).
-func SelectParameters(segments []int, slots int, opts Options) (ckks.ParametersLiteral, int, *bootstrap.Parameters, error) {
+// (nil otherwise). The level it returns is the one bootstraps refresh
+// to, or for a program without them the one it starts from. A chain for
+// a bootstrapping program is q0, the 60-bit levels of SlotsToCoeffs, the
+// compute levels, and the 60-bit levels of the rest of the circuit. keys
+// is the number of rotation keys the program needs (RotationKeys), which
+// the DFT stage rule weighs the circuit's against.
+func SelectParameters(segments []int, slots, keys int, opts Options) (ckks.ParametersLiteral, int, *bootstrap.Parameters, error) {
 	opts = opts.withDefaults()
 	target := 0
 	for i, d := range segments {
@@ -322,17 +355,23 @@ func SelectParameters(segments []int, slots int, opts Options) (ckks.ParametersL
 	}
 	target += opts.ExpertSlack
 
-	// chain lays out q0, the compute levels and the levels of a bootstrap
-	// circuit (nil: none).
+	// chain lays out q0, the levels of a bootstrap circuit (nil: none)
+	// around the compute levels.
 	chain := func(bp *bootstrap.Parameters) (logQ []int, bits int) {
+		below, above := 0, 0
+		if bp != nil {
+			below = bp.WithDefaults().S2CStages
+			above = bootstrap.CircuitDepth(*bp) - below
+		}
 		logQ = append(logQ, opts.LogQ0)
-		for i := 0; i < target; i++ {
+		for range below {
+			logQ = append(logQ, 60)
+		}
+		for range target {
 			logQ = append(logQ, opts.LogScale)
 		}
-		if bp != nil {
-			for i, depth := 0, bootstrap.CircuitDepth(*bp); i < depth; i++ {
-				logQ = append(logQ, 60)
-			}
+		for range above {
+			logQ = append(logQ, 60)
 		}
 		for _, b := range logQ {
 			bits += b
@@ -375,7 +414,7 @@ func SelectParameters(segments []int, slots int, opts Options) (ckks.ParametersL
 	}
 	extra := 0
 	if boot != nil {
-		bp := dftStages(opts.Boot, logN, target, special)
+		bp := dftStages(opts.Boot, logN, target, keys, special)
 		boot, extra = &bp, bp.C2SStages+bp.S2CStages-2
 	}
 	logQ, chainBits := chain(boot)
@@ -394,7 +433,31 @@ func SelectParameters(segments []int, slots int, opts Options) (ckks.ParametersL
 		logQP := chainBits + len(logP)*specialPrimeBits
 		return lit, 0, nil, fmt.Errorf("ckksir: required LogN %d exceeds the supported maximum 17 (logQP=%d)", logN, logQP)
 	}
+	if boot != nil {
+		target += boot.S2CStages
+	}
 	return lit, target, boot, nil
+}
+
+// elide returns how many of a bootstrapping program's leading bootstraps
+// need not run, e, and the level its input is encrypted at. Without them
+// segments 0…e run back to back from a fresh ciphertext, as far as the
+// chain's top allows; segment e then starts at the refresh level, so
+// every value it hands the next segment sits where a refresh would have
+// left it, which is what the plan assumes. The last bootstrap stays: a
+// program that needs none is compiled without them (BootstrapAuto).
+func elide(segments []int, s2c, refresh, top int) (e, level int) {
+	level = s2c + segments[0]
+	before := 0
+	for e < len(segments)-2 {
+		before += segments[e]
+		if refresh+before > top {
+			break
+		}
+		e++
+		level = refresh + before
+	}
+	return e, level
 }
 
 // Lower converts a SIHE module into a CKKS module with exact level and
@@ -429,9 +492,26 @@ func Lower(sm *ir.Module, opts Options) (*Result, error) {
 		useBoot = false
 	}
 
-	lit, target, boot, err := SelectParameters(segments, slots, opts)
+	keys := len(RotationKeys(src))
+	lit, target, boot, err := SelectParameters(segments, slots, keys, opts)
 	if err != nil {
 		return nil, err
+	}
+	if boot != nil && opts.Mode == BootstrapAuto && opts.ExpertSlack == 0 && totalDepth <= bootstrap.RaiseLevel(*boot, target) {
+		// The chain a bootstrap needs holds the whole program: a chain
+		// sized for the program alone is no longer, and nothing bootstraps.
+		useBoot, segments = false, flat
+		if lit, target, boot, err = SelectParameters(segments, slots, keys, opts); err != nil {
+			return nil, err
+		}
+	}
+	// A program encrypts at its target, except that a bootstrapping one
+	// runs its leading segments from a fresh ciphertext as long as the
+	// chain has the levels; Expert encrypts at the target and bootstraps
+	// before every ReLU.
+	inLevel, elided := target, 0
+	if boot != nil && opts.ExpertSlack == 0 {
+		elided, inLevel = elide(segments, boot.S2CStages, target, bootstrap.RaiseLevel(*boot, target))
 	}
 	// Scale planning needs the chain's primes only; they are drawn before
 	// the special ones, so leaving those out changes none of them.
@@ -445,8 +525,9 @@ func Lower(sm *ir.Module, opts Options) (*Result, error) {
 		q:       qPrimes,
 		scale:   math.Exp2(float64(lit.LogScale)),
 		target:  target,
-		inLevel: segments[0],
+		inLevel: inLevel,
 		useBoot: useBoot,
+		elided:  elided,
 		boot:    boot,
 	}
 	mod, err := st.emit(sm, src)
@@ -457,7 +538,7 @@ func Lower(sm *ir.Module, opts Options) (*Result, error) {
 		Module:        mod,
 		Literal:       lit,
 		Boot:          st.boot,
-		InputLevel:    segments[0],
+		InputLevel:    inLevel,
 		InputScale:    st.scale,
 		Bootstraps:    st.bootstraps,
 		SegmentDepths: segments,
@@ -473,8 +554,9 @@ type lowerState struct {
 	q       []uint64
 	scale   float64
 	target  int
-	inLevel int // the first segment's depth
+	inLevel int
 	useBoot bool
+	elided  int // leading ReLU normalisations left to pass without a bootstrap
 	boot    *bootstrap.Parameters
 
 	bootstraps int
@@ -493,13 +575,8 @@ func (st *lowerState) emit(sm *ir.Module, src *ir.Func) (*ir.Module, error) {
 	pt := ir.PlainType(n)
 	vt := ir.VectorType(n)
 
-	inLevel := st.inLevel
-	if st.opts.ExpertSlack > 0 {
-		inLevel = st.target // experts encrypt at the top of the chain
-	}
-
 	param := f.NewParam(src.Params[0].Name, ct)
-	param.Level = inLevel
+	param.Level = st.inLevel
 	param.Scale = st.scale
 	vals := ir.NewValues[*ir.Value](src)
 	vals.Set(src.Params[0], param)
@@ -704,8 +781,13 @@ func (st *lowerState) emit(sm *ir.Module, src *ir.Func) (*ir.Module, error) {
 			out := f.Emit(OpMulConst, ct, []*ir.Value{a}, map[string]any{"c": c, "const_scale": cs})
 			out.Level, out.Scale = a.Level, a.Scale*cs
 			out = rescale(out, st.scale)
-			if isNorm && st.useBoot {
-				out = drop(out, 0)
+			if isNorm && st.useBoot && st.elided > 0 {
+				st.elided--
+			} else if isNorm && st.useBoot {
+				if out.Level < st.boot.S2CStages {
+					return nil, fmt.Errorf("ckksir: segment ends at level %d, below the bootstrap's input level %d", out.Level, st.boot.S2CStages)
+				}
+				out = drop(out, st.boot.S2CStages)
 				bt := f.Emit(OpBootstrap, ct, []*ir.Value{out}, map[string]any{"target": st.target})
 				bt.Level, bt.Scale = st.target, st.scale
 				st.bootstraps++

@@ -7,6 +7,7 @@ import (
 
 	"antace/internal/ir"
 	"antace/internal/kswork"
+	"antace/internal/sihe"
 )
 
 // LazyRescale hoists rescales out of addition trees: add(rescale(u),
@@ -107,15 +108,16 @@ type RotationKey struct {
 // in ascending order of offset, at the highest level it rotates at (a
 // linear layer's babies and giants rotate at its input's). Run it on the
 // function that executes — after every pass, and after a lane transform
-// — since both change offsets and levels.
+// — since both change offsets and levels. On a SIHE function, which has
+// no levels yet, it counts the keys the lowered program will need.
 func RotationKeys(f *ir.Func) []RotationKey {
 	level := map[int]int{}
 	use := func(k, l int) { level[k] = max(level[k], l) }
 	for _, in := range f.Body {
 		switch in.Op {
-		case OpRotate:
+		case OpRotate, sihe.OpRotate:
 			use(in.AttrInt("k", 0), in.Args[0].Level)
-		case OpLinear:
+		case OpLinear, sihe.OpLinear:
 			for _, ks := range [][]int{in.AttrInts("b"), in.AttrInts("g")} {
 				for _, k := range ks {
 					if k != 0 {

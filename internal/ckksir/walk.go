@@ -32,7 +32,7 @@ func Walk(res *Result, g kswork.Geometry, emit func(in *ir.Instr, p kswork.Prim)
 				return fmt.Errorf("ckksir: %s in a program compiled without a bootstrap circuit", in.Op)
 			}
 			for _, op := range bootstrap.Schedule(*res.Boot, g.LogN, in.AttrInt("target", 1)) {
-				g.Expand(op.Priced(), op.Level, op.Split, op.Plan, fwd)
+				op.Expand(g, fwd)
 			}
 			continue
 		case OpRescale:

@@ -81,14 +81,18 @@ func BuildModel(spec ModelSpec, scale Scale) (*onnx.Model, error) {
 
 // PaperConfig is the compilation profile reproducing Table 10:
 // q0 = 2^60 (the default), Delta = 2^56, bootstrap circuit of depth 11, ReLU composite
-// with alpha=9, eps=1/8.
+// with alpha=9, eps=1/8. Both DFTs are pinned to two stages, the 25-prime
+// chain with five special primes Table 10 reports: at logN 16 the stage
+// rule would take a third CoeffsToSlots stage (26 primes, four special),
+// since a two-stage transform's 256 diagonals a stage outgrow the table
+// the runtime keeps them in.
 func PaperConfig() core.Config {
 	return core.Config{
 		SIHE: sihe.Options{ReLUAlpha: 9, ReLUEps: 1.0 / 8},
 		CKKS: ckksir.Options{
 			LogScale: 56,
 			Mode:     ckksir.BootstrapAlways,
-			Boot:     bootstrap.Parameters{EvalModDegree: 24, DoubleAngle: 2},
+			Boot:     bootstrap.Parameters{EvalModDegree: 24, DoubleAngle: 2, C2SStages: 2, S2CStages: 2},
 		},
 	}
 }

@@ -19,6 +19,9 @@ const (
 	OpPoly        = "ckks.poly"
 	OpBootstrap   = "ckks.bootstrap"
 	OpReinterpret = "ckks.reinterpret"
+	// OpModRaise is the bootstrap's mod raise: a level-0 ciphertext
+	// re-read modulo the chain up to a higher level. No program runs it.
+	OpModRaise = "ckks.mod_raise"
 )
 
 // The POLY primitives, as the POLY IR names them ("hw_" marks those that
@@ -51,6 +54,7 @@ var planOps = [...]string{
 	poly.StepRescale:  OpRescale,
 	poly.StepMulConst: OpMulConst,
 	poly.StepAdd:      OpAdd,
+	poly.StepAddConst: OpAddPlain,
 }
 
 // Prim is Count calls of one primitive, each over Rows residue rows. The
@@ -82,7 +86,11 @@ type Prim struct {
 //   - rescale: ring.DivRoundByLastModulusNTT on each half;
 //   - linear: ckks.EvaluateBSGS;
 //   - poly: every step of the plan as the instruction it runs as, at the
-//     level the plan puts it;
+//     level the plan puts it: a constant as add_plain's one pass into c0,
+//     a sum of two degree-2 ciphertexts as three additions;
+//   - mod_raise, expanded at the level it raises to (it enters at 0):
+//     per half, the level-0 row back to coefficients, then every raised
+//     row forward (ckks.Evaluator.ModRaise);
 //   - modswitch and reinterpret move no data.
 func (g Geometry) Expand(op string, level int, s Split, pl *poly.Plan, emit func(Prim)) bool {
 	e := expansion{g, emit}
@@ -108,7 +116,16 @@ func (g Geometry) Expand(op string, level int, s Split, pl *poly.Plan, emit func
 	case OpLinear:
 		e.linear(s, level)
 	case OpPoly:
-		pl.Walk(func(st poly.Step, depth int) { g.Expand(planOps[st], level-depth, Split{}, nil, emit) })
+		pl.Walk(func(st poly.Step, depth int) {
+			if st == poly.StepAddQuadratic {
+				e.pass(PolyModAdd, level-depth+1, 3)
+				return
+			}
+			g.Expand(planOps[st], level-depth, Split{}, nil, emit)
+		})
+	case OpModRaise:
+		e.pass(PolyINTT, 1, 2)
+		e.pass(PolyNTT, r, 2)
 	case OpModSwitch, OpReinterpret:
 	default:
 		return false

@@ -62,11 +62,13 @@ type Product struct {
 type Step int
 
 const (
-	StepMul      Step = iota // ciphertext × ciphertext, degree 2 out
-	StepRelin                // relinearisation: one key switch
-	StepRescale              // division by the level's prime
-	StepMulConst             // ciphertext × constant
-	StepAdd                  // ciphertext + ciphertext
+	StepMul          Step = iota // ciphertext × ciphertext, degree 2 out
+	StepRelin                    // relinearisation: one key switch
+	StepRescale                  // division by the level's prime
+	StepMulConst                 // ciphertext × constant
+	StepAdd                      // ciphertext + ciphertext, one of degree 1: two passes
+	StepAddQuadratic             // degree-2 ciphertext + degree-2 ciphertext: three passes
+	StepAddConst                 // constant + ciphertext: one pass over c0
 )
 
 // NewPlan derives the evaluation plan of p. The baby-step size — powers up
@@ -121,6 +123,8 @@ func (pl *Plan) Count(kind Step) int {
 // Walk visits every homomorphic operation of the evaluation in execution
 // order, with the number of levels below the plan's input its operand sits
 // at: an operation at depth d on an input at level l works on l-d+1 primes.
+// A sum is walked by the degree of its operands, as the evaluator adds
+// them: a product is a degree-2 ciphertext until its relinearisation.
 func (pl *Plan) Walk(visit func(s Step, depth int)) {
 	if pl.Root == nil {
 		return
@@ -129,14 +133,17 @@ func (pl *Plan) Walk(visit func(s Step, depth int)) {
 	if pl.Affine {
 		visit(StepMulConst, 0)
 		visit(StepRescale, 0)
+		visit(StepAddConst, 1)
 		base = 1
 	}
 	for _, pw := range pl.Powers {
 		d := base + PowerDepth(pw.Index) - 1
 		visit(StepMul, d)
 		if pl.Poly.Basis == Chebyshev {
-			visit(StepAdd, d) // the doubling
-			if pw.A != pw.B {
+			visit(StepAddQuadratic, d) // the doubling
+			if pw.A == pw.B {
+				visit(StepAddConst, d) // T_2k = 2·T_k² − 1
+			} else {
 				visit(StepMulConst, d) // T_{A−B} brought to the product's scale
 				visit(StepAdd, d)
 			}
@@ -147,24 +154,30 @@ func (pl *Plan) Walk(visit func(s Step, depth int)) {
 	pl.Root.walk(base, visit)
 }
 
-// walk visits the operations that form n and end it: the relinearisation
-// its products call for, and its rescale.
+// walk visits the operations that form n and end it: its sum, products
+// first, its constant, the relinearisation its products call for, and its
+// rescale.
 func (n *Node) walk(base int, visit func(s Step, depth int)) {
 	d := base + n.Depth
-	summands := 0
-	for _, pr := range n.Products {
+	for i, pr := range n.Products {
 		pr.Quotient.walk(base, visit)
 		visit(StepMul, d)
-		summands++
+		if i > 0 {
+			visit(StepAddQuadratic, d)
+		}
 	}
+	terms := len(n.Products)
 	for _, c := range n.Coeffs[1:] {
 		if c != 0 {
 			visit(StepMulConst, d)
-			summands++
+			if terms > 0 {
+				visit(StepAdd, d)
+			}
+			terms++
 		}
 	}
-	for ; summands > 1; summands-- {
-		visit(StepAdd, d)
+	if n.Coeffs[0] != 0 {
+		visit(StepAddConst, d)
 	}
 	if len(n.Products) > 0 {
 		visit(StepRelin, d)

@@ -121,21 +121,29 @@ func TestRNSLoopFusion(t *testing.T) {
 	}
 }
 
+// TestLowerWithBootstrapExpands: a bootstrapping program's POLY module
+// holds the transforms of its bootstraps' circuits besides its own. (The
+// same model compiled without bootstraps is no yardstick: it runs every
+// instruction on a longer chain.)
 func TestLowerWithBootstrapExpands(t *testing.T) {
 	res := compiledCKKS(t, true)
-	mod, err := LowerFromCKKS(res)
+	mod, err := Lower(res)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := Analyze(mod.Main())
-	noBoot := compiledCKKS(t, false)
-	mod2, err := LowerFromCKKS(noBoot)
-	if err != nil {
+	boot, all := 0, 0
+	if err := ckksir.Walk(res, res.Literal.Geometry(), func(in *ir.Instr, p kswork.Prim) {
+		if p.Op == kswork.PolyNTT || p.Op == kswork.PolyINTT {
+			all += p.Rows * p.Count
+			if in.Op == ckksir.OpBootstrap {
+				boot += p.Rows * p.Count
+			}
+		}
+	}); err != nil {
 		t.Fatal(err)
 	}
-	s2 := Analyze(mod2.Main())
-	if s.NTTs <= s2.NTTs {
-		t.Fatal("bootstrap expansion did not add NTT work")
+	if s := Analyze(mod.Main()); res.Bootstraps == 0 || boot == 0 || s.NTTs != all {
+		t.Fatalf("%d bootstraps: POLY module transforms %d rows, the program's expansion %d, %d of them its bootstraps'", res.Bootstraps, s.NTTs, all, boot)
 	}
 }
 
@@ -171,7 +179,7 @@ func TestBootstrapExpandsTheSchedule(t *testing.T) {
 	g := lit.Geometry()
 	var want []kswork.Prim
 	for _, op := range bootstrap.Schedule(boot, g.LogN, target) {
-		if !g.Expand(op.Priced(), op.Level, op.Split, op.Plan, func(p kswork.Prim) { want = append(want, p) }) {
+		if !op.Expand(g, func(p kswork.Prim) { want = append(want, p) }) {
 			t.Fatalf("%s (run as %s) does not expand", op.Name, op.Priced())
 		}
 	}

@@ -134,13 +134,13 @@ func TestKernelCallsMatchExpansion(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := m.Eval.DropLevel(ct, ct.Level()); err != nil {
+		if err := m.Eval.DropLevel(ct, ct.Level()-m.Boot.InputLevel()); err != nil {
 			t.Fatal(err)
 		}
 		target := m.Boot.MaxOutputLevel()
 		want := kernelCalls(func(emit func(kswork.Prim)) {
 			for _, op := range bootstrap.Schedule(*tiny.Boot, g.LogN, target) {
-				g.Expand(op.Priced(), op.Level, op.Split, op.Plan, emit)
+				op.Expand(g, emit)
 			}
 		})
 		got := observe(t, m.Eval, func() error { _, err := m.Boot.Bootstrap(m.Eval, ct, target); return err })
@@ -169,7 +169,7 @@ func TestKernelCallsMatchExpansion(t *testing.T) {
 	for _, p := range programs {
 		t.Run(p.name, func(t *testing.T) {
 			if p.slow && testing.Short() {
-				t.Skip("seven bootstraps per run")
+				t.Skip("six bootstraps per run")
 			}
 			res := p.build(t)
 			m, client, err := New(res, vecLen(res), ring.SeedFromInt(7))
