@@ -61,9 +61,6 @@ func goldenOf(t *testing.T, p *core.Compiled, analysisOnly bool) golden {
 // optimisations: CKKS fingerprint, per-level instruction counts,
 // calibrated bounds, rotation keys and, where masks are built, the
 // artifact's bytes. Compile-time work must not change what is emitted.
-// (The constants were last recorded when bootstraps moved: SlotsToCoeffs
-// at the bottom of the chain, and the leading segments a fresh ciphertext
-// has the levels for left without one.)
 func TestCompileGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles at paper scale")

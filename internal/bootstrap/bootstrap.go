@@ -411,6 +411,9 @@ func (bt *Bootstrapper) Bootstrap(ev *ckks.Evaluator, ct *ckks.Ciphertext, targe
 	}
 	// The double angles end on the scale at which EvalMod's output,
 	// 2π·D/q0 times the slots, reads as the slots at bt.scale.
+	if want := bt.scale * bt.q0 / (2 * math.Pi * bt.d); math.Abs(out.Scale/want-1) > 1e-9 {
+		return nil, fmt.Errorf("bootstrap: circuit ended at scale %g, not %g", out.Scale, want)
+	}
 	out.Scale = bt.scale
 	return out, nil
 }

@@ -271,16 +271,18 @@ func specialPrimes(chainLen, most int) int {
 // relinearisation key, each of one key's size. A prime is bought only
 // where the bootstrap gets cheaper by more than the keys a client uploads
 // and a server holds get larger. The smallest product wins, fewer stages
-// on a tie. The work includes the diagonals a stage's table has no room
-// for, which a large ring's dense stages would otherwise get for free.
-// Stage counts bp already fixes are kept. special reports, for a
-// chain `extra` primes longer than the shortest (one stage each), the
-// special-prime count it gets and whether the ring degree has room for
-// it at all: like the special modulus, stages fill spare room and never
-// buy a larger ring.
+// on a tie, among the pairs whose stage tables spill the fewest rows: a
+// table holds ckks.PlaintextMemoCap bytes of diagonals and the runtime
+// re-encodes the rest on every bootstrap, so a pair that spills never
+// beats one that does not (in a large ring every pair spills, and the
+// one that spills least wins). Stage counts bp already fixes are kept.
+// special reports, for a chain `extra` primes longer than the shortest
+// (one stage each), the special-prime count it gets and whether the ring
+// degree has room for it at all: like the special modulus, stages fill
+// spare room and never buy a larger ring.
 func dftStages(bp bootstrap.Parameters, logN, target, keys int, special func(extra int) (k int, fits bool)) bootstrap.Parameters {
 	pick := func(fixed, stages int) bool { return fixed == 0 || fixed == stages }
-	best, bestWork := bp.WithDefaults(), math.Inf(1)
+	best, bestWork, bestSpill := bp.WithDefaults(), math.Inf(1), math.MaxInt
 	for c2s := 1; c2s <= kswork.MaxStages && c2s < logN; c2s++ {
 		for s2c := 1; s2c <= kswork.MaxStages && s2c < logN; s2c++ {
 			k, fits := special(c2s + s2c - 2)
@@ -294,9 +296,10 @@ func dftStages(bp bootstrap.Parameters, logN, target, keys int, special func(ext
 			// A bootstrap refreshes to the compute levels above its
 			// SlotsToCoeffs levels.
 			refresh := cand.S2CStages + target
-			work, rotations := bootstrapWork(g, refresh, cand)
-			if w := work * float64(keys+1+rotations) * g.KeyCoeffs(bootstrap.RaiseLevel(cand, refresh)); w < bestWork {
-				best, bestWork = cand, w
+			work, rotations, spill := bootstrapWork(g, refresh, cand)
+			w := work * float64(keys+1+rotations) * g.KeyCoeffs(bootstrap.RaiseLevel(cand, refresh))
+			if spill < bestSpill || spill == bestSpill && w < bestWork {
+				best, bestWork, bestSpill = cand, w, spill
 			}
 		}
 	}
@@ -304,28 +307,23 @@ func dftStages(bp bootstrap.Parameters, logN, target, keys int, special func(ext
 }
 
 // bootstrapWork counts the key-switching work of one bootstrap to the
-// refresh level and the rotation keys it needs. The work is the kernel
-// units of its schedule's expansion and the re-encoding of every
-// diagonal its stage tables have no room for: a stage's table holds
-// ckks.PlaintextMemoCap bytes of diagonals, each encoded at the stage's
-// level, over Q∪P unless its baby step is 0, and the runtime encodes the
-// rest on every bootstrap, a forward transform per row, which is a row's
-// share of a decomp_modup unit: logN per coefficient. The keys are the
-// conjugation's and every stage's babies and giants (stages that share a
-// rotation make it an upper bound).
-func bootstrapWork(g kswork.Geometry, refresh int, bp bootstrap.Parameters) (work float64, keys int) {
+// refresh level, the kernel units of its schedule's expansion, the
+// rotation keys it needs and the rows of diagonals its stage tables have
+// no room for. The keys are the conjugation's and every stage's babies
+// and giants (stages that share a rotation make it an upper bound). A
+// stage's diagonals are encoded at its level, over Q∪P unless the baby
+// step is 0, and its table holds ckks.PlaintextMemoCap bytes of them.
+func bootstrapWork(g kswork.Geometry, refresh int, bp bootstrap.Parameters) (work float64, keys, spill int) {
 	keys = 1
 	for _, op := range bootstrap.Schedule(bp, g.LogN, refresh) {
 		op.Expand(g, func(p kswork.Prim) { work += p.Units })
 		if op.Name == kswork.OpLinear {
 			keys += op.Split.Babies + op.Split.Giants
 			rows := op.Split.Masks*(op.Level+1) + (op.Split.Masks-op.Split.ZeroMasks)*g.K
-			if spill := rows - ckks.PlaintextMemoCap/(8<<g.LogN); spill > 0 {
-				work += float64(spill<<g.LogN) * float64(g.LogN)
-			}
+			spill += max(rows-ckks.PlaintextMemoCap/(8<<g.LogN), 0)
 		}
 	}
-	return work, keys
+	return work, keys, spill
 }
 
 // SelectParameters derives the parameter literal from the planned

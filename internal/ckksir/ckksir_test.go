@@ -351,18 +351,17 @@ func TestStageSelection(t *testing.T) {
 
 	// Paper-scale ResNet-20 under the security floor: the shortest chain
 	// (one stage each, 23 primes, 1328 bits) needs logN 16 and leaves 322
-	// bits below the bound beside two special primes. At 2^15 slots a
-	// two-stage CoeffsToSlots holds 256 diagonals a stage over the top of
-	// the chain, which no 256 MiB table holds; re-encoding them on every
-	// bootstrap costs more than a third stage's prime, and a fourth does
-	// not pay for itself.
+	// bits below the bound beside two special primes. At 2^15 slots every
+	// cut has a stage table that outgrows 256 MiB (512 rows of 2^16
+	// coefficients), and four CoeffsToSlots and three SlotsToCoeffs
+	// stages spill the fewest rows.
 	paper := Options{LogQ0: 60, LogScale: 56, Mode: BootstrapAlways, Boot: bootstrap.Parameters{EvalModDegree: 24, DoubleAngle: 2}}
 	lit, _, boot, err = SelectParameters([]int{13, 13}, 1<<14, paperKeys, paper)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lit.LogN != 16 || len(lit.LogQ) != 26 || len(lit.LogP) != 4 || boot.C2SStages != 3 || boot.S2CStages != 2 {
-		t.Errorf("paper chain: logN %d, %d primes, %d special, stages %d/%d; want 16, 26, 4, 3/2",
+	if lit.LogN != 16 || len(lit.LogQ) != 28 || len(lit.LogP) != 2 || boot.C2SStages != 4 || boot.S2CStages != 3 {
+		t.Errorf("paper chain: logN %d, %d primes, %d special, stages %d/%d; want 16, 28, 2, 4/3",
 			lit.LogN, len(lit.LogQ), len(lit.LogP), boot.C2SStages, boot.S2CStages)
 	}
 	// The same program in a ring forced one size up has the room.

@@ -83,9 +83,9 @@ func BuildModel(spec ModelSpec, scale Scale) (*onnx.Model, error) {
 // q0 = 2^60 (the default), Delta = 2^56, bootstrap circuit of depth 11, ReLU composite
 // with alpha=9, eps=1/8. Both DFTs are pinned to two stages, the 25-prime
 // chain with five special primes Table 10 reports: at logN 16 the stage
-// rule would take a third CoeffsToSlots stage (26 primes, four special),
-// since a two-stage transform's 256 diagonals a stage outgrow the table
-// the runtime keeps them in.
+// rule would take four CoeffsToSlots and three SlotsToCoeffs stages (28
+// primes, two special), the cut whose diagonals overflow the tables the
+// runtime keeps them in the least.
 func PaperConfig() core.Config {
 	return core.Config{
 		SIHE: sihe.Options{ReLUAlpha: 9, ReLUEps: 1.0 / 8},
